@@ -13,11 +13,11 @@
 //!   allocating OPT encoder (per-burst `Vec`s, lane-word reconstruction in
 //!   the sweep), kept as the before/after yardstick,
 //! * `trace` — whole-trace encoding with carried bus state
-//!   ([`TraceEncoder`]) and the multi-group [`BusSession`], serial and
-//!   rayon-parallel,
-//! * `slab` — whole batches through [`DbiEncoder::encode_slab_into`]:
-//!   the OPT carried-state kernel (priced and masks-only) against the
-//!   serial per-burst chain and the default heuristic loop,
+//!   ([`TraceEncoder`]) and the multi-group [`BusSession`] serial stream,
+//! * `slab` — whole batches as one chain through
+//!   [`DbiEncoder::encode_lanes_into`] with a single state: the OPT
+//!   carried-state kernel (priced and masks-only) against the serial
+//!   per-burst chain and the default heuristic loop,
 //! * `slab_lanes` — the vectorised multi-chain plane
 //!   ([`DbiEncoder::encode_lanes_into`]): the same burst set as eight
 //!   independent lane-group chains, run as parallel lanes of one
@@ -34,14 +34,16 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dbi_bench::{random_buffer, random_bursts};
+use dbi_core::decode::decode_mask;
 use dbi_core::schemes::OptFixedEncoder;
 use dbi_core::{
-    Burst, BurstSlab, BusState, CostWeights, DbiDecoder, DbiEncoder, EncodePlan, EncodedBurst,
-    InversionMask, LaneWord, PlanCache, Scheme,
+    Burst, BurstSlab, BusState, CostWeights, DbiEncoder, EncodePlan, InversionMask, LaneWord,
+    PlanCache, Scheme,
 };
 use dbi_hw::PipelineEncoder;
 use dbi_mem::{BusSession, ChannelConfig};
 use dbi_workloads::{Trace, TraceEncoder};
+use std::slice;
 use std::time::Instant;
 
 /// The original (pre-LUT) optimal encoder, reproduced verbatim as the
@@ -186,19 +188,6 @@ fn encoder_throughput(c: &mut Criterion) {
             },
         );
     }
-    // encode_into: materialising through one reused buffer.
-    let opt_fixed = OptFixedEncoder::new();
-    group.bench_function("encode_into_opt_fixed", |b| {
-        let mut out = EncodedBurst::empty();
-        b.iter(|| {
-            let mut zeros = 0u64;
-            for burst in &bursts {
-                opt_fixed.encode_into(black_box(burst), &state, &mut out);
-                zeros += u64::from(out.symbols()[0].zeros());
-            }
-            zeros
-        });
-    });
     group.finish();
 
     // The runtime cost-model plane: encoding through a plan fetched from
@@ -269,9 +258,10 @@ fn encoder_throughput(c: &mut Criterion) {
     });
     group.finish();
 
-    // The batched slab plane: the whole burst set in one encode_slab_into
-    // call — the OPT kernel over contiguous storage vs. the default
-    // per-burst loop the heuristics ride, vs. the serial mask chain.
+    // The batched slab plane: the whole burst set as one chain in one
+    // encode_lanes_into call — the OPT kernel over contiguous storage vs.
+    // the default per-burst loop the heuristics ride, vs. the serial mask
+    // chain.
     let mut slab = BurstSlab::with_capacity(8, bursts.len());
     slab.extend_from_bursts(&bursts).expect("uniform bursts");
     let mut group = c.benchmark_group("slab_encode");
@@ -280,7 +270,7 @@ fn encoder_throughput(c: &mut Criterion) {
         let opt = OptFixedEncoder::new();
         b.iter(|| {
             let mut carried = state;
-            opt.encode_slab_into(black_box(&mut slab), &mut carried);
+            opt.encode_lanes_into(black_box(&mut slab), slice::from_mut(&mut carried));
             black_box(slab.total())
         });
     });
@@ -289,7 +279,7 @@ fn encoder_throughput(c: &mut Criterion) {
         slab.set_pricing(false);
         b.iter(|| {
             let mut carried = state;
-            opt.encode_slab_into(black_box(&mut slab), &mut carried);
+            opt.encode_lanes_into(black_box(&mut slab), slice::from_mut(&mut carried));
             black_box(carried)
         });
         slab.set_pricing(true);
@@ -298,14 +288,16 @@ fn encoder_throughput(c: &mut Criterion) {
         let opt = OptFixedEncoder::new();
         b.iter(|| {
             let mut carried = state;
-            dbi_core::slab::encode_slab_serial(&opt, black_box(&mut slab), &mut carried);
+            black_box(&mut slab).encode_chains_with(slice::from_mut(&mut carried), |burst, s| {
+                opt.encode_mask(burst, s)
+            });
             black_box(slab.total())
         });
     });
     group.bench_function("dc_default_loop", |b| {
         b.iter(|| {
             let mut carried = state;
-            Scheme::Dc.encode_slab_into(black_box(&mut slab), &mut carried);
+            Scheme::Dc.encode_lanes_into(black_box(&mut slab), slice::from_mut(&mut carried));
             black_box(slab.total())
         });
     });
@@ -346,18 +338,15 @@ fn encoder_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("decode");
     group.throughput(Throughput::Elements(bursts.len() as u64));
     group.bench_function("decode_mask_opt_fixed_stream", |b| {
-        let opt = OptFixedEncoder::new();
         let mut out = Vec::with_capacity(8);
         b.iter(|| {
             for (wire, mask) in wires.iter().zip(&wire_masks) {
-                opt.decode_mask(black_box(wire), *mask, &mut out)
-                    .expect("bench masks are valid");
+                decode_mask(black_box(wire), *mask, &mut out).expect("bench masks are valid");
                 black_box(&out);
             }
         });
     });
     group.bench_function("decode_slab", |b| {
-        let opt = OptFixedEncoder::new();
         let mut rx_slab = BurstSlab::with_capacity(8, bursts.len());
         for wire in &wires {
             rx_slab.push_bytes(wire).expect("uniform wire bursts");
@@ -368,7 +357,8 @@ fn encoder_throughput(c: &mut Criterion) {
         // iteration either way.
         b.iter(|| {
             let mut carried = state;
-            opt.decode_slab_into(black_box(&mut rx_slab), &mut carried)
+            black_box(&mut rx_slab)
+                .decode_in_place(&mut carried)
                 .expect("masks stay loaded");
             black_box(carried)
         });
@@ -376,7 +366,7 @@ fn encoder_throughput(c: &mut Criterion) {
     group.bench_function("decode_lanes_8_chains", |b| {
         // The receiver mirror of the lanes plane: the wire image of the
         // 8-chain encode, decoded and re-priced whole-slab by the SWAR
-        // kernel in one decode_lanes_into call.
+        // kernel in one decode_in_place_chains call.
         let opt = OptFixedEncoder::new();
         let mut tx = BurstSlab::with_capacity(8, bursts.len());
         tx.extend_from_bursts(&bursts).expect("uniform bursts");
@@ -391,14 +381,15 @@ fn encoder_throughput(c: &mut Criterion) {
         rx_lanes.load_masks(tx.masks()).expect("one mask per burst");
         b.iter(|| {
             let mut states = [state; 8];
-            opt.decode_lanes_into(black_box(&mut rx_lanes), &mut states)
+            black_box(&mut rx_lanes)
+                .decode_in_place_chains(&mut states)
                 .expect("masks stay loaded");
             black_box(states)
         });
     });
     group.finish();
 
-    // Multi-group channel streams, serial vs rayon-parallel.
+    // Multi-group channel stream through the serial reference path.
     let config = ChannelConfig::gddr5x();
     let data = random_buffer(256 * 1024);
     let mut group = c.benchmark_group("channel_stream_256KiB");
@@ -408,12 +399,6 @@ fn encoder_throughput(c: &mut Criterion) {
         b.iter(|| {
             let mut session = BusSession::new(&config, Scheme::OptFixed);
             black_box(session.encode_stream(black_box(&data)).unwrap())
-        });
-    });
-    group.bench_function("session_parallel", |b| {
-        b.iter(|| {
-            let mut session = BusSession::new(&config, Scheme::OptFixed);
-            black_box(session.encode_stream_parallel(black_box(&data)).unwrap())
         });
     });
     group.finish();
@@ -487,7 +472,7 @@ fn write_bench_json(bursts: &[Burst], state: &BusState) {
         for _ in 0..30 {
             let mut carried = *state;
             let start = Instant::now();
-            opt.encode_slab_into(slab, &mut carried);
+            opt.encode_lanes_into(slab, slice::from_mut(&mut carried));
             black_box(carried);
             let ns = start.elapsed().as_secs_f64() * 1e9 / bursts.len() as f64;
             if ns < best {
@@ -554,8 +539,7 @@ fn write_bench_json(bursts: &[Burst], state: &BusState) {
     for _ in 0..30 {
         let start = Instant::now();
         for (wire, mask) in wires.iter().zip(&wire_masks) {
-            opt.decode_mask(black_box(wire), *mask, &mut out)
-                .expect("bench masks are valid");
+            decode_mask(black_box(wire), *mask, &mut out).expect("bench masks are valid");
             black_box(&out);
         }
         let ns = start.elapsed().as_secs_f64() * 1e9 / bursts.len() as f64;
@@ -572,7 +556,8 @@ fn write_bench_json(bursts: &[Burst], state: &BusState) {
     for _ in 0..30 {
         let mut carried = *state;
         let start = Instant::now();
-        opt.decode_slab_into(&mut rx_slab, &mut carried)
+        rx_slab
+            .decode_in_place(&mut carried)
             .expect("masks stay loaded");
         black_box(carried);
         let ns = start.elapsed().as_secs_f64() * 1e9 / bursts.len() as f64;
@@ -599,7 +584,8 @@ fn write_bench_json(bursts: &[Burst], state: &BusState) {
     for _ in 0..30 {
         let mut states = [*state; 8];
         let start = Instant::now();
-        opt.decode_lanes_into(&mut rx_lanes, &mut states)
+        rx_lanes
+            .decode_in_place_chains(&mut states)
             .expect("masks stay loaded");
         black_box(states);
         let ns = start.elapsed().as_secs_f64() * 1e9 / bursts.len() as f64;

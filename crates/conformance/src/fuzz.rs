@@ -25,16 +25,16 @@
 //! * **plan-swap coherence** — a [`BusSession`] whose plan is swapped at
 //!   a burst boundary stays bit-identical to the hand-stitched chain;
 //! * **kernel-tier equality** — every available slab kernel
-//!   ([`dbi_core::simd::available_kernels`]: bit-sliced, SSE2, AVX2, NEON)
+//!   ([`dbi_core::simd::available_kernels`]: SSE2, AVX2, NEON)
 //!   produces bit-identical masks, pricing and carried chain states to
 //!   the serial reference on multi-chain lane sweeps, encode and decode,
 //!   priced and masks-only.
 
 use crate::corpus::ref_scheme;
 use crate::reference;
+use dbi_core::decode::decode_mask;
 use dbi_core::{
-    Burst, BurstSlab, BusState, CostWeights, DbiDecoder, DbiEncoder, InversionMask, LaneWord,
-    Scheme,
+    Burst, BurstSlab, BusState, CostWeights, DbiEncoder, InversionMask, LaneWord, Scheme,
 };
 use dbi_mem::BusSession;
 use dbi_workloads::LoadProfile;
@@ -229,8 +229,7 @@ fn run_case(
             scratch.wire.clear();
             scratch.wire.extend_from_slice(bytes);
             mask.apply_in_place(&mut scratch.wire);
-            scheme
-                .decode_mask(&scratch.wire, mask, &mut scratch.decoded)
+            decode_mask(&scratch.wire, mask, &mut scratch.decoded)
                 .map_err(|err| format!("{scheme}: decode_mask: {err}"))?;
             if &scratch.decoded != bytes {
                 return Err(format!("{scheme}: decode_mask lost {bytes:02x?}"));
@@ -256,7 +255,7 @@ fn run_case(
             slab.push_bytes(bytes).expect("chain bursts fit the slab");
         }
         let mut slab_state = entry;
-        scheme.encode_slab_into(&mut slab, &mut slab_state);
+        scheme.encode_lanes_into(&mut slab, core::slice::from_mut(&mut slab_state));
         if slab.masks() != masks {
             return Err(format!("{scheme}: slab masks diverge from the chain"));
         }
@@ -275,8 +274,8 @@ fn run_case(
             .load_masks(slab.masks())
             .map_err(|err| format!("{scheme}: load_masks: {err}"))?;
         let mut rx_state = entry;
-        scheme
-            .decode_slab_into(&mut rx_wire, &mut rx_state)
+        rx_wire
+            .decode_in_place(&mut rx_state)
             .map_err(|err| format!("{scheme}: slab decode: {err}"))?;
         if rx_wire.bytes() != slab.bytes() {
             return Err(format!("{scheme}: slab decode lost the payload"));
@@ -389,7 +388,7 @@ fn run_case(
 
     // Kernel-tier differential: the multi-chain lanes encode and the SWAR
     // decode must be bit-identical to the serial per-chain reference on
-    // EVERY available kernel (bit-sliced, SSE2, AVX2, NEON — whatever the
+    // EVERY available kernel (SSE2, AVX2, NEON — whatever the
     // CPU offers), priced and masks-only, whatever the geometry. This is
     // what lets `DBI_FORCE_SCALAR` be an escape hatch rather than a
     // different codec.

@@ -4,9 +4,9 @@
 //! Four levels, lowest to highest:
 //!
 //! 1. **mask** — the per-burst [`DbiEncoder::encode_mask`] fast path plus
-//!    the decode plane's [`DbiDecoder::decode_mask`];
-//! 2. **slab** — the batched [`DbiEncoder::encode_slab_into`] kernels and
-//!    [`DbiDecoder::decode_slab_into`];
+//!    the decode plane's [`decode_mask`];
+//! 2. **slab** — the batched [`DbiEncoder::encode_lanes_into`] kernels
+//!    (one chain per vector) and [`BurstSlab::decode_in_place`];
 //! 3. **session** — multi-group [`dbi_mem::BusSession`] streams, encode
 //!    and decode, with chains interleaved across lane groups;
 //! 4. **tcp** — the full service: a [`dbi_service::TcpServer`] round trip
@@ -20,9 +20,9 @@
 //! tests and the `conformance` binary fail on any.
 
 use crate::corpus::{Corpus, GoldenVector};
+use dbi_core::decode::decode_mask;
 use dbi_core::{
-    Burst, BurstSlab, BusState, CostBreakdown, DbiDecoder, DbiEncoder, InversionMask, LaneWord,
-    Scheme,
+    Burst, BurstSlab, BusState, CostBreakdown, DbiEncoder, InversionMask, LaneWord, Scheme,
 };
 use dbi_mem::BusSession;
 use dbi_service::{
@@ -80,8 +80,7 @@ pub fn check_mask_level(corpus: &Corpus) -> Result<ReplayStats, String> {
             // The decode plane inverts the wire image exactly.
             let mut wire = bytes.clone();
             mask.apply_in_place(&mut wire);
-            scheme
-                .decode_mask(&wire, mask, &mut decoded)
+            decode_mask(&wire, mask, &mut decoded)
                 .map_err(|err| format!("{}: decode failed: {err}", context()))?;
             if &decoded != bytes {
                 return Err(format!("{}: decode did not recover the payload", context()));
@@ -111,7 +110,7 @@ pub fn check_slab_level(corpus: &Corpus) -> Result<ReplayStats, String> {
             slab.push_bytes(bytes).expect("golden bursts fit the slab");
         }
         let mut state = BusState::idle();
-        scheme.encode_slab_into(&mut slab, &mut state);
+        scheme.encode_lanes_into(&mut slab, core::slice::from_mut(&mut state));
 
         let masks: Vec<u32> = slab.masks().iter().map(|m| m.bits()).collect();
         if masks != vector.masks {
@@ -141,8 +140,8 @@ pub fn check_slab_level(corpus: &Corpus) -> Result<ReplayStats, String> {
             .load_masks(slab.masks())
             .map_err(|err| context(&format!("load_masks: {err}")))?;
         let mut rx_state = BusState::idle();
-        scheme
-            .decode_slab_into(&mut rx_slab, &mut rx_state)
+        rx_slab
+            .decode_in_place(&mut rx_state)
             .map_err(|err| context(&format!("slab decode: {err}")))?;
         let payload: Vec<u8> = vector.bursts.concat();
         if rx_slab.bytes() != payload {

@@ -12,35 +12,28 @@
 //! byte*) and the DBI lane carrying the inversion decision. Decoding is
 //! therefore scheme-independent — the receiver never needs to know *why*
 //! a byte was inverted, only *that* it was — which is what lets one
-//! hardware receiver serve every encoding scheme. [`DbiDecoder`] mirrors
-//! that: it is a trait with complete default implementations, blanket-
-//! implemented for every [`DbiEncoder`], so all eight schemes, every
-//! [`EncodePlan`](crate::plan::EncodePlan), [`Scheme`](crate::Scheme)
-//! dispatch and the `&`/`Box`/`Arc` forwarding impls gain the decode
-//! surface for free — call `scheme.decode_mask(..)` exactly as you call
-//! `scheme.encode_mask(..)`.
-//!
-//! The API levels mirror the encode side one-for-one:
+//! hardware receiver serve every encoding scheme. The decode surface is
+//! accordingly plain functions of the wire image, not a per-scheme trait:
 //!
 //! | encode | decode | granularity |
 //! |--------|--------|-------------|
-//! | [`DbiEncoder::encode_mask`] | [`DbiDecoder::decode_mask`] | one burst, caller-owned buffer |
-//! | [`DbiEncoder::encode_into`] | [`DbiDecoder::decode_into`] | one materialised [`EncodedBurst`] |
-//! | [`DbiEncoder::encode`] | [`DbiDecoder::decode`] | one burst, fresh [`Burst`] |
-//! | [`DbiEncoder::encode_slab_into`] | [`DbiDecoder::decode_slab_into`] | a whole [`BurstSlab`], carried state |
+//! | [`DbiEncoder::encode_mask`](crate::DbiEncoder::encode_mask) | [`decode_mask`] | one burst, caller-owned buffer |
+//! | [`DbiEncoder::encode`](crate::DbiEncoder::encode) | [`EncodedBurst::decode`](crate::EncodedBurst::decode) | one materialised burst |
+//! | [`DbiEncoder::encode_lanes_into`](crate::DbiEncoder::encode_lanes_into) | [`BurstSlab::decode_in_place_chains`](crate::BurstSlab::decode_in_place_chains) | a [`BurstSlab`](crate::BurstSlab) of independent chains, carried state |
 //!
-//! All buffer-reusing forms are allocation-free once their buffers are
-//! warm. The slab form also carries the **receiver's** [`BusState`]
-//! across bursts and, with pricing on, re-prices the wire activity from
-//! the received lane levels ([`crate::word::LaneWord::from_wire`]) — an
-//! independent
+//! A single chain decodes with
+//! [`BurstSlab::decode_in_place`](crate::BurstSlab::decode_in_place). The
+//! buffer-reusing forms are allocation-free once their buffers are warm.
+//! The slab forms also carry the **receiver's** lane state across bursts
+//! and, with pricing on, re-price the wire activity from the received
+//! lane levels ([`crate::word::LaneWord::from_wire`]) — an independent
 //! path from the encode-side accounting, so the two sides cross-check
 //! each other (the service's verify mode and the conformance suite build
 //! on exactly this).
 //!
 //! ```
 //! # fn main() -> Result<(), dbi_core::DbiError> {
-//! use dbi_core::decode::DbiDecoder;
+//! use dbi_core::decode::decode_mask;
 //! use dbi_core::{Burst, BusState, DbiEncoder, Scheme};
 //!
 //! let payload = Burst::paper_example();
@@ -53,122 +46,52 @@
 //!
 //! // ...and the receiver recovers the payload from wire bytes + DBI lane.
 //! let mut recovered = Vec::new();
-//! Scheme::OptFixed.decode_mask(&wire, mask, &mut recovered)?;
+//! decode_mask(&wire, mask, &mut recovered)?;
 //! assert_eq!(recovered, payload.bytes());
 //! # Ok(())
 //! # }
 //! ```
 
-use crate::burst::{Burst, BusState};
-use crate::encoding::{EncodedBurst, InversionMask};
+use crate::encoding::InversionMask;
 use crate::error::{DbiError, Result};
-use crate::schemes::DbiEncoder;
-use crate::slab::BurstSlab;
 
-/// A data bus inversion decoder: the receiver side of [`DbiEncoder`].
+/// Recovers one burst's payload bytes from its wire bytes (the DQ lane
+/// levels as received) and the mask signalled on the DBI lane, into a
+/// caller-owned buffer that is cleared and refilled — allocation-free once
+/// `out` has the capacity. The receiver-side mirror of
+/// [`DbiEncoder::encode_mask`](crate::DbiEncoder::encode_mask).
 ///
-/// Decoding is the same operation for every scheme (undo whatever the DBI
-/// lane signals), so every method has a complete default implementation
-/// and the trait is blanket-implemented for all encoders — the value of
-/// having it on the encoder types is symmetry: the object that chose the
-/// masks can also be asked to invert them, which keeps round-trip tests,
-/// the verify path and the conformance harness scheme-generic.
-pub trait DbiDecoder {
-    /// Recovers one burst's payload bytes from its wire bytes (the DQ
-    /// lane levels as received) and the mask signalled on the DBI lane,
-    /// into a caller-owned buffer that is cleared and refilled —
-    /// allocation-free once `out` has the capacity. The receiver-side
-    /// mirror of [`DbiEncoder::encode_mask`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbiError::EmptyBurst`] for an empty wire slice,
-    /// [`DbiError::BurstTooLong`] beyond the 32-byte mask limit, or
-    /// [`DbiError::MaskTooWide`] when the mask references beats the burst
-    /// does not have. `out` is cleared but otherwise untouched on error.
-    fn decode_mask(&self, wire: &[u8], mask: InversionMask, out: &mut Vec<u8>) -> Result<()> {
-        out.clear();
-        if wire.is_empty() {
-            return Err(DbiError::EmptyBurst);
-        }
-        if wire.len() > 32 {
-            return Err(DbiError::BurstTooLong {
-                len: wire.len(),
-                max: 32,
-            });
-        }
-        mask.validate_for_len(wire.len())?;
-        out.extend_from_slice(wire);
-        mask.apply_in_place(out);
-        Ok(())
+/// # Errors
+///
+/// Returns [`DbiError::EmptyBurst`] for an empty wire slice,
+/// [`DbiError::BurstTooLong`] beyond the 32-byte mask limit, or
+/// [`DbiError::MaskTooWide`] when the mask references beats the burst
+/// does not have. `out` is cleared but otherwise untouched on error.
+pub fn decode_mask(wire: &[u8], mask: InversionMask, out: &mut Vec<u8>) -> Result<()> {
+    out.clear();
+    if wire.is_empty() {
+        return Err(DbiError::EmptyBurst);
     }
-
-    /// Recovers the payload of a materialised [`EncodedBurst`] into a
-    /// caller-owned buffer (cleared and refilled; an unassigned empty
-    /// burst yields an empty buffer). The receiver-side mirror of
-    /// [`DbiEncoder::encode_into`].
-    fn decode_into(&self, encoded: &EncodedBurst, out: &mut Vec<u8>) {
-        out.clear();
-        out.extend(encoded.symbols().iter().map(|word| word.decode()));
+    if wire.len() > 32 {
+        return Err(DbiError::BurstTooLong {
+            len: wire.len(),
+            max: 32,
+        });
     }
-
-    /// Recovers one burst's payload as a fresh [`Burst`] — the convenient
-    /// form, mirroring [`DbiEncoder::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DbiDecoder::decode_mask`].
-    fn decode(&self, wire: &Burst, mask: InversionMask) -> Result<Burst> {
-        let mut bytes = Vec::with_capacity(wire.len());
-        self.decode_mask(wire.bytes(), mask, &mut bytes)?;
-        Burst::new(bytes)
-    }
-
-    /// Decodes every burst of a [`BurstSlab`] in place, carrying the
-    /// **receiver's** `state` across bursts — the mirror of
-    /// [`DbiEncoder::encode_slab_into`]. On entry the slab's payload area
-    /// holds wire bytes and its mask column the DBI-lane decisions
-    /// ([`BurstSlab::load_masks`]); on return the payload area holds the
-    /// recovered bytes, `state` the post-slab receiver lane state, and —
-    /// with pricing on — the cost rows the wire activity as re-priced
-    /// from the received lane levels.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbiError::MaskCountMismatch`] when the mask column does
-    /// not cover every burst; the slab is unchanged.
-    fn decode_slab_into(&self, slab: &mut BurstSlab, state: &mut BusState) -> Result<()> {
-        slab.decode_in_place(state)
-    }
-
-    /// Decodes a slab holding the bursts of `states.len()` independent
-    /// chains, chain-major, each with its own carried receiver state —
-    /// the mirror of [`DbiEncoder::encode_lanes_into`]. Rides the
-    /// runtime-selected kernel tier
-    /// ([`BurstSlab::decode_in_place_chains`]); with pricing on, the
-    /// SWAR tier re-prices eight beats per popcount.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbiError::MaskCountMismatch`] when the mask column does
-    /// not cover every burst; the slab is unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `states` is empty or the slab's burst count is not a
-    /// whole number of chains.
-    fn decode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) -> Result<()> {
-        slab.decode_in_place_chains(states)
-    }
+    mask.validate_for_len(wire.len())?;
+    out.extend_from_slice(wire);
+    mask.apply_in_place(out);
+    Ok(())
 }
-
-impl<T: DbiEncoder + ?Sized> DbiDecoder for T {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::burst::{Burst, BusState};
     use crate::cost::CostWeights;
+    use crate::encoding::{decode_symbols, EncodedBurst};
     use crate::schemes::{DbiEncoder, ExhaustiveEncoder, Scheme};
+    use crate::slab::BurstSlab;
 
     fn all_schemes() -> Vec<Scheme> {
         let mut all: Vec<Scheme> = Scheme::paper_set().to_vec();
@@ -187,11 +110,8 @@ mod tests {
             let mask = scheme.encode_mask(&payload, &state);
             let mut wire = payload.bytes().to_vec();
             mask.apply_in_place(&mut wire);
-            scheme.decode_mask(&wire, mask, &mut recovered).unwrap();
+            decode_mask(&wire, mask, &mut recovered).unwrap();
             assert_eq!(recovered, payload.bytes(), "{scheme}");
-            // The Burst-level convenience agrees.
-            let wire_burst = Burst::new(wire).unwrap();
-            assert_eq!(scheme.decode(&wire_burst, mask).unwrap(), payload);
         }
     }
 
@@ -210,12 +130,8 @@ mod tests {
         ] {
             let mut wire = payload.bytes().to_vec();
             mask.apply_in_place(&mut wire);
-            plan.decode_mask(&wire, mask, &mut out).unwrap();
-            assert_eq!(out, payload.bytes(), "{name} via plan");
-            boxed.decode_mask(&wire, mask, &mut out).unwrap();
-            assert_eq!(out, payload.bytes(), "{name} via boxed dyn encoder");
-            oracle.decode_mask(&wire, mask, &mut out).unwrap();
-            assert_eq!(out, payload.bytes(), "{name} via oracle");
+            decode_mask(&wire, mask, &mut out).unwrap();
+            assert_eq!(out, payload.bytes(), "{name}");
         }
     }
 
@@ -223,31 +139,28 @@ mod tests {
     fn decode_into_mirrors_encoded_burst_decode() {
         let payload = Burst::from_slice(&[0x00, 0xFF, 0xA5, 0x5A]).unwrap();
         let encoded = Scheme::Dc.encode(&payload, &BusState::idle());
-        let mut out = vec![9u8; 64];
-        Scheme::Dc.decode_into(&encoded, &mut out);
-        assert_eq!(out, payload.bytes());
+        assert_eq!(decode_symbols(encoded.symbols()).unwrap(), payload);
         assert_eq!(encoded.decode(), payload);
-        // An unassigned buffer decodes to nothing.
-        Scheme::Dc.decode_into(&EncodedBurst::empty(), &mut out);
-        assert!(out.is_empty());
+        // An unassigned buffer holds no symbols and decodes to an error.
+        assert!(decode_symbols(EncodedBurst::empty().symbols()).is_err());
     }
 
     #[test]
     fn decode_mask_rejects_malformed_input_and_clears_out() {
         let mut out = vec![1u8, 2, 3];
         assert_eq!(
-            Scheme::Raw.decode_mask(&[], InversionMask::NONE, &mut out),
+            decode_mask(&[], InversionMask::NONE, &mut out),
             Err(DbiError::EmptyBurst)
         );
         assert!(out.is_empty());
         out.push(7);
         assert!(matches!(
-            Scheme::Raw.decode_mask(&[0u8; 33], InversionMask::NONE, &mut out),
+            decode_mask(&[0u8; 33], InversionMask::NONE, &mut out),
             Err(DbiError::BurstTooLong { len: 33, max: 32 })
         ));
         assert!(out.is_empty());
         assert!(matches!(
-            Scheme::Raw.decode_mask(&[0u8; 2], InversionMask::from_bits(0b100), &mut out),
+            decode_mask(&[0u8; 2], InversionMask::from_bits(0b100), &mut out),
             Err(DbiError::MaskTooWide { .. })
         ));
     }
@@ -263,7 +176,7 @@ mod tests {
             let mut tx_slab = BurstSlab::new(burst_len);
             tx_slab.extend_from_bytes(&payloads).unwrap();
             let mut tx_state = BusState::idle();
-            scheme.encode_slab_into(&mut tx_slab, &mut tx_state);
+            scheme.encode_lanes_into(&mut tx_slab, core::slice::from_mut(&mut tx_state));
 
             let mut wire = payloads.clone();
             for (index, mask) in tx_slab.masks().iter().enumerate() {
@@ -275,9 +188,7 @@ mod tests {
             rx_slab.extend_from_bytes(&wire).unwrap();
             rx_slab.load_masks(tx_slab.masks()).unwrap();
             let mut rx_state = BusState::idle();
-            scheme
-                .decode_slab_into(&mut rx_slab, &mut rx_state)
-                .unwrap();
+            rx_slab.decode_in_place(&mut rx_state).unwrap();
 
             assert_eq!(rx_slab.bytes(), &payloads[..], "{scheme}: payload");
             assert_eq!(rx_state, tx_state, "{scheme}: carried receiver state");
@@ -296,7 +207,7 @@ mod tests {
             .unwrap();
         slab.set_pricing(false);
         let mut state = BusState::idle();
-        Scheme::Raw.decode_slab_into(&mut slab, &mut state).unwrap();
+        slab.decode_in_place(&mut state).unwrap();
         assert!(slab.costs().is_empty());
         assert_ne!(state, BusState::idle());
     }
@@ -319,7 +230,7 @@ mod tests {
         let before = slab.bytes().to_vec();
         let mut state = BusState::idle();
         assert!(matches!(
-            Scheme::Raw.decode_slab_into(&mut slab, &mut state),
+            slab.decode_in_place(&mut state),
             Err(DbiError::MaskCountMismatch { .. })
         ));
         assert_eq!(slab.bytes(), &before[..], "slab unchanged on error");

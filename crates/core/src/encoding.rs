@@ -316,7 +316,7 @@ pub struct EncodedBurst {
 
 impl EncodedBurst {
     /// Creates an empty reusable buffer for
-    /// [`DbiEncoder::encode_into`](crate::schemes::DbiEncoder::encode_into).
+    /// [`EncodedBurst::assign_from_mask`].
     /// The only way to obtain an [`EncodedBurst::is_empty`] value.
     #[must_use]
     pub const fn empty() -> Self {

@@ -51,11 +51,14 @@
 //! [`schemes::DbiEncoder::encode_mask`] returns only the per-byte
 //! decisions (no symbol materialisation),
 //! [`encoding::InversionMask::breakdown`] prices a mask straight from the
-//! payload bytes, and [`schemes::DbiEncoder::encode_into`] refills a
+//! payload bytes, and [`EncodedBurst::assign_from_mask`] refills a
 //! caller-owned [`EncodedBurst`] whose inline buffer keeps standard
-//! bursts off the heap. The optimal encoder backs this with precomputed
-//! edge-cost tables ([`lut::CostLut`]), making its forward sweep pure
-//! table lookups and adds.
+//! bursts off the heap. Whole batches go through
+//! [`schemes::DbiEncoder::encode_lanes_into`], which encodes a
+//! [`BurstSlab`] of one or more independent chains in one call. The
+//! optimal encoder backs both with precomputed edge-cost tables
+//! ([`lut::CostLut`]), making its forward sweep pure table lookups and
+//! adds.
 //!
 //! ## Module overview
 //!
@@ -68,7 +71,7 @@
 //! | [`lut`] | precomputed trellis edge-cost tables (the encode hot path) |
 //! | [`plan`] | runtime encode plans ([`EncodePlan`]) and the bounded [`PlanCache`] |
 //! | [`encoding`] | inversion masks, encoded bursts (inline small-buffer storage), decoding |
-//! | [`decode`] | the receiver: [`DbiDecoder`], mask/burst/slab decode with carried state |
+//! | [`decode`] | the receiver: [`decode::decode_mask`] and the slab decode API table |
 //! | [`slab`] | batched burst slabs ([`BurstSlab`]) and whole-slab encoding |
 //! | [`simd`] | vectorised slab kernels ([`simd::KernelKind`]), runtime dispatch |
 //! | [`schemes`] | RAW, DC, AC, ACDC, greedy, OPT, OPT(Fixed), exhaustive oracle |
@@ -106,7 +109,6 @@ pub mod word;
 
 pub use burst::{Burst, BusState, MAX_EXHAUSTIVE_LEN, STANDARD_BURST_LEN};
 pub use cost::{CostBreakdown, CostWeights};
-pub use decode::DbiDecoder;
 pub use encoding::{decode_symbols, EncodedBurst, InversionMask, INLINE_SYMBOLS};
 pub use error::{DbiError, Result};
 pub use lut::CostLut;

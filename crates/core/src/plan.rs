@@ -51,7 +51,7 @@
 
 use crate::burst::{Burst, BusState};
 use crate::cost::CostWeights;
-use crate::encoding::{EncodedBurst, InversionMask};
+use crate::encoding::InversionMask;
 use crate::lut::CostLut;
 use crate::schemes::{
     AcDcEncoder, AcEncoder, DbiEncoder, DcEncoder, GreedyEncoder, OptEncoder, RawEncoder, Scheme,
@@ -200,17 +200,6 @@ impl DbiEncoder for EncodePlan {
         self.scheme.name()
     }
 
-    fn encode(&self, burst: &Burst, state: &BusState) -> EncodedBurst {
-        match &self.encoder {
-            PlanEncoder::Raw(e) => e.encode(burst, state),
-            PlanEncoder::Dc(e) => e.encode(burst, state),
-            PlanEncoder::Ac(e) => e.encode(burst, state),
-            PlanEncoder::AcDc(e) => e.encode(burst, state),
-            PlanEncoder::Greedy(e) => e.encode(burst, state),
-            PlanEncoder::Opt(e) => e.encode(burst, state),
-        }
-    }
-
     #[inline]
     fn encode_mask(&self, burst: &Burst, state: &BusState) -> InversionMask {
         match &self.encoder {
@@ -223,33 +212,9 @@ impl DbiEncoder for EncodePlan {
         }
     }
 
-    fn encode_into(&self, burst: &Burst, state: &BusState, out: &mut EncodedBurst) {
-        match &self.encoder {
-            PlanEncoder::Raw(e) => e.encode_into(burst, state, out),
-            PlanEncoder::Dc(e) => e.encode_into(burst, state, out),
-            PlanEncoder::Ac(e) => e.encode_into(burst, state, out),
-            PlanEncoder::AcDc(e) => e.encode_into(burst, state, out),
-            PlanEncoder::Greedy(e) => e.encode_into(burst, state, out),
-            PlanEncoder::Opt(e) => e.encode_into(burst, state, out),
-        }
-    }
-
     /// One static match for the whole slab; the optimal variants reach
-    /// their carried-state LUT kernel through this dispatch.
-    fn encode_slab_into(&self, slab: &mut BurstSlab, state: &mut BusState) {
-        match &self.encoder {
-            PlanEncoder::Raw(e) => e.encode_slab_into(slab, state),
-            PlanEncoder::Dc(e) => e.encode_slab_into(slab, state),
-            PlanEncoder::Ac(e) => e.encode_slab_into(slab, state),
-            PlanEncoder::AcDc(e) => e.encode_slab_into(slab, state),
-            PlanEncoder::Greedy(e) => e.encode_slab_into(slab, state),
-            PlanEncoder::Opt(e) => e.encode_slab_into(slab, state),
-        }
-    }
-
-    /// The multi-chain dispatch mirror of
-    /// [`DbiEncoder::encode_slab_into`]: the optimal variants reach the
-    /// lockstep SIMD kernels ([`crate::simd`]) through this match.
+    /// the carried-state LUT and lockstep SIMD kernels ([`crate::simd`])
+    /// through this dispatch.
     fn encode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) {
         match &self.encoder {
             PlanEncoder::Raw(e) => e.encode_lanes_into(slab, states),
@@ -487,8 +452,6 @@ mod tests {
         schemes.extend_from_slice(Scheme::conventional_set());
         schemes.push(Scheme::Greedy(CostWeights::new(1, 4).unwrap()));
         schemes.push(Scheme::Opt(CostWeights::new(4, 1).unwrap()));
-        let mut via_plan = EncodedBurst::empty();
-        let mut via_scheme = EncodedBurst::empty();
         for scheme in schemes {
             let plan = EncodePlan::new(scheme);
             assert_eq!(
@@ -501,9 +464,6 @@ mod tests {
                 scheme.encode(&burst, &state),
                 "{scheme}"
             );
-            plan.encode_into(&burst, &state, &mut via_plan);
-            scheme.encode_into(&burst, &state, &mut via_scheme);
-            assert_eq!(via_plan, via_scheme, "{scheme}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! DBI AC: per-byte transition minimisation.
 
 use crate::burst::{Burst, BusState};
-use crate::encoding::{EncodedBurst, InversionMask};
+use crate::encoding::InversionMask;
 use crate::schemes::DbiEncoder;
 use crate::word::LaneWord;
 
@@ -51,11 +51,6 @@ impl AcEncoder {
 impl DbiEncoder for AcEncoder {
     fn name(&self) -> &str {
         "DBI AC"
-    }
-
-    fn encode(&self, burst: &Burst, state: &BusState) -> EncodedBurst {
-        EncodedBurst::from_mask(burst, self.encode_mask(burst, state))
-            .expect("the AC rule produces one decision per byte of a mask-sized burst")
     }
 
     /// Allocation-free fast path: the per-byte comparison carries only the

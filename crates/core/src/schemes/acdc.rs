@@ -1,7 +1,7 @@
 //! DBI ACDC: Hollis' combined mode-switching scheme.
 
 use crate::burst::{Burst, BusState};
-use crate::encoding::{EncodedBurst, InversionMask};
+use crate::encoding::InversionMask;
 use crate::schemes::{AcEncoder, DbiEncoder, DcEncoder};
 use crate::word::LaneWord;
 
@@ -33,11 +33,6 @@ impl AcDcEncoder {
 impl DbiEncoder for AcDcEncoder {
     fn name(&self) -> &str {
         "DBI ACDC"
-    }
-
-    fn encode(&self, burst: &Burst, state: &BusState) -> EncodedBurst {
-        EncodedBurst::from_mask(burst, self.encode_mask(burst, state))
-            .expect("the ACDC rule produces one decision per byte of a mask-sized burst")
     }
 
     /// Allocation-free fast path: DC rule for byte 0, AC rule after.

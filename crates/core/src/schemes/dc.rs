@@ -1,7 +1,7 @@
 //! DBI DC: per-byte zero minimisation.
 
 use crate::burst::{Burst, BusState};
-use crate::encoding::{EncodedBurst, InversionMask};
+use crate::encoding::InversionMask;
 use crate::schemes::DbiEncoder;
 use crate::word::byte_zeros;
 
@@ -50,11 +50,6 @@ impl DcEncoder {
 impl DbiEncoder for DcEncoder {
     fn name(&self) -> &str {
         "DBI DC"
-    }
-
-    fn encode(&self, burst: &Burst, state: &BusState) -> EncodedBurst {
-        EncodedBurst::from_mask(burst, self.encode_mask(burst, state))
-            .expect("the DC rule produces one decision per byte of a mask-sized burst")
     }
 
     /// Allocation-free fast path: one popcount threshold per byte.

@@ -68,14 +68,6 @@ impl DbiEncoder for ExhaustiveEncoder {
         "Exhaustive"
     }
 
-    /// # Panics
-    ///
-    /// Panics if the burst is longer than [`MAX_EXHAUSTIVE_LEN`] bytes.
-    fn encode(&self, burst: &Burst, state: &BusState) -> EncodedBurst {
-        EncodedBurst::from_mask(burst, self.encode_mask(burst, state))
-            .expect("the chosen mask only references bytes of the burst")
-    }
-
     /// Allocation-free fast path: walks the 2ⁿ masks in ascending order and
     /// keeps the first minimum, pricing each candidate directly from the
     /// payload bytes ([`InversionMask::cost`]) instead of materialising an

@@ -2,7 +2,7 @@
 
 use crate::burst::{Burst, BusState};
 use crate::cost::CostWeights;
-use crate::encoding::{EncodedBurst, InversionMask};
+use crate::encoding::InversionMask;
 use crate::schemes::DbiEncoder;
 use crate::word::LaneWord;
 
@@ -61,11 +61,6 @@ impl Default for GreedyEncoder {
 impl DbiEncoder for GreedyEncoder {
     fn name(&self) -> &str {
         "Greedy"
-    }
-
-    fn encode(&self, burst: &Burst, state: &BusState) -> EncodedBurst {
-        EncodedBurst::from_mask(burst, self.encode_mask(burst, state))
-            .expect("the greedy rule produces one decision per byte of a mask-sized burst")
     }
 
     /// Allocation-free fast path: two candidate costs per byte, keep the

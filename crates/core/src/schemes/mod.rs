@@ -15,20 +15,24 @@
 //! | DBI OPT (Fixed) | [`OptFixedEncoder`] | DBI OPT with α = β = 1 (the paper's hardware-friendly variant) |
 //! | Exhaustive | [`ExhaustiveEncoder`] | brute-force 2ⁿ search, used as a correctness oracle |
 //!
-//! ## Batch and streaming encoding
+//! ## Encoding entry points
 //!
-//! Every scheme provides three encoding entry points:
+//! Every scheme provides two encoding entry points:
 //!
-//! * [`DbiEncoder::encode_mask`] — the throughput path: returns only the
-//!   per-byte decisions as an [`InversionMask`]. Every scheme in this crate
-//!   overrides it with an implementation that performs **no heap
-//!   allocation**; combined with [`InversionMask::breakdown`] this is all a
-//!   streaming cost evaluation needs.
-//! * [`DbiEncoder::encode_into`] — materialises the lane words into a
-//!   caller-owned [`EncodedBurst`], reusing its storage across calls.
-//! * [`DbiEncoder::encode`] — the convenient form, returning a fresh
-//!   [`EncodedBurst`] (whose inline symbol buffer still keeps standard
-//!   BL8/BL16 bursts off the heap).
+//! * [`DbiEncoder::encode_mask`] — the per-burst reference: returns only
+//!   the per-byte decisions as an [`InversionMask`]. Every scheme in this
+//!   crate implements it with **no heap allocation**; combined with
+//!   [`InversionMask::breakdown`] this is all a streaming cost evaluation
+//!   needs, and [`EncodedBurst::assign_from_mask`] materialises the lane
+//!   words into a caller-owned buffer when they are wanted.
+//! * [`DbiEncoder::encode_lanes_into`] — the batch path: encodes a
+//!   [`BurstSlab`] holding one or more independent chains, each carrying
+//!   its own [`BusState`]. A single chain is
+//!   `encode_lanes_into(slab, core::slice::from_mut(state))`.
+//!
+//! [`DbiEncoder::encode`] is a provided convenience returning a fresh
+//! [`EncodedBurst`] (whose inline symbol buffer still keeps standard
+//! BL8/BL16 bursts off the heap).
 
 mod ac;
 mod acdc;
@@ -66,62 +70,24 @@ pub trait DbiEncoder {
     fn name(&self) -> &str;
 
     /// Chooses the per-byte inversion decisions for `burst`, given that the
-    /// lanes currently carry `state`, and materialises the transmitted lane
-    /// words.
-    fn encode(&self, burst: &Burst, state: &BusState) -> EncodedBurst;
-
-    /// The decisions alone, without materialising lane words.
-    ///
-    /// The default delegates to [`DbiEncoder::encode`]; every scheme in
-    /// this crate overrides it with an allocation-free implementation, so
-    /// cost accounting over long streams (via
-    /// [`InversionMask::breakdown`]) never touches the heap.
-    fn encode_mask(&self, burst: &Burst, state: &BusState) -> InversionMask {
-        self.encode(burst, state).mask()
-    }
-
-    /// Encodes into a caller-owned buffer, reusing its symbol storage.
-    ///
-    /// The default composes [`DbiEncoder::encode_mask`] with
-    /// [`EncodedBurst::assign_from_mask`], which is allocation-free for
-    /// every burst the buffer has already grown to hold (and always for
-    /// inline-sized bursts).
-    fn encode_into(&self, burst: &Burst, state: &BusState, out: &mut EncodedBurst) {
-        let mask = self.encode_mask(burst, state);
-        out.assign_from_mask(burst, mask)
-            .expect("encoders produce masks that are valid for their burst");
-    }
-
-    /// Encodes every burst of a [`BurstSlab`] in one call, carrying
-    /// `state` across bursts exactly as a serial [`DbiEncoder::encode_mask`]
-    /// chain would, and filling the slab's per-burst mask and cost rows.
-    /// On return `state` holds the lane levels after the slab's last
-    /// burst.
-    ///
-    /// The default loops the per-burst fast path through the slab's
-    /// reusable scratch buffer (allocation-free once the slab is warm);
-    /// the optimal trellis encoders override it with a carried-state LUT
-    /// kernel that walks the contiguous payload directly, amortising
-    /// dispatch and bounds checks across the whole slab. Every override is
-    /// **bit-identical** to this default (`tests/slab_differential.rs`).
-    fn encode_slab_into(&self, slab: &mut BurstSlab, state: &mut BusState) {
-        slab.encode_with(state, |burst, state| self.encode_mask(burst, state));
-    }
+    /// lanes currently carry `state` — the per-burst reference every batch
+    /// path is differential-tested against.
+    fn encode_mask(&self, burst: &Burst, state: &BusState) -> InversionMask;
 
     /// Encodes a slab holding the bursts of `states.len()` **independent
     /// chains** (one per lane group of a channel), laid out chain-major:
     /// chain `c`'s bursts occupy rows `c·per_chain .. (c+1)·per_chain`,
-    /// and each chain carries its own [`BusState`]. Semantically
-    /// equivalent to `states.len()` separate
-    /// [`DbiEncoder::encode_slab_into`] calls over the per-chain row
-    /// ranges — but because the chains are independent, the optimal
-    /// encoders override this with lockstep bit-sliced/SIMD kernels
-    /// ([`crate::simd`]) that sweep four or eight chains as parallel
-    /// lanes of one trellis recurrence.
+    /// and each chain carries its own [`BusState`], exactly as a serial
+    /// [`DbiEncoder::encode_mask`] chain would. Fills the slab's per-burst
+    /// mask and (with pricing on) cost rows; on return each state holds
+    /// the lane levels after its chain's last burst.
     ///
-    /// The default runs the serial per-burst chain per lane group, which
-    /// is the reference semantics every override is differential-tested
-    /// against.
+    /// The default runs the serial per-burst chain per lane group through
+    /// the slab's reusable scratch buffer (allocation-free once the slab
+    /// is warm). The optimal encoders override it with carried-state LUT
+    /// kernels that sweep four or eight chains as parallel lanes of one
+    /// trellis recurrence ([`crate::simd`]); the override is
+    /// **bit-identical** to this default (`tests/slab_differential.rs`).
     ///
     /// # Panics
     ///
@@ -130,57 +96,17 @@ pub trait DbiEncoder {
     fn encode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) {
         slab.encode_chains_with(states, |burst, state| self.encode_mask(burst, state));
     }
-}
 
-impl<T: DbiEncoder + ?Sized> DbiEncoder for &T {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
+    /// Encodes one burst and materialises the transmitted lane words —
+    /// [`DbiEncoder::encode_mask`] applied through
+    /// [`EncodedBurst::from_mask`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the burst is longer than 32 bytes (the mask width).
     fn encode(&self, burst: &Burst, state: &BusState) -> EncodedBurst {
-        (**self).encode(burst, state)
-    }
-
-    fn encode_mask(&self, burst: &Burst, state: &BusState) -> InversionMask {
-        (**self).encode_mask(burst, state)
-    }
-
-    fn encode_into(&self, burst: &Burst, state: &BusState, out: &mut EncodedBurst) {
-        (**self).encode_into(burst, state, out);
-    }
-
-    fn encode_slab_into(&self, slab: &mut BurstSlab, state: &mut BusState) {
-        (**self).encode_slab_into(slab, state);
-    }
-
-    fn encode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) {
-        (**self).encode_lanes_into(slab, states);
-    }
-}
-
-impl<T: DbiEncoder + ?Sized> DbiEncoder for Box<T> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn encode(&self, burst: &Burst, state: &BusState) -> EncodedBurst {
-        (**self).encode(burst, state)
-    }
-
-    fn encode_mask(&self, burst: &Burst, state: &BusState) -> InversionMask {
-        (**self).encode_mask(burst, state)
-    }
-
-    fn encode_into(&self, burst: &Burst, state: &BusState, out: &mut EncodedBurst) {
-        (**self).encode_into(burst, state, out);
-    }
-
-    fn encode_slab_into(&self, slab: &mut BurstSlab, state: &mut BusState) {
-        (**self).encode_slab_into(slab, state);
-    }
-
-    fn encode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) {
-        (**self).encode_lanes_into(slab, states);
+        EncodedBurst::from_mask(burst, self.encode_mask(burst, state))
+            .expect("encoders produce masks that are valid for their burst")
     }
 }
 
@@ -189,20 +115,8 @@ impl<T: DbiEncoder + ?Sized> DbiEncoder for Arc<T> {
         (**self).name()
     }
 
-    fn encode(&self, burst: &Burst, state: &BusState) -> EncodedBurst {
-        (**self).encode(burst, state)
-    }
-
     fn encode_mask(&self, burst: &Burst, state: &BusState) -> InversionMask {
         (**self).encode_mask(burst, state)
-    }
-
-    fn encode_into(&self, burst: &Burst, state: &BusState, out: &mut EncodedBurst) {
-        (**self).encode_into(burst, state, out);
-    }
-
-    fn encode_slab_into(&self, slab: &mut BurstSlab, state: &mut BusState) {
-        (**self).encode_slab_into(slab, state);
     }
 
     fn encode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) {
@@ -367,24 +281,12 @@ impl DbiEncoder for Scheme {
         }
     }
 
-    fn encode(&self, burst: &Burst, state: &BusState) -> EncodedBurst {
-        self.with_encoder(|encoder| encoder.encode(burst, state))
-    }
-
     fn encode_mask(&self, burst: &Burst, state: &BusState) -> InversionMask {
         self.with_encoder(|encoder| encoder.encode_mask(burst, state))
     }
 
-    fn encode_into(&self, burst: &Burst, state: &BusState, out: &mut EncodedBurst) {
-        self.with_encoder(|encoder| encoder.encode_into(burst, state, out));
-    }
-
     /// One dispatch for the whole slab — `Scheme`'s per-burst calls pay a
     /// `with_encoder` match each; the slab path resolves the encoder once.
-    fn encode_slab_into(&self, slab: &mut BurstSlab, state: &mut BusState) {
-        self.with_encoder(|encoder| encoder.encode_slab_into(slab, state));
-    }
-
     fn encode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) {
         self.with_encoder(|encoder| encoder.encode_lanes_into(slab, states));
     }
@@ -546,9 +448,9 @@ mod tests {
         for scheme in schemes {
             let full = scheme.encode(&burst, &state);
             let mask = scheme.encode_mask(&burst, &state);
-            scheme.encode_into(&burst, &state, &mut reused);
+            reused.assign_from_mask(&burst, mask).unwrap();
             assert_eq!(full.mask(), mask, "{scheme}: encode vs encode_mask");
-            assert_eq!(full, reused, "{scheme}: encode vs encode_into");
+            assert_eq!(full, reused, "{scheme}: encode vs assign_from_mask");
         }
     }
 

@@ -2,7 +2,7 @@
 
 use crate::burst::{Burst, BusState};
 use crate::cost::{CostBreakdown, CostWeights};
-use crate::encoding::{EncodedBurst, InversionMask};
+use crate::encoding::InversionMask;
 use crate::lut::CostLut;
 use crate::schemes::DbiEncoder;
 use crate::simd::KernelKind;
@@ -28,10 +28,11 @@ use crate::word::LaneWord;
 /// The fast path, [`DbiEncoder::encode_mask`], runs the sweep with its
 /// per-stage predecessor choices packed into two `u32` bit sets and
 /// performs **no heap allocation at all**; [`DbiEncoder::encode`] merely
-/// applies the resulting mask to an [`EncodedBurst`] whose inline symbol
-/// buffer keeps standard bursts off the heap as well. This is the software
-/// counterpart of the paper's line-rate hardware claim, and the reference
-/// model the `dbi-hw` crate checks its cycle-accurate datapath against.
+/// applies the resulting mask to an [`EncodedBurst`](crate::EncodedBurst)
+/// whose inline symbol buffer keeps standard bursts off the heap as well.
+/// This is the software counterpart of the paper's line-rate hardware
+/// claim, and the reference model the `dbi-hw` crate checks its
+/// cycle-accurate datapath against.
 ///
 /// ```
 /// # fn main() -> Result<(), dbi_core::DbiError> {
@@ -322,7 +323,7 @@ impl OptEncoder {
 
     /// The slab burst loops, shared between the priced and masks-only
     /// modes. Always inlined so the standard-length call sites in
-    /// [`DbiEncoder::encode_slab_into`] propagate their literal
+    /// [`OptEncoder::encode_chain_scalar`] propagate their literal
     /// `burst_len` into the chunking and the kernels' sweeps.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
@@ -358,6 +359,46 @@ impl OptEncoder {
         }
     }
 
+    /// One chain through the scalar oracle: one fused pass per burst over
+    /// the chain's contiguous payload — no [`Burst`] construction, no
+    /// per-burst dispatch, no separate pricing walk, and `chunks_exact`
+    /// hoists the bounds checks out of the burst loop. With pricing off
+    /// the pass drops the cost accumulators entirely and runs the bare
+    /// `encode_mask` sweep. Bit-identical to the serial per-burst chain
+    /// either way: the sweep is the `encode_mask` recurrence and the fused
+    /// accumulators reproduce [`InversionMask::breakdown`] exactly
+    /// (`tests/slab_differential.rs`).
+    fn encode_chain_scalar(
+        &self,
+        burst_len: usize,
+        bytes: &[u8],
+        masks: &mut [InversionMask],
+        costs: &mut [CostBreakdown],
+        pricing: bool,
+        state: &mut BusState,
+    ) {
+        // The inter-burst chain is two scalars: the data byte the wires
+        // last carried and the DBI lane level — and of the two, only the
+        // one-bit level is a *computed* value (the byte comes straight
+        // from the input), so consecutive bursts' sweeps overlap in the
+        // pipeline. A LaneWord is rebuilt exactly once, at the end, for
+        // the reported state.
+        let entry = state.last();
+        let mut last_data = entry.decode();
+        let mut prev_low = entry.dbi().is_inverted();
+        let (last, low) = (&mut last_data, &mut prev_low);
+        // Dispatching on the standard burst lengths hands `slab_runs` a
+        // literal trip count: the always-inlined copies get their sweeps
+        // fully unrolled — the geometry of a slab is fixed, which is an
+        // edge the per-burst entry point can never exploit.
+        match burst_len {
+            8 => self.slab_runs(8, bytes, masks, costs, pricing, last, low),
+            16 => self.slab_runs(16, bytes, masks, costs, pricing, last, low),
+            _ => self.slab_runs(burst_len, bytes, masks, costs, pricing, last, low),
+        }
+        *state = BusState::new(LaneWord::encode_byte(last_data, prev_low));
+    }
+
     /// [`DbiEncoder::encode_lanes_into`] with an explicit kernel tier —
     /// the differential-test surface: every [`KernelKind`] must produce
     /// bit-identical masks, pricing and carried states.
@@ -367,10 +408,10 @@ impl OptEncoder {
     /// (c+1)·per_chain`), each carrying its own [`BusState`] — the shape
     /// of a multi-lane-group channel. Chains are swept in lockstep
     /// blocks: eight at a time on the AVX2 BL8 kernel, four at a time on
-    /// the SSE2/NEON/bit-sliced tiers, scalar for the remainder (and for
+    /// the SSE2/NEON tiers, scalar for the remainder (and for
     /// [`KernelKind::Scalar`], which runs every chain through the scalar
     /// oracle). Arch kernels requested on an architecture where they are
-    /// not compiled fall back to the bit-sliced tier.
+    /// not compiled fall back to the scalar oracle.
     ///
     /// # Panics
     ///
@@ -438,7 +479,7 @@ impl OptEncoder {
                 c += 8;
             }
         }
-        if kernel != KernelKind::Scalar {
+        if has_block4(kernel) {
             while c + 4 <= chains {
                 let mut chain_data = [0u8; 4];
                 let mut chain_low = [false; 4];
@@ -471,33 +512,28 @@ impl OptEncoder {
             }
         }
         for state in states[c..].iter_mut() {
-            let entry = state.last();
-            let mut last_data = entry.decode();
-            let mut prev_low = entry.dbi().is_inverted();
             let rows = c * per_chain..(c + 1) * per_chain;
             let cost_block: &mut [CostBreakdown] = if pricing {
                 &mut costs[rows.clone()]
             } else {
                 &mut []
             };
-            self.slab_runs(
+            self.encode_chain_scalar(
                 burst_len,
                 &bytes[rows.start * burst_len..rows.end * burst_len],
-                &mut masks[rows.clone()],
+                &mut masks[rows],
                 cost_block,
                 pricing,
-                &mut last_data,
-                &mut prev_low,
+                state,
             );
-            *state = BusState::new(LaneWord::encode_byte(last_data, prev_low));
             c += 1;
         }
     }
 
-    /// Routes a four-chain block to the requested tier, falling back to
-    /// the portable bit-sliced kernel for arch tiers that are not
-    /// compiled on this target (and for [`KernelKind::Avx2`]'s non-BL8
-    /// geometries, which ride the SSE2 four-lane kernel).
+    /// Routes a four-chain block to the requested tier's kernel; only
+    /// called for tiers [`has_block4`] reports as compiled on this target
+    /// (the SSE2 kernel also carries [`KernelKind::Avx2`]'s non-BL8
+    /// geometries).
     #[allow(clippy::too_many_arguments)]
     fn encode_block4(
         &self,
@@ -512,31 +548,32 @@ impl OptEncoder {
         prev_low: &mut [bool; 4],
     ) {
         match kernel {
-            KernelKind::Sse2 | KernelKind::Avx2 => {
-                // SAFETY: SSE2 is unconditionally part of the x86-64
-                // baseline; the kernel's `#[target_feature]` annotation
-                // only exists to satisfy the safe-intrinsics rules.
-                #[cfg(target_arch = "x86_64")]
-                #[allow(unsafe_code)]
-                return unsafe {
-                    crate::simd::encode_block4_sse2(
-                        self, burst_len, per_chain, bytes, masks, costs, pricing, last_data,
-                        prev_low,
-                    )
-                };
-            }
-            KernelKind::Neon => {
-                #[cfg(target_arch = "aarch64")]
-                return crate::simd::encode_block4_neon(
+            // SAFETY: SSE2 is unconditionally part of the x86-64
+            // baseline; the kernel's `#[target_feature]` annotation only
+            // exists to satisfy the safe-intrinsics rules.
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            KernelKind::Sse2 | KernelKind::Avx2 => unsafe {
+                crate::simd::encode_block4_sse2(
                     self, burst_len, per_chain, bytes, masks, costs, pricing, last_data, prev_low,
                 );
-            }
-            _ => {}
+            },
+            #[cfg(target_arch = "aarch64")]
+            KernelKind::Neon => crate::simd::encode_block4_neon(
+                self, burst_len, per_chain, bytes, masks, costs, pricing, last_data, prev_low,
+            ),
+            _ => unreachable!("{kernel} has no four-chain kernel on this target"),
         }
-        #[allow(unreachable_code)]
-        crate::simd::encode_block4_bitsliced(
-            self, burst_len, per_chain, bytes, masks, costs, pricing, last_data, prev_low,
-        )
+    }
+}
+
+/// Whether `kernel` has a four-chain block kernel compiled for this
+/// target; tiers that do not fall back to the scalar oracle.
+const fn has_block4(kernel: KernelKind) -> bool {
+    match kernel {
+        KernelKind::Sse2 | KernelKind::Avx2 => cfg!(target_arch = "x86_64"),
+        KernelKind::Neon => cfg!(target_arch = "aarch64"),
+        KernelKind::Scalar => false,
     }
 }
 
@@ -550,11 +587,6 @@ impl Default for OptEncoder {
 impl DbiEncoder for OptEncoder {
     fn name(&self) -> &str {
         "DBI OPT"
-    }
-
-    fn encode(&self, burst: &Burst, state: &BusState) -> EncodedBurst {
-        EncodedBurst::from_mask(burst, self.encode_mask(burst, state))
-            .expect("the sweep produces one decision per byte of a mask-sized burst")
     }
 
     /// The allocation-free fast path: the full Viterbi sweep with the two
@@ -582,71 +614,9 @@ impl DbiEncoder for OptEncoder {
         self.mask_kernel(bytes, state.last())
     }
 
-    /// The carried-state slab kernel: one fused pass per burst over the
-    /// slab's contiguous payload — no [`Burst`] construction, no
-    /// per-burst dispatch, no separate pricing walk, and `chunks_exact`
-    /// hoists the bounds checks out of the burst loop. With
-    /// [`BurstSlab::set_pricing`] off the pass drops the cost
-    /// accumulators entirely and runs the bare `encode_mask` sweep over
-    /// the contiguous bytes. Bit-identical to the default per-burst
-    /// chain either way: the sweep is the `encode_mask` recurrence and
-    /// the fused accumulators reproduce [`InversionMask::breakdown`]
-    /// exactly (`tests/slab_differential.rs`).
-    fn encode_slab_into(&self, slab: &mut BurstSlab, state: &mut BusState) {
-        let burst_len = slab.burst_len();
-        let pricing = slab.pricing();
-        let (bytes, masks, costs) = slab.encode_parts_mut();
-        if bytes.is_empty() {
-            return;
-        }
-        // The inter-burst chain is two scalars: the data byte the wires
-        // last carried and the DBI lane level — and of the two, only the
-        // one-bit level is a *computed* value (the byte comes straight
-        // from the input), so consecutive bursts' sweeps overlap in the
-        // pipeline. A LaneWord is rebuilt exactly once, at the end, for
-        // the reported state.
-        let entry = state.last();
-        let mut last_data = entry.decode();
-        let mut prev_low = entry.dbi().is_inverted();
-        // Dispatching on the standard burst lengths hands `slab_runs` a
-        // literal trip count: the always-inlined copies get their sweeps
-        // fully unrolled — the geometry of a slab is fixed, which is an
-        // edge the per-burst entry points can never exploit.
-        match burst_len {
-            8 => self.slab_runs(
-                8,
-                bytes,
-                masks,
-                costs,
-                pricing,
-                &mut last_data,
-                &mut prev_low,
-            ),
-            16 => self.slab_runs(
-                16,
-                bytes,
-                masks,
-                costs,
-                pricing,
-                &mut last_data,
-                &mut prev_low,
-            ),
-            _ => self.slab_runs(
-                burst_len,
-                bytes,
-                masks,
-                costs,
-                pricing,
-                &mut last_data,
-                &mut prev_low,
-            ),
-        }
-        *state = BusState::new(LaneWord::encode_byte(last_data, prev_low));
-    }
-
     /// The multi-chain slab encode rides the runtime-selected kernel
-    /// tier ([`crate::simd::selected_kernel`]): lockstep SIMD or
-    /// bit-sliced sweeps across the chains, scalar when pinned via
+    /// tier ([`crate::simd::selected_kernel`]): lockstep SIMD sweeps
+    /// across the chains, scalar when pinned via
     /// `DBI_FORCE_SCALAR`. See [`OptEncoder::encode_lanes_into_with`].
     fn encode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) {
         self.encode_lanes_into_with(crate::simd::selected_kernel(), slab, states);
@@ -699,17 +669,9 @@ impl DbiEncoder for OptFixedEncoder {
         "DBI OPT (Fixed)"
     }
 
-    fn encode(&self, burst: &Burst, state: &BusState) -> EncodedBurst {
-        self.inner.encode(burst, state)
-    }
-
     #[inline]
     fn encode_mask(&self, burst: &Burst, state: &BusState) -> InversionMask {
         self.inner.encode_mask(burst, state)
-    }
-
-    fn encode_slab_into(&self, slab: &mut BurstSlab, state: &mut BusState) {
-        self.inner.encode_slab_into(slab, state);
     }
 
     fn encode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) {

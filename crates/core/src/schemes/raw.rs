@@ -1,7 +1,7 @@
 //! Unencoded transmission (the paper's "RAW" baseline).
 
 use crate::burst::{Burst, BusState};
-use crate::encoding::{EncodedBurst, InversionMask};
+use crate::encoding::InversionMask;
 use crate::schemes::DbiEncoder;
 
 /// Transmits every byte as-is with the DBI lane held high.
@@ -33,11 +33,6 @@ impl RawEncoder {
 impl DbiEncoder for RawEncoder {
     fn name(&self) -> &str {
         "RAW"
-    }
-
-    fn encode(&self, burst: &Burst, _state: &BusState) -> EncodedBurst {
-        EncodedBurst::from_mask(burst, InversionMask::NONE)
-            .expect("the empty mask is valid for every burst length the type allows")
     }
 
     /// RAW never inverts, so the fast path is a constant.

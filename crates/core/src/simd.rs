@@ -1,6 +1,5 @@
-//! Vectorised slab kernels: bit-sliced and `core::arch` SIMD sweeps over
-//! whole [`BurstSlab`](crate::BurstSlab)s, behind runtime CPU feature
-//! detection.
+//! Vectorised slab kernels: `core::arch` SIMD sweeps over whole
+//! [`BurstSlab`](crate::BurstSlab)s, behind runtime CPU feature detection.
 //!
 //! The scalar slab kernel in `schemes::opt` is latency-bound: the
 //! trellis compare/add chain of one burst must finish before the next
@@ -8,15 +7,12 @@
 //! **independent** lane groups — each group carries its own DBI lane and
 //! its own Viterbi chain — so a slab that holds the bursts of multiple
 //! groups can run those chains as parallel lanes of *one* recurrence.
-//! That is exactly what the kernels here do, in three tiers:
+//! That is exactly what the kernels here do, in two tiers:
 //!
-//! 1. **Scalar** ([`KernelKind::Scalar`]) — the existing per-chain sweep,
-//!    always available, and the differential oracle every other tier is
-//!    tested against (bit-identical masks, pricing and carried state).
-//! 2. **Bit-sliced** ([`KernelKind::BitSliced`]) — portable `u128`
-//!    arithmetic packing the survivor masks and pricing accumulators of
-//!    four chains into 32-bit lanes of wide integers; no `core::arch`.
-//! 3. **Arch SIMD** ([`KernelKind::Sse2`], [`KernelKind::Avx2`],
+//! 1. **Scalar** ([`KernelKind::Scalar`]) — the per-chain sweep, always
+//!    available, and the differential oracle every other tier is tested
+//!    against (bit-identical masks, pricing and carried state).
+//! 2. **Arch SIMD** ([`KernelKind::Sse2`], [`KernelKind::Avx2`],
 //!    [`KernelKind::Neon`]) — explicit vector kernels: four chains per
 //!    `__m128i`/`uint32x4_t` register, and on AVX2 an eight-chain BL8
 //!    kernel that byte-transposes each burst in registers and prices it
@@ -38,6 +34,7 @@
 use crate::burst::BusState;
 use crate::cost::CostBreakdown;
 use crate::encoding::InversionMask;
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 use crate::schemes::OptEncoder;
 use crate::word::LaneWord;
 use std::sync::OnceLock;
@@ -48,13 +45,11 @@ use std::sync::OnceLock;
 /// code can name them portably; [`available_kernels`] lists the ones that
 /// are actually compiled in **and** supported by the running CPU.
 /// Dispatching an arch kernel on an architecture where it was not
-/// compiled falls back to the portable bit-sliced tier.
+/// compiled falls back to the scalar oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
     /// The per-chain scalar sweep — always available, and the oracle.
     Scalar,
-    /// Portable `u128` bit-slicing: four chains per wide integer.
-    BitSliced,
     /// x86-64 SSE2: four chains per `__m128i` (baseline on x86-64).
     Sse2,
     /// x86-64 AVX2: eight BL8 chains per `__m256i` with in-register
@@ -82,7 +77,7 @@ impl KernelKind {
                     4
                 }
             }
-            KernelKind::BitSliced | KernelKind::Sse2 | KernelKind::Neon => 4,
+            KernelKind::Sse2 | KernelKind::Neon => 4,
         }
     }
 
@@ -91,7 +86,6 @@ impl KernelKind {
     pub const fn name(self) -> &'static str {
         match self {
             KernelKind::Scalar => "scalar",
-            KernelKind::BitSliced => "bitsliced",
             KernelKind::Sse2 => "sse2",
             KernelKind::Avx2 => "avx2",
             KernelKind::Neon => "neon",
@@ -120,7 +114,7 @@ fn dispatch() -> &'static Dispatch {
 
 fn probe() -> Dispatch {
     let forced = std::env::var_os("DBI_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != "0");
-    let mut available = vec![KernelKind::Scalar, KernelKind::BitSliced];
+    let mut available = vec![KernelKind::Scalar];
     let mut features: Vec<&'static str> = Vec::new();
     #[cfg(target_arch = "x86_64")]
     {
@@ -194,150 +188,6 @@ pub fn forced_scalar() -> bool {
 #[must_use]
 pub fn cpu_features() -> &'static str {
     &dispatch().features
-}
-
-// ---------------------------------------------------------------------------
-// Bit-sliced four-chain encode kernel (portable)
-// ---------------------------------------------------------------------------
-
-/// One bit per lane: lane `c` of a packed `u128` occupies bits
-/// `32c..32c+32`.
-const LANE_ONES: u128 = 1 | (1 << 32) | (1 << 64) | (1 << 96);
-
-#[inline(always)]
-fn lane(v: u128, c: usize) -> u32 {
-    (v >> (32 * c)) as u32
-}
-
-#[inline(always)]
-fn spread(v: u32, c: usize) -> u128 {
-    u128::from(v) << (32 * c)
-}
-
-/// Four-chain lockstep sweep in plain `u128` arithmetic: the survivor
-/// masks and (when pricing) the raw zero/transition accumulators of four
-/// chains ride in 32-bit lanes of wide integers, updated by the same
-/// branchless selects as the scalar kernel. The path-cost compare chain
-/// stays scalar per lane — it is the recurrence itself — but the four
-/// chains' chains are independent, so the four compare/adds of one step
-/// overlap in the pipeline where a single chain would stall.
-///
-/// `bytes`/`masks`/`costs` are the block-local columns of exactly four
-/// chains (`4 · per_chain` bursts, chain-major); `costs` may be empty
-/// when `pricing` is off. Bit-identical to four scalar
-/// `slab_runs` chains (differential-tested).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn encode_block4_bitsliced(
-    enc: &OptEncoder,
-    burst_len: usize,
-    per_chain: usize,
-    bytes: &[u8],
-    masks: &mut [InversionMask],
-    costs: &mut [CostBreakdown],
-    pricing: bool,
-    last_data: &mut [u8; 4],
-    prev_low: &mut [bool; 4],
-) {
-    let lut = enc.lut();
-    for j in 0..per_chain {
-        let base = |c: usize| (c * per_chain + j) * burst_len;
-
-        // Entry stage: scalar per lane (two table loads each), packed
-        // into lanes for everything the selects will touch.
-        let mut cp = [0u32; 4];
-        let mut ci = [0u32; 4];
-        let mut prev = [0u8; 4];
-        let mut mp: u128 = 0;
-        let mut mi: u128 = LANE_ONES;
-        let (mut zp, mut zi, mut tp, mut ti) = (0u128, 0u128, 0u128, 0u128);
-        for c in 0..4 {
-            let first = bytes[base(c)];
-            let (entry_plain, entry_inv) = enc.entry_costs(first, last_data[c], prev_low[c]);
-            cp[c] = entry_plain;
-            ci[c] = entry_inv;
-            prev[c] = first;
-            if pricing {
-                let ones = first.count_ones();
-                let p = (last_data[c] ^ first).count_ones();
-                let anti = 9 - p;
-                let swap = (p ^ anti) & u32::from(prev_low[c]).wrapping_neg();
-                zp |= spread(8 - ones, c);
-                zi |= spread(ones + 1, c);
-                tp |= spread(p ^ swap, c);
-                ti |= spread(anti ^ swap, c);
-            }
-        }
-
-        for i in 1..burst_len {
-            let mut selp: u128 = 0;
-            let mut seli: u128 = 0;
-            let (mut zap, mut zai, mut tap, mut tai) = (0u128, 0u128, 0u128, 0u128);
-            for c in 0..4 {
-                let byte = bytes[base(c) + i];
-                let xor = prev[c] ^ byte;
-                let [same_w, cross_w] = lut.transitions(xor);
-                let [zeros_plain_w, zeros_inv_w] = lut.zeros(byte);
-
-                let via_plain = cp[c] + same_w;
-                let via_inv = ci[c] + cross_w;
-                let sp = u32::from(via_inv < via_plain).wrapping_neg();
-                let alt_plain = cp[c] + cross_w;
-                let alt_inv = ci[c] + same_w;
-                let si = u32::from(alt_inv < alt_plain).wrapping_neg();
-                cp[c] = ((via_inv & sp) | (via_plain & !sp)) + zeros_plain_w;
-                ci[c] = ((alt_inv & si) | (alt_plain & !si)) + zeros_inv_w;
-                selp |= spread(sp, c);
-                seli |= spread(si, c);
-
-                if pricing {
-                    let same_r = xor.count_ones();
-                    let cross_r = 9 - same_r;
-                    let ones = byte.count_ones();
-                    zap |= spread(8 - ones, c);
-                    zai |= spread(ones + 1, c);
-                    tap |= spread((cross_r & sp) | (same_r & !sp), c);
-                    tai |= spread((same_r & si) | (cross_r & !si), c);
-                }
-                prev[c] = byte;
-            }
-
-            // Packed survivor updates: one pass of wide ANDs/ORs replaces
-            // four scalar select cascades. No lane can carry into its
-            // neighbour — masks are pure bit sets and the pricing sums
-            // stay below 2^32.
-            let bit = LANE_ONES << i;
-            let next_mp = (mi & selp) | (mp & !selp);
-            let next_mi = ((mi & seli) | (mp & !seli)) | bit;
-            mp = next_mp;
-            mi = next_mi;
-            if pricing {
-                let next_zp = ((zi & selp) | (zp & !selp)) + zap;
-                let next_zi = ((zi & seli) | (zp & !seli)) + zai;
-                let next_tp = ((ti & selp) | (tp & !selp)) + tap;
-                let next_ti = ((ti & seli) | (tp & !seli)) + tai;
-                zp = next_zp;
-                zi = next_zi;
-                tp = next_tp;
-                ti = next_ti;
-            }
-        }
-
-        for c in 0..4 {
-            let inv_wins = ci[c] < cp[c];
-            let mbits = if inv_wins { lane(mi, c) } else { lane(mp, c) };
-            masks[c * per_chain + j] = InversionMask::from_bits(mbits);
-            if pricing {
-                let (zeros, trans) = if inv_wins {
-                    (lane(zi, c), lane(ti, c))
-                } else {
-                    (lane(zp, c), lane(tp, c))
-                };
-                costs[c * per_chain + j] = CostBreakdown::new(u64::from(zeros), u64::from(trans));
-            }
-            last_data[c] = prev[c];
-            prev_low[c] = (mbits >> (burst_len - 1)) & 1 == 1;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -539,8 +389,10 @@ mod x86 {
     /// SSE2 has no gathers — but they index pure input data, so the four
     /// lanes' loads pipeline ahead of the vector compare chain.
     ///
-    /// Block-local columns as in
-    /// [`encode_block4_bitsliced`](super::encode_block4_bitsliced).
+    /// `bytes`/`masks`/`costs` are the block-local columns of exactly
+    /// four chains (`4 · per_chain` bursts, chain-major); `costs` may be
+    /// empty when `pricing` is off. Bit-identical to four scalar
+    /// `slab_runs` chains (differential-tested).
     ///
     /// Safety: none in practice — SSE2 is guaranteed on every x86-64
     /// CPU; the `#[target_feature]` annotation exists only to satisfy
@@ -1131,11 +983,10 @@ mod tests {
     fn dispatch_lists_the_scalar_oracle_first() {
         let kernels = available_kernels();
         assert_eq!(kernels[0], KernelKind::Scalar);
-        assert_eq!(kernels[1], KernelKind::BitSliced);
         assert!(kernels.contains(&selected_kernel()) || forced_scalar());
         assert!(!cpu_features().is_empty());
         #[cfg(target_arch = "x86_64")]
-        assert!(kernels.contains(&KernelKind::Sse2));
+        assert_eq!(kernels[1], KernelKind::Sse2);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Batched burst slabs: structure-of-arrays storage for whole encode
 //! batches.
 //!
-//! The per-burst API ([`DbiEncoder::encode_mask`]) is allocation-free but
+//! The per-burst API ([`DbiEncoder::encode_mask`](crate::DbiEncoder::encode_mask)) is allocation-free but
 //! still pays per call: a [`Burst`] to construct, a dispatch to resolve,
 //! bounds checks to re-establish. Real DDR4/GDDR traffic arrives as long
 //! write streams, so the batched layers of this workspace move **slabs**
@@ -10,14 +10,15 @@
 //! payload bytes burst-major in one `Vec<u8>`, one [`InversionMask`] word
 //! per burst, one [`CostBreakdown`] row per burst.
 //!
-//! [`DbiEncoder::encode_slab_into`] encodes a whole slab in one call,
-//! carrying a [`BusState`] across the bursts exactly as a serial
-//! `encode_mask` chain would. The default implementation loops the
-//! per-burst path through the slab's reusable scratch buffer; the optimal
-//! trellis encoders override it with a carried-state LUT kernel that walks
-//! the contiguous payload directly — no `Burst` values, one dispatch per
-//! slab, bounds checks amortised by `chunks_exact`. Both paths are
-//! **bit-identical** to the serial per-burst chain (differential-tested in
+//! [`DbiEncoder::encode_lanes_into`](crate::DbiEncoder::encode_lanes_into) encodes a whole slab of one or more
+//! independent chains in one call, carrying a [`BusState`] per chain
+//! across its bursts exactly as a serial `encode_mask` chain would. The
+//! default implementation loops the per-burst path through the slab's
+//! reusable scratch buffer; the optimal trellis encoders override it with
+//! carried-state LUT and SIMD kernels that walk the contiguous payload
+//! directly — no `Burst` values, one dispatch per slab, bounds checks
+//! amortised by `chunks_exact`. Both paths are **bit-identical** to the
+//! serial per-burst chain (differential-tested in
 //! `tests/slab_differential.rs`) and perform no heap allocation once the
 //! slab's buffers are warm.
 //!
@@ -27,7 +28,7 @@
 //! let mut slab = BurstSlab::new(8);
 //! slab.extend_from_bytes(&[0x5A; 32]).unwrap(); // four BL8 bursts
 //! let mut state = BusState::idle();
-//! Scheme::OptFixed.encode_slab_into(&mut slab, &mut state);
+//! Scheme::OptFixed.encode_lanes_into(&mut slab, core::slice::from_mut(&mut state));
 //! assert_eq!(slab.masks().len(), 4);
 //! assert_eq!(slab.total(), slab.costs().iter().copied().sum());
 //! ```
@@ -36,7 +37,6 @@ use crate::burst::{Burst, BusState};
 use crate::cost::CostBreakdown;
 use crate::encoding::InversionMask;
 use crate::error::{DbiError, Result};
-use crate::schemes::DbiEncoder;
 use crate::simd::KernelKind;
 use core::fmt;
 
@@ -48,7 +48,7 @@ use core::fmt;
 /// * `masks` — one inversion-decision word per burst,
 /// * `costs` — one zero/transition cost row per burst.
 ///
-/// The result arrays are filled by [`DbiEncoder::encode_slab_into`]; until
+/// The result arrays are filled by [`DbiEncoder::encode_lanes_into`](crate::DbiEncoder::encode_lanes_into); until
 /// a slab has been encoded they read as [`InversionMask::NONE`] /
 /// [`CostBreakdown::ZERO`]. All buffers retain their capacity across
 /// [`BurstSlab::clear`] / [`BurstSlab::reset`], so a slab reused across
@@ -146,7 +146,7 @@ impl BurstSlab {
     /// default) or compute **masks only**. Consumers that do their own
     /// accounting — or need none — can switch pricing off and get the
     /// slab encode at the raw sweep cost, exactly the work
-    /// [`DbiEncoder::encode_mask`] does per burst; with pricing off,
+    /// [`DbiEncoder::encode_mask`](crate::DbiEncoder::encode_mask) does per burst; with pricing off,
     /// [`BurstSlab::costs`] stays empty and [`BurstSlab::total`] reports
     /// zero. The inversion decisions and the carried state are identical
     /// either way.
@@ -316,9 +316,9 @@ impl BurstSlab {
 
     /// Sizes the result arrays to the burst count (zeroing them) and hands
     /// out the three column views an encoder kernel writes through:
-    /// `(payload bytes, masks, cost rows)`. For [`DbiEncoder`]
-    /// implementations that override [`DbiEncoder::encode_slab_into`] with
-    /// a direct kernel. The cost column is empty when
+    /// `(payload bytes, masks, cost rows)`. For [`DbiEncoder`](crate::DbiEncoder)
+    /// implementations that override [`DbiEncoder::encode_lanes_into`](crate::DbiEncoder::encode_lanes_into)
+    /// with a direct kernel. The cost column is empty when
     /// [`BurstSlab::pricing`] is off — kernels must skip their pricing
     /// work in that case.
     pub fn encode_parts_mut(&mut self) -> (&[u8], &mut [InversionMask], &mut [CostBreakdown]) {
@@ -414,9 +414,7 @@ impl BurstSlab {
     /// transmitter and a receiver that disagree about activity expose an
     /// encode/decode asymmetry instead of hiding it.
     ///
-    /// This is the engine of
-    /// [`DbiDecoder::decode_slab_into`](crate::decode::DbiDecoder); it
-    /// performs no heap allocation once the slab's buffers are warm.
+    /// Performs no heap allocation once the slab's buffers are warm.
     ///
     /// # Errors
     ///
@@ -430,7 +428,7 @@ impl BurstSlab {
     /// the slab's bursts are split chain-major into `states.len()` runs
     /// (chain `c` owns rows `c·per_chain .. (c+1)·per_chain`), each
     /// decoded with its own carried receiver state — the layout
-    /// [`DbiEncoder::encode_lanes_into`] encodes. Dispatches to the
+    /// [`DbiEncoder::encode_lanes_into`](crate::DbiEncoder::encode_lanes_into) encodes. Dispatches to the
     /// runtime-selected kernel tier ([`crate::simd::selected_kernel`]):
     /// the SWAR kernel re-prices eight beats per popcount where the
     /// scalar tier walks beat-by-beat lane words.
@@ -512,26 +510,15 @@ impl BurstSlab {
         Ok(())
     }
 
-    /// Runs the per-burst closure over every burst in order, carrying
-    /// `state` across bursts and recording each burst's mask and activity
-    /// — the backing of the default [`DbiEncoder::encode_slab_into`].
-    /// Reuses the slab's internal gather buffer, so a warm slab performs
-    /// no heap allocation.
-    pub fn encode_with(
-        &mut self,
-        state: &mut BusState,
-        encode: impl FnMut(&Burst, &BusState) -> InversionMask,
-    ) {
-        self.encode_chains_with(core::slice::from_mut(state), encode);
-    }
-
-    /// [`BurstSlab::encode_with`] over multiple independent chains: the
-    /// bursts are split chain-major into `states.len()` runs (chain `c`
-    /// owns rows `c·per_chain .. (c+1)·per_chain`), each encoded as its
-    /// own serial per-burst chain with its own carried state. This is
-    /// the reference semantics of [`DbiEncoder::encode_lanes_into`] and
-    /// the oracle the lockstep SIMD kernels are differential-tested
-    /// against.
+    /// Runs the per-burst closure over every burst of `states.len()`
+    /// independent chains: the bursts are split chain-major into
+    /// `states.len()` runs (chain `c` owns rows `c·per_chain ..
+    /// (c+1)·per_chain`), each encoded as its own serial per-burst chain
+    /// with its own carried state, recording each burst's mask and
+    /// activity. This is the default of [`DbiEncoder::encode_lanes_into`](crate::DbiEncoder::encode_lanes_into)
+    /// and the oracle the lockstep SIMD kernels are differential-tested
+    /// against. Reuses the slab's internal gather buffer, so a warm slab
+    /// performs no heap allocation.
     ///
     /// # Panics
     ///
@@ -668,22 +655,10 @@ impl<'a> ChainView<'a> {
     }
 }
 
-/// Encodes every burst of a slab through an encoder's per-burst fast path,
-/// carrying the bus state — the reference the overridden kernels must stay
-/// bit-identical to. Free function so tests and default implementations
-/// share one definition.
-pub fn encode_slab_serial<E: DbiEncoder + ?Sized>(
-    encoder: &E,
-    slab: &mut BurstSlab,
-    state: &mut BusState,
-) {
-    slab.encode_with(state, |burst, state| encoder.encode_mask(burst, state));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schemes::Scheme;
+    use crate::schemes::{DbiEncoder, Scheme};
 
     #[test]
     fn geometry_and_push_rules() {
@@ -734,7 +709,7 @@ mod tests {
         let mut slab = BurstSlab::new(8);
         let mut state = BusState::new(crate::word::LaneWord::ALL_ZEROS);
         let before = state;
-        Scheme::OptFixed.encode_slab_into(&mut slab, &mut state);
+        Scheme::OptFixed.encode_lanes_into(&mut slab, core::slice::from_mut(&mut state));
         assert_eq!(state, before);
         assert!(slab.masks().is_empty());
         assert_eq!(slab.total(), CostBreakdown::ZERO);
@@ -766,7 +741,7 @@ mod tests {
             let mut solo = BurstSlab::new(8);
             solo.extend_from_bytes(view.bytes()).unwrap();
             let mut state = BusState::idle();
-            Scheme::OptFixed.encode_slab_into(&mut solo, &mut state);
+            Scheme::OptFixed.encode_lanes_into(&mut solo, core::slice::from_mut(&mut state));
             assert_eq!(view.masks(), solo.masks());
             assert_eq!(view.costs(), solo.costs());
             assert_eq!(view.total(), solo.total());

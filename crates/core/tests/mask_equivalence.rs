@@ -3,8 +3,8 @@
 //!
 //! * `encode_mask` must equal `encode().mask()` for every scheme, burst
 //!   lengths 1..=16 and arbitrary bus states,
-//! * `encode_into` must reproduce `encode` bit-for-bit through a reused
-//!   buffer,
+//! * `EncodedBurst::assign_from_mask` must reproduce `encode`
+//!   bit-for-bit through a reused buffer,
 //! * the LUT-based DP must match the explicit trellis solved with
 //!   Dijkstra's algorithm (`graph::Trellis`), an implementation with no
 //!   shared code path.
@@ -54,8 +54,9 @@ impl Cases {
     }
 }
 
-/// For every scheme: `encode_mask` == `encode().mask()` and `encode_into`
-/// == `encode`, across burst lengths 1..=16 and random bus states.
+/// For every scheme: `encode_mask` == `encode().mask()` and
+/// `assign_from_mask` == `encode`, across burst lengths 1..=16 and random
+/// bus states.
 #[test]
 fn encode_mask_matches_encode_for_every_scheme_and_length() {
     let mut cases = Cases::new(0xD1FF_0001);
@@ -81,8 +82,11 @@ fn encode_mask_matches_encode_for_every_scheme_and_length() {
                     mask,
                     "{name}: encode vs encode_mask, len {len}, state {state}, {weights}"
                 );
-                encoder.encode_into(&burst, &state, &mut reused);
-                assert_eq!(full, reused, "{name}: encode vs encode_into, len {len}");
+                reused.assign_from_mask(&burst, mask).unwrap();
+                assert_eq!(
+                    full, reused,
+                    "{name}: encode vs assign_from_mask, len {len}"
+                );
                 assert_eq!(full.decode(), burst, "{name}: losslessness, len {len}");
             }
         }

@@ -1,13 +1,22 @@
 //! Differential proof of the slab contract: for **every** scheme,
-//! [`DbiEncoder::encode_slab_into`] — including the optimal encoders'
-//! overridden carried-state LUT kernel — is bit-identical to the serial
-//! per-burst `encode_mask` chain: same masks, same per-burst cost rows,
-//! same carried final state.
+//! [`DbiEncoder::encode_lanes_into`] — including the optimal encoders'
+//! carried-state LUT and SIMD kernels — is bit-identical to the serial
+//! per-burst `encode_mask` chain of each lane group: same masks, same
+//! per-burst cost rows, same carried final states. Swept at one chain (the
+//! single-stream case) and at the four- and eight-chain geometries of the
+//! SIMD blocks, through [`Scheme`] dispatch, an [`EncodePlan`] and the
+//! concrete encoder.
 
-use dbi_core::slab::encode_slab_serial;
-use dbi_core::{Burst, BurstSlab, BusState, CostWeights, DbiEncoder, EncodePlan, LaneWord, Scheme};
+use dbi_core::decode::decode_mask;
+use dbi_core::{
+    Burst, BurstSlab, BusState, CostBreakdown, CostWeights, DbiEncoder, EncodePlan, InversionMask,
+    LaneWord, Scheme,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The chain counts every all-scheme differential runs at.
+const CHAINS: [usize; 3] = [1, 4, 8];
 
 fn all_schemes() -> Vec<Scheme> {
     let mut schemes: Vec<Scheme> = Scheme::paper_set().to_vec();
@@ -19,6 +28,17 @@ fn all_schemes() -> Vec<Scheme> {
     schemes
 }
 
+/// Runs `check` against the three ways of reaching a scheme's encoder:
+/// [`Scheme`] dispatch, a freshly built [`EncodePlan`] and the concrete
+/// encoder type behind [`Scheme::boxed`].
+fn for_each_encoder(scheme: Scheme, mut check: impl FnMut(&str, &dyn DbiEncoder)) {
+    let plan = EncodePlan::new(scheme);
+    let concrete = scheme.boxed();
+    check("scheme", &scheme);
+    check("plan", &plan);
+    check("concrete", &*concrete);
+}
+
 fn random_slab(rng: &mut StdRng, burst_len: usize, bursts: usize) -> BurstSlab {
     let mut slab = BurstSlab::with_capacity(burst_len, bursts);
     for _ in 0..bursts {
@@ -27,27 +47,36 @@ fn random_slab(rng: &mut StdRng, burst_len: usize, bursts: usize) -> BurstSlab {
     slab
 }
 
-/// The reference chain, spelled out independently of `encode_slab_serial`:
-/// per-burst `encode_mask` through fresh `Burst` values.
-fn reference_chain(
+fn random_states(rng: &mut StdRng, chains: usize) -> Vec<BusState> {
+    (0..chains)
+        .map(|_| BusState::new(LaneWord::encode_byte(rng.gen(), rng.gen())))
+        .collect()
+}
+
+/// The reference, spelled out independently of the slab's own serial
+/// helper: per-burst `encode_mask` through fresh `Burst` values, one
+/// chain-major run per carried state.
+fn reference_chains(
     scheme: Scheme,
     slab: &BurstSlab,
-    mut state: BusState,
-) -> (
-    Vec<dbi_core::InversionMask>,
-    Vec<dbi_core::CostBreakdown>,
-    BusState,
-) {
+    states: &[BusState],
+) -> (Vec<InversionMask>, Vec<CostBreakdown>, Vec<BusState>) {
+    let per_chain = slab.burst_count() / states.len();
     let mut masks = Vec::new();
     let mut costs = Vec::new();
-    for index in 0..slab.burst_count() {
-        let burst = Burst::from_slice(slab.burst_bytes(index).unwrap()).unwrap();
-        let mask = scheme.encode_mask(&burst, &state);
-        costs.push(mask.breakdown(&burst, &state));
-        state = mask.final_state(&burst, &state);
-        masks.push(mask);
+    let mut finals = Vec::new();
+    for (chain, &initial) in states.iter().enumerate() {
+        let mut state = initial;
+        for index in chain * per_chain..(chain + 1) * per_chain {
+            let burst = Burst::from_slice(slab.burst_bytes(index).unwrap()).unwrap();
+            let mask = scheme.encode_mask(&burst, &state);
+            costs.push(mask.breakdown(&burst, &state));
+            state = mask.final_state(&burst, &state);
+            masks.push(mask);
+        }
+        finals.push(state);
     }
-    (masks, costs, state)
+    (masks, costs, finals)
 }
 
 #[test]
@@ -55,24 +84,30 @@ fn slab_encode_is_bit_identical_to_the_per_burst_chain() {
     let mut rng = StdRng::seed_from_u64(0x51AB);
     for scheme in all_schemes() {
         for burst_len in [1usize, 3, 8, 16, 32] {
-            for bursts in [1usize, 2, 17, 64] {
-                let mut slab = random_slab(&mut rng, burst_len, bursts);
-                let initial = BusState::new(LaneWord::encode_byte(rng.gen(), rng.gen()));
+            for chains in CHAINS {
+                for per_chain in [1usize, 2, 17] {
+                    let slab = random_slab(&mut rng, burst_len, chains * per_chain);
+                    let initial = random_states(&mut rng, chains);
+                    let (expected_masks, expected_costs, expected_states) =
+                        reference_chains(scheme, &slab, &initial);
 
-                let (expected_masks, expected_costs, expected_state) =
-                    reference_chain(scheme, &slab, initial);
-
-                let mut state = initial;
-                scheme.encode_slab_into(&mut slab, &mut state);
-                let label = format!("{scheme} len={burst_len} bursts={bursts}");
-                assert_eq!(slab.masks(), expected_masks.as_slice(), "{label}: masks");
-                assert_eq!(slab.costs(), expected_costs.as_slice(), "{label}: costs");
-                assert_eq!(state, expected_state, "{label}: final state");
-                assert_eq!(
-                    slab.total(),
-                    expected_costs.iter().copied().sum(),
-                    "{label}: total"
-                );
+                    for_each_encoder(scheme, |via, encoder| {
+                        let mut lanes = slab.clone();
+                        let mut states = initial.clone();
+                        encoder.encode_lanes_into(&mut lanes, &mut states);
+                        let label = format!(
+                            "{scheme} via {via} len={burst_len} chains={chains} per={per_chain}"
+                        );
+                        assert_eq!(lanes.masks(), &expected_masks[..], "{label}: masks");
+                        assert_eq!(lanes.costs(), &expected_costs[..], "{label}: costs");
+                        assert_eq!(states, expected_states, "{label}: final states");
+                        assert_eq!(
+                            lanes.total(),
+                            expected_costs.iter().copied().sum(),
+                            "{label}: total"
+                        );
+                    });
+                }
             }
         }
     }
@@ -82,99 +117,141 @@ fn slab_encode_is_bit_identical_to_the_per_burst_chain() {
 fn plan_slab_encode_matches_scheme_slab_encode() {
     let mut rng = StdRng::seed_from_u64(0x9A17);
     for scheme in all_schemes() {
-        let mut by_scheme = random_slab(&mut rng, 8, 48);
-        let mut by_plan = by_scheme.clone();
-        let initial = BusState::idle();
+        for chains in CHAINS {
+            let slab = random_slab(&mut rng, 8, chains * 12);
+            let initial = random_states(&mut rng, chains);
 
-        let mut scheme_state = initial;
-        scheme.encode_slab_into(&mut by_scheme, &mut scheme_state);
+            let mut by_scheme = slab.clone();
+            let mut scheme_states = initial.clone();
+            scheme.encode_lanes_into(&mut by_scheme, &mut scheme_states);
 
-        let plan = EncodePlan::new(scheme);
-        let mut plan_state = initial;
-        plan.encode_slab_into(&mut by_plan, &mut plan_state);
-
-        assert_eq!(by_scheme.masks(), by_plan.masks(), "{scheme}");
-        assert_eq!(by_scheme.costs(), by_plan.costs(), "{scheme}");
-        assert_eq!(scheme_state, plan_state, "{scheme}");
+            for_each_encoder(scheme, |via, encoder| {
+                let mut lanes = slab.clone();
+                let mut states = initial.clone();
+                encoder.encode_lanes_into(&mut lanes, &mut states);
+                let label = format!("{scheme} via {via} chains={chains}");
+                assert_eq!(by_scheme.masks(), lanes.masks(), "{label}");
+                assert_eq!(by_scheme.costs(), lanes.costs(), "{label}");
+                assert_eq!(scheme_states, states, "{label}");
+            });
+        }
     }
 }
 
 #[test]
 fn serial_helper_matches_the_override_for_opt() {
-    // `encode_slab_serial` bypasses every override; the optimal encoders'
-    // kernel must agree with it on the same slab.
+    // `encode_chains_with` runs the serial per-burst chain and bypasses
+    // every override; the optimal encoder's kernels must agree with it on
+    // the same slab.
     let mut rng = StdRng::seed_from_u64(0x0457);
     let encoder = dbi_core::schemes::OptEncoder::new(CostWeights::new(2, 3).unwrap());
-    let mut serial = random_slab(&mut rng, 8, 96);
-    let mut kernel = serial.clone();
+    for chains in CHAINS {
+        let mut serial = random_slab(&mut rng, 8, chains * 24);
+        let mut kernel = serial.clone();
 
-    let mut serial_state = BusState::idle();
-    encode_slab_serial(&encoder, &mut serial, &mut serial_state);
-    let mut kernel_state = BusState::idle();
-    encoder.encode_slab_into(&mut kernel, &mut kernel_state);
+        let mut serial_states = vec![BusState::idle(); chains];
+        serial.encode_chains_with(&mut serial_states, |burst, state| {
+            encoder.encode_mask(burst, state)
+        });
+        let mut kernel_states = vec![BusState::idle(); chains];
+        encoder.encode_lanes_into(&mut kernel, &mut kernel_states);
 
-    assert_eq!(serial.masks(), kernel.masks());
-    assert_eq!(serial.costs(), kernel.costs());
-    assert_eq!(serial_state, kernel_state);
+        assert_eq!(serial.masks(), kernel.masks(), "chains={chains}");
+        assert_eq!(serial.costs(), kernel.costs(), "chains={chains}");
+        assert_eq!(serial_states, kernel_states, "chains={chains}");
+    }
+}
+
+/// Splits a chain-major slab into the first `head` bursts of every chain
+/// and the rest of every chain, keeping the chain-major layout.
+fn split_chains(slab: &BurstSlab, chains: usize, head: usize) -> (BurstSlab, BurstSlab) {
+    let per_chain = slab.burst_count() / chains;
+    let burst_len = slab.burst_len();
+    let mut first = BurstSlab::new(burst_len);
+    let mut second = BurstSlab::new(burst_len);
+    for chain in 0..chains {
+        let view = slab.chain_view(chain, chains);
+        first
+            .extend_from_bytes(&view.bytes()[..head * burst_len])
+            .unwrap();
+        second
+            .extend_from_bytes(&view.bytes()[head * burst_len..per_chain * burst_len])
+            .unwrap();
+    }
+    (first, second)
 }
 
 #[test]
 fn slab_state_carries_across_successive_slabs() {
-    // Feeding one stream as two slabs must equal feeding it as one —
-    // the property session layers rely on.
+    // Feeding each chain as two slabs must equal feeding it as one — the
+    // property session layers rely on.
     let mut rng = StdRng::seed_from_u64(0xCAFE);
-    let whole = random_slab(&mut rng, 8, 32);
+    for scheme in all_schemes() {
+        for chains in CHAINS {
+            let whole = random_slab(&mut rng, 8, chains * 32);
+            let initial = random_states(&mut rng, chains);
+            let (head, tail) = split_chains(&whole, chains, 16);
 
-    let mut one = whole.clone();
-    let mut one_state = BusState::idle();
-    Scheme::OptFixed.encode_slab_into(&mut one, &mut one_state);
+            for_each_encoder(scheme, |via, encoder| {
+                let mut one = whole.clone();
+                let mut one_states = initial.clone();
+                encoder.encode_lanes_into(&mut one, &mut one_states);
 
-    let mut head = BurstSlab::new(8);
-    head.extend_from_bytes(&whole.bytes()[..16 * 8]).unwrap();
-    let mut tail = BurstSlab::new(8);
-    tail.extend_from_bytes(&whole.bytes()[16 * 8..]).unwrap();
-    let mut split_state = BusState::idle();
-    Scheme::OptFixed.encode_slab_into(&mut head, &mut split_state);
-    Scheme::OptFixed.encode_slab_into(&mut tail, &mut split_state);
+                let (mut head, mut tail) = (head.clone(), tail.clone());
+                let mut split_states = initial.clone();
+                encoder.encode_lanes_into(&mut head, &mut split_states);
+                encoder.encode_lanes_into(&mut tail, &mut split_states);
 
-    assert_eq!(one.masks()[..16], *head.masks());
-    assert_eq!(one.masks()[16..], *tail.masks());
-    assert_eq!(one.costs()[..16], *head.costs());
-    assert_eq!(one.costs()[16..], *tail.costs());
-    assert_eq!(one_state, split_state);
+                let label = format!("{scheme} via {via} chains={chains}");
+                for chain in 0..chains {
+                    let one = one.chain_view(chain, chains);
+                    let (head, tail) = (
+                        head.chain_view(chain, chains),
+                        tail.chain_view(chain, chains),
+                    );
+                    assert_eq!(one.masks()[..16], *head.masks(), "{label}: chain {chain}");
+                    assert_eq!(one.masks()[16..], *tail.masks(), "{label}: chain {chain}");
+                    assert_eq!(one.costs()[..16], *head.costs(), "{label}: chain {chain}");
+                    assert_eq!(one.costs()[16..], *tail.costs(), "{label}: chain {chain}");
+                }
+                assert_eq!(one_states, split_states, "{label}: states");
+            });
+        }
+    }
 }
 
 #[test]
 fn masks_only_mode_matches_priced_mode_across_geometries() {
     // The geometry sweep of the priced differential, replayed with
-    // pricing off: decisions and carried state must be bit-identical to
+    // pricing off: decisions and carried states must be bit-identical to
     // the priced encode whatever the slab shape, for every scheme
     // (including the optimal kernels, whose masks-only sweep skips the
     // fused pricing accumulators entirely).
     let mut rng = StdRng::seed_from_u64(0x90FF);
     for scheme in all_schemes() {
         for burst_len in [1usize, 3, 8, 16, 32] {
-            for bursts in [1usize, 2, 17] {
-                let mut priced = random_slab(&mut rng, burst_len, bursts);
-                let mut unpriced = priced.clone();
-                unpriced.set_pricing(false);
-                let initial = BusState::new(LaneWord::encode_byte(rng.gen(), rng.gen()));
+            for chains in CHAINS {
+                for per_chain in [1usize, 2, 17] {
+                    let priced = random_slab(&mut rng, burst_len, chains * per_chain);
+                    let initial = random_states(&mut rng, chains);
 
-                let mut priced_state = initial;
-                scheme.encode_slab_into(&mut priced, &mut priced_state);
-                let mut unpriced_state = initial;
-                scheme.encode_slab_into(&mut unpriced, &mut unpriced_state);
+                    for_each_encoder(scheme, |via, encoder| {
+                        let mut priced = priced.clone();
+                        let mut unpriced = priced.clone();
+                        unpriced.set_pricing(false);
+                        let mut priced_states = initial.clone();
+                        encoder.encode_lanes_into(&mut priced, &mut priced_states);
+                        let mut unpriced_states = initial.clone();
+                        encoder.encode_lanes_into(&mut unpriced, &mut unpriced_states);
 
-                assert_eq!(
-                    priced.masks(),
-                    unpriced.masks(),
-                    "{scheme} len {burst_len} x {bursts}: masks"
-                );
-                assert_eq!(
-                    priced_state, unpriced_state,
-                    "{scheme} len {burst_len} x {bursts}: state"
-                );
-                assert!(unpriced.costs().is_empty());
+                        let label = format!(
+                            "{scheme} via {via} len={burst_len} chains={chains} per={per_chain}"
+                        );
+                        assert_eq!(priced.masks(), unpriced.masks(), "{label}: masks");
+                        assert_eq!(priced_states, unpriced_states, "{label}: states");
+                        assert!(unpriced.costs().is_empty(), "{label}: no cost rows");
+                    });
+                }
             }
         }
     }
@@ -182,7 +259,6 @@ fn masks_only_mode_matches_priced_mode_across_geometries() {
 
 #[test]
 fn slab_decode_is_bit_identical_to_the_per_burst_decode_chain() {
-    use dbi_core::DbiDecoder;
     let mut rng = StdRng::seed_from_u64(0xDEC0);
     for scheme in all_schemes() {
         for burst_len in [1usize, 8, 32] {
@@ -191,7 +267,7 @@ fn slab_decode_is_bit_identical_to_the_per_burst_decode_chain() {
                 let payload = slab.bytes().to_vec();
                 let initial = BusState::new(LaneWord::encode_byte(rng.gen(), rng.gen()));
                 let mut tx_state = initial;
-                scheme.encode_slab_into(&mut slab, &mut tx_state);
+                scheme.encode_lanes_into(&mut slab, core::slice::from_mut(&mut tx_state));
                 let masks = slab.masks().to_vec();
                 let tx_costs = slab.costs().to_vec();
 
@@ -207,21 +283,18 @@ fn slab_decode_is_bit_identical_to_the_per_burst_decode_chain() {
                 rx_slab.extend_from_bytes(&wire).unwrap();
                 rx_slab.load_masks(&masks).unwrap();
                 let mut rx_state = initial;
-                scheme
-                    .decode_slab_into(&mut rx_slab, &mut rx_state)
-                    .unwrap();
+                rx_slab.decode_in_place(&mut rx_state).unwrap();
 
                 // ...against the per-burst decode chain.
                 let mut out = Vec::new();
                 let mut decoded = Vec::new();
                 for (index, mask) in masks.iter().enumerate() {
-                    scheme
-                        .decode_mask(
-                            &wire[index * burst_len..(index + 1) * burst_len],
-                            *mask,
-                            &mut out,
-                        )
-                        .unwrap();
+                    decode_mask(
+                        &wire[index * burst_len..(index + 1) * burst_len],
+                        *mask,
+                        &mut out,
+                    )
+                    .unwrap();
                     decoded.extend_from_slice(&out);
                 }
 
@@ -242,27 +315,34 @@ fn slab_decode_is_bit_identical_to_the_per_burst_decode_chain() {
 fn masks_only_mode_yields_identical_decisions_and_state() {
     let mut rng = StdRng::seed_from_u64(0x3A5C);
     for scheme in all_schemes() {
-        let mut priced = random_slab(&mut rng, 8, 40);
-        let mut unpriced = priced.clone();
-        unpriced.set_pricing(false);
-        assert!(!unpriced.pricing());
+        for chains in CHAINS {
+            let slab = random_slab(&mut rng, 8, chains * 10);
+            for_each_encoder(scheme, |via, encoder| {
+                let label = format!("{scheme} via {via} chains={chains}");
+                let mut priced = slab.clone();
+                let mut unpriced = slab.clone();
+                unpriced.set_pricing(false);
+                assert!(!unpriced.pricing());
 
-        let mut priced_state = BusState::idle();
-        scheme.encode_slab_into(&mut priced, &mut priced_state);
-        let mut unpriced_state = BusState::idle();
-        scheme.encode_slab_into(&mut unpriced, &mut unpriced_state);
+                let mut priced_states = vec![BusState::idle(); chains];
+                encoder.encode_lanes_into(&mut priced, &mut priced_states);
+                let mut unpriced_states = vec![BusState::idle(); chains];
+                encoder.encode_lanes_into(&mut unpriced, &mut unpriced_states);
 
-        assert_eq!(priced.masks(), unpriced.masks(), "{scheme}: masks");
-        assert_eq!(priced_state, unpriced_state, "{scheme}: final state");
-        assert!(unpriced.costs().is_empty(), "{scheme}: no cost rows");
-        assert_eq!(unpriced.total(), dbi_core::CostBreakdown::ZERO);
-        assert_eq!(priced.costs().len(), 40);
+                assert_eq!(priced.masks(), unpriced.masks(), "{label}: masks");
+                assert_eq!(priced_states, unpriced_states, "{label}: final states");
+                assert!(unpriced.costs().is_empty(), "{label}: no cost rows");
+                assert_eq!(unpriced.total(), CostBreakdown::ZERO);
+                assert_eq!(priced.costs().len(), chains * 10);
 
-        // Switching pricing back on restores the rows on the next encode.
-        unpriced.set_pricing(true);
-        let mut state = BusState::idle();
-        scheme.encode_slab_into(&mut unpriced, &mut state);
-        assert_eq!(unpriced.costs(), priced.costs(), "{scheme}: rows return");
+                // Switching pricing back on restores the rows on the next
+                // encode.
+                unpriced.set_pricing(true);
+                let mut states = vec![BusState::idle(); chains];
+                encoder.encode_lanes_into(&mut unpriced, &mut states);
+                assert_eq!(unpriced.costs(), priced.costs(), "{label}: rows return");
+            });
+        }
     }
 }
 
@@ -271,11 +351,11 @@ fn re_encoding_a_slab_with_another_scheme_overwrites_results() {
     let mut rng = StdRng::seed_from_u64(0x0DD);
     let mut slab = random_slab(&mut rng, 8, 8);
     let mut state = BusState::idle();
-    Scheme::Dc.encode_slab_into(&mut slab, &mut state);
+    Scheme::Dc.encode_lanes_into(&mut slab, core::slice::from_mut(&mut state));
     let dc_masks = slab.masks().to_vec();
 
     let mut state = BusState::idle();
-    Scheme::Ac.encode_slab_into(&mut slab, &mut state);
+    Scheme::Ac.encode_lanes_into(&mut slab, core::slice::from_mut(&mut state));
     assert_ne!(slab.masks(), dc_masks.as_slice());
     assert_eq!(slab.masks().len(), 8);
 }
@@ -284,13 +364,7 @@ fn re_encoding_a_slab_with_another_scheme_overwrites_results() {
 // Kernel-tier sweeps: every dispatchable kernel vs the scalar oracle
 // ---------------------------------------------------------------------------
 
-fn random_states(rng: &mut StdRng, chains: usize) -> Vec<BusState> {
-    (0..chains)
-        .map(|_| BusState::new(LaneWord::encode_byte(rng.gen(), rng.gen())))
-        .collect()
-}
-
-/// Every available kernel tier — bit-sliced, SSE2, AVX2, NEON, whatever the
+/// Every available kernel tier — SSE2, AVX2, NEON, whatever the
 /// CPU offers — must produce bit-identical masks, pricing rows and carried
 /// chain states to the serial per-burst reference, across burst lengths,
 /// chain counts (including the AVX2 eight-chain geometry and its odd
@@ -391,27 +465,5 @@ fn lane_decode_kernels_match_the_scalar_decode_oracle() {
                 }
             }
         }
-    }
-}
-
-/// `encode_lanes_into` with one chain must match the single-state slab
-/// kernel (`encode_slab_into`) exactly — lanes dispatch is a strict
-/// generalisation, not a parallel dialect.
-#[test]
-fn single_chain_lanes_encode_matches_the_slab_kernel() {
-    let mut rng = StdRng::seed_from_u64(0x1A4E);
-    for scheme in all_schemes() {
-        let mut slab = random_slab(&mut rng, 8, 48);
-        let mut lanes = slab.clone();
-        let initial = BusState::new(LaneWord::encode_byte(rng.gen(), rng.gen()));
-
-        let mut slab_state = initial;
-        scheme.encode_slab_into(&mut slab, &mut slab_state);
-        let mut lane_states = [initial];
-        scheme.encode_lanes_into(&mut lanes, &mut lane_states);
-
-        assert_eq!(slab.masks(), lanes.masks(), "{scheme}: masks");
-        assert_eq!(slab.costs(), lanes.costs(), "{scheme}: costs");
-        assert_eq!(slab_state, lane_states[0], "{scheme}: state");
     }
 }

@@ -1,7 +1,7 @@
 //! Proof of the zero-allocation claim: the mask fast path, the reusable
-//! `encode_into` path and the inline-buffer `encode` path perform **no**
-//! heap allocation for standard 8-byte bursts, measured with a counting
-//! global allocator.
+//! `EncodedBurst::assign_from_mask` buffer, the inline-buffer `encode`
+//! path and a warm `encode_lanes_into` slab perform **no** heap allocation
+//! for standard 8-byte bursts, measured with a counting global allocator.
 //!
 //! Everything runs inside a single `#[test]` so no concurrent test can
 //! disturb the global counters.
@@ -103,17 +103,18 @@ fn bl8_fast_paths_never_touch_the_heap() {
     });
     assert_eq!(count, 0, "encode() allocated {count} times for BL8");
 
-    // encode_into() reusing a caller buffer: zero after construction.
+    // assign_from_mask() reusing a caller buffer: zero after construction.
     let mut out = EncodedBurst::empty();
     let count = allocations_during(|| {
         let mut transitions = 0u64;
         for _ in 0..100 {
-            Scheme::OptFixed.encode_into(&burst, &state, &mut out);
+            let mask = Scheme::OptFixed.encode_mask(&burst, &state);
+            out.assign_from_mask(&burst, mask).unwrap();
             transitions += out.breakdown(&state).transitions;
         }
         transitions
     });
-    assert_eq!(count, 0, "encode_into allocated {count} times");
+    assert_eq!(count, 0, "assign_from_mask allocated {count} times");
 
     // A resident EncodePlan is as allocation-free as the raw encoder.
     let plan = EncodePlan::new(Scheme::Opt(weights));
@@ -161,24 +162,37 @@ fn bl8_fast_paths_never_touch_the_heap() {
         "plan-backed Scheme dispatch allocated {count} times after first touch"
     );
 
-    // A warm BurstSlab re-encodes allocation-free, on both the default
-    // per-burst loop (via a heuristic scheme) and the OPT kernel override.
+    // A warm BurstSlab re-encodes allocation-free through
+    // encode_lanes_into, with one chain and with eight, priced and
+    // masks-only — on both the default per-burst loop (via a heuristic
+    // scheme) and the OPT kernel override, directly and through a plan.
     let mut slab = dbi_core::BurstSlab::with_capacity(8, 64);
     for _ in 0..64 {
         slab.push_bytes(burst.bytes()).unwrap();
     }
-    let mut carried = state;
-    Scheme::Dc.encode_slab_into(&mut slab, &mut carried); // warm the scratch
-    let count = allocations_during(|| {
-        let mut carried = state;
-        for _ in 0..10 {
-            Scheme::Dc.encode_slab_into(&mut slab, &mut carried);
-            opt.encode_slab_into(&mut slab, &mut carried);
-            plan.encode_slab_into(&mut slab, &mut carried);
+    for chains in [1usize, 8] {
+        for pricing in [true, false] {
+            slab.set_pricing(pricing);
+            let mut states = vec![state; chains];
+            let mut encode_all = |slab: &mut dbi_core::BurstSlab| {
+                Scheme::Dc.encode_lanes_into(slab, &mut states);
+                opt.encode_lanes_into(slab, &mut states);
+                plan.encode_lanes_into(slab, &mut states);
+            };
+            // Warm the result columns, the gather scratch and the
+            // once-per-process kernel probe.
+            encode_all(&mut slab);
+            let count = allocations_during(|| {
+                for _ in 0..10 {
+                    encode_all(&mut slab);
+                }
+            });
+            assert_eq!(
+                count, 0,
+                "warm slab encode (chains={chains}, pricing={pricing}) allocated {count} times"
+            );
         }
-        carried
-    });
-    assert_eq!(count, 0, "warm slab encode allocated {count} times");
+    }
 
     // Sanity check that the counter works at all.
     let count = allocations_during(|| Vec::<u8>::with_capacity(64));

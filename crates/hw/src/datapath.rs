@@ -19,7 +19,7 @@
 
 use core::fmt;
 use dbi_core::schemes::DbiEncoder;
-use dbi_core::{Burst, BusState, CostWeights, DbiBit, EncodedBurst};
+use dbi_core::{Burst, BusState, CostWeights, DbiBit, InversionMask};
 
 /// Number of pipeline stages the paper adds to the design (one per burst
 /// byte; the synthesis tool retimes them into the block chain).
@@ -265,9 +265,14 @@ impl DbiEncoder for PipelineEncoder {
         }
     }
 
-    fn encode(&self, burst: &Burst, state: &BusState) -> EncodedBurst {
+    fn encode_mask(&self, burst: &Burst, state: &BusState) -> InversionMask {
         let trace = self.encode_trace(burst, state);
-        EncodedBurst::from_decisions(burst, &trace.decisions)
+        trace
+            .decisions
+            .iter()
+            .enumerate()
+            .filter(|&(_, &invert)| invert)
+            .fold(InversionMask::NONE, |mask, (i, _)| mask.with_inverted(i))
     }
 }
 

@@ -207,7 +207,7 @@ impl MemoryController {
                 .map(|beat| data[beat * groups + group])
                 .collect();
             let burst = Burst::new(bytes).expect("burst length is validated by the config");
-            let (encoded, breakdown) = self.bus.drive(group, &burst, &self.encoder);
+            let (encoded, breakdown) = self.bus.drive(group, &burst, &*self.encoder);
             // Each group's burst occupies a contiguous slice of the array:
             // group g of the access at `address` lands at
             // `address + g·burst_len .. address + (g+1)·burst_len`.

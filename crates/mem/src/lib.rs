@@ -16,8 +16,9 @@
 //!   pluggable [`dbi_core::Scheme`] and full energy accounting,
 //! * [`BusSession`] — the streaming encode hot path: whole write streams
 //!   in one call, per-group bus state carried across bursts, with the
-//!   independent DBI groups optionally encoded in parallel (one rayon
-//!   task per group, bit-identical to the serial result).
+//!   independent DBI groups optionally packed into one slab and encoded
+//!   as parallel lanes of a single kernel dispatch (bit-identical to the
+//!   serial result).
 //!
 //! ```
 //! # fn main() -> Result<(), dbi_mem::MemError> {

@@ -136,7 +136,7 @@ impl ReadPath {
             let stored = device.read_range(address + (group * burst_len) as u64, burst_len);
             let burst = Burst::new(stored).expect("burst length is validated by the config");
             // ...encodes it with the read-direction scheme and drives it.
-            let (encoded, breakdown) = self.bus.drive(group, &burst, &self.encoder);
+            let (encoded, breakdown) = self.bus.drive(group, &burst, &*self.encoder);
             activity += breakdown;
             encoding_energy += self.encoding_energy_per_burst_j;
             // The controller decodes the lane words and undoes the

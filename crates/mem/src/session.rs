@@ -4,23 +4,23 @@
 //! eight; each group carries its own lane state across bursts and takes its
 //! own inversion decisions ([`crate::bus`]). [`BusSession`] exploits that
 //! independence for throughput: it encodes a whole write stream in one
-//! call, with the per-group byte streams either walked sequentially
-//! ([`BusSession::encode_stream`]) or fanned out across threads via rayon
-//! ([`BusSession::encode_stream_parallel`]) — one task per group, each
-//! carrying its group's [`BusState`], which makes the parallel result
-//! bit-identical to the sequential one.
+//! call, either walking the per-group byte streams burst by burst
+//! ([`BusSession::encode_stream`], the serial reference) or packing every
+//! group's chain into one [`BurstSlab`] and encoding them all in a single
+//! lanes dispatch ([`BusSession::encode_stream_slab_into`]) — the SIMD
+//! kernels then sweep the groups as parallel lanes of one recurrence, and
+//! the result is bit-identical to the serial one.
 //!
 //! Unlike [`crate::controller::MemoryController`], a session performs *no*
 //! storage and *no* energy bookkeeping: it is the pure encode hot path,
 //! reporting wire activity per group. Per-burst work is allocation-free:
 //! the gather buffer is moved into each [`Burst`] and recovered afterwards,
 //! so a stream call's allocation count is a small per-call constant (the
-//! result vector; plus one thread and gather buffer per group on the
-//! parallel path) regardless of how many bursts it encodes — asserted by a
+//! result vector) regardless of how many bursts it encodes — asserted by a
 //! counting-allocator test in `tests/session_alloc.rs`.
 //!
 //! ```
-//! use dbi_core::Scheme;
+//! use dbi_core::{BurstSlab, Scheme};
 //! use dbi_mem::{BusSession, ChannelConfig};
 //!
 //! let config = ChannelConfig::gddr5x();
@@ -28,16 +28,21 @@
 //! let mut session = BusSession::new(&config, Scheme::OptFixed);
 //! let serial = session.encode_stream(&data).unwrap();
 //! session.reset();
-//! let parallel = session.encode_stream_parallel(&data).unwrap();
-//! assert_eq!(serial, parallel);
+//! let mut per_group = Vec::new();
+//! let mut slab = BurstSlab::new(config.burst_len());
+//! let bursts = session
+//!     .encode_stream_slab_into(&data, &mut per_group, None, &mut slab)
+//!     .unwrap();
+//! assert_eq!(bursts, serial.bursts);
+//! assert_eq!(per_group, serial.per_group);
 //! ```
 
 use crate::config::ChannelConfig;
 use crate::error::{MemError, Result};
 use core::fmt;
 use dbi_core::{
-    Burst, BurstSlab, BusState, CostBreakdown, CostWeights, DbiDecoder, DbiEncoder, EncodePlan,
-    InversionMask, LaneWord, Scheme,
+    Burst, BurstSlab, BusState, CostBreakdown, CostWeights, DbiEncoder, EncodePlan, InversionMask,
+    LaneWord, Scheme,
 };
 use std::sync::Arc;
 
@@ -302,33 +307,19 @@ impl BusSession {
         Ok((accesses * groups) as u64)
     }
 
-    /// The batched (slab) form of [`BusSession::encode_stream`]: the
-    /// stream is de-interleaved group by group into an internal
-    /// [`BurstSlab`] and each group's whole burst chain is encoded in
-    /// **one** [`DbiEncoder::encode_slab_into`] call — one dispatch per
-    /// group instead of one per burst, with the optimal schemes running
-    /// their carried-state LUT kernel over the contiguous slab.
-    /// Bit-identical to [`BusSession::encode_stream`] (differential-tested
-    /// below and in the service layer).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::BadAccessSize`] when `data` is empty or not a
-    /// multiple of [`BusSession::access_bytes`].
-    pub fn encode_stream_slab(&mut self, data: &[u8]) -> Result<ChannelActivity> {
-        let mut slab = BurstSlab::new(self.burst_len);
-        let mut per_group = Vec::new();
-        let bursts = self.encode_stream_slab_into(data, &mut per_group, None, &mut slab)?;
-        Ok(ChannelActivity { bursts, per_group })
-    }
-
-    /// [`BusSession::encode_stream_slab`] into caller-owned storage — the
-    /// steady-state form the service workers use. Semantics of
-    /// `per_group` and `masks` match [`BusSession::encode_stream_into`]
-    /// exactly (masks in transmission order, group-major within each
-    /// access); `slab` is the reusable workspace, reset to this session's
-    /// burst length and refilled per group, so a warmed-up caller pays no
-    /// heap allocation at all.
+    /// The batched (slab) form of [`BusSession::encode_stream_into`]: the
+    /// stream is de-interleaved group by group into `slab` and every
+    /// group's whole burst chain is encoded in **one**
+    /// [`DbiEncoder::encode_lanes_into`] call — one dispatch per stream
+    /// instead of one per burst, with the optimal schemes running their
+    /// lockstep SIMD kernels across the groups. Bit-identical to
+    /// [`BusSession::encode_stream_into`] (differential-tested below and in
+    /// the service layer), and the steady-state form the service workers
+    /// use. Semantics of `per_group` and `masks` match
+    /// [`BusSession::encode_stream_into`] exactly (masks in transmission
+    /// order, group-major within each access); `slab` is the reusable
+    /// workspace, reset to this session's burst length and refilled, so a
+    /// warmed-up caller pays no heap allocation at all.
     ///
     /// # Errors
     ///
@@ -609,9 +600,10 @@ impl BusSession {
     }
 
     /// The batched (slab) form of [`BusSession::decode_stream_into`]: each
-    /// group's whole burst chain is de-interleaved into `slab` and decoded
-    /// in **one** [`DbiDecoder::decode_slab_into`] call — one kernel pass
-    /// per group instead of one mask application per burst. Bit-identical
+    /// group's whole burst chain is de-interleaved into `slab` and all of
+    /// them are decoded in **one**
+    /// [`BurstSlab::decode_in_place_chains`] call — one kernel pass per
+    /// stream instead of one mask application per burst. Bit-identical
     /// to [`BusSession::decode_stream_into`] (differential-tested below),
     /// including the carried receiver states and the wire-side pricing.
     ///
@@ -650,8 +642,7 @@ impl BusSession {
         }
         slab.load_masks_from(ChainMajorMasks::new(masks, groups, accesses))
             .expect("mask stream was validated against the stream geometry");
-        let plan = Arc::clone(&self.plan);
-        plan.decode_lanes_into(slab, &mut self.groups)
+        slab.decode_in_place_chains(&mut self.groups)
             .expect("the loaded mask column covers every burst");
         for (group, activity) in per_group.iter_mut().enumerate() {
             *activity = slab.costs()[group * accesses..(group + 1) * accesses]
@@ -672,24 +663,6 @@ impl BusSession {
             }
         }
         Ok((accesses * groups) as u64)
-    }
-
-    /// The convenient form of [`BusSession::decode_stream_slab_into`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BusSession::decode_stream_into`].
-    pub fn decode_stream_slab(
-        &mut self,
-        wire: &[u8],
-        masks: &[InversionMask],
-    ) -> Result<(ChannelActivity, Vec<u8>)> {
-        let mut per_group = Vec::new();
-        let mut out = Vec::new();
-        let mut slab = BurstSlab::new(self.burst_len);
-        let bursts =
-            self.decode_stream_slab_into(wire, masks, &mut per_group, &mut out, &mut slab)?;
-        Ok((ChannelActivity { bursts, per_group }, out))
     }
 
     /// Shared validation of the decode/transmit stream inputs: the wire
@@ -713,58 +686,6 @@ impl BusSession {
             }
         }
         Ok(())
-    }
-
-    /// Encodes the same beat-interleaved stream with one rayon task per
-    /// lane group.
-    ///
-    /// Groups are independent by construction (separate wires, separate
-    /// DBI decisions), so each task carries its own group's [`BusState`]
-    /// through the whole stream and the result — including the carried
-    /// states — is bit-identical to [`BusSession::encode_stream`]. The
-    /// fan-out is per *group*, not per burst, so the sequential chain each
-    /// state depends on is never broken.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::BadAccessSize`] when `data` is empty or not a
-    /// multiple of [`BusSession::access_bytes`].
-    pub fn encode_stream_parallel(&mut self, data: &[u8]) -> Result<ChannelActivity> {
-        self.check_stream(data)?;
-        let groups = self.groups.len();
-        let burst_len = self.burst_len;
-        let accesses = data.len() / self.access_bytes();
-        let encoder: &EncodePlan = &self.plan;
-
-        let mut per_group = vec![CostBreakdown::ZERO; groups];
-        rayon::scope(|s| {
-            for ((group, state), activity) in
-                self.groups.iter_mut().enumerate().zip(per_group.iter_mut())
-            {
-                s.spawn(move || {
-                    let mut scratch = Vec::with_capacity(burst_len);
-                    let mut total = CostBreakdown::ZERO;
-                    for access in 0..accesses {
-                        let base = access * groups * burst_len;
-                        scratch.clear();
-                        scratch
-                            .extend((0..burst_len).map(|beat| data[base + beat * groups + group]));
-                        // Same move-in/move-out trick as the serial path:
-                        // one gather buffer per task, no per-burst allocation.
-                        let burst = Burst::new(scratch).expect("burst length is positive");
-                        let mask = encoder.encode_mask(&burst, state);
-                        total += mask.breakdown(&burst, state);
-                        *state = mask.final_state(&burst, state);
-                        scratch = burst.into_bytes();
-                    }
-                    *activity = total;
-                });
-            }
-        });
-        Ok(ChannelActivity {
-            bursts: (accesses * groups) as u64,
-            per_group,
-        })
     }
 
     fn check_stream(&self, data: &[u8]) -> Result<()> {
@@ -940,15 +861,19 @@ mod tests {
                 );
             }
 
-            // The convenience wrapper agrees as well, fed in two halves to
-            // prove the state carries across slab calls.
+            // Fed in two halves, the state carries across slab calls.
             let mut halved = BusSession::new(&config, scheme);
             let half = data.len() / 2;
-            let first = halved.encode_stream_slab(&data[..half]).unwrap();
-            let second = halved.encode_stream_slab(&data[half..]).unwrap();
-            assert_eq!(first.bursts + second.bursts, serial_bursts, "{scheme}");
-            let mut recombined = first.total();
-            recombined += second.total();
+            let mut first = Vec::new();
+            let mut second = Vec::new();
+            let bursts = halved
+                .encode_stream_slab_into(&data[..half], &mut first, None, &mut slab)
+                .unwrap()
+                + halved
+                    .encode_stream_slab_into(&data[half..], &mut second, None, &mut slab)
+                    .unwrap();
+            assert_eq!(bursts, serial_bursts, "{scheme}");
+            let recombined: CostBreakdown = first.iter().chain(&second).copied().sum();
             assert_eq!(
                 recombined,
                 serial_groups.iter().copied().sum(),
@@ -1060,7 +985,9 @@ mod tests {
             .is_err());
         assert!(per_group.is_empty());
         assert!(masks.is_empty());
-        assert!(session.encode_stream_slab(&[]).is_err());
+        assert!(session
+            .encode_stream_slab_into(&[], &mut per_group, None, &mut slab)
+            .is_err());
     }
 
     #[test]
@@ -1330,26 +1257,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_equals_sequential_for_every_scheme() {
-        let config = ChannelConfig::gddr5x();
-        let data = test_stream(config.access_bytes() * 64, 0xBEEF);
-        for scheme in Scheme::paper_set().iter().copied() {
-            let mut serial = BusSession::new(&config, scheme);
-            let mut parallel = BusSession::new(&config, scheme);
-            let a = serial.encode_stream(&data).unwrap();
-            let b = parallel.encode_stream_parallel(&data).unwrap();
-            assert_eq!(a, b, "scheme {scheme}: parallel must be bit-identical");
-            for group in 0..serial.group_count() {
-                assert_eq!(
-                    serial.group_state(group),
-                    parallel.group_state(group),
-                    "scheme {scheme}: carried state of group {group}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn session_activity_matches_the_memory_controller() {
         // The session is the controller's encode path without the storage:
         // same interleaving, same carried state, same activity.
@@ -1470,7 +1377,6 @@ mod tests {
             })
         ));
         assert!(session.encode_stream(&[]).is_err());
-        assert!(session.encode_stream_parallel(&[0u8; 33]).is_err());
     }
 
     #[test]

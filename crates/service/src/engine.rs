@@ -1576,8 +1576,8 @@ struct ShardWorker<'a> {
     /// journal's work list — exactly the sessions the pass touched.
     session_rounds: Vec<(u64, u32)>,
     /// The shard's append-only journal; `None` when persistence is off
-    /// (or its file could not be created — durability degrades, the data
-    /// path never fails).
+    /// (or its file could not be created — durability degrades, counted
+    /// in the shard's `journal_errors`; the data path never fails).
     journal: Option<JournalWriter>,
     /// Reused scratch for serialising one session's states into the
     /// journal or a capture.
@@ -1604,6 +1604,7 @@ fn worker_loop(
             journal_path(&plane.dir, shard),
             plane.generation.load(Ordering::Relaxed),
         )
+        .inspect_err(|_| metrics.shard(shard).journal_error())
         .ok()
     });
     let mut worker = ShardWorker {
@@ -1798,10 +1799,10 @@ impl ShardWorker<'_> {
             records += 1;
         }
         let journal = self.journal.as_mut().expect("checked above");
-        if let Ok(bytes) = journal.flush() {
-            if bytes > 0 {
-                self.metrics.record_journal(records, bytes as u64);
-            }
+        match journal.flush() {
+            Ok(0) => {}
+            Ok(bytes) => self.metrics.record_journal(records, bytes as u64),
+            Err(_) => self.metrics.journal_error(),
         }
     }
 
@@ -1851,8 +1852,12 @@ impl ShardWorker<'_> {
             }
             ControlRequest::Rotate { generation } => {
                 if let Some(journal) = self.journal.as_mut() {
-                    let _ = journal.flush();
-                    let _ = journal.rotate(generation);
+                    if journal.flush().is_err() {
+                        self.metrics.journal_error();
+                    }
+                    if journal.rotate(generation).is_err() {
+                        self.metrics.journal_error();
+                    }
                 }
                 ControlOutcome::Done
             }

@@ -36,7 +36,9 @@
 //!
 //! The durable session plane (see [`crate::persist`]) adds a per-shard
 //! `sessions_evicted` counter and `journal` block (records and bytes the
-//! shard's worker has appended), plus one engine-global `durability`
+//! shard's worker has appended, and journal I/O errors — a failed create,
+//! flush or rotation, each of which silently degrades durability
+//! otherwise), plus one engine-global `durability`
 //! block mirroring the [`SnapshotStatus`] admin response: whether a
 //! persist directory is configured, the journal generation, snapshots
 //! taken, the last snapshot's session count and byte size, and sessions
@@ -70,6 +72,7 @@ pub struct ShardMetrics {
     sessions_evicted: AtomicU64,
     journal_records: AtomicU64,
     journal_bytes: AtomicU64,
+    journal_errors: AtomicU64,
     passes: AtomicU64,
     coalesced: AtomicU64,
     dispatches: AtomicU64,
@@ -192,6 +195,13 @@ impl ShardMetrics {
         self.journal_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
+    /// Records one journal I/O failure: a journal that could not be
+    /// created (journaling stays off for the shard), a failed flush, or a
+    /// failed rotation.
+    pub fn journal_error(&self) {
+        self.journal_errors.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Reads the counters into an owned snapshot.
     #[must_use]
     pub fn snapshot(&self) -> ShardSnapshot {
@@ -211,6 +221,7 @@ impl ShardMetrics {
             sessions_evicted: self.sessions_evicted.load(Ordering::Relaxed),
             journal_records: self.journal_records.load(Ordering::Relaxed),
             journal_bytes: self.journal_bytes.load(Ordering::Relaxed),
+            journal_errors: self.journal_errors.load(Ordering::Relaxed),
             passes: self.passes.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
             dispatches: self.dispatches.load(Ordering::Relaxed),
@@ -412,6 +423,9 @@ pub struct ShardSnapshot {
     pub journal_records: u64,
     /// Bytes the shard's worker has flushed to its journal.
     pub journal_bytes: u64,
+    /// Journal I/O failures: create, flush or rotation errors. Durability
+    /// degrades on each; the data path never fails.
+    pub journal_errors: u64,
     /// Worker passes executed (each pass serves one or more coalesced
     /// requests of one session).
     pub passes: u64,
@@ -456,6 +470,7 @@ impl ShardSnapshot {
         self.sessions_evicted += other.sessions_evicted;
         self.journal_records += other.journal_records;
         self.journal_bytes += other.journal_bytes;
+        self.journal_errors += other.journal_errors;
         self.passes += other.passes;
         self.coalesced += other.coalesced;
         self.dispatches += other.dispatches;
@@ -524,7 +539,7 @@ impl ShardSnapshot {
              \"transitions_saved\":{},\"queue_depth\":{},\
              \"queue_depth_peak\":{},\"sessions\":{},\
              \"sessions_evicted\":{},\
-             \"journal\":{{\"records\":{},\"bytes\":{}}},\
+             \"journal\":{{\"records\":{},\"bytes\":{},\"errors\":{}}},\
              \"rate\":{{\"requests_per_s\":{:.1},\"rejects_per_s\":{:.1},\
              \"window_s\":{}}},\
              \"batch\":{{\"passes\":{},\"coalesced\":{},\"dispatches\":{},\
@@ -542,6 +557,7 @@ impl ShardSnapshot {
             self.sessions_evicted,
             self.journal_records,
             self.journal_bytes,
+            self.journal_errors,
             self.requests_per_s,
             self.rejects_per_s,
             RATE_WINDOW_SECONDS,
@@ -747,7 +763,7 @@ impl MetricsSnapshot {
     pub fn to_prometheus(&self) -> String {
         use std::fmt::Write;
         type Field = fn(&ShardSnapshot) -> u64;
-        const COUNTERS: [(&str, &str, Field); 16] = [
+        const COUNTERS: [(&str, &str, Field); 17] = [
             ("dbi_requests_total", "Requests executed.", |s| s.requests),
             ("dbi_rejected_total", "Requests rejected.", |s| s.rejected),
             ("dbi_bytes_total", "Payload bytes encoded.", |s| s.bytes),
@@ -809,6 +825,11 @@ impl MetricsSnapshot {
                 "dbi_journal_bytes_total",
                 "Bytes flushed to the shard's journal.",
                 |s| s.journal_bytes,
+            ),
+            (
+                "dbi_journal_errors_total",
+                "Journal create, flush or rotation failures (durability degraded).",
+                |s| s.journal_errors,
             ),
         ];
         const GAUGES: [(&str, &str, Field); 2] = [
@@ -1167,7 +1188,7 @@ mod tests {
              \"restored_sessions\":0},\"kernel\":{"
         ));
         assert!(json.contains("\"sessions_evicted\":0"));
-        assert!(json.contains("\"journal\":{\"records\":0,\"bytes\":0}"));
+        assert!(json.contains("\"journal\":{\"records\":0,\"bytes\":0,\"errors\":0}"));
         // Exactly one shard object plus the totals object, each with a
         // top-level and a verify-block "requests" key.
         assert_eq!(json.matches("\"requests\":").count(), 4);
@@ -1201,6 +1222,7 @@ mod tests {
             sessions_evicted: 1,
             journal_records: 5,
             journal_bytes: 240,
+            journal_errors: 1,
             passes: 2,
             coalesced: 1,
             dispatches: 2,
@@ -1255,7 +1277,7 @@ mod tests {
              \"transitions_saved\":12,\"queue_depth\":1,\
              \"queue_depth_peak\":4,\"sessions\":2,\
              \"sessions_evicted\":1,\
-             \"journal\":{{\"records\":5,\"bytes\":240}},\
+             \"journal\":{{\"records\":5,\"bytes\":240,\"errors\":1}},\
              \"rate\":{{\"requests_per_s\":2.5,\"rejects_per_s\":0.5,\
              \"window_s\":8}},\
              \"batch\":{{\"passes\":2,\"coalesced\":1,\"dispatches\":2,\
@@ -1334,6 +1356,7 @@ mod tests {
         assert!(text.contains("dbi_sessions_evicted_total{shard=\"0\"} 1\n"));
         assert!(text.contains("dbi_journal_records_total{shard=\"0\"} 5\n"));
         assert!(text.contains("dbi_journal_bytes_total{shard=\"0\"} 240\n"));
+        assert!(text.contains("dbi_journal_errors_total{shard=\"0\"} 1\n"));
         assert!(text.contains("# TYPE dbi_durability_configured gauge\n"));
         assert!(text.contains("dbi_durability_configured 1\n"));
         assert!(text.contains("dbi_durability_generation 3\n"));
@@ -1383,6 +1406,7 @@ mod tests {
         assert_eq!(left.per_shard[0].sessions_evicted, 2);
         assert_eq!(left.per_shard[0].journal_records, 10);
         assert_eq!(left.per_shard[0].journal_bytes, 480);
+        assert_eq!(left.per_shard[0].journal_errors, 2);
         assert_eq!(left.durability.snapshots_taken, 2);
         // The kernel block keeps the left side's values.
         assert_eq!(left.kernel, "scalar");

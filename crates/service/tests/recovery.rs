@@ -102,6 +102,33 @@ fn drive(engine: &Engine, range: std::ops::Range<usize>, into: &mut [Accumulated
     }
 }
 
+/// Every session's accumulated replies must equal one uninterrupted
+/// serial [`BusSession`] run over its whole stream.
+fn assert_matches_serial(accumulated: &[Accumulated]) {
+    for (session, got) in accumulated.iter().enumerate() {
+        let data = session_stream(session as u64);
+        let mut reference = BusSession::with_geometry(
+            usize::from(GROUPS),
+            usize::from(BURST_LEN),
+            session_scheme(session as u64),
+        );
+        let mut expected_per_group = Vec::new();
+        let mut expected_masks = Vec::new();
+        let expected_bursts = reference
+            .encode_stream_into(&data, &mut expected_per_group, Some(&mut expected_masks))
+            .unwrap();
+        assert_eq!(got.bursts, expected_bursts, "session {session}: bursts");
+        assert_eq!(
+            got.per_group, expected_per_group,
+            "session {session}: per-group activity diverged across the kill"
+        );
+        assert_eq!(
+            got.masks, expected_masks,
+            "session {session}: mask stream diverged across the kill"
+        );
+    }
+}
+
 #[test]
 fn kill_and_restore_replay_is_bit_identical_to_serial() {
     let dir = persist_dir("conformance");
@@ -142,29 +169,7 @@ fn kill_and_restore_replay_is_bit_identical_to_serial() {
     engine.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Uninterrupted serial reference over the whole stream.
-    for (session, got) in accumulated.iter().enumerate() {
-        let data = session_stream(session as u64);
-        let mut reference = BusSession::with_geometry(
-            usize::from(GROUPS),
-            usize::from(BURST_LEN),
-            session_scheme(session as u64),
-        );
-        let mut expected_per_group = Vec::new();
-        let mut expected_masks = Vec::new();
-        let expected_bursts = reference
-            .encode_stream_into(&data, &mut expected_per_group, Some(&mut expected_masks))
-            .unwrap();
-        assert_eq!(got.bursts, expected_bursts, "session {session}: bursts");
-        assert_eq!(
-            got.per_group, expected_per_group,
-            "session {session}: per-group activity diverged across the kill"
-        );
-        assert_eq!(
-            got.masks, expected_masks,
-            "session {session}: mask stream diverged across the kill"
-        );
-    }
+    assert_matches_serial(&accumulated);
 }
 
 #[test]
@@ -274,4 +279,39 @@ fn admin_frames_without_persistence_are_refused_typed() {
     drop(client);
     server.shutdown();
     engine.shutdown();
+}
+
+#[test]
+fn journal_create_failures_are_counted_and_requests_still_served() {
+    // Replacing the live journal file with a directory makes the next
+    // rotation's re-create fail (EISDIR, which no privilege bypasses).
+    // Journaling degrades, but the failure is counted and the data path
+    // keeps serving bit-identical replies.
+    let dir = persist_dir("journal-errors");
+    let engine = Engine::start(ServiceConfig {
+        shards: 1,
+        queue_capacity: 16,
+        max_payload: 1 << 16,
+        persist: Some(PersistConfig { dir: dir.clone() }),
+        ..ServiceConfig::default()
+    });
+    let mut accumulated = vec![Accumulated::new(); SESSIONS as usize];
+    drive(&engine, 0..2, &mut accumulated);
+    assert_eq!(engine.metrics().per_shard[0].journal_errors, 0);
+
+    let journal = dbi_service::persist::journal::journal_path(&dir, 0);
+    std::fs::remove_file(&journal).unwrap();
+    std::fs::create_dir(&journal).unwrap();
+    engine.trigger_snapshot().unwrap();
+    let metrics = engine.metrics();
+    assert_eq!(metrics.per_shard[0].journal_errors, 1);
+    assert!(metrics.to_json().contains("\"errors\":1}"));
+    assert!(metrics
+        .to_prometheus()
+        .contains("dbi_journal_errors_total{shard=\"0\"} 1\n"));
+
+    drive(&engine, 2..REQUESTS, &mut accumulated);
+    engine.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_matches_serial(&accumulated);
 }

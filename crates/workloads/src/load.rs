@@ -171,7 +171,7 @@ impl LoadProfile {
     /// the batched counterpart of [`LoadProfile::fill_access`]: traffic
     /// lands in slab layout directly, with no per-burst payload
     /// interleaving and no intermediate access buffer, ready for
-    /// [`dbi_core::DbiEncoder::encode_slab_into`] or a service
+    /// [`dbi_core::DbiEncoder::encode_lanes_into`] or a service
     /// `EncodeBatch` frame. Bursts longer than the generators' standard
     /// length wrap around their 8 source bytes, exactly as
     /// [`LoadProfile::fill_access`] does.

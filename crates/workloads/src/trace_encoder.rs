@@ -143,7 +143,8 @@ impl<E: DbiEncoder> TraceEncoder<E> {
     }
 
     /// Encodes every burst currently loaded in `slab` in **one** call
-    /// through [`DbiEncoder::encode_slab_into`], carrying the bus state
+    /// through [`DbiEncoder::encode_lanes_into`] (as a single chain),
+    /// carrying the bus state
     /// exactly as the per-burst loops do, and returns the aggregate
     /// activity. The slab's mask and cost rows are left filled, so callers
     /// get the per-burst decisions for free. Bit-identical to
@@ -152,9 +153,8 @@ impl<E: DbiEncoder> TraceEncoder<E> {
     /// whatever the caller last used it for.
     pub fn encode_slab(&mut self, slab: &mut BurstSlab) -> TraceSummary {
         slab.set_pricing(true);
-        let mut state = self.state;
-        self.encoder.encode_slab_into(slab, &mut state);
-        self.state = state;
+        self.encoder
+            .encode_lanes_into(slab, core::slice::from_mut(&mut self.state));
         TraceSummary {
             bursts: slab.burst_count() as u64,
             activity: slab.total(),
