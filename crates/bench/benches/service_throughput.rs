@@ -9,11 +9,11 @@
 //!   allocation-free in-process path; measures engine + sharding),
 //! * `tcp` — each client thread owns a [`TcpClient`] over loopback
 //!   (adds the wire protocol and socket round trip),
-//! * `local-batch` / `tcp-batch` — the protocol-3 **batched data
+//! * `local-batch` / `tcp-batch` — the **batched data
 //!   plane**: each request is one `EncodeBatch` submission carrying
 //!   [`BATCH_ACCESSES`] accesses (one header + contiguous payload per
 //!   whole batch), the throughput headline of the slab refactor,
-//! * `pipelined` — the protocol-5 **high-fan-in rows**: one driver
+//! * `pipelined` — the **high-fan-in rows**: one driver
 //!   multiplexing 64/256/1024 [`PipelinedClient`] connections into the
 //!   event-driven connection plane, keeping a constant
 //!   [`FAN_IN_WINDOW`]-deep aggregate pipeline in flight so the series
@@ -192,7 +192,7 @@ fn profile_by_name(name: &str, seed: u64) -> LoadProfile {
     }
 }
 
-/// Converts a per-burst request into its protocol-3 batch form.
+/// Converts a per-burst request into its batch form.
 fn to_batch<'a>(request: &EncodeRequest<'a>) -> EncodeBatchRequest<'a> {
     EncodeBatchRequest::from_request(request).expect("bench payloads divide into whole bursts")
 }

@@ -1,21 +1,24 @@
 //! The TCP clients.
 //!
-//! [`TcpClient`] speaks the [`wire`] protocol over one
-//! [`std::net::TcpStream`], request–response style, and exposes the same
-//! [`EncodeRequest`]/[`EncodeReply`] types as the in-process
-//! [`LocalClient`](crate::LocalClient) — code written against one client
-//! works against the other. The frame buffers are owned by the client and
-//! reused, so a steady request loop settles into zero buffer reallocation
-//! (the socket itself, of course, still costs syscalls).
-//!
-//! [`PipelinedClient`] speaks the protocol-5 pipelined form: requests are
-//! **submitted** without waiting ([`PipelinedClient::submit`] returns the
-//! auto-assigned request id immediately) and completions are **polled**
+//! [`PipelinedClient`] speaks the [`wire`] protocol over one
+//! [`std::net::TcpStream`]: requests are **submitted** without waiting
+//! ([`PipelinedClient::submit`] returns the auto-assigned request id
+//! immediately) and completions are **polled**
 //! ([`PipelinedClient::next_completion`] /
 //! [`PipelinedClient::try_next_completion`]), matched to submissions by
 //! the echoed id rather than by arrival order. Many requests ride one
 //! connection concurrently, so a single client can keep every engine
 //! shard busy without one thread per outstanding request.
+//!
+//! [`TcpClient`] is the request–response convenience over it: each call
+//! submits one request and waits for its completion, exposing the same
+//! [`EncodeRequest`]/[`EncodeReply`] types as the in-process
+//! [`LocalClient`](crate::LocalClient) — code written against one client
+//! works against the other. Its admin requests (metrics, telemetry,
+//! durability) travel over the same socket and buffers. The frame
+//! buffers are owned by the client and reused, so a steady request loop
+//! settles into zero buffer reallocation (the socket itself, of course,
+//! still costs syscalls).
 
 use crate::engine::{EncodeBatchRequest, EncodeReply, EncodeRequest};
 use crate::error::ClientError;
@@ -27,48 +30,15 @@ use crate::wire::{
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-/// Reads exactly one frame into `buf` (header + body, replacing previous
-/// contents). Returns `Ok(false)` on a clean end-of-stream at a frame
-/// boundary, `Ok(true)` when `buf` holds a complete frame.
-///
-/// The header is validated *before* the body is read, so a corrupt or
-/// hostile length field ([`wire::MAX_BODY_LEN`] bound, bad magic, wrong
-/// version) is rejected without reading — let alone allocating — the body.
-pub(crate) fn read_frame(reader: &mut impl Read, buf: &mut Vec<u8>) -> Result<bool, ClientError> {
-    let mut header = [0u8; HEADER_LEN];
-    let mut filled = 0;
-    while filled < HEADER_LEN {
-        let n = reader.read(&mut header[filled..])?;
-        if n == 0 {
-            if filled == 0 {
-                return Ok(false);
-            }
-            return Err(wire::WireError::Truncated {
-                needed: HEADER_LEN,
-                got: filled,
-            }
-            .into());
-        }
-        filled += n;
-    }
-    let parsed = wire::parse_header(&header)?;
-    buf.clear();
-    buf.extend_from_slice(&header);
-    buf.resize(HEADER_LEN + parsed.body_len, 0);
-    reader.read_exact(&mut buf[HEADER_LEN..])?;
-    Ok(true)
-}
-
-/// A blocking request–response client over TCP.
+/// A blocking request–response client over TCP: a [`PipelinedClient`]
+/// with one request in flight at a time.
 #[derive(Debug)]
 pub struct TcpClient {
-    stream: TcpStream,
-    in_buf: Vec<u8>,
-    out_buf: Vec<u8>,
+    inner: PipelinedClient,
 }
 
 impl TcpClient {
-    /// Connects to a service and disables Nagle batching (the protocol is
+    /// Connects to a service and disables Nagle batching (the exchange is
     /// strict request–response, so delaying small frames only adds
     /// latency).
     ///
@@ -76,24 +46,9 @@ impl TcpClient {
     ///
     /// Any [`io::Error`] from establishing the connection.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<TcpClient> {
-        let stream = TcpStream::connect(addr)?;
-        let _ = stream.set_nodelay(true);
         Ok(TcpClient {
-            stream,
-            in_buf: Vec::new(),
-            out_buf: Vec::new(),
+            inner: PipelinedClient::connect(addr)?,
         })
-    }
-
-    /// Writes the frame staged in `out_buf` and reads exactly one
-    /// response frame into `in_buf` — the shared exchange of every
-    /// request method.
-    fn round_trip(&mut self) -> Result<(), ClientError> {
-        self.stream.write_all(&self.out_buf)?;
-        if !read_frame(&mut self.stream, &mut self.in_buf)? {
-            return Err(closed_early().into());
-        }
-        Ok(())
     }
 
     /// Executes one encode request over the socket. Results are written
@@ -106,34 +61,21 @@ impl TcpClient {
     /// * [`ClientError::Remote`] — the service answered with an error
     ///   frame (overload, bad payload, session mismatch, ...);
     /// * [`ClientError::UnexpectedResponse`] — the service answered with
-    ///   a frame that is not a response to this request.
+    ///   a frame that is not the completion of this request.
     pub fn encode(
         &mut self,
         request: &EncodeRequest<'_>,
         reply: &mut EncodeReply,
     ) -> Result<(), ClientError> {
-        self.out_buf.clear();
-        request.encode_into(&mut self.out_buf);
-        self.round_trip()?;
-        match wire::decode_frame(&self.in_buf)?.0 {
-            Frame::EncodeResponse(view) => {
-                if view.session_id != request.session_id {
-                    return Err(ClientError::UnexpectedResponse);
-                }
-                fill_reply(reply, view.bursts, view.per_group(), view.masks());
-                Ok(())
-            }
-            Frame::Error(view) => Err(remote_error(&view)),
-            _ => Err(ClientError::UnexpectedResponse),
-        }
+        let request_id = self.inner.submit(request)?;
+        self.complete(request_id, reply)
     }
 
     /// Executes one **batched** encode request over the socket: a whole
-    /// batch of bursts travels as a single protocol-3 `EncodeBatch` frame
-    /// (one header + contiguous payload) where a per-burst loop would
-    /// have framed and round-tripped N times. Results land in `reply`
-    /// exactly as with [`TcpClient::encode`]; the reused frame buffers
-    /// keep the steady-state zero-reallocation guarantee.
+    /// batch of bursts travels as a single frame (one header + contiguous
+    /// payload) where a per-burst loop would have framed and
+    /// round-tripped N times. Results land in `reply` exactly as with
+    /// [`TcpClient::encode`].
     ///
     /// # Errors
     ///
@@ -145,19 +87,19 @@ impl TcpClient {
         request: &EncodeBatchRequest<'_>,
         reply: &mut EncodeReply,
     ) -> Result<(), ClientError> {
-        self.out_buf.clear();
-        request.encode_into(&mut self.out_buf);
-        self.round_trip()?;
-        match wire::decode_frame(&self.in_buf)?.0 {
-            Frame::EncodeBatchResponse(view) => {
-                if view.session_id != request.session_id || view.count != request.count {
-                    return Err(ClientError::UnexpectedResponse);
-                }
-                fill_reply(reply, view.bursts, view.per_group(), view.masks());
-                Ok(())
-            }
-            Frame::Error(view) => Err(remote_error(&view)),
-            _ => Err(ClientError::UnexpectedResponse),
+        let request_id = self.inner.submit_batch(request)?;
+        self.complete(request_id, reply)
+    }
+
+    /// Waits for the completion of the one request in flight.
+    fn complete(&mut self, request_id: u64, reply: &mut EncodeReply) -> Result<(), ClientError> {
+        let done = self.inner.next_completion(reply)?;
+        if done.request_id != request_id {
+            return Err(ClientError::UnexpectedResponse);
+        }
+        match done.error {
+            None => Ok(()),
+            Some((code, message)) => Err(ClientError::Remote { code, message }),
         }
     }
 
@@ -167,57 +109,50 @@ impl TcpClient {
     ///
     /// Same failure modes as [`TcpClient::encode`].
     pub fn metrics_json(&mut self) -> Result<String, ClientError> {
-        self.out_buf.clear();
-        wire::encode_metrics_request(&mut self.out_buf);
-        self.round_trip()?;
-        match wire::decode_frame(&self.in_buf)?.0 {
-            Frame::MetricsResponse(json) => Ok(json.to_owned()),
-            Frame::Error(view) => Err(remote_error(&view)),
-            _ => Err(ClientError::UnexpectedResponse),
-        }
+        self.inner
+            .exchange(wire::encode_metrics_request, |frame| match frame {
+                Frame::MetricsResponse(json) => Some(json.to_owned()),
+                _ => None,
+            })
     }
 
     /// Drains the service's recent trace events — up to `max_events` per
-    /// shard, merged into one timeline ordered by enqueue time (protocol
-    /// 4's `TraceDump` frame).
+    /// shard, merged into one timeline ordered by enqueue time.
     ///
     /// # Errors
     ///
     /// Same failure modes as [`TcpClient::metrics_json`].
     pub fn trace_dump(&mut self, max_events: u32) -> Result<Vec<TraceEvent>, ClientError> {
-        self.out_buf.clear();
-        wire::encode_trace_dump_request(&mut self.out_buf, max_events);
-        self.round_trip()?;
-        match wire::decode_frame(&self.in_buf)?.0 {
-            Frame::TraceDumpResponse(view) => Ok(view.events().collect()),
-            Frame::Error(view) => Err(remote_error(&view)),
-            _ => Err(ClientError::UnexpectedResponse),
-        }
+        self.inner.exchange(
+            |out| wire::encode_trace_dump_request(out, max_events),
+            |frame| match frame {
+                Frame::TraceDumpResponse(view) => Some(view.events().collect()),
+                _ => None,
+            },
+        )
     }
 
-    /// Fetches the service's most recent slow requests (protocol 4's
-    /// `SlowlogQuery` frame). Returns the service's capture threshold in
-    /// nanoseconds alongside up to `max_entries` captures, newest last.
+    /// Fetches the service's most recent slow requests. Returns the
+    /// service's capture threshold in nanoseconds alongside up to
+    /// `max_entries` captures, newest last.
     ///
     /// # Errors
     ///
     /// Same failure modes as [`TcpClient::metrics_json`].
     pub fn slowlog(&mut self, max_entries: u32) -> Result<(u64, Vec<TraceEvent>), ClientError> {
-        self.out_buf.clear();
-        wire::encode_slowlog_request(&mut self.out_buf, max_entries);
-        self.round_trip()?;
-        match wire::decode_frame(&self.in_buf)?.0 {
-            Frame::SlowlogResponse(view) => Ok((view.threshold_ns, view.entries().collect())),
-            Frame::Error(view) => Err(remote_error(&view)),
-            _ => Err(ClientError::UnexpectedResponse),
-        }
+        self.inner.exchange(
+            |out| wire::encode_slowlog_request(out, max_entries),
+            |frame| match frame {
+                Frame::SlowlogResponse(view) => Some((view.threshold_ns, view.entries().collect())),
+                _ => None,
+            },
+        )
     }
 
-    /// Asks the service to take a durable snapshot now (protocol 6's
-    /// snapshot admin frame): every shard's sessions are captured and
-    /// written to the persist directory, and the journals rotate to a
-    /// fresh generation. Returns the durability status after the
-    /// snapshot.
+    /// Asks the service to take a durable snapshot now: every shard's
+    /// sessions are captured and written to the persist directory, and
+    /// the journals rotate to a fresh generation. Returns the durability
+    /// status after the snapshot.
     ///
     /// # Errors
     ///
@@ -226,47 +161,38 @@ impl TcpClient {
     /// persist directory, and `Internal` when writing the snapshot
     /// failed.
     pub fn trigger_snapshot(&mut self) -> Result<SnapshotStatus, ClientError> {
-        self.out_buf.clear();
-        wire::encode_snapshot_request(&mut self.out_buf);
-        self.admin_round_trip()
+        self.admin(wire::encode_snapshot_request)
     }
 
-    /// Fetches the service's durability status (protocol 6's
-    /// snapshot-status admin frame). Always answered — `configured` is
-    /// `false` when the service runs without a persist directory.
+    /// Fetches the service's durability status. Always answered —
+    /// `configured` is `false` when the service runs without a persist
+    /// directory.
     ///
     /// # Errors
     ///
     /// Same failure modes as [`TcpClient::metrics_json`].
     pub fn snapshot_status(&mut self) -> Result<SnapshotStatus, ClientError> {
-        self.out_buf.clear();
-        wire::encode_snapshot_status_request(&mut self.out_buf);
-        self.admin_round_trip()
+        self.admin(wire::encode_snapshot_status_request)
     }
 
     /// Asks the service to reload session state from its persist
-    /// directory (protocol 6's restore admin frame), replacing any live
-    /// session that shares an id with a restored one. Returns the
-    /// durability status after the restore.
+    /// directory, replacing any live session that shares an id with a
+    /// restored one. Returns the durability status after the restore.
     ///
     /// # Errors
     ///
     /// Same failure modes as [`TcpClient::trigger_snapshot`].
     pub fn restore(&mut self) -> Result<SnapshotStatus, ClientError> {
-        self.out_buf.clear();
-        wire::encode_restore_request(&mut self.out_buf);
-        self.admin_round_trip()
+        self.admin(wire::encode_restore_request)
     }
 
     /// Shared exchange of the three durability admin requests: sends the
     /// staged frame, expects a snapshot-status response.
-    fn admin_round_trip(&mut self) -> Result<SnapshotStatus, ClientError> {
-        self.round_trip()?;
-        match wire::decode_frame(&self.in_buf)?.0 {
-            Frame::SnapshotStatus(status) => Ok(status),
-            Frame::Error(view) => Err(remote_error(&view)),
-            _ => Err(ClientError::UnexpectedResponse),
-        }
+    fn admin(&mut self, stage: fn(&mut Vec<u8>)) -> Result<SnapshotStatus, ClientError> {
+        self.inner.exchange(stage, |frame| match frame {
+            Frame::SnapshotStatus(status) => Some(status),
+            _ => None,
+        })
     }
 }
 
@@ -296,8 +222,8 @@ impl PipelinedCompletion {
 /// backlog — a soak harness can hold thousands of these clients.
 const RECV_CHUNK: usize = 16 * 1024;
 
-/// A pipelined (protocol version 5) client over TCP: submit many, poll
-/// completions by request id.
+/// A pipelined client over TCP: submit many, poll completions by request
+/// id.
 ///
 /// Responses to different sessions may complete **out of order** — the
 /// engine's shards run independently — while responses within one
@@ -357,9 +283,7 @@ impl PipelinedClient {
             request: *request,
         }
         .encode_into(&mut self.out_buf);
-        self.stream.write_all(&self.out_buf)?;
-        self.next_id = self.next_id.wrapping_add(1);
-        self.in_flight += 1;
+        self.send_request()?;
         Ok(request_id)
     }
 
@@ -378,10 +302,16 @@ impl PipelinedClient {
             request: *request,
         }
         .encode_into(&mut self.out_buf);
+        self.send_request()?;
+        Ok(request_id)
+    }
+
+    /// Writes the request staged in `out_buf` and counts it in flight.
+    fn send_request(&mut self) -> Result<(), ClientError> {
         self.stream.write_all(&self.out_buf)?;
         self.next_id = self.next_id.wrapping_add(1);
         self.in_flight += 1;
-        Ok(request_id)
+        Ok(())
     }
 
     /// How many submitted requests have not yet been completed.
@@ -405,23 +335,16 @@ impl PipelinedClient {
     /// * [`ClientError::Remote`] — the service answered with a
     ///   *connection-level* error frame (protocol violation);
     /// * [`ClientError::UnexpectedResponse`] — the service sent a frame
-    ///   that is not a pipelined completion.
+    ///   that is not a completion.
+    ///
+    /// The offending frame is consumed either way, so the next call
+    /// reads the frame behind it.
     pub fn next_completion(
         &mut self,
         reply: &mut EncodeReply,
     ) -> Result<PipelinedCompletion, ClientError> {
-        loop {
-            if let Some(done) = self.take_buffered(reply)? {
-                return Ok(done);
-            }
-            let mut chunk = [0u8; RECV_CHUNK];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(closed_early().into()),
-                Ok(n) => self.recv_buf.extend_from_slice(&chunk[..n]),
-                Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-                Err(err) => return Err(err.into()),
-            }
-        }
+        let total = self.next_frame_len()?;
+        self.take_completion(total, reply)
     }
 
     /// [`PipelinedClient::next_completion`] without blocking: drains
@@ -435,36 +358,44 @@ impl PipelinedClient {
         &mut self,
         reply: &mut EncodeReply,
     ) -> Result<Option<PipelinedCompletion>, ClientError> {
-        if let Some(done) = self.take_buffered(reply)? {
-            return Ok(Some(done));
+        if self.buffered_frame_len()?.is_none() {
+            self.stream.set_nonblocking(true)?;
+            let drained = self.drain_ready();
+            self.stream.set_nonblocking(false)?;
+            drained?;
         }
-        self.stream.set_nonblocking(true)?;
-        let drained = self.drain_ready();
-        self.stream.set_nonblocking(false)?;
-        drained?;
-        self.take_buffered(reply)
-    }
-
-    /// Reads until the socket would block.
-    fn drain_ready(&mut self) -> Result<(), ClientError> {
-        let mut chunk = [0u8; RECV_CHUNK];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(closed_early().into()),
-                Ok(n) => self.recv_buf.extend_from_slice(&chunk[..n]),
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-                Err(err) => return Err(err.into()),
-            }
+        match self.buffered_frame_len()? {
+            Some(total) => self.take_completion(total, reply).map(Some),
+            None => Ok(None),
         }
     }
 
-    /// Decodes one completion out of the receive buffer, if a whole
-    /// frame is there.
-    fn take_buffered(
+    /// Sends the one frame `stage` writes and decodes the frame that
+    /// answers it with `answer` (`None` meaning the wrong frame type) —
+    /// the in-order exchange behind [`TcpClient`]'s admin requests.
+    fn exchange<T>(
         &mut self,
-        reply: &mut EncodeReply,
-    ) -> Result<Option<PipelinedCompletion>, ClientError> {
+        stage: impl FnOnce(&mut Vec<u8>),
+        answer: impl FnOnce(Frame<'_>) -> Option<T>,
+    ) -> Result<T, ClientError> {
+        self.out_buf.clear();
+        stage(&mut self.out_buf);
+        self.stream.write_all(&self.out_buf)?;
+        let total = self.next_frame_len()?;
+        let result = match wire::decode_frame(&self.recv_buf[self.parsed..self.parsed + total]) {
+            Ok((Frame::Error(view), _)) => Err(remote_error(&view)),
+            Ok((frame, _)) => answer(frame).ok_or(ClientError::UnexpectedResponse),
+            Err(err) => Err(err.into()),
+        };
+        self.consume(total);
+        result
+    }
+
+    /// The length of the whole frame at the front of the receive buffer,
+    /// if all of it has arrived. The header is validated before anything
+    /// else, so a corrupt or hostile length field is rejected without
+    /// waiting for — let alone buffering — the body it announces.
+    fn buffered_frame_len(&self) -> Result<Option<usize>, ClientError> {
         let avail = &self.recv_buf[self.parsed..];
         let header = match wire::parse_header(avail) {
             Ok(header) => header,
@@ -472,54 +403,110 @@ impl PipelinedClient {
             Err(err) => return Err(err.into()),
         };
         let total = HEADER_LEN + header.body_len;
-        if avail.len() < total {
-            return Ok(None);
+        Ok((avail.len() >= total).then_some(total))
+    }
+
+    /// Reads until a whole frame is buffered; returns its length.
+    fn next_frame_len(&mut self) -> Result<usize, ClientError> {
+        loop {
+            if let Some(total) = self.buffered_frame_len()? {
+                return Ok(total);
+            }
+            self.read_some()?;
         }
-        let completion = match wire::decode_frame(&avail[..total])?.0 {
-            Frame::PipelinedResponse {
-                request_id,
-                response,
-            } => {
+    }
+
+    /// Reads until the (nonblocking) socket would block.
+    fn drain_ready(&mut self) -> Result<(), ClientError> {
+        while self.read_some()? {}
+        Ok(())
+    }
+
+    /// One read off the socket into the receive buffer; `false` when a
+    /// nonblocking socket has nothing ready.
+    fn read_some(&mut self) -> Result<bool, ClientError> {
+        let mut chunk = [0u8; RECV_CHUNK];
+        loop {
+            match self.stream.read(&mut chunk) {
+                Ok(0) => return Err(closed_early().into()),
+                Ok(n) => {
+                    self.recv_buf.extend_from_slice(&chunk[..n]);
+                    return Ok(true);
+                }
+                Err(err) if err.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+                Err(err) => return Err(err.into()),
+            }
+        }
+    }
+
+    /// Decodes the `total`-byte frame at the front of the receive buffer
+    /// as a completion, then consumes it whatever it held.
+    fn take_completion(
+        &mut self,
+        total: usize,
+        reply: &mut EncodeReply,
+    ) -> Result<PipelinedCompletion, ClientError> {
+        let completion = match wire::decode_frame(&self.recv_buf[self.parsed..self.parsed + total])
+        {
+            Ok((
+                Frame::PipelinedResponse {
+                    request_id,
+                    response,
+                },
+                _,
+            )) => {
                 fill_reply(
                     reply,
                     response.bursts,
                     response.per_group(),
                     response.masks(),
                 );
-                PipelinedCompletion {
+                Ok(PipelinedCompletion {
                     request_id,
                     error: None,
-                }
+                })
             }
-            Frame::PipelinedBatchResponse {
-                request_id,
-                response,
-            } => {
+            Ok((
+                Frame::PipelinedBatchResponse {
+                    request_id,
+                    response,
+                },
+                _,
+            )) => {
                 fill_reply(
                     reply,
                     response.bursts,
                     response.per_group(),
                     response.masks(),
                 );
-                PipelinedCompletion {
+                Ok(PipelinedCompletion {
                     request_id,
                     error: None,
-                }
+                })
             }
-            Frame::PipelinedError { request_id, error } => PipelinedCompletion {
+            Ok((Frame::PipelinedError { request_id, error }, _)) => Ok(PipelinedCompletion {
                 request_id,
                 error: Some((error.code, error.message.to_owned())),
-            },
-            Frame::Error(view) => return Err(remote_error(&view)),
-            _ => return Err(ClientError::UnexpectedResponse),
+            }),
+            Ok((Frame::Error(view), _)) => Err(remote_error(&view)),
+            Ok(_) => Err(ClientError::UnexpectedResponse),
+            Err(err) => Err(err.into()),
         };
+        self.consume(total);
+        if completion.is_ok() {
+            self.in_flight = self.in_flight.saturating_sub(1);
+        }
+        completion
+    }
+
+    /// Drops the `total`-byte frame at the front of the receive buffer.
+    fn consume(&mut self, total: usize) {
         self.parsed += total;
         if self.parsed == self.recv_buf.len() {
             self.recv_buf.clear();
             self.parsed = 0;
         }
-        self.in_flight = self.in_flight.saturating_sub(1);
-        Ok(Some(completion))
     }
 }
 
@@ -557,37 +544,63 @@ fn closed_early() -> io::Error {
 mod tests {
     use super::*;
     use crate::wire::WireError;
+    use std::net::TcpListener;
+
+    /// A client connected to a loopback peer that writes `bytes` and
+    /// hangs up.
+    fn client_fed(bytes: Vec<u8>) -> PipelinedClient {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = PipelinedClient::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        peer.write_all(&bytes).unwrap();
+        client
+    }
 
     #[test]
-    fn read_frame_distinguishes_clean_eof_from_truncation() {
-        let mut buf = Vec::new();
-        let mut empty: &[u8] = &[];
-        assert!(!read_frame(&mut empty, &mut buf).unwrap());
-
+    fn closing_before_a_whole_frame_is_a_transport_error() {
         let mut whole = Vec::new();
-        wire::encode_metrics_request(&mut whole);
-        let mut cursor: &[u8] = &whole;
-        assert!(read_frame(&mut cursor, &mut buf).unwrap());
-        assert_eq!(buf, whole);
+        wire::encode_metrics_response(&mut whole, "{\"x\":1}");
+        let mut reply = EncodeReply::new();
+        // Silence, a stream that dies inside the header, and one that
+        // dies inside the body all end the same way.
+        for cut in [0, 3, whole.len() - 2] {
+            let mut client = client_fed(whole[..cut].to_vec());
+            match client.next_completion(&mut reply) {
+                Err(ClientError::Io(err)) => {
+                    assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut {cut}");
+                }
+                other => panic!("cut {cut}: expected a transport error, got {other:?}"),
+            }
+        }
+    }
 
-        // A stream that dies inside the header is a wire error, not EOF.
-        let mut partial: &[u8] = &whole[..3];
+    #[test]
+    fn a_plain_error_frame_is_consumed_before_it_is_returned() {
+        let mut bytes = Vec::new();
+        let error = wire::ErrorFrame {
+            code: ErrorCode::BadRequest,
+            message: "bad frame",
+        };
+        error.encode_into(&mut bytes);
+        wire::PipelinedErrorFrame {
+            request_id: 0,
+            error,
+        }
+        .encode_into(&mut bytes);
+        let mut client = client_fed(bytes);
+        client.in_flight = 1;
+        let mut reply = EncodeReply::new();
         assert!(matches!(
-            read_frame(&mut partial, &mut buf),
-            Err(ClientError::Wire(WireError::Truncated {
-                needed: 8,
-                got: 3
-            }))
+            client.next_completion(&mut reply),
+            Err(ClientError::Remote {
+                code: ErrorCode::BadRequest,
+                ..
+            })
         ));
-
-        // A stream that dies inside the body is a transport error.
-        let mut long = Vec::new();
-        wire::encode_metrics_response(&mut long, "{\"x\":1}");
-        let mut partial: &[u8] = &long[..long.len() - 2];
-        assert!(matches!(
-            read_frame(&mut partial, &mut buf),
-            Err(ClientError::Io(_))
-        ));
+        // The frame behind it is reachable: the client did not wedge.
+        let done = client.next_completion(&mut reply).unwrap();
+        assert_eq!(done.request_id, 0);
+        assert_eq!(client.in_flight(), 0);
     }
 
     #[test]
@@ -595,13 +608,12 @@ mod tests {
         let mut frame = Vec::new();
         wire::encode_metrics_request(&mut frame);
         frame[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-        let mut cursor: &[u8] = &frame;
-        let mut buf = Vec::new();
+        let mut client = client_fed(frame);
         assert!(matches!(
-            read_frame(&mut cursor, &mut buf),
+            client.next_completion(&mut EncodeReply::new()),
             Err(ClientError::Wire(WireError::Oversized { .. }))
         ));
-        // The rejected body was never buffered.
-        assert!(buf.capacity() < 1024);
+        // Only the header was ever buffered.
+        assert!(client.recv_buf.capacity() < 1024);
     }
 }

@@ -3,13 +3,14 @@
 //! buffered nonblocking writes — the whole state machine one I/O thread
 //! drives for each of its connections.
 //!
-//! Framing errors follow the thread-per-connection front end's rules
-//! exactly: a *header*-level violation (bad magic, unsupported version,
-//! oversized body) is answered with one `BadRequest` error frame and the
-//! connection closes once it flushes — a peer that cannot frame
+//! Framing errors: a *header*-level violation (bad magic, unsupported
+//! version, oversized body) is answered with one `BadRequest` error frame
+//! and the connection closes once it flushes — a peer that cannot frame
 //! correctly cannot be resynchronised. A well-framed body that fails to
 //! decode also gets `BadRequest`, but the frame boundary is intact, so
-//! the connection stays open and the next frame is served.
+//! the connection stays open and the next frame is served. That answer
+//! carries the request's id when the frame is an encode request whose id
+//! prefix is readable, so the client can retire exactly that request.
 
 use super::ConnConfig;
 use crate::engine::{
@@ -64,20 +65,18 @@ pub(crate) struct IoContext<'a> {
 /// How the response to one in-flight engine submission is framed.
 #[derive(Debug, Clone, Copy)]
 enum PendingKind {
-    /// A v1–v4 plain encode request: one-in, one-out, so parsing pauses
-    /// while it is in flight.
-    Legacy,
-    /// A v1–v4 batch encode request (same ordering contract).
-    LegacyBatch { count: u16 },
-    /// A v5 pipelined encode request, answered by echoed request id.
+    /// An encode request, answered by echoed request id.
     Pipelined { request_id: u64 },
-    /// A v5 pipelined batch encode request.
+    /// A batch encode request, answered by echoed request id and count.
     PipelinedBatch { request_id: u64, count: u16 },
 }
 
 impl PendingKind {
-    fn is_legacy(self) -> bool {
-        matches!(self, PendingKind::Legacy | PendingKind::LegacyBatch { .. })
+    fn request_id(self) -> u64 {
+        match self {
+            PendingKind::Pipelined { request_id }
+            | PendingKind::PipelinedBatch { request_id, .. } => request_id,
+        }
     }
 }
 
@@ -85,10 +84,6 @@ impl PendingKind {
 struct Pending {
     slot: Arc<RequestSlot>,
     kind: PendingKind,
-    /// The protocol version the request's header announced — failure
-    /// responses downgrade v6-only error codes for older peers
-    /// ([`ErrorCode::downgrade_for`]).
-    version: u8,
 }
 
 /// The full state of one multiplexed connection.
@@ -104,9 +99,6 @@ pub(crate) struct Connection {
     write_buf: Vec<u8>,
     flushed: usize,
     pending: Vec<Pending>,
-    /// A legacy (v1–v4) encode request is in flight: parsing is paused
-    /// to preserve strict one-in, one-out response ordering.
-    legacy_in_flight: bool,
     /// Mirror of the pause condition, refreshed after every unit of
     /// work, so interest can be computed without a context.
     paused: bool,
@@ -128,7 +120,6 @@ impl Connection {
             write_buf: Vec::new(),
             flushed: 0,
             pending: Vec::new(),
-            legacy_in_flight: false,
             paused: false,
             read_closed: false,
             close_after_flush: false,
@@ -194,9 +185,6 @@ impl Connection {
             return self.after_work(ctx);
         };
         let entry = self.pending.remove(position);
-        if entry.kind.is_legacy() {
-            self.legacy_in_flight = false;
-        }
         {
             let state = slot.state.lock().expect("slot mutex poisoned");
             debug_assert_eq!(
@@ -205,44 +193,32 @@ impl Connection {
                 "completion for an unfinished slot"
             );
             match &state.result {
-                Ok(bursts) => {
-                    let response = EncodeResponseFrame {
-                        session_id: state.session_id,
-                        bursts: *bursts,
-                        per_group: &state.per_group,
-                        masks: &state.masks,
-                    };
-                    match entry.kind {
-                        PendingKind::Legacy => response.encode_into(&mut self.write_buf),
-                        PendingKind::LegacyBatch { count } => EncodeBatchResponseFrame {
+                Ok(bursts) => match entry.kind {
+                    PendingKind::Pipelined { request_id } => PipelinedResponseFrame {
+                        request_id,
+                        response: EncodeResponseFrame {
                             session_id: state.session_id,
                             bursts: *bursts,
-                            count,
                             per_group: &state.per_group,
                             masks: &state.masks,
-                        }
-                        .encode_into(&mut self.write_buf),
-                        PendingKind::Pipelined { request_id } => PipelinedResponseFrame {
-                            request_id,
-                            response,
-                        }
-                        .encode_into(&mut self.write_buf),
-                        PendingKind::PipelinedBatch { request_id, count } => {
-                            PipelinedBatchResponseFrame {
-                                request_id,
-                                response: EncodeBatchResponseFrame {
-                                    session_id: state.session_id,
-                                    bursts: *bursts,
-                                    count,
-                                    per_group: &state.per_group,
-                                    masks: &state.masks,
-                                },
-                            }
-                            .encode_into(&mut self.write_buf)
-                        }
+                        },
                     }
-                }
-                Err(err) => queue_failure(&mut self.write_buf, entry.kind, entry.version, err),
+                    .encode_into(&mut self.write_buf),
+                    PendingKind::PipelinedBatch { request_id, count } => {
+                        PipelinedBatchResponseFrame {
+                            request_id,
+                            response: EncodeBatchResponseFrame {
+                                session_id: state.session_id,
+                                bursts: *bursts,
+                                count,
+                                per_group: &state.per_group,
+                                masks: &state.masks,
+                            },
+                        }
+                        .encode_into(&mut self.write_buf)
+                    }
+                },
+                Err(err) => queue_failure(&mut self.write_buf, entry.kind.request_id(), err),
             }
         }
         self.note_queued_output(ctx)?;
@@ -320,23 +296,27 @@ impl Connection {
                 read_buf,
                 write_buf,
                 pending,
-                legacy_in_flight,
                 completion_token,
                 ..
             } = self;
-            match wire::decode_frame(&read_buf[start..start + total]) {
-                Ok((frame, _)) => dispatch_frame(
-                    frame,
-                    header.version,
-                    write_buf,
-                    pending,
-                    legacy_in_flight,
-                    *completion_token,
-                    ctx,
-                ),
+            let frame = &read_buf[start..start + total];
+            match wire::decode_frame(frame) {
+                Ok((frame, _)) => dispatch_frame(frame, write_buf, pending, *completion_token, ctx),
                 // Body-level decode failure: the frame boundary held, so
-                // answer and keep serving the connection.
-                Err(err) => queue_error(write_buf, ErrorCode::BadRequest, &err.to_string()),
+                // answer — under the request's id when it has a readable
+                // one — and keep serving the connection.
+                Err(err) => {
+                    let error = ErrorFrame {
+                        code: ErrorCode::BadRequest,
+                        message: &err.to_string(),
+                    };
+                    match wire::request_id_of(&header, &frame[wire::HEADER_LEN..]) {
+                        Some(request_id) => {
+                            PipelinedErrorFrame { request_id, error }.encode_into(write_buf)
+                        }
+                        None => error.encode_into(write_buf),
+                    }
+                }
             }
             self.note_queued_output(ctx)?;
         }
@@ -371,7 +351,7 @@ impl Connection {
     }
 
     fn is_paused(&self, ctx: &IoContext<'_>) -> bool {
-        self.legacy_in_flight || self.pending.len() >= ctx.config.max_in_flight
+        self.pending.len() >= ctx.config.max_in_flight
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -405,91 +385,29 @@ fn queue_error(write_buf: &mut Vec<u8>, code: ErrorCode, message: &str) {
     ErrorFrame { code, message }.encode_into(write_buf);
 }
 
-/// Appends the failure response matching a submission's framing: plain
-/// error frames for legacy requests, id-carrying pipelined error frames
-/// for v5 requests. The code is downgraded for peers whose announced
-/// `version` predates it ([`ErrorCode::downgrade_for`]).
-fn queue_failure(write_buf: &mut Vec<u8>, kind: PendingKind, version: u8, err: &ServiceError) {
-    let error = ErrorFrame {
-        code: err.code().downgrade_for(version),
-        message: &err.to_string(),
-    };
-    match kind {
-        PendingKind::Legacy | PendingKind::LegacyBatch { .. } => error.encode_into(write_buf),
-        PendingKind::Pipelined { request_id } | PendingKind::PipelinedBatch { request_id, .. } => {
-            PipelinedErrorFrame { request_id, error }.encode_into(write_buf)
-        }
+/// Appends a failed request's typed error under its echoed id.
+fn queue_failure(write_buf: &mut Vec<u8>, request_id: u64, err: &ServiceError) {
+    PipelinedErrorFrame {
+        request_id,
+        error: ErrorFrame {
+            code: err.code(),
+            message: &err.to_string(),
+        },
     }
+    .encode_into(write_buf);
 }
 
 /// Routes one decoded frame: encode requests into the engine's
 /// non-blocking submission path, metrics, telemetry and durability admin
-/// requests answered inline, anything else refused. `version` is the
-/// request header's announced protocol version, threaded through so
-/// failure responses can downgrade v6-only error codes.
+/// requests answered inline, anything else refused.
 fn dispatch_frame(
     frame: Frame<'_>,
-    version: u8,
     write_buf: &mut Vec<u8>,
     pending: &mut Vec<Pending>,
-    legacy_in_flight: &mut bool,
     completion_token: u64,
     ctx: &mut IoContext<'_>,
 ) {
     match frame {
-        Frame::EncodeRequest(view) => {
-            let request = EncodeRequest {
-                session_id: view.session_id,
-                scheme: view.scheme,
-                cost_model: view.cost_model,
-                groups: view.groups,
-                burst_len: view.burst_len,
-                want_masks: view.want_masks,
-                verify: view.verify,
-                payload: view.payload,
-            };
-            let prepared = ctx.engine.inner().prepare(&request);
-            submit_job(
-                prepared,
-                view.payload,
-                view.want_masks,
-                view.verify.is_on(),
-                PendingKind::Legacy,
-                version,
-                write_buf,
-                pending,
-                legacy_in_flight,
-                completion_token,
-                ctx,
-            );
-        }
-        Frame::EncodeBatchRequest(view) => {
-            let request = EncodeBatchRequest {
-                session_id: view.session_id,
-                scheme: view.scheme,
-                cost_model: view.cost_model,
-                groups: view.groups,
-                burst_len: view.burst_len,
-                want_masks: view.want_masks,
-                verify: view.verify,
-                count: view.count,
-                payload: view.payload,
-            };
-            let prepared = ctx.engine.inner().prepare_batch(&request);
-            submit_job(
-                prepared,
-                view.payload,
-                view.want_masks,
-                view.verify.is_on(),
-                PendingKind::LegacyBatch { count: view.count },
-                version,
-                write_buf,
-                pending,
-                legacy_in_flight,
-                completion_token,
-                ctx,
-            );
-        }
         Frame::PipelinedRequest {
             request_id,
             request: view,
@@ -511,10 +429,8 @@ fn dispatch_frame(
                 view.want_masks,
                 view.verify.is_on(),
                 PendingKind::Pipelined { request_id },
-                version,
                 write_buf,
                 pending,
-                legacy_in_flight,
                 completion_token,
                 ctx,
             );
@@ -544,10 +460,8 @@ fn dispatch_frame(
                     request_id,
                     count: view.count,
                 },
-                version,
                 write_buf,
                 pending,
-                legacy_in_flight,
                 completion_token,
                 ctx,
             );
@@ -567,26 +481,18 @@ fn dispatch_frame(
             let entries = ctx.engine.slowlog(max_entries as usize);
             wire::encode_slowlog_response(write_buf, ctx.engine.slowlog_threshold_ns(), &entries);
         }
-        // Durability admin frames (v6): answered inline — a snapshot
-        // quiesces every shard anyway, so there is nothing to overlap.
+        // Durability admin frames: answered inline — a snapshot quiesces
+        // every shard anyway, so there is nothing to overlap.
         Frame::SnapshotRequest => match ctx.engine.trigger_snapshot() {
             Ok(status) => status.encode_into(write_buf),
-            Err(err) => queue_error(
-                write_buf,
-                err.code().downgrade_for(version),
-                &err.to_string(),
-            ),
+            Err(err) => queue_error(write_buf, err.code(), &err.to_string()),
         },
         Frame::SnapshotStatusRequest => {
             ctx.engine.snapshot_status().encode_into(write_buf);
         }
         Frame::RestoreRequest => match ctx.engine.restore() {
             Ok(status) => status.encode_into(write_buf),
-            Err(err) => queue_error(
-                write_buf,
-                err.code().downgrade_for(version),
-                &err.to_string(),
-            ),
+            Err(err) => queue_error(write_buf, err.code(), &err.to_string()),
         },
         _ => queue_error(
             write_buf,
@@ -599,7 +505,7 @@ fn dispatch_frame(
 /// Submits one prepared request through the engine's non-blocking path,
 /// recycling a pooled slot and registering the connection's completion
 /// token; synchronous failures (validation, backpressure, shutdown) are
-/// answered immediately in the request's own framing.
+/// answered immediately under the request's id.
 #[allow(clippy::too_many_arguments)]
 fn submit_job(
     prepared: Result<(usize, crate::engine::RouteKey), ServiceError>,
@@ -607,16 +513,14 @@ fn submit_job(
     want_masks: bool,
     verify: bool,
     kind: PendingKind,
-    version: u8,
     write_buf: &mut Vec<u8>,
     pending: &mut Vec<Pending>,
-    legacy_in_flight: &mut bool,
     completion_token: u64,
     ctx: &mut IoContext<'_>,
 ) {
     let (shard, key) = match prepared {
         Ok(route) => route,
-        Err(err) => return queue_failure(write_buf, kind, version, &err),
+        Err(err) => return queue_failure(write_buf, kind.request_id(), &err),
     };
     let slot = ctx.slot_pool.pop().unwrap_or_else(RequestSlot::new);
     let options = SubmitOptions {
@@ -632,19 +536,10 @@ fn submit_job(
         .inner()
         .submit_slot(shard, key, payload, options, &slot)
     {
-        Ok(()) => {
-            if kind.is_legacy() {
-                *legacy_in_flight = true;
-            }
-            pending.push(Pending {
-                slot,
-                kind,
-                version,
-            });
-        }
+        Ok(()) => pending.push(Pending { slot, kind }),
         Err(err) => {
             super::recycle_slot(ctx.slot_pool, slot);
-            queue_failure(write_buf, kind, version, &err);
+            queue_failure(write_buf, kind.request_id(), &err);
         }
     }
 }

@@ -32,11 +32,9 @@
 //! Requests reach the engine through its non-blocking submission path
 //! (`EngineInner::submit_slot`) with a completion registration; the shard
 //! worker finishes the request and pushes the slot onto the owning I/O
-//! thread's `Inbox`, waking its poller. Legacy (v1–v4) frames keep
-//! their strict one-in, one-out ordering: at most one is in flight per
-//! connection, with further parsing paused until it completes. v5
-//! *pipelined* frames submit concurrently up to
-//! [`ConnConfig::max_in_flight`] and are matched to responses by request
+//! thread's `Inbox`, waking its poller. Encode frames submit
+//! concurrently up to [`ConnConfig::max_in_flight`] per connection, with
+//! parsing paused at that bound, and are matched to responses by request
 //! id, so they may complete out of order across sessions while staying
 //! FIFO within one (sticky sharding orders same-session work).
 
@@ -68,7 +66,7 @@ pub struct ConnConfig {
     /// Clamped up to one maximum frame, so a single legal response can
     /// always be queued.
     pub write_high_watermark: usize,
-    /// Pipelined (v5) requests one connection may have in flight in the
+    /// Encode requests one connection may have in flight in the
     /// engine before the plane pauses parsing its frames. At least 1.
     pub max_in_flight: usize,
 }

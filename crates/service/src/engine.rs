@@ -97,8 +97,8 @@ use std::time::Duration;
 /// request can be sent either way without translation.
 pub type EncodeRequest<'a> = EncodeRequestFrame<'a>;
 
-/// The batched request type (protocol 3): a whole batch of bursts for one
-/// session under a single header. Identical to the wire frame, like
+/// The batched request type: a whole batch of bursts for one session
+/// under a single header. Identical to the wire frame, like
 /// [`EncodeRequest`].
 pub type EncodeBatchRequest<'a> = EncodeBatchRequestFrame<'a>;
 
@@ -157,7 +157,7 @@ pub struct ServiceConfig {
     pub slowlog_threshold_ns: u64,
     /// The durable session plane: when set, the engine recovers carried
     /// session state from the directory on start, journals every touched
-    /// session at pass boundaries, and serves the v6 snapshot/restore
+    /// session at pass boundaries, and serves the snapshot/restore
     /// admin surface ([`Engine::trigger_snapshot`], [`Engine::restore`]).
     /// `None` (the default) keeps sessions memory-only.
     pub persist: Option<PersistConfig>,
@@ -1127,13 +1127,17 @@ impl EngineInner {
         // otherwise a LocalClient could execute requests a TcpClient can
         // never send, or the server could compute a response it cannot
         // frame (one mask per burst makes responses up to 4x the payload).
-        let request_body = crate::wire::REQUEST_HEAD_LEN + request.payload.len();
+        // Bounds use the larger, batch form of each id-tagged frame.
+        let request_body = crate::wire::REQUEST_ID_WIRE_BYTES
+            + crate::wire::BATCH_REQUEST_HEAD_LEN
+            + request.payload.len();
         let mask_bytes = if request.want_masks {
             (request.payload.len() / usize::from(request.burst_len)) * InversionMask::WIRE_BYTES
         } else {
             0
         };
-        let response_body = crate::wire::RESPONSE_HEAD_LEN
+        let response_body = crate::wire::REQUEST_ID_WIRE_BYTES
+            + crate::wire::BATCH_RESPONSE_HEAD_LEN
             + usize::from(request.groups) * CostBreakdown::WIRE_BYTES
             + mask_bytes;
         if request_body.max(response_body) > crate::wire::MAX_BODY_LEN {
@@ -1339,7 +1343,7 @@ impl LocalClient {
     }
 
     /// Executes one **batched** encode request — a whole batch of bursts
-    /// under one submission, protocol 3's `EncodeBatch` frame. Semantics
+    /// under one submission, the wire's batch request frame. Semantics
     /// and failure modes match [`LocalClient::encode`] over the same
     /// payload, plus:
     ///
@@ -2105,11 +2109,11 @@ fn claim_entry<'a>(
             .iter()
             .filter(|(_, entry)| entry.last_touch < pass_stamp)
             .min_by_key(|(_, entry)| (!entry.captured, entry.last_touch))
-            .map(|(id, _)| *id);
+            .map(|(id, entry)| (*id, entry.captured));
         match victim {
-            Some(id) => {
+            Some((id, captured)) => {
                 sessions.remove(&id);
-                metrics.session_evicted();
+                metrics.session_evicted(captured);
             }
             None => return Err(ServiceError::SessionLimit { shard }),
         }
@@ -2614,6 +2618,9 @@ mod tests {
         let totals = engine.metrics().totals();
         assert_eq!(totals.sessions, 4);
         assert_eq!(totals.sessions_evicted, 2);
+        // Without persistence nothing is ever captured, so both victims'
+        // carried state is gone for good.
+        assert_eq!(totals.sessions_evicted_uncaptured, 2);
         assert_eq!(totals.rejected, 0);
     }
 

@@ -56,7 +56,7 @@ pub enum ServiceError {
         scheme: String,
     },
     /// A batch request's burst-count field is zero or disagrees with its
-    /// payload (protocol 3 `EncodeBatch`).
+    /// payload.
     BadBatchCount {
         /// The count field supplied by the caller.
         count: u16,
@@ -117,10 +117,6 @@ impl ServiceError {
             ServiceError::BadBatchCount { .. } => ErrorCode::BadRequest,
             ServiceError::VerifyMismatch { .. } => ErrorCode::VerifyMismatch,
             ServiceError::SessionMismatch { .. } => ErrorCode::SessionMismatch,
-            // Typed as its own code since protocol v6. Peers negotiated
-            // below v6 receive Overloaded instead (the encoder applies
-            // [`ErrorCode::downgrade_for`]): their remedy — back off,
-            // spread over fewer sessions — is the same.
             ServiceError::SessionLimit { .. } => ErrorCode::SessionLimit,
             ServiceError::PersistenceDisabled => ErrorCode::BadRequest,
             ServiceError::Persistence { .. } => ErrorCode::Internal,
@@ -211,7 +207,8 @@ pub enum ClientError {
         /// The human-readable detail message from the frame.
         message: String,
     },
-    /// The service answered with a frame of the wrong type for the request.
+    /// The service answered with a frame of the wrong type for the
+    /// request, or with the completion of a different request.
     UnexpectedResponse,
 }
 

@@ -18,28 +18,21 @@
 //!  LocalClient ─────────── in-process ──────────────────▶
 //! ```
 //!
-//! * [`wire`] — the versioned, length-prefixed binary frame format with a
-//!   zero-copy, `unsafe`-free decoder. Protocol version 2 carries a
-//!   [`CostModel`] on session setup: inline weights, raw runtime
-//!   `alpha,beta`, or a named phy operating point (`sstl15@6.4`,
-//!   `pod12@3.2`). Protocol version 3 adds the **`EncodeBatch`** frames —
-//!   a whole batch of bursts for one session under a single header (u16
-//!   burst count + contiguous payload) instead of N per-request frames —
-//!   and the request **verify bit** ([`VerifyMode`]): the engine decodes
-//!   its own output through the receiver path
+//! * [`wire`] — the length-prefixed binary frame format (one protocol
+//!   version, [`wire::VERSION`]) with a zero-copy, `unsafe`-free
+//!   decoder. Every encode request and response carries a client-chosen
+//!   `u64` request id, so one connection keeps many requests in flight
+//!   and matches responses by id — out of order across sessions, FIFO
+//!   within one. A request carries a [`CostModel`] on session setup
+//!   (inline weights, raw runtime `alpha,beta`, or a named phy operating
+//!   point such as `sstl15@6.4` or `pod12@3.2`), either one access or a
+//!   whole **batch** of bursts under a single header (u16 burst count +
+//!   contiguous payload), and the **verify bit** ([`VerifyMode`]): the
+//!   engine decodes its own output through the receiver path
 //!   ([`dbi_mem::BusSession::decode_stream_into`]) and answers
 //!   [`wire::ErrorCode::VerifyMismatch`] on any encode/decode asymmetry.
-//!   Protocol version 5 adds **pipelining**: the `Pipelined*` frames
-//!   prefix request and response bodies with a client-chosen `u64`
-//!   request id, so one connection keeps many requests in flight and
-//!   matches responses by id — out of order across sessions, FIFO
-//!   within one. Protocol version 6 adds the **durability admin
-//!   frames** — trigger a snapshot, query durability status, restore
-//!   from disk — and the typed [`wire::ErrorCode::SessionLimit`]
-//!   rejection (encode-side downgraded to `Overloaded` for peers that
-//!   announced v5 or older). Version 1 through 5 frames are still
-//!   decoded (tags below the version that introduced them are rejected
-//!   typed).
+//!   Admin frames cover metrics, telemetry and durability (trigger a
+//!   snapshot, query durability status, restore from disk).
 //! * [`Engine`] — N shard workers, each owning a private map of
 //!   [`dbi_mem::BusSession`]s keyed by session id. Routing is *sticky*
 //!   (same session id → same shard), so each session's carried bus state
@@ -69,14 +62,14 @@
 //!   [`wire::ErrorCode::SlowConsumer`], counted in the metrics
 //!   `connections` block. [`TcpServer::shutdown`] deterministically
 //!   joins every I/O thread and closes every connection.
-//! * [`TcpClient`] / [`PipelinedClient`] — the client sides:
-//!   `TcpClient` is the one-at-a-time v1–v4 surface (both paths return
-//!   bytes identical to [`LocalClient`]);
-//!   [`TcpClient::encode_batch`] ships a whole batch per round trip.
-//!   `PipelinedClient` speaks v5: [`PipelinedClient::submit`] returns
-//!   the assigned request id immediately,
-//!   [`PipelinedClient::next_completion`] blocks for the next
-//!   completion, [`PipelinedClient::try_next_completion`] polls.
+//! * [`TcpClient`] / [`PipelinedClient`] — the client sides, both
+//!   returning bytes identical to [`LocalClient`]:
+//!   [`PipelinedClient::submit`] returns the assigned request id
+//!   immediately, [`PipelinedClient::next_completion`] blocks for the
+//!   next completion, [`PipelinedClient::try_next_completion`] polls.
+//!   `TcpClient` is the one-at-a-time wrapper over it (submit, then wait
+//!   for that completion); [`TcpClient::encode_batch`] ships a whole
+//!   batch per round trip.
 //! * [`metrics`] — per-shard atomic counters (requests, rejects, bytes,
 //!   bursts, transitions saved, queue depth + peak, sessions) plus a
 //!   `batch` block (worker passes, coalesced requests, pass-size p50/p99,
@@ -90,7 +83,7 @@
 //!   numbers: lock-free per-shard stage histograms, an always-on binary
 //!   trace ring of recent requests ([`TraceEvent`]), a slowlog of
 //!   requests over a configurable threshold, and exports — the
-//!   `TraceDump`/`SlowlogQuery` wire frames (protocol version 4) plus
+//!   `TraceDump`/`SlowlogQuery` wire frames plus
 //!   chrome://tracing JSON ([`telemetry::chrome_trace_json`]).
 //! * [`persist`] — the **durable session plane** (opt-in via
 //!   [`PersistConfig`]): a DBI memory-based code's decodability lives in
@@ -105,8 +98,8 @@
 //!   session table fills, the least-recently-touched idle session is
 //!   evicted (snapshot-captured sessions preferred) rather than
 //!   rejecting fresh ids forever; a full table of busy sessions answers
-//!   [`wire::ErrorCode::SessionLimit`]. Admin access: the v6 wire
-//!   frames, [`TcpClient::trigger_snapshot`] /
+//!   [`wire::ErrorCode::SessionLimit`]. Admin access: the durability
+//!   admin wire frames, [`TcpClient::trigger_snapshot`] /
 //!   [`TcpClient::snapshot_status`] / [`TcpClient::restore`], and a
 //!   `durability` block in the metrics JSON and Prometheus text.
 //!

@@ -34,8 +34,10 @@
 //! total-service stages — log-bucketed lock-free histograms, same pattern
 //! as `batch_hist`.
 //!
-//! The durable session plane (see [`crate::persist`]) adds a per-shard
-//! `sessions_evicted` counter and `journal` block (records and bytes the
+//! The durable session plane (see [`crate::persist`]) adds per-shard
+//! `sessions_evicted` and `sessions_evicted_uncaptured` counters (the
+//! latter counting victims whose carried state no snapshot or journal
+//! record holds, so it is lost) and a `journal` block (records and bytes the
 //! shard's worker has appended, and journal I/O errors — a failed create,
 //! flush or rotation, each of which silently degrades durability
 //! otherwise), plus one engine-global `durability`
@@ -70,6 +72,7 @@ pub struct ShardMetrics {
     queue_depth_peak: AtomicU64,
     sessions: AtomicU64,
     sessions_evicted: AtomicU64,
+    sessions_evicted_uncaptured: AtomicU64,
     journal_records: AtomicU64,
     journal_bytes: AtomicU64,
     journal_errors: AtomicU64,
@@ -183,9 +186,14 @@ impl ShardMetrics {
     }
 
     /// Records an idle session evicted to make room for a fresh id on a
-    /// full shard.
-    pub fn session_evicted(&self) {
+    /// full shard; `captured` tells whether a snapshot or journal record
+    /// still holds its carried state.
+    pub fn session_evicted(&self, captured: bool) {
         self.sessions_evicted.fetch_add(1, Ordering::Relaxed);
+        if !captured {
+            self.sessions_evicted_uncaptured
+                .fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Records one journal flush of `records` session records totalling
@@ -219,6 +227,7 @@ impl ShardMetrics {
             queue_depth_peak: self.queue_depth_peak.load(Ordering::Relaxed),
             sessions: self.sessions.load(Ordering::Relaxed),
             sessions_evicted: self.sessions_evicted.load(Ordering::Relaxed),
+            sessions_evicted_uncaptured: self.sessions_evicted_uncaptured.load(Ordering::Relaxed),
             journal_records: self.journal_records.load(Ordering::Relaxed),
             journal_bytes: self.journal_bytes.load(Ordering::Relaxed),
             journal_errors: self.journal_errors.load(Ordering::Relaxed),
@@ -419,6 +428,10 @@ pub struct ShardSnapshot {
     /// Idle sessions evicted to make room for fresh session ids once the
     /// shard hit its configured session bound.
     pub sessions_evicted: u64,
+    /// The evictions among [`ShardSnapshot::sessions_evicted`] whose
+    /// victim was not captured by a snapshot or journal record: its
+    /// carried state is lost.
+    pub sessions_evicted_uncaptured: u64,
     /// Session records the shard's worker has appended to its journal.
     pub journal_records: u64,
     /// Bytes the shard's worker has flushed to its journal.
@@ -468,6 +481,7 @@ impl ShardSnapshot {
         self.queue_depth += other.queue_depth;
         self.sessions += other.sessions;
         self.sessions_evicted += other.sessions_evicted;
+        self.sessions_evicted_uncaptured += other.sessions_evicted_uncaptured;
         self.journal_records += other.journal_records;
         self.journal_bytes += other.journal_bytes;
         self.journal_errors += other.journal_errors;
@@ -538,7 +552,7 @@ impl ShardSnapshot {
             "{{\"requests\":{},\"rejected\":{},\"bytes\":{},\"bursts\":{},\
              \"transitions_saved\":{},\"queue_depth\":{},\
              \"queue_depth_peak\":{},\"sessions\":{},\
-             \"sessions_evicted\":{},\
+             \"sessions_evicted\":{},\"sessions_evicted_uncaptured\":{},\
              \"journal\":{{\"records\":{},\"bytes\":{},\"errors\":{}}},\
              \"rate\":{{\"requests_per_s\":{:.1},\"rejects_per_s\":{:.1},\
              \"window_s\":{}}},\
@@ -555,6 +569,7 @@ impl ShardSnapshot {
             self.queue_depth_peak,
             self.sessions,
             self.sessions_evicted,
+            self.sessions_evicted_uncaptured,
             self.journal_records,
             self.journal_bytes,
             self.journal_errors,
@@ -763,7 +778,7 @@ impl MetricsSnapshot {
     pub fn to_prometheus(&self) -> String {
         use std::fmt::Write;
         type Field = fn(&ShardSnapshot) -> u64;
-        const COUNTERS: [(&str, &str, Field); 17] = [
+        const COUNTERS: [(&str, &str, Field); 18] = [
             ("dbi_requests_total", "Requests executed.", |s| s.requests),
             ("dbi_rejected_total", "Requests rejected.", |s| s.rejected),
             ("dbi_bytes_total", "Payload bytes encoded.", |s| s.bytes),
@@ -815,6 +830,11 @@ impl MetricsSnapshot {
                 "dbi_sessions_evicted_total",
                 "Idle sessions evicted to admit fresh session ids on a full shard.",
                 |s| s.sessions_evicted,
+            ),
+            (
+                "dbi_sessions_evicted_uncaptured_total",
+                "Evicted sessions whose carried state no snapshot or journal record held.",
+                |s| s.sessions_evicted_uncaptured,
             ),
             (
                 "dbi_journal_records_total",
@@ -1187,7 +1207,7 @@ mod tests {
              \"snapshots_taken\":0,\"last_sessions\":0,\"last_bytes\":0,\
              \"restored_sessions\":0},\"kernel\":{"
         ));
-        assert!(json.contains("\"sessions_evicted\":0"));
+        assert!(json.contains("\"sessions_evicted\":0,\"sessions_evicted_uncaptured\":0"));
         assert!(json.contains("\"journal\":{\"records\":0,\"bytes\":0,\"errors\":0}"));
         // Exactly one shard object plus the totals object, each with a
         // top-level and a verify-block "requests" key.
@@ -1220,6 +1240,7 @@ mod tests {
             queue_depth_peak: 4,
             sessions: 2,
             sessions_evicted: 1,
+            sessions_evicted_uncaptured: 1,
             journal_records: 5,
             journal_bytes: 240,
             journal_errors: 1,
@@ -1276,7 +1297,7 @@ mod tests {
             "{{\"requests\":3,\"rejected\":1,\"bytes\":96,\"bursts\":6,\
              \"transitions_saved\":12,\"queue_depth\":1,\
              \"queue_depth_peak\":4,\"sessions\":2,\
-             \"sessions_evicted\":1,\
+             \"sessions_evicted\":1,\"sessions_evicted_uncaptured\":1,\
              \"journal\":{{\"records\":5,\"bytes\":240,\"errors\":1}},\
              \"rate\":{{\"requests_per_s\":2.5,\"rejects_per_s\":0.5,\
              \"window_s\":8}},\
@@ -1354,6 +1375,8 @@ mod tests {
         assert!(text.contains("dbi_batch_full_dispatch_fraction{shard=\"0\"} 0.5\n"));
         assert!(text.contains("# TYPE dbi_sessions_evicted_total counter\n"));
         assert!(text.contains("dbi_sessions_evicted_total{shard=\"0\"} 1\n"));
+        assert!(text.contains("# TYPE dbi_sessions_evicted_uncaptured_total counter\n"));
+        assert!(text.contains("dbi_sessions_evicted_uncaptured_total{shard=\"0\"} 1\n"));
         assert!(text.contains("dbi_journal_records_total{shard=\"0\"} 5\n"));
         assert!(text.contains("dbi_journal_bytes_total{shard=\"0\"} 240\n"));
         assert!(text.contains("dbi_journal_errors_total{shard=\"0\"} 1\n"));
@@ -1404,6 +1427,7 @@ mod tests {
         // engine-level durability block keeps the left side's values,
         // like the kernel block.
         assert_eq!(left.per_shard[0].sessions_evicted, 2);
+        assert_eq!(left.per_shard[0].sessions_evicted_uncaptured, 2);
         assert_eq!(left.per_shard[0].journal_records, 10);
         assert_eq!(left.per_shard[0].journal_bytes, 480);
         assert_eq!(left.per_shard[0].journal_errors, 2);

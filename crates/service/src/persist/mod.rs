@@ -165,7 +165,7 @@ pub struct RestoredSession {
 }
 
 /// Shared durability bookkeeping, stamped into the metrics snapshot and
-/// served over the v6 admin frames.
+/// served over the durability admin frames.
 #[derive(Debug)]
 pub(crate) struct PersistPlane {
     /// Directory holding the snapshot and journals.

@@ -10,14 +10,13 @@
 //! per-connection threads and a TCP client still observes byte-identical
 //! results to an in-process [`LocalClient`](crate::LocalClient).
 //!
-//! Legacy (v1–v4) frames keep their strict one-in, one-out ordering per
-//! connection. Protocol-5 *pipelined* frames carry a request id and may
-//! be submitted concurrently; their responses are matched by id, not
-//! arrival order. Framing-level protocol violations (bad magic, wrong
-//! version, oversized header) are answered with a
-//! [`BadRequest`](crate::wire::ErrorCode::BadRequest) error frame and the
-//! connection closes once it flushes; a well-framed body that fails to
-//! decode also gets `BadRequest` but the connection stays open. A
+//! Encode frames carry a request id and may be submitted concurrently;
+//! their responses are matched by id, not arrival order. Framing-level
+//! protocol violations (bad magic, wrong version, oversized header) are
+//! answered with a [`BadRequest`](crate::wire::ErrorCode::BadRequest)
+//! error frame and the connection closes once it flushes; a well-framed
+//! body that fails to decode also gets `BadRequest` (under the request's
+//! id when it has a readable one) but the connection stays open. A
 //! connection that stops draining its responses is dropped with a typed
 //! [`SlowConsumer`](crate::wire::ErrorCode::SlowConsumer) frame once its
 //! write buffer crosses the configured high-watermark

@@ -11,173 +11,82 @@
 //! ```
 //!
 //! The 8-byte header carries a magic (`0x4244`, ASCII `"DB"` little-endian),
-//! the protocol version, the frame type tag and the body length; frames
-//! whose body would exceed [`MAX_BODY_LEN`] are rejected before any body
-//! byte is read. All multi-byte integers are little-endian.
+//! the protocol version, the frame type tag and the body length. The
+//! version byte must be [`VERSION`] (anything else is
+//! [`WireError::UnsupportedVersion`]), and frames whose body would exceed
+//! [`MAX_BODY_LEN`] are rejected before any body byte is read. All
+//! multi-byte integers are little-endian.
 //!
-//! Frame types:
+//! | tag | frame | direction | body |
+//! |-----|-------|-----------|------|
+//! | 3 | [`ErrorFrame`] → [`ErrorView`] | service → client | `code u8 \| message` |
+//! | 4 | metrics request | client → service | empty |
+//! | 5 | metrics response | service → client | UTF-8 JSON |
+//! | 8 | trace-dump request | client → service | `max_events u32` |
+//! | 9 | [`TraceDumpResponseView`] | service → client | `count u32 \| records` |
+//! | 10 | slowlog query | client → service | `max_entries u32` |
+//! | 11 | [`SlowlogResponseView`] | service → client | `threshold_ns u64 \| count u32 \| records` |
+//! | 12 | [`PipelinedRequestFrame`] | client → service | `request_id u64 \|` encode request |
+//! | 13 | [`PipelinedResponseFrame`] | service → client | `request_id u64 \|` encode response |
+//! | 14 | [`PipelinedBatchRequestFrame`] | client → service | `request_id u64 \|` batch request |
+//! | 15 | [`PipelinedBatchResponseFrame`] | service → client | `request_id u64 \|` batch response |
+//! | 16 | [`PipelinedErrorFrame`] | service → client | `request_id u64 \| code u8 \| message` |
+//! | 17 | snapshot request | client → service | empty |
+//! | 18 | snapshot-status request | client → service | empty |
+//! | 19 | restore request | client → service | empty |
+//! | 20 | [`SnapshotStatus`] response | service → client | status block |
 //!
-//! | tag | frame | direction | since |
-//! |-----|-------|-----------|-------|
-//! | 1 | [`EncodeRequestFrame`] → [`EncodeRequestView`] | client → service | v1 |
-//! | 2 | [`EncodeResponseFrame`] → [`EncodeResponseView`] | service → client | v1 |
-//! | 3 | [`ErrorFrame`] → [`ErrorView`] | service → client | v1 |
-//! | 4 | metrics request (empty body) | client → service | v1 |
-//! | 5 | metrics response (UTF-8 JSON body) | service → client | v1 |
-//! | 6 | [`EncodeBatchRequestFrame`] → [`EncodeBatchRequestView`] | client → service | v3 |
-//! | 7 | [`EncodeBatchResponseFrame`] → [`EncodeBatchResponseView`] | service → client | v3 |
-//! | 8 | trace-dump request (`u32` max events) | client → service | v4 |
-//! | 9 | [`TraceDumpResponseView`] | service → client | v4 |
-//! | 10 | slowlog query (`u32` max entries) | client → service | v4 |
-//! | 11 | [`SlowlogResponseView`] | service → client | v4 |
-//! | 12 | [`PipelinedRequestFrame`] | client → service | v5 |
-//! | 13 | [`PipelinedResponseFrame`] | service → client | v5 |
-//! | 14 | [`PipelinedBatchRequestFrame`] | client → service | v5 |
-//! | 15 | [`PipelinedBatchResponseFrame`] | service → client | v5 |
-//! | 16 | [`PipelinedErrorFrame`] | service → client | v5 |
-//! | 17 | snapshot request (empty body) | client → service | v6 |
-//! | 18 | snapshot-status request (empty body) | client → service | v6 |
-//! | 19 | restore request (empty body) | client → service | v6 |
-//! | 20 | [`SnapshotStatus`] response | service → client | v6 |
+//! Tags 1, 2, 6 and 7 are retired: they decode to
+//! [`WireError::UnknownFrameType`] and their numbers are never reused.
 //!
-//! ## The v3 batch frames
-//!
-//! Protocol 3 adds the **batched data plane**: an `EncodeBatch` request
-//! carries a whole batch of bursts for one session under a single
-//! header — a `u16` burst-count field plus one contiguous payload —
-//! where a per-burst client would have sent N separate frames. The
-//! batch request body is the v2 encode-request body with the count field
-//! inserted before the payload length:
+//! ## Body layouts
 //!
 //! ```text
-//! session_id u64 | scheme u8 | weights 8 | cost_model 13 | groups u16 |
-//! burst_len u8 | want_masks u8 | count u16 | payload_len u32 | payload
+//! encode request:  session_id u64 | scheme u8 | weights 8 | cost_model 13 |
+//!                  groups u16 | burst_len u8 | flags u8 | payload_len u32 | payload
+//! batch request:   session_id u64 | scheme u8 | weights 8 | cost_model 13 |
+//!                  groups u16 | burst_len u8 | flags u8 | count u16 |
+//!                  payload_len u32 | payload
+//! encode response: session_id u64 | bursts u64 | group_count u16 |
+//!                  mask_count u32 | group_count × 16-byte records | mask_count × 4-byte masks
+//! batch response:  session_id u64 | bursts u64 | count u16 | group_count u16 |
+//!                  mask_count u32 | group_count × 16-byte records | mask_count × 4-byte masks
+//! trace records:   count × 48-byte TraceEvent records
+//! status block:    configured u8 | generation u64 | snapshots_taken u64 |
+//!                  last_sessions u64 | last_bytes u64 | restored_sessions u64
 //! ```
 //!
-//! `count` is the total number of per-group bursts in the payload and
-//! must satisfy `count > 0` and `count · burst_len == payload_len`
-//! (violations decode to [`WireError::BadBatchCount`]). The batch
-//! response is the v1 encode-response body with the request's count
-//! echoed after the burst total:
+//! Field rules, all checked by the decoder:
 //!
-//! ```text
-//! session_id u64 | bursts u64 | count u16 | group_count u16 |
-//! mask_count u32 | per-group records | masks
-//! ```
+//! * `cost_model` is a tag byte plus a 12-byte payload ([`CostModel`]):
+//!   the weights embedded in the scheme, raw runtime coefficients, or a
+//!   named phy operating point such as `sstl15@6.4`;
+//! * `flags` bit 0 asks for the per-burst masks and bit 1 is the
+//!   [`VerifyMode`] verify bit; any other bit is
+//!   [`WireError::UnknownFlags`];
+//! * `payload_len` and the record counts must agree with the body length
+//!   ([`WireError::BodyMismatch`]);
+//! * a batch's `count` is the number of per-group bursts in the payload:
+//!   `count > 0` and `count · burst_len == payload_len`
+//!   ([`WireError::BadBatchCount`]);
+//! * every trace record's outcome byte must be a defined
+//!   [`TraceOutcome`] ([`WireError::UnknownTraceOutcome`]), so the views'
+//!   record iterators cannot fail;
+//! * the status block's `configured` byte is 0 or 1
+//!   ([`WireError::UnknownFlags`]).
 //!
-//! ## The v4 telemetry frames
+//! ## Request ids
 //!
-//! Protocol 4 adds the **observability plane** (see
-//! [`crate::telemetry`]): two admin request/response pairs draining the
-//! engine's trace rings and slowlogs. Both requests carry a single
-//! little-endian `u32` bound on the answer size. The trace-dump response
-//! body is a `u32` event count followed by that many fixed-width
-//! [`TraceEvent`] records ([`TraceEvent::WIRE_BYTES`] bytes each); the
-//! slowlog response prefixes the same layout with the engine's `u64`
-//! capture threshold in nanoseconds:
-//!
-//! ```text
-//! trace dump: count u32 | count × 48-byte TraceEvent records
-//! slowlog:    threshold_ns u64 | count u32 | count × 48-byte records
-//! ```
-//!
-//! The count field must agree with the body length
-//! ([`WireError::BodyMismatch`]) and every record's outcome byte must be
-//! a defined [`TraceOutcome`] ([`WireError::UnknownTraceOutcome`]) — both
-//! checked eagerly by the decoder, so the views' record iterators cannot
-//! fail. Every v1–v3 body layout is unchanged.
-//!
-//! ## The v5 pipelined frames
-//!
-//! Protocol 5 adds **pipelining**: tags 12–16 are the encode
-//! request/response pair, the batch pair and the error frame with a
-//! little-endian `u64` **request id** prefixed to the otherwise
-//! unchanged body:
-//!
-//! ```text
-//! pipelined body: request_id u64 | the corresponding v3/v4 body
-//! ```
-//!
-//! The id is chosen by the client and echoed verbatim in the matching
-//! response (or [`PipelinedErrorFrame`]), so many requests can be in
-//! flight on one connection and responses are matched **by id rather
-//! than by arrival order**. Ordering contract: responses may complete
-//! out of order *across* sessions, but requests of one session complete
-//! FIFO — sticky shard routing still serialises each session's carried
-//! bus state, so pipelined results stay bit-identical to a serial run.
-//! The non-pipelined tags remain valid under a v5 header with their
-//! strict one-in-one-out semantics.
-//!
-//! ## The v6 durability admin frames
-//!
-//! Protocol 6 adds the **durable session plane** admin surface (see
-//! [`crate::persist`]): three empty-bodied requests — trigger a snapshot
-//! (tag 17), query snapshot status (tag 18), restore from disk (tag 19)
-//! — all answered by the shared [`SnapshotStatus`] response (tag 20),
-//! a fixed 41-byte body:
-//!
-//! ```text
-//! configured u8 | generation u64 | snapshots_taken u64 |
-//! last_sessions u64 | last_bytes u64 | restored_sessions u64
-//! ```
-//!
-//! `configured` must be 0 or 1 (anything else is
-//! [`WireError::UnknownFlags`]). Protocol 6 also gives session-limit
-//! rejections their own typed code, [`ErrorCode::SessionLimit`]; peers
-//! that announced an older version keep receiving
-//! [`ErrorCode::Overloaded`] for them (see
-//! [`ErrorCode::downgrade_for`]).
-//!
-//! ## Versioning
-//!
-//! This build speaks protocol [`VERSION`] 6. Version 2 added the
-//! fixed-width **cost-model field** to encode requests: [`CostModel`]
-//! selects the (α, β) source for a session — the weights embedded in the
-//! scheme (v1 semantics), raw runtime coefficients, or a named phy
-//! operating point such as `sstl15@6.4` / `pod12@3.2`. Version 3 added
-//! the batch frames and redefined the request's `want_masks` byte as a
-//! **flags** byte: bit 0 keeps its v1 `want_masks` meaning and bit 1 is
-//! the [`VerifyMode`] **verify bit** — the engine must decode its own
-//! output through the receiver path and prove the round trip before
-//! replying (failures are [`ErrorCode::VerifyMismatch`]). Every v1/v2
-//! body layout is unchanged.
-//!
-//! Version negotiation rules, receive side:
-//!
-//! * headers announcing versions 1 through [`VERSION`] are accepted;
-//!   anything else is [`WireError::UnsupportedVersion`];
-//! * a v1 encode request (no cost-model field) decodes with
-//!   [`CostModel::Inline`]; v2/v3 encode requests are byte-identical;
-//! * the batch tags (6, 7) exist only from v3 on — under a v1/v2 header
-//!   they are [`WireError::UnknownFrameType`], exactly as a genuine v1/v2
-//!   peer would treat them; the telemetry tags (8–11) exist only from v4
-//!   on, the pipelined tags (12–16) only from v5 on, and the durability
-//!   admin tags (17–20) only from v6 on, under the same rule;
-//! * error-frame bodies are decoded version-blind, but the *writer*
-//!   downgrades codes a peer's announced version predates:
-//!   [`ErrorCode::SessionLimit`] (v6) travels as
-//!   [`ErrorCode::Overloaded`] to a peer whose failing request was
-//!   stamped v5 or older — the remedy (back off, spread over fewer
-//!   sessions) is the same, and the older peer's decoder would reject
-//!   the unknown code byte outright;
-//! * the verify bit exists only from v3 on — under a v1/v2 header it is
-//!   [`WireError::VerifyUnsupported`] (those versions defined the byte
-//!   as a bare boolean, so a set bit 1 there is a corrupt or lying
-//!   frame, not a request); flag bits above bit 1 are
-//!   [`WireError::UnknownFlags`] under every version;
-//! * response/error/metrics bodies are byte-identical across every
-//!   accepted version.
-//!
-//! The compatibility is deliberately **receive-side only**: this build
-//! answers every peer with version-5 headers, so a strict older peer
-//! (whose decoder rejects any newer version byte) can be *decoded by*
-//! this service but cannot parse its replies. That keeps the frame
-//! writers version-free and is sufficient for the supported migration
-//! order — upgrade servers first, then clients; an old *frame stream*
-//! (captures, queued frames, old client builds being migrated) stays
-//! readable throughout. A client that must stay compatible with a v2
-//! server simply never sends batch frames; every non-batch frame it
-//! receives decodes under both versions' rules.
+//! Every encode request and response carries a client-chosen `u64`
+//! **request id**, echoed verbatim in the matching response or
+//! [`PipelinedErrorFrame`], so many requests can be in flight on one
+//! connection and responses are matched **by id rather than by arrival
+//! order**. Responses may complete out of order *across* sessions, but
+//! requests of one session complete FIFO: sticky shard routing
+//! serialises each session's carried bus state, so results stay
+//! bit-identical to a serial run. The plain [`ErrorFrame`] carries the
+//! failures that belong to no single request: framing violations,
+//! slow-consumer drops and admin-request errors.
 //!
 //! Encoding appends to a caller-owned `Vec<u8>` (reused buffers never
 //! reallocate in steady state); decoding is **zero-copy and `unsafe`-free**:
@@ -195,67 +104,9 @@ use dbi_phy::{NamedInterface, OperatingPoint};
 /// The two magic bytes opening every frame: ASCII `"DB"`.
 pub const MAGIC: [u8; 2] = *b"DB";
 
-/// Protocol version written by this build. Peers announcing a version
-/// outside [`LEGACY_VERSION`]`..=`[`VERSION`] are rejected with
-/// [`WireError::UnsupportedVersion`].
-pub const VERSION: u8 = 6;
-
-/// The previous protocol version (pipelined frames, no durability admin
-/// frames), still accepted on decode (see the
-/// [module documentation](self) for the compatibility rules).
-pub const V5_VERSION: u8 = 5;
-
-/// Protocol version 4 (telemetry frames, no pipelined frames), still
-/// accepted on decode.
-pub const V4_VERSION: u8 = 4;
-
-/// Protocol version 3 (batch frames and the verify bit, no telemetry
-/// frames), still accepted on decode.
-pub const V3_VERSION: u8 = 3;
-
-/// Protocol version 2 (cost-model field, no batch frames), still
-/// accepted on decode.
-pub const V2_VERSION: u8 = 2;
-
-/// The protocol version that introduced the `EncodeBatch` frames. Batch
-/// tags under an older header are [`WireError::UnknownFrameType`] —
-/// pinned here, not to [`VERSION`], so future version bumps keep
-/// decoding version-3 batch streams.
-pub const BATCH_MIN_VERSION: u8 = 3;
-
-/// The protocol version that turned the encode-request `want_masks` byte
-/// into a **flags** byte and defined its verify bit ([`VerifyMode`]).
-/// Frames older than this carrying the verify bit — or any other bit
-/// beyond `want_masks` — are rejected with
-/// [`WireError::VerifyUnsupported`], exactly as a genuine v1/v2 peer
-/// (which defined no such bit) must not be assumed to have meant it.
-pub const VERIFY_MIN_VERSION: u8 = 3;
-
-/// The protocol version that introduced the telemetry admin frames
-/// (trace dump and slowlog query). Their tags under an older header are
-/// [`WireError::UnknownFrameType`] — pinned here, not to [`VERSION`], so
-/// future version bumps keep decoding version-4 telemetry streams.
-pub const TELEMETRY_MIN_VERSION: u8 = 4;
-
-/// The protocol version that introduced the pipelined frames (tags
-/// 12–16): request/response pairs carrying a `u64` **request id** so
-/// many frames can be in flight per connection, matched by id rather
-/// than ordering. Their tags under an older header are
-/// [`WireError::UnknownFrameType`] — pinned here, not to [`VERSION`], so
-/// future version bumps keep decoding version-5 pipelined streams.
-pub const PIPELINE_MIN_VERSION: u8 = 5;
-
-/// The protocol version that introduced the durability admin frames
-/// (tags 17–20: trigger snapshot, query snapshot status, restore, and
-/// the shared [`SnapshotStatus`] response) and the typed
-/// [`ErrorCode::SessionLimit`]. Their tags under an older header are
-/// [`WireError::UnknownFrameType`] — pinned here, not to [`VERSION`], so
-/// future version bumps keep decoding version-6 admin streams.
-pub const DURABILITY_MIN_VERSION: u8 = 6;
-
-/// The oldest protocol version still accepted on decode (no cost-model
-/// field, no batch frames).
-pub const LEGACY_VERSION: u8 = 1;
+/// The protocol version: the only one written and the only one accepted.
+/// Any other version byte is [`WireError::UnsupportedVersion`].
+pub const VERSION: u8 = 7;
 
 /// Bytes in the fixed frame header.
 pub const HEADER_LEN: usize = 8;
@@ -268,42 +119,36 @@ pub const MAX_BODY_LEN: usize = 8 << 20;
 /// plus a 12-byte payload (padded so every variant is the same width).
 pub const COST_MODEL_WIRE_BYTES: usize = 13;
 
-/// Size of the request-id prefix every protocol-5 pipelined body starts
-/// with.
+/// Size of the request-id prefix every encode request and response body
+/// starts with.
 pub const REQUEST_ID_WIRE_BYTES: usize = 8;
 
-/// Fixed-size prefix of a version-2 encode-request body, before the
-/// payload bytes. Public so the engine can verify an admitted request
-/// also fits a frame.
+/// Fixed-size prefix of an encode-request body, after the request id and
+/// before the payload bytes. Public so the engine can verify an admitted
+/// request also fits a frame.
 pub const REQUEST_HEAD_LEN: usize =
     8 + 1 + CostWeights::WIRE_BYTES + COST_MODEL_WIRE_BYTES + 2 + 1 + 1 + 4;
 
-/// Fixed-size prefix of a version-1 encode-request body (no cost-model
-/// field).
-pub const V1_REQUEST_HEAD_LEN: usize = 8 + 1 + CostWeights::WIRE_BYTES + 2 + 1 + 1 + 4;
-
-/// Fixed-size prefix of an encode-response body, before the records.
-/// Public so the engine can verify an admitted request's response fits a
-/// frame.
+/// Fixed-size prefix of an encode-response body, after the request id
+/// and before the records. Public so the engine can verify an admitted
+/// request's response fits a frame.
 pub const RESPONSE_HEAD_LEN: usize = 8 + 8 + 2 + 4;
 
-/// Fixed-size prefix of a version-3 batch encode-request body, before the
-/// payload: the v2 request head plus the `u16` burst-count field.
+/// Fixed-size prefix of a batch encode-request body, after the request id
+/// and before the payload: the request head plus the `u16` burst-count
+/// field.
 pub const BATCH_REQUEST_HEAD_LEN: usize = REQUEST_HEAD_LEN + 2;
 
-/// Fixed-size prefix of a version-3 batch encode-response body, before
-/// the records: the response head plus the echoed `u16` burst count.
+/// Fixed-size prefix of a batch encode-response body, after the request
+/// id and before the records: the response head plus the echoed `u16`
+/// burst count.
 pub const BATCH_RESPONSE_HEAD_LEN: usize = 8 + 8 + 2 + 2 + 4;
 
-/// Frame type tags.
+/// Frame type tags. Tags 1, 2, 6 and 7 are retired and never reused.
 mod tag {
-    pub const ENCODE_REQUEST: u8 = 1;
-    pub const ENCODE_RESPONSE: u8 = 2;
     pub const ERROR: u8 = 3;
     pub const METRICS_REQUEST: u8 = 4;
     pub const METRICS_RESPONSE: u8 = 5;
-    pub const ENCODE_BATCH_REQUEST: u8 = 6;
-    pub const ENCODE_BATCH_RESPONSE: u8 = 7;
     pub const TRACE_DUMP_REQUEST: u8 = 8;
     pub const TRACE_DUMP_RESPONSE: u8 = 9;
     pub const SLOWLOG_REQUEST: u8 = 10;
@@ -362,7 +207,7 @@ pub enum WireError {
     /// A named cost model carried a zero data rate.
     BadDataRate,
     /// A batch frame's burst-count field is zero or disagrees with the
-    /// payload length (protocol version 3).
+    /// payload length.
     BadBatchCount {
         /// The count field carried by the frame.
         count: u16,
@@ -370,17 +215,11 @@ pub enum WireError {
         /// length.
         got: usize,
     },
-    /// An encode request under a pre-[`VERIFY_MIN_VERSION`] header carries
-    /// the verify-mode bit, which those versions do not define.
-    VerifyUnsupported {
-        /// The version the frame was stamped with.
-        version: u8,
-    },
-    /// The request's flags byte carries bits this version does not define
-    /// (beyond `want_masks` and, from v3, verify).
+    /// A flags byte carries bits this version does not define (beyond
+    /// `want_masks` and verify in a request, beyond 0/1 in a status
+    /// block's `configured` byte).
     UnknownFlags(u8),
-    /// A trace record's outcome byte is not one this version defines
-    /// (protocol version 4).
+    /// A trace record's outcome byte is not one this version defines.
     UnknownTraceOutcome(u8),
 }
 
@@ -394,8 +233,7 @@ impl fmt::Display for WireError {
             WireError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported protocol version {v} (this build speaks {VERSION} \
-                     and still decodes {LEGACY_VERSION} through {V5_VERSION})"
+                    "unsupported protocol version {v} (this build speaks only {VERSION})"
                 )
             }
             WireError::UnknownFrameType(t) => write!(f, "unknown frame type {t}"),
@@ -423,13 +261,6 @@ impl fmt::Display for WireError {
                 write!(
                     f,
                     "batch count field of {count} disagrees with the {got} bursts in the payload"
-                )
-            }
-            WireError::VerifyUnsupported { version } => {
-                write!(
-                    f,
-                    "verify mode requires protocol version {VERIFY_MIN_VERSION}, \
-                     but the frame is stamped version {version}"
                 )
             }
             WireError::UnknownFlags(flags) => {
@@ -463,24 +294,19 @@ pub enum ErrorCode {
     BadRequest = 6,
     /// The service hit an internal invariant violation.
     Internal = 7,
-    /// The request's cost model does not apply to its scheme (protocol
-    /// version 2).
+    /// The request's cost model does not apply to its scheme.
     BadCostModel = 8,
     /// A verify-mode request's output failed to decode back to its input
-    /// — the engine detected an encode/decode asymmetry (protocol
-    /// version 3).
+    /// — the engine detected an encode/decode asymmetry.
     VerifyMismatch = 9,
     /// The connection's write buffer overran its high-watermark: the
     /// peer stopped draining responses faster than it submitted
     /// requests, and the service dropped the connection rather than
-    /// block an I/O thread on it (protocol version 5).
+    /// block an I/O thread on it.
     SlowConsumer = 10,
     /// The target shard holds its maximum number of sessions, all of
     /// them busy in the pass in flight, so the new session could neither
-    /// be created nor make room by evicting an idle one (protocol
-    /// version 6; peers announcing an older version receive
-    /// [`ErrorCode::Overloaded`] instead — see
-    /// [`ErrorCode::downgrade_for`]).
+    /// be created nor make room by evicting an idle one.
     SessionLimit = 11,
 }
 
@@ -501,26 +327,11 @@ impl ErrorCode {
             other => Err(WireError::UnknownErrorCode(other)),
         }
     }
-
-    /// The code to actually put on the wire for a peer whose failing
-    /// request announced `version`: codes newer than the peer's version
-    /// are mapped to the closest code that version defines, so a strict
-    /// older decoder never sees a code byte it cannot type.
-    /// [`ErrorCode::SessionLimit`] (v6) downgrades to
-    /// [`ErrorCode::Overloaded`]; every pre-v6 code passes through
-    /// unchanged.
-    #[must_use]
-    pub fn downgrade_for(self, version: u8) -> Self {
-        match self {
-            ErrorCode::SessionLimit if version < DURABILITY_MIN_VERSION => ErrorCode::Overloaded,
-            other => other,
-        }
-    }
 }
 
 /// Whether the engine must **decode its own output** and prove it equal to
-/// the request's payload before replying — the protocol-3 verify bit of
-/// the request flags byte.
+/// the request's payload before replying — the verify bit of the request
+/// flags byte.
 ///
 /// Verification replays the full receiver path: the worker reconstructs
 /// the wire image from payload + masks, decodes it through the carried
@@ -531,7 +342,7 @@ impl ErrorCode {
 /// results. Costs one extra decode pass over the payload; off by default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum VerifyMode {
-    /// Encode only (the v1/v2 behaviour); no receiver replay.
+    /// Encode only; no receiver replay.
     #[default]
     Off,
     /// Decode the encoded output back through the receiver path and
@@ -556,9 +367,7 @@ impl fmt::Display for VerifyMode {
     }
 }
 
-/// Bits of the encode-request flags byte (the former `want_masks` byte;
-/// bit 0 keeps its v1 meaning, so every frame an actual v1/v2 writer
-/// produced decodes unchanged).
+/// Bits of the encode-request flags byte.
 mod request_flags {
     pub const WANT_MASKS: u8 = 1 << 0;
     pub const VERIFY: u8 = 1 << 1;
@@ -577,18 +386,13 @@ fn encode_request_flags(want_masks: bool, verify: VerifyMode) -> u8 {
     flags
 }
 
-/// Decodes and validates the flags byte of an encode/batch request under
-/// the frame's announced version: undefined bits are
-/// [`WireError::UnknownFlags`] everywhere, and the verify bit is
-/// [`WireError::VerifyUnsupported`] below [`VERIFY_MIN_VERSION`].
-fn decode_request_flags(byte: u8, version: u8) -> Result<(bool, VerifyMode), WireError> {
+/// Decodes and validates the flags byte of an encode/batch request:
+/// undefined bits are [`WireError::UnknownFlags`].
+fn decode_request_flags(byte: u8) -> Result<(bool, VerifyMode), WireError> {
     if byte & !request_flags::KNOWN != 0 {
         return Err(WireError::UnknownFlags(byte));
     }
     let verify = if byte & request_flags::VERIFY != 0 {
-        if version < VERIFY_MIN_VERSION {
-            return Err(WireError::VerifyUnsupported { version });
-        }
         VerifyMode::RoundTrip
     } else {
         VerifyMode::Off
@@ -596,8 +400,8 @@ fn decode_request_flags(byte: u8, version: u8) -> Result<(bool, VerifyMode), Wir
     Ok((byte & request_flags::WANT_MASKS != 0, verify))
 }
 
-/// Where a session's cost coefficients come from — the protocol-2
-/// **cost-model field** of an encode request.
+/// Where a session's cost coefficients come from — the **cost-model
+/// field** of an encode request.
 ///
 /// The model composes with the request's [`Scheme`]: for the parametric
 /// schemes (`Opt`, `OptFixed`, `Greedy`) a non-inline model *replaces*
@@ -606,8 +410,7 @@ fn decode_request_flags(byte: u8, version: u8) -> Result<(bool, VerifyMode), Wir
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum CostModel {
-    /// Use the weights embedded in the scheme field — exactly the
-    /// version-1 semantics. This is what v1 frames decode to.
+    /// Use the weights embedded in the scheme field.
     #[default]
     Inline,
     /// Explicit runtime coefficients (raw `alpha,beta`).
@@ -733,8 +536,8 @@ pub(crate) fn scheme_to_wire(scheme: Scheme) -> (u8, CostWeights) {
         Scheme::Greedy(w) => (4, w),
         Scheme::Opt(w) => (5, w),
         Scheme::OptFixed => (6, CostWeights::FIXED),
-        // `Scheme` is non-exhaustive: a new variant needs a new tag (and a
-        // protocol version bump), which this panic makes impossible to miss.
+        // `Scheme` is non-exhaustive: a new variant needs a new tag, which
+        // this panic makes impossible to miss.
         other => unimplemented!("scheme {other} has no wire tag in protocol version {VERSION}"),
     }
 }
@@ -755,22 +558,17 @@ fn scheme_from_wire(tag: u8, weights: [u8; CostWeights::WIRE_BYTES]) -> Result<S
     }
 }
 
-/// A parsed frame header.
+/// A parsed frame header. Its version is always [`VERSION`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Header {
-    /// The protocol version the frame was written with ([`VERSION`] or
-    /// [`LEGACY_VERSION`]).
-    pub version: u8,
     /// The frame type tag (validated later, by [`decode_frame`]).
     pub frame_type: u8,
     /// Announced body length in bytes.
     pub body_len: usize,
 }
 
-/// Parses and validates the fixed 8-byte header: magic, version and the
-/// [`MAX_BODY_LEN`] bound. Every version from [`LEGACY_VERSION`] through
-/// [`VERSION`] is accepted; the version is reported in the returned
-/// [`Header`] so body decoding can pick the right layout.
+/// Parses and validates the fixed 8-byte header: magic, version (exactly
+/// [`VERSION`]) and the [`MAX_BODY_LEN`] bound.
 ///
 /// # Errors
 ///
@@ -786,7 +584,7 @@ pub fn parse_header(bytes: &[u8]) -> Result<Header, WireError> {
     if bytes[..2] != MAGIC {
         return Err(WireError::BadMagic([bytes[0], bytes[1]]));
     }
-    if !(LEGACY_VERSION..=VERSION).contains(&bytes[2]) {
+    if bytes[2] != VERSION {
         return Err(WireError::UnsupportedVersion(bytes[2]));
     }
     let body_len = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]) as usize;
@@ -797,7 +595,6 @@ pub fn parse_header(bytes: &[u8]) -> Result<Header, WireError> {
         });
     }
     Ok(Header {
-        version: bytes[2],
         frame_type: bytes[3],
         body_len,
     })
@@ -811,7 +608,8 @@ fn push_header(out: &mut Vec<u8>, frame_type: u8, body_len: usize) {
     out.extend_from_slice(&(body_len as u32).to_le_bytes());
 }
 
-/// An encode request, in its borrowed write-side form.
+/// An encode request body, in its borrowed write-side form. It travels
+/// behind a request id as a [`PipelinedRequestFrame`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EncodeRequestFrame<'a> {
     /// Client-chosen session id; requests with the same id share carried
@@ -819,8 +617,8 @@ pub struct EncodeRequestFrame<'a> {
     pub session_id: u64,
     /// The DBI scheme to encode with.
     pub scheme: Scheme,
-    /// Where the session's cost coefficients come from (protocol 2); see
-    /// [`CostModel`]. [`CostModel::Inline`] reproduces v1 semantics.
+    /// Where the session's cost coefficients come from; see
+    /// [`CostModel`].
     pub cost_model: CostModel,
     /// Lane groups of the channel.
     pub groups: u16,
@@ -829,7 +627,7 @@ pub struct EncodeRequestFrame<'a> {
     /// When set, the response carries the per-burst inversion masks.
     pub want_masks: bool,
     /// Whether the engine must decode its own output and prove the round
-    /// trip before replying (protocol 3); see [`VerifyMode`].
+    /// trip before replying; see [`VerifyMode`].
     pub verify: VerifyMode,
     /// Beat-interleaved payload bytes (byte `k` of an access travels on
     /// group `k mod groups`).
@@ -837,19 +635,7 @@ pub struct EncodeRequestFrame<'a> {
 }
 
 impl EncodeRequestFrame<'_> {
-    /// Appends the full frame (header + body) to `out`, in the
-    /// [`VERSION`]-3 layout.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        push_header(
-            out,
-            tag::ENCODE_REQUEST,
-            REQUEST_HEAD_LEN + self.payload.len(),
-        );
-        self.push_body(out);
-    }
-
-    /// Appends the body alone — shared with the protocol-5 pipelined
-    /// form, whose body is this one behind a request-id prefix.
+    /// Appends the body (without the request id) to `out`.
     fn push_body(&self, out: &mut Vec<u8>) {
         let (tag, weights) = scheme_to_wire(self.scheme);
         out.extend_from_slice(&self.session_id.to_le_bytes());
@@ -871,8 +657,7 @@ pub struct EncodeRequestView<'a> {
     pub session_id: u64,
     /// See [`EncodeRequestFrame::scheme`].
     pub scheme: Scheme,
-    /// See [`EncodeRequestFrame::cost_model`]. Always
-    /// [`CostModel::Inline`] for version-1 frames.
+    /// See [`EncodeRequestFrame::cost_model`].
     pub cost_model: CostModel,
     /// See [`EncodeRequestFrame::groups`].
     pub groups: u16,
@@ -880,19 +665,20 @@ pub struct EncodeRequestView<'a> {
     pub burst_len: u8,
     /// See [`EncodeRequestFrame::want_masks`].
     pub want_masks: bool,
-    /// See [`EncodeRequestFrame::verify`]. Always [`VerifyMode::Off`] for
-    /// v1/v2 frames, whose flags byte may only carry the mask bit.
+    /// See [`EncodeRequestFrame::verify`].
     pub verify: VerifyMode,
     /// The payload bytes, borrowed straight from the frame buffer.
     pub payload: &'a [u8],
 }
 
-fn decode_request(body: &[u8], version: u8) -> Result<EncodeRequestView<'_>, WireError> {
-    let head_len = if version == LEGACY_VERSION {
-        V1_REQUEST_HEAD_LEN
-    } else {
-        REQUEST_HEAD_LEN
-    };
+/// Decodes the fields every encode request body opens with, through the
+/// flags byte. Returns them as a view whose payload is everything past
+/// `head_len`, plus the length fields between the flags byte and the
+/// payload, which the caller checks.
+fn decode_request_head(
+    body: &[u8],
+    head_len: usize,
+) -> Result<(EncodeRequestView<'_>, &[u8]), WireError> {
     if body.len() < head_len {
         return Err(WireError::Truncated {
             needed: head_len,
@@ -900,43 +686,50 @@ fn decode_request(body: &[u8], version: u8) -> Result<EncodeRequestView<'_>, Wir
         });
     }
     let session_id = u64::from_le_bytes(body[..8].try_into().expect("checked length"));
-    let scheme_tag = body[8];
     let mut weights = [0u8; CostWeights::WIRE_BYTES];
     weights.copy_from_slice(&body[9..9 + CostWeights::WIRE_BYTES]);
-    let mut rest = &body[9 + CostWeights::WIRE_BYTES..];
-    let cost_model = if version == LEGACY_VERSION {
-        CostModel::Inline
-    } else {
-        let mut field = [0u8; COST_MODEL_WIRE_BYTES];
-        field.copy_from_slice(&rest[..COST_MODEL_WIRE_BYTES]);
-        rest = &rest[COST_MODEL_WIRE_BYTES..];
-        CostModel::decode(&field)?
-    };
-    let groups = u16::from_le_bytes([rest[0], rest[1]]);
-    let burst_len = rest[2];
-    let (want_masks, verify) = decode_request_flags(rest[3], version)?;
-    let payload_len = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]) as usize;
-    let payload = &body[head_len..];
-    if payload.len() != payload_len {
-        return Err(WireError::BodyMismatch);
-    }
-    Ok(EncodeRequestView {
+    let scheme = scheme_from_wire(body[8], weights)?;
+    let mut field = [0u8; COST_MODEL_WIRE_BYTES];
+    field.copy_from_slice(
+        &body[9 + CostWeights::WIRE_BYTES..9 + CostWeights::WIRE_BYTES + COST_MODEL_WIRE_BYTES],
+    );
+    let cost_model = CostModel::decode(&field)?;
+    let rest = &body[9 + CostWeights::WIRE_BYTES + COST_MODEL_WIRE_BYTES..head_len];
+    let (want_masks, verify) = decode_request_flags(rest[3])?;
+    let view = EncodeRequestView {
         session_id,
-        scheme: scheme_from_wire(scheme_tag, weights)?,
+        scheme,
         cost_model,
-        groups,
-        burst_len,
+        groups: u16::from_le_bytes([rest[0], rest[1]]),
+        burst_len: rest[2],
         want_masks,
         verify,
-        payload,
-    })
+        payload: &body[head_len..],
+    };
+    Ok((view, &rest[4..]))
 }
 
-/// A batched encode request (protocol version 3): one header, one
-/// contiguous payload carrying a whole batch of bursts for a session —
-/// where a per-burst client would have sent N separate
-/// [`EncodeRequestFrame`]s. See the [module documentation](self) for the
-/// body layout and the count-field invariants.
+/// Checks a little-endian `u32` payload-length field against the payload.
+fn check_payload_len(field: &[u8], payload: &[u8]) -> Result<(), WireError> {
+    let announced = u32::from_le_bytes(field.try_into().expect("a 4-byte field"));
+    if payload.len() == announced as usize {
+        Ok(())
+    } else {
+        Err(WireError::BodyMismatch)
+    }
+}
+
+fn decode_request(body: &[u8]) -> Result<EncodeRequestView<'_>, WireError> {
+    let (view, lengths) = decode_request_head(body, REQUEST_HEAD_LEN)?;
+    check_payload_len(lengths, view.payload)?;
+    Ok(view)
+}
+
+/// A batched encode request body: one contiguous payload carrying a
+/// whole batch of bursts for a session, with its burst count. It travels
+/// behind a request id as a [`PipelinedBatchRequestFrame`]. See the
+/// [module documentation](self) for the body layout and the count-field
+/// invariants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EncodeBatchRequestFrame<'a> {
     /// See [`EncodeRequestFrame::session_id`].
@@ -986,19 +779,7 @@ impl<'a> EncodeBatchRequestFrame<'a> {
         })
     }
 
-    /// Appends the full frame (header + body) to `out`, in the
-    /// [`VERSION`]-3 layout.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        push_header(
-            out,
-            tag::ENCODE_BATCH_REQUEST,
-            BATCH_REQUEST_HEAD_LEN + self.payload.len(),
-        );
-        self.push_body(out);
-    }
-
-    /// Appends the body alone — shared with the protocol-5 pipelined
-    /// form.
+    /// Appends the body (without the request id) to `out`.
     fn push_body(&self, out: &mut Vec<u8>) {
         let (tag, weights) = scheme_to_wire(self.scheme);
         out.extend_from_slice(&self.session_id.to_le_bytes());
@@ -1039,57 +820,32 @@ pub struct EncodeBatchRequestView<'a> {
     pub payload: &'a [u8],
 }
 
-fn decode_batch_request(body: &[u8], version: u8) -> Result<EncodeBatchRequestView<'_>, WireError> {
-    if body.len() < BATCH_REQUEST_HEAD_LEN {
-        return Err(WireError::Truncated {
-            needed: BATCH_REQUEST_HEAD_LEN,
-            got: body.len(),
-        });
-    }
-    let session_id = u64::from_le_bytes(body[..8].try_into().expect("checked length"));
-    let scheme_tag = body[8];
-    let mut weights = [0u8; CostWeights::WIRE_BYTES];
-    weights.copy_from_slice(&body[9..9 + CostWeights::WIRE_BYTES]);
-    let mut field = [0u8; COST_MODEL_WIRE_BYTES];
-    field.copy_from_slice(
-        &body[9 + CostWeights::WIRE_BYTES..9 + CostWeights::WIRE_BYTES + COST_MODEL_WIRE_BYTES],
-    );
-    let cost_model = CostModel::decode(&field)?;
-    let rest = &body[9 + CostWeights::WIRE_BYTES + COST_MODEL_WIRE_BYTES..];
-    let groups = u16::from_le_bytes([rest[0], rest[1]]);
-    let burst_len = rest[2];
-    let (want_masks, verify) = decode_request_flags(rest[3], version)?;
-    let count = u16::from_le_bytes([rest[4], rest[5]]);
-    let payload_len = u32::from_le_bytes([rest[6], rest[7], rest[8], rest[9]]) as usize;
-    let payload = &body[BATCH_REQUEST_HEAD_LEN..];
-    if payload.len() != payload_len {
-        return Err(WireError::BodyMismatch);
-    }
-    let bursts_in_payload = if burst_len == 0 {
-        0
-    } else {
-        payload.len() / usize::from(burst_len)
-    };
-    if count == 0 || usize::from(count) * usize::from(burst_len) != payload.len() {
+fn decode_batch_request(body: &[u8]) -> Result<EncodeBatchRequestView<'_>, WireError> {
+    let (head, lengths) = decode_request_head(body, BATCH_REQUEST_HEAD_LEN)?;
+    let count = u16::from_le_bytes([lengths[0], lengths[1]]);
+    check_payload_len(&lengths[2..], head.payload)?;
+    let burst_len = usize::from(head.burst_len);
+    if count == 0 || usize::from(count) * burst_len != head.payload.len() {
         return Err(WireError::BadBatchCount {
             count,
-            got: bursts_in_payload,
+            got: head.payload.len().checked_div(burst_len).unwrap_or(0),
         });
     }
     Ok(EncodeBatchRequestView {
-        session_id,
-        scheme: scheme_from_wire(scheme_tag, weights)?,
-        cost_model,
-        groups,
-        burst_len,
-        want_masks,
-        verify,
+        session_id: head.session_id,
+        scheme: head.scheme,
+        cost_model: head.cost_model,
+        groups: head.groups,
+        burst_len: head.burst_len,
+        want_masks: head.want_masks,
+        verify: head.verify,
         count,
-        payload,
+        payload: head.payload,
     })
 }
 
-/// An encode response, in its borrowed write-side form.
+/// An encode response body, in its borrowed write-side form. It travels
+/// behind the request's echoed id as a [`PipelinedResponseFrame`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EncodeResponseFrame<'a> {
     /// Echo of the request's session id.
@@ -1104,20 +860,13 @@ pub struct EncodeResponseFrame<'a> {
 }
 
 impl EncodeResponseFrame<'_> {
-    /// Appends the full frame (header + body) to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        push_header(out, tag::ENCODE_RESPONSE, self.body_len());
-        self.push_body(out);
-    }
-
     fn body_len(&self) -> usize {
         RESPONSE_HEAD_LEN
             + self.per_group.len() * CostBreakdown::WIRE_BYTES
             + self.masks.len() * InversionMask::WIRE_BYTES
     }
 
-    /// Appends the body alone — shared with the protocol-5 pipelined
-    /// form.
+    /// Appends the body (without the request id) to `out`.
     fn push_body(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.session_id.to_le_bytes());
         out.extend_from_slice(&self.bursts.to_le_bytes());
@@ -1173,18 +922,13 @@ impl<'a> EncodeResponseView<'a> {
     }
 }
 
-fn decode_response(body: &[u8]) -> Result<EncodeResponseView<'_>, WireError> {
-    if body.len() < RESPONSE_HEAD_LEN {
-        return Err(WireError::Truncated {
-            needed: RESPONSE_HEAD_LEN,
-            got: body.len(),
-        });
-    }
-    let session_id = u64::from_le_bytes(body[..8].try_into().expect("checked length"));
-    let bursts = u64::from_le_bytes(body[8..16].try_into().expect("checked length"));
-    let group_count = u16::from_le_bytes([body[16], body[17]]) as usize;
-    let mask_count = u32::from_le_bytes([body[18], body[19], body[20], body[21]]) as usize;
-    let records = &body[RESPONSE_HEAD_LEN..];
+/// Splits a response's record bytes into its per-group records and its
+/// masks, checking both announced counts against the body length.
+fn split_records(
+    records: &[u8],
+    group_count: usize,
+    mask_count: usize,
+) -> Result<(&[u8], &[u8]), WireError> {
     let group_bytes = group_count
         .checked_mul(CostBreakdown::WIRE_BYTES)
         .ok_or(WireError::BodyMismatch)?;
@@ -1198,17 +942,34 @@ fn decode_response(body: &[u8]) -> Result<EncodeResponseView<'_>, WireError> {
     {
         return Err(WireError::BodyMismatch);
     }
+    Ok(records.split_at(group_bytes))
+}
+
+fn decode_response(body: &[u8]) -> Result<EncodeResponseView<'_>, WireError> {
+    if body.len() < RESPONSE_HEAD_LEN {
+        return Err(WireError::Truncated {
+            needed: RESPONSE_HEAD_LEN,
+            got: body.len(),
+        });
+    }
+    let session_id = u64::from_le_bytes(body[..8].try_into().expect("checked length"));
+    let bursts = u64::from_le_bytes(body[8..16].try_into().expect("checked length"));
+    let group_count = u16::from_le_bytes([body[16], body[17]]) as usize;
+    let mask_count = u32::from_le_bytes([body[18], body[19], body[20], body[21]]) as usize;
+    let (per_group_bytes, mask_bytes) =
+        split_records(&body[RESPONSE_HEAD_LEN..], group_count, mask_count)?;
     Ok(EncodeResponseView {
         session_id,
         bursts,
-        per_group_bytes: &records[..group_bytes],
-        mask_bytes: &records[group_bytes..],
+        per_group_bytes,
+        mask_bytes,
     })
 }
 
-/// A batched encode response (protocol version 3): the encode response
-/// with the request's burst count echoed, answering an
-/// [`EncodeBatchRequestFrame`].
+/// A batched encode response body: the encode response with the
+/// request's burst count echoed, answering an [`EncodeBatchRequestFrame`].
+/// It travels behind the request's echoed id as a
+/// [`PipelinedBatchResponseFrame`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EncodeBatchResponseFrame<'a> {
     /// Echo of the request's session id.
@@ -1225,20 +986,13 @@ pub struct EncodeBatchResponseFrame<'a> {
 }
 
 impl EncodeBatchResponseFrame<'_> {
-    /// Appends the full frame (header + body) to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        push_header(out, tag::ENCODE_BATCH_RESPONSE, self.body_len());
-        self.push_body(out);
-    }
-
     fn body_len(&self) -> usize {
         BATCH_RESPONSE_HEAD_LEN
             + self.per_group.len() * CostBreakdown::WIRE_BYTES
             + self.masks.len() * InversionMask::WIRE_BYTES
     }
 
-    /// Appends the body alone — shared with the protocol-5 pipelined
-    /// form.
+    /// Appends the body (without the request id) to `out`.
     fn push_body(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.session_id.to_le_bytes());
         out.extend_from_slice(&self.bursts.to_le_bytes());
@@ -1308,30 +1062,20 @@ fn decode_batch_response(body: &[u8]) -> Result<EncodeBatchResponseView<'_>, Wir
     let count = u16::from_le_bytes([body[16], body[17]]);
     let group_count = u16::from_le_bytes([body[18], body[19]]) as usize;
     let mask_count = u32::from_le_bytes([body[20], body[21], body[22], body[23]]) as usize;
-    let records = &body[BATCH_RESPONSE_HEAD_LEN..];
-    let group_bytes = group_count
-        .checked_mul(CostBreakdown::WIRE_BYTES)
-        .ok_or(WireError::BodyMismatch)?;
-    let mask_bytes = mask_count
-        .checked_mul(InversionMask::WIRE_BYTES)
-        .ok_or(WireError::BodyMismatch)?;
-    if records.len()
-        != group_bytes
-            .checked_add(mask_bytes)
-            .ok_or(WireError::BodyMismatch)?
-    {
-        return Err(WireError::BodyMismatch);
-    }
+    let (per_group_bytes, mask_bytes) =
+        split_records(&body[BATCH_RESPONSE_HEAD_LEN..], group_count, mask_count)?;
     Ok(EncodeBatchResponseView {
         session_id,
         bursts,
         count,
-        per_group_bytes: &records[..group_bytes],
-        mask_bytes: &records[group_bytes..],
+        per_group_bytes,
+        mask_bytes,
     })
 }
 
-/// An error response, in its borrowed write-side form.
+/// An error response, in its borrowed write-side form. Sent bare for
+/// failures no single request owns, and behind a request id as a
+/// [`PipelinedErrorFrame`] otherwise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ErrorFrame<'a> {
     /// The typed error code.
@@ -1368,7 +1112,7 @@ fn decode_error(body: &[u8]) -> Result<ErrorView<'_>, WireError> {
     })
 }
 
-/// Splits the `u64` request-id prefix off a protocol-5 pipelined body.
+/// Splits the `u64` request-id prefix off an id-tagged body.
 fn split_request_id(body: &[u8]) -> Result<(u64, &[u8]), WireError> {
     if body.len() < REQUEST_ID_WIRE_BYTES {
         return Err(WireError::Truncated {
@@ -1380,8 +1124,8 @@ fn split_request_id(body: &[u8]) -> Result<(u64, &[u8]), WireError> {
     Ok((id, &body[REQUEST_ID_WIRE_BYTES..]))
 }
 
-/// A pipelined encode request (protocol version 5): an
-/// [`EncodeRequestFrame`] behind a client-chosen `u64` **request id**.
+/// An encode request frame: an [`EncodeRequestFrame`] behind a
+/// client-chosen `u64` **request id**.
 /// Many of these may be in flight on one connection; the service echoes
 /// the id on the matching [`PipelinedResponseFrame`] (or
 /// [`PipelinedErrorFrame`]), so responses are matched by id rather than
@@ -1391,7 +1135,7 @@ pub struct PipelinedRequestFrame<'a> {
     /// Client-chosen id echoed by the matching response; unique among
     /// the connection's in-flight requests.
     pub request_id: u64,
-    /// The encode request itself, in its unchanged v3 body layout.
+    /// The encode request itself.
     pub request: EncodeRequestFrame<'a>,
 }
 
@@ -1408,13 +1152,13 @@ impl PipelinedRequestFrame<'_> {
     }
 }
 
-/// A pipelined batch encode request (protocol version 5): the
-/// [`EncodeBatchRequestFrame`] body behind a `u64` request id.
+/// A batch encode request frame: the [`EncodeBatchRequestFrame`] body
+/// behind a `u64` request id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelinedBatchRequestFrame<'a> {
     /// See [`PipelinedRequestFrame::request_id`].
     pub request_id: u64,
-    /// The batch request itself, in its unchanged v3 body layout.
+    /// The batch request itself.
     pub request: EncodeBatchRequestFrame<'a>,
 }
 
@@ -1431,13 +1175,13 @@ impl PipelinedBatchRequestFrame<'_> {
     }
 }
 
-/// A pipelined encode response (protocol version 5): the
-/// [`EncodeResponseFrame`] body behind the request's echoed id.
+/// An encode response frame: the [`EncodeResponseFrame`] body behind the
+/// request's echoed id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelinedResponseFrame<'a> {
     /// Echo of the request's id.
     pub request_id: u64,
-    /// The response itself, in its unchanged v1 body layout.
+    /// The response itself.
     pub response: EncodeResponseFrame<'a>,
 }
 
@@ -1454,13 +1198,13 @@ impl PipelinedResponseFrame<'_> {
     }
 }
 
-/// A pipelined batch encode response (protocol version 5): the
-/// [`EncodeBatchResponseFrame`] body behind the request's echoed id.
+/// A batch encode response frame: the [`EncodeBatchResponseFrame`] body
+/// behind the request's echoed id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelinedBatchResponseFrame<'a> {
     /// Echo of the request's id.
     pub request_id: u64,
-    /// The batch response itself, in its unchanged v3 body layout.
+    /// The batch response itself.
     pub response: EncodeBatchResponseFrame<'a>,
 }
 
@@ -1477,16 +1221,16 @@ impl PipelinedBatchResponseFrame<'_> {
     }
 }
 
-/// A pipelined error response (protocol version 5): an [`ErrorFrame`]
-/// behind the failed request's echoed id, so a failure among many
-/// in-flight requests still lands on the right caller. Connection-level
-/// failures that cannot be attributed to one request (malformed frames,
-/// slow-consumer drops) keep using the plain [`ErrorFrame`].
+/// An id-tagged error response: an [`ErrorFrame`] behind the failed
+/// request's echoed id, so a failure among many in-flight requests still
+/// lands on the right caller. Connection-level failures that cannot be
+/// attributed to one request (unframeable input, slow-consumer drops)
+/// use the plain [`ErrorFrame`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelinedErrorFrame<'a> {
     /// Echo of the failed request's id.
     pub request_id: u64,
-    /// The typed error itself, in its unchanged v1 body layout.
+    /// The typed error itself.
     pub error: ErrorFrame<'a>,
 }
 
@@ -1504,7 +1248,7 @@ impl PipelinedErrorFrame<'_> {
     }
 }
 
-/// The durability plane's answer to every v6 admin request (trigger
+/// The durability plane's answer to every admin request (trigger
 /// snapshot, query status, restore): a fixed-width status block mirroring
 /// the engine's durability counters. The [`Default`] value is what an
 /// engine without a configured persist directory reports for a plain
@@ -1532,8 +1276,7 @@ pub struct SnapshotStatus {
 pub const SNAPSHOT_STATUS_WIRE_BYTES: usize = 1 + 5 * 8;
 
 impl SnapshotStatus {
-    /// Appends the full response frame (header + body) to `out`
-    /// (protocol 6).
+    /// Appends the full response frame (header + body) to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         push_header(
             out,
@@ -1578,15 +1321,14 @@ fn decode_snapshot_status(body: &[u8]) -> Result<SnapshotStatus, WireError> {
 
 /// Appends a snapshot-request frame (empty body) to `out`: the service
 /// quiesces every shard at a pass boundary, writes a fresh snapshot and
-/// rotates the journals, then answers with [`SnapshotStatus`]
-/// (protocol 6).
+/// rotates the journals, then answers with [`SnapshotStatus`].
 pub fn encode_snapshot_request(out: &mut Vec<u8>) {
     push_header(out, tag::SNAPSHOT_REQUEST, 0);
 }
 
 /// Appends a snapshot-status request frame (empty body) to `out`: the
 /// service answers with its current [`SnapshotStatus`] without touching
-/// disk (protocol 6).
+/// disk.
 pub fn encode_snapshot_status_request(out: &mut Vec<u8>) {
     push_header(out, tag::SNAPSHOT_STATUS_REQUEST, 0);
 }
@@ -1594,7 +1336,7 @@ pub fn encode_snapshot_status_request(out: &mut Vec<u8>) {
 /// Appends a restore-request frame (empty body) to `out`: the service
 /// re-reads its persist directory and seeds every recovered session into
 /// the live shards (replacing same-id entries), then answers with
-/// [`SnapshotStatus`] (protocol 6).
+/// [`SnapshotStatus`].
 pub fn encode_restore_request(out: &mut Vec<u8>) {
     push_header(out, tag::RESTORE_REQUEST, 0);
 }
@@ -1611,14 +1353,14 @@ pub fn encode_metrics_response(out: &mut Vec<u8>, json: &str) {
 }
 
 /// Appends a trace-dump request to `out`: the service answers with up to
-/// `max_events` of the most recent trace events per shard (protocol 4).
+/// `max_events` of the most recent trace events per shard.
 pub fn encode_trace_dump_request(out: &mut Vec<u8>, max_events: u32) {
     push_header(out, tag::TRACE_DUMP_REQUEST, 4);
     out.extend_from_slice(&max_events.to_le_bytes());
 }
 
 /// Appends a slowlog query to `out`: the service answers with up to
-/// `max_entries` of the most recent slowlog captures (protocol 4).
+/// `max_entries` of the most recent slowlog captures.
 pub fn encode_slowlog_request(out: &mut Vec<u8>, max_entries: u32) {
     push_header(out, tag::SLOWLOG_REQUEST, 4);
     out.extend_from_slice(&max_entries.to_le_bytes());
@@ -1631,7 +1373,7 @@ fn push_trace_records(out: &mut Vec<u8>, events: &[TraceEvent]) {
     }
 }
 
-/// Appends a trace-dump response carrying `events` to `out` (protocol 4).
+/// Appends a trace-dump response carrying `events` to `out`.
 pub fn encode_trace_dump_response(out: &mut Vec<u8>, events: &[TraceEvent]) {
     push_header(
         out,
@@ -1642,7 +1384,7 @@ pub fn encode_trace_dump_response(out: &mut Vec<u8>, events: &[TraceEvent]) {
 }
 
 /// Appends a slowlog response carrying `entries` captured at
-/// `threshold_ns` to `out` (protocol 4).
+/// `threshold_ns` to `out`.
 pub fn encode_slowlog_response(out: &mut Vec<u8>, threshold_ns: u64, entries: &[TraceEvent]) {
     push_header(
         out,
@@ -1687,7 +1429,7 @@ fn trace_records(bytes: &[u8]) -> impl Iterator<Item = TraceEvent> + '_ {
     })
 }
 
-/// A decoded trace-dump response (protocol 4). The records stay in the
+/// A decoded trace-dump response. The records stay in the
 /// receive buffer and decode lazily; the decoder has already validated
 /// the count field and every outcome byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1708,7 +1450,7 @@ impl<'a> TraceDumpResponseView<'a> {
     }
 }
 
-/// A decoded slowlog response (protocol 4): the engine's capture
+/// A decoded slowlog response: the engine's capture
 /// threshold plus the captured events, lazily decoded like
 /// [`TraceDumpResponseView`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1764,77 +1506,74 @@ fn decode_slowlog_response(body: &[u8]) -> Result<SlowlogResponseView<'_>, WireE
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Frame<'a> {
-    /// A client encode request.
-    EncodeRequest(EncodeRequestView<'a>),
-    /// A service encode response.
-    EncodeResponse(EncodeResponseView<'a>),
-    /// A service error response.
+    /// A service error response no single request owns.
     Error(ErrorView<'a>),
     /// A client metrics request.
     MetricsRequest,
     /// A service metrics response: the JSON snapshot text.
     MetricsResponse(&'a str),
-    /// A client batch encode request (protocol 3).
-    EncodeBatchRequest(EncodeBatchRequestView<'a>),
-    /// A service batch encode response (protocol 3).
-    EncodeBatchResponse(EncodeBatchResponseView<'a>),
-    /// A client trace-dump request: the maximum events wanted per shard
-    /// (protocol 4).
+    /// A client trace-dump request: the maximum events wanted per shard.
     TraceDumpRequest(u32),
-    /// A service trace-dump response (protocol 4).
+    /// A service trace-dump response.
     TraceDumpResponse(TraceDumpResponseView<'a>),
-    /// A client slowlog query: the maximum entries wanted (protocol 4).
+    /// A client slowlog query: the maximum entries wanted.
     SlowlogRequest(u32),
-    /// A service slowlog response (protocol 4).
+    /// A service slowlog response.
     SlowlogResponse(SlowlogResponseView<'a>),
-    /// A pipelined client encode request (protocol 5), matched to its
-    /// response by `request_id` instead of arrival order.
+    /// A client encode request, matched to its response by `request_id`
+    /// instead of arrival order.
     PipelinedRequest {
         /// The client-chosen request id.
         request_id: u64,
-        /// The request body, unchanged from the non-pipelined form.
+        /// The request body.
         request: EncodeRequestView<'a>,
     },
-    /// A pipelined service encode response (protocol 5).
+    /// A service encode response.
     PipelinedResponse {
         /// Echo of the request's id.
         request_id: u64,
-        /// The response body, unchanged from the non-pipelined form.
+        /// The response body.
         response: EncodeResponseView<'a>,
     },
-    /// A pipelined client batch encode request (protocol 5).
+    /// A client batch encode request.
     PipelinedBatchRequest {
         /// The client-chosen request id.
         request_id: u64,
-        /// The batch request body, unchanged from the non-pipelined form.
+        /// The batch request body.
         request: EncodeBatchRequestView<'a>,
     },
-    /// A pipelined service batch encode response (protocol 5).
+    /// A service batch encode response.
     PipelinedBatchResponse {
         /// Echo of the request's id.
         request_id: u64,
-        /// The batch response body, unchanged from the non-pipelined
-        /// form.
+        /// The batch response body.
         response: EncodeBatchResponseView<'a>,
     },
-    /// A pipelined service error response (protocol 5), attributed to
-    /// one in-flight request by its echoed id.
+    /// A service error response, attributed to one in-flight request by
+    /// its echoed id.
     PipelinedError {
         /// Echo of the failed request's id.
         request_id: u64,
-        /// The typed error body, unchanged from the non-pipelined form.
+        /// The typed error body.
         error: ErrorView<'a>,
     },
-    /// A client request to snapshot the durable session plane
-    /// (protocol 6).
+    /// A client request to snapshot the durable session plane.
     SnapshotRequest,
-    /// A client query of the durability status (protocol 6).
+    /// A client query of the durability status.
     SnapshotStatusRequest,
-    /// A client request to restore sessions from disk (protocol 6).
+    /// A client request to restore sessions from disk.
     RestoreRequest,
-    /// The service's answer to every durability admin request
-    /// (protocol 6).
+    /// The service's answer to every durability admin request.
     SnapshotStatus(SnapshotStatus),
+}
+
+/// Rejects a non-empty body on a frame whose body must be empty.
+fn expect_empty(body: &[u8], frame: Frame<'static>) -> Result<Frame<'static>, WireError> {
+    if body.is_empty() {
+        Ok(frame)
+    } else {
+        Err(WireError::BodyMismatch)
+    }
 }
 
 /// Decodes the frame starting at `bytes[0]` and returns it together with
@@ -1857,109 +1596,111 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame<'_>, usize), WireError> {
     }
     let body = &bytes[HEADER_LEN..total];
     let frame = match header.frame_type {
-        tag::ENCODE_REQUEST => Frame::EncodeRequest(decode_request(body, header.version)?),
-        tag::ENCODE_RESPONSE => Frame::EncodeResponse(decode_response(body)?),
         tag::ERROR => Frame::Error(decode_error(body)?),
-        tag::METRICS_REQUEST => {
-            if !body.is_empty() {
-                return Err(WireError::BodyMismatch);
-            }
-            Frame::MetricsRequest
-        }
+        tag::METRICS_REQUEST => expect_empty(body, Frame::MetricsRequest)?,
         tag::METRICS_RESPONSE => {
             Frame::MetricsResponse(core::str::from_utf8(body).map_err(|_| WireError::BadUtf8)?)
         }
-        // The batch tags exist only from protocol 3 on; under an older
-        // version header they are exactly as unknown as they would be to
-        // a genuine v1/v2 peer.
-        tag::ENCODE_BATCH_REQUEST if header.version >= BATCH_MIN_VERSION => {
-            Frame::EncodeBatchRequest(decode_batch_request(body, header.version)?)
-        }
-        tag::ENCODE_BATCH_RESPONSE if header.version >= BATCH_MIN_VERSION => {
-            Frame::EncodeBatchResponse(decode_batch_response(body)?)
-        }
-        // The telemetry tags exist only from protocol 4 on, same rule.
-        tag::TRACE_DUMP_REQUEST if header.version >= TELEMETRY_MIN_VERSION => {
-            Frame::TraceDumpRequest(decode_telemetry_bound(body)?)
-        }
-        tag::TRACE_DUMP_RESPONSE if header.version >= TELEMETRY_MIN_VERSION => {
-            Frame::TraceDumpResponse(TraceDumpResponseView {
-                record_bytes: check_trace_records(body)?,
-            })
-        }
-        tag::SLOWLOG_REQUEST if header.version >= TELEMETRY_MIN_VERSION => {
-            Frame::SlowlogRequest(decode_telemetry_bound(body)?)
-        }
-        tag::SLOWLOG_RESPONSE if header.version >= TELEMETRY_MIN_VERSION => {
-            Frame::SlowlogResponse(decode_slowlog_response(body)?)
-        }
-        // The pipelined tags exist only from protocol 5 on, same rule.
-        tag::PIPELINED_REQUEST if header.version >= PIPELINE_MIN_VERSION => {
+        tag::TRACE_DUMP_REQUEST => Frame::TraceDumpRequest(decode_telemetry_bound(body)?),
+        tag::TRACE_DUMP_RESPONSE => Frame::TraceDumpResponse(TraceDumpResponseView {
+            record_bytes: check_trace_records(body)?,
+        }),
+        tag::SLOWLOG_REQUEST => Frame::SlowlogRequest(decode_telemetry_bound(body)?),
+        tag::SLOWLOG_RESPONSE => Frame::SlowlogResponse(decode_slowlog_response(body)?),
+        tag::PIPELINED_REQUEST => {
             let (request_id, rest) = split_request_id(body)?;
             Frame::PipelinedRequest {
                 request_id,
-                request: decode_request(rest, header.version)?,
+                request: decode_request(rest)?,
             }
         }
-        tag::PIPELINED_RESPONSE if header.version >= PIPELINE_MIN_VERSION => {
+        tag::PIPELINED_RESPONSE => {
             let (request_id, rest) = split_request_id(body)?;
             Frame::PipelinedResponse {
                 request_id,
                 response: decode_response(rest)?,
             }
         }
-        tag::PIPELINED_BATCH_REQUEST if header.version >= PIPELINE_MIN_VERSION => {
+        tag::PIPELINED_BATCH_REQUEST => {
             let (request_id, rest) = split_request_id(body)?;
             Frame::PipelinedBatchRequest {
                 request_id,
-                request: decode_batch_request(rest, header.version)?,
+                request: decode_batch_request(rest)?,
             }
         }
-        tag::PIPELINED_BATCH_RESPONSE if header.version >= PIPELINE_MIN_VERSION => {
+        tag::PIPELINED_BATCH_RESPONSE => {
             let (request_id, rest) = split_request_id(body)?;
             Frame::PipelinedBatchResponse {
                 request_id,
                 response: decode_batch_response(rest)?,
             }
         }
-        tag::PIPELINED_ERROR if header.version >= PIPELINE_MIN_VERSION => {
+        tag::PIPELINED_ERROR => {
             let (request_id, rest) = split_request_id(body)?;
             Frame::PipelinedError {
                 request_id,
                 error: decode_error(rest)?,
             }
         }
-        // The durability admin tags exist only from protocol 6 on, same
-        // rule.
-        tag::SNAPSHOT_REQUEST if header.version >= DURABILITY_MIN_VERSION => {
-            if !body.is_empty() {
-                return Err(WireError::BodyMismatch);
-            }
-            Frame::SnapshotRequest
-        }
-        tag::SNAPSHOT_STATUS_REQUEST if header.version >= DURABILITY_MIN_VERSION => {
-            if !body.is_empty() {
-                return Err(WireError::BodyMismatch);
-            }
-            Frame::SnapshotStatusRequest
-        }
-        tag::RESTORE_REQUEST if header.version >= DURABILITY_MIN_VERSION => {
-            if !body.is_empty() {
-                return Err(WireError::BodyMismatch);
-            }
-            Frame::RestoreRequest
-        }
-        tag::SNAPSHOT_STATUS_RESPONSE if header.version >= DURABILITY_MIN_VERSION => {
-            Frame::SnapshotStatus(decode_snapshot_status(body)?)
-        }
+        tag::SNAPSHOT_REQUEST => expect_empty(body, Frame::SnapshotRequest)?,
+        tag::SNAPSHOT_STATUS_REQUEST => expect_empty(body, Frame::SnapshotStatusRequest)?,
+        tag::RESTORE_REQUEST => expect_empty(body, Frame::RestoreRequest)?,
+        tag::SNAPSHOT_STATUS_RESPONSE => Frame::SnapshotStatus(decode_snapshot_status(body)?),
         other => return Err(WireError::UnknownFrameType(other)),
     };
     Ok((frame, total))
 }
 
+/// The request id of a well-framed encode request (tag 12 or 14) whose
+/// id prefix is readable, even when the rest of its body fails to decode
+/// — so the failure can be answered under that id with a
+/// [`PipelinedErrorFrame`].
+pub(crate) fn request_id_of(header: &Header, body: &[u8]) -> Option<u64> {
+    match header.frame_type {
+        tag::PIPELINED_REQUEST | tag::PIPELINED_BATCH_REQUEST => {
+            split_request_id(body).ok().map(|(id, _)| id)
+        }
+        _ => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Offset of an encode request's body inside its frame: header plus
+    /// request id.
+    const BODY_AT: usize = HEADER_LEN + REQUEST_ID_WIRE_BYTES;
+
+    fn encode_request(request: EncodeRequestFrame<'_>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        PipelinedRequestFrame {
+            request_id: 1,
+            request,
+        }
+        .encode_into(&mut buf);
+        buf
+    }
+
+    fn decoded_request(buf: &[u8]) -> EncodeRequestView<'_> {
+        let (Frame::PipelinedRequest { request, .. }, _) = decode_frame(buf).unwrap() else {
+            panic!("wrong frame type");
+        };
+        request
+    }
+
+    fn sample_request(payload: &[u8]) -> EncodeRequestFrame<'_> {
+        EncodeRequestFrame {
+            session_id: 1,
+            scheme: Scheme::Raw,
+            cost_model: CostModel::Inline,
+            groups: 1,
+            burst_len: 8,
+            want_masks: false,
+            verify: VerifyMode::Off,
+            payload,
+        }
+    }
 
     #[test]
     fn request_roundtrip_borrows_the_payload() {
@@ -1967,18 +1708,18 @@ mod tests {
         let frame = EncodeRequestFrame {
             session_id: 0xAB,
             scheme: Scheme::Opt(CostWeights::new(2, 3).unwrap()),
-            cost_model: CostModel::Inline,
             groups: 4,
-            burst_len: 8,
             want_masks: true,
-            verify: VerifyMode::Off,
-            payload: &payload,
+            ..sample_request(&payload)
         };
-        let mut buf = Vec::new();
-        frame.encode_into(&mut buf);
+        let buf = encode_request(frame);
         let (decoded, consumed) = decode_frame(&buf).unwrap();
         assert_eq!(consumed, buf.len());
-        let Frame::EncodeRequest(view) = decoded else {
+        let Frame::PipelinedRequest {
+            request_id: 1,
+            request: view,
+        } = decoded
+        else {
             panic!("wrong frame type");
         };
         assert_eq!(view.session_id, 0xAB);
@@ -1988,7 +1729,7 @@ mod tests {
         // Zero-copy: the payload view points into the frame buffer.
         assert!(core::ptr::eq(
             view.payload.as_ptr(),
-            &buf[HEADER_LEN + REQUEST_HEAD_LEN]
+            &buf[BODY_AT + REQUEST_HEAD_LEN]
         ));
     }
 
@@ -1996,15 +1737,25 @@ mod tests {
     fn response_roundtrip_decodes_records_lazily() {
         let per_group = [CostBreakdown::new(1, 2), CostBreakdown::new(3, 4)];
         let masks = [InversionMask::from_bits(0b1010), InversionMask::NONE];
-        let frame = EncodeResponseFrame {
-            session_id: 7,
-            bursts: 16,
-            per_group: &per_group,
-            masks: &masks,
-        };
         let mut buf = Vec::new();
-        frame.encode_into(&mut buf);
-        let (Frame::EncodeResponse(view), _) = decode_frame(&buf).unwrap() else {
+        PipelinedResponseFrame {
+            request_id: 9,
+            response: EncodeResponseFrame {
+                session_id: 7,
+                bursts: 16,
+                per_group: &per_group,
+                masks: &masks,
+            },
+        }
+        .encode_into(&mut buf);
+        let (
+            Frame::PipelinedResponse {
+                request_id: 9,
+                response: view,
+            },
+            _,
+        ) = decode_frame(&buf).unwrap()
+        else {
             panic!("wrong frame type");
         };
         assert_eq!((view.session_id, view.bursts), (7, 16));
@@ -2070,9 +1821,15 @@ mod tests {
         let mut bad = buf.clone();
         bad[0] = b'X';
         assert_eq!(parse_header(&bad), Err(WireError::BadMagic([b'X', b'B'])));
-        let mut bad = buf.clone();
-        bad[2] = 9;
-        assert_eq!(parse_header(&bad), Err(WireError::UnsupportedVersion(9)));
+        // Exactly one version is spoken.
+        for version in (0..=u8::MAX).filter(|&v| v != VERSION) {
+            let mut bad = buf.clone();
+            bad[2] = version;
+            assert_eq!(
+                parse_header(&bad),
+                Err(WireError::UnsupportedVersion(version))
+            );
+        }
         let mut bad = buf.clone();
         bad[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(
@@ -2082,40 +1839,34 @@ mod tests {
                 max: MAX_BODY_LEN
             })
         );
-        let mut bad = buf;
-        bad[3] = 42;
-        assert_eq!(decode_frame(&bad), Err(WireError::UnknownFrameType(42)));
+        // Unassigned and retired tags are unknown.
+        for tag in [0, 1, 2, 6, 7, 21, 42] {
+            let mut bad = buf.clone();
+            bad[3] = tag;
+            assert_eq!(decode_frame(&bad), Err(WireError::UnknownFrameType(tag)));
+        }
     }
 
     #[test]
     fn internal_length_fields_are_cross_checked() {
-        let mut buf = Vec::new();
-        EncodeRequestFrame {
-            session_id: 1,
-            scheme: Scheme::Raw,
-            cost_model: CostModel::Inline,
-            groups: 1,
-            burst_len: 8,
-            want_masks: false,
-            verify: VerifyMode::Off,
-            payload: &[0u8; 8],
-        }
-        .encode_into(&mut buf);
+        let mut buf = encode_request(sample_request(&[0u8; 8]));
         // Corrupt the inner payload_len field.
-        let payload_len_at = HEADER_LEN + REQUEST_HEAD_LEN - 4;
-        buf[payload_len_at] ^= 1;
+        buf[BODY_AT + REQUEST_HEAD_LEN - 4] ^= 1;
         assert_eq!(decode_frame(&buf), Err(WireError::BodyMismatch));
 
         let mut buf = Vec::new();
-        EncodeResponseFrame {
-            session_id: 1,
-            bursts: 2,
-            per_group: &[CostBreakdown::ZERO],
-            masks: &[],
+        PipelinedResponseFrame {
+            request_id: 1,
+            response: EncodeResponseFrame {
+                session_id: 1,
+                bursts: 2,
+                per_group: &[CostBreakdown::ZERO],
+                masks: &[],
+            },
         }
         .encode_into(&mut buf);
         // Claim one more mask than the body holds.
-        buf[HEADER_LEN + 18] = 1;
+        buf[BODY_AT + 18] = 1;
         assert_eq!(decode_frame(&buf), Err(WireError::BodyMismatch));
     }
 
@@ -2136,7 +1887,6 @@ mod tests {
             WireError::UnknownInterfaceTag(9),
             WireError::BadDataRate,
             WireError::BadBatchCount { count: 4, got: 3 },
-            WireError::VerifyUnsupported { version: 2 },
             WireError::UnknownFlags(0x80),
             WireError::UnknownTraceOutcome(9),
         ];
@@ -2145,111 +1895,51 @@ mod tests {
         }
     }
 
-    /// Offset of the flags byte inside an encode-request frame (v2/v3
-    /// layout).
-    const FLAGS_AT: usize =
-        HEADER_LEN + 8 + 1 + CostWeights::WIRE_BYTES + COST_MODEL_WIRE_BYTES + 3;
-
     #[test]
-    fn verify_bit_roundtrips_on_v3_requests_and_batches() {
+    fn verify_bit_roundtrips_on_requests_and_batches() {
+        /// Offset of the flags byte inside an encode-request frame.
+        const FLAGS_AT: usize =
+            BODY_AT + 8 + 1 + CostWeights::WIRE_BYTES + COST_MODEL_WIRE_BYTES + 3;
         let payload = [0u8; 16];
         let frame = EncodeRequestFrame {
-            session_id: 5,
             scheme: Scheme::OptFixed,
-            cost_model: CostModel::Inline,
             groups: 2,
-            burst_len: 8,
-            want_masks: false,
             verify: VerifyMode::RoundTrip,
-            payload: &payload,
+            ..sample_request(&payload)
         };
-        let mut buf = Vec::new();
-        frame.encode_into(&mut buf);
+        let buf = encode_request(frame);
         assert_eq!(buf[FLAGS_AT], 0b10, "verify alone sets only bit 1");
-        let (Frame::EncodeRequest(view), _) = decode_frame(&buf).unwrap() else {
-            panic!("wrong frame type");
-        };
+        let view = decoded_request(&buf);
         assert_eq!(view.verify, VerifyMode::RoundTrip);
         assert!(!view.want_masks);
 
         // Both bits together.
-        let mut buf = Vec::new();
-        EncodeRequestFrame {
+        let mut buf = encode_request(EncodeRequestFrame {
             want_masks: true,
             ..frame
-        }
-        .encode_into(&mut buf);
+        });
         assert_eq!(buf[FLAGS_AT], 0b11);
-        let (Frame::EncodeRequest(view), _) = decode_frame(&buf).unwrap() else {
-            panic!("wrong frame type");
-        };
+        let view = decoded_request(&buf);
         assert!(view.want_masks && view.verify.is_on());
+
+        // Undefined bits never decode.
+        buf[FLAGS_AT] = 0b101;
+        assert_eq!(decode_frame(&buf), Err(WireError::UnknownFlags(0b101)));
 
         // The batch frame carries the same flags byte.
         let batch = EncodeBatchRequestFrame::from_request(&frame).unwrap();
         assert_eq!(batch.verify, VerifyMode::RoundTrip);
         let mut buf = Vec::new();
-        batch.encode_into(&mut buf);
-        let (Frame::EncodeBatchRequest(view), _) = decode_frame(&buf).unwrap() else {
+        PipelinedBatchRequestFrame {
+            request_id: 1,
+            request: batch,
+        }
+        .encode_into(&mut buf);
+        let (Frame::PipelinedBatchRequest { request: view, .. }, _) = decode_frame(&buf).unwrap()
+        else {
             panic!("wrong frame type");
         };
         assert_eq!(view.verify, VerifyMode::RoundTrip);
-    }
-
-    #[test]
-    fn verify_bits_below_v3_are_rejected_typed() {
-        // A v3 verify-mode request re-stamped as v1 or v2 must not decode
-        // — those versions defined the byte as a bare boolean, so the set
-        // bit is a corrupt or lying frame.
-        let payload = [0u8; 8];
-        let mut buf = Vec::new();
-        EncodeRequestFrame {
-            session_id: 1,
-            scheme: Scheme::Raw,
-            cost_model: CostModel::Inline,
-            groups: 1,
-            burst_len: 8,
-            want_masks: true,
-            verify: VerifyMode::RoundTrip,
-            payload: &payload,
-        }
-        .encode_into(&mut buf);
-        for version in [LEGACY_VERSION, V2_VERSION] {
-            let mut old = buf.clone();
-            old[2] = version;
-            // The v1 body has no cost-model field; only test the verify
-            // gate under v2 (same body layout as v3). For v1, assemble
-            // the legacy layout below.
-            if version == V2_VERSION {
-                assert_eq!(
-                    decode_frame(&old),
-                    Err(WireError::VerifyUnsupported { version }),
-                    "v{version} header must reject the verify bit"
-                );
-            }
-        }
-        // Hand-assembled v1 frame with the verify bit in its flags byte.
-        let mut v1 = encode_v1_request(1, Scheme::Raw, 1, 8, false, &payload);
-        let v1_flags_at = HEADER_LEN + 8 + 1 + CostWeights::WIRE_BYTES + 3;
-        v1[v1_flags_at] = 0b10;
-        assert_eq!(
-            decode_frame(&v1),
-            Err(WireError::VerifyUnsupported { version: 1 })
-        );
-        // A v1 want_masks byte of exactly 1 still decodes (bit 0 keeps
-        // its meaning)...
-        let mut v1 = encode_v1_request(1, Scheme::Raw, 1, 8, true, &payload);
-        let (Frame::EncodeRequest(view), _) = decode_frame(&v1).unwrap() else {
-            panic!("wrong frame type");
-        };
-        assert!(view.want_masks);
-        assert_eq!(view.verify, VerifyMode::Off);
-        // ...but undefined high bits never do, under any version.
-        v1[v1_flags_at] = 0x81;
-        assert_eq!(decode_frame(&v1), Err(WireError::UnknownFlags(0x81)));
-        let mut v3 = buf;
-        v3[FLAGS_AT] = 0b101;
-        assert_eq!(decode_frame(&v3), Err(WireError::UnknownFlags(0b101)));
     }
 
     #[test]
@@ -2260,16 +1950,25 @@ mod tests {
             scheme: Scheme::Opt(CostWeights::new(2, 3).unwrap()),
             cost_model: CostModel::Weights(CostWeights::new(4, 1).unwrap()),
             groups: 4,
-            burst_len: 8,
             want_masks: true,
-            verify: VerifyMode::Off,
-            payload: &payload,
+            ..sample_request(&payload)
         };
         let batch = EncodeBatchRequestFrame::from_request(&request).unwrap();
         assert_eq!(batch.count, 8);
         let mut buf = Vec::new();
-        batch.encode_into(&mut buf);
-        let (Frame::EncodeBatchRequest(view), consumed) = decode_frame(&buf).unwrap() else {
+        PipelinedBatchRequestFrame {
+            request_id: 3,
+            request: batch,
+        }
+        .encode_into(&mut buf);
+        let (
+            Frame::PipelinedBatchRequest {
+                request_id: 3,
+                request: view,
+            },
+            consumed,
+        ) = decode_frame(&buf).unwrap()
+        else {
             panic!("wrong frame type");
         };
         assert_eq!(consumed, buf.len());
@@ -2281,7 +1980,7 @@ mod tests {
         assert_eq!(view.payload, &payload);
 
         // Count-field corruption is a typed error.
-        let count_at = HEADER_LEN + BATCH_REQUEST_HEAD_LEN - 6;
+        let count_at = BODY_AT + BATCH_REQUEST_HEAD_LEN - 6;
         let mut bad = buf.clone();
         bad[count_at] = 9;
         assert_eq!(
@@ -2295,28 +1994,29 @@ mod tests {
             Err(WireError::BadBatchCount { count: 0, got: 8 })
         );
 
-        // Batch tags do not exist below protocol 3.
-        let mut old = buf.clone();
-        old[2] = V2_VERSION;
-        assert_eq!(
-            decode_frame(&old),
-            Err(WireError::UnknownFrameType(6)),
-            "a v2 header must treat the batch tag as unknown"
-        );
-
         // The response echoes the count and decodes lazily.
         let per_group = [CostBreakdown::new(5, 6); 4];
         let masks = [InversionMask::from_bits(0b11); 8];
         let mut buf = Vec::new();
-        EncodeBatchResponseFrame {
-            session_id: 0xBA7C,
-            bursts: 8,
-            count: 8,
-            per_group: &per_group,
-            masks: &masks,
+        PipelinedBatchResponseFrame {
+            request_id: 3,
+            response: EncodeBatchResponseFrame {
+                session_id: 0xBA7C,
+                bursts: 8,
+                count: 8,
+                per_group: &per_group,
+                masks: &masks,
+            },
         }
         .encode_into(&mut buf);
-        let (Frame::EncodeBatchResponse(view), consumed) = decode_frame(&buf).unwrap() else {
+        let (
+            Frame::PipelinedBatchResponse {
+                request_id: 3,
+                response: view,
+            },
+            consumed,
+        ) = decode_frame(&buf).unwrap()
+        else {
             panic!("wrong frame type");
         };
         assert_eq!(consumed, buf.len());
@@ -2327,7 +2027,7 @@ mod tests {
         assert_eq!(view.masks().collect::<Vec<_>>(), masks);
 
         // Record-count corruption is still cross-checked.
-        buf[HEADER_LEN + 20] ^= 1;
+        buf[BODY_AT + 20] ^= 1;
         assert_eq!(decode_frame(&buf), Err(WireError::BodyMismatch));
     }
 
@@ -2414,26 +2114,6 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_tags_do_not_exist_below_v4() {
-        let mut requests = Vec::new();
-        encode_trace_dump_request(&mut requests, 8);
-        encode_slowlog_request(&mut requests, 8);
-        let mut offset = 0;
-        while offset < requests.len() {
-            let (_, len) = decode_frame(&requests[offset..]).unwrap();
-            let mut old = requests[offset..offset + len].to_vec();
-            old[2] = V3_VERSION;
-            let tag = old[3];
-            assert_eq!(
-                decode_frame(&old),
-                Err(WireError::UnknownFrameType(tag)),
-                "a v3 header must treat telemetry tag {tag} as unknown"
-            );
-            offset += len;
-        }
-    }
-
-    #[test]
     fn from_request_rejects_undividable_payloads() {
         let payload = [0u8; 12];
         let request = EncodeRequestFrame {
@@ -2464,22 +2144,12 @@ mod tests {
         ];
         let payload = [0u8; 8];
         for model in models {
-            let mut buf = Vec::new();
-            EncodeRequestFrame {
-                session_id: 7,
+            let buf = encode_request(EncodeRequestFrame {
                 scheme: Scheme::OptFixed,
                 cost_model: model,
-                groups: 1,
-                burst_len: 8,
-                want_masks: false,
-                verify: VerifyMode::Off,
-                payload: &payload,
-            }
-            .encode_into(&mut buf);
-            let (Frame::EncodeRequest(view), _) = decode_frame(&buf).unwrap() else {
-                panic!("wrong frame type");
-            };
-            assert_eq!(view.cost_model, model);
+                ..sample_request(&payload)
+            });
+            assert_eq!(decoded_request(&buf).cost_model, model);
             // The string form round-trips through FromStr as well.
             assert_eq!(model.to_string().parse::<CostModel>().unwrap(), model);
         }
@@ -2497,19 +2167,12 @@ mod tests {
     #[test]
     fn malformed_cost_model_fields_are_typed_errors() {
         let payload = [0u8; 8];
-        let mut buf = Vec::new();
-        EncodeRequestFrame {
-            session_id: 7,
+        let buf = encode_request(EncodeRequestFrame {
             scheme: Scheme::OptFixed,
             cost_model: CostModel::Weights(CostWeights::FIXED),
-            groups: 1,
-            burst_len: 8,
-            want_masks: false,
-            verify: VerifyMode::Off,
-            payload: &payload,
-        }
-        .encode_into(&mut buf);
-        let field_at = HEADER_LEN + 8 + 1 + CostWeights::WIRE_BYTES;
+            ..sample_request(&payload)
+        });
+        let field_at = BODY_AT + 8 + 1 + CostWeights::WIRE_BYTES;
 
         // Unknown cost-model tag.
         let mut bad = buf.clone();
@@ -2531,85 +2194,6 @@ mod tests {
         bad[field_at + 1] = NamedInterface::Pod12.wire_tag();
         bad[field_at + 5..field_at + 9].fill(0);
         assert_eq!(decode_frame(&bad), Err(WireError::BadDataRate));
-    }
-
-    /// Hand-assembles a version-1 encode-request frame (the layout this
-    /// protocol shipped with before the cost-model field existed).
-    fn encode_v1_request(
-        session_id: u64,
-        scheme: Scheme,
-        groups: u16,
-        burst_len: u8,
-        want_masks: bool,
-        payload: &[u8],
-    ) -> Vec<u8> {
-        let (scheme_tag, weights) = scheme_to_wire(scheme);
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        out.push(LEGACY_VERSION);
-        out.push(tag::ENCODE_REQUEST);
-        out.extend_from_slice(&((V1_REQUEST_HEAD_LEN + payload.len()) as u32).to_le_bytes());
-        out.extend_from_slice(&session_id.to_le_bytes());
-        out.push(scheme_tag);
-        out.extend_from_slice(&weights.to_le_bytes());
-        out.extend_from_slice(&groups.to_le_bytes());
-        out.push(burst_len);
-        out.push(u8::from(want_masks));
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(payload);
-        out
-    }
-
-    #[test]
-    fn v1_frames_are_still_decoded() {
-        // A v1 request decodes to the same view a v2 Inline request does.
-        let payload = [9u8, 8, 7, 6, 5, 4, 3, 2];
-        let scheme = Scheme::Opt(CostWeights::new(2, 5).unwrap());
-        let v1 = encode_v1_request(0xC0DE, scheme, 4, 8, true, &payload);
-        let (Frame::EncodeRequest(view), consumed) = decode_frame(&v1).unwrap() else {
-            panic!("wrong frame type");
-        };
-        assert_eq!(consumed, v1.len());
-        assert_eq!(view.session_id, 0xC0DE);
-        assert_eq!(view.scheme, scheme);
-        assert_eq!(view.cost_model, CostModel::Inline);
-        assert_eq!(view.payload, &payload);
-
-        // v1 response/error/metrics bodies are byte-identical to v2:
-        // re-stamping a v2 frame's version byte must decode unchanged.
-        let mut buf = Vec::new();
-        EncodeResponseFrame {
-            session_id: 3,
-            bursts: 4,
-            per_group: &[CostBreakdown::new(1, 2)],
-            masks: &[InversionMask::from_bits(5)],
-        }
-        .encode_into(&mut buf);
-        encode_metrics_request(&mut buf);
-        encode_metrics_response(&mut buf, "{}");
-        ErrorFrame {
-            code: ErrorCode::Overloaded,
-            message: "busy",
-        }
-        .encode_into(&mut buf);
-        let mut offset = 0;
-        while offset < buf.len() {
-            let (v2_frame, len) = decode_frame(&buf[offset..]).unwrap();
-            let mut v1_bytes = buf[offset..offset + len].to_vec();
-            v1_bytes[2] = LEGACY_VERSION;
-            let (v1_frame, v1_len) = decode_frame(&v1_bytes).unwrap();
-            assert_eq!(v1_len, len);
-            assert_eq!(v1_frame, v2_frame);
-            offset += len;
-        }
-
-        // Anything beyond the two known versions stays rejected.
-        let mut future = encode_v1_request(1, Scheme::Raw, 1, 8, false, &[0u8; 8]);
-        future[2] = VERSION + 1;
-        assert_eq!(
-            decode_frame(&future),
-            Err(WireError::UnsupportedVersion(VERSION + 1))
-        );
     }
 
     #[test]
@@ -2680,30 +2264,7 @@ mod tests {
     }
 
     #[test]
-    fn durability_tags_do_not_exist_below_v6() {
-        let mut frames = Vec::new();
-        encode_snapshot_request(&mut frames);
-        encode_snapshot_status_request(&mut frames);
-        encode_restore_request(&mut frames);
-        SnapshotStatus::default().encode_into(&mut frames);
-        let mut offset = 0;
-        while offset < frames.len() {
-            let (_, len) = decode_frame(&frames[offset..]).unwrap();
-            let mut old = frames[offset..offset + len].to_vec();
-            old[2] = V5_VERSION;
-            let tag = old[3];
-            assert_eq!(
-                decode_frame(&old),
-                Err(WireError::UnknownFrameType(tag)),
-                "a v5 header must treat durability tag {tag} as unknown"
-            );
-            offset += len;
-        }
-    }
-
-    #[test]
-    fn session_limit_code_roundtrips_and_downgrades() {
-        // The v6 code survives the wire…
+    fn session_limit_code_roundtrips() {
         let mut buf = Vec::new();
         ErrorFrame {
             code: ErrorCode::SessionLimit,
@@ -2714,23 +2275,6 @@ mod tests {
             panic!("wrong frame type");
         };
         assert_eq!(view.code, ErrorCode::SessionLimit);
-
-        // …and the writer downgrades it for pre-v6 peers, leaving every
-        // older code untouched under every version.
-        for version in LEGACY_VERSION..DURABILITY_MIN_VERSION {
-            assert_eq!(
-                ErrorCode::SessionLimit.downgrade_for(version),
-                ErrorCode::Overloaded
-            );
-            assert_eq!(
-                ErrorCode::VerifyMismatch.downgrade_for(version),
-                ErrorCode::VerifyMismatch
-            );
-        }
-        assert_eq!(
-            ErrorCode::SessionLimit.downgrade_for(DURABILITY_MIN_VERSION),
-            ErrorCode::SessionLimit
-        );
         assert_eq!(ErrorCode::from_u8(11), Ok(ErrorCode::SessionLimit));
         assert_eq!(ErrorCode::from_u8(12), Err(WireError::UnknownErrorCode(12)));
     }

@@ -1,4 +1,4 @@
-//! End-to-end tests of the protocol-2 cost-model plane: one process, one
+//! End-to-end tests of the cost-model plane: one process, one
 //! engine, TCP clients opening sessions whose (α, β) come from different
 //! sources — raw runtime coefficients and a named phy operating point —
 //! with every stream checked bit-identically against a serial

@@ -146,7 +146,7 @@ fn steady_state_requests_are_allocation_free() {
         "cost-model requests must not allocate once warm (observed {costed_steady})"
     );
 
-    // The protocol-3 batch path rides the same slot and the same worker
+    // The batch path rides the same slot and the same worker
     // slab, so it keeps the guarantee: a warmed-up encode_batch loop is
     // allocation-free end to end.
     let batch = EncodeBatchRequest {

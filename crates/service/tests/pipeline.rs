@@ -1,6 +1,7 @@
-//! End-to-end tests of protocol-5 pipelining over the event-driven
-//! connection plane: many requests in flight on one connection, matched
-//! to responses by request id.
+//! End-to-end tests of pipelining over the event-driven connection
+//! plane: many requests in flight on one connection, matched to
+//! responses by request id — plus the plane's framing contract, driven
+//! over a raw socket.
 //!
 //! The ordering contract under test:
 //!
@@ -14,12 +15,14 @@
 
 use dbi_core::{InversionMask, Scheme};
 use dbi_mem::BusSession;
-use dbi_service::wire::ErrorCode;
+use dbi_service::wire::{self, ErrorCode, Frame, PipelinedRequestFrame, WireError};
 use dbi_service::{
-    CostModel, EncodeReply, EncodeRequest, Engine, PipelinedClient, ServiceConfig, TcpServer,
-    VerifyMode,
+    CostModel, EncodeBatchRequest, EncodeReply, EncodeRequest, Engine, PipelinedClient,
+    ServiceConfig, TcpServer, VerifyMode,
 };
 use std::collections::HashMap;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 const GROUPS: u16 = 4;
@@ -220,6 +223,156 @@ fn per_request_failures_echo_their_id_and_keep_the_connection() {
     let (code, message) = outcomes[&failing].clone().expect("bad payload must fail");
     assert_eq!(code, ErrorCode::BadPayload);
     assert!(message.contains("31"), "{message}");
+
+    server.shutdown();
+    engine.shutdown();
+}
+
+/// A batch whose count disagrees with its payload is well framed but
+/// undecodable: it completes with `BadRequest` under its own id, and the
+/// request behind it is served normally.
+#[test]
+fn a_malformed_batch_completes_under_its_own_id() {
+    let engine = Engine::start(ServiceConfig::default());
+    let server = TcpServer::bind(&engine, "127.0.0.1:0").unwrap();
+    let mut client = PipelinedClient::connect(server.addr()).unwrap();
+    let payload = pseudo_random(ACCESS_BYTES, 0x3B); // four bursts
+
+    let bad = client
+        .submit_batch(&EncodeBatchRequest {
+            session_id: 1,
+            scheme: Scheme::OptFixed,
+            cost_model: CostModel::Inline,
+            groups: GROUPS,
+            burst_len: BURST_LEN,
+            want_masks: true,
+            verify: VerifyMode::Off,
+            count: 3,
+            payload: &payload,
+        })
+        .unwrap();
+    let good = client.submit(&request(1, &payload)).unwrap();
+
+    let mut reply = EncodeReply::new();
+    let done = client.next_completion(&mut reply).unwrap();
+    assert_eq!(done.request_id, bad);
+    let (code, message) = done.error.expect("a miscounted batch must fail");
+    assert_eq!(code, ErrorCode::BadRequest);
+    assert!(message.contains("count"), "{message}");
+    let done = client.next_completion(&mut reply).unwrap();
+    assert_eq!(done.request_id, good);
+    assert!(done.is_ok(), "{:?}", done.error);
+    assert_eq!(reply.masks, reference_masks(&payload));
+    assert_eq!(client.in_flight(), 0);
+
+    server.shutdown();
+    engine.shutdown();
+}
+
+/// A raw connection to a fresh server, with a read timeout so a missing
+/// answer fails the test instead of hanging it.
+fn raw_connection(server: &TcpServer) -> TcpStream {
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+}
+
+/// Reads one whole frame off `stream` (buffering through `buf`) and
+/// returns its bytes.
+fn next_raw_frame(stream: &mut TcpStream, buf: &mut Vec<u8>) -> Vec<u8> {
+    loop {
+        match wire::decode_frame(buf) {
+            Ok((_, len)) => return buf.drain(..len).collect(),
+            Err(WireError::Truncated { .. }) => {}
+            Err(err) => panic!("the service sent a malformed frame: {err}"),
+        }
+        let mut chunk = [0u8; 4096];
+        let n = stream
+            .read(&mut chunk)
+            .expect("an answer before the timeout");
+        assert!(n > 0, "the service closed before a whole frame arrived");
+        buf.extend_from_slice(&chunk[..n]);
+    }
+}
+
+/// Asserts `frame` is a plain `BadRequest` error frame.
+fn assert_bad_request(frame: &[u8]) {
+    match wire::decode_frame(frame) {
+        Ok((Frame::Error(error), _)) => assert_eq!(error.code, ErrorCode::BadRequest),
+        other => panic!("expected a plain BadRequest error, got {other:?}"),
+    }
+}
+
+/// A header the plane cannot frame — bad magic, or any version but the
+/// current one — is answered with exactly one `BadRequest` error frame,
+/// then the connection closes.
+#[test]
+fn unframeable_headers_get_one_bad_request_then_eof() {
+    let engine = Engine::start(ServiceConfig::default());
+    let server = TcpServer::bind(&engine, "127.0.0.1:0").unwrap();
+    let mut metrics = Vec::new();
+    wire::encode_metrics_request(&mut metrics);
+    let mut bad_magic = metrics.clone();
+    bad_magic[..2].copy_from_slice(b"XB");
+    let mut old_version = metrics;
+    old_version[2] = 6;
+
+    for header in [bad_magic, old_version] {
+        let mut stream = raw_connection(&server);
+        stream.write_all(&header).unwrap();
+        let mut buf = Vec::new();
+        assert_bad_request(&next_raw_frame(&mut stream, &mut buf));
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).unwrap();
+        buf.extend_from_slice(&rest);
+        assert!(buf.is_empty(), "more than one answer: {buf:?}");
+    }
+
+    server.shutdown();
+    engine.shutdown();
+}
+
+/// A well-framed frame under a retired tag (the plain encode request,
+/// response, batch request and batch response) gets `BadRequest`, and the
+/// connection keeps serving id-tagged requests behind it.
+#[test]
+fn retired_tags_get_bad_request_and_keep_the_connection() {
+    let engine = Engine::start(ServiceConfig::default());
+    let server = TcpServer::bind(&engine, "127.0.0.1:0").unwrap();
+    let mut stream = raw_connection(&server);
+    let payload = pseudo_random(ACCESS_BYTES, 0x7A);
+    let mut buf = Vec::new();
+
+    for (request_id, retired) in [1u8, 2, 6, 7].into_iter().enumerate() {
+        let mut frame = Vec::new();
+        PipelinedRequestFrame {
+            request_id: request_id as u64,
+            request: request(1, &payload),
+        }
+        .encode_into(&mut frame);
+        let mut stale = frame.clone();
+        stale[3] = retired;
+        stream.write_all(&stale).unwrap();
+        assert_bad_request(&next_raw_frame(&mut stream, &mut buf));
+
+        stream.write_all(&frame).unwrap();
+        let answer = next_raw_frame(&mut stream, &mut buf);
+        match wire::decode_frame(&answer) {
+            Ok((
+                Frame::PipelinedResponse {
+                    request_id: echoed,
+                    response,
+                },
+                _,
+            )) => {
+                assert_eq!(echoed, request_id as u64);
+                assert_eq!(response.session_id, 1);
+            }
+            other => panic!("tag {retired}: expected a served request, got {other:?}"),
+        }
+    }
 
     server.shutdown();
     engine.shutdown();

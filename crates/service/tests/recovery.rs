@@ -10,7 +10,7 @@
 //! over the whole stream. Runs identically on both dispatch arms
 //! (`DBI_FORCE_SCALAR=1` pins the scalar tier; CI runs both).
 //!
-//! Also covers the protocol-6 admin surface end to end: snapshot /
+//! Also covers the durability admin surface end to end: snapshot /
 //! status / restore frames over a real socket, and the typed refusal
 //! when the engine runs without a persist directory.
 

@@ -1,6 +1,6 @@
 //! End-to-end proof of the telemetry plane over TCP:
 //!
-//! * A `TraceDump` drained through the protocol-4 wire frame yields one
+//! * A `TraceDump` drained through its wire frame yields one
 //!   event per executed request with **consistent spans**: the timeline
 //!   is ordered by enqueue time, request ids are unique, and the staged
 //!   durations (queue wait + encode + verify) never exceed the total —

@@ -3,21 +3,25 @@
 //! Seeded, deterministic (the vendored `rand` is a fixed xoshiro256**
 //! stream): arbitrary frames must round-trip bit-exactly through
 //! encode → decode, and mangled input — truncated at *every* possible
-//! boundary, oversized, wrong version, random corruption — must come back
-//! as a typed [`WireError`], never a panic.
+//! boundary, oversized, wrong version, retired tag, random corruption —
+//! must come back as a typed [`WireError`], never a panic.
 
 use dbi_core::{CostBreakdown, CostWeights, InversionMask, Scheme};
 use dbi_phy::{NamedInterface, OperatingPoint};
 use dbi_service::wire::{
     decode_frame, encode_metrics_request, encode_metrics_response, CostModel,
     EncodeBatchRequestFrame, EncodeBatchResponseFrame, EncodeRequestFrame, EncodeResponseFrame,
-    ErrorCode, ErrorFrame, Frame, VerifyMode, WireError, BATCH_REQUEST_HEAD_LEN, HEADER_LEN,
-    LEGACY_VERSION, V2_VERSION, VERSION,
+    ErrorCode, ErrorFrame, Frame, PipelinedBatchRequestFrame, PipelinedBatchResponseFrame,
+    PipelinedErrorFrame, PipelinedRequestFrame, PipelinedResponseFrame, VerifyMode, WireError,
+    BATCH_REQUEST_HEAD_LEN, HEADER_LEN, REQUEST_HEAD_LEN, REQUEST_ID_WIRE_BYTES, VERSION,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const ROUNDS: usize = 200;
+
+/// Offset of an encode body inside its frame: header plus request id.
+const BODY_AT: usize = HEADER_LEN + REQUEST_ID_WIRE_BYTES;
 
 fn arbitrary_scheme(rng: &mut StdRng) -> Scheme {
     let alpha = rng.gen_range(1u32..6);
@@ -49,20 +53,55 @@ fn arbitrary_cost_model(rng: &mut StdRng) -> CostModel {
     }
 }
 
-type ArbitraryRequest = (u64, Scheme, CostModel, u16, u8, bool);
+fn arbitrary_verify(rng: &mut StdRng) -> VerifyMode {
+    if rng.gen::<bool>() {
+        VerifyMode::RoundTrip
+    } else {
+        VerifyMode::Off
+    }
+}
 
-fn arbitrary_request(rng: &mut StdRng, payload: &mut Vec<u8>) -> ArbitraryRequest {
+/// An arbitrary encode request body over a fresh random payload.
+fn arbitrary_request<'a>(rng: &mut StdRng, payload: &'a mut Vec<u8>) -> EncodeRequestFrame<'a> {
     payload.clear();
     let len = rng.gen_range(0usize..256);
     payload.extend((0..len).map(|_| rng.gen::<u8>()));
-    (
-        rng.gen::<u64>(),
-        arbitrary_scheme(rng),
-        arbitrary_cost_model(rng),
-        rng.gen::<u16>(),
-        rng.gen::<u8>(),
-        rng.gen::<bool>(),
-    )
+    EncodeRequestFrame {
+        session_id: rng.gen::<u64>(),
+        scheme: arbitrary_scheme(rng),
+        cost_model: arbitrary_cost_model(rng),
+        groups: rng.gen::<u16>(),
+        burst_len: rng.gen::<u8>(),
+        want_masks: rng.gen::<bool>(),
+        verify: arbitrary_verify(rng),
+        payload: &payload[..],
+    }
+}
+
+/// Appends the id-tagged frame carrying `request`.
+fn push_request(buf: &mut Vec<u8>, request_id: u64, request: EncodeRequestFrame<'_>) {
+    PipelinedRequestFrame {
+        request_id,
+        request,
+    }
+    .encode_into(buf);
+}
+
+/// Arbitrary per-group records and masks for a response.
+fn arbitrary_records(rng: &mut StdRng) -> (Vec<CostBreakdown>, Vec<InversionMask>) {
+    let per_group = (0..rng.gen_range(0usize..16))
+        .map(|_| CostBreakdown::new(rng.gen::<u64>(), rng.gen::<u64>()))
+        .collect();
+    let masks = (0..rng.gen_range(0usize..64))
+        .map(|_| InversionMask::from_bits(rng.gen::<u32>()))
+        .collect();
+    (per_group, masks)
+}
+
+fn arbitrary_message(rng: &mut StdRng) -> String {
+    (0..rng.gen_range(0usize..64))
+        .map(|_| char::from(rng.gen_range(b' '..b'~')))
+        .collect()
 }
 
 #[test]
@@ -71,32 +110,33 @@ fn arbitrary_requests_roundtrip() {
     let mut payload = Vec::new();
     let mut buf = Vec::new();
     for _ in 0..ROUNDS {
-        let (session_id, scheme, cost_model, groups, burst_len, want_masks) =
-            arbitrary_request(&mut rng, &mut payload);
-        let frame = EncodeRequestFrame {
-            session_id,
-            scheme,
-            cost_model,
-            groups,
-            burst_len,
-            want_masks,
-            verify: VerifyMode::Off,
-            payload: &payload,
-        };
+        let frame = arbitrary_request(&mut rng, &mut payload);
+        let request_id = rng.gen::<u64>();
         buf.clear();
-        frame.encode_into(&mut buf);
+        push_request(&mut buf, request_id, frame);
         let (decoded, consumed) = decode_frame(&buf).expect("a well-formed frame must decode");
         assert_eq!(consumed, buf.len());
-        let Frame::EncodeRequest(view) = decoded else {
+        let Frame::PipelinedRequest {
+            request_id: echoed,
+            request: view,
+        } = decoded
+        else {
             panic!("round trip changed the frame type");
         };
-        assert_eq!(view.session_id, session_id);
-        assert_eq!(view.scheme, scheme);
-        assert_eq!(view.cost_model, cost_model);
-        assert_eq!(view.groups, groups);
-        assert_eq!(view.burst_len, burst_len);
-        assert_eq!(view.want_masks, want_masks);
-        assert_eq!(view.payload, payload.as_slice());
+        assert_eq!(echoed, request_id);
+        assert_eq!(view.session_id, frame.session_id);
+        assert_eq!(view.scheme, frame.scheme);
+        assert_eq!(view.cost_model, frame.cost_model);
+        assert_eq!(view.groups, frame.groups);
+        assert_eq!(view.burst_len, frame.burst_len);
+        assert_eq!(view.want_masks, frame.want_masks);
+        assert_eq!(view.verify, frame.verify);
+        assert_eq!(view.payload, frame.payload);
+        // Zero-copy: the payload view points into the frame buffer.
+        assert!(core::ptr::eq(
+            view.payload.as_ptr(),
+            buf[BODY_AT + REQUEST_HEAD_LEN..].as_ptr()
+        ));
     }
 }
 
@@ -105,30 +145,36 @@ fn arbitrary_responses_roundtrip() {
     let mut rng = StdRng::seed_from_u64(0xB0B);
     let mut buf = Vec::new();
     for _ in 0..ROUNDS {
-        let groups = rng.gen_range(0usize..16);
-        let masks = rng.gen_range(0usize..64);
-        let per_group: Vec<CostBreakdown> = (0..groups)
-            .map(|_| CostBreakdown::new(rng.gen::<u64>(), rng.gen::<u64>()))
-            .collect();
-        let mask_list: Vec<InversionMask> = (0..masks)
-            .map(|_| InversionMask::from_bits(rng.gen::<u32>()))
-            .collect();
+        let (per_group, masks) = arbitrary_records(&mut rng);
+        let request_id = rng.gen::<u64>();
         let frame = EncodeResponseFrame {
             session_id: rng.gen::<u64>(),
             bursts: rng.gen::<u64>(),
             per_group: &per_group,
-            masks: &mask_list,
+            masks: &masks,
         };
         buf.clear();
-        frame.encode_into(&mut buf);
-        let (Frame::EncodeResponse(view), consumed) = decode_frame(&buf).unwrap() else {
+        PipelinedResponseFrame {
+            request_id,
+            response: frame,
+        }
+        .encode_into(&mut buf);
+        let (
+            Frame::PipelinedResponse {
+                request_id: echoed,
+                response: view,
+            },
+            consumed,
+        ) = decode_frame(&buf).unwrap()
+        else {
             panic!("round trip changed the frame type");
         };
         assert_eq!(consumed, buf.len());
+        assert_eq!(echoed, request_id);
         assert_eq!(view.session_id, frame.session_id);
         assert_eq!(view.bursts, frame.bursts);
         assert_eq!(view.per_group().collect::<Vec<_>>(), per_group);
-        assert_eq!(view.masks().collect::<Vec<_>>(), mask_list);
+        assert_eq!(view.masks().collect::<Vec<_>>(), masks);
     }
 }
 
@@ -144,22 +190,42 @@ fn arbitrary_error_and_metrics_frames_roundtrip() {
         ErrorCode::BadRequest,
         ErrorCode::Internal,
         ErrorCode::BadCostModel,
+        ErrorCode::VerifyMismatch,
+        ErrorCode::SlowConsumer,
+        ErrorCode::SessionLimit,
     ];
     let mut buf = Vec::new();
     for _ in 0..ROUNDS {
         let code = codes[rng.gen_range(0usize..codes.len())];
-        let message: String = (0..rng.gen_range(0usize..64))
-            .map(|_| char::from(rng.gen_range(b' '..b'~')))
-            .collect();
-        buf.clear();
-        ErrorFrame {
+        let message = arbitrary_message(&mut rng);
+        let error = ErrorFrame {
             code,
             message: &message,
-        }
-        .encode_into(&mut buf);
+        };
+        buf.clear();
+        error.encode_into(&mut buf);
         let (Frame::Error(view), _) = decode_frame(&buf).unwrap() else {
             panic!("round trip changed the frame type");
         };
+        assert_eq!(view.code, code);
+        assert_eq!(view.message, message);
+
+        // The same error behind a request id.
+        let request_id = rng.gen::<u64>();
+        buf.clear();
+        PipelinedErrorFrame { request_id, error }.encode_into(&mut buf);
+        let (
+            Frame::PipelinedError {
+                request_id: echoed,
+                error: view,
+            },
+            consumed,
+        ) = decode_frame(&buf).unwrap()
+        else {
+            panic!("round trip changed the frame type");
+        };
+        assert_eq!(consumed, buf.len());
+        assert_eq!(echoed, request_id);
         assert_eq!(view.code, code);
         assert_eq!(view.message, message);
 
@@ -172,40 +238,36 @@ fn arbitrary_error_and_metrics_frames_roundtrip() {
     }
 }
 
-/// Every strict prefix of a valid frame must decode to `Truncated` — and
-/// the reported `needed` must point at (or beyond) the missing bytes.
+/// Asserts every strict prefix of `frame` decodes to `Truncated`, with
+/// the reported `needed` pointing beyond the cut.
+fn assert_every_prefix_is_truncated(frame: &[u8]) {
+    for cut in 0..frame.len() {
+        match decode_frame(&frame[..cut]) {
+            Err(WireError::Truncated { needed, got }) => {
+                assert_eq!(got, cut);
+                assert!(
+                    needed > cut,
+                    "cut at {cut}: needed {needed} must exceed the cut"
+                );
+            }
+            other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
+        }
+    }
+}
+
+/// Every strict prefix of a valid request frame — the header, the
+/// request-id field, and everywhere inside the body — must decode to
+/// `Truncated`, never a panic or a wrong type.
 #[test]
 fn every_truncation_is_rejected_without_panicking() {
     let mut rng = StdRng::seed_from_u64(0xD00D);
     let mut payload = Vec::new();
     let mut buf: Vec<u8> = Vec::new();
     for _ in 0..16 {
-        let (session_id, scheme, cost_model, groups, burst_len, want_masks) =
-            arbitrary_request(&mut rng, &mut payload);
+        let frame = arbitrary_request(&mut rng, &mut payload);
         buf.clear();
-        EncodeRequestFrame {
-            session_id,
-            scheme,
-            cost_model,
-            groups,
-            burst_len,
-            want_masks,
-            verify: VerifyMode::Off,
-            payload: &payload,
-        }
-        .encode_into(&mut buf);
-        for cut in 0..buf.len() {
-            match decode_frame(&buf[..cut]) {
-                Err(WireError::Truncated { needed, got }) => {
-                    assert_eq!(got, cut);
-                    assert!(
-                        needed > cut,
-                        "cut at {cut}: needed {needed} must exceed the cut"
-                    );
-                }
-                other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
-            }
-        }
+        push_request(&mut buf, rng.gen::<u64>(), frame);
+        assert_every_prefix_is_truncated(&buf);
     }
 }
 
@@ -233,29 +295,16 @@ fn corrupt_headers_are_typed_errors_never_panics() {
     buf.copy_from_slice(&reference);
 
     // Random single-byte corruption of a real request frame: decoding may
-    // succeed (payload bytes are arbitrary) but must never panic, and a
-    // corrupted *header* must never be accepted as a different length.
+    // succeed (payload bytes are arbitrary) but must never panic.
     let mut payload = Vec::new();
     let mut frame = Vec::new();
-    for round in 0..64 {
-        let (session_id, scheme, cost_model, groups, burst_len, want_masks) =
-            arbitrary_request(&mut rng, &mut payload);
+    for _ in 0..64 {
+        let request = arbitrary_request(&mut rng, &mut payload);
         frame.clear();
-        EncodeRequestFrame {
-            session_id,
-            scheme,
-            cost_model,
-            groups,
-            burst_len,
-            want_masks,
-            verify: VerifyMode::Off,
-            payload: &payload,
-        }
-        .encode_into(&mut frame);
+        push_request(&mut frame, rng.gen::<u64>(), request);
         let index = rng.gen_range(0usize..frame.len());
         frame[index] ^= 1 << rng.gen_range(0u8..8);
         let _ = decode_frame(&frame); // must not panic
-        let _ = round;
     }
 
     // Random garbage buffers of every small length: same bar.
@@ -265,56 +314,160 @@ fn corrupt_headers_are_typed_errors_never_panics() {
     }
 }
 
+/// One well-formed frame of every tag the protocol defines.
+fn one_frame_of_every_tag(rng: &mut StdRng) -> Vec<Vec<u8>> {
+    use dbi_service::wire::{
+        encode_restore_request, encode_slowlog_request, encode_slowlog_response,
+        encode_snapshot_request, encode_snapshot_status_request, encode_trace_dump_request,
+        encode_trace_dump_response, SnapshotStatus,
+    };
+    let mut payload = Vec::new();
+    let request = arbitrary_request(rng, &mut payload);
+    let mut batch_payload = Vec::new();
+    let batch = arbitrary_batch(rng, &mut batch_payload);
+    let (per_group, masks) = arbitrary_records(rng);
+    let error = ErrorFrame {
+        code: ErrorCode::Overloaded,
+        message: "busy",
+    };
+    let mut frames = Vec::new();
+    let mut push = |encode: &dyn Fn(&mut Vec<u8>)| {
+        let mut buf = Vec::new();
+        encode(&mut buf);
+        frames.push(buf);
+    };
+    push(&|buf| error.encode_into(buf));
+    push(&|buf| encode_metrics_request(buf));
+    push(&|buf| encode_metrics_response(buf, "{}"));
+    push(&|buf| encode_trace_dump_request(buf, 8));
+    push(&|buf| encode_trace_dump_response(buf, &[]));
+    push(&|buf| encode_slowlog_request(buf, 8));
+    push(&|buf| encode_slowlog_response(buf, 1, &[]));
+    push(&|buf| push_request(buf, 1, request));
+    push(&|buf| {
+        PipelinedResponseFrame {
+            request_id: 1,
+            response: EncodeResponseFrame {
+                session_id: request.session_id,
+                bursts: 1,
+                per_group: &per_group,
+                masks: &masks,
+            },
+        }
+        .encode_into(buf)
+    });
+    push(&|buf| push_batch(buf, 1, batch));
+    push(&|buf| {
+        PipelinedBatchResponseFrame {
+            request_id: 1,
+            response: EncodeBatchResponseFrame {
+                session_id: batch.session_id,
+                bursts: 1,
+                count: batch.count,
+                per_group: &per_group,
+                masks: &masks,
+            },
+        }
+        .encode_into(buf)
+    });
+    push(&|buf| {
+        PipelinedErrorFrame {
+            request_id: 1,
+            error,
+        }
+        .encode_into(buf)
+    });
+    push(&|buf| encode_snapshot_request(buf));
+    push(&|buf| encode_snapshot_status_request(buf));
+    push(&|buf| encode_restore_request(buf));
+    push(&|buf| SnapshotStatus::default().encode_into(buf));
+    frames
+}
+
+/// The protocol speaks exactly one version and has one encode framing:
+/// every frame restamped with any other version is `UnsupportedVersion`,
+/// and any body under a retired tag (1, 2, 6 or 7, the plain encode
+/// request/response and batch request/response) is `UnknownFrameType`.
+#[test]
+fn only_the_current_version_and_the_id_tagged_encode_frames_decode() {
+    let mut rng = StdRng::seed_from_u64(0x0007_0007);
+    for _ in 0..8 {
+        let frames = one_frame_of_every_tag(&mut rng);
+        let mut tags: Vec<u8> = frames.iter().map(|frame| frame[3]).collect();
+        tags.sort_unstable();
+        assert_eq!(
+            tags,
+            [3, 4, 5, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20]
+        );
+        for frame in &frames {
+            assert!(decode_frame(frame).is_ok(), "tag {}", frame[3]);
+            for version in (0..=u8::MAX).filter(|&v| v != VERSION) {
+                let mut stamped = frame.clone();
+                stamped[2] = version;
+                assert_eq!(
+                    decode_frame(&stamped),
+                    Err(WireError::UnsupportedVersion(version)),
+                    "tag {} under version {version}",
+                    frame[3]
+                );
+            }
+            for retired in [1u8, 2, 6, 7] {
+                let mut stamped = frame.clone();
+                stamped[3] = retired;
+                assert_eq!(
+                    decode_frame(&stamped),
+                    Err(WireError::UnknownFrameType(retired)),
+                    "a tag {} body under retired tag {retired}",
+                    frame[3]
+                );
+            }
+        }
+    }
+}
+
 /// Every byte of the cost-model field corrupted to every value: decoding
 /// either succeeds (the mutation landed on a don't-care pad byte or
 /// produced another valid model) or yields a typed cost-model error —
 /// never a panic, and never a frame that silently misreports its model.
 #[test]
 fn cost_model_field_corruption_is_exhaustively_typed() {
-    use dbi_service::wire::{COST_MODEL_WIRE_BYTES, HEADER_LEN};
+    use dbi_service::wire::COST_MODEL_WIRE_BYTES;
     let mut rng = StdRng::seed_from_u64(0xC057);
     let mut payload = Vec::new();
     let mut pristine = Vec::new();
     // The cost-model field sits after session_id (8), scheme tag (1) and
     // the scheme weights (8).
-    let field_at = HEADER_LEN + 8 + 1 + 8;
+    let field_at = BODY_AT + 8 + 1 + 8;
     for _ in 0..8 {
-        let (session_id, scheme, cost_model, groups, burst_len, want_masks) =
-            arbitrary_request(&mut rng, &mut payload);
+        let request = arbitrary_request(&mut rng, &mut payload);
         pristine.clear();
-        EncodeRequestFrame {
-            session_id,
-            scheme,
-            cost_model,
-            groups,
-            burst_len,
-            want_masks,
-            verify: VerifyMode::Off,
-            payload: &payload,
-        }
-        .encode_into(&mut pristine);
+        push_request(&mut pristine, 1, request);
         for offset in 0..COST_MODEL_WIRE_BYTES {
             for value in 0..=255u8 {
                 let mut frame = pristine.clone();
                 frame[field_at + offset] = value;
                 match decode_frame(&frame) {
-                    Ok((Frame::EncodeRequest(view), consumed)) => {
+                    Ok((Frame::PipelinedRequest { request: view, .. }, consumed)) => {
                         assert_eq!(consumed, frame.len());
                         // Whatever decoded must re-encode to the same
                         // model when written back out.
                         let mut reencoded = Vec::new();
-                        EncodeRequestFrame {
-                            session_id: view.session_id,
-                            scheme: view.scheme,
-                            cost_model: view.cost_model,
-                            groups: view.groups,
-                            burst_len: view.burst_len,
-                            want_masks: view.want_masks,
-                            verify: VerifyMode::Off,
-                            payload: view.payload,
-                        }
-                        .encode_into(&mut reencoded);
-                        let (Frame::EncodeRequest(again), _) = decode_frame(&reencoded).unwrap()
+                        push_request(
+                            &mut reencoded,
+                            1,
+                            EncodeRequestFrame {
+                                session_id: view.session_id,
+                                scheme: view.scheme,
+                                cost_model: view.cost_model,
+                                groups: view.groups,
+                                burst_len: view.burst_len,
+                                want_masks: view.want_masks,
+                                verify: view.verify,
+                                payload: view.payload,
+                            },
+                        );
+                        let (Frame::PipelinedRequest { request: again, .. }, _) =
+                            decode_frame(&reencoded).unwrap()
                         else {
                             panic!("re-encode changed the frame type");
                         };
@@ -336,59 +489,6 @@ fn cost_model_field_corruption_is_exhaustively_typed() {
     }
 }
 
-/// Arbitrary v1 request frames (hand-assembled in the legacy layout)
-/// still decode, with the cost model defaulting to `Inline` — the
-/// documented compatibility contract of the version-2 protocol.
-#[test]
-fn legacy_v1_requests_decode_with_an_inline_cost_model() {
-    use dbi_service::wire::V1_REQUEST_HEAD_LEN;
-    let mut rng = StdRng::seed_from_u64(0x1E9AC);
-    let mut payload = Vec::new();
-    for _ in 0..ROUNDS {
-        let (session_id, scheme, _, groups, burst_len, want_masks) =
-            arbitrary_request(&mut rng, &mut payload);
-        // v2 encode, then surgically rewrite into the v1 layout: drop the
-        // 13-byte cost-model field and fix up the lengths.
-        let mut v2 = Vec::new();
-        EncodeRequestFrame {
-            session_id,
-            scheme,
-            cost_model: CostModel::Inline,
-            groups,
-            burst_len,
-            want_masks,
-            verify: VerifyMode::Off,
-            payload: &payload,
-        }
-        .encode_into(&mut v2);
-        let mut v1 = v2.clone();
-        v1[2] = LEGACY_VERSION;
-        let field_at = 8 + 8 + 1 + 8;
-        v1.drain(field_at..field_at + 13);
-        let body_len = (V1_REQUEST_HEAD_LEN + payload.len()) as u32;
-        v1[4..8].copy_from_slice(&body_len.to_le_bytes());
-
-        let (Frame::EncodeRequest(view), consumed) =
-            decode_frame(&v1).expect("v1 frames must decode")
-        else {
-            panic!("wrong frame type");
-        };
-        assert_eq!(consumed, v1.len());
-        assert_eq!(view.session_id, session_id);
-        assert_eq!(view.scheme, scheme);
-        assert_eq!(view.cost_model, CostModel::Inline);
-        assert_eq!(view.payload, payload.as_slice());
-
-        // And every truncation of the v1 frame is still a typed error.
-        for cut in 0..v1.len() {
-            assert!(
-                matches!(decode_frame(&v1[..cut]), Err(WireError::Truncated { .. })),
-                "v1 cut at {cut} must be Truncated"
-            );
-        }
-    }
-}
-
 /// A well-formed arbitrary batch: coherent burst_len / count / payload.
 fn arbitrary_batch<'a>(rng: &mut StdRng, payload: &'a mut Vec<u8>) -> EncodeBatchRequestFrame<'a> {
     let burst_len = rng.gen_range(1u8..33);
@@ -402,10 +502,19 @@ fn arbitrary_batch<'a>(rng: &mut StdRng, payload: &'a mut Vec<u8>) -> EncodeBatc
         groups: rng.gen::<u16>(),
         burst_len,
         want_masks: rng.gen::<bool>(),
-        verify: VerifyMode::Off,
+        verify: arbitrary_verify(rng),
         count,
         payload: &payload[..],
     }
+}
+
+/// Appends the id-tagged frame carrying `request`.
+fn push_batch(buf: &mut Vec<u8>, request_id: u64, request: EncodeBatchRequestFrame<'_>) {
+    PipelinedBatchRequestFrame {
+        request_id,
+        request,
+    }
+    .encode_into(buf);
 }
 
 #[test]
@@ -415,25 +524,32 @@ fn arbitrary_batch_requests_roundtrip() {
     let mut buf = Vec::new();
     for _ in 0..ROUNDS {
         let frame = arbitrary_batch(&mut rng, &mut payload);
+        let request_id = rng.gen::<u64>();
         buf.clear();
-        frame.encode_into(&mut buf);
+        push_batch(&mut buf, request_id, frame);
         let (decoded, consumed) = decode_frame(&buf).expect("a well-formed batch must decode");
         assert_eq!(consumed, buf.len());
-        let Frame::EncodeBatchRequest(view) = decoded else {
+        let Frame::PipelinedBatchRequest {
+            request_id: echoed,
+            request: view,
+        } = decoded
+        else {
             panic!("round trip changed the frame type");
         };
+        assert_eq!(echoed, request_id);
         assert_eq!(view.session_id, frame.session_id);
         assert_eq!(view.scheme, frame.scheme);
         assert_eq!(view.cost_model, frame.cost_model);
         assert_eq!(view.groups, frame.groups);
         assert_eq!(view.burst_len, frame.burst_len);
         assert_eq!(view.want_masks, frame.want_masks);
+        assert_eq!(view.verify, frame.verify);
         assert_eq!(view.count, frame.count);
         assert_eq!(view.payload, frame.payload);
         // Zero-copy: the payload view points into the frame buffer.
         assert!(core::ptr::eq(
             view.payload.as_ptr(),
-            &buf[HEADER_LEN + BATCH_REQUEST_HEAD_LEN]
+            &buf[BODY_AT + BATCH_REQUEST_HEAD_LEN]
         ));
     }
 }
@@ -443,37 +559,43 @@ fn arbitrary_batch_responses_roundtrip() {
     let mut rng = StdRng::seed_from_u64(0xBA7C5);
     let mut buf = Vec::new();
     for _ in 0..ROUNDS {
-        let groups = rng.gen_range(0usize..16);
-        let masks = rng.gen_range(0usize..64);
-        let per_group: Vec<CostBreakdown> = (0..groups)
-            .map(|_| CostBreakdown::new(rng.gen::<u64>(), rng.gen::<u64>()))
-            .collect();
-        let mask_list: Vec<InversionMask> = (0..masks)
-            .map(|_| InversionMask::from_bits(rng.gen::<u32>()))
-            .collect();
+        let (per_group, masks) = arbitrary_records(&mut rng);
+        let request_id = rng.gen::<u64>();
         let frame = EncodeBatchResponseFrame {
             session_id: rng.gen::<u64>(),
             bursts: rng.gen::<u64>(),
             count: rng.gen::<u16>(),
             per_group: &per_group,
-            masks: &mask_list,
+            masks: &masks,
         };
         buf.clear();
-        frame.encode_into(&mut buf);
-        let (Frame::EncodeBatchResponse(view), consumed) = decode_frame(&buf).unwrap() else {
+        PipelinedBatchResponseFrame {
+            request_id,
+            response: frame,
+        }
+        .encode_into(&mut buf);
+        let (
+            Frame::PipelinedBatchResponse {
+                request_id: echoed,
+                response: view,
+            },
+            consumed,
+        ) = decode_frame(&buf).unwrap()
+        else {
             panic!("round trip changed the frame type");
         };
         assert_eq!(consumed, buf.len());
+        assert_eq!(echoed, request_id);
         assert_eq!(view.session_id, frame.session_id);
         assert_eq!(view.bursts, frame.bursts);
         assert_eq!(view.count, frame.count);
         assert_eq!(view.per_group().collect::<Vec<_>>(), per_group);
-        assert_eq!(view.masks().collect::<Vec<_>>(), mask_list);
+        assert_eq!(view.masks().collect::<Vec<_>>(), masks);
     }
 }
 
 /// Every strict prefix of a valid batch frame is `Truncated` — the same
-/// bar the per-burst request frames are held to.
+/// bar the single-access request frames are held to.
 #[test]
 fn every_batch_truncation_is_rejected_without_panicking() {
     let mut rng = StdRng::seed_from_u64(0xBA7C6);
@@ -482,19 +604,8 @@ fn every_batch_truncation_is_rejected_without_panicking() {
     for _ in 0..16 {
         let frame = arbitrary_batch(&mut rng, &mut payload);
         buf.clear();
-        frame.encode_into(&mut buf);
-        for cut in 0..buf.len() {
-            match decode_frame(&buf[..cut]) {
-                Err(WireError::Truncated { needed, got }) => {
-                    assert_eq!(got, cut);
-                    assert!(
-                        needed > cut,
-                        "cut at {cut}: needed {needed} must exceed the cut"
-                    );
-                }
-                other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
-            }
-        }
+        push_batch(&mut buf, rng.gen::<u64>(), frame);
+        assert_every_prefix_is_truncated(&buf);
     }
 }
 
@@ -506,11 +617,11 @@ fn every_batch_truncation_is_rejected_without_panicking() {
 fn batch_count_corruption_is_exhaustively_typed() {
     let mut rng = StdRng::seed_from_u64(0xC0417);
     let mut payload = Vec::new();
-    let count_at = HEADER_LEN + BATCH_REQUEST_HEAD_LEN - 6;
+    let count_at = BODY_AT + BATCH_REQUEST_HEAD_LEN - 6;
     for _ in 0..8 {
         let frame = arbitrary_batch(&mut rng, &mut payload);
         let mut pristine = Vec::new();
-        frame.encode_into(&mut pristine);
+        push_batch(&mut pristine, 1, frame);
         for low in 0..=255u8 {
             for high in [0u8, 1, 0x80, 0xFF] {
                 let mut corrupt = pristine.clone();
@@ -518,7 +629,7 @@ fn batch_count_corruption_is_exhaustively_typed() {
                 corrupt[count_at + 1] = high;
                 let forged = u16::from_le_bytes([low, high]);
                 match decode_frame(&corrupt) {
-                    Ok((Frame::EncodeBatchRequest(view), _)) => {
+                    Ok((Frame::PipelinedBatchRequest { request: view, .. }, _)) => {
                         assert_eq!(forged, frame.count, "only the true count may decode");
                         assert_eq!(view.count, frame.count);
                     }
@@ -551,7 +662,7 @@ fn empty_and_oversized_batches_are_rejected() {
         payload: &[],
     };
     let mut buf = Vec::new();
-    empty.encode_into(&mut buf);
+    push_batch(&mut buf, 1, empty);
     assert_eq!(
         decode_frame(&buf),
         Err(WireError::BadBatchCount { count: 0, got: 0 })
@@ -560,12 +671,15 @@ fn empty_and_oversized_batches_are_rejected() {
     // A count field that exceeds the payload is typed, whatever the size.
     let payload = vec![0u8; 8 * 100];
     let mut buf = Vec::new();
-    EncodeBatchRequestFrame {
-        count: u16::MAX,
-        payload: &payload,
-        ..empty
-    }
-    .encode_into(&mut buf);
+    push_batch(
+        &mut buf,
+        1,
+        EncodeBatchRequestFrame {
+            count: u16::MAX,
+            payload: &payload,
+            ..empty
+        },
+    );
     assert_eq!(
         decode_frame(&buf),
         Err(WireError::BadBatchCount {
@@ -577,106 +691,20 @@ fn empty_and_oversized_batches_are_rejected() {
     // A header announcing a body beyond MAX_BODY_LEN is rejected before
     // any batch field is read.
     let mut buf = Vec::new();
-    EncodeBatchRequestFrame {
-        count: 100,
-        payload: &payload,
-        ..empty
-    }
-    .encode_into(&mut buf);
+    push_batch(
+        &mut buf,
+        1,
+        EncodeBatchRequestFrame {
+            count: 100,
+            payload: &payload,
+            ..empty
+        },
+    );
     buf[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
     assert!(matches!(
         decode_frame(&buf),
         Err(WireError::Oversized { .. })
     ));
-}
-
-/// v1 and v2 headers predate the batch tags: under them, tag 6/7 frames
-/// are `UnknownFrameType` — exactly what a genuine old peer would say —
-/// while every non-batch frame still decodes under all three versions.
-#[test]
-fn batch_frames_do_not_exist_below_v3_and_old_frames_still_decode() {
-    let mut rng = StdRng::seed_from_u64(0x01D_51AB);
-    let mut payload = Vec::new();
-    let frame = arbitrary_batch(&mut rng, &mut payload);
-    let mut buf = Vec::new();
-    frame.encode_into(&mut buf);
-    for old in [LEGACY_VERSION, V2_VERSION] {
-        let mut stamped = buf.clone();
-        stamped[2] = old;
-        assert_eq!(
-            decode_frame(&stamped),
-            Err(WireError::UnknownFrameType(6)),
-            "version {old} must not know the batch request tag"
-        );
-    }
-    let mut response = Vec::new();
-    EncodeBatchResponseFrame {
-        session_id: 1,
-        bursts: 2,
-        count: 2,
-        per_group: &[],
-        masks: &[],
-    }
-    .encode_into(&mut response);
-    for old in [LEGACY_VERSION, V2_VERSION] {
-        let mut stamped = response.clone();
-        stamped[2] = old;
-        assert_eq!(
-            decode_frame(&stamped),
-            Err(WireError::UnknownFrameType(7)),
-            "version {old} must not know the batch response tag"
-        );
-    }
-
-    // Response, error and metrics bodies are byte-identical across v1/v2/
-    // v3: re-stamping the version must decode to the same frame.
-    let mut stream = Vec::new();
-    EncodeResponseFrame {
-        session_id: 3,
-        bursts: 4,
-        per_group: &[CostBreakdown::new(1, 2)],
-        masks: &[InversionMask::from_bits(5)],
-    }
-    .encode_into(&mut stream);
-    encode_metrics_request(&mut stream);
-    encode_metrics_response(&mut stream, "{}");
-    ErrorFrame {
-        code: ErrorCode::Overloaded,
-        message: "busy",
-    }
-    .encode_into(&mut stream);
-    let mut offset = 0;
-    while offset < stream.len() {
-        let (v3_frame, len) = decode_frame(&stream[offset..]).unwrap();
-        for old in [LEGACY_VERSION, V2_VERSION] {
-            let mut stamped = stream[offset..offset + len].to_vec();
-            stamped[2] = old;
-            let (old_frame, old_len) = decode_frame(&stamped).unwrap();
-            assert_eq!(old_len, len);
-            assert_eq!(old_frame, v3_frame, "version {old} body must be identical");
-        }
-        offset += len;
-    }
-
-    // A v2 encode request (with its cost-model field) decodes identically
-    // under a v3 header — the layouts are shared.
-    let mut request = Vec::new();
-    EncodeRequestFrame {
-        session_id: 9,
-        scheme: Scheme::Opt(CostWeights::new(2, 5).unwrap()),
-        cost_model: CostModel::Weights(CostWeights::new(3, 4).unwrap()),
-        groups: 4,
-        burst_len: 8,
-        want_masks: true,
-        verify: VerifyMode::Off,
-        payload: &[0u8; 32],
-    }
-    .encode_into(&mut request);
-    let (v3_frame, _) = decode_frame(&request).unwrap();
-    let mut v2 = request.clone();
-    v2[2] = V2_VERSION;
-    let (v2_frame, _) = decode_frame(&v2).unwrap();
-    assert_eq!(v2_frame, v3_frame);
 }
 
 /// Frames concatenated back-to-back decode independently, each reporting
@@ -687,29 +715,23 @@ fn concatenated_frames_are_walkable() {
     let mut payload = Vec::new();
     let mut buf = Vec::new();
     let mut expected = Vec::new();
-    for _ in 0..20 {
-        let (session_id, scheme, cost_model, groups, burst_len, want_masks) =
-            arbitrary_request(&mut rng, &mut payload);
-        EncodeRequestFrame {
-            session_id,
-            scheme,
-            cost_model,
-            groups,
-            burst_len,
-            want_masks,
-            verify: VerifyMode::Off,
-            payload: &payload,
-        }
-        .encode_into(&mut buf);
-        expected.push((session_id, payload.clone()));
+    for request_id in 0..20u64 {
+        let request = arbitrary_request(&mut rng, &mut payload);
+        push_request(&mut buf, request_id, request);
+        expected.push((request.session_id, payload.clone()));
     }
     let mut offset = 0;
     let mut seen = 0;
     while offset < buf.len() {
         let (frame, consumed) = decode_frame(&buf[offset..]).unwrap();
-        let Frame::EncodeRequest(view) = frame else {
+        let Frame::PipelinedRequest {
+            request_id,
+            request: view,
+        } = frame
+        else {
             panic!("unexpected frame type");
         };
+        assert_eq!(request_id, seen as u64);
         assert_eq!(view.session_id, expected[seen].0);
         assert_eq!(view.payload, expected[seen].1.as_slice());
         offset += consumed;
@@ -719,212 +741,42 @@ fn concatenated_frames_are_walkable() {
     assert_eq!(offset, buf.len());
 }
 
-// ---------------------------------------------------------------------------
-// Protocol 5: pipelined frames.
-// ---------------------------------------------------------------------------
-
-use dbi_service::wire::{
-    PipelinedBatchRequestFrame, PipelinedBatchResponseFrame, PipelinedErrorFrame,
-    PipelinedRequestFrame, PipelinedResponseFrame, V3_VERSION, V4_VERSION,
-};
-
+/// Every strict prefix of a service-side id-tagged frame — response,
+/// batch response and error — must decode to `Truncated`, never a panic
+/// or a wrong type.
 #[test]
-fn arbitrary_pipelined_frames_roundtrip() {
-    let mut rng = StdRng::seed_from_u64(0x9192_5EED);
-    let mut payload = Vec::new();
-    let mut buf = Vec::new();
-    for _ in 0..ROUNDS {
-        // Request behind an id.
-        let (session_id, scheme, cost_model, groups, burst_len, want_masks) =
-            arbitrary_request(&mut rng, &mut payload);
-        let request = EncodeRequestFrame {
-            session_id,
-            scheme,
-            cost_model,
-            groups,
-            burst_len,
-            want_masks,
-            verify: VerifyMode::Off,
-            payload: &payload,
+fn every_pipelined_truncation_is_rejected_without_panicking() {
+    let mut rng = StdRng::seed_from_u64(0x0007_0CA7);
+    let mut buf: Vec<u8> = Vec::new();
+    for _ in 0..16 {
+        let (per_group, masks) = arbitrary_records(&mut rng);
+        let response = EncodeResponseFrame {
+            session_id: rng.gen::<u64>(),
+            bursts: rng.gen::<u64>(),
+            per_group: &per_group,
+            masks: &masks,
         };
-        let request_id = rng.gen::<u64>();
-        buf.clear();
-        PipelinedRequestFrame {
-            request_id,
-            request,
-        }
-        .encode_into(&mut buf);
-        let (decoded, consumed) = decode_frame(&buf).expect("well-formed pipelined request");
-        assert_eq!(consumed, buf.len());
-        let Frame::PipelinedRequest {
-            request_id: echoed,
-            request: view,
-        } = decoded
-        else {
-            panic!("round trip changed the frame type");
-        };
-        assert_eq!(echoed, request_id);
-        assert_eq!(view.session_id, session_id);
-        assert_eq!(view.scheme, scheme);
-        assert_eq!(view.cost_model, cost_model);
-        assert_eq!(view.groups, groups);
-        assert_eq!(view.burst_len, burst_len);
-        assert_eq!(view.want_masks, want_masks);
-        assert_eq!(view.payload, payload.as_slice());
-
-        // Response behind the echoed id.
-        let per_group: Vec<CostBreakdown> = (0..rng.gen_range(0usize..8))
-            .map(|_| CostBreakdown::new(rng.gen::<u64>(), rng.gen::<u64>()))
-            .collect();
-        let masks: Vec<InversionMask> = (0..rng.gen_range(0usize..32))
-            .map(|_| InversionMask::from_bits(rng.gen::<u32>()))
-            .collect();
         buf.clear();
         PipelinedResponseFrame {
-            request_id,
-            response: EncodeResponseFrame {
-                session_id,
-                bursts: rng.gen::<u64>(),
+            request_id: rng.gen::<u64>(),
+            response,
+        }
+        .encode_into(&mut buf);
+        assert_every_prefix_is_truncated(&buf);
+
+        buf.clear();
+        PipelinedBatchResponseFrame {
+            request_id: rng.gen::<u64>(),
+            response: EncodeBatchResponseFrame {
+                session_id: response.session_id,
+                bursts: response.bursts,
+                count: rng.gen::<u16>(),
                 per_group: &per_group,
                 masks: &masks,
             },
         }
         .encode_into(&mut buf);
-        let (decoded, consumed) = decode_frame(&buf).expect("well-formed pipelined response");
-        assert_eq!(consumed, buf.len());
-        let Frame::PipelinedResponse {
-            request_id: echoed,
-            response: view,
-        } = decoded
-        else {
-            panic!("round trip changed the frame type");
-        };
-        assert_eq!(echoed, request_id);
-        assert_eq!(view.session_id, session_id);
-        assert_eq!(view.per_group().collect::<Vec<_>>(), per_group);
-        assert_eq!(view.masks().collect::<Vec<_>>(), masks);
-
-        // Typed failure behind the echoed id.
-        let message: String = (0..rng.gen_range(0usize..48))
-            .map(|_| char::from(rng.gen_range(b' '..b'~')))
-            .collect();
-        buf.clear();
-        PipelinedErrorFrame {
-            request_id,
-            error: ErrorFrame {
-                code: ErrorCode::Overloaded,
-                message: &message,
-            },
-        }
-        .encode_into(&mut buf);
-        let (decoded, consumed) = decode_frame(&buf).expect("well-formed pipelined error");
-        assert_eq!(consumed, buf.len());
-        let Frame::PipelinedError {
-            request_id: echoed,
-            error: view,
-        } = decoded
-        else {
-            panic!("round trip changed the frame type");
-        };
-        assert_eq!(echoed, request_id);
-        assert_eq!(view.code, ErrorCode::Overloaded);
-        assert_eq!(view.message, message);
-    }
-}
-
-#[test]
-fn arbitrary_pipelined_batch_frames_roundtrip() {
-    let mut rng = StdRng::seed_from_u64(0xBA7C_41D5);
-    let mut payload = Vec::new();
-    let mut buf = Vec::new();
-    for _ in 0..ROUNDS {
-        let batch = arbitrary_batch(&mut rng, &mut payload);
-        let request_id = rng.gen::<u64>();
-        buf.clear();
-        PipelinedBatchRequestFrame {
-            request_id,
-            request: batch,
-        }
-        .encode_into(&mut buf);
-        let (decoded, consumed) = decode_frame(&buf).expect("well-formed pipelined batch");
-        assert_eq!(consumed, buf.len());
-        let Frame::PipelinedBatchRequest {
-            request_id: echoed,
-            request: view,
-        } = decoded
-        else {
-            panic!("round trip changed the frame type");
-        };
-        assert_eq!(echoed, request_id);
-        assert_eq!(view.session_id, batch.session_id);
-        assert_eq!(view.count, batch.count);
-        assert_eq!(view.payload, batch.payload);
-
-        buf.clear();
-        PipelinedBatchResponseFrame {
-            request_id,
-            response: EncodeBatchResponseFrame {
-                session_id: batch.session_id,
-                bursts: u64::from(batch.count),
-                count: batch.count,
-                per_group: &[],
-                masks: &[],
-            },
-        }
-        .encode_into(&mut buf);
-        let (decoded, consumed) = decode_frame(&buf).expect("well-formed pipelined batch response");
-        assert_eq!(consumed, buf.len());
-        let Frame::PipelinedBatchResponse {
-            request_id: echoed,
-            response: view,
-        } = decoded
-        else {
-            panic!("round trip changed the frame type");
-        };
-        assert_eq!(echoed, request_id);
-        assert_eq!(view.session_id, batch.session_id);
-        assert_eq!(view.count, batch.count);
-    }
-}
-
-/// Every strict prefix of a pipelined frame — the header, the request-id
-/// field, and everywhere inside the carried body — must decode to
-/// `Truncated`, never a panic or a wrong type.
-#[test]
-fn every_pipelined_truncation_is_rejected_without_panicking() {
-    let mut rng = StdRng::seed_from_u64(0x0007_0CA7);
-    let mut payload = Vec::new();
-    let mut buf: Vec<u8> = Vec::new();
-    for _ in 0..16 {
-        let (session_id, scheme, cost_model, groups, burst_len, want_masks) =
-            arbitrary_request(&mut rng, &mut payload);
-        buf.clear();
-        PipelinedRequestFrame {
-            request_id: rng.gen::<u64>(),
-            request: EncodeRequestFrame {
-                session_id,
-                scheme,
-                cost_model,
-                groups,
-                burst_len,
-                want_masks,
-                verify: VerifyMode::Off,
-                payload: &payload,
-            },
-        }
-        .encode_into(&mut buf);
-        for cut in 0..buf.len() {
-            match decode_frame(&buf[..cut]) {
-                Err(WireError::Truncated { needed, got }) => {
-                    assert_eq!(got, cut);
-                    assert!(
-                        needed > cut,
-                        "cut at {cut}: needed {needed} must exceed the cut"
-                    );
-                }
-                other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
-            }
-        }
+        assert_every_prefix_is_truncated(&buf);
     }
 
     // The error form too: its body is id + code + message.
@@ -937,12 +789,7 @@ fn every_pipelined_truncation_is_rejected_without_panicking() {
         },
     }
     .encode_into(&mut buf);
-    for cut in 0..buf.len() {
-        assert!(
-            matches!(decode_frame(&buf[..cut]), Err(WireError::Truncated { .. })),
-            "error frame cut at {cut} must be Truncated"
-        );
-    }
+    assert_every_prefix_is_truncated(&buf);
 }
 
 /// The request id is an opaque `u64`: every value is legal, so corrupting
@@ -964,13 +811,8 @@ fn request_id_corruption_stays_inside_the_id_field() {
     };
     let original_id = 0x1111_2222_3333_4444u64;
     let mut buf = Vec::new();
-    PipelinedRequestFrame {
-        request_id: original_id,
-        request,
-    }
-    .encode_into(&mut buf);
-    let id_field = HEADER_LEN..HEADER_LEN + dbi_service::wire::REQUEST_ID_WIRE_BYTES;
-    for byte in id_field.clone() {
+    push_request(&mut buf, original_id, request);
+    for byte in HEADER_LEN..BODY_AT {
         for flip in [0x01u8, 0x80u8, 0xFF] {
             let mut corrupt = buf.clone();
             corrupt[byte] ^= flip;
@@ -991,101 +833,5 @@ fn request_id_corruption_stays_inside_the_id_field() {
             assert_eq!(view.scheme, request.scheme);
             assert_eq!(view.payload, request.payload);
         }
-    }
-}
-
-/// v1–v4 headers predate the pipelined tags: under them, tags 12–16 are
-/// `UnknownFrameType` — exactly what a genuine old peer would answer.
-#[test]
-fn pipelined_frames_do_not_exist_below_v5() {
-    let payload = [0u8; 32];
-    let request = EncodeRequestFrame {
-        session_id: 5,
-        scheme: Scheme::OptFixed,
-        cost_model: CostModel::Inline,
-        groups: 4,
-        burst_len: 8,
-        want_masks: false,
-        verify: VerifyMode::Off,
-        payload: &payload,
-    };
-    let mut frames: Vec<(Vec<u8>, u8)> = Vec::new();
-    let mut buf = Vec::new();
-    PipelinedRequestFrame {
-        request_id: 1,
-        request,
-    }
-    .encode_into(&mut buf);
-    frames.push((buf.clone(), 12));
-    buf.clear();
-    PipelinedResponseFrame {
-        request_id: 1,
-        response: EncodeResponseFrame {
-            session_id: 5,
-            bursts: 1,
-            per_group: &[],
-            masks: &[],
-        },
-    }
-    .encode_into(&mut buf);
-    frames.push((buf.clone(), 13));
-    buf.clear();
-    PipelinedBatchRequestFrame {
-        request_id: 1,
-        request: EncodeBatchRequestFrame {
-            session_id: 5,
-            scheme: Scheme::OptFixed,
-            cost_model: CostModel::Inline,
-            groups: 4,
-            burst_len: 8,
-            want_masks: false,
-            verify: VerifyMode::Off,
-            count: 4,
-            payload: &payload,
-        },
-    }
-    .encode_into(&mut buf);
-    frames.push((buf.clone(), 14));
-    buf.clear();
-    PipelinedBatchResponseFrame {
-        request_id: 1,
-        response: EncodeBatchResponseFrame {
-            session_id: 5,
-            bursts: 1,
-            count: 1,
-            per_group: &[],
-            masks: &[],
-        },
-    }
-    .encode_into(&mut buf);
-    frames.push((buf.clone(), 15));
-    buf.clear();
-    PipelinedErrorFrame {
-        request_id: 1,
-        error: ErrorFrame {
-            code: ErrorCode::Overloaded,
-            message: "busy",
-        },
-    }
-    .encode_into(&mut buf);
-    frames.push((buf.clone(), 16));
-
-    for (frame, tag) in &frames {
-        assert_eq!(frame[3], *tag, "frame tag moved");
-        for old in [LEGACY_VERSION, V2_VERSION, V3_VERSION, V4_VERSION] {
-            let mut stamped = frame.clone();
-            stamped[2] = old;
-            assert_eq!(
-                decode_frame(&stamped),
-                Err(WireError::UnknownFrameType(*tag)),
-                "version {old} must not know pipelined tag {tag}"
-            );
-        }
-        // And under v5 the same bytes decode cleanly.
-        assert!(
-            decode_frame(frame).is_ok(),
-            "tag {tag} under v5: {:?}",
-            decode_frame(frame)
-        );
     }
 }

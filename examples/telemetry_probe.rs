@@ -7,7 +7,7 @@
 //! The probe starts a two-shard engine with a deliberately low slowlog
 //! threshold, pushes a mixed stream (plain and verify-mode requests over
 //! several sessions) through the TCP front end, then drains the
-//! protocol-4 `TraceDump` and `SlowlogQuery` frames like an external
+//! `TraceDump` and `SlowlogQuery` frames like an external
 //! operator would. CI runs this end to end: if any surface goes dark, the
 //! probe exits non-zero.
 
