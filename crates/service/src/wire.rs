@@ -1895,11 +1895,33 @@ mod tests {
         }
     }
 
+    /// Offset of the flags byte inside an encode-request frame.
+    const FLAGS_AT: usize = BODY_AT + 8 + 1 + CostWeights::WIRE_BYTES + COST_MODEL_WIRE_BYTES + 3;
+
+    /// Asserts every frame in the concatenated `frames` is rejected at
+    /// the header, typed, when restamped with any version in `versions`.
+    fn assert_rejected_under(frames: &[u8], versions: core::ops::Range<u8>) {
+        let mut offset = 0;
+        while offset < frames.len() {
+            let (_, len) = decode_frame(&frames[offset..]).unwrap();
+            for version in versions.clone() {
+                let mut old = frames[offset..offset + len].to_vec();
+                old[2] = version;
+                assert_eq!(
+                    decode_frame(&old),
+                    Err(WireError::UnsupportedVersion(version)),
+                    "a v{version} header carrying tag {}",
+                    old[3]
+                );
+            }
+            offset += len;
+        }
+    }
+
+    /// The verify bit (bit 1 of the flags byte, introduced with protocol
+    /// 3) survives the id-tagged request and batch frames.
     #[test]
-    fn verify_bit_roundtrips_on_requests_and_batches() {
-        /// Offset of the flags byte inside an encode-request frame.
-        const FLAGS_AT: usize =
-            BODY_AT + 8 + 1 + CostWeights::WIRE_BYTES + COST_MODEL_WIRE_BYTES + 3;
+    fn verify_bit_roundtrips_on_v3_requests_and_batches() {
         let payload = [0u8; 16];
         let frame = EncodeRequestFrame {
             scheme: Scheme::OptFixed,
@@ -1914,17 +1936,13 @@ mod tests {
         assert!(!view.want_masks);
 
         // Both bits together.
-        let mut buf = encode_request(EncodeRequestFrame {
+        let buf = encode_request(EncodeRequestFrame {
             want_masks: true,
             ..frame
         });
         assert_eq!(buf[FLAGS_AT], 0b11);
         let view = decoded_request(&buf);
         assert!(view.want_masks && view.verify.is_on());
-
-        // Undefined bits never decode.
-        buf[FLAGS_AT] = 0b101;
-        assert_eq!(decode_frame(&buf), Err(WireError::UnknownFlags(0b101)));
 
         // The batch frame carries the same flags byte.
         let batch = EncodeBatchRequestFrame::from_request(&frame).unwrap();
@@ -1940,6 +1958,25 @@ mod tests {
             panic!("wrong frame type");
         };
         assert_eq!(view.verify, VerifyMode::RoundTrip);
+    }
+
+    #[test]
+    fn verify_bits_below_v3_are_rejected_typed() {
+        // Versions 1 and 2 defined the flags byte as a bare boolean; a
+        // verify-mode request stamped with either is refused at the header
+        // rather than read under the current layout.
+        let payload = [0u8; 8];
+        let mut buf = encode_request(EncodeRequestFrame {
+            want_masks: true,
+            verify: VerifyMode::RoundTrip,
+            ..sample_request(&payload)
+        });
+        assert_rejected_under(&buf, 1..3);
+        // Under the current version, undefined high bits never decode.
+        for flags in [0b101, 0x81] {
+            buf[FLAGS_AT] = flags;
+            assert_eq!(decode_frame(&buf), Err(WireError::UnknownFlags(flags)));
+        }
     }
 
     #[test]
@@ -2114,6 +2151,14 @@ mod tests {
     }
 
     #[test]
+    fn telemetry_tags_do_not_exist_below_v4() {
+        let mut requests = Vec::new();
+        encode_trace_dump_request(&mut requests, 8);
+        encode_slowlog_request(&mut requests, 8);
+        assert_rejected_under(&requests, 1..4);
+    }
+
+    #[test]
     fn from_request_rejects_undividable_payloads() {
         let payload = [0u8; 12];
         let request = EncodeRequestFrame {
@@ -2261,6 +2306,16 @@ mod tests {
         let mut bad_flag = buf;
         bad_flag[HEADER_LEN] = 2;
         assert_eq!(decode_frame(&bad_flag), Err(WireError::UnknownFlags(2)));
+    }
+
+    #[test]
+    fn durability_tags_do_not_exist_below_v6() {
+        let mut frames = Vec::new();
+        encode_snapshot_request(&mut frames);
+        encode_snapshot_status_request(&mut frames);
+        encode_restore_request(&mut frames);
+        SnapshotStatus::default().encode_into(&mut frames);
+        assert_rejected_under(&frames, 1..6);
     }
 
     #[test]

@@ -425,6 +425,82 @@ fn only_the_current_version_and_the_id_tagged_encode_frames_decode() {
     }
 }
 
+/// Stamps each frame with every version in `versions` and asserts the
+/// header refuses it, typed, before the tag is looked at.
+fn assert_rejected_under(frames: &[Vec<u8>], versions: core::ops::Range<u8>) {
+    for frame in frames {
+        for version in versions.clone() {
+            let mut stamped = frame.clone();
+            stamped[2] = version;
+            assert_eq!(
+                decode_frame(&stamped),
+                Err(WireError::UnsupportedVersion(version)),
+                "tag {} under version {version}",
+                frame[3]
+            );
+        }
+    }
+}
+
+/// The frames of [`one_frame_of_every_tag`] whose tag is in `tags`.
+fn frames_with_tags(rng: &mut StdRng, tags: core::ops::RangeInclusive<u8>) -> Vec<Vec<u8>> {
+    one_frame_of_every_tag(rng)
+        .into_iter()
+        .filter(|frame| tags.contains(&frame[3]))
+        .collect()
+}
+
+/// The batch frames (tags 14 and 15) are refused under the versions that
+/// predate batching (1 and 2); the frames whose tags and bodies date from
+/// version 1 — the plain error and the metrics request/response — still
+/// decode from their original byte layout under the current header.
+#[test]
+fn batch_frames_do_not_exist_below_v3_and_old_frames_still_decode() {
+    let mut rng = StdRng::seed_from_u64(0x01D5_1AB0);
+    let batches = frames_with_tags(&mut rng, 14..=15);
+    assert_eq!(batches.len(), 2);
+    assert_rejected_under(&batches, 1..3);
+
+    let frame = |tag: u8, body: &[u8]| {
+        let mut out = b"DB".to_vec();
+        out.extend_from_slice(&[VERSION, tag]);
+        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        out.extend_from_slice(body);
+        out
+    };
+    let error = frame(3, b"\x01busy");
+    let (Frame::Error(view), consumed) = decode_frame(&error).unwrap() else {
+        panic!("wrong frame type");
+    };
+    assert_eq!(consumed, error.len());
+    assert_eq!((view.code, view.message), (ErrorCode::Overloaded, "busy"));
+    let mut encoded = Vec::new();
+    ErrorFrame {
+        code: ErrorCode::Overloaded,
+        message: "busy",
+    }
+    .encode_into(&mut encoded);
+    assert_eq!(encoded, error, "the error layout is unchanged");
+
+    let request = frame(4, &[]);
+    assert_eq!(decode_frame(&request), Ok((Frame::MetricsRequest, 8)));
+    let response = frame(5, b"{}");
+    assert_eq!(
+        decode_frame(&response),
+        Ok((Frame::MetricsResponse("{}"), response.len()))
+    );
+}
+
+/// A peer older than version 5 never had the id-tagged frames (tags
+/// 12–16); stamped with its version they are refused at the header.
+#[test]
+fn pipelined_frames_do_not_exist_below_v5() {
+    let mut rng = StdRng::seed_from_u64(0x0005_01D5);
+    let pipelined = frames_with_tags(&mut rng, 12..=16);
+    assert_eq!(pipelined.len(), 5);
+    assert_rejected_under(&pipelined, 1..5);
+}
+
 /// Every byte of the cost-model field corrupted to every value: decoding
 /// either succeeds (the mutation landed on a don't-care pad byte or
 /// produced another valid model) or yields a typed cost-model error —
@@ -591,6 +667,142 @@ fn arbitrary_batch_responses_roundtrip() {
         assert_eq!(view.count, frame.count);
         assert_eq!(view.per_group().collect::<Vec<_>>(), per_group);
         assert_eq!(view.masks().collect::<Vec<_>>(), masks);
+    }
+}
+
+/// One exchange per round — a request, its response and its typed
+/// failure, all under one arbitrary id — written back to back: walking
+/// the stream yields the three frames in order, each echoing the id.
+#[test]
+fn arbitrary_pipelined_frames_roundtrip() {
+    let mut rng = StdRng::seed_from_u64(0x9192_5EED);
+    let mut payload = Vec::new();
+    let mut buf = Vec::new();
+    for round in 0..ROUNDS {
+        let request_id = match round {
+            0 => 0,
+            1 => u64::MAX,
+            _ => rng.gen::<u64>(),
+        };
+        let request = arbitrary_request(&mut rng, &mut payload);
+        let (per_group, masks) = arbitrary_records(&mut rng);
+        let message = arbitrary_message(&mut rng);
+        buf.clear();
+        push_request(&mut buf, request_id, request);
+        PipelinedResponseFrame {
+            request_id,
+            response: EncodeResponseFrame {
+                session_id: request.session_id,
+                bursts: rng.gen::<u64>(),
+                per_group: &per_group,
+                masks: &masks,
+            },
+        }
+        .encode_into(&mut buf);
+        PipelinedErrorFrame {
+            request_id,
+            error: ErrorFrame {
+                code: ErrorCode::Overloaded,
+                message: &message,
+            },
+        }
+        .encode_into(&mut buf);
+
+        let (decoded, n1) = decode_frame(&buf).expect("well-formed pipelined request");
+        let Frame::PipelinedRequest {
+            request_id: echoed,
+            request: view,
+        } = decoded
+        else {
+            panic!("round trip changed the frame type");
+        };
+        assert_eq!(echoed, request_id);
+        assert_eq!(view.session_id, request.session_id);
+        assert_eq!(view.payload, request.payload);
+
+        let (decoded, n2) = decode_frame(&buf[n1..]).expect("well-formed pipelined response");
+        let Frame::PipelinedResponse {
+            request_id: echoed,
+            response: view,
+        } = decoded
+        else {
+            panic!("round trip changed the frame type");
+        };
+        assert_eq!(echoed, request_id);
+        assert_eq!(view.session_id, request.session_id);
+        assert_eq!(view.per_group().collect::<Vec<_>>(), per_group);
+        assert_eq!(view.masks().collect::<Vec<_>>(), masks);
+
+        let (decoded, n3) = decode_frame(&buf[n1 + n2..]).expect("well-formed pipelined error");
+        let Frame::PipelinedError {
+            request_id: echoed,
+            error: view,
+        } = decoded
+        else {
+            panic!("round trip changed the frame type");
+        };
+        assert_eq!(echoed, request_id);
+        assert_eq!(view.code, ErrorCode::Overloaded);
+        assert_eq!(view.message, message);
+        assert_eq!(n1 + n2 + n3, buf.len());
+    }
+}
+
+/// The batch form of the exchange: a batch request and the batch
+/// response answering it, back to back under one id.
+#[test]
+fn arbitrary_pipelined_batch_frames_roundtrip() {
+    let mut rng = StdRng::seed_from_u64(0xBA7C_41D5);
+    let mut payload = Vec::new();
+    let mut buf = Vec::new();
+    for _ in 0..ROUNDS {
+        let batch = arbitrary_batch(&mut rng, &mut payload);
+        let request_id = rng.gen::<u64>();
+        let (per_group, masks) = arbitrary_records(&mut rng);
+        buf.clear();
+        push_batch(&mut buf, request_id, batch);
+        PipelinedBatchResponseFrame {
+            request_id,
+            response: EncodeBatchResponseFrame {
+                session_id: batch.session_id,
+                bursts: u64::from(batch.count),
+                count: batch.count,
+                per_group: &per_group,
+                masks: &masks,
+            },
+        }
+        .encode_into(&mut buf);
+
+        let (decoded, n1) = decode_frame(&buf).expect("well-formed pipelined batch");
+        let Frame::PipelinedBatchRequest {
+            request_id: echoed,
+            request: view,
+        } = decoded
+        else {
+            panic!("round trip changed the frame type");
+        };
+        assert_eq!(echoed, request_id);
+        assert_eq!(view.session_id, batch.session_id);
+        assert_eq!(view.count, batch.count);
+        assert_eq!(view.payload, batch.payload);
+
+        let (decoded, n2) = decode_frame(&buf[n1..]).expect("well-formed pipelined batch response");
+        let Frame::PipelinedBatchResponse {
+            request_id: echoed,
+            response: view,
+        } = decoded
+        else {
+            panic!("round trip changed the frame type");
+        };
+        assert_eq!(echoed, request_id);
+        assert_eq!(view.session_id, batch.session_id);
+        assert_eq!(
+            (view.bursts, view.count),
+            (u64::from(batch.count), batch.count)
+        );
+        assert_eq!(view.per_group().collect::<Vec<_>>(), per_group);
+        assert_eq!(view.masks().collect::<Vec<_>>(), masks);
+        assert_eq!(n1 + n2, buf.len());
     }
 }
 
