@@ -23,7 +23,9 @@
 //!   independent lane-group chains, run as parallel lanes of one
 //!   recurrence by whichever SIMD kernel tier dispatch selected
 //!   ([`dbi_core::simd::selected_kernel`]; `DBI_FORCE_SCALAR=1` pins the
-//!   scalar tier, and the JSON records which kernel produced the numbers).
+//!   scalar tier, and the JSON records which kernel produced the numbers),
+//!   plus `pack_8_chains`, the chain-major pack
+//!   ([`BusSession::append_chains_to_slab`]) that feeds it.
 //!
 //! After the criterion groups it re-times the key comparison directly and
 //! writes `BENCH_encode.json` at the repository root, so the perf
@@ -326,6 +328,21 @@ fn encoder_throughput(c: &mut Criterion) {
             let mut states = [state; 8];
             opt.encode_lanes_into(black_box(&mut slab), &mut states);
             black_box(slab.total())
+        });
+    });
+    // The pack layer in front of that dispatch: the same bursts read as
+    // one x64 stream (8 groups x BL8 x 128 accesses, beat-interleaved) and
+    // transposed into the eight chain-major chains the kernel runs.
+    group.bench_function("pack_8_chains", |b| {
+        let session = BusSession::with_geometry(8, 8, Scheme::OptFixed);
+        let stream: Vec<u8> = bursts.iter().flat_map(|burst| burst.iter()).collect();
+        let mut packed = BurstSlab::with_capacity(8, bursts.len());
+        b.iter(|| {
+            packed.reset(8);
+            session
+                .append_chains_to_slab(black_box(&stream), &mut packed)
+                .expect("the stream is whole x64 accesses");
+            black_box(packed.burst_count())
         });
     });
     group.finish();

@@ -198,9 +198,9 @@ impl BurstSlab {
     }
 
     /// Appends one burst whose bytes are produced in place by `fill` —
-    /// the gather-free way to load strided or generated data (the
-    /// beat-de-interleave in `dbi-mem` and the traffic generators in
-    /// `dbi-workloads` use this).
+    /// the gather-free way to load generated data (the traffic generators
+    /// in `dbi-workloads` use this). Beat-interleaved streams go through
+    /// [`BurstSlab::extend_chains_from_interleaved`] instead.
     ///
     /// # Panics
     ///
@@ -244,6 +244,59 @@ impl BurstSlab {
             self.push_bytes(burst.bytes())?;
         }
         Ok(())
+    }
+
+    /// Appends `chains` chain-major chains de-interleaved from a
+    /// **beat-interleaved** stream, without clearing the slab: beat `r` of
+    /// chain `c`, byte `r·chains + c` of `data`, lands at position `r` of
+    /// chain `c`'s run, chains in ascending order. This is the multi-group
+    /// memory layout — every beat drives one byte per lane group — turned
+    /// into the chain-major layout the lanes dispatches encode, as one
+    /// transpose with a single buffer growth.
+    ///
+    /// Appending onto a non-empty slab places the new chains after the
+    /// existing rows, which is how several streams pack into one shared
+    /// dispatch. [`BurstSlab::scatter_chains_into`] is the inverse.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `chains` is zero or `data` is not a whole number of
+    /// `chains`-wide beats forming whole bursts per chain.
+    pub fn extend_chains_from_interleaved(&mut self, data: &[u8], chains: usize) {
+        assert!(chains > 0, "an interleaved stream needs at least one chain");
+        assert!(
+            data.len().is_multiple_of(chains * self.burst_len),
+            "interleaved stream ({} bytes) must be whole {chains}-chain bursts",
+            data.len()
+        );
+        let start = self.bytes.len();
+        self.bytes.resize(start + data.len(), 0);
+        transpose(data, &mut self.bytes[start..], chains);
+    }
+
+    /// Writes the whole slab, read as `chains` chain-major chains, back out
+    /// in **beat-interleaved** order: position `r` of chain `c` lands at
+    /// `out[r·chains + c]`. The inverse of
+    /// [`BurstSlab::extend_chains_from_interleaved`] — how a decoded
+    /// chain-major slab returns to the memory layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `chains` is zero, the burst count is not a whole number
+    /// of chains, or `out` is not exactly as long as the slab's payload.
+    pub fn scatter_chains_into(&self, chains: usize, out: &mut [u8]) {
+        assert!(chains > 0, "a chain scatter needs at least one chain");
+        let count = self.burst_count();
+        assert!(
+            count.is_multiple_of(chains),
+            "slab burst count ({count}) must be a whole number of {chains}-chain columns"
+        );
+        assert_eq!(
+            out.len(),
+            self.bytes.len(),
+            "scatter target must match the slab payload"
+        );
+        transpose(&self.bytes, out, self.bytes.len() / chains);
     }
 
     /// The payload bytes of burst `index`, if it exists.
@@ -565,6 +618,67 @@ impl BurstSlab {
             }
         }
         self.scratch = scratch;
+    }
+}
+
+/// Transposes the row-major `rows × cols` byte matrix `src` into `dst`
+/// (row-major `cols × rows`): `dst[c·rows + r] = src[r·cols + c]`. The
+/// chain-major ⇄ beat-interleaved conversion of the slab plane.
+///
+/// De-interleaving eight chains (a x64 channel, the service's widest
+/// packing case) goes through 8×8-byte tiles; any other shape runs a byte
+/// loop whose inner loop walks the longer dimension.
+fn transpose(src: &[u8], dst: &mut [u8], cols: usize) {
+    debug_assert_eq!(src.len(), dst.len());
+    if src.is_empty() {
+        return;
+    }
+    let rows = src.len() / cols;
+    if cols == 8 && rows.is_multiple_of(8) {
+        for (tile, beats) in src.chunks_exact(64).enumerate() {
+            let mut words = [0u64; 8];
+            for (word, row) in words.iter_mut().zip(beats.chunks_exact(8)) {
+                *word = u64::from_le_bytes(row.try_into().expect("8-byte row"));
+            }
+            transpose_8x8(&mut words);
+            for (c, word) in words.iter().enumerate() {
+                let at = c * rows + tile * 8;
+                dst[at..at + 8].copy_from_slice(&word.to_le_bytes());
+            }
+        }
+    } else if rows >= cols {
+        for (c, column) in dst.chunks_exact_mut(rows).enumerate() {
+            for (out, row) in column.iter_mut().zip(src.chunks_exact(cols)) {
+                *out = row[c];
+            }
+        }
+    } else {
+        for (r, row) in src.chunks_exact(cols).enumerate() {
+            for (c, &byte) in row.iter().enumerate() {
+                dst[c * rows + r] = byte;
+            }
+        }
+    }
+}
+
+/// Transposes an 8×8 byte matrix held as eight little-endian row words
+/// in place (byte `j` of word `i` ⇄ byte `i` of word `j`): three rounds of
+/// masked swaps, of 4×4, 2×2 and 1×1 blocks.
+fn transpose_8x8(words: &mut [u64; 8]) {
+    for i in 0..4 {
+        let t = ((words[i] >> 32) ^ words[i + 4]) & 0x0000_0000_FFFF_FFFF;
+        words[i] ^= t << 32;
+        words[i + 4] ^= t;
+    }
+    for i in [0, 1, 4, 5] {
+        let t = ((words[i] >> 16) ^ words[i + 2]) & 0x0000_FFFF_0000_FFFF;
+        words[i] ^= t << 16;
+        words[i + 2] ^= t;
+    }
+    for i in [0, 2, 4, 6] {
+        let t = ((words[i] >> 8) ^ words[i + 1]) & 0x00FF_00FF_00FF_00FF;
+        words[i] ^= t << 8;
+        words[i + 1] ^= t;
     }
 }
 

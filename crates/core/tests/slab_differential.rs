@@ -467,3 +467,65 @@ fn lane_decode_kernels_match_the_scalar_decode_oracle() {
         }
     }
 }
+
+/// The per-burst reference fill the interleaved append replaces: chain `c`
+/// gathers beat `b` of access `a` from `data[(a·burst_len + b)·chains + c]`,
+/// one [`BurstSlab::push_with`] per burst.
+fn push_chains_per_burst(slab: &mut BurstSlab, data: &[u8], chains: usize) {
+    let burst_len = slab.burst_len();
+    let accesses = data.len() / (chains * burst_len);
+    for chain in 0..chains {
+        for access in 0..accesses {
+            let base = access * chains * burst_len;
+            slab.push_with(|out| {
+                out.extend((0..burst_len).map(|beat| data[base + beat * chains + chain]));
+            });
+        }
+    }
+}
+
+/// The one-transpose interleaved append equals the per-burst fill byte for
+/// byte — onto an empty slab and after another stream's chains (the
+/// packed multi-session case) — and the inverse scatter round-trips, over
+/// every chain count 1..=9, burst length 1..=32 and access count 1..=5
+/// (which covers the 8×8-tile path at eight chains).
+#[test]
+fn interleaved_append_matches_the_per_burst_fill_and_scatter_inverts_it() {
+    let mut rng = StdRng::seed_from_u64(0x7A45);
+    for chains in 1usize..=9 {
+        for burst_len in 1usize..=32 {
+            for accesses in 1usize..=5 {
+                let label = format!("chains={chains} len={burst_len} accesses={accesses}");
+                let data: Vec<u8> = (0..chains * burst_len * accesses)
+                    .map(|_| rng.gen())
+                    .collect();
+
+                let mut reference = BurstSlab::new(burst_len);
+                push_chains_per_burst(&mut reference, &data, chains);
+                let mut slab = BurstSlab::new(burst_len);
+                slab.extend_chains_from_interleaved(&data, chains);
+                assert_eq!(slab.bytes(), reference.bytes(), "{label}: empty slab");
+
+                let mut out = vec![0u8; data.len()];
+                slab.scatter_chains_into(chains, &mut out);
+                assert_eq!(out, data, "{label}: scatter round trip");
+
+                // A second stream of another width packed behind the first.
+                let other_chains = rng.gen_range(1..10usize);
+                let other: Vec<u8> = (0..other_chains * burst_len * rng.gen_range(1..6usize))
+                    .map(|_| rng.gen())
+                    .collect();
+                push_chains_per_burst(&mut reference, &other, other_chains);
+                slab.extend_chains_from_interleaved(&other, other_chains);
+                assert_eq!(slab.bytes(), reference.bytes(), "{label}: packed behind");
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "whole")]
+fn interleaved_append_rejects_partial_bursts() {
+    let mut slab = BurstSlab::new(8);
+    slab.extend_chains_from_interleaved(&[0u8; 24], 2);
+}

@@ -362,7 +362,8 @@ impl BusSession {
 
     /// Appends this session's lane-group **chains** for `data` onto
     /// `slab`, chain-major — group `g`'s bursts in stream order, groups in
-    /// ascending order — without resetting the slab. This is the packing
+    /// ascending order — without resetting the slab, as one transpose
+    /// ([`BurstSlab::extend_chains_from_interleaved`]). This is the packing
     /// half of the cross-session dispatch protocol: a caller serving
     /// several sessions appends each session's chains in turn, gathers
     /// every session's carried states with
@@ -391,18 +392,8 @@ impl BusSession {
             self.burst_len,
             "shared slab primed for a different burst length"
         );
-        let groups = self.groups.len();
-        let burst_len = self.burst_len;
-        let accesses = data.len() / self.access_bytes();
-        for group in 0..groups {
-            for access in 0..accesses {
-                let base = access * groups * burst_len;
-                slab.push_with(|out| {
-                    out.extend((0..burst_len).map(|beat| data[base + beat * groups + group]));
-                });
-            }
-        }
-        Ok((accesses * groups) as u64)
+        slab.extend_chains_from_interleaved(data, self.groups.len());
+        Ok((data.len() / self.burst_len) as u64)
     }
 
     /// Carves this session's share of a **packed** dispatch back out of
@@ -622,7 +613,6 @@ impl BusSession {
         out.clear();
         self.check_decode_stream(wire, masks)?;
         let groups = self.groups.len();
-        let burst_len = self.burst_len;
         let accesses = wire.len() / self.access_bytes();
         per_group.resize(groups, CostBreakdown::ZERO);
         out.resize(wire.len(), 0);
@@ -631,15 +621,8 @@ impl BusSession {
         // Mirror of the encode path: one chain-major fill, one lanes
         // dispatch, so the SWAR decode kernel re-prices every group's
         // whole chain instead of walking beat-by-beat lane words.
-        slab.reset(burst_len);
-        for group in 0..groups {
-            for access in 0..accesses {
-                let base = access * groups * burst_len;
-                slab.push_with(|bytes| {
-                    bytes.extend((0..burst_len).map(|beat| wire[base + beat * groups + group]));
-                });
-            }
-        }
+        slab.reset(self.burst_len);
+        slab.extend_chains_from_interleaved(wire, groups);
         slab.load_masks_from(ChainMajorMasks::new(masks, groups, accesses))
             .expect("mask stream was validated against the stream geometry");
         slab.decode_in_place_chains(&mut self.groups)
@@ -650,18 +633,7 @@ impl BusSession {
                 .copied()
                 .sum();
         }
-        // Scatter the decoded bursts back into beat-interleaved order.
-        for group in 0..groups {
-            for access in 0..accesses {
-                let base = access * groups * burst_len;
-                let bytes = slab
-                    .burst_bytes(group * accesses + access)
-                    .expect("burst was pushed above");
-                for (beat, &byte) in bytes.iter().enumerate() {
-                    out[base + beat * groups + group] = byte;
-                }
-            }
-        }
+        slab.scatter_chains_into(groups, out);
         Ok((accesses * groups) as u64)
     }
 

@@ -28,14 +28,18 @@
 //! every job in a round shares the same scheme, burst length and access
 //! count, so the round's chains form one uniform slab grid. The round
 //! then runs as ONE packed dispatch: each session appends its lane-group
-//! chains ([`BusSession::append_chains_to_slab`]) and exports its carried
-//! states ([`BusSession::export_states_into`]), a single
+//! chains ([`BusSession::append_chains_to_slab`], one transpose of the
+//! beat-interleaved payload) and exports its carried states
+//! ([`BusSession::export_states_into`]), a single
 //! `encode_lanes_into` sweep encodes every chain — cross-session packing
 //! is what fills the SIMD kernels' full lane width even when each request
 //! covers only a few groups — and each session then re-imports its
 //! states and carves its share of masks and costs back out
 //! ([`BusSession::import_states`] /
-//! [`BusSession::gather_packed_results`]).
+//! [`BusSession::gather_packed_results`]). The transitions-saved metric
+//! needs no state of its own: it is derived from each job's payload and
+//! the carried states captured before the dispatch, so it also holds
+//! across a kill and restore.
 //!
 //! Chains are independent recurrences and rounds execute in formation
 //! order, so per-session FIFO is preserved and every reply is
@@ -81,8 +85,8 @@ use crate::wire::{
 };
 use dbi_core::persist::push_session_record;
 use dbi_core::{
-    clock, BurstSlab, BusState, CostBreakdown, DbiEncoder, InversionMask, KernelKind, LaneWord,
-    PlanCache, PlanCacheStats, Scheme,
+    clock, BurstSlab, BusState, CostBreakdown, DbiEncoder, InversionMask, KernelKind, PlanCache,
+    PlanCacheStats, Scheme,
 };
 use dbi_mem::{BusSession, ChannelActivity};
 use std::collections::hash_map::Entry;
@@ -520,9 +524,8 @@ impl ShardQueue {
     }
 }
 
-/// One shard worker's per-session state: the encode session plus, for the
-/// transitions-saved metric, the carried last raw word of each group, and
-/// the **receiver** session verify-mode requests replay through.
+/// One shard worker's per-session state: the encode session and the
+/// **receiver** session verify-mode requests replay through.
 struct SessionEntry {
     scheme: Scheme,
     session: BusSession,
@@ -533,11 +536,6 @@ struct SessionEntry {
     /// transmitter's plan `Arc` (decode is scheme-independent; the plan
     /// only sizes the slab geometry).
     receiver: BusSession,
-    /// What the wires would have last carried had the stream been sent
-    /// uninverted, one word per group; `None` for RAW sessions (nothing
-    /// to save against). Lets the savings metric be a single cheap walk
-    /// over the payload instead of a second full encode.
-    raw_prev: Option<Vec<LaneWord>>,
     /// The worker's pass counter value the last time a request touched
     /// this session. Idle-age eviction removes the smallest stamp first;
     /// stamps equal to the current pass are in use and never evicted.
@@ -551,8 +549,6 @@ struct SessionEntry {
 
 impl SessionEntry {
     fn new(scheme: Scheme, groups: u16, burst_len: u8, plans: &PlanCache) -> Self {
-        let raw_prev =
-            (scheme != Scheme::Raw).then(|| vec![BusState::idle().last(); usize::from(groups)]);
         let plan = plans.get(scheme);
         SessionEntry {
             scheme,
@@ -566,7 +562,6 @@ impl SessionEntry {
                 usize::from(burst_len),
                 plan,
             ),
-            raw_prev,
             last_touch: 0,
             captured: false,
         }
@@ -2146,10 +2141,12 @@ fn claim_entry<'a>(
 
 /// Finishes one job of a packed round after the shared dispatch: carves
 /// its masks and per-group activity out of the slab straight into the
-/// slot's response buffers, walks the transitions-saved metric, and — for
-/// verify-mode requests — replays the output through the entry's receiver
-/// session (synchronised to the transmitter's pre-request states) and
-/// fails on any asymmetry. Stage durations accumulate into `timing`.
+/// slot's response buffers, counts the transitions-saved metric from the
+/// payload and the pre-request states (see [`raw_transitions`]), and —
+/// for verify-mode requests — replays the output through the entry's
+/// receiver session (synchronised to the transmitter's pre-request
+/// states) and fails on any asymmetry. Stage durations accumulate into
+/// `timing`.
 #[allow(clippy::too_many_arguments)]
 fn finish_job(
     entry: &mut SessionEntry,
@@ -2197,17 +2194,15 @@ fn finish_job(
     let bursts = (payload.len() / usize::from(*burst_len)) as u64;
 
     // Transitions-saved metric: what the same stream would have cost the
-    // wires uninverted, minus what it actually cost. A single carried
-    // walk over the payload — no second encode. Skipped for RAW sessions.
-    let saved = match entry.raw_prev.as_deref_mut() {
-        Some(raw_prev) => {
-            let raw = raw_transitions(payload, raw_prev);
-            let encoded: u64 = per_group.iter().map(|b| b.transitions).sum();
-            raw.saturating_sub(encoded)
-        }
-        None => 0,
+    // wires uninverted, minus what it actually cost. Zero for RAW
+    // sessions (nothing to save against).
+    let saved = if entry.scheme == Scheme::Raw {
+        0
+    } else {
+        let encoded: u64 = per_group.iter().map(|b| b.transitions).sum();
+        raw_transitions(payload, pre_states).saturating_sub(encoded)
     };
-    // The gather and savings walk serve this request alone, so they bill
+    // The gather and savings count serve this request alone, so they bill
     // to its encode stage on top of its share of the packed dispatch.
     let solo_ns = clock::now_nanos().saturating_sub(gather_start);
     timing.encode_ns = Some(timing.encode_ns.unwrap_or(0).saturating_add(solo_ns));
@@ -2304,20 +2299,47 @@ fn verify_round_trip(
 }
 
 /// Lane transitions the beat-interleaved `payload` would cause sent raw
-/// (uninverted, DBI lanes quiet), continuing from `prev` — the carried
-/// last word of each group, updated in place. Equivalent to encoding the
-/// stream with [`Scheme::Raw`] and summing the per-group transitions.
-fn raw_transitions(payload: &[u8], prev: &mut [LaneWord]) -> u64 {
-    let groups = prev.len();
-    let mut total = 0u64;
-    for beat in payload.chunks_exact(groups) {
-        for (byte, prev_word) in beat.iter().zip(prev.iter_mut()) {
-            let word = LaneWord::encode_byte(*byte, false);
-            total += u64::from(word.transitions_from(*prev_word));
-            *prev_word = word;
-        }
-    }
-    total
+/// (uninverted) — what encoding it with [`Scheme::Raw`] would sum to
+/// across the groups — starting from the transmitter's pre-request
+/// states, one per group.
+///
+/// Needs no carried state of its own: a raw word always has its DBI lane
+/// high, so raw transitions are the data-byte toggles alone, and the last
+/// byte a group carried is its state's decoded word (idle is the raw word
+/// of `0xFF`), whatever the inversion decisions were. Beat `i ≥ groups`
+/// of the payload follows beat `i − groups` on the same group, so past
+/// the first beat the count is one XOR-popcount of the payload against
+/// itself offset by `groups` bytes.
+fn raw_transitions(payload: &[u8], pre_states: &[BusState]) -> u64 {
+    let groups = pre_states.len();
+    let entry: u64 = pre_states
+        .iter()
+        .zip(payload)
+        .map(|(state, &byte)| u64::from((state.last().decode() ^ byte).count_ones()))
+        .sum();
+    entry + xor_popcount(&payload[groups..], &payload[..payload.len() - groups])
+}
+
+/// Number of differing bits between two equal-length byte slices, eight
+/// bytes per `u64` word plus a byte tail.
+fn xor_popcount(a: &[u8], b: &[u8]) -> u64 {
+    let words_a = a.chunks_exact(8);
+    let words_b = b.chunks_exact(8);
+    let tail = words_a
+        .remainder()
+        .iter()
+        .zip(words_b.remainder())
+        .map(|(x, y)| u64::from((x ^ y).count_ones()))
+        .sum::<u64>();
+    words_a
+        .zip(words_b)
+        .map(|(x, y)| {
+            let x = u64::from_le_bytes(x.try_into().expect("8-byte chunk"));
+            let y = u64::from_le_bytes(y.try_into().expect("8-byte chunk"));
+            u64::from((x ^ y).count_ones())
+        })
+        .sum::<u64>()
+        + tail
 }
 
 #[cfg(test)]
@@ -2704,6 +2726,67 @@ mod tests {
         );
         let json = engine.metrics_json();
         assert!(json.contains("\"requests\":2"));
+
+        // Exact oracle: per request, a serial RAW session's transitions
+        // minus the scheme's, saturating at zero, summed. Group counts
+        // 1/3/4/8 at BL8 and BL16, several requests per session, access
+        // counts whose payload leaves an 8-byte-word tail in the offset
+        // XOR, schemes that can spend more toggles than RAW (DC), and RAW
+        // sessions, whose serial saving is zero.
+        let mut raw = BusSession::with_geometry(4, 8, Scheme::Raw);
+        let mut opt = BusSession::with_geometry(4, 8, Scheme::Opt(CostWeights::FIXED));
+        let mut expected = serial_saving(&mut raw, &mut opt, &payload);
+        expected += serial_saving(&mut raw, &mut opt, &payload);
+        let mut session_id = 100;
+        for scheme in [Scheme::OptFixed, Scheme::Dc, Scheme::Ac, Scheme::Raw] {
+            for groups in [1u16, 3, 4, 8] {
+                for burst_len in [8u8, 16] {
+                    session_id += 1;
+                    let mut reference = BusSession::with_geometry(
+                        usize::from(groups),
+                        usize::from(burst_len),
+                        scheme,
+                    );
+                    let mut raw = BusSession::with_geometry(
+                        usize::from(groups),
+                        usize::from(burst_len),
+                        Scheme::Raw,
+                    );
+                    for (request, accesses) in [3usize, 1, 5].into_iter().enumerate() {
+                        let payload = pseudo_random(
+                            accesses * usize::from(groups) * usize::from(burst_len),
+                            session_id as u32 * 7 + request as u32,
+                        );
+                        client
+                            .encode(
+                                &EncodeRequest {
+                                    session_id,
+                                    scheme,
+                                    cost_model: CostModel::Inline,
+                                    groups,
+                                    burst_len,
+                                    want_masks: false,
+                                    verify: VerifyMode::Off,
+                                    payload: &payload,
+                                },
+                                &mut reply,
+                            )
+                            .unwrap();
+                        expected += serial_saving(&mut raw, &mut reference, &payload);
+                    }
+                }
+            }
+        }
+        assert_eq!(engine.metrics().totals().transitions_saved, expected);
+    }
+
+    /// One request's transitions saved against RAW, by two serial
+    /// encodes that carry their sessions' states: `raw`'s transitions
+    /// minus `coded`'s, saturating at zero.
+    fn serial_saving(raw: &mut BusSession, coded: &mut BusSession, payload: &[u8]) -> u64 {
+        let raw = raw.encode_stream(payload).unwrap().total().transitions;
+        let coded = coded.encode_stream(payload).unwrap().total().transitions;
+        raw.saturating_sub(coded)
     }
 
     #[test]

@@ -151,6 +151,7 @@ fn kill_and_restore_replay_is_bit_identical_to_serial() {
     assert!(status.configured);
     assert_eq!(status.last_sessions, SESSIONS);
     drive(&engine, half / 2..half, &mut accumulated);
+    let saved_before_kill = engine.metrics().totals().transitions_saved;
     // The kill point: every served burst's state is already journaled
     // (the worker flushes at each burst boundary), so a crash here loses
     // nothing. Shutdown stands in for the kill.
@@ -166,10 +167,31 @@ fn kill_and_restore_replay_is_bit_identical_to_serial() {
         "every session must come back"
     );
     drive(&engine, half..REQUESTS, &mut accumulated);
+    let saved_after_restore = engine.metrics().totals().transitions_saved;
     engine.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 
     assert_matches_serial(&accumulated);
+
+    // The transitions-saved metric survives the restore too: both lives
+    // together count exactly what one uninterrupted engine counts over the
+    // same streams.
+    let engine = Engine::start(ServiceConfig {
+        persist: None,
+        ..config()
+    });
+    drive(
+        &engine,
+        0..REQUESTS,
+        &mut vec![Accumulated::new(); SESSIONS as usize],
+    );
+    let uninterrupted = engine.metrics().totals().transitions_saved;
+    engine.shutdown();
+    assert_eq!(
+        saved_before_kill + saved_after_restore,
+        uninterrupted,
+        "transitions saved drifted across the kill"
+    );
 }
 
 #[test]
