@@ -17,7 +17,7 @@
 //! * `slab` — whole batches as one chain through
 //!   [`DbiEncoder::encode_lanes_into`] with a single state: the OPT
 //!   carried-state kernel (priced and masks-only) against the serial
-//!   per-burst chain and the default heuristic loop,
+//!   per-burst chain and the DBI DC per-byte kernel,
 //! * `slab_lanes` — the vectorised multi-chain plane
 //!   ([`DbiEncoder::encode_lanes_into`]): the same burst set as eight
 //!   independent lane-group chains, run as parallel lanes of one
@@ -25,7 +25,9 @@
 //!   ([`dbi_core::simd::selected_kernel`]; `DBI_FORCE_SCALAR=1` pins the
 //!   scalar tier, and the JSON records which kernel produced the numbers),
 //!   plus `pack_8_chains`, the chain-major pack
-//!   ([`BusSession::append_chains_to_slab`]) that feeds it.
+//!   ([`BusSession::append_chains_to_slab`]) that feeds it, and the
+//!   priced four-chain BL16 rows of OPT (Fixed), DBI DC and DBI AC (the
+//!   x32 geometry of a mixed-scheme service session).
 //!
 //! After the criterion groups it re-times the key comparison directly and
 //! writes `BENCH_encode.json` at the repository root, so the perf
@@ -262,8 +264,7 @@ fn encoder_throughput(c: &mut Criterion) {
 
     // The batched slab plane: the whole burst set as one chain in one
     // encode_lanes_into call — the OPT kernel over contiguous storage vs.
-    // the default per-burst loop the heuristics ride, vs. the serial mask
-    // chain.
+    // the per-byte kernel the heuristics ride, vs. the serial mask chain.
     let mut slab = BurstSlab::with_capacity(8, bursts.len());
     slab.extend_from_bursts(&bursts).expect("uniform bursts");
     let mut group = c.benchmark_group("slab_encode");
@@ -296,7 +297,7 @@ fn encoder_throughput(c: &mut Criterion) {
             black_box(slab.total())
         });
     });
-    group.bench_function("dc_default_loop", |b| {
+    group.bench_function("dc_lanes", |b| {
         b.iter(|| {
             let mut carried = state;
             Scheme::Dc.encode_lanes_into(black_box(&mut slab), slice::from_mut(&mut carried));
@@ -345,6 +346,27 @@ fn encoder_throughput(c: &mut Criterion) {
             black_box(packed.burst_count())
         });
     });
+    // The same bytes as four chains of 128 BL16 bursts, priced: the x32
+    // BL16 geometry of a mixed-scheme service session, where the
+    // heuristics' per-byte kernel runs next to the OPT kernel.
+    let mut bl16 = BurstSlab::with_capacity(16, bursts.len() / 2);
+    let stream: Vec<u8> = bursts.iter().flat_map(|burst| burst.iter()).collect();
+    bl16.extend_from_bytes(&stream).expect("whole BL16 bursts");
+    group.throughput(Throughput::Elements(bl16.burst_count() as u64));
+    for (name, scheme) in [
+        ("opt_fixed_4_chains_bl16_priced", Scheme::OptFixed),
+        ("dc_4_chains_bl16_priced", Scheme::Dc),
+        ("ac_4_chains_bl16_priced", Scheme::Ac),
+    ] {
+        let encoder = scheme.plan();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut states = [state; 4];
+                encoder.encode_lanes_into(black_box(&mut bl16), &mut states);
+                black_box(bl16.total())
+            });
+        });
+    }
     group.finish();
 
     // The decode plane: the receiver paths over the pre-driven wire image

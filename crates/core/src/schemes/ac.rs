@@ -2,7 +2,9 @@
 
 use crate::burst::{Burst, BusState};
 use crate::encoding::InversionMask;
+use crate::schemes::per_byte::{ac_rule, encode_lanes_per_byte};
 use crate::schemes::DbiEncoder;
+use crate::slab::BurstSlab;
 use crate::word::LaneWord;
 
 /// The DBI AC scheme.
@@ -66,6 +68,11 @@ impl DbiEncoder for AcEncoder {
             prev = LaneWord::encode_byte(byte, invert);
         }
         mask
+    }
+
+    /// The shared per-byte kernel under the XOR-popcount form of the rule.
+    fn encode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) {
+        encode_lanes_per_byte(slab, states, |_, byte, last, low| ac_rule(byte, last, low));
     }
 }
 

@@ -2,7 +2,9 @@
 
 use crate::burst::{Burst, BusState};
 use crate::encoding::InversionMask;
+use crate::schemes::per_byte::{ac_rule, dc_rule, encode_lanes_per_byte};
 use crate::schemes::{AcEncoder, DbiEncoder, DcEncoder};
+use crate::slab::BurstSlab;
 use crate::word::LaneWord;
 
 /// The DBI ACDC scheme proposed by Hollis (related work, reference \[8\] of
@@ -51,6 +53,18 @@ impl DbiEncoder for AcDcEncoder {
             prev = LaneWord::encode_byte(byte, invert);
         }
         mask
+    }
+
+    /// The shared per-byte kernel: the DC rule at beat 0, the AC rule
+    /// after it.
+    fn encode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) {
+        encode_lanes_per_byte(slab, states, |beat, byte, last, low| {
+            if beat == 0 {
+                dc_rule(byte)
+            } else {
+                ac_rule(byte, last, low)
+            }
+        });
     }
 }
 

@@ -2,7 +2,9 @@
 
 use crate::burst::{Burst, BusState};
 use crate::encoding::InversionMask;
+use crate::schemes::per_byte::{dc_rule, encode_lanes_per_byte};
 use crate::schemes::DbiEncoder;
+use crate::slab::BurstSlab;
 use crate::word::byte_zeros;
 
 /// Threshold of the DBI DC rule: a byte with this many zeros or more is
@@ -61,6 +63,11 @@ impl DbiEncoder for DcEncoder {
             }
         }
         mask
+    }
+
+    /// The shared per-byte kernel under the popcount form of the rule.
+    fn encode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) {
+        encode_lanes_per_byte(slab, states, |_, byte, _, _| dc_rule(byte));
     }
 }
 

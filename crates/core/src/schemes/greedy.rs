@@ -3,7 +3,9 @@
 use crate::burst::{Burst, BusState};
 use crate::cost::CostWeights;
 use crate::encoding::InversionMask;
+use crate::schemes::per_byte::{encode_lanes_per_byte, ones};
 use crate::schemes::DbiEncoder;
+use crate::slab::BurstSlab;
 use crate::word::LaneWord;
 
 /// A greedy per-byte heuristic that weighs both zeros and transitions.
@@ -80,6 +82,18 @@ impl DbiEncoder for GreedyEncoder {
             prev = if invert { inverted } else { plain };
         }
         mask
+    }
+
+    /// The shared per-byte kernel, weighing both candidates with the
+    /// popcount identities instead of lane words.
+    fn encode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) {
+        let (alpha, beta) = (self.weights.alpha(), self.weights.beta());
+        encode_lanes_per_byte(slab, states, |_, byte, last, low| {
+            let p = ones(byte);
+            let d = ones(last ^ byte);
+            let (plain_trans, inverted_trans) = if low { (9 - d, d) } else { (d, 9 - d) };
+            alpha * inverted_trans + beta * (p + 1) < alpha * plain_trans + beta * (8 - p)
+        });
     }
 }
 

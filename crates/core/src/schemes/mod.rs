@@ -40,6 +40,7 @@ mod dc;
 mod exhaustive;
 mod greedy;
 mod opt;
+mod per_byte;
 mod raw;
 
 pub use ac::AcEncoder;
@@ -82,12 +83,19 @@ pub trait DbiEncoder {
     /// mask and (with pricing on) cost rows; on return each state holds
     /// the lane levels after its chain's last burst.
     ///
-    /// The default runs the serial per-burst chain per lane group through
-    /// the slab's reusable scratch buffer (allocation-free once the slab
-    /// is warm). The optimal encoders override it with carried-state LUT
-    /// kernels that sweep four or eight chains as parallel lanes of one
-    /// trellis recurrence ([`crate::simd`]); the override is
-    /// **bit-identical** to this default (`tests/slab_differential.rs`).
+    /// Every scheme this crate ships overrides it with a direct kernel.
+    /// The optimal encoders run carried-state LUT kernels that sweep four
+    /// or eight chains as parallel lanes of one trellis recurrence
+    /// ([`crate::simd`]); RAW, DBI DC, DBI AC, DBI ACDC and Greedy share
+    /// one per-byte kernel that carries each chain as its last data byte
+    /// and DBI level and prices each burst word-wide. Every override is
+    /// **bit-identical** to the serial per-burst `encode_mask` chain
+    /// (`tests/slab_differential.rs`).
+    ///
+    /// The default runs that serial per-burst chain per lane group
+    /// through the slab's reusable scratch buffer (allocation-free once
+    /// the slab is warm); it serves [`ExhaustiveEncoder`], the
+    /// brute-force oracle, and any encoder defined outside this crate.
     ///
     /// # Panics
     ///

@@ -2,7 +2,9 @@
 
 use crate::burst::{Burst, BusState};
 use crate::encoding::InversionMask;
+use crate::schemes::per_byte::encode_lanes_per_byte;
 use crate::schemes::DbiEncoder;
+use crate::slab::BurstSlab;
 
 /// Transmits every byte as-is with the DBI lane held high.
 ///
@@ -38,6 +40,12 @@ impl DbiEncoder for RawEncoder {
     /// RAW never inverts, so the fast path is a constant.
     fn encode_mask(&self, _burst: &Burst, _state: &BusState) -> InversionMask {
         InversionMask::NONE
+    }
+
+    /// The shared per-byte kernel with a rule that never inverts; only
+    /// the pricing does work.
+    fn encode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) {
+        encode_lanes_per_byte(slab, states, |_, _, _, _| false);
     }
 }
 

@@ -196,7 +196,7 @@ pub fn cpu_features() -> &'static str {
 
 /// Mask bit `i` set → byte `i` is `0xFF`: the per-burst inversion pattern
 /// widened to a byte-flip constant, one table load per 8 beats.
-const SPREAD_FLIP: [u64; 256] = {
+pub(crate) const SPREAD_FLIP: [u64; 256] = {
     let mut table = [0u64; 256];
     let mut m = 0usize;
     while m < 256 {

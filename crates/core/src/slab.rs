@@ -12,15 +12,16 @@
 //!
 //! [`DbiEncoder::encode_lanes_into`](crate::DbiEncoder::encode_lanes_into) encodes a whole slab of one or more
 //! independent chains in one call, carrying a [`BusState`] per chain
-//! across its bursts exactly as a serial `encode_mask` chain would. The
-//! default implementation loops the per-burst path through the slab's
-//! reusable scratch buffer; the optimal trellis encoders override it with
-//! carried-state LUT and SIMD kernels that walk the contiguous payload
-//! directly — no `Burst` values, one dispatch per slab, bounds checks
-//! amortised by `chunks_exact`. Both paths are **bit-identical** to the
-//! serial per-burst chain (differential-tested in
-//! `tests/slab_differential.rs`) and perform no heap allocation once the
-//! slab's buffers are warm.
+//! across its bursts exactly as a serial `encode_mask` chain would. Every
+//! shipped scheme overrides it with a kernel that walks the contiguous
+//! payload directly — carried-state LUT and SIMD trellis kernels for the
+//! optimal encoders, one shared per-byte kernel for the heuristics — no
+//! `Burst` values, one dispatch per slab, bounds checks amortised by
+//! `chunks_exact`. The default implementation, which loops the per-burst
+//! path through the slab's reusable scratch buffer, remains for the
+//! brute-force oracle. Every path is **bit-identical** to the serial
+//! per-burst chain (differential-tested in `tests/slab_differential.rs`)
+//! and performs no heap allocation once the slab's buffers are warm.
 //!
 //! ```
 //! use dbi_core::{BurstSlab, BusState, DbiEncoder, Scheme};
@@ -569,8 +570,8 @@ impl BurstSlab {
     /// (c+1)·per_chain`), each encoded as its own serial per-burst chain
     /// with its own carried state, recording each burst's mask and
     /// activity. This is the default of [`DbiEncoder::encode_lanes_into`](crate::DbiEncoder::encode_lanes_into)
-    /// and the oracle the lockstep SIMD kernels are differential-tested
-    /// against. Reuses the slab's internal gather buffer, so a warm slab
+    /// (which only the brute-force oracle still runs) and the oracle the
+    /// lockstep SIMD kernels are differential-tested against. Reuses the slab's internal gather buffer, so a warm slab
     /// performs no heap allocation.
     ///
     /// # Panics

@@ -3,9 +3,10 @@
 //! carried-state LUT and SIMD kernels — is bit-identical to the serial
 //! per-burst `encode_mask` chain of each lane group: same masks, same
 //! per-burst cost rows, same carried final states. Swept at one chain (the
-//! single-stream case) and at the four- and eight-chain geometries of the
-//! SIMD blocks, through [`Scheme`] dispatch, an [`EncodePlan`] and the
-//! concrete encoder.
+//! single-stream case), at the four- and eight-chain geometries of the
+//! SIMD blocks and at chain counts that leave remainders after them,
+//! through [`Scheme`] dispatch, an [`EncodePlan`] and the concrete
+//! encoder.
 
 use dbi_core::decode::decode_mask;
 use dbi_core::{
@@ -15,13 +16,16 @@ use dbi_core::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The chain counts every all-scheme differential runs at.
-const CHAINS: [usize; 3] = [1, 4, 8];
+/// The chain counts every all-scheme differential runs at: one chain,
+/// the four- and eight-chain block geometries, and the counts that leave
+/// a remainder after them.
+const CHAINS: [usize; 7] = [1, 2, 3, 4, 5, 8, 9];
 
 fn all_schemes() -> Vec<Scheme> {
     let mut schemes: Vec<Scheme> = Scheme::paper_set().to_vec();
     schemes.extend_from_slice(Scheme::conventional_set());
     schemes.push(Scheme::Greedy(CostWeights::new(3, 1).unwrap()));
+    schemes.push(Scheme::Greedy(CostWeights::new(1, 5).unwrap()));
     schemes.push(Scheme::Opt(CostWeights::new(1, 5).unwrap()));
     schemes.push(Scheme::Opt(CostWeights::new(7, 2).unwrap()));
     schemes.dedup();

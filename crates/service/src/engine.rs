@@ -2794,10 +2794,13 @@ mod tests {
         let engine = Engine::start(ServiceConfig {
             shards: 1,
             queue_capacity: 8,
-            slowlog_threshold_ns: 1_000_000,
+            // A 100 ms threshold against a 200 ms injected delay: an
+            // ordinary request stays far below the threshold even on a
+            // loaded machine, and the slowed one far above it.
+            slowlog_threshold_ns: 100_000_000,
             ..ServiceConfig::default()
         });
-        engine.inject_slowdown_for_tests(7, Duration::from_millis(2));
+        engine.inject_slowdown_for_tests(7, Duration::from_millis(200));
         let mut client = engine.local_client();
         let mut reply = EncodeReply::new();
         let payload = pseudo_random(64, 11);

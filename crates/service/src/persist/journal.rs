@@ -20,19 +20,24 @@
 //! performs no heap allocation for journaling (the buffer is sized by the
 //! first passes and then reused).
 //!
-//! Replay is **lenient at the tail**, strict everywhere else: a process
-//! killed mid-append leaves a torn final record, which replay skips
-//! cleanly (counting the dropped bytes); but a corrupt header or a bad
-//! record *followed by more bytes than a torn tail could explain* is
-//! still just the torn-tail rule — append-only files only ever tear at
-//! the end, so replay stops at the first unparseable record and reports
-//! everything after it as dropped.
+//! Replay streams the file through one chunk-sized buffer
+//! ([`JournalReader::fold`]), parsing each record in place, so reading a
+//! journal costs memory for one chunk, whatever its length. A corrupt
+//! header is a typed error; records are read **leniently at the tail**: a
+//! process killed mid-append leaves a torn final record, which replay
+//! skips cleanly (counting the dropped bytes). A bad record *followed by
+//! more bytes than a torn tail could explain* is still just the torn-tail
+//! rule — append-only files only ever tear at the end, so replay stops at
+//! the first unparseable record and reports everything after it as
+//! dropped.
 
 use std::fs;
-use std::io::Write;
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use dbi_core::persist::{crc32, parse_session_record, push_session_record, RecordError};
+use dbi_core::persist::{
+    crc32, parse_session_record, push_session_record, RecordError, SessionRecordView,
+};
 use dbi_core::{BusState, Scheme};
 
 use super::{PersistError, RestoredSession};
@@ -177,6 +182,14 @@ impl JournalWriter {
     }
 }
 
+/// Size of the reads a journal fold makes. Records are parsed in place
+/// out of one buffer of this size, refilled as the fold advances, so
+/// recovery holds a chunk of a journal in memory, never the whole file.
+/// Reads start at the top of the file, so chunk `k` covers file bytes
+/// `k·JOURNAL_CHUNK .. (k+1)·JOURNAL_CHUNK` (a record longer than a
+/// chunk grows the buffer to fit it).
+pub const JOURNAL_CHUNK: usize = 64 * 1024;
+
 /// The result of replaying one journal file.
 #[derive(Debug)]
 pub struct JournalReplay {
@@ -189,60 +202,148 @@ pub struct JournalReplay {
     pub dropped_bytes: u64,
 }
 
-/// Replays a journal file. `Ok(None)` when the file is missing or too
-/// short to hold a complete header (a journal that never got its header
-/// out is an empty journal). A corrupt header — bad magic, unknown
-/// version, CRC mismatch — is a typed error. Records then replay until
-/// the first malformation; everything from that point is a torn tail,
-/// skipped and counted in [`JournalReplay::dropped_bytes`].
-pub fn replay_journal(path: &Path) -> Result<Option<JournalReplay>, PersistError> {
-    let bytes = match fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(err) => return Err(err.into()),
-    };
-    if bytes.len() < JOURNAL_HEAD_LEN {
-        return Ok(None);
-    }
-    if bytes[..4] != JOURNAL_MAGIC {
-        return Err(PersistError::BadMagic([
-            bytes[0], bytes[1], bytes[2], bytes[3],
-        ]));
-    }
-    if bytes[4] != JOURNAL_VERSION {
-        return Err(PersistError::UnsupportedVersion(bytes[4]));
-    }
-    let stored = u32::from_le_bytes(bytes[14..18].try_into().expect("checked length"));
-    let computed = crc32(&bytes[..14]);
-    if stored != computed {
-        return Err(PersistError::BadHeaderCrc { stored, computed });
-    }
-    let generation = u64::from_le_bytes(bytes[6..14].try_into().expect("checked length"));
+/// A journal opened for a streaming fold: its header is read and checked,
+/// its records not yet.
+#[derive(Debug)]
+pub struct JournalReader {
+    file: fs::File,
+    generation: u64,
+    /// Holds `buf[..filled]`, the first chunk of the file, header
+    /// included.
+    buf: Vec<u8>,
+    filled: usize,
+}
 
-    let mut records = Vec::new();
-    let mut offset = JOURNAL_HEAD_LEN;
-    while offset < bytes.len() {
-        match parse_session_record(&bytes[offset..]) {
-            Ok((view, consumed)) => {
-                records.push(RestoredSession {
-                    session_id: view.session_id,
-                    scheme: view.scheme,
-                    groups: view.group_count() as u16,
-                    burst_len: view.burst_len,
-                    states: view.states().collect(),
-                });
-                offset += consumed;
+impl JournalReader {
+    /// Opens a journal and checks its header. `Ok(None)` when the file is
+    /// missing or too short to hold a complete header (a journal that
+    /// never got its header out is an empty journal). A corrupt header —
+    /// bad magic, unknown version, CRC mismatch — is a typed error.
+    ///
+    /// # Errors
+    ///
+    /// The header errors above, or the underlying read failure.
+    pub fn open(path: &Path) -> Result<Option<Self>, PersistError> {
+        let mut file = match fs::File::open(path) {
+            Ok(file) => file,
+            Err(err) if err.kind() == io::ErrorKind::NotFound => return Ok(None),
+            Err(err) => return Err(err.into()),
+        };
+        let mut buf = vec![0u8; JOURNAL_CHUNK];
+        let filled = read_full(&mut file, &mut buf)?;
+        if filled < JOURNAL_HEAD_LEN {
+            return Ok(None);
+        }
+        if buf[..4] != JOURNAL_MAGIC {
+            return Err(PersistError::BadMagic([buf[0], buf[1], buf[2], buf[3]]));
+        }
+        if buf[4] != JOURNAL_VERSION {
+            return Err(PersistError::UnsupportedVersion(buf[4]));
+        }
+        let stored = u32::from_le_bytes(buf[14..18].try_into().expect("checked length"));
+        let computed = crc32(&buf[..14]);
+        if stored != computed {
+            return Err(PersistError::BadHeaderCrc { stored, computed });
+        }
+        let generation = u64::from_le_bytes(buf[6..14].try_into().expect("checked length"));
+        Ok(Some(JournalReader {
+            file,
+            generation,
+            buf,
+            filled,
+        }))
+    }
+
+    /// The generation the journal was written at.
+    #[must_use]
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Streams every record, in append order, to `visit` as a view
+    /// parsed in place, reading the file a [`JOURNAL_CHUNK`] at a time; a
+    /// record cut by a chunk boundary is carried over to the next read.
+    /// Records replay until the first malformation; everything from that
+    /// point is a torn tail, skipped and returned as the count of
+    /// dropped bytes.
+    ///
+    /// # Errors
+    ///
+    /// The underlying read failure.
+    pub fn fold(
+        mut self,
+        mut visit: impl FnMut(SessionRecordView<'_>),
+    ) -> Result<u64, PersistError> {
+        let mut start = JOURNAL_HEAD_LEN;
+        let mut end = self.filled;
+        let mut eof = end < self.buf.len();
+        loop {
+            match parse_session_record(&self.buf[start..end]) {
+                Ok((view, consumed)) => {
+                    visit(view);
+                    start += consumed;
+                }
+                Err(RecordError::Truncated { needed, .. }) if !eof => {
+                    self.buf.copy_within(start..end, 0);
+                    end -= start;
+                    start = 0;
+                    if needed > self.buf.len() {
+                        self.buf.resize(needed, 0);
+                    }
+                    let got = read_full(&mut self.file, &mut self.buf[end..])?;
+                    eof = end + got < self.buf.len();
+                    end += got;
+                }
+                // Append-only files tear only at the tail: the first
+                // record that does not parse marks the kill point, and
+                // whatever follows it is the torn write.
+                Err(_) => break,
             }
-            // Append-only files tear only at the tail: the first record
-            // that does not parse marks the kill point, and whatever
-            // follows it is the torn write.
-            Err(RecordError::Truncated { .. }) | Err(_) => break,
+        }
+        let unread = if eof {
+            0
+        } else {
+            io::copy(&mut self.file, &mut io::sink())?
+        };
+        Ok((end - start) as u64 + unread)
+    }
+}
+
+/// Reads until `buf` is full or the file ends; returns the bytes read (a
+/// short count means end of file).
+fn read_full(file: &mut fs::File, buf: &mut [u8]) -> io::Result<usize> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match file.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(got) => filled += got,
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+            Err(err) => return Err(err),
         }
     }
+    Ok(filled)
+}
+
+/// Replays a journal file into a list of its records: a
+/// [`JournalReader`] fold that collects every view. `Ok(None)` when the
+/// file is missing or too short to hold a complete header; a corrupt
+/// header is a typed error; a torn tail is skipped and counted in
+/// [`JournalReplay::dropped_bytes`].
+///
+/// # Errors
+///
+/// The header errors of [`JournalReader::open`], or a read failure.
+pub fn replay_journal(path: &Path) -> Result<Option<JournalReplay>, PersistError> {
+    let Some(reader) = JournalReader::open(path)? else {
+        return Ok(None);
+    };
+    let generation = reader.generation();
+    let mut records = Vec::new();
+    let dropped_bytes = reader.fold(|view| records.push(RestoredSession::from_record(&view)))?;
     Ok(Some(JournalReplay {
         generation,
         records,
-        dropped_bytes: (bytes.len() - offset) as u64,
+        dropped_bytes,
     }))
 }
 

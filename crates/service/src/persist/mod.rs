@@ -19,7 +19,12 @@
 //! Recovery folds the snapshot first and then the journals, later records
 //! winning — the journal always holds state at least as new as the
 //! snapshot for any session it mentions (the worker journals every touched
-//! pass, and captures happen quiesced at pass boundaries).
+//! pass, and captures happen quiesced at pass boundaries). Journals are
+//! **streamed**: each is read a fixed-size chunk at a time
+//! ([`journal::JournalReader`]), its records parsed in place, and only the
+//! newest record per session is kept, so recovery time and memory follow
+//! the session count and chunk size, not how many passes the previous
+//! run journaled.
 //!
 //! ## Generations
 //!
@@ -38,6 +43,7 @@
 pub mod journal;
 pub mod snapshot;
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
@@ -45,7 +51,7 @@ use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
 use std::sync::Mutex;
 
-use dbi_core::persist::RecordError;
+use dbi_core::persist::{RecordError, SessionRecordView};
 use dbi_core::{BusState, Scheme};
 
 /// Where the engine keeps its durable session state.
@@ -164,6 +170,29 @@ pub struct RestoredSession {
     pub states: Vec<BusState>,
 }
 
+impl RestoredSession {
+    /// The session a parsed record describes.
+    pub(crate) fn from_record(view: &SessionRecordView<'_>) -> Self {
+        RestoredSession {
+            session_id: view.session_id,
+            scheme: view.scheme,
+            groups: view.group_count() as u16,
+            burst_len: view.burst_len,
+            states: view.states().collect(),
+        }
+    }
+
+    /// Overwrites this session with a newer record of it, reusing the
+    /// state buffer.
+    fn assign_record(&mut self, view: &SessionRecordView<'_>) {
+        self.scheme = view.scheme;
+        self.groups = view.group_count() as u16;
+        self.burst_len = view.burst_len;
+        self.states.clear();
+        self.states.extend(view.states());
+    }
+}
+
 /// Shared durability bookkeeping, stamped into the metrics snapshot and
 /// served over the durability admin frames.
 #[derive(Debug)]
@@ -222,21 +251,26 @@ pub(crate) fn load_state(dir: &std::path::Path) -> Result<LoadedState, PersistEr
     // ones are leftovers of a previous epoch whose state the snapshot
     // already holds. Journal records win over snapshot records: the
     // worker journals every touched pass, so for any session the journal
-    // mentions its last record is at least as new as the capture.
+    // mentions its last record is at least as new as the capture. Each
+    // session's entry is overwritten in place by its newer records.
     let mut generation = snapshot_generation;
     for path in journal::journal_files(dir)? {
-        let Some(replay) = journal::replay_journal(&path)? else {
+        let Some(reader) = journal::JournalReader::open(&path)? else {
             continue;
         };
-        if replay.generation != snapshot_generation && replay.generation != snapshot_generation + 1
+        let journal_generation = reader.generation();
+        if journal_generation != snapshot_generation
+            && journal_generation != snapshot_generation + 1
         {
             continue;
         }
-        generation = generation.max(replay.generation);
-        dropped_bytes += replay.dropped_bytes;
-        for session in replay.records {
-            folded.insert(session.session_id, session);
-        }
+        generation = generation.max(journal_generation);
+        dropped_bytes += reader.fold(|view| match folded.entry(view.session_id) {
+            Entry::Occupied(mut entry) => entry.get_mut().assign_record(&view),
+            Entry::Vacant(entry) => {
+                entry.insert(RestoredSession::from_record(&view));
+            }
+        })?;
     }
 
     let mut sessions: Vec<RestoredSession> = folded.into_values().collect();

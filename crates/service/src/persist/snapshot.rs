@@ -135,13 +135,7 @@ pub fn parse_snapshot(bytes: &[u8]) -> Result<Snapshot, PersistError> {
                 PersistError::Record(err)
             }
         })?;
-        sessions.push(RestoredSession {
-            session_id: view.session_id,
-            scheme: view.scheme,
-            groups: view.group_count() as u16,
-            burst_len: view.burst_len,
-            states: view.states().collect(),
-        });
+        sessions.push(RestoredSession::from_record(&view));
         offset += consumed;
     }
     if offset != bytes.len() {

@@ -8,10 +8,12 @@
 
 use dbi_core::persist::{
     crc32, parse_session_record, push_session_record, session_record_len, RecordError,
-    MAX_RECORD_BODY, RECORD_MAGIC, RECORD_VERSION,
+    MAX_RECORD_BODY, RECORD_BODY_HEAD_LEN, RECORD_MAGIC, RECORD_VERSION,
 };
 use dbi_core::{BusState, CostWeights, LaneWord, Scheme};
-use dbi_service::persist::journal::{self, JournalWriter, JOURNAL_HEAD_LEN};
+use dbi_service::persist::journal::{
+    self, JournalReader, JournalWriter, JOURNAL_CHUNK, JOURNAL_HEAD_LEN,
+};
 use dbi_service::persist::snapshot::{encode_snapshot, parse_snapshot};
 use dbi_service::persist::PersistError;
 use dbi_service::{
@@ -19,7 +21,8 @@ use dbi_service::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
+use std::collections::HashMap;
+use std::path::{Path, PathBuf};
 
 fn state(raw: u16) -> BusState {
     BusState::new(LaneWord::new(raw).unwrap())
@@ -271,6 +274,137 @@ fn journal_replay_skips_torn_tails_and_refuses_bad_headers() {
     assert_eq!(replayed.records.len(), 1);
     assert_eq!(replayed.dropped_bytes as usize, 2 * record_len);
 
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// One session's newest journaled state: scheme, burst length and the
+/// per-group states.
+type LastWins = HashMap<u64, (Scheme, u8, Vec<BusState>)>;
+
+/// Folds `path` through the streaming reader: last record per session
+/// wins, plus the generation and the dropped-byte count.
+fn fold_last_wins(path: &Path) -> Option<(u64, LastWins, u64)> {
+    let reader = JournalReader::open(path).unwrap()?;
+    let generation = reader.generation();
+    let mut sessions = LastWins::new();
+    let dropped = reader
+        .fold(|view| {
+            sessions.insert(
+                view.session_id,
+                (view.scheme, view.burst_len, view.states().collect()),
+            );
+        })
+        .unwrap();
+    Some((generation, sessions, dropped))
+}
+
+/// The same last-wins state computed from `replay_journal`'s records.
+fn replay_last_wins(path: &Path) -> Option<(u64, LastWins, u64)> {
+    let replay = journal::replay_journal(path).unwrap()?;
+    let mut sessions = LastWins::new();
+    for record in replay.records {
+        sessions.insert(
+            record.session_id,
+            (record.scheme, record.burst_len, record.states),
+        );
+    }
+    Some((replay.generation, sessions, replay.dropped_bytes))
+}
+
+/// A record as written: the offset it ends at, then its contents.
+type WrittenRecord = (usize, u64, Scheme, u8, Vec<BusState>);
+
+/// Appends record number `index` of `groups` states: five sessions in
+/// turn, schemes and burst lengths varying, states derived from `index`.
+fn push_numbered_record(bytes: &mut Vec<u8>, index: usize, groups: usize) -> WrittenRecord {
+    let schemes = [Scheme::OptFixed, Scheme::Dc, Scheme::Ac];
+    let session = 1 + (index % 5) as u64;
+    let scheme = schemes[index % schemes.len()];
+    let burst_len = if index.is_multiple_of(2) { 8 } else { 16 };
+    let states: Vec<BusState> = (0..groups)
+        .map(|g| state(((index * 7 + g * 3) % 0x200) as u16))
+        .collect();
+    push_session_record(bytes, session, scheme, burst_len, &states);
+    (bytes.len(), session, scheme, burst_len, states)
+}
+
+#[test]
+fn journal_fold_streams_records_across_chunk_boundaries() {
+    // A journal a few chunks long, written record by record with the
+    // byte offset each record ends at: five sessions appended over and
+    // over, so the fold must keep only each one's newest state.
+    let mut bytes = journal::encode_journal_header(11).to_vec();
+    let mut written: Vec<WrittenRecord> = Vec::new();
+    let mut push = |bytes: &mut Vec<u8>, index: usize, groups: usize| {
+        written.push(push_numbered_record(bytes, index, groups));
+    };
+    let record_len = session_record_len(4);
+    let mut index = 0;
+    // Uniform records up to the first chunk boundary, then one record
+    // sized to end exactly on it.
+    while JOURNAL_CHUNK - bytes.len() > 2 * record_len {
+        push(&mut bytes, index, 4);
+        index += 1;
+    }
+    let filler = (JOURNAL_CHUNK - bytes.len() - session_record_len(0)) / BusState::WIRE_BYTES;
+    push(&mut bytes, index, filler);
+    index += 1;
+    assert_eq!(bytes.len(), JOURNAL_CHUNK, "a record ends on the boundary");
+    // Uniform records past the second boundary, which one of them
+    // straddles; then a record longer than a whole chunk, and a few more.
+    while bytes.len() < 2 * JOURNAL_CHUNK + 4 * record_len {
+        push(&mut bytes, index, 4);
+        index += 1;
+    }
+    let huge = (MAX_RECORD_BODY - RECORD_BODY_HEAD_LEN) / BusState::WIRE_BYTES;
+    push(&mut bytes, index, huge);
+    index += 1;
+    assert!(session_record_len(huge) > JOURNAL_CHUNK);
+    for _ in 0..8 {
+        push(&mut bytes, index, 4);
+        index += 1;
+    }
+    assert!(written.iter().all(|record| record.0 != 2 * JOURNAL_CHUNK));
+
+    // Cut the file at every byte around each chunk boundary, and at the
+    // whole length: a record torn exactly at a boundary, a torn record
+    // ending on one, whole records ending on one. The stream fold, the
+    // replay collector and the written model must agree on the newest
+    // state per session, the generation and the dropped bytes.
+    let dir = temp_dir("fold");
+    let path = journal::journal_path(&dir, 0);
+    let window = record_len;
+    let mut cuts: Vec<usize> = Vec::new();
+    for boundary in [JOURNAL_CHUNK, 2 * JOURNAL_CHUNK, 3 * JOURNAL_CHUNK] {
+        cuts.extend(boundary - window..=boundary + window);
+    }
+    cuts.push(bytes.len());
+    for cut in cuts {
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        let mut expected = LastWins::new();
+        let mut kept = JOURNAL_HEAD_LEN;
+        for (end, session, scheme, burst_len, states) in &written {
+            if *end > cut {
+                break;
+            }
+            expected.insert(*session, (*scheme, *burst_len, states.clone()));
+            kept = *end;
+        }
+        let (generation, folded, dropped) = fold_last_wins(&path).unwrap();
+        assert_eq!(generation, 11, "cut {cut}");
+        assert_eq!(folded, expected, "fold state at cut {cut}");
+        assert_eq!(
+            dropped as usize,
+            cut - kept,
+            "fold dropped bytes at cut {cut}"
+        );
+        assert_eq!(
+            replay_last_wins(&path).unwrap(),
+            (generation, folded, dropped),
+            "replay at cut {cut}"
+        );
+    }
+    assert!(written.len() > 3000, "sessions recur many times");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
