@@ -201,8 +201,7 @@ impl BusSession {
 
     /// Overwrites the carried lane state of one group — how a **receiver**
     /// session is synchronised to the transmitter's known state before
-    /// replaying a stream slice (the service's verify mode does exactly
-    /// this before decoding each request's output).
+    /// replaying a stream slice.
     ///
     /// # Panics
     ///

@@ -13,10 +13,7 @@
 //! prefix is readable, so the client can retire exactly that request.
 
 use super::ConnConfig;
-use crate::engine::{
-    Completion, CompletionSink, EncodeBatchRequest, EncodeRequest, Engine, Phase, RequestSlot,
-    SubmitOptions,
-};
+use crate::engine::{Completion, CompletionSink, EncodeRequest, Engine, Phase, RequestSlot};
 use crate::error::ServiceError;
 use crate::metrics::ConnectionMetrics;
 use crate::wire::{
@@ -410,62 +407,31 @@ fn dispatch_frame(
     match frame {
         Frame::PipelinedRequest {
             request_id,
-            request: view,
-        } => {
-            let request = EncodeRequest {
-                session_id: view.session_id,
-                scheme: view.scheme,
-                cost_model: view.cost_model,
-                groups: view.groups,
-                burst_len: view.burst_len,
-                want_masks: view.want_masks,
-                verify: view.verify,
-                payload: view.payload,
-            };
-            let prepared = ctx.engine.inner().prepare(&request);
-            submit_job(
-                prepared,
-                view.payload,
-                view.want_masks,
-                view.verify.is_on(),
-                PendingKind::Pipelined { request_id },
-                write_buf,
-                pending,
-                completion_token,
-                ctx,
-            );
-        }
+            request,
+        } => submit_job(
+            &request,
+            None,
+            PendingKind::Pipelined { request_id },
+            write_buf,
+            pending,
+            completion_token,
+            ctx,
+        ),
         Frame::PipelinedBatchRequest {
             request_id,
-            request: view,
-        } => {
-            let request = EncodeBatchRequest {
-                session_id: view.session_id,
-                scheme: view.scheme,
-                cost_model: view.cost_model,
-                groups: view.groups,
-                burst_len: view.burst_len,
-                want_masks: view.want_masks,
-                verify: view.verify,
-                count: view.count,
-                payload: view.payload,
-            };
-            let prepared = ctx.engine.inner().prepare_batch(&request);
-            submit_job(
-                prepared,
-                view.payload,
-                view.want_masks,
-                view.verify.is_on(),
-                PendingKind::PipelinedBatch {
-                    request_id,
-                    count: view.count,
-                },
-                write_buf,
-                pending,
-                completion_token,
-                ctx,
-            );
-        }
+            request,
+        } => submit_job(
+            &request.plain(),
+            Some(request.count),
+            PendingKind::PipelinedBatch {
+                request_id,
+                count: request.count,
+            },
+            write_buf,
+            pending,
+            completion_token,
+            ctx,
+        ),
         Frame::MetricsRequest => {
             // The engine snapshot plus this plane's live connection
             // counters — the registry itself cannot see them.
@@ -502,40 +468,31 @@ fn dispatch_frame(
     }
 }
 
-/// Submits one prepared request through the engine's non-blocking path,
-/// recycling a pooled slot and registering the connection's completion
-/// token; synchronous failures (validation, backpressure, shutdown) are
-/// answered immediately under the request's id.
-#[allow(clippy::too_many_arguments)]
+/// Submits one request — a batch when `count` carries its burst count —
+/// through the engine's non-blocking path, recycling a pooled slot and
+/// registering the connection's completion token; synchronous failures
+/// (validation, backpressure, shutdown) are answered immediately under
+/// the request's id.
 fn submit_job(
-    prepared: Result<(usize, crate::engine::RouteKey), ServiceError>,
-    payload: &[u8],
-    want_masks: bool,
-    verify: bool,
+    request: &EncodeRequest<'_>,
+    count: Option<u16>,
     kind: PendingKind,
     write_buf: &mut Vec<u8>,
     pending: &mut Vec<Pending>,
     completion_token: u64,
     ctx: &mut IoContext<'_>,
 ) {
-    let (shard, key) = match prepared {
+    let shared = ctx.engine.shared();
+    let (shard, key) = match shared.prepare(request, count) {
         Ok(route) => route,
         Err(err) => return queue_failure(write_buf, kind.request_id(), &err),
     };
     let slot = ctx.slot_pool.pop().unwrap_or_else(RequestSlot::new);
-    let options = SubmitOptions {
-        want_masks,
-        verify,
-        completion: Some(Completion {
-            sink: Arc::clone(ctx.sink),
-            token: completion_token,
-        }),
+    let completion = Completion {
+        sink: Arc::clone(ctx.sink),
+        token: completion_token,
     };
-    match ctx
-        .engine
-        .inner()
-        .submit_slot(shard, key, payload, options, &slot)
-    {
+    match shared.submit_slot(shard, key, request, Some(completion), &slot) {
         Ok(()) => pending.push(Pending { slot, kind }),
         Err(err) => {
             super::recycle_slot(ctx.slot_pool, slot);

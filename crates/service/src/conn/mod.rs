@@ -30,7 +30,7 @@
 //! without limit.
 //!
 //! Requests reach the engine through its non-blocking submission path
-//! (`EngineInner::submit_slot`) with a completion registration; the shard
+//! (`Shared::submit_slot`) with a completion registration; the shard
 //! worker finishes the request and pushes the slot onto the owning I/O
 //! thread's `Inbox`, waking its poller. Encode frames submit
 //! concurrently up to [`ConnConfig::max_in_flight`] per connection, with

@@ -1,0 +1,372 @@
+//! The shard worker: drains a window of queued jobs, partitions it into
+//! packed rounds, and runs each round as one kernel dispatch.
+
+use super::account::{StageTiming, VerifyScratch};
+use super::queue::{ControlOutcome, Popped};
+use super::sessions::SessionTable;
+use super::{RequestSlot, RouteKey, Shared};
+use crate::error::ServiceError;
+use crate::metrics::ShardMetrics;
+use crate::persist::journal::{journal_path, JournalWriter};
+use crate::persist::RestoredSession;
+use dbi_core::{clock, BurstSlab, BusState, DbiEncoder, EncodePlan, KernelKind, Scheme};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Duration;
+
+/// Upper bound on how many further queued requests one worker pass drains
+/// behind the request it popped (the packing window). Bounds the latency
+/// a burst of requests can add to work still arriving behind it.
+const COALESCE_LIMIT: usize = 16;
+
+/// Largest chain count one packed round accepts before a job opens a new
+/// round. Generous multiple of every kernel's lane width; bounds the
+/// shared slab's mask/cost arrays.
+const ROUND_CHAIN_LIMIT: u32 = 64;
+
+/// Largest payload volume (bytes) one packed round accepts before a job
+/// opens a new round — bounds the shared slab's resident size no matter
+/// how large the individual requests in the window are.
+const ROUND_BYTE_LIMIT: usize = 1 << 20;
+
+/// One job of a worker pass: the queue entry plus the packing decisions
+/// made for it (which round it executes in and where its chains start in
+/// that round's shared slab).
+pub(super) struct PassJob {
+    pub(super) key: RouteKey,
+    pub(super) slot: Arc<RequestSlot>,
+    /// Accesses (bursts per lane group) in the job's payload, read once
+    /// at window-drain time; the round key that keeps slab grids uniform.
+    accesses: u32,
+    /// Round index this job executes in (set by `form_rounds`).
+    round: u32,
+    /// Index of this job's first chain within its round's packed state
+    /// vector and slab grid (set during the round's packing phase).
+    pub(super) chain_base: u32,
+    /// Set once the job's slot has been published (success or failure);
+    /// later phases skip it.
+    pub(super) done: bool,
+}
+
+impl PassJob {
+    /// Whether the job executes in `round` and is not yet published.
+    fn pending_in(&self, round: usize) -> bool {
+        self.round as usize == round && !self.done
+    }
+}
+
+/// A packed round's shared identity: every member job agrees on all
+/// three, so the round's chains form one uniform slab grid encoded by a
+/// single `encode_lanes_into` dispatch.
+#[derive(Clone, Copy)]
+struct RoundMeta {
+    scheme: Scheme,
+    burst_len: u8,
+    accesses: u32,
+    /// Chains packed so far (sum of member jobs' group counts).
+    chains: u32,
+    /// Payload bytes packed so far (for [`ROUND_BYTE_LIMIT`]).
+    bytes: usize,
+}
+
+/// One shard worker's whole private state: the session table plus every
+/// reusable buffer of the packed data path. All scratch survives across
+/// passes, so a warmed-up worker allocates nothing per request.
+pub(super) struct ShardWorker<'a> {
+    pub(super) shard: usize,
+    pub(super) shared: &'a Shared,
+    pub(super) metrics: &'a ShardMetrics,
+    /// The process-selected SIMD tier, resolved once: a dispatch whose
+    /// chain count reaches this kernel's lane width is "full-width" in
+    /// the lane-occupancy metrics.
+    kernel: KernelKind,
+    pub(super) sessions: SessionTable<'a>,
+    /// The packed encode slab every round runs through.
+    pub(super) slab: BurstSlab,
+    /// The packed dispatch's chain states: each member session's carried
+    /// states, concatenated in chain order, which the dispatch advances
+    /// in place to the post-dispatch states each session imports back.
+    pub(super) states: Vec<BusState>,
+    pub(super) verify: VerifyScratch,
+    pub(super) window: Vec<PassJob>,
+    rounds: Vec<RoundMeta>,
+    /// Last round index per session seen while forming rounds (linear
+    /// scan: the window is small). After the pass this doubles as the
+    /// journal's work list — exactly the sessions the pass touched.
+    pub(super) session_rounds: Vec<(u64, u32)>,
+    /// The shard's append-only journal; `None` when persistence is off
+    /// (or its file could not be created — durability degrades, counted
+    /// in the shard's `journal_errors`; the data path never fails).
+    pub(super) journal: Option<JournalWriter>,
+    /// Reused scratch for serialising one session's states into the
+    /// journal or a capture.
+    pub(super) journal_states: Vec<BusState>,
+    /// Monotonic pass counter; stamps each session's last touch for
+    /// idle-age eviction.
+    pass_stamp: u64,
+}
+
+impl<'a> ShardWorker<'a> {
+    /// The worker of `shard`, seeded with its recovered sessions before it
+    /// serves anything: the first request a restored session sees
+    /// continues its carried state exactly where the previous process
+    /// left it.
+    pub(super) fn new(shard: usize, shared: &'a Shared, restored: Vec<RestoredSession>) -> Self {
+        let metrics = shared.metrics.shard(shard);
+        let journal = shared.persist.as_ref().and_then(|plane| {
+            JournalWriter::create(
+                journal_path(&plane.dir, shard),
+                plane.generation.load(Ordering::Relaxed),
+            )
+            .inspect_err(|_| metrics.journal_error())
+            .ok()
+        });
+        let mut sessions = SessionTable::new(
+            shard,
+            shared.config.max_sessions_per_shard,
+            &shared.plans,
+            metrics,
+        );
+        sessions.restore(restored);
+        ShardWorker {
+            shard,
+            shared,
+            metrics,
+            kernel: dbi_core::simd::selected_kernel(),
+            sessions,
+            slab: BurstSlab::new(dbi_core::STANDARD_BURST_LEN),
+            states: Vec::new(),
+            verify: VerifyScratch::default(),
+            window: Vec::with_capacity(COALESCE_LIMIT + 1),
+            rounds: Vec::with_capacity(COALESCE_LIMIT + 1),
+            session_rounds: Vec::with_capacity(COALESCE_LIMIT + 1),
+            journal,
+            journal_states: Vec::new(),
+            pass_stamp: 0,
+        }
+    }
+
+    /// Serves the shard's queue until it closes.
+    pub(super) fn run(mut self) {
+        let shared = self.shared;
+        let queue = &shared.queues[self.shard];
+        loop {
+            let (key, slot) = match queue.pop_blocking() {
+                Popped::Job(job) => job,
+                Popped::Control => {
+                    while let Some(job) = queue.take_control() {
+                        self.serve_control(job);
+                    }
+                    continue;
+                }
+                Popped::Closed => break,
+            };
+            self.metrics.dequeue();
+            self.window.clear();
+            self.push_job(key, slot);
+            // Drain the packing window: whatever is queued behind the popped
+            // job — any session, any geometry — joins this pass.
+            while self.window.len() <= COALESCE_LIMIT {
+                match queue.try_pop() {
+                    Some((key, slot)) => {
+                        self.metrics.dequeue();
+                        self.push_job(key, slot);
+                    }
+                    None => break,
+                }
+            }
+            // One dequeue stamp serves the whole pass: the window left the
+            // queue in the same drain.
+            let dequeue_ns = clock::now_nanos();
+            self.run_pass(dequeue_ns);
+        }
+        // Answer control jobs that slipped in behind the close; their
+        // submitters are blocked on the reply.
+        while let Some(job) = queue.take_control() {
+            job.reply.deliver(ControlOutcome::Aborted);
+        }
+    }
+
+    fn push_job(&mut self, key: RouteKey, slot: Arc<RequestSlot>) {
+        let payload_len = slot
+            .state
+            .lock()
+            .expect("slot mutex poisoned")
+            .payload
+            .len();
+        let access_bytes = usize::from(key.groups) * usize::from(key.burst_len);
+        let accesses = (payload_len / access_bytes) as u32;
+        self.window.push(PassJob {
+            key,
+            slot,
+            accesses,
+            round: 0,
+            chain_base: 0,
+            done: false,
+        });
+    }
+
+    /// One pass over the drained window, in order: form rounds; for each
+    /// round claim and pack, dispatch, then gather, account and verify,
+    /// and publish each of its jobs; journal every session the pass
+    /// touched.
+    fn run_pass(&mut self, dequeue_ns: u64) {
+        self.pass_stamp += 1;
+        self.form_rounds();
+        let mut pass_bursts = 0u64;
+        let mut executed = false;
+        for round in 0..self.rounds.len() {
+            let Some(plan) = self.claim_and_pack(round, dequeue_ns) else {
+                continue;
+            };
+            executed = true;
+            let encode_span = self.dispatch(round, &plan);
+            for job in 0..self.window.len() {
+                if self.window[job].pending_in(round) {
+                    pass_bursts += self.finish_job(job, encode_span, dequeue_ns);
+                }
+            }
+        }
+        // A pass counts, and journals, once it executed at least one
+        // claimed session's work.
+        if executed {
+            self.metrics
+                .record_pass(pass_bursts, (self.window.len() - 1) as u64);
+            self.journal_pass();
+        }
+    }
+
+    /// Partitions the window, in queue order, into packed rounds. A job
+    /// joins the first round that (a) comes strictly after every earlier
+    /// round holding the same session — rounds run in order, so this
+    /// preserves per-session FIFO and keeps at most one job per session
+    /// per round, (b) matches its scheme/burst-length/access-count, and
+    /// (c) still has chain and byte headroom; otherwise it opens a new
+    /// round. Jobs of *different* sessions may hop ahead into an earlier
+    /// round — sessions are independent, so their replies are unaffected.
+    fn form_rounds(&mut self) {
+        self.rounds.clear();
+        self.session_rounds.clear();
+        for job in &mut self.window {
+            let groups = u32::from(job.key.groups);
+            let bytes = job.accesses as usize
+                * usize::from(job.key.groups)
+                * usize::from(job.key.burst_len);
+            let floor = self
+                .session_rounds
+                .iter()
+                .find(|(session, _)| *session == job.key.session_id)
+                .map_or(0, |(_, last)| *last as usize + 1);
+            let mut chosen = None;
+            for index in floor..self.rounds.len() {
+                let round = &self.rounds[index];
+                if round.scheme == job.key.scheme
+                    && round.burst_len == job.key.burst_len
+                    && round.accesses == job.accesses
+                    && round.chains + groups <= ROUND_CHAIN_LIMIT
+                    && round.bytes + bytes <= ROUND_BYTE_LIMIT
+                {
+                    chosen = Some(index);
+                    break;
+                }
+            }
+            let index = chosen.unwrap_or_else(|| {
+                self.rounds.push(RoundMeta {
+                    scheme: job.key.scheme,
+                    burst_len: job.key.burst_len,
+                    accesses: job.accesses,
+                    chains: 0,
+                    bytes: 0,
+                });
+                self.rounds.len() - 1
+            });
+            let round = &mut self.rounds[index];
+            round.chains += groups;
+            round.bytes += bytes;
+            job.round = index as u32;
+            match self
+                .session_rounds
+                .iter_mut()
+                .find(|(session, _)| *session == job.key.session_id)
+            {
+                Some(entry) => entry.1 = index as u32,
+                None => self.session_rounds.push((job.key.session_id, index as u32)),
+            }
+        }
+    }
+
+    /// Claims each member job's session, appends its chains to the shared
+    /// slab and exports its carried states. Jobs whose claim fails are
+    /// published right here. Returns the plan the round dispatches
+    /// through, or `None` when no job was packed.
+    fn claim_and_pack(&mut self, round: usize, dequeue_ns: u64) -> Option<Arc<EncodePlan>> {
+        self.slow_down_for_tests(round);
+        self.slab.set_pricing(true);
+        self.slab.reset(usize::from(self.rounds[round].burst_len));
+        self.states.clear();
+        let mut plan = None;
+        for i in 0..self.window.len() {
+            if !self.window[i].pending_in(round) {
+                continue;
+            }
+            let job = &self.window[i];
+            let state = job.slot.state.lock().expect("slot mutex poisoned");
+            let failure = match self.sessions.claim(&job.key, self.pass_stamp) {
+                Ok(entry) => match entry
+                    .session
+                    .append_chains_to_slab(&state.payload, &mut self.slab)
+                {
+                    Ok(_) => {
+                        drop(state);
+                        self.window[i].chain_base = self.states.len() as u32;
+                        entry.session.export_states_into(&mut self.states);
+                        if plan.is_none() {
+                            plan = Some(Arc::clone(entry.session.plan()));
+                        }
+                        continue;
+                    }
+                    Err(_) => ServiceError::Internal("validated payload rejected by the session"),
+                },
+                Err(err) => {
+                    self.metrics.record_reject();
+                    err
+                }
+            };
+            self.finish_slot(job, state, Err(failure), dequeue_ns, StageTiming::default());
+            self.window[i].done = true;
+        }
+        plan
+    }
+
+    /// Runs the round's one kernel sweep over every packed chain and
+    /// returns its span in nanoseconds.
+    fn dispatch(&mut self, round: usize, plan: &EncodePlan) -> u64 {
+        let chains = self.states.len();
+        let start = clock::now_nanos();
+        plan.encode_lanes_into(&mut self.slab, &mut self.states);
+        let span = clock::now_nanos().saturating_sub(start);
+        let full = chains
+            >= self
+                .kernel
+                .lane_width(usize::from(self.rounds[round].burst_len));
+        self.metrics.record_dispatch(chains as u64, full);
+        span
+    }
+
+    /// Test fault injection: sleeps before packing a round that holds a
+    /// job of the slowed session.
+    fn slow_down_for_tests(&self, round: usize) {
+        let hooks = &self.shared.hooks;
+        let delay_ns = hooks.slow_delay_ns.load(Ordering::Relaxed);
+        if delay_ns > 0 {
+            let slow = hooks.slow_session.load(Ordering::Relaxed);
+            if self
+                .window
+                .iter()
+                .any(|job| job.pending_in(round) && job.key.session_id == slow)
+            {
+                std::thread::sleep(Duration::from_nanos(delay_ns));
+            }
+        }
+    }
+}

@@ -165,6 +165,14 @@ impl JournalWriter {
         Ok(len)
     }
 
+    /// Test fault injection: reopens the journal file read-only, so every
+    /// later non-empty [`JournalWriter::flush`] fails with a real write
+    /// error until the next rotation.
+    pub(crate) fn reopen_read_only(&mut self) -> Result<(), PersistError> {
+        self.file = fs::File::open(&self.path)?;
+        Ok(())
+    }
+
     /// Starts a new generation: truncates the file and writes a fresh
     /// header. Buffered-but-unflushed records are dropped — the caller
     /// snapshots (capturing that state) before rotating.

@@ -98,6 +98,7 @@
 
 use crate::telemetry::{TraceEvent, TraceOutcome};
 use core::fmt;
+use dbi_core::persist::{scheme_from_tag, scheme_to_tag};
 use dbi_core::{CostBreakdown, CostWeights, InversionMask, Scheme};
 use dbi_phy::{NamedInterface, OperatingPoint};
 
@@ -334,12 +335,13 @@ impl ErrorCode {
 /// flags byte.
 ///
 /// Verification replays the full receiver path: the worker reconstructs
-/// the wire image from payload + masks, decodes it through the carried
-/// receiver state ([`dbi_mem::BusSession::decode_stream_into`]), and
-/// compares payload bytes, per-group wire activity and carried lane
-/// states. Any asymmetry fails the request with
-/// [`ErrorCode::VerifyMismatch`] instead of returning silently wrong
-/// results. Costs one extra decode pass over the payload; off by default.
+/// the wire image from payload + masks, decodes it from the session's
+/// pre-request lane states through the slab-kernel decode path
+/// ([`dbi_mem::BusSession::decode_stream_slab_into`]), and compares
+/// payload bytes, per-group wire activity and end lane states. Any
+/// asymmetry fails the request with [`ErrorCode::VerifyMismatch`] instead
+/// of returning silently wrong results. Costs one extra decode pass over
+/// the payload; off by default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum VerifyMode {
     /// Encode only; no receiver replay.
@@ -526,36 +528,15 @@ impl core::str::FromStr for CostModel {
     }
 }
 
-/// Maps a [`Scheme`] to its wire tag and the weights field it travels with.
-pub(crate) fn scheme_to_wire(scheme: Scheme) -> (u8, CostWeights) {
-    match scheme {
-        Scheme::Raw => (0, CostWeights::FIXED),
-        Scheme::Dc => (1, CostWeights::FIXED),
-        Scheme::Ac => (2, CostWeights::FIXED),
-        Scheme::AcDc => (3, CostWeights::FIXED),
-        Scheme::Greedy(w) => (4, w),
-        Scheme::Opt(w) => (5, w),
-        Scheme::OptFixed => (6, CostWeights::FIXED),
-        // `Scheme` is non-exhaustive: a new variant needs a new tag, which
-        // this panic makes impossible to miss.
-        other => unimplemented!("scheme {other} has no wire tag in protocol version {VERSION}"),
-    }
-}
-
-/// Inverse of [`scheme_to_wire`]: the weights field is only interpreted for
-/// the parametric schemes.
+/// Parses a request head's scheme tag through the shared tag table
+/// ([`scheme_from_tag`]); the weights field is only parsed for the
+/// parametric tags (`Greedy` and `Opt`).
 fn scheme_from_wire(tag: u8, weights: [u8; CostWeights::WIRE_BYTES]) -> Result<Scheme, WireError> {
-    let parse = || CostWeights::from_le_bytes(weights).map_err(|_| WireError::BadWeights);
-    match tag {
-        0 => Ok(Scheme::Raw),
-        1 => Ok(Scheme::Dc),
-        2 => Ok(Scheme::Ac),
-        3 => Ok(Scheme::AcDc),
-        4 => Ok(Scheme::Greedy(parse()?)),
-        5 => Ok(Scheme::Opt(parse()?)),
-        6 => Ok(Scheme::OptFixed),
-        other => Err(WireError::UnknownSchemeTag(other)),
-    }
+    let weights = match tag {
+        4 | 5 => CostWeights::from_le_bytes(weights).map_err(|_| WireError::BadWeights)?,
+        _ => CostWeights::FIXED,
+    };
+    scheme_from_tag(tag, weights).ok_or(WireError::UnknownSchemeTag(tag))
 }
 
 /// A parsed frame header. Its version is always [`VERSION`].
@@ -608,8 +589,9 @@ fn push_header(out: &mut Vec<u8>, frame_type: u8, body_len: usize) {
     out.extend_from_slice(&(body_len as u32).to_le_bytes());
 }
 
-/// An encode request body, in its borrowed write-side form. It travels
-/// behind a request id as a [`PipelinedRequestFrame`].
+/// An encode request body, borrowing its payload — as a client builds it
+/// and as [`decode_frame`] hands it back from the receive buffer. It
+/// travels behind a request id as a [`PipelinedRequestFrame`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EncodeRequestFrame<'a> {
     /// Client-chosen session id; requests with the same id share carried
@@ -637,7 +619,7 @@ pub struct EncodeRequestFrame<'a> {
 impl EncodeRequestFrame<'_> {
     /// Appends the body (without the request id) to `out`.
     fn push_body(&self, out: &mut Vec<u8>) {
-        let (tag, weights) = scheme_to_wire(self.scheme);
+        let (tag, weights) = scheme_to_tag(self.scheme);
         out.extend_from_slice(&self.session_id.to_le_bytes());
         out.push(tag);
         out.extend_from_slice(&weights.to_le_bytes());
@@ -650,35 +632,14 @@ impl EncodeRequestFrame<'_> {
     }
 }
 
-/// A decoded encode request, borrowing the receive buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EncodeRequestView<'a> {
-    /// See [`EncodeRequestFrame::session_id`].
-    pub session_id: u64,
-    /// See [`EncodeRequestFrame::scheme`].
-    pub scheme: Scheme,
-    /// See [`EncodeRequestFrame::cost_model`].
-    pub cost_model: CostModel,
-    /// See [`EncodeRequestFrame::groups`].
-    pub groups: u16,
-    /// See [`EncodeRequestFrame::burst_len`].
-    pub burst_len: u8,
-    /// See [`EncodeRequestFrame::want_masks`].
-    pub want_masks: bool,
-    /// See [`EncodeRequestFrame::verify`].
-    pub verify: VerifyMode,
-    /// The payload bytes, borrowed straight from the frame buffer.
-    pub payload: &'a [u8],
-}
-
 /// Decodes the fields every encode request body opens with, through the
-/// flags byte. Returns them as a view whose payload is everything past
+/// flags byte. Returns them as a request whose payload is everything past
 /// `head_len`, plus the length fields between the flags byte and the
 /// payload, which the caller checks.
 fn decode_request_head(
     body: &[u8],
     head_len: usize,
-) -> Result<(EncodeRequestView<'_>, &[u8]), WireError> {
+) -> Result<(EncodeRequestFrame<'_>, &[u8]), WireError> {
     if body.len() < head_len {
         return Err(WireError::Truncated {
             needed: head_len,
@@ -696,7 +657,7 @@ fn decode_request_head(
     let cost_model = CostModel::decode(&field)?;
     let rest = &body[9 + CostWeights::WIRE_BYTES + COST_MODEL_WIRE_BYTES..head_len];
     let (want_masks, verify) = decode_request_flags(rest[3])?;
-    let view = EncodeRequestView {
+    let request = EncodeRequestFrame {
         session_id,
         scheme,
         cost_model,
@@ -706,7 +667,7 @@ fn decode_request_head(
         verify,
         payload: &body[head_len..],
     };
-    Ok((view, &rest[4..]))
+    Ok((request, &rest[4..]))
 }
 
 /// Checks a little-endian `u32` payload-length field against the payload.
@@ -719,17 +680,17 @@ fn check_payload_len(field: &[u8], payload: &[u8]) -> Result<(), WireError> {
     }
 }
 
-fn decode_request(body: &[u8]) -> Result<EncodeRequestView<'_>, WireError> {
-    let (view, lengths) = decode_request_head(body, REQUEST_HEAD_LEN)?;
-    check_payload_len(lengths, view.payload)?;
-    Ok(view)
+fn decode_request(body: &[u8]) -> Result<EncodeRequestFrame<'_>, WireError> {
+    let (request, lengths) = decode_request_head(body, REQUEST_HEAD_LEN)?;
+    check_payload_len(lengths, request.payload)?;
+    Ok(request)
 }
 
 /// A batched encode request body: one contiguous payload carrying a
 /// whole batch of bursts for a session, with its burst count. It travels
 /// behind a request id as a [`PipelinedBatchRequestFrame`]. See the
 /// [module documentation](self) for the body layout and the count-field
-/// invariants.
+/// invariants, which [`decode_frame`] enforces before handing one back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EncodeBatchRequestFrame<'a> {
     /// See [`EncodeRequestFrame::session_id`].
@@ -779,9 +740,24 @@ impl<'a> EncodeBatchRequestFrame<'a> {
         })
     }
 
+    /// The request without its burst count: the form the engine
+    /// validates, with the count checked beside it.
+    pub(crate) fn plain(&self) -> EncodeRequestFrame<'a> {
+        EncodeRequestFrame {
+            session_id: self.session_id,
+            scheme: self.scheme,
+            cost_model: self.cost_model,
+            groups: self.groups,
+            burst_len: self.burst_len,
+            want_masks: self.want_masks,
+            verify: self.verify,
+            payload: self.payload,
+        }
+    }
+
     /// Appends the body (without the request id) to `out`.
     fn push_body(&self, out: &mut Vec<u8>) {
-        let (tag, weights) = scheme_to_wire(self.scheme);
+        let (tag, weights) = scheme_to_tag(self.scheme);
         out.extend_from_slice(&self.session_id.to_le_bytes());
         out.push(tag);
         out.extend_from_slice(&weights.to_le_bytes());
@@ -795,32 +771,9 @@ impl<'a> EncodeBatchRequestFrame<'a> {
     }
 }
 
-/// A decoded batch encode request, borrowing the receive buffer. The
-/// count-field invariants (`count > 0`, `count · burst_len ==
-/// payload.len()`) have already been enforced by the decoder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EncodeBatchRequestView<'a> {
-    /// See [`EncodeBatchRequestFrame::session_id`].
-    pub session_id: u64,
-    /// See [`EncodeBatchRequestFrame::scheme`].
-    pub scheme: Scheme,
-    /// See [`EncodeBatchRequestFrame::cost_model`].
-    pub cost_model: CostModel,
-    /// See [`EncodeBatchRequestFrame::groups`].
-    pub groups: u16,
-    /// See [`EncodeBatchRequestFrame::burst_len`].
-    pub burst_len: u8,
-    /// See [`EncodeBatchRequestFrame::want_masks`].
-    pub want_masks: bool,
-    /// See [`EncodeBatchRequestFrame::verify`].
-    pub verify: VerifyMode,
-    /// See [`EncodeBatchRequestFrame::count`].
-    pub count: u16,
-    /// The payload bytes, borrowed straight from the frame buffer.
-    pub payload: &'a [u8],
-}
-
-fn decode_batch_request(body: &[u8]) -> Result<EncodeBatchRequestView<'_>, WireError> {
+/// Decodes a batch request body, enforcing the count-field invariants
+/// (`count > 0`, `count · burst_len == payload.len()`).
+fn decode_batch_request(body: &[u8]) -> Result<EncodeBatchRequestFrame<'_>, WireError> {
     let (head, lengths) = decode_request_head(body, BATCH_REQUEST_HEAD_LEN)?;
     let count = u16::from_le_bytes([lengths[0], lengths[1]]);
     check_payload_len(&lengths[2..], head.payload)?;
@@ -831,7 +784,7 @@ fn decode_batch_request(body: &[u8]) -> Result<EncodeBatchRequestView<'_>, WireE
             got: head.payload.len().checked_div(burst_len).unwrap_or(0),
         });
     }
-    Ok(EncodeBatchRequestView {
+    Ok(EncodeBatchRequestFrame {
         session_id: head.session_id,
         scheme: head.scheme,
         cost_model: head.cost_model,
@@ -1526,7 +1479,7 @@ pub enum Frame<'a> {
         /// The client-chosen request id.
         request_id: u64,
         /// The request body.
-        request: EncodeRequestView<'a>,
+        request: EncodeRequestFrame<'a>,
     },
     /// A service encode response.
     PipelinedResponse {
@@ -1540,7 +1493,7 @@ pub enum Frame<'a> {
         /// The client-chosen request id.
         request_id: u64,
         /// The batch request body.
-        request: EncodeBatchRequestView<'a>,
+        request: EncodeBatchRequestFrame<'a>,
     },
     /// A service batch encode response.
     PipelinedBatchResponse {
@@ -1682,7 +1635,7 @@ mod tests {
         buf
     }
 
-    fn decoded_request(buf: &[u8]) -> EncodeRequestView<'_> {
+    fn decoded_request(buf: &[u8]) -> EncodeRequestFrame<'_> {
         let (Frame::PipelinedRequest { request, .. }, _) = decode_frame(buf).unwrap() else {
             panic!("wrong frame type");
         };
@@ -1796,7 +1749,7 @@ mod tests {
         all.extend_from_slice(Scheme::conventional_set());
         all.push(Scheme::Greedy(CostWeights::new(3, 5).unwrap()));
         for scheme in all {
-            let (tag, weights) = scheme_to_wire(scheme);
+            let (tag, weights) = scheme_to_tag(scheme);
             assert_eq!(scheme_from_wire(tag, weights.to_le_bytes()), Ok(scheme));
         }
         assert_eq!(

@@ -104,7 +104,9 @@ fn verified_requests_return_the_same_results_as_unverified_ones() {
 #[test]
 fn verified_stream_stays_bit_identical_to_a_serial_session() {
     // Verification must be an observer: carried state across verified
-    // requests equals the plain serial run.
+    // requests equals the plain serial run. The four slices alternate
+    // verify on and off, and masks on and off, so the scratch mask sink
+    // and the pre/post state hand-off both run between plain requests.
     let engine = engine();
     let mut client = engine.local_client();
     let config = ChannelConfig::gddr5x();
@@ -113,7 +115,16 @@ fn verified_stream_stays_bit_identical_to_a_serial_session() {
     let quarter = data.len() / 4;
     let mut bursts = 0u64;
     let mut per_group = vec![dbi_core::CostBreakdown::ZERO; 4];
-    for slice in data.chunks(quarter) {
+    let mut serial = BusSession::new(&config, Scheme::OptFixed);
+    let mut serial_groups = Vec::new();
+    let mut serial_masks = Vec::new();
+    for (index, slice) in data.chunks(quarter).enumerate() {
+        let verify = if index % 2 == 0 {
+            VerifyMode::RoundTrip
+        } else {
+            VerifyMode::Off
+        };
+        let want_masks = index < 2;
         client
             .encode(
                 &EncodeRequest {
@@ -122,13 +133,23 @@ fn verified_stream_stays_bit_identical_to_a_serial_session() {
                     cost_model: dbi_service::CostModel::Inline,
                     groups: 4,
                     burst_len: 8,
-                    want_masks: false,
-                    verify: VerifyMode::RoundTrip,
+                    want_masks,
+                    verify,
                     payload: slice,
                 },
                 &mut reply,
             )
             .unwrap();
+        let serial_bursts = serial
+            .encode_stream_into(slice, &mut serial_groups, Some(&mut serial_masks))
+            .unwrap();
+        assert_eq!(reply.bursts, serial_bursts, "slice {index}");
+        assert_eq!(reply.per_group, serial_groups, "slice {index}");
+        if want_masks {
+            assert_eq!(reply.masks, serial_masks, "slice {index}");
+        } else {
+            assert!(reply.masks.is_empty(), "slice {index}");
+        }
         bursts += reply.bursts;
         for (total, part) in per_group.iter_mut().zip(&reply.per_group) {
             *total += *part;
@@ -138,6 +159,7 @@ fn verified_stream_stays_bit_identical_to_a_serial_session() {
     let expected = reference.encode_stream(&data).unwrap();
     assert_eq!(bursts, expected.bursts);
     assert_eq!(per_group, expected.per_group);
+    assert_eq!(engine.metrics().totals().verified, 2);
     engine.shutdown();
 }
 
@@ -157,7 +179,23 @@ fn corrupted_decode_surfaces_as_a_typed_verify_mismatch_locally() {
         payload: &payload,
     };
     let mut reply = EncodeReply::new();
+    // Every reply must match a serial session fed the same stream —
+    // including the one after the mismatch: the failed request's encode
+    // still advanced the session's carried state.
+    let mut serial = BusSession::with_geometry(4, 8, Scheme::OptFixed);
+    let mut serial_groups = Vec::new();
+    let mut serial_masks = Vec::new();
+    let mut serial_encode = || {
+        let bursts = serial
+            .encode_stream_into(&payload, &mut serial_groups, Some(&mut serial_masks))
+            .unwrap();
+        (bursts, serial_groups.clone(), serial_masks.clone())
+    };
     client.encode(&request, &mut reply).unwrap();
+    assert_eq!(
+        (reply.bursts, reply.per_group.clone(), reply.masks.clone()),
+        serial_encode()
+    );
 
     engine.corrupt_verify_for_tests(true);
     let err = client.encode(&request, &mut reply).unwrap_err();
@@ -168,10 +206,15 @@ fn corrupted_decode_surfaces_as_a_typed_verify_mismatch_locally() {
             byte_offset: Some(0),
         }
     );
+    serial_encode();
 
     // Un-corrupted, the same session verifies clean again.
     engine.corrupt_verify_for_tests(false);
     client.encode(&request, &mut reply).unwrap();
+    assert_eq!(
+        (reply.bursts, reply.per_group.clone(), reply.masks.clone()),
+        serial_encode()
+    );
 
     let totals = engine.metrics().totals();
     assert_eq!(totals.verified, 3);
