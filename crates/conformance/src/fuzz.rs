@@ -26,9 +26,9 @@
 //!   a burst boundary stays bit-identical to the hand-stitched chain;
 //! * **kernel-tier equality** — every available slab kernel
 //!   ([`dbi_core::simd::available_kernels`]: SSE2, AVX2, NEON)
-//!   produces bit-identical masks, pricing and carried chain states to
+//!   produces bit-identical masks, cost rows and carried chain states to
 //!   the serial reference on multi-chain lane sweeps, encode and decode,
-//!   priced and masks-only.
+//!   with the decode's wire re-pricing checked on every case.
 
 use crate::corpus::ref_scheme;
 use crate::reference;
@@ -389,18 +389,19 @@ fn run_case(
     // Kernel-tier differential: the multi-chain lanes encode and the SWAR
     // decode must be bit-identical to the serial per-chain reference on
     // EVERY available kernel (SSE2, AVX2, NEON — whatever the
-    // CPU offers), priced and masks-only, whatever the geometry. This is
+    // CPU offers), cost rows included, whatever the geometry. This is
     // what lets `DBI_FORCE_SCALAR` be an escape hatch rather than a
     // different codec.
     if case.is_multiple_of(3) {
         let chains = rng.gen_range(1..10usize);
-        let pricing = rng.gen::<bool>();
+        // Discarded draw: it holds the seeded case stream fixed, so every
+        // later case keeps its inputs.
+        let _ = rng.gen::<bool>();
         let encoder = dbi_core::schemes::OptEncoder::new(weights);
 
         // Chain 0 replays the structured chain; the rest are fresh draws
         // so neighbouring lanes carry uncorrelated survivor masks.
         let mut slab = BurstSlab::with_capacity(burst_len, chains * bursts);
-        slab.set_pricing(pricing);
         for bytes in &scratch.chain {
             slab.push_bytes(bytes).expect("chain bursts fit the slab");
         }
@@ -431,14 +432,13 @@ fn run_case(
             {
                 return Err(format!(
                     "lanes kernel {kernel} diverges from the serial reference \
-                     (len {burst_len}, {chains}x{bursts}, pricing {pricing})"
+                     (len {burst_len}, {chains}x{bursts})"
                 ));
             }
 
             // Decode arm: the wire image must come back bit-identical
             // through the same kernel tier, receiver states included.
             let mut rx = BurstSlab::with_capacity(burst_len, chains * bursts);
-            rx.set_pricing(pricing);
             for (index, mask) in lanes.masks().iter().enumerate() {
                 let bytes = lanes.burst_bytes(index).expect("burst was pushed above");
                 scratch.wire.clear();
@@ -454,10 +454,10 @@ fn run_case(
             if rx.bytes() != slab.bytes() || rx_states != states {
                 return Err(format!(
                     "lanes kernel {kernel} decode diverges \
-                     (len {burst_len}, {chains}x{bursts}, pricing {pricing})"
+                     (len {burst_len}, {chains}x{bursts})"
                 ));
             }
-            if pricing && rx.costs() != reference.costs() {
+            if rx.costs() != reference.costs() {
                 return Err(format!(
                     "lanes kernel {kernel} wire re-pricing diverges \
                      (len {burst_len}, {chains}x{bursts})"

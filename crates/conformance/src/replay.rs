@@ -105,7 +105,6 @@ pub fn check_slab_level(corpus: &Corpus) -> Result<ReplayStats, String> {
         let context = |what: &str| format!("vector {index} ({}): {what}", vector.scheme);
         let scheme = vector.parsed_scheme();
         slab.reset(vector.burst_len);
-        slab.set_pricing(true);
         for bytes in &vector.bursts {
             slab.push_bytes(bytes).expect("golden bursts fit the slab");
         }

@@ -1,4 +1,5 @@
-//! Quick standalone probe of the lanes kernels: ns/burst per tier.
+//! Quick standalone probe of the lanes kernels: priced ns/burst per tier
+//! (OPT(Fixed), BL8, 8 chains × 128 bursts, best of 200).
 //! Run: `cargo run -p dbi-core --example lanes_probe --release`
 
 use dbi_core::schemes::OptFixedEncoder;
@@ -23,20 +24,17 @@ fn main() {
     }
     let opt = OptFixedEncoder::new();
     for &kernel in dbi_core::simd::available_kernels() {
-        for pricing in [false, true] {
-            slab.set_pricing(pricing);
-            let mut best = f64::INFINITY;
-            for _ in 0..200 {
-                let mut states = [BusState::idle(); 8];
-                let start = Instant::now();
-                opt.encode_lanes_into_with(kernel, &mut slab, &mut states);
-                std::hint::black_box(states);
-                let ns = start.elapsed().as_secs_f64() * 1e9 / count as f64;
-                if ns < best {
-                    best = ns;
-                }
+        let mut best = f64::INFINITY;
+        for _ in 0..200 {
+            let mut states = [BusState::idle(); 8];
+            let start = Instant::now();
+            opt.encode_lanes_into_with(kernel, &mut slab, &mut states);
+            std::hint::black_box(states);
+            let ns = start.elapsed().as_secs_f64() * 1e9 / count as f64;
+            if ns < best {
+                best = ns;
             }
-            println!("{kernel:9} pricing={pricing:5}  {best:.2} ns/burst");
         }
+        println!("{kernel:9} {best:.2} ns/burst");
     }
 }

@@ -25,7 +25,7 @@
 //! [`BurstSlab::decode_in_place`](crate::BurstSlab::decode_in_place). The
 //! buffer-reusing forms are allocation-free once their buffers are warm.
 //! The slab forms also carry the **receiver's** lane state across bursts
-//! and, with pricing on, re-price the wire activity from the received
+//! and re-price the wire activity from the received
 //! lane levels ([`crate::word::LaneWord::from_wire`]) — an independent
 //! path from the encode-side accounting, so the two sides cross-check
 //! each other (the service's verify mode and the conformance suite build
@@ -197,19 +197,6 @@ mod tests {
             assert_eq!(rx_slab.costs(), tx_slab.costs(), "{scheme}: activity");
             assert_eq!(rx_slab.total(), tx_slab.total(), "{scheme}: totals");
         }
-    }
-
-    #[test]
-    fn slab_decode_respects_masks_only_mode() {
-        let mut slab = BurstSlab::new(4);
-        slab.extend_from_bytes(&[0x0Fu8; 8]).unwrap();
-        slab.load_masks(&[InversionMask::from_bits(0b1010); 2])
-            .unwrap();
-        slab.set_pricing(false);
-        let mut state = BusState::idle();
-        slab.decode_in_place(&mut state).unwrap();
-        assert!(slab.costs().is_empty());
-        assert_ne!(state, BusState::idle());
     }
 
     #[test]

@@ -79,9 +79,9 @@ pub trait DbiEncoder {
     /// chains** (one per lane group of a channel), laid out chain-major:
     /// chain `c`'s bursts occupy rows `c·per_chain .. (c+1)·per_chain`,
     /// and each chain carries its own [`BusState`], exactly as a serial
-    /// [`DbiEncoder::encode_mask`] chain would. Fills the slab's per-burst
-    /// mask and (with pricing on) cost rows; on return each state holds
-    /// the lane levels after its chain's last burst.
+    /// [`DbiEncoder::encode_mask`] chain would. Fills one mask and one
+    /// cost row per burst; on return each state holds the lane levels
+    /// after its chain's last burst.
     ///
     /// Every scheme this crate ships overrides it with a direct kernel.
     /// The optimal encoders run carried-state LUT kernels that sweep four

@@ -178,15 +178,16 @@ impl OptEncoder {
     }
 
     /// The bit-packed survivor-mask Viterbi sweep over raw payload bytes:
-    /// the body of [`DbiEncoder::encode_mask`], factored onto `&[u8]` +
-    /// the previous decoded byte/DBI level so the slab kernels can run
-    /// it straight over a [`BurstSlab`]'s contiguous storage without
-    /// building [`Burst`]s or [`LaneWord`]s.
+    /// the body of [`DbiEncoder::encode_mask`], entered from an arbitrary
+    /// 9-bit lane state — any [`LaneWord`] is its decoded byte plus its
+    /// DBI level, which is the chained entry form of
+    /// [`OptEncoder::entry_costs`].
     ///
     /// `bytes` must be non-empty and at most 32 bytes (the mask width);
     /// both invariants are upheld by every caller's geometry checks.
     #[inline]
-    fn mask_kernel_chained(&self, bytes: &[u8], last_data: u8, prev_low: bool) -> InversionMask {
+    fn mask_kernel(&self, bytes: &[u8], prev: LaneWord) -> InversionMask {
+        let (last_data, prev_low) = (prev.decode(), prev.dbi().is_inverted());
         // mask_plain/mask_inv: the inversion decisions of the cheapest path
         // that reaches the current byte in state plain/inverted — the
         // survivor paths, updated in registers instead of backtracked.
@@ -217,14 +218,6 @@ impl OptEncoder {
         })
     }
 
-    /// [`OptEncoder::mask_kernel_chained`] entered from an arbitrary
-    /// 9-bit lane state: any [`LaneWord`] is its decoded byte plus its
-    /// DBI level, which is exactly the chained entry form.
-    #[inline]
-    fn mask_kernel(&self, bytes: &[u8], prev: LaneWord) -> InversionMask {
-        self.mask_kernel_chained(bytes, prev.decode(), prev.dbi().is_inverted())
-    }
-
     /// One fused trellis sweep over a single burst's raw bytes: the
     /// survivor-mask Viterbi of [`OptEncoder::mask_kernel`] with each
     /// survivor path's **raw** zero and transition counts carried along
@@ -240,9 +233,8 @@ impl OptEncoder {
     /// popcount *p* transmits `8 − p` zeros plain and `p + 1` inverted,
     /// and a step of XOR-popcount *d* toggles `d` lanes when the state
     /// holds and `9 − d` when it flips. Returns the winning mask and its
-    /// breakdown; like [`OptEncoder::mask_kernel_chained`] it enters
-    /// from the previous driven payload byte and DBI level, so slab
-    /// chains never materialise a [`LaneWord`].
+    /// breakdown; it enters from the previous driven payload byte and DBI
+    /// level, so slab chains never materialise a [`LaneWord`].
     #[inline]
     fn slab_burst_kernel(
         &self,
@@ -321,60 +313,45 @@ impl OptEncoder {
         )
     }
 
-    /// The slab burst loops, shared between the priced and masks-only
-    /// modes. Always inlined so the standard-length call sites in
-    /// [`OptEncoder::encode_chain_scalar`] propagate their literal
-    /// `burst_len` into the chunking and the kernels' sweeps.
-    #[allow(clippy::too_many_arguments)]
+    /// The slab burst loop. Always inlined so the standard-length call
+    /// sites in [`OptEncoder::encode_chain_scalar`] propagate their
+    /// literal `burst_len` into the chunking and the kernel's sweep.
     #[inline(always)]
-    pub(crate) fn slab_runs(
+    fn slab_runs(
         &self,
         burst_len: usize,
         bytes: &[u8],
         masks: &mut [InversionMask],
         costs: &mut [CostBreakdown],
-        pricing: bool,
         last_data: &mut u8,
         prev_low: &mut bool,
     ) {
-        if pricing {
-            for ((chunk, mask_slot), cost_slot) in bytes
-                .chunks_exact(burst_len)
-                .zip(masks.iter_mut())
-                .zip(costs.iter_mut())
-            {
-                let (mask, breakdown) = self.slab_burst_kernel(chunk, *last_data, *prev_low);
-                *mask_slot = mask;
-                *cost_slot = breakdown;
-                *last_data = chunk[burst_len - 1];
-                *prev_low = mask.is_inverted(burst_len - 1);
-            }
-        } else {
-            for (chunk, mask_slot) in bytes.chunks_exact(burst_len).zip(masks.iter_mut()) {
-                let mask = self.mask_kernel_chained(chunk, *last_data, *prev_low);
-                *mask_slot = mask;
-                *last_data = chunk[burst_len - 1];
-                *prev_low = mask.is_inverted(burst_len - 1);
-            }
+        for ((chunk, mask_slot), cost_slot) in bytes
+            .chunks_exact(burst_len)
+            .zip(masks.iter_mut())
+            .zip(costs.iter_mut())
+        {
+            let (mask, breakdown) = self.slab_burst_kernel(chunk, *last_data, *prev_low);
+            *mask_slot = mask;
+            *cost_slot = breakdown;
+            *last_data = chunk[burst_len - 1];
+            *prev_low = mask.is_inverted(burst_len - 1);
         }
     }
 
     /// One chain through the scalar oracle: one fused pass per burst over
     /// the chain's contiguous payload — no [`Burst`] construction, no
     /// per-burst dispatch, no separate pricing walk, and `chunks_exact`
-    /// hoists the bounds checks out of the burst loop. With pricing off
-    /// the pass drops the cost accumulators entirely and runs the bare
-    /// `encode_mask` sweep. Bit-identical to the serial per-burst chain
-    /// either way: the sweep is the `encode_mask` recurrence and the fused
-    /// accumulators reproduce [`InversionMask::breakdown`] exactly
-    /// (`tests/slab_differential.rs`).
+    /// hoists the bounds checks out of the burst loop. Bit-identical to
+    /// the serial per-burst chain: the sweep is the `encode_mask`
+    /// recurrence and the fused accumulators reproduce
+    /// [`InversionMask::breakdown`] exactly (`tests/slab_differential.rs`).
     fn encode_chain_scalar(
         &self,
         burst_len: usize,
         bytes: &[u8],
         masks: &mut [InversionMask],
         costs: &mut [CostBreakdown],
-        pricing: bool,
         state: &mut BusState,
     ) {
         // The inter-burst chain is two scalars: the data byte the wires
@@ -392,16 +369,16 @@ impl OptEncoder {
         // fully unrolled — the geometry of a slab is fixed, which is an
         // edge the per-burst entry point can never exploit.
         match burst_len {
-            8 => self.slab_runs(8, bytes, masks, costs, pricing, last, low),
-            16 => self.slab_runs(16, bytes, masks, costs, pricing, last, low),
-            _ => self.slab_runs(burst_len, bytes, masks, costs, pricing, last, low),
+            8 => self.slab_runs(8, bytes, masks, costs, last, low),
+            16 => self.slab_runs(16, bytes, masks, costs, last, low),
+            _ => self.slab_runs(burst_len, bytes, masks, costs, last, low),
         }
         *state = BusState::new(LaneWord::encode_byte(last_data, prev_low));
     }
 
     /// [`DbiEncoder::encode_lanes_into`] with an explicit kernel tier —
     /// the differential-test surface: every [`KernelKind`] must produce
-    /// bit-identical masks, pricing and carried states.
+    /// bit-identical masks, cost rows and carried states.
     ///
     /// The slab is treated as `states.len()` independent chains laid out
     /// chain-major (chain `c`'s bursts occupy rows `c·per_chain ..
@@ -429,7 +406,6 @@ impl OptEncoder {
             "lane-group encode needs at least one chain state"
         );
         let burst_len = slab.burst_len();
-        let pricing = slab.pricing();
         let (bytes, masks, costs) = slab.encode_parts_mut();
         let count = masks.len();
         assert!(
@@ -453,11 +429,6 @@ impl OptEncoder {
                     chain_low[k] = entry.dbi().is_inverted();
                 }
                 let rows = c * per_chain..(c + 8) * per_chain;
-                let cost_block: &mut [CostBreakdown] = if pricing {
-                    &mut costs[rows.clone()]
-                } else {
-                    &mut []
-                };
                 // SAFETY: `Avx2` is only selected or listed as available
                 // after runtime AVX2 detection succeeded.
                 #[allow(unsafe_code)]
@@ -467,8 +438,7 @@ impl OptEncoder {
                         per_chain,
                         &bytes[rows.start * burst_len..rows.end * burst_len],
                         &mut masks[rows.clone()],
-                        cost_block,
-                        pricing,
+                        &mut costs[rows],
                         &mut chain_data,
                         &mut chain_low,
                     );
@@ -489,19 +459,13 @@ impl OptEncoder {
                     chain_low[k] = entry.dbi().is_inverted();
                 }
                 let rows = c * per_chain..(c + 4) * per_chain;
-                let cost_block: &mut [CostBreakdown] = if pricing {
-                    &mut costs[rows.clone()]
-                } else {
-                    &mut []
-                };
                 self.encode_block4(
                     kernel,
                     burst_len,
                     per_chain,
                     &bytes[rows.start * burst_len..rows.end * burst_len],
                     &mut masks[rows.clone()],
-                    cost_block,
-                    pricing,
+                    &mut costs[rows],
                     &mut chain_data,
                     &mut chain_low,
                 );
@@ -513,17 +477,11 @@ impl OptEncoder {
         }
         for state in states[c..].iter_mut() {
             let rows = c * per_chain..(c + 1) * per_chain;
-            let cost_block: &mut [CostBreakdown] = if pricing {
-                &mut costs[rows.clone()]
-            } else {
-                &mut []
-            };
             self.encode_chain_scalar(
                 burst_len,
                 &bytes[rows.start * burst_len..rows.end * burst_len],
-                &mut masks[rows],
-                cost_block,
-                pricing,
+                &mut masks[rows.clone()],
+                &mut costs[rows],
                 state,
             );
             c += 1;
@@ -543,7 +501,6 @@ impl OptEncoder {
         bytes: &[u8],
         masks: &mut [InversionMask],
         costs: &mut [CostBreakdown],
-        pricing: bool,
         last_data: &mut [u8; 4],
         prev_low: &mut [bool; 4],
     ) {
@@ -555,12 +512,12 @@ impl OptEncoder {
             #[allow(unsafe_code)]
             KernelKind::Sse2 | KernelKind::Avx2 => unsafe {
                 crate::simd::encode_block4_sse2(
-                    self, burst_len, per_chain, bytes, masks, costs, pricing, last_data, prev_low,
+                    self, burst_len, per_chain, bytes, masks, costs, last_data, prev_low,
                 );
             },
             #[cfg(target_arch = "aarch64")]
             KernelKind::Neon => crate::simd::encode_block4_neon(
-                self, burst_len, per_chain, bytes, masks, costs, pricing, last_data, prev_low,
+                self, burst_len, per_chain, bytes, masks, costs, last_data, prev_low,
             ),
             _ => unreachable!("{kernel} has no four-chain kernel on this target"),
         }

@@ -7,10 +7,9 @@
 //! in one pass per chain, carrying the chain as the data byte the wires
 //! last carried plus the DBI level (the way
 //! [`OptEncoder`](crate::schemes::OptEncoder)'s slab kernels do), so no
-//! [`Burst`](crate::Burst) or [`LaneWord`] is built per byte. With pricing
-//! on, each burst is priced in the same pass, right after its decisions,
-//! eight beats per 64-bit word ([`price_burst`]) instead of a per-byte
-//! walk; with pricing off the cost work is skipped.
+//! [`Burst`](crate::Burst) or [`LaneWord`] is built per byte. Each burst
+//! is priced in the same pass, right after its decisions, eight beats per
+//! 64-bit word ([`price_burst`]) instead of a per-byte walk.
 //!
 //! The rules use the popcount identities of [`crate::lut`]: a byte of
 //! popcount *p* drives `8 − p` zeros plain and `p + 1` inverted, and a
@@ -63,8 +62,8 @@ pub(crate) fn ac_rule(byte: u8, last: u8, low: bool) -> bool {
 /// Encodes `slab` as `states.len()` chain-major chains under the per-byte
 /// rule `invert(beat, byte, last, low)`: `beat` is the byte's index in its
 /// burst, `last` the data byte driven on the previous beat and `low`
-/// whether that beat went out inverted. Fills masks (and, with pricing
-/// on, cost rows) and leaves each state at its chain's last driven word —
+/// whether that beat went out inverted. Fills masks and cost rows and
+/// leaves each state at its chain's last driven word —
 /// the [`DbiEncoder::encode_lanes_into`](crate::DbiEncoder::encode_lanes_into)
 /// contract.
 ///
@@ -83,7 +82,6 @@ where
         "lane-group encode needs at least one chain state"
     );
     let burst_len = slab.burst_len();
-    let pricing = slab.pricing();
     let (bytes, masks, costs) = slab.encode_parts_mut();
     let count = masks.len();
     assert!(
@@ -98,23 +96,15 @@ where
         let rows = c * per_chain..(c + 1) * per_chain;
         let chain = &bytes[rows.start * burst_len..rows.end * burst_len];
         let masks = &mut masks[rows.clone()];
+        let costs = &mut costs[rows];
         let entry = state.last();
         let mut carried = (entry.decode(), entry.dbi().is_inverted());
         // A literal burst length on the standard geometries lets the
         // always-inlined copies unroll their beat loops.
-        if pricing {
-            let costs = &mut costs[rows];
-            match burst_len {
-                8 => priced_chain(8, chain, masks, costs, &mut carried, invert),
-                16 => priced_chain(16, chain, masks, costs, &mut carried, invert),
-                _ => priced_chain(burst_len, chain, masks, costs, &mut carried, invert),
-            }
-        } else {
-            match burst_len {
-                8 => masks_chain(8, chain, masks, &mut carried, invert),
-                16 => masks_chain(16, chain, masks, &mut carried, invert),
-                _ => masks_chain(burst_len, chain, masks, &mut carried, invert),
-            }
+        match burst_len {
+            8 => encode_chain(8, chain, masks, costs, &mut carried, invert),
+            16 => encode_chain(16, chain, masks, costs, &mut carried, invert),
+            _ => encode_chain(burst_len, chain, masks, costs, &mut carried, invert),
         }
         *state = BusState::new(LaneWord::encode_byte(carried.0, carried.1));
     }
@@ -143,7 +133,7 @@ where
 /// [`price_burst`] right after its decisions, from its bytes, its mask
 /// and the state it entered from.
 #[inline(always)]
-fn priced_chain<F>(
+fn encode_chain<F>(
     burst_len: usize,
     chain: &[u8],
     masks: &mut [InversionMask],
@@ -192,20 +182,4 @@ fn price_burst(burst: &[u8], bits: u32, entry: (u8, bool)) -> CostBreakdown {
         prev = (driven >> (8 * (word.len() - 1))) & 0xFF;
     }
     CostBreakdown::new(u64::from(zeros), u64::from(transitions))
-}
-
-/// One chain, decisions only: the cost work is skipped entirely.
-#[inline(always)]
-fn masks_chain<F>(
-    burst_len: usize,
-    chain: &[u8],
-    masks: &mut [InversionMask],
-    carried: &mut (u8, bool),
-    invert: F,
-) where
-    F: Fn(usize, u8, u8, bool) -> bool + Copy,
-{
-    for (burst, mask) in chain.chunks_exact(burst_len).zip(masks.iter_mut()) {
-        *mask = InversionMask::from_bits(decide_burst(burst, carried, invert));
-    }
 }

@@ -11,7 +11,7 @@
 //!
 //! 1. **Scalar** ([`KernelKind::Scalar`]) — the per-chain sweep, always
 //!    available, and the differential oracle every other tier is tested
-//!    against (bit-identical masks, pricing and carried state).
+//!    against (bit-identical masks, cost rows and carried state).
 //! 2. **Arch SIMD** ([`KernelKind::Sse2`], [`KernelKind::Avx2`],
 //!    [`KernelKind::Neon`]) — explicit vector kernels: four chains per
 //!    `__m128i`/`uint32x4_t` register, and on AVX2 an eight-chain BL8
@@ -224,14 +224,12 @@ pub(crate) const SPREAD_FLIP: [u64; 256] = {
 /// carried receiver state.
 ///
 /// `masks` must already be validated for the burst length (the slab's
-/// mask loaders guarantee this); `costs` may be empty when `pricing` is
-/// off.
+/// mask loaders guarantee this); `costs` holds one row per burst.
 pub(crate) fn decode_chain_swar(
     burst_len: usize,
     bytes: &mut [u8],
     masks: &[InversionMask],
     costs: &mut [CostBreakdown],
-    pricing: bool,
     state: &mut BusState,
 ) {
     #[cfg(target_arch = "x86_64")]
@@ -240,11 +238,11 @@ pub(crate) fn decode_chain_swar(
             // SAFETY: guarded by the runtime `popcnt` detection above.
             #[allow(unsafe_code)]
             unsafe {
-                return decode_chain_swar_popcnt(burst_len, bytes, masks, costs, pricing, state);
+                return decode_chain_swar_popcnt(burst_len, bytes, masks, costs, state);
             }
         }
     }
-    decode_chain_swar_body(burst_len, bytes, masks, costs, pricing, state);
+    decode_chain_swar_body(burst_len, bytes, masks, costs, state);
 }
 
 /// [`decode_chain_swar_body`] compiled with hardware popcount: without
@@ -258,10 +256,9 @@ fn decode_chain_swar_popcnt(
     bytes: &mut [u8],
     masks: &[InversionMask],
     costs: &mut [CostBreakdown],
-    pricing: bool,
     state: &mut BusState,
 ) {
-    decode_chain_swar_body(burst_len, bytes, masks, costs, pricing, state);
+    decode_chain_swar_body(burst_len, bytes, masks, costs, state);
 }
 
 #[inline(always)]
@@ -270,7 +267,6 @@ fn decode_chain_swar_body(
     bytes: &mut [u8],
     masks: &[InversionMask],
     costs: &mut [CostBreakdown],
-    pricing: bool,
     state: &mut BusState,
 ) {
     let entry = state.last();
@@ -288,26 +284,19 @@ fn decode_chain_swar_body(
     for (index, chunk) in bytes.chunks_exact_mut(burst_len).enumerate() {
         let mask = masks[index];
         let m = mask.bits();
-        let mut zeros = 0u32;
-        let mut trans = 0u32;
-        if pricing {
-            // The DBI lane, whole-burst at once: its level is the
-            // complement of the mask bit, so toggles are adjacent mask-bit
-            // differences (seeded with the carried flag) and zeros are the
-            // set mask bits.
-            let shifted = (m << 1) | u32::from(prev_inv);
-            trans += ((m ^ shifted) & len_mask).count_ones();
-            zeros += m.count_ones();
-        }
+        // The DBI lane, whole-burst at once: its level is the complement
+        // of the mask bit, so toggles are adjacent mask-bit differences
+        // (seeded with the carried flag) and zeros are the set mask bits.
+        let shifted = (m << 1) | u32::from(prev_inv);
+        let mut trans = ((m ^ shifted) & len_mask).count_ones();
+        let mut zeros = m.count_ones();
 
         let mut mrest = m;
         let mut words = chunk.chunks_exact_mut(8);
         for word in &mut words {
             let w = u64::from_le_bytes((&*word).try_into().expect("chunk is 8 bytes"));
-            if pricing {
-                zeros += 64 - w.count_ones();
-                trans += (w ^ ((w << 8) | u64::from(prev_dq))).count_ones();
-            }
+            zeros += 64 - w.count_ones();
+            trans += (w ^ ((w << 8) | u64::from(prev_dq))).count_ones();
             prev_dq = (w >> 56) as u8;
             let flip = SPREAD_FLIP[(mrest & 0xFF) as usize];
             word.copy_from_slice(&(w ^ flip).to_le_bytes());
@@ -320,10 +309,8 @@ fn decode_chain_swar_body(
             buf[..t].copy_from_slice(tail);
             let w = u64::from_le_bytes(buf);
             let bits_mask = (1u64 << (8 * t)) - 1;
-            if pricing {
-                zeros += 8 * t as u32 - w.count_ones();
-                trans += ((w ^ ((w << 8) | u64::from(prev_dq))) & bits_mask).count_ones();
-            }
+            zeros += 8 * t as u32 - w.count_ones();
+            trans += ((w ^ ((w << 8) | u64::from(prev_dq))) & bits_mask).count_ones();
             prev_dq = (w >> (8 * (t - 1))) as u8;
             let flip = SPREAD_FLIP[(mrest & 0xFF) as usize] & bits_mask;
             let out = (w ^ flip).to_le_bytes();
@@ -331,9 +318,7 @@ fn decode_chain_swar_body(
         }
 
         prev_inv = mask.is_inverted(burst_len - 1);
-        if pricing {
-            costs[index] = CostBreakdown::new(u64::from(zeros), u64::from(trans));
-        }
+        costs[index] = CostBreakdown::new(u64::from(zeros), u64::from(trans));
     }
     *state = BusState::new(LaneWord::from_wire(prev_dq, prev_inv));
 }
@@ -390,9 +375,8 @@ mod x86 {
     /// lanes' loads pipeline ahead of the vector compare chain.
     ///
     /// `bytes`/`masks`/`costs` are the block-local columns of exactly
-    /// four chains (`4 · per_chain` bursts, chain-major); `costs` may be
-    /// empty when `pricing` is off. Bit-identical to four scalar
-    /// `slab_runs` chains (differential-tested).
+    /// four chains (`4 · per_chain` bursts, chain-major). Bit-identical
+    /// to four scalar `slab_runs` chains (differential-tested).
     ///
     /// Safety: none in practice — SSE2 is guaranteed on every x86-64
     /// CPU; the `#[target_feature]` annotation exists only to satisfy
@@ -406,7 +390,6 @@ mod x86 {
         bytes: &[u8],
         masks: &mut [InversionMask],
         costs: &mut [CostBreakdown],
-        pricing: bool,
         last_data: &mut [u8; 4],
         prev_low: &mut [bool; 4],
     ) {
@@ -426,16 +409,14 @@ mod x86 {
                 entry_plain[c] = plain;
                 entry_inv[c] = inv;
                 prev[c] = first;
-                if pricing {
-                    let ones = first.count_ones();
-                    let p = (last_data[c] ^ first).count_ones();
-                    let anti = 9 - p;
-                    let swap = (p ^ anti) & u32::from(prev_low[c]).wrapping_neg();
-                    zp_a[c] = 8 - ones;
-                    zi_a[c] = ones + 1;
-                    tp_a[c] = p ^ swap;
-                    ti_a[c] = anti ^ swap;
-                }
+                let ones = first.count_ones();
+                let p = (last_data[c] ^ first).count_ones();
+                let anti = 9 - p;
+                let swap = (p ^ anti) & u32::from(prev_low[c]).wrapping_neg();
+                zp_a[c] = 8 - ones;
+                zi_a[c] = ones + 1;
+                tp_a[c] = p ^ swap;
+                ti_a[c] = anti ^ swap;
             }
             let mut cp = set4(entry_plain);
             let mut ci = set4(entry_inv);
@@ -460,10 +441,8 @@ mod x86 {
                     let [zeros_plain_w, zeros_inv_w] = lut.zeros(byte);
                     zeros_plain_a[c] = zeros_plain_w;
                     zeros_inv_a[c] = zeros_inv_w;
-                    if pricing {
-                        same_r_a[c] = xor.count_ones();
-                        ones_a[c] = byte.count_ones();
-                    }
+                    same_r_a[c] = xor.count_ones();
+                    ones_a[c] = byte.count_ones();
                     prev[c] = byte;
                 }
                 // cross = 9α − same, by the complement identity of the
@@ -486,23 +465,19 @@ mod x86 {
                 mi = _mm_or_si128(blend4(mp, mi, seli), bit);
                 mp = next_mp;
 
-                if pricing {
-                    let same_r = set4(same_r_a);
-                    let cross_r = _mm_sub_epi32(nine, same_r);
-                    let ones = set4(ones_a);
-                    let zap = _mm_sub_epi32(_mm_set1_epi32(8), ones);
-                    let zai = _mm_add_epi32(ones, _mm_set1_epi32(1));
-                    let next_zp = _mm_add_epi32(blend4(zp, zi, selp), zap);
-                    let next_zi = _mm_add_epi32(blend4(zp, zi, seli), zai);
-                    let next_tp =
-                        _mm_add_epi32(blend4(tp, ti, selp), blend4(same_r, cross_r, selp));
-                    let next_ti =
-                        _mm_add_epi32(blend4(tp, ti, seli), blend4(cross_r, same_r, seli));
-                    zp = next_zp;
-                    zi = next_zi;
-                    tp = next_tp;
-                    ti = next_ti;
-                }
+                let same_r = set4(same_r_a);
+                let cross_r = _mm_sub_epi32(nine, same_r);
+                let ones = set4(ones_a);
+                let zap = _mm_sub_epi32(_mm_set1_epi32(8), ones);
+                let zai = _mm_add_epi32(ones, _mm_set1_epi32(1));
+                let next_zp = _mm_add_epi32(blend4(zp, zi, selp), zap);
+                let next_zi = _mm_add_epi32(blend4(zp, zi, seli), zai);
+                let next_tp = _mm_add_epi32(blend4(tp, ti, selp), blend4(same_r, cross_r, selp));
+                let next_ti = _mm_add_epi32(blend4(tp, ti, seli), blend4(cross_r, same_r, seli));
+                zp = next_zp;
+                zi = next_zi;
+                tp = next_tp;
+                ti = next_ti;
             }
 
             let cp_a = get4(cp);
@@ -514,15 +489,12 @@ mod x86 {
                 let inv_wins = ci_a[c] < cp_a[c];
                 let mbits = if inv_wins { mi_a[c] } else { mp_a[c] };
                 masks[c * per_chain + j] = InversionMask::from_bits(mbits);
-                if pricing {
-                    let (zeros, trans) = if inv_wins {
-                        (zi_f[c], ti_f[c])
-                    } else {
-                        (zp_f[c], tp_f[c])
-                    };
-                    costs[c * per_chain + j] =
-                        CostBreakdown::new(u64::from(zeros), u64::from(trans));
-                }
+                let (zeros, trans) = if inv_wins {
+                    (zi_f[c], ti_f[c])
+                } else {
+                    (zp_f[c], tp_f[c])
+                };
+                costs[c * per_chain + j] = CostBreakdown::new(u64::from(zeros), u64::from(trans));
                 last_data[c] = prev[c];
                 prev_low[c] = (mbits >> (burst_len - 1)) & 1 == 1;
             }
@@ -549,7 +521,6 @@ mod x86 {
     /// dispatcher routes other geometries to the SSE2 tier.
     ///
     /// Safety: caller must have verified AVX2 via runtime detection.
-    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
     pub(crate) fn encode_block8_avx2(
         enc: &OptEncoder,
@@ -557,7 +528,6 @@ mod x86 {
         bytes: &[u8],
         masks: &mut [InversionMask],
         costs: &mut [CostBreakdown],
-        pricing: bool,
         last_data: &mut [u8; 8],
         prev_low: &mut [bool; 8],
     ) {
@@ -710,17 +680,11 @@ mod x86 {
             let mut ci = _mm256_add_epi32(blend8!(cross0, same0, plv), zeros_inv);
             let mut mp = _mm256_setzero_si256();
             let mut mi = one;
-            let mut zp = _mm256_setzero_si256();
-            let mut zi = zp;
-            let mut tp = zp;
-            let mut ti = zp;
-            if pricing {
-                zp = _mm256_sub_epi32(eight, p);
-                zi = _mm256_add_epi32(p, one);
-                let cross_r = _mm256_sub_epi32(nine, d);
-                tp = blend8!(d, cross_r, plv);
-                ti = blend8!(cross_r, d, plv);
-            }
+            let mut zp = _mm256_sub_epi32(eight, p);
+            let mut zi = _mm256_add_epi32(p, one);
+            let cross_r = _mm256_sub_epi32(nine, d);
+            let mut tp = blend8!(d, cross_r, plv);
+            let mut ti = blend8!(cross_r, d, plv);
 
             for i in 1..8 {
                 let d = _mm256_cvtepu8_epi32(dr[i]);
@@ -748,21 +712,17 @@ mod x86 {
                 mi = _mm256_or_si256(blend8!(mp, mi, seli), bit);
                 mp = next_mp;
 
-                if pricing {
-                    let cross_r = _mm256_sub_epi32(nine, d);
-                    let zap = _mm256_sub_epi32(eight, p);
-                    let zai = _mm256_add_epi32(p, one);
-                    let next_zp = _mm256_add_epi32(blend8!(zp, zi, selp), zap);
-                    let next_zi = _mm256_add_epi32(blend8!(zp, zi, seli), zai);
-                    let next_tp =
-                        _mm256_add_epi32(blend8!(tp, ti, selp), blend8!(d, cross_r, selp));
-                    let next_ti =
-                        _mm256_add_epi32(blend8!(tp, ti, seli), blend8!(cross_r, d, seli));
-                    zp = next_zp;
-                    zi = next_zi;
-                    tp = next_tp;
-                    ti = next_ti;
-                }
+                let cross_r = _mm256_sub_epi32(nine, d);
+                let zap = _mm256_sub_epi32(eight, p);
+                let zai = _mm256_add_epi32(p, one);
+                let next_zp = _mm256_add_epi32(blend8!(zp, zi, selp), zap);
+                let next_zi = _mm256_add_epi32(blend8!(zp, zi, seli), zai);
+                let next_tp = _mm256_add_epi32(blend8!(tp, ti, selp), blend8!(d, cross_r, selp));
+                let next_ti = _mm256_add_epi32(blend8!(tp, ti, seli), blend8!(cross_r, d, seli));
+                zp = next_zp;
+                zi = next_zi;
+                tp = next_tp;
+                ti = next_ti;
             }
 
             let win = _mm256_cmpgt_epi32(cp, ci);
@@ -771,13 +731,11 @@ mod x86 {
             for (l, &bits) in mbits.iter().enumerate() {
                 masks[l * per_chain + j] = InversionMask::from_bits(bits);
             }
-            if pricing {
-                let zeros_w = get8!(blend8!(zp, zi, win));
-                let trans_w = get8!(blend8!(tp, ti, win));
-                for l in 0..8 {
-                    costs[l * per_chain + j] =
-                        CostBreakdown::new(u64::from(zeros_w[l]), u64::from(trans_w[l]));
-                }
+            let zeros_w = get8!(blend8!(zp, zi, win));
+            let trans_w = get8!(blend8!(tp, ti, win));
+            for l in 0..8 {
+                costs[l * per_chain + j] =
+                    CostBreakdown::new(u64::from(zeros_w[l]), u64::from(trans_w[l]));
             }
             // Next burst's DBI entry level: the sign-broadcast of each
             // winning mask's last decision bit (bit 7 for BL8).
@@ -842,7 +800,6 @@ mod arm {
         bytes: &[u8],
         masks: &mut [InversionMask],
         costs: &mut [CostBreakdown],
-        pricing: bool,
         last_data: &mut [u8; 4],
         prev_low: &mut [bool; 4],
     ) {
@@ -865,16 +822,14 @@ mod arm {
                 entry_plain[c] = plain;
                 entry_inv[c] = inv;
                 prev[c] = first;
-                if pricing {
-                    let ones = first.count_ones();
-                    let p = (last_data[c] ^ first).count_ones();
-                    let anti = 9 - p;
-                    let swap = (p ^ anti) & u32::from(prev_low[c]).wrapping_neg();
-                    zp_a[c] = 8 - ones;
-                    zi_a[c] = ones + 1;
-                    tp_a[c] = p ^ swap;
-                    ti_a[c] = anti ^ swap;
-                }
+                let ones = first.count_ones();
+                let p = (last_data[c] ^ first).count_ones();
+                let anti = 9 - p;
+                let swap = (p ^ anti) & u32::from(prev_low[c]).wrapping_neg();
+                zp_a[c] = 8 - ones;
+                zi_a[c] = ones + 1;
+                tp_a[c] = p ^ swap;
+                ti_a[c] = anti ^ swap;
             }
             let mut cp = set4(entry_plain);
             let mut ci = set4(entry_inv);
@@ -899,10 +854,8 @@ mod arm {
                     let [zeros_plain_w, zeros_inv_w] = lut.zeros(byte);
                     zeros_plain_a[c] = zeros_plain_w;
                     zeros_inv_a[c] = zeros_inv_w;
-                    if pricing {
-                        same_r_a[c] = xor.count_ones();
-                        ones_a[c] = byte.count_ones();
-                    }
+                    same_r_a[c] = xor.count_ones();
+                    ones_a[c] = byte.count_ones();
                     prev[c] = byte;
                 }
                 let same_v = set4(same_a);
@@ -922,23 +875,19 @@ mod arm {
                 mi = vorrq_u32(vbslq_u32(seli, mi, mp), bit);
                 mp = next_mp;
 
-                if pricing {
-                    let same_r = set4(same_r_a);
-                    let cross_r = vsubq_u32(nine, same_r);
-                    let ones = set4(ones_a);
-                    let zap = vsubq_u32(eight, ones);
-                    let zai = vaddq_u32(ones, one);
-                    let next_zp = vaddq_u32(vbslq_u32(selp, zi, zp), zap);
-                    let next_zi = vaddq_u32(vbslq_u32(seli, zi, zp), zai);
-                    let next_tp =
-                        vaddq_u32(vbslq_u32(selp, ti, tp), vbslq_u32(selp, cross_r, same_r));
-                    let next_ti =
-                        vaddq_u32(vbslq_u32(seli, ti, tp), vbslq_u32(seli, same_r, cross_r));
-                    zp = next_zp;
-                    zi = next_zi;
-                    tp = next_tp;
-                    ti = next_ti;
-                }
+                let same_r = set4(same_r_a);
+                let cross_r = vsubq_u32(nine, same_r);
+                let ones = set4(ones_a);
+                let zap = vsubq_u32(eight, ones);
+                let zai = vaddq_u32(ones, one);
+                let next_zp = vaddq_u32(vbslq_u32(selp, zi, zp), zap);
+                let next_zi = vaddq_u32(vbslq_u32(seli, zi, zp), zai);
+                let next_tp = vaddq_u32(vbslq_u32(selp, ti, tp), vbslq_u32(selp, cross_r, same_r));
+                let next_ti = vaddq_u32(vbslq_u32(seli, ti, tp), vbslq_u32(seli, same_r, cross_r));
+                zp = next_zp;
+                zi = next_zi;
+                tp = next_tp;
+                ti = next_ti;
             }
 
             let cp_a = get4(cp);
@@ -950,15 +899,12 @@ mod arm {
                 let inv_wins = ci_a[c] < cp_a[c];
                 let mbits = if inv_wins { mi_a[c] } else { mp_a[c] };
                 masks[c * per_chain + j] = InversionMask::from_bits(mbits);
-                if pricing {
-                    let (zeros, trans) = if inv_wins {
-                        (zi_f[c], ti_f[c])
-                    } else {
-                        (zp_f[c], tp_f[c])
-                    };
-                    costs[c * per_chain + j] =
-                        CostBreakdown::new(u64::from(zeros), u64::from(trans));
-                }
+                let (zeros, trans) = if inv_wins {
+                    (zi_f[c], ti_f[c])
+                } else {
+                    (zp_f[c], tp_f[c])
+                };
+                costs[c * per_chain + j] = CostBreakdown::new(u64::from(zeros), u64::from(trans));
                 last_data[c] = prev[c];
                 prev_low[c] = (mbits >> (burst_len - 1)) & 1 == 1;
             }

@@ -54,31 +54,15 @@ use core::fmt;
 /// [`CostBreakdown::ZERO`]. All buffers retain their capacity across
 /// [`BurstSlab::clear`] / [`BurstSlab::reset`], so a slab reused across
 /// batches allocates nothing in steady state.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct BurstSlab {
     burst_len: usize,
     bytes: Vec<u8>,
     masks: Vec<InversionMask>,
     costs: Vec<CostBreakdown>,
-    /// Whether encoding fills the per-burst cost rows (see
-    /// [`BurstSlab::set_pricing`]).
-    pricing: bool,
     /// Gather buffer for the default (per-burst) encode path; moved into a
     /// [`Burst`] and recovered so no per-burst allocation occurs.
     scratch: Vec<u8>,
-}
-
-impl Default for BurstSlab {
-    fn default() -> Self {
-        BurstSlab {
-            burst_len: 0,
-            bytes: Vec::new(),
-            masks: Vec::new(),
-            costs: Vec::new(),
-            pricing: true,
-            scratch: Vec::new(),
-        }
-    }
 }
 
 impl fmt::Debug for BurstSlab {
@@ -143,22 +127,19 @@ impl BurstSlab {
         self.costs.clear();
     }
 
-    /// Chooses whether encodes fill the per-burst cost rows (the
-    /// default) or compute **masks only**. Consumers that do their own
-    /// accounting — or need none — can switch pricing off and get the
-    /// slab encode at the raw sweep cost, exactly the work
-    /// [`DbiEncoder::encode_mask`](crate::DbiEncoder::encode_mask) does per burst; with pricing off,
-    /// [`BurstSlab::costs`] stays empty and [`BurstSlab::total`] reports
-    /// zero. The inversion decisions and the carried state are identical
-    /// either way.
-    pub fn set_pricing(&mut self, pricing: bool) {
-        self.pricing = pricing;
-    }
-
-    /// Whether encodes fill the per-burst cost rows.
-    #[must_use]
-    pub const fn pricing(&self) -> bool {
-        self.pricing
+    /// Every encode and decode prices its bursts; `true` is the only
+    /// accepted argument. Kept so callers written against the retired
+    /// masks-only switch still build.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `enabled` is `false`.
+    #[doc(hidden)]
+    pub fn set_pricing(&mut self, enabled: bool) {
+        assert!(
+            enabled,
+            "slab encodes always price; masks-only mode is gone"
+        );
     }
 
     /// Burst length in bytes; every burst in the slab has exactly this
@@ -320,7 +301,8 @@ impl BurstSlab {
         &self.masks
     }
 
-    /// The per-burst activity rows of the last encode.
+    /// The per-burst activity rows of the last encode or decode: one row
+    /// per burst, in the same order as [`BurstSlab::masks`].
     #[must_use]
     pub fn costs(&self) -> &[CostBreakdown] {
         &self.costs
@@ -341,8 +323,7 @@ impl BurstSlab {
     /// slice of the shared results back out: masks and cost rows come back
     /// per chain without copying or re-walking the whole slab.
     ///
-    /// The mask and cost slices are empty before the first encode (and the
-    /// cost slice whenever [`BurstSlab::pricing`] is off).
+    /// The mask and cost slices are empty before the first encode.
     ///
     /// # Panics
     ///
@@ -372,9 +353,8 @@ impl BurstSlab {
     /// out the three column views an encoder kernel writes through:
     /// `(payload bytes, masks, cost rows)`. For [`DbiEncoder`](crate::DbiEncoder)
     /// implementations that override [`DbiEncoder::encode_lanes_into`](crate::DbiEncoder::encode_lanes_into)
-    /// with a direct kernel. The cost column is empty when
-    /// [`BurstSlab::pricing`] is off — kernels must skip their pricing
-    /// work in that case.
+    /// with a direct kernel. Both result columns hold one entry per burst,
+    /// and a kernel must fill every cost row.
     pub fn encode_parts_mut(&mut self) -> (&[u8], &mut [InversionMask], &mut [CostBreakdown]) {
         self.prepare_results();
         (&self.bytes, &mut self.masks, &mut self.costs)
@@ -385,9 +365,7 @@ impl BurstSlab {
         self.masks.clear();
         self.masks.resize(count, InversionMask::NONE);
         self.costs.clear();
-        if self.pricing {
-            self.costs.resize(count, CostBreakdown::ZERO);
-        }
+        self.costs.resize(count, CostBreakdown::ZERO);
     }
 
     /// Loads a caller-supplied mask column, one mask per burst — how a
@@ -460,11 +438,10 @@ impl BurstSlab {
     /// **receiver's** lane state across bursts exactly as the encode side
     /// carries the transmitter's, and holds the post-slab state on return.
     ///
-    /// With [`BurstSlab::pricing`] on, the per-burst cost rows are filled
-    /// with the wire activity *as observed by the receiver* — reassembled
-    /// from the wire bytes and the DBI lane via
-    /// [`LaneWord::from_wire`](crate::word::LaneWord::from_wire), a
-    /// deliberately independent path from the encode-side pricing, so a
+    /// The per-burst cost rows are filled with the wire activity *as
+    /// observed by the receiver* — reassembled from the wire bytes and the
+    /// DBI lane via [`LaneWord::from_wire`](crate::word::LaneWord::from_wire),
+    /// a deliberately independent path from the encode-side pricing, so a
     /// transmitter and a receiver that disagree about activity expose an
     /// encode/decode asymmetry instead of hiding it.
     ///
@@ -502,7 +479,7 @@ impl BurstSlab {
 
     /// [`BurstSlab::decode_in_place_chains`] with an explicit kernel
     /// tier — the differential-test surface: every [`KernelKind`] must
-    /// produce identical payload bytes, pricing rows and carried states.
+    /// produce identical payload bytes, cost rows and carried states.
     /// Any non-scalar tier decodes through the SWAR kernel (decode has
     /// no cross-chain recurrence to vectorise further).
     ///
@@ -540,25 +517,18 @@ impl BurstSlab {
         if self.is_empty() {
             return Ok(());
         }
-        if self.pricing {
-            self.costs.resize(count, CostBreakdown::ZERO);
-        }
+        self.costs.resize(count, CostBreakdown::ZERO);
         let per_chain = count / chains;
         let burst_len = self.burst_len;
-        let pricing = self.pricing;
         for (c, state) in states.iter_mut().enumerate() {
             let rows = c * per_chain..(c + 1) * per_chain;
             let bytes = &mut self.bytes[rows.start * burst_len..rows.end * burst_len];
             let masks = &self.masks[rows.clone()];
-            let costs: &mut [CostBreakdown] = if pricing {
-                &mut self.costs[rows]
-            } else {
-                &mut []
-            };
+            let costs = &mut self.costs[rows];
             if kernel == KernelKind::Scalar {
-                decode_chain_scalar(burst_len, bytes, masks, costs, pricing, state);
+                decode_chain_scalar(burst_len, bytes, masks, costs, state);
             } else {
-                crate::simd::decode_chain_swar(burst_len, bytes, masks, costs, pricing, state);
+                crate::simd::decode_chain_swar(burst_len, bytes, masks, costs, state);
             }
         }
         Ok(())
@@ -599,7 +569,6 @@ impl BurstSlab {
         }
         let per_chain = count / chains;
         let burst_len = self.burst_len;
-        let pricing = self.pricing;
         let mut scratch = core::mem::take(&mut self.scratch);
         for (c, state) in states.iter_mut().enumerate() {
             for index in c * per_chain..(c + 1) * per_chain {
@@ -610,9 +579,7 @@ impl BurstSlab {
                 // after: no allocation per burst.
                 let burst = Burst::new(scratch).expect("slab bursts are never empty");
                 let mask = encode(&burst, state);
-                if pricing {
-                    self.costs[index] = mask.breakdown(&burst, state);
-                }
+                self.costs[index] = mask.breakdown(&burst, state);
                 *state = mask.final_state(&burst, state);
                 self.masks[index] = mask;
                 scratch = burst.into_bytes();
@@ -695,7 +662,6 @@ fn decode_chain_scalar(
     bytes: &mut [u8],
     masks: &[InversionMask],
     costs: &mut [CostBreakdown],
-    pricing: bool,
     state: &mut BusState,
 ) {
     use crate::word::LaneWord;
@@ -711,9 +677,7 @@ fn decode_chain_scalar(
             prev = word;
             *byte = word.decode();
         }
-        if pricing {
-            costs[index] = CostBreakdown::new(zeros, transitions);
-        }
+        costs[index] = CostBreakdown::new(zeros, transitions);
     }
     *state = BusState::new(prev);
 }
@@ -751,7 +715,8 @@ impl<'a> ChainView<'a> {
         self.masks
     }
 
-    /// The chain's per-burst activity rows (empty when pricing is off).
+    /// The chain's per-burst activity rows (empty before the first
+    /// encode).
     #[must_use]
     pub fn costs(&self) -> &'a [CostBreakdown] {
         self.costs

@@ -57,6 +57,24 @@ fn random_states(rng: &mut StdRng, chains: usize) -> Vec<BusState> {
         .collect()
 }
 
+/// The slab's result contract after any encode or decode: exactly one
+/// mask and one cost row per burst.
+fn assert_one_row_per_burst(slab: &BurstSlab, label: &str) {
+    assert_eq!(slab.masks().len(), slab.burst_count(), "{label}: mask rows");
+    assert_eq!(slab.costs().len(), slab.burst_count(), "{label}: cost rows");
+}
+
+/// The wire image a transmitter drives for an encoded slab: each burst's
+/// payload with its mask's inversions applied.
+fn wire_image(slab: &BurstSlab) -> Vec<u8> {
+    let burst_len = slab.burst_len();
+    let mut wire = slab.bytes().to_vec();
+    for (burst, mask) in wire.chunks_exact_mut(burst_len).zip(slab.masks()) {
+        mask.apply_in_place(burst);
+    }
+    wire
+}
+
 /// The reference, spelled out independently of the slab's own serial
 /// helper: per-burst `encode_mask` through fresh `Burst` values, one
 /// chain-major run per carried state.
@@ -102,6 +120,7 @@ fn slab_encode_is_bit_identical_to_the_per_burst_chain() {
                         let label = format!(
                             "{scheme} via {via} len={burst_len} chains={chains} per={per_chain}"
                         );
+                        assert_one_row_per_burst(&lanes, &label);
                         assert_eq!(lanes.masks(), &expected_masks[..], "{label}: masks");
                         assert_eq!(lanes.costs(), &expected_costs[..], "{label}: costs");
                         assert_eq!(states, expected_states, "{label}: final states");
@@ -225,35 +244,42 @@ fn slab_state_carries_across_successive_slabs() {
 }
 
 #[test]
-fn masks_only_mode_matches_priced_mode_across_geometries() {
-    // The geometry sweep of the priced differential, replayed with
-    // pricing off: decisions and carried states must be bit-identical to
-    // the priced encode whatever the slab shape, for every scheme
-    // (including the optimal kernels, whose masks-only sweep skips the
-    // fused pricing accumulators entirely).
+fn one_scratch_slab_prices_every_burst_across_geometries() {
+    // One slab reused the way the engine reuses its scratch slab: every
+    // scheme re-encodes it at a new geometry, then it is re-primed with the
+    // wire image and decoded in place. Each encode and each decode must
+    // leave exactly one mask and one cost row per burst, whatever the
+    // previous geometry left behind, and the receiver's re-pricing must
+    // agree with the transmitter's.
     let mut rng = StdRng::seed_from_u64(0x90FF);
+    let mut slab = BurstSlab::new(1);
     for scheme in all_schemes() {
         for burst_len in [1usize, 3, 8, 16, 32] {
             for chains in CHAINS {
                 for per_chain in [1usize, 2, 17] {
-                    let priced = random_slab(&mut rng, burst_len, chains * per_chain);
+                    let payload = random_slab(&mut rng, burst_len, chains * per_chain);
                     let initial = random_states(&mut rng, chains);
 
                     for_each_encoder(scheme, |via, encoder| {
-                        let mut priced = priced.clone();
-                        let mut unpriced = priced.clone();
-                        unpriced.set_pricing(false);
-                        let mut priced_states = initial.clone();
-                        encoder.encode_lanes_into(&mut priced, &mut priced_states);
-                        let mut unpriced_states = initial.clone();
-                        encoder.encode_lanes_into(&mut unpriced, &mut unpriced_states);
-
                         let label = format!(
                             "{scheme} via {via} len={burst_len} chains={chains} per={per_chain}"
                         );
-                        assert_eq!(priced.masks(), unpriced.masks(), "{label}: masks");
-                        assert_eq!(priced_states, unpriced_states, "{label}: states");
-                        assert!(unpriced.costs().is_empty(), "{label}: no cost rows");
+                        slab.reset(burst_len);
+                        slab.extend_from_bytes(payload.bytes()).unwrap();
+                        let mut states = initial.clone();
+                        encoder.encode_lanes_into(&mut slab, &mut states);
+                        assert_one_row_per_burst(&slab, &format!("{label} encode"));
+                        let (masks, tx_costs) = (slab.masks().to_vec(), slab.costs().to_vec());
+
+                        let wire = wire_image(&slab);
+                        slab.clear();
+                        slab.extend_from_bytes(&wire).unwrap();
+                        slab.load_masks(&masks).unwrap();
+                        let mut rx_states = initial.clone();
+                        slab.decode_in_place_chains(&mut rx_states).unwrap();
+                        assert_one_row_per_burst(&slab, &format!("{label} decode"));
+                        assert_eq!(slab.costs(), &tx_costs[..], "{label}: wire pricing");
+                        assert_eq!(rx_states, states, "{label}: receiver states");
                     });
                 }
             }
@@ -266,88 +292,55 @@ fn slab_decode_is_bit_identical_to_the_per_burst_decode_chain() {
     let mut rng = StdRng::seed_from_u64(0xDEC0);
     for scheme in all_schemes() {
         for burst_len in [1usize, 8, 32] {
-            for pricing in [true, false] {
-                let mut slab = random_slab(&mut rng, burst_len, 24);
-                let payload = slab.bytes().to_vec();
-                let initial = BusState::new(LaneWord::encode_byte(rng.gen(), rng.gen()));
-                let mut tx_state = initial;
-                scheme.encode_lanes_into(&mut slab, core::slice::from_mut(&mut tx_state));
-                let masks = slab.masks().to_vec();
-                let tx_costs = slab.costs().to_vec();
+            let mut slab = random_slab(&mut rng, burst_len, 24);
+            let payload = slab.bytes().to_vec();
+            let initial = BusState::new(LaneWord::encode_byte(rng.gen(), rng.gen()));
+            let mut tx_state = initial;
+            scheme.encode_lanes_into(&mut slab, core::slice::from_mut(&mut tx_state));
+            let masks = slab.masks().to_vec();
+            let tx_costs = slab.costs().to_vec();
 
-                // Drive the wire image burst by burst.
-                let mut wire = payload.clone();
-                for (index, mask) in masks.iter().enumerate() {
-                    mask.apply_in_place(&mut wire[index * burst_len..(index + 1) * burst_len]);
-                }
+            // Drive the wire image burst by burst.
+            let wire = wire_image(&slab);
 
-                // Slab decode...
-                let mut rx_slab = BurstSlab::new(burst_len);
-                rx_slab.set_pricing(pricing);
-                rx_slab.extend_from_bytes(&wire).unwrap();
-                rx_slab.load_masks(&masks).unwrap();
-                let mut rx_state = initial;
-                rx_slab.decode_in_place(&mut rx_state).unwrap();
+            // Slab decode...
+            let mut rx_slab = BurstSlab::new(burst_len);
+            rx_slab.extend_from_bytes(&wire).unwrap();
+            rx_slab.load_masks(&masks).unwrap();
+            let mut rx_state = initial;
+            rx_slab.decode_in_place(&mut rx_state).unwrap();
+            assert_one_row_per_burst(&rx_slab, &format!("{scheme} len={burst_len}"));
 
-                // ...against the per-burst decode chain.
-                let mut out = Vec::new();
-                let mut decoded = Vec::new();
-                for (index, mask) in masks.iter().enumerate() {
-                    decode_mask(
-                        &wire[index * burst_len..(index + 1) * burst_len],
-                        *mask,
-                        &mut out,
-                    )
-                    .unwrap();
-                    decoded.extend_from_slice(&out);
-                }
-
-                assert_eq!(rx_slab.bytes(), &decoded[..], "{scheme}: per-burst chain");
-                assert_eq!(rx_slab.bytes(), &payload[..], "{scheme}: round trip");
-                assert_eq!(rx_state, tx_state, "{scheme}: receiver state");
-                if pricing {
-                    assert_eq!(rx_slab.costs(), &tx_costs[..], "{scheme}: wire pricing");
-                } else {
-                    assert!(rx_slab.costs().is_empty());
-                }
+            // ...against the per-burst decode chain.
+            let mut out = Vec::new();
+            let mut decoded = Vec::new();
+            for (index, mask) in masks.iter().enumerate() {
+                decode_mask(
+                    &wire[index * burst_len..(index + 1) * burst_len],
+                    *mask,
+                    &mut out,
+                )
+                .unwrap();
+                decoded.extend_from_slice(&out);
             }
+
+            assert_eq!(rx_slab.bytes(), &decoded[..], "{scheme}: per-burst chain");
+            assert_eq!(rx_slab.bytes(), &payload[..], "{scheme}: round trip");
+            assert_eq!(rx_state, tx_state, "{scheme}: receiver state");
+            assert_eq!(rx_slab.costs(), &tx_costs[..], "{scheme}: wire pricing");
         }
     }
 }
 
 #[test]
-fn masks_only_mode_yields_identical_decisions_and_state() {
-    let mut rng = StdRng::seed_from_u64(0x3A5C);
-    for scheme in all_schemes() {
-        for chains in CHAINS {
-            let slab = random_slab(&mut rng, 8, chains * 10);
-            for_each_encoder(scheme, |via, encoder| {
-                let label = format!("{scheme} via {via} chains={chains}");
-                let mut priced = slab.clone();
-                let mut unpriced = slab.clone();
-                unpriced.set_pricing(false);
-                assert!(!unpriced.pricing());
-
-                let mut priced_states = vec![BusState::idle(); chains];
-                encoder.encode_lanes_into(&mut priced, &mut priced_states);
-                let mut unpriced_states = vec![BusState::idle(); chains];
-                encoder.encode_lanes_into(&mut unpriced, &mut unpriced_states);
-
-                assert_eq!(priced.masks(), unpriced.masks(), "{label}: masks");
-                assert_eq!(priced_states, unpriced_states, "{label}: final states");
-                assert!(unpriced.costs().is_empty(), "{label}: no cost rows");
-                assert_eq!(unpriced.total(), CostBreakdown::ZERO);
-                assert_eq!(priced.costs().len(), chains * 10);
-
-                // Switching pricing back on restores the rows on the next
-                // encode.
-                unpriced.set_pricing(true);
-                let mut states = vec![BusState::idle(); chains];
-                encoder.encode_lanes_into(&mut unpriced, &mut states);
-                assert_eq!(unpriced.costs(), priced.costs(), "{label}: rows return");
-            });
-        }
-    }
+#[should_panic(expected = "always price")]
+fn the_pricing_shim_refuses_masks_only_mode() {
+    let mut slab = random_slab(&mut StdRng::seed_from_u64(0x3A5C), 8, 10);
+    slab.set_pricing(true);
+    let mut state = BusState::idle();
+    Scheme::OptFixed.encode_lanes_into(&mut slab, core::slice::from_mut(&mut state));
+    assert_one_row_per_burst(&slab, "after set_pricing(true)");
+    slab.set_pricing(false);
 }
 
 #[test]
@@ -369,10 +362,10 @@ fn re_encoding_a_slab_with_another_scheme_overwrites_results() {
 // ---------------------------------------------------------------------------
 
 /// Every available kernel tier — SSE2, AVX2, NEON, whatever the
-/// CPU offers — must produce bit-identical masks, pricing rows and carried
-/// chain states to the serial per-burst reference, across burst lengths,
-/// chain counts (including the AVX2 eight-chain geometry and its odd
-/// remainders) and masks-only mode.
+/// CPU offers — must produce bit-identical masks, cost rows and carried
+/// chain states to the serial per-burst reference, across burst lengths
+/// and chain counts (including the AVX2 eight-chain geometry and its odd
+/// remainders).
 #[test]
 fn lane_kernels_are_bit_identical_to_the_serial_chain_reference() {
     let mut rng = StdRng::seed_from_u64(0x51D3);
@@ -380,29 +373,25 @@ fn lane_kernels_are_bit_identical_to_the_serial_chain_reference() {
     for burst_len in [1usize, 3, 8, 16, 32] {
         for chains in [1usize, 2, 4, 5, 8, 9] {
             for per_chain in [1usize, 2, 17] {
-                for pricing in [true, false] {
-                    let mut slab = random_slab(&mut rng, burst_len, chains * per_chain);
-                    slab.set_pricing(pricing);
-                    let initial = random_states(&mut rng, chains);
+                let slab = random_slab(&mut rng, burst_len, chains * per_chain);
+                let initial = random_states(&mut rng, chains);
 
-                    let mut reference = slab.clone();
-                    let mut reference_states = initial.clone();
-                    reference.encode_chains_with(&mut reference_states, |burst, state| {
-                        encoder.encode_mask(burst, state)
-                    });
+                let mut reference = slab.clone();
+                let mut reference_states = initial.clone();
+                reference.encode_chains_with(&mut reference_states, |burst, state| {
+                    encoder.encode_mask(burst, state)
+                });
+                assert_one_row_per_burst(&reference, "serial reference");
 
-                    for &kernel in dbi_core::simd::available_kernels() {
-                        let mut lanes = slab.clone();
-                        let mut states = initial.clone();
-                        encoder.encode_lanes_into_with(kernel, &mut lanes, &mut states);
-                        let label = format!(
-                            "{kernel} len={burst_len} chains={chains} per={per_chain} \
-                             pricing={pricing}"
-                        );
-                        assert_eq!(lanes.masks(), reference.masks(), "{label}: masks");
-                        assert_eq!(lanes.costs(), reference.costs(), "{label}: costs");
-                        assert_eq!(states, reference_states, "{label}: states");
-                    }
+                for &kernel in dbi_core::simd::available_kernels() {
+                    let mut lanes = slab.clone();
+                    let mut states = initial.clone();
+                    encoder.encode_lanes_into_with(kernel, &mut lanes, &mut states);
+                    let label = format!("{kernel} len={burst_len} chains={chains} per={per_chain}");
+                    assert_one_row_per_burst(&lanes, &label);
+                    assert_eq!(lanes.masks(), reference.masks(), "{label}: masks");
+                    assert_eq!(lanes.costs(), reference.costs(), "{label}: costs");
+                    assert_eq!(states, reference_states, "{label}: states");
                 }
             }
         }
@@ -420,52 +409,41 @@ fn lane_decode_kernels_match_the_scalar_decode_oracle() {
     for burst_len in [1usize, 3, 8, 16, 32] {
         for chains in [1usize, 2, 5, 8] {
             for per_chain in [1usize, 2, 17] {
-                for pricing in [true, false] {
-                    let bursts = chains * per_chain;
-                    let mut tx = random_slab(&mut rng, burst_len, bursts);
-                    let payload = tx.bytes().to_vec();
-                    let initial = random_states(&mut rng, chains);
-                    let mut tx_states = initial.clone();
-                    encoder.encode_lanes_into_with(
-                        dbi_core::simd::selected_kernel(),
-                        &mut tx,
-                        &mut tx_states,
-                    );
-                    let masks = tx.masks().to_vec();
-                    let tx_costs = tx.costs().to_vec();
+                let bursts = chains * per_chain;
+                let mut tx = random_slab(&mut rng, burst_len, bursts);
+                let payload = tx.bytes().to_vec();
+                let initial = random_states(&mut rng, chains);
+                let mut tx_states = initial.clone();
+                encoder.encode_lanes_into_with(
+                    dbi_core::simd::selected_kernel(),
+                    &mut tx,
+                    &mut tx_states,
+                );
+                let masks = tx.masks().to_vec();
+                let tx_costs = tx.costs().to_vec();
+                let wire = wire_image(&tx);
 
-                    let mut wire = payload.clone();
-                    for (index, mask) in masks.iter().enumerate() {
-                        mask.apply_in_place(&mut wire[index * burst_len..(index + 1) * burst_len]);
-                    }
+                let decode_with = |kernel: KernelKind| {
+                    let mut rx = BurstSlab::new(burst_len);
+                    rx.extend_from_bytes(&wire).unwrap();
+                    rx.load_masks(&masks).unwrap();
+                    let mut states = initial.clone();
+                    rx.decode_in_place_with(kernel, &mut states).unwrap();
+                    (rx, states)
+                };
 
-                    let decode_with = |kernel: KernelKind| {
-                        let mut rx = BurstSlab::new(burst_len);
-                        rx.set_pricing(pricing);
-                        rx.extend_from_bytes(&wire).unwrap();
-                        rx.load_masks(&masks).unwrap();
-                        let mut states = initial.clone();
-                        rx.decode_in_place_with(kernel, &mut states).unwrap();
-                        (rx, states)
-                    };
+                let (oracle, oracle_states) = decode_with(KernelKind::Scalar);
+                assert_eq!(oracle.bytes(), &payload[..], "scalar round trip");
+                assert_eq!(oracle_states, tx_states, "scalar receiver states");
+                assert_eq!(oracle.costs(), &tx_costs[..], "scalar wire pricing");
 
-                    let (oracle, oracle_states) = decode_with(KernelKind::Scalar);
-                    assert_eq!(oracle.bytes(), &payload[..], "scalar round trip");
-                    assert_eq!(oracle_states, tx_states, "scalar receiver states");
-                    if pricing {
-                        assert_eq!(oracle.costs(), &tx_costs[..], "scalar wire pricing");
-                    }
-
-                    for &kernel in dbi_core::simd::available_kernels() {
-                        let (rx, states) = decode_with(kernel);
-                        let label = format!(
-                            "{kernel} len={burst_len} chains={chains} per={per_chain} \
-                             pricing={pricing}"
-                        );
-                        assert_eq!(rx.bytes(), oracle.bytes(), "{label}: payload");
-                        assert_eq!(rx.costs(), oracle.costs(), "{label}: costs");
-                        assert_eq!(states, oracle_states, "{label}: states");
-                    }
+                for &kernel in dbi_core::simd::available_kernels() {
+                    let (rx, states) = decode_with(kernel);
+                    let label = format!("{kernel} len={burst_len} chains={chains} per={per_chain}");
+                    assert_one_row_per_burst(&rx, &label);
+                    assert_eq!(rx.bytes(), oracle.bytes(), "{label}: payload");
+                    assert_eq!(rx.costs(), oracle.costs(), "{label}: costs");
+                    assert_eq!(states, oracle_states, "{label}: states");
                 }
             }
         }

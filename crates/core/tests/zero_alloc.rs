@@ -163,35 +163,32 @@ fn bl8_fast_paths_never_touch_the_heap() {
     );
 
     // A warm BurstSlab re-encodes allocation-free through
-    // encode_lanes_into, with one chain and with eight, priced and
-    // masks-only — on both the default per-burst loop (via a heuristic
-    // scheme) and the OPT kernel override, directly and through a plan.
+    // encode_lanes_into, with one chain and with eight — on both the
+    // shared per-byte kernel (via a heuristic scheme) and the OPT kernel
+    // override, directly and through a plan.
     let mut slab = dbi_core::BurstSlab::with_capacity(8, 64);
     for _ in 0..64 {
         slab.push_bytes(burst.bytes()).unwrap();
     }
     for chains in [1usize, 8] {
-        for pricing in [true, false] {
-            slab.set_pricing(pricing);
-            let mut states = vec![state; chains];
-            let mut encode_all = |slab: &mut dbi_core::BurstSlab| {
-                Scheme::Dc.encode_lanes_into(slab, &mut states);
-                opt.encode_lanes_into(slab, &mut states);
-                plan.encode_lanes_into(slab, &mut states);
-            };
-            // Warm the result columns, the gather scratch and the
-            // once-per-process kernel probe.
-            encode_all(&mut slab);
-            let count = allocations_during(|| {
-                for _ in 0..10 {
-                    encode_all(&mut slab);
-                }
-            });
-            assert_eq!(
-                count, 0,
-                "warm slab encode (chains={chains}, pricing={pricing}) allocated {count} times"
-            );
-        }
+        let mut states = vec![state; chains];
+        let mut encode_all = |slab: &mut dbi_core::BurstSlab| {
+            Scheme::Dc.encode_lanes_into(slab, &mut states);
+            opt.encode_lanes_into(slab, &mut states);
+            plan.encode_lanes_into(slab, &mut states);
+        };
+        // Warm the result columns, the gather scratch and the
+        // once-per-process kernel probe.
+        encode_all(&mut slab);
+        let count = allocations_during(|| {
+            for _ in 0..10 {
+                encode_all(&mut slab);
+            }
+        });
+        assert_eq!(
+            count, 0,
+            "warm slab encode (chains={chains}) allocated {count} times"
+        );
     }
 
     // Sanity check that the counter works at all.

@@ -199,17 +199,6 @@ impl BusSession {
         self.groups.get(group).copied()
     }
 
-    /// Overwrites the carried lane state of one group — how a **receiver**
-    /// session is synchronised to the transmitter's known state before
-    /// replaying a stream slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group` is out of range.
-    pub fn set_group_state(&mut self, group: usize, state: BusState) {
-        self.groups[group] = state;
-    }
-
     /// Returns every group to the idle (all lanes high) boundary condition.
     pub fn reset(&mut self) {
         for state in &mut self.groups {
@@ -341,9 +330,6 @@ impl BusSession {
         let burst_len = self.burst_len;
         let accesses = data.len() / self.access_bytes();
 
-        // The session's contract includes per-group activity, so the slab
-        // must price whatever the caller last used it for.
-        slab.set_pricing(true);
         // One chain-major fill — group `g` owns slab rows
         // `g·accesses .. (g+1)·accesses` — and then ONE lanes dispatch
         // encodes every group's chain, letting the SIMD kernels run the
@@ -616,7 +602,6 @@ impl BusSession {
         per_group.resize(groups, CostBreakdown::ZERO);
         out.resize(wire.len(), 0);
 
-        slab.set_pricing(true);
         // Mirror of the encode path: one chain-major fill, one lanes
         // dispatch, so the SWAR decode kernel re-prices every group's
         // whole chain instead of walking beat-by-beat lane words.
@@ -893,8 +878,6 @@ mod tests {
             let mut packed_b = BusSession::new(&config, scheme);
             let groups = packed_a.group_count();
             let mut slab = dbi_core::BurstSlab::new(config.burst_len());
-            slab.set_pricing(true);
-            slab.reset(config.burst_len());
             packed_a.append_chains_to_slab(&data_a, &mut slab).unwrap();
             packed_b.append_chains_to_slab(&data_b, &mut slab).unwrap();
             let mut states = Vec::new();
@@ -1052,9 +1035,8 @@ mod tests {
         let mut masks = Vec::new();
         tx.encode_stream_into(&data[..half], &mut tx_groups, Some(&mut masks))
             .unwrap();
-        let mid_states: Vec<BusState> = (0..tx.group_count())
-            .map(|g| tx.group_state(g).unwrap())
-            .collect();
+        let mut mid_states = Vec::new();
+        tx.export_states_into(&mut mid_states);
         let mut tail_masks = Vec::new();
         tx.encode_stream_into(&data[half..], &mut tx_groups, Some(&mut tail_masks))
             .unwrap();
@@ -1063,9 +1045,7 @@ mod tests {
             .unwrap();
 
         let mut rx = BusSession::new(&config, scheme);
-        for (group, state) in mid_states.iter().enumerate() {
-            rx.set_group_state(group, *state);
-        }
+        rx.import_states(&mid_states);
         let (activity, decoded) = rx.decode_stream(&wire, &tail_masks).unwrap();
         assert_eq!(decoded, &data[half..]);
         assert_eq!(activity.per_group, tx_groups);

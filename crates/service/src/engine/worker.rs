@@ -301,7 +301,6 @@ impl<'a> ShardWorker<'a> {
     /// through, or `None` when no job was packed.
     fn claim_and_pack(&mut self, round: usize, dequeue_ns: u64) -> Option<Arc<EncodePlan>> {
         self.slow_down_for_tests(round);
-        self.slab.set_pricing(true);
         self.slab.reset(usize::from(self.rounds[round].burst_len));
         self.states.clear();
         let mut plan = None;

@@ -148,11 +148,8 @@ impl<E: DbiEncoder> TraceEncoder<E> {
     /// exactly as the per-burst loops do, and returns the aggregate
     /// activity. The slab's mask and cost rows are left filled, so callers
     /// get the per-burst decisions for free. Bit-identical to
-    /// [`TraceEncoder::encode_bursts`] over the same bursts; the summary
-    /// includes real activity, so pricing is (re-)enabled on the slab
-    /// whatever the caller last used it for.
+    /// [`TraceEncoder::encode_bursts`] over the same bursts.
     pub fn encode_slab(&mut self, slab: &mut BurstSlab) -> TraceSummary {
-        slab.set_pricing(true);
         self.encoder
             .encode_lanes_into(slab, core::slice::from_mut(&mut self.state));
         TraceSummary {
@@ -364,17 +361,6 @@ mod tests {
             reference.encode_trace_masks(&trace, &mut masks);
             assert_eq!(slab.masks(), masks.as_slice(), "{scheme}");
         }
-
-        // A slab left in masks-only mode by an earlier caller still yields
-        // a real summary: encode_slab re-enables pricing.
-        let mut stale = TraceEncoder::new(Scheme::OptFixed);
-        let mut reference = TraceEncoder::new(Scheme::OptFixed);
-        let mut slab = BurstSlab::new(8);
-        slab.extend_from_bursts(trace.bursts()).unwrap();
-        slab.set_pricing(false);
-        let summary = stale.encode_slab(&mut slab);
-        assert_eq!(summary, reference.encode_trace(&trace));
-        assert!(slab.pricing());
 
         // Errors: empty input, mixed lengths; state untouched.
         let mut encoder = TraceEncoder::new(Scheme::Dc);
