@@ -430,6 +430,46 @@ impl BurstSlab {
         Ok(())
     }
 
+    /// Applies the mask column to the payload area in place: every beat a
+    /// burst's mask inverts is complemented, so payload bytes become the
+    /// DQ lane levels a transmitter drives — the **wire image**
+    /// [`BurstSlab::decode_in_place`] takes. Branch-free: each eight beats
+    /// XOR against one widened mask word, whatever the decisions were.
+    /// Cost rows are cleared (they priced different bytes).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DbiError::MaskCountMismatch`] when the mask column does
+    /// not cover every burst. The slab is unchanged on error.
+    pub fn apply_masks_in_place(&mut self) -> Result<()> {
+        let count = self.burst_count();
+        if self.masks.len() != count {
+            return Err(DbiError::MaskCountMismatch {
+                got: self.masks.len(),
+                expected: count,
+            });
+        }
+        self.costs.clear();
+        if self.is_empty() {
+            return Ok(());
+        }
+        let spread = |bits: u32| crate::simd::SPREAD_FLIP[(bits & 0xFF) as usize];
+        for (burst, mask) in self.bytes.chunks_exact_mut(self.burst_len).zip(&self.masks) {
+            let mut bits = mask.bits();
+            let mut words = burst.chunks_exact_mut(8);
+            for word in &mut words {
+                let w = u64::from_le_bytes((&*word).try_into().expect("chunk is 8 bytes"));
+                word.copy_from_slice(&(w ^ spread(bits)).to_le_bytes());
+                bits >>= 8;
+            }
+            let flip = spread(bits).to_le_bytes();
+            for (byte, flip) in words.into_remainder().iter_mut().zip(flip) {
+                *byte ^= flip;
+            }
+        }
+        Ok(())
+    }
+
     /// Decodes the slab **in place**: the payload area, currently holding
     /// the DQ lane levels as received off the wire, is rewritten to the
     /// original payload bytes by undoing the per-beat inversions recorded
@@ -593,40 +633,114 @@ impl BurstSlab {
 /// (row-major `cols × rows`): `dst[c·rows + r] = src[r·cols + c]`. The
 /// chain-major ⇄ beat-interleaved conversion of the slab plane.
 ///
-/// De-interleaving eight chains (a x64 channel, the service's widest
-/// packing case) goes through 8×8-byte tiles; any other shape runs a byte
-/// loop whose inner loop walks the longer dimension.
+/// One chain is a copy. Two, four and eight chains — the x16, x32 and
+/// x64 channels — go through 8×8-byte tiles in both directions
+/// ([`transpose_narrow_cols`] de-interleaves, [`transpose_narrow_rows`]
+/// re-interleaves); the rows or columns left over past the last whole
+/// tile, and every other chain count, run a byte loop whose inner loop
+/// walks the longer dimension.
 fn transpose(src: &[u8], dst: &mut [u8], cols: usize) {
     debug_assert_eq!(src.len(), dst.len());
     if src.is_empty() {
         return;
     }
     let rows = src.len() / cols;
-    if cols == 8 && rows.is_multiple_of(8) {
-        for (tile, beats) in src.chunks_exact(64).enumerate() {
-            let mut words = [0u64; 8];
-            for (word, row) in words.iter_mut().zip(beats.chunks_exact(8)) {
-                *word = u64::from_le_bytes(row.try_into().expect("8-byte row"));
-            }
-            transpose_8x8(&mut words);
-            for (c, word) in words.iter().enumerate() {
-                let at = c * rows + tile * 8;
-                dst[at..at + 8].copy_from_slice(&word.to_le_bytes());
-            }
+    match (rows, cols) {
+        (1, _) | (_, 1) => dst.copy_from_slice(src),
+        (_, 2) => transpose_narrow_cols::<2>(src, dst),
+        (_, 4) => transpose_narrow_cols::<4>(src, dst),
+        (_, 8) => transpose_narrow_cols::<8>(src, dst),
+        (2, _) => transpose_narrow_rows::<2>(src, dst),
+        (4, _) => transpose_narrow_rows::<4>(src, dst),
+        (8, _) => transpose_narrow_rows::<8>(src, dst),
+        _ if rows >= cols => transpose_rows_from(src, dst, cols, 0),
+        _ => transpose_cols_from(src, dst, cols, 0),
+    }
+}
+
+/// Byte-loop [`transpose`] of source rows `from..`, every column; the
+/// inner loop walks the rows.
+fn transpose_rows_from(src: &[u8], dst: &mut [u8], cols: usize, from: usize) {
+    let rows = src.len() / cols;
+    for (c, column) in dst.chunks_exact_mut(rows).enumerate() {
+        for (out, row) in column[from..]
+            .iter_mut()
+            .zip(src[from * cols..].chunks_exact(cols))
+        {
+            *out = row[c];
         }
-    } else if rows >= cols {
-        for (c, column) in dst.chunks_exact_mut(rows).enumerate() {
-            for (out, row) in column.iter_mut().zip(src.chunks_exact(cols)) {
-                *out = row[c];
-            }
+    }
+}
+
+/// Byte-loop [`transpose`] of source columns `from..`, every row; the
+/// inner loop walks the columns.
+fn transpose_cols_from(src: &[u8], dst: &mut [u8], cols: usize, from: usize) {
+    let rows = src.len() / cols;
+    for (r, row) in src.chunks_exact(cols).enumerate() {
+        for (c, &byte) in row.iter().enumerate().skip(from) {
+            dst[c * rows + r] = byte;
         }
-    } else {
-        for (r, row) in src.chunks_exact(cols).enumerate() {
-            for (c, &byte) in row.iter().enumerate() {
-                dst[c * rows + r] = byte;
+    }
+}
+
+/// Tiled body of [`transpose`] for a `rows × N` matrix, `N` dividing 8
+/// (de-interleaving `N` chains). An 8×8 tile stacks `8 / N` blocks of
+/// eight consecutive rows side by side — word `i` holds rows `i`,
+/// `8 + i`, … of the tile's `64 / N` rows — so after
+/// [`transpose_8x8`] word `k·N + c` is column `c` of block `k`: eight
+/// consecutive output bytes. Rows past the last whole tile go through
+/// the byte loop.
+fn transpose_narrow_cols<const N: usize>(src: &[u8], dst: &mut [u8]) {
+    let rows = src.len() / N;
+    let blocks = 8 / N;
+    for (tile, chunk) in src.chunks_exact(64).enumerate() {
+        let chunk: &[u8; 64] = chunk.try_into().expect("64-byte tile");
+        let mut words = [0u64; 8];
+        for (i, word) in words.iter_mut().enumerate() {
+            let mut bytes = [0u8; 8];
+            for k in 0..blocks {
+                let at = (8 * k + i) * N;
+                bytes[k * N..(k + 1) * N].copy_from_slice(&chunk[at..at + N]);
+            }
+            *word = u64::from_le_bytes(bytes);
+        }
+        transpose_8x8(&mut words);
+        for (j, word) in words.iter().enumerate() {
+            let (k, c) = (j / N, j % N);
+            let at = c * rows + tile * (64 / N) + 8 * k;
+            dst[at..at + 8].copy_from_slice(&word.to_le_bytes());
+        }
+    }
+    transpose_rows_from(src, dst, N, src.len() / 64 * 64 / N);
+}
+
+/// Tiled body of [`transpose`] for an `N × cols` matrix, `N` dividing 8
+/// (re-interleaving `N` chains): the mirror of
+/// [`transpose_narrow_cols`]. Word `k·N + r` of a tile holds eight
+/// consecutive bytes of row `r`, block `k`, so after [`transpose_8x8`]
+/// bytes `k·N .. (k+1)·N` of word `j` are one whole output row. Columns
+/// past the last whole tile go through the byte loop.
+fn transpose_narrow_rows<const N: usize>(src: &[u8], dst: &mut [u8]) {
+    let cols = src.len() / N;
+    let span = 64 / N;
+    let blocks = 8 / N;
+    for tile in 0..cols / span {
+        let mut words = [0u64; 8];
+        for (i, word) in words.iter_mut().enumerate() {
+            let (k, r) = (i / N, i % N);
+            let at = r * cols + tile * span + 8 * k;
+            *word = u64::from_le_bytes(src[at..at + 8].try_into().expect("8-byte run"));
+        }
+        transpose_8x8(&mut words);
+        for (j, word) in words.iter().enumerate() {
+            let bytes = word.to_le_bytes();
+            for k in 0..blocks {
+                let at = (tile * span + 8 * k + j) * N;
+                dst[at..at + N].copy_from_slice(&bytes[k * N..(k + 1) * N]);
             }
         }
     }
+    transpose_cols_from(src, dst, cols, cols / span * span);
 }
 
 /// Transposes an 8×8 byte matrix held as eight little-endian row words
@@ -826,6 +940,46 @@ mod tests {
             assert_eq!(view.costs(), solo.costs());
             assert_eq!(view.total(), solo.total());
             assert_eq!(states[chain], state);
+        }
+    }
+
+    #[test]
+    fn applying_masks_matches_the_per_burst_complement_at_every_length() {
+        for burst_len in 1..=32usize {
+            let mut slab = BurstSlab::new(burst_len);
+            let bytes: Vec<u8> = (0..burst_len * 5)
+                .map(|i| (i as u32).wrapping_mul(0x9E37_79B9).to_le_bytes()[3])
+                .collect();
+            slab.extend_from_bytes(&bytes).unwrap();
+            assert!(matches!(
+                slab.apply_masks_in_place(),
+                Err(DbiError::MaskCountMismatch {
+                    got: 0,
+                    expected: 5
+                })
+            ));
+            assert_eq!(
+                slab.bytes(),
+                &bytes[..],
+                "len={burst_len}: unchanged on error"
+            );
+
+            let width = if burst_len == 32 {
+                u32::MAX
+            } else {
+                (1 << burst_len) - 1
+            };
+            let masks: Vec<InversionMask> = (0..5u32)
+                .map(|i| InversionMask::from_bits(i.wrapping_mul(0x2545_F491) & width))
+                .collect();
+            slab.load_masks(&masks).unwrap();
+            slab.apply_masks_in_place().unwrap();
+            let mut expected = bytes.clone();
+            for (burst, mask) in expected.chunks_exact_mut(burst_len).zip(&masks) {
+                mask.apply_in_place(burst);
+            }
+            assert_eq!(slab.bytes(), &expected[..], "len={burst_len}");
+            assert!(slab.costs().is_empty());
         }
     }
 

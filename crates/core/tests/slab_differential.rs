@@ -505,6 +505,43 @@ fn interleaved_append_matches_the_per_burst_fill_and_scatter_inverts_it() {
     }
 }
 
+/// The tiled transposes (two, four and eight chains, both directions)
+/// against the byte-loop reference, on long chains whose beat counts are
+/// rarely a whole number of tiles (32, 16 and 8 beats for two, four and
+/// eight chains): de-interleave equals the per-burst fill, and the
+/// re-interleave writes beat `r` of chain `c` to `r·chains + c`.
+#[test]
+fn tiled_transposes_match_the_byte_loop_at_ragged_lengths() {
+    let mut rng = StdRng::seed_from_u64(0x71E5);
+    for chains in 1usize..=9 {
+        for _ in 0..60 {
+            let burst_len = rng.gen_range(1..33usize);
+            let accesses = rng.gen_range(1..25usize);
+            let label = format!("chains={chains} len={burst_len} accesses={accesses}");
+            let data: Vec<u8> = (0..chains * burst_len * accesses)
+                .map(|_| rng.gen())
+                .collect();
+
+            let mut reference = BurstSlab::new(burst_len);
+            push_chains_per_burst(&mut reference, &data, chains);
+            let mut slab = BurstSlab::new(burst_len);
+            slab.extend_chains_from_interleaved(&data, chains);
+            assert_eq!(slab.bytes(), reference.bytes(), "{label}: de-interleave");
+
+            let beats = burst_len * accesses;
+            let mut expected = vec![0u8; data.len()];
+            for (c, chain) in reference.bytes().chunks_exact(beats).enumerate() {
+                for (r, &byte) in chain.iter().enumerate() {
+                    expected[r * chains + c] = byte;
+                }
+            }
+            let mut out = vec![0u8; data.len()];
+            slab.scatter_chains_into(chains, &mut out);
+            assert_eq!(out, expected, "{label}: re-interleave");
+        }
+    }
+}
+
 #[test]
 #[should_panic(expected = "whole")]
 fn interleaved_append_rejects_partial_bursts() {

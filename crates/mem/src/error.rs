@@ -35,6 +35,24 @@ pub enum MemError {
         /// The session's burst length in beats.
         burst_len: usize,
     },
+    /// A verify replay recovered payload bytes that differ from the
+    /// payload the transmitter sent.
+    PayloadMismatch {
+        /// First differing byte, in the payload's beat-interleaved layout.
+        byte_offset: usize,
+    },
+    /// A verify replay re-priced a lane group's received wire activity
+    /// differently from the transmitter's accounting.
+    ActivityMismatch {
+        /// The first lane group whose activity differs.
+        group: usize,
+    },
+    /// A verify replay left a lane group's receiver in a different end
+    /// state from the transmitter's post-dispatch state.
+    EndStateMismatch {
+        /// The first lane group whose end state differs.
+        group: usize,
+    },
 }
 
 impl fmt::Display for MemError {
@@ -63,6 +81,18 @@ impl fmt::Display for MemError {
                     "inversion mask {index} references beats beyond the {burst_len}-beat burst"
                 )
             }
+            MemError::PayloadMismatch { byte_offset } => write!(
+                f,
+                "recovered payload first differs from the sent one at byte {byte_offset}"
+            ),
+            MemError::ActivityMismatch { group } => write!(
+                f,
+                "receiver-side activity of lane group {group} differs from the transmitter's"
+            ),
+            MemError::EndStateMismatch { group } => write!(
+                f,
+                "receiver end state of lane group {group} differs from the transmitter's"
+            ),
         }
     }
 }
@@ -100,6 +130,15 @@ mod tests {
         }
         .to_string()
         .contains("mask 2"));
+        assert!(MemError::PayloadMismatch { byte_offset: 17 }
+            .to_string()
+            .contains("byte 17"));
+        assert!(MemError::ActivityMismatch { group: 3 }
+            .to_string()
+            .contains("group 3"));
+        assert!(MemError::EndStateMismatch { group: 5 }
+            .to_string()
+            .contains("group 5"));
     }
 
     #[test]

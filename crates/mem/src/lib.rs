@@ -51,7 +51,7 @@ pub use controller::{AccessReport, EnergyTotals, MemoryController};
 pub use device::DramDevice;
 pub use error::{MemError, Result};
 pub use read_path::ReadPath;
-pub use session::{BusSession, ChannelActivity};
+pub use session::{BusSession, ChannelActivity, ReplayScratch};
 
 #[cfg(test)]
 mod tests {

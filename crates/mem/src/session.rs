@@ -425,6 +425,110 @@ impl BusSession {
         }
     }
 
+    /// Verifies this session's share of a **packed** dispatch the way a
+    /// DBI receiver would see it, in the slab's chain-major layout, from
+    /// the session's carried (pre-dispatch) states — call it before
+    /// [`BusSession::import_states`]. `payload` is the beat-interleaved
+    /// stream the session appended at `chain_base` (see
+    /// [`BusSession::gather_packed_results`]); `per_group` and
+    /// `post_states` are the transmitter's gathered activity and
+    /// post-dispatch states.
+    ///
+    /// The replay re-packs `payload` into `scratch` with one transpose,
+    /// loads the job's mask rows out of `slab` (contiguous, chain-major,
+    /// width-checked), applies them branch-free to form the wire image
+    /// ([`BurstSlab::apply_masks_in_place`]), and decodes it in place
+    /// with the slab decode kernel ([`BurstSlab::decode_in_place_chains`]),
+    /// which re-prices the received lane levels independently of the
+    /// encoder. It then checks, in order, that the recovered bytes equal
+    /// `payload`, that each chain's re-priced activity equals
+    /// `per_group`, and that each receiver end state equals
+    /// `post_states`. The session is not modified, and a warm `scratch`
+    /// makes the call allocation-free.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::BadAccessSize`] for a misaligned payload,
+    /// [`MemError::BadMask`] when a mask row references beats beyond the
+    /// burst length, or the first failed check:
+    /// [`MemError::PayloadMismatch`], [`MemError::ActivityMismatch`] or
+    /// [`MemError::EndStateMismatch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `slab` was primed for a different burst length or its
+    /// mask rows do not cover this session's chains.
+    pub fn verify_packed_results(
+        &self,
+        slab: &BurstSlab,
+        chain_base: usize,
+        payload: &[u8],
+        per_group: &[CostBreakdown],
+        post_states: &[BusState],
+        scratch: &mut ReplayScratch,
+    ) -> Result<()> {
+        let groups = self.groups.len();
+        let corrupt = core::mem::take(&mut scratch.corrupt_next);
+        assert_eq!(
+            slab.burst_len(),
+            self.burst_len,
+            "shared slab primed for a different burst length"
+        );
+        let wire = &mut scratch.slab;
+        wire.reset(self.burst_len);
+        self.append_chains_to_slab(payload, wire)?;
+        let accesses = payload.len() / self.access_bytes();
+        let masks = &slab.masks()[chain_base * accesses..(chain_base + groups) * accesses];
+        if wire.load_masks(masks).is_err() {
+            let row = masks
+                .iter()
+                .position(|mask| mask.validate_for_len(self.burst_len).is_err())
+                .expect("only a mask width can fail a full-length load");
+            return Err(MemError::BadMask {
+                index: (row % accesses) * groups + row / accesses,
+                burst_len: self.burst_len,
+            });
+        }
+        wire.apply_masks_in_place()
+            .expect("the loaded mask column covers every burst");
+        scratch.states.clear();
+        scratch.states.extend_from_slice(&self.groups);
+        wire.decode_in_place_chains(&mut scratch.states)
+            .expect("the loaded mask column covers every burst");
+
+        let recovered = &mut scratch.recovered;
+        recovered.clear();
+        recovered.resize(payload.len(), 0);
+        wire.scatter_chains_into(groups, recovered);
+        if corrupt {
+            recovered[0] ^= 0x01;
+        }
+        if recovered.as_slice() != payload {
+            let byte_offset = recovered
+                .iter()
+                .zip(payload)
+                .position(|(a, b)| a != b)
+                .expect("unequal slices of equal length differ somewhere");
+            return Err(MemError::PayloadMismatch { byte_offset });
+        }
+        for group in 0..groups.max(per_group.len()) {
+            let rows = group * accesses..(group + 1) * accesses;
+            let activity = wire
+                .costs()
+                .get(rows)
+                .map(|rows| rows.iter().copied().sum());
+            if per_group.get(group).copied() != activity {
+                return Err(MemError::ActivityMismatch { group });
+            }
+        }
+        for group in 0..groups.max(post_states.len()) {
+            if post_states.get(group) != scratch.states.get(group) {
+                return Err(MemError::EndStateMismatch { group });
+            }
+        }
+        Ok(())
+    }
+
     /// Appends this session's carried per-group [`BusState`]s onto `out`
     /// — the handoff a packed caller uses to assemble the chain-state
     /// array of a multi-session `encode_lanes_into` dispatch (states in
@@ -457,7 +561,8 @@ impl BusSession {
     /// (group-major within each access), as produced by
     /// [`BusSession::encode_stream_into`]. Pure: carried state is neither
     /// read nor advanced (the wires' *levels* are fully determined by
-    /// payload + masks). `wire` is cleared and refilled, reusing capacity.
+    /// payload + masks). Branch-free: every beat XORs with a byte derived
+    /// from its mask bit. `wire` is cleared and refilled, reusing capacity.
     ///
     /// Feeding the result to [`BusSession::decode_stream_into`] recovers
     /// `payload` bit-identically — masked complementation is an
@@ -481,14 +586,16 @@ impl BusSession {
         let groups = self.groups.len();
         let burst_len = self.burst_len;
         wire.extend_from_slice(payload);
-        for access in 0..payload.len() / self.access_bytes() {
-            let base = access * groups * burst_len;
-            for group in 0..groups {
-                let mask = masks[access * groups + group];
-                for beat in 0..burst_len {
-                    if mask.is_inverted(beat) {
-                        wire[base + beat * groups + group] ^= 0xFF;
-                    }
+        for (access, beats) in wire.chunks_exact_mut(groups * burst_len).enumerate() {
+            for (group, mask) in masks[access * groups..(access + 1) * groups]
+                .iter()
+                .enumerate()
+            {
+                // Beat `b` XORs with 0xFF exactly when mask bit `b` is
+                // set: random masks cost no branch mispredictions.
+                let bits = mask.bits();
+                for (beat, byte) in beats[group..].iter_mut().step_by(groups).enumerate() {
+                    *byte ^= 0u8.wrapping_sub(((bits >> beat) & 1) as u8);
                 }
             }
         }
@@ -653,6 +760,29 @@ impl BusSession {
             });
         }
         Ok(())
+    }
+}
+
+/// Reusable workspace of [`BusSession::verify_packed_results`]: the slab
+/// the wire image is formed and decoded in, the receiver's carried states
+/// and the recovered payload. Every buffer keeps its capacity, so a
+/// verifier that reuses one scratch allocates nothing once warm.
+#[derive(Debug, Default)]
+pub struct ReplayScratch {
+    slab: BurstSlab,
+    states: Vec<BusState>,
+    recovered: Vec<u8>,
+    corrupt_next: bool,
+}
+
+impl ReplayScratch {
+    /// Fault injection for tests: the next
+    /// [`BusSession::verify_packed_results`] through this scratch flips
+    /// the first recovered byte before the payload compare, so a caller
+    /// can exercise its payload-mismatch path end to end.
+    #[doc(hidden)]
+    pub fn corrupt_next_for_tests(&mut self) {
+        self.corrupt_next = true;
     }
 }
 
@@ -925,6 +1055,156 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// One packed dispatch of two sessions (3 and 4 groups, BL12, so the
+    /// replay runs a tail word per burst and the second session sits at
+    /// `chain_base = 3`): returns the sessions still holding their
+    /// pre-dispatch states, the encoded slab, each session's payload and
+    /// gathered activity, and the post-dispatch states.
+    #[allow(clippy::type_complexity)]
+    fn packed_pair(
+        scheme: Scheme,
+    ) -> (
+        [BusSession; 2],
+        BurstSlab,
+        [Vec<u8>; 2],
+        [Vec<CostBreakdown>; 2],
+        Vec<BusState>,
+    ) {
+        let sessions = [3, 4].map(|groups| BusSession::with_geometry(groups, 12, scheme));
+        let payloads =
+            [(3, 0xA5), (4, 0x5A)].map(|(groups, seed)| test_stream(groups * 12 * 9, seed));
+        let mut slab = BurstSlab::new(12);
+        let mut states = Vec::new();
+        for (session, payload) in sessions.iter().zip(&payloads) {
+            session.append_chains_to_slab(payload, &mut slab).unwrap();
+            session.export_states_into(&mut states);
+        }
+        Arc::clone(sessions[0].plan()).encode_lanes_into(&mut slab, &mut states);
+        let mut per_group = [Vec::new(), Vec::new()];
+        sessions[0].gather_packed_results(&slab, 7, 0, &mut per_group[0], None);
+        sessions[1].gather_packed_results(&slab, 7, 3, &mut per_group[1], None);
+        (sessions, slab, payloads, per_group, states)
+    }
+
+    #[test]
+    fn packed_verify_accepts_every_scheme_at_every_chain_base() {
+        let mut scratch = ReplayScratch::default();
+        let mut schemes = Scheme::paper_set().to_vec();
+        schemes.extend_from_slice(Scheme::conventional_set());
+        for scheme in schemes {
+            let (mut sessions, slab, payloads, per_group, states) = packed_pair(scheme);
+            for (index, (base, post)) in [(0, &states[..3]), (3, &states[3..])]
+                .into_iter()
+                .enumerate()
+            {
+                let session = &mut sessions[index];
+                let before = (0..session.group_count())
+                    .map(|group| session.group_state(group))
+                    .collect::<Vec<_>>();
+                session
+                    .verify_packed_results(
+                        &slab,
+                        base,
+                        &payloads[index],
+                        &per_group[index],
+                        post,
+                        &mut scratch,
+                    )
+                    .unwrap_or_else(|err| panic!("{scheme} session {index}: {err}"));
+                // The replay observes; it never advances the session.
+                for (group, state) in before.iter().enumerate() {
+                    assert_eq!(session.group_state(group), *state, "{scheme}");
+                }
+                session.import_states(post);
+            }
+        }
+    }
+
+    #[test]
+    fn packed_verify_fails_typed_on_every_broken_check() {
+        let (sessions, slab, payloads, per_group, states) = packed_pair(Scheme::OptFixed);
+        let session = &sessions[1];
+        let post = &states[3..];
+        let mut scratch = ReplayScratch::default();
+        let mut verify =
+            |slab: &BurstSlab, payload: &[u8], per_group: &[CostBreakdown], post: &[BusState]| {
+                session.verify_packed_results(slab, 3, payload, per_group, post, &mut scratch)
+            };
+
+        // Reply activity off by one transition on group 2.
+        let mut off_by_one = per_group[1].clone();
+        off_by_one[2] = CostBreakdown::new(off_by_one[2].zeros, off_by_one[2].transitions + 1);
+        assert_eq!(
+            verify(&slab, &payloads[1], &off_by_one, post),
+            Err(MemError::ActivityMismatch { group: 2 })
+        );
+        // A missing group's activity.
+        assert_eq!(
+            verify(&slab, &payloads[1], &per_group[1][..3], post),
+            Err(MemError::ActivityMismatch { group: 3 })
+        );
+
+        // A wrong post-dispatch state on group 1.
+        let mut wrong_post = post.to_vec();
+        let last = wrong_post[1].last();
+        wrong_post[1] = BusState::new(LaneWord::from_wire(
+            last.dq_levels() ^ 0x10,
+            last.dbi().is_inverted(),
+        ));
+        assert_eq!(
+            verify(&slab, &payloads[1], &per_group[1], &wrong_post),
+            Err(MemError::EndStateMismatch { group: 1 })
+        );
+
+        // A misaligned payload.
+        assert!(matches!(
+            verify(&slab, &payloads[1][..47], &per_group[1], post),
+            Err(MemError::BadAccessSize { .. })
+        ));
+
+        // A mask row wider than the burst, reported in transmission order:
+        // row 9·1 + 4 of this session is group 1, access 4.
+        let mut bad = slab.clone();
+        let masks: Vec<InversionMask> = slab.masks().to_vec();
+        let costs: Vec<CostBreakdown> = slab.costs().to_vec();
+        let (_, bad_masks, bad_costs) = bad.encode_parts_mut();
+        bad_masks.copy_from_slice(&masks);
+        bad_costs.copy_from_slice(&costs);
+        bad_masks[3 * 9 + 9 + 4] = InversionMask::from_bits(1 << 12);
+        assert_eq!(
+            verify(&bad, &payloads[1], &per_group[1], post),
+            Err(MemError::BadMask {
+                index: 4 * 4 + 1,
+                burst_len: 12
+            })
+        );
+
+        // The payload hook flips recovered byte 0, once.
+        scratch.corrupt_next_for_tests();
+        assert_eq!(
+            session.verify_packed_results(
+                &slab,
+                3,
+                &payloads[1],
+                &per_group[1],
+                post,
+                &mut scratch
+            ),
+            Err(MemError::PayloadMismatch { byte_offset: 0 })
+        );
+        assert_eq!(
+            session.verify_packed_results(
+                &slab,
+                3,
+                &payloads[1],
+                &per_group[1],
+                post,
+                &mut scratch
+            ),
+            Ok(())
+        );
     }
 
     #[test]

@@ -8,99 +8,10 @@ use super::{Phase, SlotState};
 use crate::error::ServiceError;
 use crate::telemetry::{TraceEvent, TraceOutcome};
 use dbi_core::persist::scheme_to_tag;
-use dbi_core::{clock, BurstSlab, BusState, CostBreakdown, InversionMask, Scheme};
-use dbi_mem::BusSession;
+use dbi_core::{clock, Scheme};
+use dbi_mem::{BusSession, MemError};
 use std::sync::atomic::Ordering;
 use std::sync::MutexGuard;
-
-/// Reusable per-worker buffers for verify-mode round trips: the wire
-/// image, the decoded payload, the receiver-side activity, the slab the
-/// decode runs through and — for requests that did not ask for masks —
-/// the mask stream. All reuse capacity, so verified requests stay
-/// allocation-free once warm.
-pub(super) struct VerifyScratch {
-    wire: Vec<u8>,
-    decoded: Vec<u8>,
-    rx_groups: Vec<CostBreakdown>,
-    masks: Vec<InversionMask>,
-    slab: BurstSlab,
-}
-
-impl Default for VerifyScratch {
-    fn default() -> Self {
-        VerifyScratch {
-            wire: Vec::new(),
-            decoded: Vec::new(),
-            rx_groups: Vec::new(),
-            masks: Vec::new(),
-            slab: BurstSlab::new(dbi_core::STANDARD_BURST_LEN),
-        }
-    }
-}
-
-impl VerifyScratch {
-    /// The verify-mode round trip, replayed through the transmitter
-    /// session while it still holds its pre-dispatch states (the DBI
-    /// receiver keeps no state of its own): reconstruct the wire image the
-    /// encode decisions drive, decode it via the slab-kernel decode path,
-    /// and compare payload bytes, receiver-side wire activity and the
-    /// receiver's end states against the payload, the reply's activity
-    /// and the post-dispatch states. `Err` carries the first mismatching
-    /// payload byte offset, or `None` when the payload matched but
-    /// activity or end state diverged. The session is left in the
-    /// receiver's end states; the caller re-imports the post-dispatch
-    /// states.
-    fn round_trip(
-        &mut self,
-        session: &mut BusSession,
-        state: &SlotState,
-        post_states: &[BusState],
-        corrupt: bool,
-    ) -> Result<(), Option<u64>> {
-        let masks = if state.want_masks {
-            &state.masks
-        } else {
-            &self.masks
-        };
-        session
-            .transmit_stream_into(&state.payload, masks, &mut self.wire)
-            .map_err(|_| None)?;
-        session
-            .decode_stream_slab_into(
-                &self.wire,
-                masks,
-                &mut self.rx_groups,
-                &mut self.decoded,
-                &mut self.slab,
-            )
-            .map_err(|_| None)?;
-        if corrupt {
-            if let Some(byte) = self.decoded.first_mut() {
-                *byte ^= 0x01;
-            }
-        }
-        if self.decoded.len() != state.payload.len() {
-            return Err(None);
-        }
-        if let Some(offset) = self
-            .decoded
-            .iter()
-            .zip(&state.payload)
-            .position(|(a, b)| a != b)
-        {
-            return Err(Some(offset as u64));
-        }
-        if self.rx_groups != state.per_group {
-            return Err(None);
-        }
-        for (group, post) in post_states.iter().enumerate() {
-            if session.group_state(group) != Some(*post) {
-                return Err(None);
-            }
-        }
-        Ok(())
-    }
-}
 
 /// Stage durations measured while a job runs. `None` stages did not run:
 /// no verify requested, or the request failed before encoding.
@@ -142,21 +53,15 @@ impl ShardWorker<'_> {
         let state: &mut SlotState = &mut guard;
 
         let gather_start = clock::now_nanos();
-        // Verification needs the mask stream even when the client did not
-        // ask for it: route the masks into the slot (they go back to the
-        // client) or into the worker's scratch.
-        let mask_sink = if state.want_masks {
-            Some(&mut state.masks)
-        } else {
+        if !state.want_masks {
             state.masks.clear();
-            state.verify.then_some(&mut self.verify.masks)
-        };
+        }
         entry.session.gather_packed_results(
             &self.slab,
             chains,
             base,
             &mut state.per_group,
-            mask_sink,
+            state.want_masks.then_some(&mut state.masks),
         );
         // Geometry was validated at submission, so this division is exact.
         let bursts = (state.payload.len() / usize::from(state.burst_len)) as u64;
@@ -180,11 +85,18 @@ impl ShardWorker<'_> {
         };
 
         let outcome = if state.verify {
-            let corrupt = self.shared.hooks.corrupt_verify.load(Ordering::Relaxed);
+            if self.shared.hooks.corrupt_verify.load(Ordering::Relaxed) {
+                self.verify.corrupt_next_for_tests();
+            }
             let verify_start = clock::now_nanos();
-            let outcome = self
-                .verify
-                .round_trip(&mut entry.session, state, post_states, corrupt);
+            let outcome = entry.session.verify_packed_results(
+                &self.slab,
+                base,
+                &state.payload,
+                &state.per_group,
+                post_states,
+                &mut self.verify,
+            );
             timing.verify_ns = Some(clock::now_nanos().saturating_sub(verify_start));
             self.metrics.record_verify(outcome.is_ok());
             outcome
@@ -200,12 +112,16 @@ impl ShardWorker<'_> {
                     .record_request(state.payload.len() as u64, bursts, saved);
                 Ok(bursts)
             }
-            Err(byte_offset) => {
+            Err(err) => {
                 // Count the failure like every other failed request, so
                 // requests + rejected keeps accounting for submitted
                 // traffic (the work was executed, but the caller got an
                 // error).
                 self.metrics.record_reject();
+                let byte_offset = match err {
+                    MemError::PayloadMismatch { byte_offset } => Some(byte_offset as u64),
+                    _ => None,
+                };
                 Err(ServiceError::VerifyMismatch {
                     session_id: state.session_id,
                     byte_offset,

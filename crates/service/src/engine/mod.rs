@@ -45,11 +45,13 @@
 //! bit-identical to the uncoalesced schedule (differential-tested in
 //! `tests/packed_differential.rs`). Verify-mode requests ride the same
 //! packed machinery: before its post-dispatch states are imported, the
-//! session itself decodes the reply's wire image from its pre-dispatch
-//! states through [`BusSession::decode_stream_slab_into`], the slab-kernel
-//! decode path — a DBI receiver keeps no state beyond the lane states the
-//! worker already holds. Pass sizes, coalesced counts and per-dispatch
-//! lane occupancy land in the `batch` block of the metrics.
+//! session replays its own chain-major slab rows as a receiver from its
+//! pre-dispatch states ([`BusSession::verify_packed_results`]: the
+//! payload re-packed, the job's mask rows applied as the wire image,
+//! decoded by the slab decode kernel) — a DBI receiver keeps no state
+//! beyond the lane states the worker already holds. Pass sizes,
+//! coalesced counts and per-dispatch lane occupancy land in the `batch`
+//! block of the metrics.
 //!
 //! The module follows the worker's seams: `queue` (the shard queue and
 //! its control lane), `sessions` (the session table and eviction),
@@ -61,7 +63,7 @@
 //! [`BusSession::export_states_into`]: dbi_mem::BusSession::export_states_into
 //! [`BusSession::gather_packed_results`]: dbi_mem::BusSession::gather_packed_results
 //! [`BusSession::import_states`]: dbi_mem::BusSession::import_states
-//! [`BusSession::decode_stream_slab_into`]: dbi_mem::BusSession::decode_stream_slab_into
+//! [`BusSession::verify_packed_results`]: dbi_mem::BusSession::verify_packed_results
 //!
 //! ## The allocation-free request path
 //!

@@ -93,9 +93,10 @@ pub(super) fn recover_persist_plane(
 
 impl ShardWorker<'_> {
     /// Journals the full carried state of every session the just-finished
-    /// pass touched, then flushes. Only a flushed record marks its session
-    /// captured. Write failures degrade durability (the next snapshot
-    /// re-captures everything) but never the data path.
+    /// pass touched, then flushes, and compacts the journal when it is due.
+    /// Only a flushed record marks its session captured. Write failures
+    /// degrade durability (the next snapshot re-captures everything) but
+    /// never the data path.
     pub(super) fn journal_pass(&mut self) {
         let Some(journal) = self.journal.as_mut() else {
             return;
@@ -130,6 +131,9 @@ impl ShardWorker<'_> {
                     if let Some(entry) = self.sessions.get_mut(session_id) {
                         entry.captured = true;
                     }
+                }
+                if journal.compact_if_due().is_err() {
+                    self.metrics.journal_error();
                 }
             }
             Err(_) => self.metrics.journal_error(),

@@ -1,7 +1,7 @@
 //! The shard worker: drains a window of queued jobs, partitions it into
 //! packed rounds, and runs each round as one kernel dispatch.
 
-use super::account::{StageTiming, VerifyScratch};
+use super::account::StageTiming;
 use super::queue::{ControlOutcome, Popped};
 use super::sessions::SessionTable;
 use super::{RequestSlot, RouteKey, Shared};
@@ -10,6 +10,7 @@ use crate::metrics::ShardMetrics;
 use crate::persist::journal::{journal_path, JournalWriter};
 use crate::persist::RestoredSession;
 use dbi_core::{clock, BurstSlab, BusState, DbiEncoder, EncodePlan, KernelKind, Scheme};
+use dbi_mem::ReplayScratch;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -87,7 +88,8 @@ pub(super) struct ShardWorker<'a> {
     /// states, concatenated in chain order, which the dispatch advances
     /// in place to the post-dispatch states each session imports back.
     pub(super) states: Vec<BusState>,
-    pub(super) verify: VerifyScratch,
+    /// The verify-mode receiver replay's reusable workspace.
+    pub(super) verify: ReplayScratch,
     pub(super) window: Vec<PassJob>,
     rounds: Vec<RoundMeta>,
     /// Last round index per session seen while forming rounds (linear
@@ -136,7 +138,7 @@ impl<'a> ShardWorker<'a> {
             sessions,
             slab: BurstSlab::new(dbi_core::STANDARD_BURST_LEN),
             states: Vec::new(),
-            verify: VerifyScratch::default(),
+            verify: ReplayScratch::default(),
             window: Vec::with_capacity(COALESCE_LIMIT + 1),
             rounds: Vec::with_capacity(COALESCE_LIMIT + 1),
             session_rounds: Vec::with_capacity(COALESCE_LIMIT + 1),

@@ -29,7 +29,7 @@
 //!   whole **batch** of bursts under a single header (u16 burst count +
 //!   contiguous payload), and the **verify bit** ([`VerifyMode`]): the
 //!   engine decodes its own output through the receiver path
-//!   ([`dbi_mem::BusSession::decode_stream_slab_into`]) and answers
+//!   ([`dbi_mem::BusSession::verify_packed_results`]) and answers
 //!   [`wire::ErrorCode::VerifyMismatch`] on any encode/decode asymmetry.
 //!   Admin frames cover metrics, telemetry and durability (trigger a
 //!   snapshot, query durability status, restore from disk).

@@ -18,7 +18,13 @@
 //! The writer buffers records in a worker-owned `Vec` and flushes once
 //! per pass with a single `write_all`, so the steady-state encode path
 //! performs no heap allocation for journaling (the buffer is sized by the
-//! first passes and then reused).
+//! first passes and then reused). Once the file reaches
+//! [`JOURNAL_COMPACT_FLOOR`] and twice its length after the last
+//! compaction, the writer rewrites it as its own fold — one record per
+//! session, staged beside it and renamed over it
+//! ([`JournalWriter::compact`]) — so a journal, and the recovery that
+//! replays it, stays within twice its live records or the floor however
+//! long the engine runs.
 //!
 //! Replay streams the file through one chunk-sized buffer
 //! ([`JournalReader::fold`]), parsing each record in place, so reading a
@@ -94,6 +100,12 @@ pub fn encode_journal_header(generation: u64) -> [u8; JOURNAL_HEAD_LEN] {
     head
 }
 
+/// Journal length (bytes) below which a writer never compacts. A
+/// compaction reads the whole journal back, so it only pays once the file
+/// is long enough to slow recovery: 1 MiB is about 26k four-group records,
+/// which a fold replays in about a millisecond.
+pub const JOURNAL_COMPACT_FLOOR: u64 = 1 << 20;
+
 /// A worker-owned buffered journal writer.
 #[derive(Debug)]
 pub struct JournalWriter {
@@ -101,6 +113,10 @@ pub struct JournalWriter {
     file: fs::File,
     buf: Vec<u8>,
     generation: u64,
+    /// Bytes in the file: header plus every record flushed since.
+    len: u64,
+    /// `len` right after the last create, rotation or compaction.
+    compacted_len: u64,
 }
 
 impl JournalWriter {
@@ -118,6 +134,8 @@ impl JournalWriter {
             file,
             buf: Vec::new(),
             generation,
+            len: JOURNAL_HEAD_LEN as u64,
+            compacted_len: JOURNAL_HEAD_LEN as u64,
         })
     }
 
@@ -162,7 +180,75 @@ impl JournalWriter {
         let result = self.file.write_all(&self.buf);
         self.buf.clear();
         result?;
+        self.len += len as u64;
         Ok(len)
+    }
+
+    /// Compacts the journal ([`JournalWriter::compact`]) once it is at
+    /// least [`JOURNAL_COMPACT_FLOOR`] long and twice as long as it was
+    /// after the last compaction, so compaction work stays proportional
+    /// to the records appended and the file to twice its live records
+    /// (or the floor). Returns whether it compacted.
+    ///
+    /// # Errors
+    ///
+    /// A failed compaction; the journal is then left as it was.
+    pub fn compact_if_due(&mut self) -> Result<bool, PersistError> {
+        if self.len < JOURNAL_COMPACT_FLOOR.max(2 * self.compacted_len) {
+            return Ok(false);
+        }
+        self.compact()?;
+        Ok(true)
+    }
+
+    /// Rewrites the flushed journal as its own replay: one record per
+    /// session, the newest, in session-id order, under the same
+    /// generation — the state recovery folds the old file to, so both
+    /// replay identically. A torn record ends the fold, as it ends
+    /// recovery's. The new file is written beside the old one, synced and
+    /// renamed over it (as snapshots are), so a crash leaves one complete
+    /// journal or the other. Buffered records are not included: flush
+    /// first.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O failure reading the old journal or writing the new one;
+    /// the old journal then stays in place and keeps receiving appends.
+    pub fn compact(&mut self) -> Result<(), PersistError> {
+        let mut newest = std::collections::HashMap::new();
+        if let Some(reader) = JournalReader::open(&self.path)? {
+            super::fold_newest(reader, &mut newest)?;
+        }
+        let mut sessions: Vec<RestoredSession> = newest.into_values().collect();
+        sessions.sort_by_key(|session| session.session_id);
+        let mut bytes = encode_journal_header(self.generation).to_vec();
+        for session in &sessions {
+            push_session_record(
+                &mut bytes,
+                session.session_id,
+                session.scheme,
+                session.burst_len,
+                &session.states,
+            );
+        }
+        let staged = self.path.with_extension("bin.compact");
+        let written = fs::File::create(&staged)
+            .and_then(|mut file| file.write_all(&bytes).map(|()| file))
+            .and_then(|file| file.sync_all().map(|()| file))
+            .and_then(|file| fs::rename(&staged, &self.path).map(|()| file));
+        match written {
+            Ok(file) => {
+                // The handle is already at the end of the renamed file.
+                self.file = file;
+                self.len = bytes.len() as u64;
+                self.compacted_len = self.len;
+                Ok(())
+            }
+            Err(err) => {
+                let _ = fs::remove_file(&staged);
+                Err(err.into())
+            }
+        }
     }
 
     /// Test fault injection: reopens the journal file read-only, so every
@@ -186,6 +272,8 @@ impl JournalWriter {
         file.write_all(&encode_journal_header(generation))?;
         self.file = file;
         self.generation = generation;
+        self.len = JOURNAL_HEAD_LEN as u64;
+        self.compacted_len = self.len;
         Ok(())
     }
 }
@@ -401,6 +489,87 @@ mod tests {
         assert_eq!(replay.generation, 5);
         assert_eq!(replay.records.len(), 1);
         assert_eq!(replay.records[0].session_id, 3);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The newest states per session, as a replay of `path` folds them.
+    fn newest_states(path: &Path) -> std::collections::HashMap<u64, Vec<BusState>> {
+        replay_journal(path)
+            .unwrap()
+            .unwrap()
+            .records
+            .into_iter()
+            .map(|record| (record.session_id, record.states))
+            .collect()
+    }
+
+    #[test]
+    fn compaction_keeps_the_newest_record_per_session() {
+        let path = temp_path("compact");
+        let mut writer = JournalWriter::create(path.clone(), 7).unwrap();
+        for round in 0..50u16 {
+            for session in 1..=3u16 {
+                writer.append_session(
+                    u64::from(session),
+                    Scheme::OptFixed,
+                    8,
+                    &[state(round + session), state(round)],
+                );
+            }
+            writer.flush().unwrap();
+        }
+        let before = newest_states(&path);
+        let len_before = fs::metadata(&path).unwrap().len();
+
+        writer.compact().unwrap();
+        let replay = replay_journal(&path).unwrap().unwrap();
+        assert_eq!(replay.generation, 7);
+        assert_eq!(replay.records.len(), 3);
+        assert_eq!(replay.dropped_bytes, 0);
+        assert_eq!(newest_states(&path), before);
+        assert_eq!(fs::metadata(&path).unwrap().len(), writer.len);
+        assert!(writer.len < len_before);
+        assert!(!path.with_extension("bin.compact").exists());
+
+        // Appends land after the compacted records and win over them.
+        writer.append_session(2, Scheme::OptFixed, 8, &[state(0x1FF), state(0x001)]);
+        writer.flush().unwrap();
+        let replay = replay_journal(&path).unwrap().unwrap();
+        assert_eq!(replay.records.len(), 4);
+        assert_eq!(newest_states(&path)[&2], vec![state(0x1FF), state(0x001)]);
+        assert!(!writer.compact_if_due().unwrap(), "far below the floor");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn compaction_is_due_at_the_floor_then_at_twice_the_compacted_length() {
+        let path = temp_path("compact-due");
+        let mut writer = JournalWriter::create(path.clone(), 1).unwrap();
+        let states = [state(0x0AA); 4];
+        // Every record is a new session, so compaction keeps them all and
+        // the compacted journal is as long as the one it replaced.
+        let mut sessions = 0u64;
+        let mut append = |writer: &mut JournalWriter| {
+            for _ in 0..1024 {
+                writer.append_session(sessions, Scheme::OptFixed, 8, &states);
+                sessions += 1;
+            }
+            writer.flush().unwrap();
+        };
+        while writer.len < JOURNAL_COMPACT_FLOOR {
+            assert!(!writer.compact_if_due().unwrap());
+            append(&mut writer);
+        }
+        assert!(writer.compact_if_due().unwrap());
+        let compacted = writer.compacted_len;
+        assert!(compacted >= JOURNAL_COMPACT_FLOOR);
+        while writer.len < 2 * compacted {
+            assert!(!writer.compact_if_due().unwrap());
+            append(&mut writer);
+        }
+        assert!(writer.compact_if_due().unwrap());
+        let replay = replay_journal(&path).unwrap().unwrap();
+        assert_eq!(replay.records.len() as u64, sessions);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -22,9 +22,13 @@
 //! pass, and captures happen quiesced at pass boundaries). Journals are
 //! **streamed**: each is read a fixed-size chunk at a time
 //! ([`journal::JournalReader`]), its records parsed in place, and only the
-//! newest record per session is kept, so recovery time and memory follow
-//! the session count and chunk size, not how many passes the previous
-//! run journaled.
+//! newest record per session is kept, so recovery memory follows the
+//! session count and chunk size, not how many passes the previous run
+//! journaled. Recovery *time* follows the journal's length, which the
+//! worker bounds: once a journal reaches
+//! [`journal::JOURNAL_COMPACT_FLOOR`] and twice its size after the last
+//! compaction, it is rewritten as its own fold, one record per session
+//! ([`journal::JournalWriter::compact`]).
 //!
 //! ## Generations
 //!
@@ -265,12 +269,7 @@ pub(crate) fn load_state(dir: &std::path::Path) -> Result<LoadedState, PersistEr
             continue;
         }
         generation = generation.max(journal_generation);
-        dropped_bytes += reader.fold(|view| match folded.entry(view.session_id) {
-            Entry::Occupied(mut entry) => entry.get_mut().assign_record(&view),
-            Entry::Vacant(entry) => {
-                entry.insert(RestoredSession::from_record(&view));
-            }
-        })?;
+        dropped_bytes += fold_newest(reader, &mut folded)?;
     }
 
     let mut sessions: Vec<RestoredSession> = folded.into_values().collect();
@@ -279,6 +278,21 @@ pub(crate) fn load_state(dir: &std::path::Path) -> Result<LoadedState, PersistEr
         generation,
         sessions,
         dropped_bytes,
+    })
+}
+
+/// Folds every record of `reader` into `folded`, the newest record per
+/// session winning (an existing entry is overwritten in place, reusing
+/// its state buffer). Returns the torn-tail bytes the fold dropped.
+fn fold_newest(
+    reader: journal::JournalReader,
+    folded: &mut HashMap<u64, RestoredSession>,
+) -> Result<u64, PersistError> {
+    reader.fold(|view| match folded.entry(view.session_id) {
+        Entry::Occupied(mut entry) => entry.get_mut().assign_record(&view),
+        Entry::Vacant(entry) => {
+            entry.insert(RestoredSession::from_record(&view));
+        }
     })
 }
 

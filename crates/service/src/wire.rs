@@ -334,11 +334,12 @@ impl ErrorCode {
 /// the request's payload before replying — the verify bit of the request
 /// flags byte.
 ///
-/// Verification replays the full receiver path: the worker reconstructs
-/// the wire image from payload + masks, decodes it from the session's
-/// pre-request lane states through the slab-kernel decode path
-/// ([`dbi_mem::BusSession::decode_stream_slab_into`]), and compares
-/// payload bytes, per-group wire activity and end lane states. Any
+/// Verification replays the full receiver path in the slab's chain-major
+/// layout ([`dbi_mem::BusSession::verify_packed_results`]): the worker
+/// re-packs the payload, applies the request's mask rows to form the
+/// wire image, decodes it from the session's pre-request lane states
+/// through the slab decode kernel, and compares payload bytes, per-group
+/// wire activity (re-priced by the decoder) and end lane states. Any
 /// asymmetry fails the request with [`ErrorCode::VerifyMismatch`] instead
 /// of returning silently wrong results. Costs one extra decode pass over
 /// the payload; off by default.

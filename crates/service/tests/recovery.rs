@@ -337,3 +337,75 @@ fn journal_create_failures_are_counted_and_requests_still_served() {
     let _ = std::fs::remove_dir_all(&dir);
     assert_matches_serial(&accumulated);
 }
+
+#[test]
+fn a_compacted_journal_recovers_the_states_served() {
+    // Enough one-access passes to push the shard's journal past the
+    // compaction floor: the worker rewrites it as one record per session
+    // mid-run, and an engine recovered from the compacted journal carries
+    // on exactly where a serial session would. Session 0 goes quiet after
+    // the first passes, so only the compacted record carries its state.
+    use dbi_service::persist::journal::{journal_path, JOURNAL_COMPACT_FLOOR};
+    let dir = persist_dir("compaction");
+    let config = ServiceConfig {
+        shards: 1,
+        queue_capacity: 16,
+        persist: Some(PersistConfig { dir: dir.clone() }),
+        ..ServiceConfig::default()
+    };
+    let schemes = [Scheme::OptFixed, Scheme::Dc];
+    let mut serial = schemes.map(|scheme| BusSession::with_geometry(1, 4, scheme));
+    let mut rng = StdRng::seed_from_u64(0xC0C0);
+    let mut expected = (Vec::new(), Vec::new());
+    let mut reply = EncodeReply::new();
+    let request = |engine: &Engine, session: usize, payload: &[u8], reply: &mut EncodeReply| {
+        engine
+            .local_client()
+            .encode(
+                &EncodeRequest {
+                    session_id: 0xC0 + session as u64,
+                    scheme: schemes[session],
+                    cost_model: CostModel::Inline,
+                    groups: 1,
+                    burst_len: 4,
+                    want_masks: true,
+                    verify: VerifyMode::Off,
+                    payload,
+                },
+                reply,
+            )
+            .unwrap();
+    };
+
+    let engine = Engine::start(config.clone());
+    // A one-group record is 34 bytes: 33k passes journal past 1 MiB.
+    for pass in 0..33_000 {
+        let session = if pass < 100 { pass % 2 } else { 1 };
+        let payload = rng.gen::<u32>().to_le_bytes();
+        serial[session]
+            .encode_stream_into(&payload, &mut expected.0, Some(&mut expected.1))
+            .unwrap();
+        request(&engine, session, &payload, &mut reply);
+    }
+    assert_eq!(engine.metrics().per_shard[0].journal_errors, 0);
+    let journal_len = std::fs::metadata(journal_path(&dir, 0)).unwrap().len();
+    assert!(
+        journal_len < JOURNAL_COMPACT_FLOOR,
+        "33k passes never compacted the journal ({journal_len} bytes)"
+    );
+    engine.shutdown();
+    drop(engine);
+
+    let engine = Engine::start(config);
+    for (session, serial) in serial.iter_mut().enumerate() {
+        let payload = rng.gen::<u32>().to_le_bytes();
+        serial
+            .encode_stream_into(&payload, &mut expected.0, Some(&mut expected.1))
+            .unwrap();
+        request(&engine, session, &payload, &mut reply);
+        assert_eq!(reply.per_group, expected.0, "session {session}");
+        assert_eq!(reply.masks, expected.1, "session {session}");
+    }
+    engine.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -275,3 +275,99 @@ fn corrupted_decode_surfaces_as_verify_mismatch_over_tcp() {
     server.shutdown();
     engine.shutdown();
 }
+
+#[test]
+fn packed_verify_holds_across_every_geometry_and_chain_base() {
+    // Sessions of 1, 2, 3, 4 and 8 groups at one burst length submit in
+    // lockstep to a single shard, so the worker packs them into shared
+    // rounds and each verify replays its rows from a nonzero chain base,
+    // through every transpose shape, and (at BL 4 and 12) on the tail
+    // word of every burst. Every reply must match a serial session.
+    const GROUPS: [u16; 5] = [1, 2, 3, 4, 8];
+    const REQUESTS: usize = 8;
+    let engine = Engine::start(ServiceConfig {
+        shards: 1,
+        queue_capacity: 64,
+        ..ServiceConfig::default()
+    });
+    let schemes = all_schemes();
+    let mut requests = 0u64;
+    for (phase, burst_len) in [4u8, 8, 12, 16, 32].into_iter().enumerate() {
+        let scheme = schemes[phase % schemes.len()];
+        let session_of = |groups: u16| 0x5000 + 0x100 * phase as u64 + u64::from(groups);
+        // Hold the worker on the one-group session's rounds, so the
+        // others queue up behind it and pack together.
+        engine.inject_slowdown_for_tests(session_of(1), std::time::Duration::from_micros(200));
+        let barrier = std::sync::Barrier::new(GROUPS.len());
+        std::thread::scope(|scope| {
+            for groups in GROUPS {
+                let mut client = engine.local_client();
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    let mut serial = BusSession::with_geometry(
+                        usize::from(groups),
+                        usize::from(burst_len),
+                        scheme,
+                    );
+                    let mut serial_groups = Vec::new();
+                    let mut serial_masks = Vec::new();
+                    let mut reply = EncodeReply::new();
+                    for index in 0..REQUESTS {
+                        // Same access count across sessions at each step, so
+                        // their jobs can share a round.
+                        let accesses = 1 + index % 3;
+                        let len = accesses * usize::from(groups) * usize::from(burst_len);
+                        let payload = pseudo_random(len, (u32::from(groups) << 16) ^ index as u32);
+                        let want_masks = (index + usize::from(groups)) % 2 == 0;
+                        barrier.wait();
+                        client
+                            .encode(
+                                &EncodeRequest {
+                                    session_id: session_of(groups),
+                                    scheme,
+                                    cost_model: dbi_service::CostModel::Inline,
+                                    groups,
+                                    burst_len,
+                                    want_masks,
+                                    verify: VerifyMode::RoundTrip,
+                                    payload: &payload,
+                                },
+                                &mut reply,
+                            )
+                            .unwrap_or_else(|err| {
+                                panic!("{scheme} x{groups} BL{burst_len} request {index}: {err}")
+                            });
+                        let bursts = serial
+                            .encode_stream_into(
+                                &payload,
+                                &mut serial_groups,
+                                Some(&mut serial_masks),
+                            )
+                            .unwrap();
+                        let label = format!("{scheme} x{groups} BL{burst_len} request {index}");
+                        assert_eq!(reply.bursts, bursts, "{label}");
+                        assert_eq!(reply.per_group, serial_groups, "{label}");
+                        if want_masks {
+                            assert_eq!(reply.masks, serial_masks, "{label}");
+                        } else {
+                            assert!(reply.masks.is_empty(), "{label}");
+                        }
+                    }
+                });
+            }
+        });
+        requests += (GROUPS.len() * REQUESTS) as u64;
+    }
+    let totals = engine.metrics().totals();
+    assert_eq!(totals.verified, requests);
+    assert_eq!(totals.verify_failures, 0);
+    assert!(
+        totals.coalesced > 0,
+        "no pass ever packed more than one job"
+    );
+    assert!(
+        totals.dispatch_chains > totals.dispatches,
+        "kernel dispatches never carried more than one chain"
+    );
+    engine.shutdown();
+}
