@@ -12,8 +12,9 @@
 //! * `seed_baseline` — a faithful reimplementation of the original
 //!   allocating OPT encoder (per-burst `Vec`s, lane-word reconstruction in
 //!   the sweep), kept as the before/after yardstick,
-//! * `trace` — whole-trace encoding with carried bus state
-//!   ([`TraceEncoder`]) and the multi-group [`BusSession`] serial stream,
+//! * `trace` — whole-trace encoding with carried bus state: a one-group
+//!   [`BusSession`] serial stream (`trace_encode`) and the multi-group
+//!   one,
 //! * `slab` — whole batches as one chain through
 //!   [`DbiEncoder::encode_lanes_into`] with a single state: the OPT
 //!   carried-state kernel against the serial per-burst chain and the DBI
@@ -48,7 +49,6 @@ use dbi_core::{
 };
 use dbi_hw::PipelineEncoder;
 use dbi_mem::{BusSession, ChannelConfig};
-use dbi_workloads::{Trace, TraceEncoder};
 use std::slice;
 use std::time::Instant;
 
@@ -252,14 +252,17 @@ fn encoder_throughput(c: &mut Criterion) {
     });
     group.finish();
 
-    // Trace-level encoding: carried bus state, one call per trace.
-    let trace = Trace::new("bench", bursts.clone());
+    // Trace-level encoding: carried bus state, one call per trace, on a
+    // one-group session (the stream is simply the bursts back to back).
+    let trace: Vec<u8> = bursts.iter().flat_map(Burst::bytes).copied().collect();
     let mut group = c.benchmark_group("trace_encode");
-    group.throughput(Throughput::Elements(trace.len() as u64));
+    group.throughput(Throughput::Elements(bursts.len() as u64));
     group.bench_function("opt_fixed_carried_state", |b| {
+        let mut session = BusSession::with_geometry(1, 8, Scheme::OptFixed);
+        let mut per_group = Vec::new();
         b.iter(|| {
-            let mut encoder = TraceEncoder::new(OptFixedEncoder::new());
-            black_box(encoder.encode_trace(black_box(&trace)))
+            session.reset();
+            black_box(session.encode_stream_into(black_box(&trace), &mut per_group, None))
         });
     });
     group.finish();
@@ -614,13 +617,14 @@ fn write_bench_json(bursts: &[Burst], state: &BusState) {
         }
     }
 
-    let trace = Trace::new("bench", bursts.to_vec());
-    let mut encoder = TraceEncoder::new(OptFixedEncoder::new());
+    let trace: Vec<u8> = bursts.iter().flat_map(Burst::bytes).copied().collect();
+    let mut session = BusSession::with_geometry(1, 8, Scheme::OptFixed);
+    let mut per_group = Vec::new();
     let mut trace_best = f64::INFINITY;
     for _ in 0..30 {
         let start = Instant::now();
-        black_box(encoder.encode_trace(&trace));
-        let ns = start.elapsed().as_secs_f64() * 1e9 / trace.len() as f64;
+        black_box(session.encode_stream_into(&trace, &mut per_group, None)).expect("whole bursts");
+        let ns = start.elapsed().as_secs_f64() * 1e9 / bursts.len() as f64;
         if ns < trace_best {
             trace_best = ns;
         }

@@ -395,37 +395,48 @@ impl BurstSlab {
         Ok(())
     }
 
-    /// [`BurstSlab::load_masks`] from an iterator — the gather-free way to
-    /// load a strided mask column (the per-group scatter in
-    /// `dbi-mem`'s stream decode uses this).
+    /// [`BurstSlab::load_masks`] from a mask stream in **transmission
+    /// order** — `chains` chains interleaved, so mask `a·chains + c` is
+    /// access `a` of chain `c` — loaded into the chain-major rows that
+    /// [`BurstSlab::extend_chains_from_interleaved`] fills: how a receiver
+    /// primes a slab from the DBI lanes of an interleaved stream. One
+    /// strided pass checks each mask's width as it stores it.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`BurstSlab::load_masks`]; because the iterator
-    /// can only be walked once, a width error discovered mid-load leaves
-    /// the mask column **cleared** (never partially stale), so a
-    /// subsequent decode fails with [`DbiError::MaskCountMismatch`] rather
-    /// than decoding with the wrong masks.
-    pub fn load_masks_from<I>(&mut self, masks: I) -> Result<()>
-    where
-        I: IntoIterator<Item = InversionMask>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let iter = masks.into_iter();
-        if iter.len() != self.burst_count() {
-            return Err(DbiError::MaskCountMismatch {
-                got: iter.len(),
-                expected: self.burst_count(),
-            });
-        }
-        self.masks.clear();
+    /// Returns the transmission-order index of the first mask that
+    /// references beats beyond the slab's burst length; the mask column
+    /// is then left **cleared** (never partially stale), so a subsequent
+    /// decode fails with [`DbiError::MaskCountMismatch`] rather than
+    /// decoding with the wrong masks. Cost rows are cleared either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `chains` is zero or `masks` does not hold exactly one
+    /// mask per burst in the slab.
+    pub fn load_masks_interleaved(
+        &mut self,
+        masks: &[InversionMask],
+        chains: usize,
+    ) -> core::result::Result<(), usize> {
+        let count = self.burst_count();
+        assert!(
+            chains > 0 && count.is_multiple_of(chains) && masks.len() == count,
+            "need one mask per burst of {count} bursts in whole {chains}-chain accesses, got {}",
+            masks.len()
+        );
+        let accesses = count / chains;
         self.costs.clear();
-        for mask in iter {
-            if let Err(err) = mask.validate_for_len(self.burst_len) {
-                self.masks.clear();
-                return Err(err);
+        self.masks.clear();
+        self.masks.resize(count, InversionMask::NONE);
+        for (access, row) in masks.chunks_exact(chains).enumerate() {
+            for (chain, &mask) in row.iter().enumerate() {
+                if mask.validate_for_len(self.burst_len).is_err() {
+                    self.masks.clear();
+                    return Err(access * chains + chain);
+                }
+                self.masks[chain * accesses + access] = mask;
             }
-            self.masks.push(mask);
         }
         Ok(())
     }

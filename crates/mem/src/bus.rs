@@ -1,136 +1,34 @@
-//! The multi-group DQ bus.
-//!
-//! A x32 GDDR5 channel has four independent 8-lane DBI groups (DQ0–7 with
-//! DBI0, DQ8–15 with DBI1, ...); a x64 DDR4 channel has eight. Each group
-//! keeps its own lane state across bursts, and each group's DBI decision is
-//! taken independently — exactly as in the standards. [`DqBus`] tracks that
-//! per-group state and accumulates the activity (zeros and transitions) of
-//! everything driven onto the wires.
-
-use core::fmt;
-use dbi_core::{Burst, BusState, CostBreakdown, DbiEncoder, EncodedBurst};
-
-/// The lane-level state and activity accounting of one memory channel's DQ
-/// bus.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DqBus {
-    groups: Vec<BusState>,
-    activity: CostBreakdown,
-    bursts_driven: u64,
-}
-
-impl DqBus {
-    /// Creates a bus with `groups` independent DBI groups, all idle (every
-    /// lane high), matching the paper's boundary condition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `groups` is zero.
-    #[must_use]
-    pub fn new(groups: usize) -> Self {
-        assert!(groups > 0, "a DQ bus needs at least one lane group");
-        DqBus {
-            groups: vec![BusState::idle(); groups],
-            activity: CostBreakdown::ZERO,
-            bursts_driven: 0,
-        }
-    }
-
-    /// Number of 8-lane DBI groups.
-    #[must_use]
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// The current lane state of one group.
-    #[must_use]
-    pub fn group_state(&self, group: usize) -> Option<BusState> {
-        self.groups.get(group).copied()
-    }
-
-    /// Encodes and drives one burst on one group, updating the group's lane
-    /// state and the accumulated activity. Returns the encoded burst and
-    /// the activity it added.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group` is out of range; the controller sizes its accesses
-    /// from the same configuration as the bus, so this indicates a bug.
-    pub fn drive<E: DbiEncoder + ?Sized>(
-        &mut self,
-        group: usize,
-        burst: &Burst,
-        encoder: &E,
-    ) -> (EncodedBurst, CostBreakdown) {
-        let state = self.groups[group];
-        let encoded = encoder.encode(burst, &state);
-        let breakdown = encoded.breakdown(&state);
-        self.groups[group] = encoded.final_state(&state);
-        self.activity += breakdown;
-        self.bursts_driven += 1;
-        (encoded, breakdown)
-    }
-
-    /// Total activity accumulated since construction (or the last reset).
-    #[must_use]
-    pub const fn activity(&self) -> CostBreakdown {
-        self.activity
-    }
-
-    /// Number of per-group bursts driven so far.
-    #[must_use]
-    pub const fn bursts_driven(&self) -> u64 {
-        self.bursts_driven
-    }
-
-    /// Resets the activity counters without touching the lane state.
-    pub fn reset_activity(&mut self) {
-        self.activity = CostBreakdown::ZERO;
-        self.bursts_driven = 0;
-    }
-
-    /// Forces every group back to the idle (all lanes high) state.
-    pub fn idle_all(&mut self) {
-        for group in &mut self.groups {
-            *group = BusState::idle();
-        }
-    }
-}
-
-impl fmt::Display for DqBus {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} groups, {} bursts driven, {}",
-            self.groups.len(),
-            self.bursts_driven,
-            self.activity
-        )
-    }
-}
+//! Tests of the DQ bus's lane state: the independent 8-lane DBI groups of
+//! a channel each keep the levels they last drove, and
+//! [`crate::BusSession`] carries them from burst to burst.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use dbi_core::Scheme;
+    use crate::BusSession;
+    use dbi_core::{BusState, Scheme};
 
     #[test]
     #[should_panic(expected = "at least one lane group")]
     fn zero_groups_panics() {
-        let _ = DqBus::new(0);
+        let _ = BusSession::with_plan_geometry(0, 8, Scheme::Dc.plan());
     }
 
     #[test]
     fn groups_start_idle_and_track_state_independently() {
-        let mut bus = DqBus::new(4);
+        let mut bus = BusSession::with_geometry(4, 8, Scheme::Dc);
         assert_eq!(bus.group_count(), 4);
         for g in 0..4 {
             assert_eq!(bus.group_state(g), Some(BusState::idle()));
         }
         assert_eq!(bus.group_state(4), None);
 
-        let burst = Burst::from_array([0x00; 8]);
-        bus.drive(1, &burst, &Scheme::Dc);
+        // Zeros on group 1, all-ones (which DBI DC sends on the idle
+        // levels) on every other group.
+        let mut access = [0xFF; 32];
+        for beat in 0..8 {
+            access[beat * 4 + 1] = 0x00;
+        }
+        bus.encode_stream(&access).unwrap();
         assert_eq!(
             bus.group_state(0),
             Some(BusState::idle()),
@@ -144,37 +42,27 @@ mod tests {
     }
 
     #[test]
-    fn activity_accumulates_and_resets() {
-        let mut bus = DqBus::new(2);
-        let burst = Burst::paper_example();
-        let (_, first) = bus.drive(0, &burst, &Scheme::OptFixed);
-        let (_, second) = bus.drive(1, &burst, &Scheme::OptFixed);
-        assert_eq!(bus.activity(), first + second);
-        assert_eq!(bus.bursts_driven(), 2);
-        bus.reset_activity();
-        assert_eq!(bus.activity(), CostBreakdown::ZERO);
-        assert_eq!(bus.bursts_driven(), 0);
-    }
-
-    #[test]
     fn lane_state_persists_across_bursts() {
         // Driving the same all-zero burst twice with DBI AC: the second
         // burst causes no transitions at all because the lanes already hold
         // the right levels.
-        let mut bus = DqBus::new(1);
-        let burst = Burst::from_array([0x00; 8]);
-        let (_, first) = bus.drive(0, &burst, &Scheme::Ac);
-        let (_, second) = bus.drive(0, &burst, &Scheme::Ac);
+        let mut bus = BusSession::with_geometry(1, 8, Scheme::Ac);
+        let burst = [0x00; 8];
+        let first = bus.encode_stream(&burst).unwrap().total();
+        let second = bus.encode_stream(&burst).unwrap().total();
         assert!(first.transitions > 0);
         assert_eq!(second.transitions, 0);
     }
 
     #[test]
     fn idle_all_restores_the_boundary_condition() {
-        let mut bus = DqBus::new(2);
-        bus.drive(0, &Burst::from_array([0x12; 8]), &Scheme::Raw);
-        bus.idle_all();
-        assert_eq!(bus.group_state(0), Some(BusState::idle()));
-        assert!(bus.to_string().contains("groups"));
+        let mut bus = BusSession::with_geometry(2, 8, Scheme::Raw);
+        bus.encode_stream(&[0x12; 16]).unwrap();
+        assert_ne!(bus.group_state(0), Some(BusState::idle()));
+        bus.reset();
+        for g in 0..2 {
+            assert_eq!(bus.group_state(g), Some(BusState::idle()));
+        }
+        assert!(format!("{bus:?}").contains("groups"));
     }
 }

@@ -1,18 +1,18 @@
 //! The memory-controller write path with pluggable DBI encoding.
 //!
-//! [`MemoryController`] ties the substrate together: it splits each write
-//! access into per-group bursts, runs the configured DBI encoder on every
-//! group (each group carrying its own lane history), drives the bus, hands
-//! the encoded words to the DRAM device and charges both the interface
-//! energy (Eq. 4, via `dbi-phy`) and the encoder's own energy (Table I, via
-//! `dbi-hw`) to the running totals.
+//! [`MemoryController`] ties the substrate together: it encodes each write
+//! access on a [`BusSession`] (the serial per-burst reference, each lane
+//! group carrying its own lane history), hands every group's encoded burst
+//! to the DRAM device and charges both the interface energy (Eq. 4, via
+//! `dbi-phy`) and the encoder's own energy (Table I, via `dbi-hw`) to the
+//! running totals.
 
-use crate::bus::DqBus;
 use crate::config::ChannelConfig;
 use crate::device::DramDevice;
 use crate::error::{MemError, Result};
+use crate::session::BusSession;
 use core::fmt;
-use dbi_core::{Burst, CostBreakdown, DbiEncoder, Scheme};
+use dbi_core::{Burst, CostBreakdown, EncodedBurst, InversionMask, Scheme};
 use dbi_phy::InterfaceEnergyModel;
 
 /// Summary of one write access.
@@ -98,13 +98,12 @@ impl fmt::Display for EnergyTotals {
 /// ```
 pub struct MemoryController {
     config: ChannelConfig,
-    scheme: Scheme,
-    /// Prebuilt from `scheme` so parametric encoders (and their cost
-    /// tables) are constructed once per controller, not once per burst.
-    encoder: Box<dyn DbiEncoder + Send + Sync>,
     energy_model: InterfaceEnergyModel,
     encoding_energy_per_burst_j: f64,
-    bus: DqBus,
+    session: BusSession,
+    /// Reused per access: the session's per-group activity and masks.
+    per_group: Vec<CostBreakdown>,
+    masks: Vec<InversionMask>,
     device: DramDevice,
     totals: EnergyTotals,
 }
@@ -113,8 +112,7 @@ impl fmt::Debug for MemoryController {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MemoryController")
             .field("config", &self.config)
-            .field("scheme", &self.scheme)
-            .field("bus", &self.bus)
+            .field("session", &self.session)
             .field("totals", &self.totals)
             .finish_non_exhaustive()
     }
@@ -126,15 +124,13 @@ impl MemoryController {
     /// [`MemoryController::with_encoding_energy`] to account for it).
     #[must_use]
     pub fn new(config: ChannelConfig, scheme: Scheme) -> Self {
-        let energy_model = config.energy_model();
-        let bus = DqBus::new(config.lane_groups());
         MemoryController {
-            config,
-            scheme,
-            encoder: scheme.boxed(),
-            energy_model,
+            energy_model: config.energy_model(),
             encoding_energy_per_burst_j: 0.0,
-            bus,
+            session: BusSession::new(&config, scheme),
+            per_group: Vec::new(),
+            masks: Vec::new(),
+            config,
             device: DramDevice::new(),
             totals: EnergyTotals::default(),
         }
@@ -162,8 +158,8 @@ impl MemoryController {
 
     /// The DBI scheme in use.
     #[must_use]
-    pub const fn scheme(&self) -> Scheme {
-        self.scheme
+    pub fn scheme(&self) -> Scheme {
+        self.session.scheme()
     }
 
     /// The DRAM device behind the channel (for read-back verification).
@@ -197,26 +193,28 @@ impl MemoryController {
                 expected,
             });
         }
+        self.session
+            .encode_stream_into(data, &mut self.per_group, Some(&mut self.masks))?;
         let groups = self.config.lane_groups();
         let burst_len = self.config.burst_len();
-        let mut activity = CostBreakdown::ZERO;
         let mut encoding_energy = 0.0;
-        for group in 0..groups {
+        for (group, &mask) in self.masks.iter().enumerate() {
             // Gather this group's bytes: one byte per beat.
             let bytes: Vec<u8> = (0..burst_len)
                 .map(|beat| data[beat * groups + group])
                 .collect();
             let burst = Burst::new(bytes).expect("burst length is validated by the config");
-            let (encoded, breakdown) = self.bus.drive(group, &burst, &*self.encoder);
+            let encoded =
+                EncodedBurst::from_mask(&burst, mask).expect("session masks fit the burst");
             // Each group's burst occupies a contiguous slice of the array:
             // group g of the access at `address` lands at
             // `address + g·burst_len .. address + (g+1)·burst_len`.
             self.device
                 .receive_burst(address + (group * burst_len) as u64, &encoded);
-            activity += breakdown;
             encoding_energy += self.encoding_energy_per_burst_j;
         }
 
+        let activity: CostBreakdown = self.per_group.iter().copied().sum();
         let interface_energy = self.energy_model.burst_energy_j(&activity);
         let report = AccessReport {
             activity,
@@ -274,7 +272,7 @@ impl MemoryController {
 
 impl fmt::Display for MemoryController {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} with {}: {}", self.config, self.scheme, self.totals)
+        write!(f, "{} with {}: {}", self.config, self.scheme(), self.totals)
     }
 }
 

@@ -10,15 +10,16 @@
 //!
 //! * [`ChannelConfig`] — channel geometry, electrical interface, load and
 //!   data rate (GDDR5, GDDR5X and DDR4 presets),
-//! * [`DqBus`] — per-group lane state and activity accounting,
 //! * [`DramDevice`] — the DBI-decoding receiver with a sparse backing store,
-//! * [`MemoryController`] — the write path tying it all together with a
-//!   pluggable [`dbi_core::Scheme`] and full energy accounting,
-//! * [`BusSession`] — the streaming encode hot path: whole write streams
-//!   in one call, per-group bus state carried across bursts, with the
-//!   independent DBI groups optionally packed into one slab and encoded
-//!   as parallel lanes of a single kernel dispatch (bit-identical to the
-//!   serial result).
+//! * [`BusSession`] — the one carrier of per-group lane state across
+//!   bursts: whole write streams in one call, with the independent DBI
+//!   groups optionally packed into one slab and encoded as parallel lanes
+//!   of a single kernel dispatch (bit-identical to the serial result),
+//! * [`MemoryController`] — the write path tying it all together: a
+//!   [`BusSession`] with a pluggable [`dbi_core::Scheme`], the device and
+//!   full energy accounting,
+//! * [`ReadPath`] — the same for the read direction, the device encoding
+//!   on its own [`BusSession`].
 //!
 //! ```
 //! # fn main() -> Result<(), dbi_mem::MemError> {
@@ -37,7 +38,8 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod bus;
+#[cfg(test)]
+mod bus;
 pub mod config;
 pub mod controller;
 pub mod device;
@@ -45,7 +47,6 @@ pub mod error;
 pub mod read_path;
 pub mod session;
 
-pub use bus::DqBus;
 pub use config::{ChannelConfig, MemoryKind};
 pub use controller::{AccessReport, EnergyTotals, MemoryController};
 pub use device::DramDevice;

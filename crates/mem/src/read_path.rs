@@ -7,18 +7,19 @@
 //! models that scenario: the DRAM device encodes read bursts with a
 //! configurable scheme before driving them back to the controller, the
 //! controller decodes them, and the same energy accounting applies to the
-//! read direction.
+//! read direction. The device's encoder is a [`BusSession`], so the read
+//! direction carries its lane state exactly as the write path does.
 //!
 //! It is an **extension** of the paper's evaluation (which covers writes);
 //! EXPERIMENTS.md labels the derived numbers accordingly.
 
-use crate::bus::DqBus;
 use crate::config::ChannelConfig;
 use crate::controller::EnergyTotals;
 use crate::device::DramDevice;
-use crate::error::{MemError, Result};
+use crate::error::Result;
+use crate::session::BusSession;
 use core::fmt;
-use dbi_core::{Burst, CostBreakdown, DbiEncoder, Scheme};
+use dbi_core::{CostBreakdown, InversionMask, Scheme};
 use dbi_phy::InterfaceEnergyModel;
 
 /// A read-direction channel: the DRAM encodes, the controller decodes.
@@ -46,13 +47,14 @@ use dbi_phy::InterfaceEnergyModel;
 /// ```
 pub struct ReadPath {
     config: ChannelConfig,
-    scheme: Scheme,
-    /// Prebuilt from `scheme` so parametric encoders (and their cost
-    /// tables) are constructed once per path, not once per burst.
-    encoder: Box<dyn DbiEncoder + Send + Sync>,
     energy_model: InterfaceEnergyModel,
     encoding_energy_per_burst_j: f64,
-    bus: DqBus,
+    session: BusSession,
+    /// Reused per access: the session's per-group activity, masks and the
+    /// wire image.
+    per_group: Vec<CostBreakdown>,
+    masks: Vec<InversionMask>,
+    wire: Vec<u8>,
     totals: EnergyTotals,
 }
 
@@ -60,8 +62,7 @@ impl fmt::Debug for ReadPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ReadPath")
             .field("config", &self.config)
-            .field("scheme", &self.scheme)
-            .field("bus", &self.bus)
+            .field("session", &self.session)
             .field("totals", &self.totals)
             .finish_non_exhaustive()
     }
@@ -72,15 +73,14 @@ impl ReadPath {
     /// device side with the given scheme.
     #[must_use]
     pub fn new(config: ChannelConfig, scheme: Scheme) -> Self {
-        let energy_model = config.energy_model();
-        let bus = DqBus::new(config.lane_groups());
         ReadPath {
-            config,
-            scheme,
-            encoder: scheme.boxed(),
-            energy_model,
+            energy_model: config.energy_model(),
             encoding_energy_per_burst_j: 0.0,
-            bus,
+            session: BusSession::new(&config, scheme),
+            per_group: Vec::new(),
+            masks: Vec::new(),
+            wire: Vec::new(),
+            config,
             totals: EnergyTotals::default(),
         }
     }
@@ -100,8 +100,8 @@ impl ReadPath {
 
     /// The scheme the device uses on read data.
     #[must_use]
-    pub const fn scheme(&self) -> Scheme {
-        self.scheme
+    pub fn scheme(&self) -> Scheme {
+        self.session.scheme()
     }
 
     /// The accumulated read-direction energy totals.
@@ -118,34 +118,32 @@ impl ReadPath {
     /// # Errors
     ///
     /// Currently infallible in practice, but kept fallible for parity with
-    /// the write path; returns [`MemError::BadAccessSize`] only if the
-    /// configuration reports a zero-sized access, which the constructors
-    /// prevent.
+    /// the write path: any [`crate::MemError`] the session reports for the
+    /// configured access geometry is passed through.
     pub fn read(&mut self, device: &DramDevice, address: u64) -> Result<Vec<u8>> {
         let groups = self.config.lane_groups();
         let burst_len = self.config.burst_len();
-        let expected = self.config.access_bytes();
-        if expected == 0 {
-            return Err(MemError::BadAccessSize { got: 0, expected });
-        }
-        let mut activity = CostBreakdown::ZERO;
-        let mut encoding_energy = 0.0;
-        let mut data = vec![0u8; expected];
-        for group in 0..groups {
-            // The device reads the stored burst of this group...
-            let stored = device.read_range(address + (group * burst_len) as u64, burst_len);
-            let burst = Burst::new(stored).expect("burst length is validated by the config");
-            // ...encodes it with the read-direction scheme and drives it.
-            let (encoded, breakdown) = self.bus.drive(group, &burst, &*self.encoder);
-            activity += breakdown;
-            encoding_energy += self.encoding_energy_per_burst_j;
-            // The controller decodes the lane words and undoes the
-            // write-path interleaving.
-            let decoded = encoded.decode();
-            for (beat, byte) in decoded.iter().enumerate() {
-                data[beat * groups + group] = byte;
-            }
-        }
+        // The device reads the stored bursts back into the write path's
+        // beat interleaving: byte `k` is beat `k / groups` of group
+        // `k mod groups`, stored at `address + (k mod groups)·burst_len +
+        // k / groups`...
+        let mut data: Vec<u8> = (0..self.config.access_bytes())
+            .map(|k| device.read_byte(address + ((k % groups) * burst_len + k / groups) as u64))
+            .collect();
+        // ...encodes them with the read-direction scheme and drives the
+        // wire image; the controller undoes it with the same masks
+        // (masked complementation is an involution).
+        self.session
+            .encode_stream_into(&data, &mut self.per_group, Some(&mut self.masks))?;
+        self.session
+            .transmit_stream_into(&data, &self.masks, &mut self.wire)?;
+        self.session
+            .transmit_stream_into(&self.wire, &self.masks, &mut data)?;
+        let activity: CostBreakdown = self.per_group.iter().copied().sum();
+        // Charged burst by burst, not multiplied out, so the f64 totals
+        // stay those of a per-burst accumulation.
+        let encoding_energy =
+            (0..groups).fold(0.0, |energy, _| energy + self.encoding_energy_per_burst_j);
 
         let interface_energy = self.energy_model.burst_energy_j(&activity);
         self.totals.accesses += 1;
@@ -162,7 +160,9 @@ impl fmt::Display for ReadPath {
         write!(
             f,
             "read path {} with {}: {}",
-            self.config, self.scheme, self.totals
+            self.config,
+            self.scheme(),
+            self.totals
         )
     }
 }

@@ -1,19 +1,23 @@
 //! Multi-group streaming encode sessions.
 //!
-//! A x32 channel is four independent 8-lane DBI groups, a x64 channel
-//! eight; each group carries its own lane state across bursts and takes its
-//! own inversion decisions ([`crate::bus`]). [`BusSession`] exploits that
-//! independence for throughput: it encodes a whole write stream in one
-//! call, either walking the per-group byte streams burst by burst
+//! A x32 channel is four independent 8-lane DBI groups (DQ0–7 with DBI0,
+//! DQ8–15 with DBI1, ...), a x64 channel eight; each group carries its own
+//! lane state across bursts and takes its own inversion decisions, exactly
+//! as in the standards. [`BusSession`] is the one type that carries that
+//! per-group state: the write path
+//! ([`crate::controller::MemoryController`]) and the read path
+//! ([`crate::read_path::ReadPath`]) drive one each, as do the service and
+//! the conformance harness. It encodes a whole write stream in one call,
+//! either walking the per-group byte streams burst by burst
 //! ([`BusSession::encode_stream`], the serial reference) or packing every
 //! group's chain into one [`BurstSlab`] and encoding them all in a single
 //! lanes dispatch ([`BusSession::encode_stream_slab_into`]) — the SIMD
 //! kernels then sweep the groups as parallel lanes of one recurrence, and
 //! the result is bit-identical to the serial one.
 //!
-//! Unlike [`crate::controller::MemoryController`], a session performs *no*
-//! storage and *no* energy bookkeeping: it is the pure encode hot path,
-//! reporting wire activity per group. Per-burst work is allocation-free:
+//! A session performs *no* storage and *no* energy bookkeeping (its
+//! owners add those): it is the pure encode path, reporting wire activity
+//! per group. Per-burst work is allocation-free:
 //! the gather buffer is moved into each [`Burst`] and recovered afterwards,
 //! so a stream call's allocation count is a small per-call constant (the
 //! result vector) regardless of how many bursts it encodes — asserted by a
@@ -129,16 +133,9 @@ impl BusSession {
         Self::with_plan_geometry(groups, burst_len, scheme.plan())
     }
 
-    /// Creates a session for the channel's geometry around an existing
+    /// Creates a session with an explicit geometry around an existing
     /// plan (e.g. one produced by a phy energy model or a shared
     /// [`dbi_core::PlanCache`]).
-    #[must_use]
-    pub fn with_plan(config: &ChannelConfig, plan: Arc<EncodePlan>) -> Self {
-        Self::with_plan_geometry(config.lane_groups(), config.burst_len(), plan)
-    }
-
-    /// Creates a session with an explicit geometry around an existing
-    /// plan.
     ///
     /// # Panics
     ///
@@ -212,20 +209,6 @@ impl BusSession {
         self.groups.len() * self.burst_len
     }
 
-    /// Encodes one burst on one group, carrying that group's state, and
-    /// returns the activity it added. Allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group` is out of range.
-    pub fn drive_burst(&mut self, group: usize, burst: &Burst) -> CostBreakdown {
-        let state = self.groups[group];
-        let mask = self.plan.encode_mask(burst, &state);
-        let breakdown = mask.breakdown(burst, &state);
-        self.groups[group] = mask.final_state(burst, &state);
-        breakdown
-    }
-
     /// Encodes a whole beat-interleaved write stream sequentially: byte `k`
     /// of each access travels on group `k mod groups` during beat
     /// `k / groups`, exactly as [`crate::controller::MemoryController`]
@@ -277,7 +260,7 @@ impl BusSession {
             let base = access * groups * burst_len;
             for (group, activity) in per_group.iter_mut().enumerate() {
                 scratch.clear();
-                scratch.extend((0..burst_len).map(|beat| data[base + beat * groups + group]));
+                scratch.extend(data[base + group..].iter().step_by(groups).take(burst_len));
                 // Move the gather buffer into the burst and recover it
                 // afterwards: no allocation per burst.
                 let burst = Burst::new(scratch).expect("burst length is positive");
@@ -703,19 +686,23 @@ impl BusSession {
     ) -> Result<u64> {
         per_group.clear();
         out.clear();
-        self.check_decode_stream(wire, masks)?;
+        self.check_mask_count(wire, masks)?;
         let groups = self.groups.len();
         let accesses = wire.len() / self.access_bytes();
-        per_group.resize(groups, CostBreakdown::ZERO);
-        out.resize(wire.len(), 0);
 
         // Mirror of the encode path: one chain-major fill, one lanes
         // dispatch, so the SWAR decode kernel re-prices every group's
-        // whole chain instead of walking beat-by-beat lane words.
+        // whole chain instead of walking beat-by-beat lane words. The
+        // strided mask load is the only width check on this path.
         slab.reset(self.burst_len);
         slab.extend_chains_from_interleaved(wire, groups);
-        slab.load_masks_from(ChainMajorMasks::new(masks, groups, accesses))
-            .expect("mask stream was validated against the stream geometry");
+        slab.load_masks_interleaved(masks, groups)
+            .map_err(|index| MemError::BadMask {
+                index,
+                burst_len: self.burst_len,
+            })?;
+        per_group.resize(groups, CostBreakdown::ZERO);
+        out.resize(wire.len(), 0);
         slab.decode_in_place_chains(&mut self.groups)
             .expect("the loaded mask column covers every burst");
         for (group, activity) in per_group.iter_mut().enumerate() {
@@ -732,14 +719,7 @@ impl BusSession {
     /// (or payload) must be whole accesses and `masks` must hold exactly
     /// one in-range mask per burst.
     fn check_decode_stream(&self, data: &[u8], masks: &[InversionMask]) -> Result<()> {
-        self.check_stream(data)?;
-        let bursts = (data.len() / self.access_bytes()) * self.groups.len();
-        if masks.len() != bursts {
-            return Err(MemError::BadMaskCount {
-                got: masks.len(),
-                expected: bursts,
-            });
-        }
+        self.check_mask_count(data, masks)?;
         for (index, mask) in masks.iter().enumerate() {
             if mask.validate_for_len(self.burst_len).is_err() {
                 return Err(MemError::BadMask {
@@ -747,6 +727,20 @@ impl BusSession {
                     burst_len: self.burst_len,
                 });
             }
+        }
+        Ok(())
+    }
+
+    /// The geometry half of [`BusSession::check_decode_stream`]: whole
+    /// accesses and exactly one mask per burst, widths unchecked.
+    fn check_mask_count(&self, data: &[u8], masks: &[InversionMask]) -> Result<()> {
+        self.check_stream(data)?;
+        let bursts = (data.len() / self.access_bytes()) * self.groups.len();
+        if masks.len() != bursts {
+            return Err(MemError::BadMaskCount {
+                got: masks.len(),
+                expected: bursts,
+            });
         }
         Ok(())
     }
@@ -785,50 +779,6 @@ impl ReplayScratch {
         self.corrupt_next = true;
     }
 }
-
-/// Walks a transmission-order mask stream (group-major within each
-/// access) in **chain-major** order — all of group 0's masks, then all of
-/// group 1's, matching the slab row layout of the stream-slab paths.
-/// `ExactSizeIterator` so [`BurstSlab::load_masks_from`] can size-check
-/// before loading (a strided `flat_map` cannot promise its length).
-struct ChainMajorMasks<'a> {
-    masks: &'a [InversionMask],
-    groups: usize,
-    accesses: usize,
-    index: usize,
-}
-
-impl<'a> ChainMajorMasks<'a> {
-    fn new(masks: &'a [InversionMask], groups: usize, accesses: usize) -> Self {
-        debug_assert_eq!(masks.len(), groups * accesses);
-        Self {
-            masks,
-            groups,
-            accesses,
-            index: 0,
-        }
-    }
-}
-
-impl Iterator for ChainMajorMasks<'_> {
-    type Item = InversionMask;
-
-    fn next(&mut self) -> Option<InversionMask> {
-        if self.index >= self.masks.len() {
-            return None;
-        }
-        let (group, access) = (self.index / self.accesses, self.index % self.accesses);
-        self.index += 1;
-        Some(self.masks[access * self.groups + group])
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.masks.len() - self.index;
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for ChainMajorMasks<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -872,25 +822,29 @@ mod tests {
                 assert_eq!(plain.group_state(group), into.group_state(group));
             }
 
-            // The collected masks are exactly the per-burst decisions a
-            // drive_burst walk would make, in transmission order.
-            let mut reference = BusSession::new(&config, scheme);
-            let groups = reference.group_count();
-            let burst_len = reference.burst_len();
-            let mut index = 0;
-            for access in 0..data.len() / reference.access_bytes() {
+            // The collected masks are exactly the decisions of a manual
+            // per-burst chain through the materialising encoder, in
+            // transmission order, and re-pricing them reproduces the
+            // reported activity.
+            let groups = plain.group_count();
+            let burst_len = plain.burst_len();
+            let mut states = vec![BusState::idle(); groups];
+            let mut repriced = vec![CostBreakdown::ZERO; groups];
+            for (index, mask) in masks.iter().enumerate() {
+                let (access, group) = (index / groups, index % groups);
                 let base = access * groups * burst_len;
-                for group in 0..groups {
-                    let bytes: Vec<u8> = (0..burst_len)
-                        .map(|beat| data[base + beat * groups + group])
-                        .collect();
-                    let burst = Burst::new(bytes).unwrap();
-                    let state = reference.group_state(group).unwrap();
-                    let mask = scheme.encode_mask(&burst, &state);
-                    reference.drive_burst(group, &burst);
-                    assert_eq!(masks[index], mask, "{scheme}: burst {index}");
-                    index += 1;
-                }
+                let bytes: Vec<u8> = (0..burst_len)
+                    .map(|beat| data[base + beat * groups + group])
+                    .collect();
+                let burst = Burst::new(bytes).unwrap();
+                let encoded = scheme.encode(&burst, &states[group]);
+                assert_eq!(encoded.mask(), *mask, "{scheme}: burst {index}");
+                repriced[group] += mask.breakdown(&burst, &states[group]);
+                states[group] = encoded.final_state(&states[group]);
+            }
+            assert_eq!(repriced, per_group, "{scheme}: re-priced masks");
+            for (group, state) in states.iter().enumerate() {
+                assert_eq!(into.group_state(group), Some(*state), "{scheme}");
             }
         }
     }
@@ -1359,26 +1313,28 @@ mod tests {
             }
         );
 
-        // A mask wider than the burst.
-        let mut bad = masks.clone();
-        bad[3] = InversionMask::from_bits(1 << 8);
-        assert_eq!(
-            session.decode_stream(&wire, &bad).unwrap_err(),
-            MemError::BadMask {
-                index: 3,
-                burst_len: 8
-            }
-        );
+        // A mask wider than the burst, reported in transmission order by
+        // both receivers: index 3 is access 0 of group 3, index 6 access 1
+        // of group 2 (the slab receiver loads it into chain-major row 9).
         let mut slab = BurstSlab::new(8);
-        assert_eq!(
-            session
-                .decode_stream_slab_into(&wire, &bad, &mut per_group, &mut out, &mut slab)
-                .unwrap_err(),
-            MemError::BadMask {
-                index: 3,
-                burst_len: 8
-            }
-        );
+        for index in [3, 6] {
+            let mut bad = masks.clone();
+            bad[index] = InversionMask::from_bits(1 << 8);
+            let expected = MemError::BadMask {
+                index,
+                burst_len: 8,
+            };
+            assert_eq!(session.decode_stream(&wire, &bad).unwrap_err(), expected);
+            per_group.push(CostBreakdown::new(1, 1));
+            out.push(7);
+            assert_eq!(
+                session
+                    .decode_stream_slab_into(&wire, &bad, &mut per_group, &mut out, &mut slab)
+                    .unwrap_err(),
+                expected
+            );
+            assert!(per_group.is_empty() && out.is_empty());
+        }
         // Carried state untouched by any of the failures.
         assert_eq!(session.group_state(0), Some(BusState::idle()));
 
@@ -1544,7 +1500,7 @@ mod tests {
         let data = test_stream(config.access_bytes() * 8, 0x71A2);
         let scheme = Scheme::Opt(CostWeights::new(2, 5).unwrap());
         let mut by_scheme = BusSession::new(&config, scheme);
-        let mut by_plan = BusSession::with_plan(&config, scheme.plan());
+        let mut by_plan = BusSession::with_plan_geometry(4, 8, scheme.plan());
         assert_eq!(by_plan.scheme(), scheme);
         assert_eq!(by_plan.plan().scheme(), scheme);
         assert_eq!(
@@ -1576,7 +1532,7 @@ mod tests {
         // states* to a fresh OPT session for the second half.
         let mut reference = BusSession::new(&config, first_scheme);
         let expected_first = reference.encode_stream(&data[..half]).unwrap();
-        let mut continued = BusSession::with_plan(&config, second_scheme.plan());
+        let mut continued = BusSession::with_plan_geometry(4, 8, second_scheme.plan());
         for group in 0..reference.group_count() {
             continued.groups[group] = reference.group_state(group).unwrap();
         }
@@ -1612,10 +1568,16 @@ mod tests {
 
     #[test]
     fn drive_burst_reports_weighted_activity() {
+        // One access drives the paper's example burst on group 0 and
+        // all-ones on group 1, which OPT leaves on the idle levels.
         let mut session = BusSession::with_geometry(2, 8, Scheme::OptFixed);
-        let burst = Burst::paper_example();
-        let activity = session.drive_burst(0, &burst);
-        assert_eq!(activity.weighted(&CostWeights::FIXED), 52);
+        let mut access = [0xFF; 16];
+        for (beat, byte) in Burst::paper_example().bytes().iter().enumerate() {
+            access[beat * 2] = *byte;
+        }
+        let activity = session.encode_stream(&access).unwrap();
+        assert_eq!(activity.per_group[0].weighted(&CostWeights::FIXED), 52);
+        assert_eq!(activity.per_group[1], CostBreakdown::ZERO);
         // Group 1 untouched.
         assert_eq!(session.group_state(1), Some(BusState::idle()));
     }

@@ -1,9 +1,10 @@
 //! Property tests for the memory-channel substrate, driven by a seeded
 //! deterministic RNG: no DBI scheme ever corrupts data on the write path or
-//! the read path, and the energy accounting is consistent.
+//! the read path, the energy accounting is consistent, and both paths
+//! account exactly what a serial `BusSession` encodes.
 
-use dbi_core::{CostWeights, Scheme};
-use dbi_mem::{ChannelConfig, MemoryController, ReadPath};
+use dbi_core::{CostBreakdown, CostWeights, Scheme};
+use dbi_mem::{BusSession, ChannelConfig, MemoryController, ReadPath};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -126,5 +127,47 @@ fn optimal_scheme_never_costs_more_interface_energy() {
         // lose when the physical energy ratio at this operating point is far
         // from 1:1, so compare in activity-weighted terms instead.
         assert!(energy(Scheme::OptFixed) <= energy(Scheme::Raw) + 1e-18);
+    }
+}
+
+#[test]
+fn controller_and_read_path_match_serial_sessions() {
+    let mut schemes = Scheme::paper_set().to_vec();
+    schemes.extend_from_slice(Scheme::conventional_set());
+    schemes.push(Scheme::Greedy(CostWeights::new(1, 5).expect("non-zero")));
+    schemes.push(Scheme::Opt(CostWeights::new(3, 2).expect("non-zero")));
+    let mut cases = Cases::new(0x0DB1_3004);
+    for config in [
+        ChannelConfig::gddr5(),
+        ChannelConfig::gddr5x(),
+        ChannelConfig::ddr4_3200(),
+    ] {
+        let access_bytes = config.access_bytes();
+        for &scheme in &schemes {
+            let data = cases.bytes(access_bytes * 6);
+            let mut controller = MemoryController::new(config.clone(), scheme);
+            let mut reads = ReadPath::new(config.clone(), scheme);
+            let mut write_reference = BusSession::new(&config, scheme);
+            let mut read_reference = BusSession::new(&config, scheme);
+            let mut read_activity = CostBreakdown::ZERO;
+            for (access, chunk) in data.chunks_exact(access_bytes).enumerate() {
+                let address = (access * access_bytes) as u64;
+                let report = controller.write(address, chunk).expect("one access");
+                let serial = write_reference.encode_stream(chunk).expect("one access");
+                assert_eq!(report.activity, serial.total(), "{scheme}, {config}");
+                assert!(controller.verify(address, chunk), "{scheme}, {config}");
+
+                let restored = reads
+                    .read(controller.device(), address)
+                    .expect("access size is valid");
+                assert_eq!(restored, chunk, "{scheme}, {config}");
+                read_activity += read_reference
+                    .encode_stream(chunk)
+                    .expect("one access")
+                    .total();
+            }
+            assert_eq!(reads.totals().activity, read_activity, "{scheme}, {config}");
+            assert_eq!(reads.totals().bursts, controller.totals().bursts);
+        }
     }
 }

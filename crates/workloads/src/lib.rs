@@ -9,9 +9,8 @@
 //! ([`patterns::PatternBursts`]) and structured synthetic data
 //! ([`synthetic`]) that stand in for proprietary application traces, plus a
 //! plain-text [`Trace`] format so burst streams can be captured and
-//! replayed, and a streaming [`TraceEncoder`] that encodes whole traces in
-//! one call with the bus state carried across bursts and no per-burst
-//! allocation.
+//! replayed. Encoding with carried bus state lives in `dbi-mem`'s
+//! `BusSession`.
 //!
 //! ```
 //! use dbi_workloads::{BurstSource, UniformRandomBursts};
@@ -31,7 +30,8 @@ pub mod patterns;
 pub mod random;
 pub mod synthetic;
 pub mod trace;
-pub mod trace_encoder;
+#[cfg(test)]
+mod trace_encoder;
 
 pub use generator::{BurstSource, IterSource};
 pub use load::LoadProfile;
@@ -41,7 +41,6 @@ pub use synthetic::{
     standard_suite, FloatArrayBursts, FramebufferBursts, MarkovBursts, TextBursts, ZeroHeavyBursts,
 };
 pub use trace::{ParseTraceError, Trace};
-pub use trace_encoder::{PlanTraceEncoder, TraceEncoder, TraceSummary};
 
 #[cfg(test)]
 mod tests {
