@@ -27,8 +27,9 @@
 //!   scalar tier, and the JSON records which kernel produced the numbers),
 //!   plus `pack_8_chains`, the chain-major pack
 //!   ([`BusSession::append_chains_to_slab`]) that feeds it, and the
-//!   priced four-chain BL16 rows of OPT (Fixed), DBI DC and DBI AC (the
-//!   x32 geometry of a mixed-scheme service session).
+//!   priced four-chain BL16 rows of OPT (Fixed), OPT(2,7) (the
+//!   `pod12@3.2` weights), DBI DC and DBI AC (the x32 geometry of a
+//!   mixed-scheme service session), also recorded in the JSON.
 //!
 //! After the criterion groups it re-times the key comparison directly and
 //! writes `BENCH_encode.json` at the repository root, so the perf
@@ -338,11 +339,7 @@ fn encoder_throughput(c: &mut Criterion) {
     let stream: Vec<u8> = bursts.iter().flat_map(|burst| burst.iter()).collect();
     bl16.extend_from_bytes(&stream).expect("whole BL16 bursts");
     group.throughput(Throughput::Elements(bl16.burst_count() as u64));
-    for (name, scheme) in [
-        ("opt_fixed_4_chains_bl16_priced", Scheme::OptFixed),
-        ("dc_4_chains_bl16_priced", Scheme::Dc),
-        ("ac_4_chains_bl16_priced", Scheme::Ac),
-    ] {
+    for (name, scheme) in bl16_rows() {
         let encoder = scheme.plan();
         group.bench_function(name, |b| {
             b.iter(|| {
@@ -428,6 +425,21 @@ fn encoder_throughput(c: &mut Criterion) {
     group.finish();
 
     write_bench_json(&bursts, &state);
+}
+
+/// The priced four-chain BL16 rows: OPT (Fixed), OPT at (α, β) = (2, 7)
+/// (the weights of the `pod12@3.2` operating point), DBI DC and DBI AC —
+/// the schemes and geometry of a mixed-scheme x32 service session. The
+/// criterion row names; `BENCH_encode.json` keys each row as
+/// `<scheme>_bl16x4_priced_ns_per_burst`.
+fn bl16_rows() -> [(&'static str, Scheme); 4] {
+    let pod12 = CostWeights::new(2, 7).expect("(2, 7) are valid weights");
+    [
+        ("opt_fixed_4_chains_bl16_priced", Scheme::OptFixed),
+        ("opt_2_7_4_chains_bl16_priced", Scheme::Opt(pod12)),
+        ("dc_4_chains_bl16_priced", Scheme::Dc),
+        ("ac_4_chains_bl16_priced", Scheme::Ac),
+    ]
 }
 
 /// Drives the wire image of a burst set under a carried OptFixed chain:
@@ -617,7 +629,28 @@ fn write_bench_json(bursts: &[Burst], state: &BusState) {
         }
     }
 
-    let trace: Vec<u8> = bursts.iter().flat_map(Burst::bytes).copied().collect();
+    // The engine's mixed-scheme geometry: the same bytes as four chains
+    // of BL16 bursts, priced, one row per scheme.
+    let stream: Vec<u8> = bursts.iter().flat_map(Burst::bytes).copied().collect();
+    let mut bl16 = BurstSlab::with_capacity(16, bursts.len() / 2);
+    bl16.extend_from_bytes(&stream).expect("whole BL16 bursts");
+    let mut bl16_json = String::new();
+    for (name, scheme) in bl16_rows() {
+        let encoder = scheme.plan();
+        let mut best = f64::INFINITY;
+        for _ in 0..30 {
+            let mut states = [*state; 4];
+            let start = Instant::now();
+            encoder.encode_lanes_into(&mut bl16, &mut states);
+            black_box(states);
+            let ns = start.elapsed().as_secs_f64() * 1e9 / bl16.burst_count() as f64;
+            best = best.min(ns);
+        }
+        let key = name.replace("_4_chains_bl16_priced", "_bl16x4_priced_ns_per_burst");
+        bl16_json.push_str(&format!("  \"{key}\": {best:.1},\n"));
+    }
+
+    let trace = stream;
     let mut session = BusSession::with_geometry(1, 8, Scheme::OptFixed);
     let mut per_group = Vec::new();
     let mut trace_best = f64::INFINITY;
@@ -639,14 +672,15 @@ fn write_bench_json(bursts: &[Burst], state: &BusState) {
     let cpu_features = dbi_core::simd::cpu_features();
     let json = format!(
         "{{\n  \"benchmark\": \"OptFixed encode, 8-byte bursts, {} bursts \
-         (lanes rows: 8 chains x 128 bursts)\",\n  \
+         (lanes rows: 8 chains x 128 bursts; bl16x4 rows: 4 chains x 128 BL16 bursts)\",\n  \
          \"kernel\": \"{kernel}\",\n  \
          \"cpu_features\": \"{cpu_features}\",\n  \
          \"seed_baseline_ns_per_burst\": {baseline_ns:.1},\n  \
          \"encode_mask_ns_per_burst\": {mask_ns:.1},\n  \
          \"encode_priced_ns_per_burst\": {encode_priced_ns:.1},\n  \
          \"slab_priced_ns_per_burst\": {slab_priced_ns:.1},\n  \
-         \"slab_chain_priced_ns_per_burst\": {slab_chain_priced_ns:.1},\n  \
+         \"slab_chain_priced_ns_per_burst\": {slab_chain_priced_ns:.1},\n\
+         {bl16_json}  \
          \"encode_ns_per_burst\": {encode_ns:.1},\n  \
          \"decode_mask_ns_per_burst\": {decode_mask_ns:.1},\n  \
          \"decode_slab_ns_per_burst\": {decode_slab_ns:.1},\n  \

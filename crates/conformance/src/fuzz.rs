@@ -25,7 +25,8 @@
 //! * **plan-swap coherence** — a [`BusSession`] whose plan is swapped at
 //!   a burst boundary stays bit-identical to the hand-stitched chain;
 //! * **kernel-tier equality** — every available slab kernel
-//!   ([`dbi_core::simd::available_kernels`]: SSE2, AVX2, NEON)
+//!   ([`dbi_core::simd::available_kernels`]: scalar, and AVX2 where the
+//!   CPU has it)
 //!   produces bit-identical masks, cost rows and carried chain states to
 //!   the serial reference on multi-chain lane sweeps, encode and decode,
 //!   with the decode's wire re-pricing checked on every case.
@@ -388,8 +389,8 @@ fn run_case(
 
     // Kernel-tier differential: the multi-chain lanes encode and the SWAR
     // decode must be bit-identical to the serial per-chain reference on
-    // EVERY available kernel (SSE2, AVX2, NEON — whatever the
-    // CPU offers), cost rows included, whatever the geometry. This is
+    // EVERY available kernel (scalar, and AVX2 where the CPU offers
+    // it), cost rows included, whatever the geometry. This is
     // what lets `DBI_FORCE_SCALAR` be an escape hatch rather than a
     // different codec.
     if case.is_multiple_of(3) {

@@ -23,6 +23,7 @@
 use crate::burst::{Burst, BusState};
 use crate::cost::{CostBreakdown, CostWeights};
 use crate::error::{DbiError, Result};
+use crate::simd::SPREAD_FLIP;
 use crate::word::LaneWord;
 use core::fmt;
 use core::hash::{Hash, Hasher};
@@ -139,22 +140,15 @@ impl InversionMask {
     }
 
     /// Zero and transition counts of transmitting `burst` under this mask,
-    /// starting from `state` — computed directly from the payload bytes, no
-    /// symbol buffer and no heap allocation.
+    /// starting from `state` — computed directly from the payload bytes,
+    /// eight beats per 64-bit word, no symbol buffer and no heap
+    /// allocation. Beats past bit 31 (bursts longer than the mask) go out
+    /// plain.
     ///
     /// Equivalent to `EncodedBurst::from_mask(burst, mask)?.breakdown(state)`.
     #[must_use]
     pub fn breakdown(self, burst: &Burst, state: &BusState) -> CostBreakdown {
-        let mut prev = state.last();
-        let mut zeros = 0u64;
-        let mut transitions = 0u64;
-        for (i, byte) in burst.iter().enumerate() {
-            let word = LaneWord::encode_byte(byte, self.is_inverted(i));
-            zeros += u64::from(word.zeros());
-            transitions += u64::from(word.transitions_from(prev));
-            prev = word;
-        }
-        CostBreakdown::new(zeros, transitions)
+        price_burst(burst.bytes(), self.0, entry_of(state))
     }
 
     /// Weighted integer cost of transmitting `burst` under this mask from
@@ -418,7 +412,13 @@ impl EncodedBurst {
     /// `state`.
     #[must_use]
     pub fn breakdown(&self, state: &BusState) -> CostBreakdown {
-        CostBreakdown::of_symbols(self.symbols.as_slice(), state)
+        // At most 32 symbols: `assign_from_mask` refuses longer bursts.
+        let symbols = self.symbols.as_slice();
+        let mut bytes = [0u8; 32];
+        for (byte, word) in bytes.iter_mut().zip(symbols) {
+            *byte = word.decode();
+        }
+        price_burst(&bytes[..symbols.len()], self.mask.bits(), entry_of(state))
     }
 
     /// Weighted integer cost of transmitting this burst starting from
@@ -462,6 +462,87 @@ impl fmt::Display for EncodedBurst {
         }
         write!(f, "]")
     }
+}
+
+/// A carried lane state in the entry form [`price_burst`] takes: the data
+/// byte the wires last carried and whether that beat went out inverted.
+pub(crate) fn entry_of(state: &BusState) -> (u8, bool) {
+    let last = state.last();
+    (last.decode(), last.dbi().is_inverted())
+}
+
+/// The activity of one burst driven under the inversion decisions `bits`
+/// (bit *i* = beat *i* inverted), entered from the data byte `entry.0` at
+/// DBI level low = `entry.1` — the one pricing function every encoder,
+/// the serial reference and the SWAR decode share.
+///
+/// Counted eight beats per 64-bit word: the DQ lanes drive
+/// `8·n − ones(driven)` zeros and toggle `ones(driven ^ previous driven)`;
+/// the DBI lane adds one zero per inverted beat and one toggle per level
+/// change. Mask bits at or past the burst length are ignored, and beats
+/// past bit 31 go out plain. Bit-identical to the per-beat
+/// [`LaneWord`] walk ([`CostBreakdown::of_symbols`]), which the tests keep
+/// as its oracle.
+///
+/// Picks the hardware-popcount build once per call; slab kernels inline
+/// [`price_burst_body`] into their own popcount build instead.
+#[must_use]
+pub(crate) fn price_burst(bytes: &[u8], bits: u32, entry: (u8, bool)) -> CostBreakdown {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("popcnt") {
+        // SAFETY: guarded by the runtime `popcnt` detection above.
+        #[allow(unsafe_code)]
+        unsafe {
+            return price_burst_popcnt(bytes, bits, entry);
+        }
+    }
+    price_burst_body(bytes, bits, entry)
+}
+
+/// [`price_burst_body`] compiled with hardware popcount: the x86-64
+/// baseline has no `popcnt`, so `count_ones` otherwise lowers to a
+/// multi-op SWAR sequence per word.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "popcnt")]
+pub(crate) fn price_burst_popcnt(bytes: &[u8], bits: u32, entry: (u8, bool)) -> CostBreakdown {
+    price_burst_body(bytes, bits, entry)
+}
+
+/// The portable body of [`price_burst`], always inlined so each caller's
+/// build (baseline or `popcnt`) decides how `count_ones` lowers.
+#[inline(always)]
+pub(crate) fn price_burst_body(bytes: &[u8], bits: u32, entry: (u8, bool)) -> CostBreakdown {
+    let n = bytes.len();
+    let live_beats = if n < 64 { (1u64 << n) - 1 } else { u64::MAX };
+    let bits = u64::from(bits) & live_beats;
+    let mut zeros = 8 * n as u64 + u64::from(bits.count_ones());
+    let mut transitions =
+        u64::from(((bits ^ ((bits << 1) | u64::from(entry.1))) & live_beats).count_ones());
+    // The DQ levels of the beat before the current word, starting from
+    // the entry state.
+    let mut prev = u64::from(entry.0 ^ u8::from(entry.1).wrapping_neg());
+    let mut rest = bits;
+    let mut account = |data: u64, beats: usize| {
+        let driven = data ^ SPREAD_FLIP[(rest & 0xFF) as usize];
+        rest >>= 8;
+        zeros -= u64::from(driven.count_ones());
+        // Beats past the burst hold zero data and zero decisions, so they
+        // drive nothing; only their toggles need masking.
+        let live = u64::MAX >> (64 - 8 * beats);
+        transitions += u64::from(((driven ^ ((driven << 8) | prev)) & live).count_ones());
+        prev = (driven >> (8 * (beats - 1))) & 0xFF;
+    };
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        account(u64::from_le_bytes(word.try_into().expect("8-byte word")), 8);
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut lanes = [0u8; 8];
+        lanes[..tail.len()].copy_from_slice(tail);
+        account(u64::from_le_bytes(lanes), tail.len());
+    }
+    CostBreakdown::new(zeros, transitions)
 }
 
 /// Decodes a sequence of lane words back into payload bytes.
@@ -529,7 +610,11 @@ mod tests {
             let mask = InversionMask::from_bits(bits);
             let encoded = EncodedBurst::from_mask(&burst, mask).unwrap();
             for state in [BusState::idle(), BusState::new(LaneWord::ALL_ZEROS)] {
-                assert_eq!(mask.breakdown(&burst, &state), encoded.breakdown(&state));
+                // Both price word-wide; the per-beat lane-word walk is
+                // the oracle.
+                let oracle = CostBreakdown::of_symbols(encoded.symbols(), &state);
+                assert_eq!(mask.breakdown(&burst, &state), oracle);
+                assert_eq!(encoded.breakdown(&state), oracle);
                 assert_eq!(
                     mask.cost(&burst, &state, &CostWeights::FIXED),
                     encoded.cost(&state, &CostWeights::FIXED)
@@ -538,6 +623,33 @@ mod tests {
                     mask.final_state(&burst, &state),
                     encoded.final_state(&state)
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn mask_breakdown_prices_beats_past_the_mask_as_plain() {
+        // 40 beats: bits 0..32 come from the mask, beats 32..40 go out
+        // plain, and mask bits past a short burst are ignored.
+        let long = Burst::new((0..40u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect()).unwrap();
+        let short = Burst::from_slice(&[0x00, 0xFF, 0x0F]).unwrap();
+        for bits in [0u32, u32::MAX, 0x8000_0001, 0xDEAD_BEEF] {
+            let mask = InversionMask::from_bits(bits);
+            for burst in [&long, &short] {
+                for state in [
+                    BusState::idle(),
+                    BusState::new(LaneWord::encode_byte(0x3C, true)),
+                ] {
+                    let symbols: Vec<LaneWord> = (0..burst.len())
+                        .map(|i| mask.symbol_at(burst, i).unwrap())
+                        .collect();
+                    assert_eq!(
+                        mask.breakdown(burst, &state),
+                        CostBreakdown::of_symbols(&symbols, &state),
+                        "mask {bits:#x}, {} beats",
+                        burst.len()
+                    );
+                }
             }
         }
     }

@@ -2,10 +2,10 @@
 
 use crate::burst::{Burst, BusState};
 use crate::cost::{CostBreakdown, CostWeights};
-use crate::encoding::InversionMask;
+use crate::encoding::{entry_of, price_burst_body, InversionMask};
 use crate::lut::CostLut;
 use crate::schemes::DbiEncoder;
-use crate::simd::KernelKind;
+use crate::simd::{encode_chains, ChainKernel, KernelKind};
 use crate::slab::BurstSlab;
 use crate::word::LaneWord;
 
@@ -178,16 +178,17 @@ impl OptEncoder {
     }
 
     /// The bit-packed survivor-mask Viterbi sweep over raw payload bytes:
-    /// the body of [`DbiEncoder::encode_mask`], entered from an arbitrary
-    /// 9-bit lane state — any [`LaneWord`] is its decoded byte plus its
-    /// DBI level, which is the chained entry form of
-    /// [`OptEncoder::entry_costs`].
+    /// the one decision kernel behind both [`DbiEncoder::encode_mask`]
+    /// and the scalar slab chain. It enters from the previous beat's data
+    /// byte and DBI level (the entry form of
+    /// [`OptEncoder::entry_costs`]; any [`LaneWord`] is its decoded byte
+    /// plus its DBI level) and carries only path costs and survivor
+    /// masks — pricing the winner is [`price_burst_body`]'s job.
     ///
     /// `bytes` must be non-empty and at most 32 bytes (the mask width);
     /// both invariants are upheld by every caller's geometry checks.
     #[inline]
-    fn mask_kernel(&self, bytes: &[u8], prev: LaneWord) -> InversionMask {
-        let (last_data, prev_low) = (prev.decode(), prev.dbi().is_inverted());
+    fn mask_kernel(&self, bytes: &[u8], last_data: u8, prev_low: bool) -> u32 {
         // mask_plain/mask_inv: the inversion decisions of the cheapest path
         // that reaches the current byte in state plain/inverted — the
         // survivor paths, updated in registers instead of backtracked.
@@ -211,111 +212,21 @@ impl OptEncoder {
 
         // The cheaper end state wins (ties towards non-inverted, as in the
         // hardware's final comparator).
-        InversionMask::from_bits(if cost_inv < cost_plain {
+        if cost_inv < cost_plain {
             mask_inv
         } else {
             mask_plain
-        })
-    }
-
-    /// One fused trellis sweep over a single burst's raw bytes: the
-    /// survivor-mask Viterbi of [`OptEncoder::mask_kernel`] with each
-    /// survivor path's **raw** zero and transition counts carried along
-    /// through the same predecessor selects. The accumulators hang off
-    /// the decision flags but never feed the cost-compare chain, so on a
-    /// superscalar core they ride in otherwise-idle ports — pricing the
-    /// winning path costs almost nothing over the sweep itself, where a
-    /// separate [`InversionMask::breakdown`] walk would rebuild a
-    /// [`LaneWord`] per byte.
-    ///
-    /// Raw increments use the identities of [`crate::lut`] (exhaustively
-    /// proven against the lane-word arithmetic there): a byte of
-    /// popcount *p* transmits `8 − p` zeros plain and `p + 1` inverted,
-    /// and a step of XOR-popcount *d* toggles `d` lanes when the state
-    /// holds and `9 − d` when it flips. Returns the winning mask and its
-    /// breakdown; it enters from the previous driven payload byte and DBI
-    /// level, so slab chains never materialise a [`LaneWord`].
-    #[inline]
-    fn slab_burst_kernel(
-        &self,
-        bytes: &[u8],
-        last_data: u8,
-        prev_low: bool,
-    ) -> (InversionMask, CostBreakdown) {
-        let mut mask_plain = 0u32;
-        let mut mask_inv = 1u32;
-
-        let first = bytes[0];
-        let (mut cost_plain, mut cost_inv) = self.entry_costs(first, last_data, prev_low);
-        let first_ones = first.count_ones();
-        let mut zeros_plain = 8 - first_ones;
-        let mut zeros_inv = first_ones + 1;
-        // Raw entry transitions, by the same complement symmetry as
-        // `entry_costs`: with p = popcount(last_data ^ first), the plain
-        // word toggles p lanes after a high DBI (9 − p after a low one)
-        // and the inverted word the complement — one popcount on pure
-        // input data plus a conditional swap.
-        let p = (last_data ^ first).count_ones();
-        let anti = 9 - p;
-        let swap = (p ^ anti) & u32::from(prev_low).wrapping_neg();
-        let mut trans_plain = p ^ swap;
-        let mut trans_inv = anti ^ swap;
-        let mut prev_byte = first;
-
-        for (i, &byte) in bytes.iter().enumerate().skip(1) {
-            let ([next_plain, next_inv], [from_inv_plain, from_inv_inv]) =
-                self.step([cost_plain, cost_inv], prev_byte, byte);
-            let same = (prev_byte ^ byte).count_ones();
-            let cross = 9 - same;
-            let ones = byte.count_ones();
-
-            // Branchless predecessor selects: the flags are data-dependent
-            // coin flips, so a compare-and-branch would mispredict every
-            // other byte; all-ones masks keep the updates in straight-line
-            // ALU code off the cost chain's critical path.
-            let sel_plain = (from_inv_plain as u32).wrapping_neg();
-            let sel_inv = (from_inv_inv as u32).wrapping_neg();
-
-            // Current byte plain: an inverted predecessor flips the state.
-            let next_mask_plain = (mask_inv & sel_plain) | (mask_plain & !sel_plain);
-            let next_zeros_plain =
-                ((zeros_inv & sel_plain) | (zeros_plain & !sel_plain)) + (8 - ones);
-            let next_trans_plain = ((trans_inv & sel_plain) | (trans_plain & !sel_plain))
-                + ((cross & sel_plain) | (same & !sel_plain));
-
-            // Current byte inverted: an inverted predecessor keeps it.
-            let next_mask_inv = ((mask_inv & sel_inv) | (mask_plain & !sel_inv)) | (1 << i);
-            let next_zeros_inv = ((zeros_inv & sel_inv) | (zeros_plain & !sel_inv)) + (ones + 1);
-            let next_trans_inv = ((trans_inv & sel_inv) | (trans_plain & !sel_inv))
-                + ((same & sel_inv) | (cross & !sel_inv));
-
-            cost_plain = next_plain;
-            cost_inv = next_inv;
-            mask_plain = next_mask_plain;
-            mask_inv = next_mask_inv;
-            zeros_plain = next_zeros_plain;
-            zeros_inv = next_zeros_inv;
-            trans_plain = next_trans_plain;
-            trans_inv = next_trans_inv;
-            prev_byte = byte;
         }
-
-        // The cheaper end state wins (ties towards non-inverted, as in
-        // the hardware's final comparator and in `encode_mask`).
-        let (mask, zeros, transitions) = if cost_inv < cost_plain {
-            (mask_inv, zeros_inv, trans_inv)
-        } else {
-            (mask_plain, zeros_plain, trans_plain)
-        };
-        (
-            InversionMask::from_bits(mask),
-            CostBreakdown::new(u64::from(zeros), u64::from(transitions)),
-        )
     }
 
-    /// The slab burst loop. Always inlined so the standard-length call
-    /// sites in [`OptEncoder::encode_chain_scalar`] propagate their
-    /// literal `burst_len` into the chunking and the kernel's sweep.
+    /// One chain's bursts: decide each with [`OptEncoder::mask_kernel`],
+    /// then price it with [`price_burst_body`] from the entry it was
+    /// decided from. The pricing hangs off the mask but never feeds the
+    /// next burst's entry (only the last decision bit does), so it fills
+    /// issue slots the latency-bound sweep leaves idle. Always inlined so
+    /// the standard-length call sites in [`ChainKernel::encode_chain`]
+    /// propagate their literal `burst_len` into the chunking, the sweep
+    /// and the pricing.
     #[inline(always)]
     fn slab_runs(
         &self,
@@ -323,57 +234,18 @@ impl OptEncoder {
         bytes: &[u8],
         masks: &mut [InversionMask],
         costs: &mut [CostBreakdown],
-        last_data: &mut u8,
-        prev_low: &mut bool,
+        entry: &mut (u8, bool),
     ) {
         for ((chunk, mask_slot), cost_slot) in bytes
             .chunks_exact(burst_len)
             .zip(masks.iter_mut())
             .zip(costs.iter_mut())
         {
-            let (mask, breakdown) = self.slab_burst_kernel(chunk, *last_data, *prev_low);
-            *mask_slot = mask;
-            *cost_slot = breakdown;
-            *last_data = chunk[burst_len - 1];
-            *prev_low = mask.is_inverted(burst_len - 1);
+            let bits = self.mask_kernel(chunk, entry.0, entry.1);
+            *mask_slot = InversionMask::from_bits(bits);
+            *cost_slot = price_burst_body(chunk, bits, *entry);
+            *entry = (chunk[burst_len - 1], (bits >> (burst_len - 1)) & 1 == 1);
         }
-    }
-
-    /// One chain through the scalar oracle: one fused pass per burst over
-    /// the chain's contiguous payload — no [`Burst`] construction, no
-    /// per-burst dispatch, no separate pricing walk, and `chunks_exact`
-    /// hoists the bounds checks out of the burst loop. Bit-identical to
-    /// the serial per-burst chain: the sweep is the `encode_mask`
-    /// recurrence and the fused accumulators reproduce
-    /// [`InversionMask::breakdown`] exactly (`tests/slab_differential.rs`).
-    fn encode_chain_scalar(
-        &self,
-        burst_len: usize,
-        bytes: &[u8],
-        masks: &mut [InversionMask],
-        costs: &mut [CostBreakdown],
-        state: &mut BusState,
-    ) {
-        // The inter-burst chain is two scalars: the data byte the wires
-        // last carried and the DBI lane level — and of the two, only the
-        // one-bit level is a *computed* value (the byte comes straight
-        // from the input), so consecutive bursts' sweeps overlap in the
-        // pipeline. A LaneWord is rebuilt exactly once, at the end, for
-        // the reported state.
-        let entry = state.last();
-        let mut last_data = entry.decode();
-        let mut prev_low = entry.dbi().is_inverted();
-        let (last, low) = (&mut last_data, &mut prev_low);
-        // Dispatching on the standard burst lengths hands `slab_runs` a
-        // literal trip count: the always-inlined copies get their sweeps
-        // fully unrolled — the geometry of a slab is fixed, which is an
-        // edge the per-burst entry point can never exploit.
-        match burst_len {
-            8 => self.slab_runs(8, bytes, masks, costs, last, low),
-            16 => self.slab_runs(16, bytes, masks, costs, last, low),
-            _ => self.slab_runs(burst_len, bytes, masks, costs, last, low),
-        }
-        *state = BusState::new(LaneWord::encode_byte(last_data, prev_low));
     }
 
     /// [`DbiEncoder::encode_lanes_into`] with an explicit kernel tier —
@@ -383,12 +255,12 @@ impl OptEncoder {
     /// The slab is treated as `states.len()` independent chains laid out
     /// chain-major (chain `c`'s bursts occupy rows `c·per_chain ..
     /// (c+1)·per_chain`), each carrying its own [`BusState`] — the shape
-    /// of a multi-lane-group channel. Chains are swept in lockstep
-    /// blocks: eight at a time on the AVX2 BL8 kernel, four at a time on
-    /// the SSE2/NEON tiers, scalar for the remainder (and for
-    /// [`KernelKind::Scalar`], which runs every chain through the scalar
-    /// oracle). Arch kernels requested on an architecture where they are
-    /// not compiled fall back to the scalar oracle.
+    /// of a multi-lane-group channel. On [`KernelKind::Avx2`] at BL8,
+    /// chains are swept eight at a time in lockstep; every other chain
+    /// and geometry, and every chain under [`KernelKind::Scalar`], runs
+    /// the scalar sweep. The AVX2 tier requested where it is not
+    /// compiled, or on a CPU without AVX2 and `popcnt`, falls back to the
+    /// scalar sweep.
     ///
     /// # Panics
     ///
@@ -418,19 +290,22 @@ impl OptEncoder {
         let per_chain = count / chains;
 
         let mut c = 0usize;
+        // The tier is checked against the CPU, not just requested: this
+        // is a safe function and the block runs AVX2 instructions.
         #[cfg(target_arch = "x86_64")]
-        if kernel == KernelKind::Avx2 && burst_len == 8 {
+        if kernel == KernelKind::Avx2
+            && burst_len == 8
+            && crate::simd::available_kernels().contains(&KernelKind::Avx2)
+        {
             while c + 8 <= chains {
                 let mut chain_data = [0u8; 8];
                 let mut chain_low = [false; 8];
                 for (k, state) in states[c..c + 8].iter().enumerate() {
-                    let entry = state.last();
-                    chain_data[k] = entry.decode();
-                    chain_low[k] = entry.dbi().is_inverted();
+                    (chain_data[k], chain_low[k]) = entry_of(state);
                 }
                 let rows = c * per_chain..(c + 8) * per_chain;
-                // SAFETY: `Avx2` is only selected or listed as available
-                // after runtime AVX2 detection succeeded.
+                // SAFETY: `Avx2` is listed as available only after
+                // runtime AVX2 and `popcnt` detection succeeded.
                 #[allow(unsafe_code)]
                 unsafe {
                     crate::simd::encode_block8_avx2(
@@ -449,88 +324,49 @@ impl OptEncoder {
                 c += 8;
             }
         }
-        if has_block4(kernel) {
-            while c + 4 <= chains {
-                let mut chain_data = [0u8; 4];
-                let mut chain_low = [false; 4];
-                for (k, state) in states[c..c + 4].iter().enumerate() {
-                    let entry = state.last();
-                    chain_data[k] = entry.decode();
-                    chain_low[k] = entry.dbi().is_inverted();
-                }
-                let rows = c * per_chain..(c + 4) * per_chain;
-                self.encode_block4(
-                    kernel,
-                    burst_len,
-                    per_chain,
-                    &bytes[rows.start * burst_len..rows.end * burst_len],
-                    &mut masks[rows.clone()],
-                    &mut costs[rows],
-                    &mut chain_data,
-                    &mut chain_low,
-                );
-                for (k, state) in states[c..c + 4].iter_mut().enumerate() {
-                    *state = BusState::new(LaneWord::encode_byte(chain_data[k], chain_low[k]));
-                }
-                c += 4;
-            }
-        }
-        for state in states[c..].iter_mut() {
-            let rows = c * per_chain..(c + 1) * per_chain;
-            self.encode_chain_scalar(
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = kernel;
+        if c < chains {
+            let rows = c * per_chain..count;
+            encode_chains(
+                self,
                 burst_len,
-                &bytes[rows.start * burst_len..rows.end * burst_len],
+                &bytes[rows.start * burst_len..],
                 &mut masks[rows.clone()],
                 &mut costs[rows],
-                state,
+                &mut states[c..],
             );
-            c += 1;
-        }
-    }
-
-    /// Routes a four-chain block to the requested tier's kernel; only
-    /// called for tiers [`has_block4`] reports as compiled on this target
-    /// (the SSE2 kernel also carries [`KernelKind::Avx2`]'s non-BL8
-    /// geometries).
-    #[allow(clippy::too_many_arguments)]
-    fn encode_block4(
-        &self,
-        kernel: KernelKind,
-        burst_len: usize,
-        per_chain: usize,
-        bytes: &[u8],
-        masks: &mut [InversionMask],
-        costs: &mut [CostBreakdown],
-        last_data: &mut [u8; 4],
-        prev_low: &mut [bool; 4],
-    ) {
-        match kernel {
-            // SAFETY: SSE2 is unconditionally part of the x86-64
-            // baseline; the kernel's `#[target_feature]` annotation only
-            // exists to satisfy the safe-intrinsics rules.
-            #[cfg(target_arch = "x86_64")]
-            #[allow(unsafe_code)]
-            KernelKind::Sse2 | KernelKind::Avx2 => unsafe {
-                crate::simd::encode_block4_sse2(
-                    self, burst_len, per_chain, bytes, masks, costs, last_data, prev_low,
-                );
-            },
-            #[cfg(target_arch = "aarch64")]
-            KernelKind::Neon => crate::simd::encode_block4_neon(
-                self, burst_len, per_chain, bytes, masks, costs, last_data, prev_low,
-            ),
-            _ => unreachable!("{kernel} has no four-chain kernel on this target"),
         }
     }
 }
 
-/// Whether `kernel` has a four-chain block kernel compiled for this
-/// target; tiers that do not fall back to the scalar oracle.
-const fn has_block4(kernel: KernelKind) -> bool {
-    match kernel {
-        KernelKind::Sse2 | KernelKind::Avx2 => cfg!(target_arch = "x86_64"),
-        KernelKind::Neon => cfg!(target_arch = "aarch64"),
-        KernelKind::Scalar => false,
+/// The scalar sweep, one chain at a time: no [`Burst`] construction, no
+/// per-burst dispatch, and `chunks_exact` hoists the bounds checks out of
+/// the burst loop. Bit-identical to the serial per-burst chain
+/// (`tests/slab_differential.rs`).
+impl ChainKernel for OptEncoder {
+    #[inline(always)]
+    fn encode_chain(
+        &self,
+        burst_len: usize,
+        bytes: &[u8],
+        masks: &mut [InversionMask],
+        costs: &mut [CostBreakdown],
+        entry: &mut (u8, bool),
+    ) {
+        // The inter-burst chain is two scalars: the data byte the wires
+        // last carried and the DBI lane level — and of the two, only the
+        // one-bit level is a *computed* value (the byte comes straight
+        // from the input), so consecutive bursts' sweeps overlap in the
+        // pipeline. Dispatching on the standard burst lengths hands
+        // `slab_runs` a literal trip count: the always-inlined copies get
+        // their sweeps fully unrolled — the geometry of a slab is fixed,
+        // which is an edge the per-burst entry point can never exploit.
+        match burst_len {
+            8 => self.slab_runs(8, bytes, masks, costs, entry),
+            16 => self.slab_runs(16, bytes, masks, costs, entry),
+            _ => self.slab_runs(burst_len, bytes, masks, costs, entry),
+        }
     }
 }
 
@@ -568,12 +404,13 @@ impl DbiEncoder for OptEncoder {
             "inversion masks cover at most 32 bytes, got {}",
             bytes.len()
         );
-        self.mask_kernel(bytes, state.last())
+        let (last_data, prev_low) = entry_of(state);
+        InversionMask::from_bits(self.mask_kernel(bytes, last_data, prev_low))
     }
 
     /// The multi-chain slab encode rides the runtime-selected kernel
-    /// tier ([`crate::simd::selected_kernel`]): lockstep SIMD sweeps
-    /// across the chains, scalar when pinned via
+    /// tier ([`crate::simd::selected_kernel`]): the AVX2 lockstep sweep
+    /// across eight BL8 chains, scalar otherwise or when pinned via
     /// `DBI_FORCE_SCALAR`. See [`OptEncoder::encode_lanes_into_with`].
     fn encode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) {
         self.encode_lanes_into_with(crate::simd::selected_kernel(), slab, states);

@@ -7,9 +7,11 @@
 //! in one pass per chain, carrying the chain as the data byte the wires
 //! last carried plus the DBI level (the way
 //! [`OptEncoder`](crate::schemes::OptEncoder)'s slab kernels do), so no
-//! [`Burst`](crate::Burst) or [`LaneWord`] is built per byte. Each burst
-//! is priced in the same pass, right after its decisions, eight beats per
-//! 64-bit word ([`price_burst`]) instead of a per-byte walk.
+//! [`Burst`](crate::Burst) or [`LaneWord`](crate::LaneWord) is built per
+//! byte. Each burst is priced in the same pass, right after its
+//! decisions, by the shared word-wide pricing pass
+//! (`encoding::price_burst_body`), compiled with hardware `popcnt` when
+//! the CPU has it.
 //!
 //! The rules use the popcount identities of [`crate::lut`]: a byte of
 //! popcount *p* drives `8 − p` zeros plain and `p + 1` inverted, and a
@@ -22,10 +24,9 @@
 
 use crate::burst::BusState;
 use crate::cost::CostBreakdown;
-use crate::encoding::InversionMask;
-use crate::simd::SPREAD_FLIP;
+use crate::encoding::{price_burst_body, InversionMask};
+use crate::simd::{encode_chains, ChainKernel};
 use crate::slab::BurstSlab;
-use crate::word::LaneWord;
 
 /// `ones(b)`, the popcount of `b`, from a 256-entry table: one load where
 /// `u8::count_ones` compiles to a dozen bit-twiddling instructions on the
@@ -91,22 +92,32 @@ where
     if bytes.is_empty() {
         return;
     }
-    let per_chain = count / chains;
-    for (c, state) in states.iter_mut().enumerate() {
-        let rows = c * per_chain..(c + 1) * per_chain;
-        let chain = &bytes[rows.start * burst_len..rows.end * burst_len];
-        let masks = &mut masks[rows.clone()];
-        let costs = &mut costs[rows];
-        let entry = state.last();
-        let mut carried = (entry.decode(), entry.dbi().is_inverted());
+    encode_chains(&PerByte(invert), burst_len, bytes, masks, costs, states);
+}
+
+/// A per-byte rule as a [`ChainKernel`].
+struct PerByte<F>(F);
+
+impl<F> ChainKernel for PerByte<F>
+where
+    F: Fn(usize, u8, u8, bool) -> bool + Copy,
+{
+    #[inline(always)]
+    fn encode_chain(
+        &self,
+        burst_len: usize,
+        bytes: &[u8],
+        masks: &mut [InversionMask],
+        costs: &mut [CostBreakdown],
+        entry: &mut (u8, bool),
+    ) {
         // A literal burst length on the standard geometries lets the
         // always-inlined copies unroll their beat loops.
         match burst_len {
-            8 => encode_chain(8, chain, masks, costs, &mut carried, invert),
-            16 => encode_chain(16, chain, masks, costs, &mut carried, invert),
-            _ => encode_chain(burst_len, chain, masks, costs, &mut carried, invert),
+            8 => encode_runs(8, bytes, masks, costs, entry, self.0),
+            16 => encode_runs(16, bytes, masks, costs, entry, self.0),
+            _ => encode_runs(burst_len, bytes, masks, costs, entry, self.0),
         }
-        *state = BusState::new(LaneWord::encode_byte(carried.0, carried.1));
     }
 }
 
@@ -130,10 +141,10 @@ where
 }
 
 /// One chain, decisions and cost rows: each burst is priced by
-/// [`price_burst`] right after its decisions, from its bytes, its mask
-/// and the state it entered from.
+/// [`price_burst_body`] right after its decisions, from its bytes, its
+/// mask and the state it entered from.
 #[inline(always)]
-fn encode_chain<F>(
+fn encode_runs<F>(
     burst_len: usize,
     chain: &[u8],
     masks: &mut [InversionMask],
@@ -151,35 +162,6 @@ fn encode_chain<F>(
         let entry = *carried;
         let bits = decide_burst(burst, carried, invert);
         *mask = InversionMask::from_bits(bits);
-        *cost = price_burst(burst, bits, entry);
+        *cost = price_burst_body(burst, bits, entry);
     }
-}
-
-/// The activity of one burst driven under `bits`, entered from the data
-/// byte `entry.0` at DBI level low = `entry.1`, counted eight beats per
-/// word: the DQ lanes drive `8·n − ones(driven)` zeros and toggle
-/// `ones(driven ^ previous driven)`; the DBI lane adds one zero per
-/// inverted beat and one toggle per level change.
-#[inline(always)]
-fn price_burst(burst: &[u8], bits: u32, entry: (u8, bool)) -> CostBreakdown {
-    let n = burst.len();
-    let live_beats = u32::MAX >> (32 - n);
-    let low = u32::from(entry.1);
-    let mut zeros = 8 * n as u32 + bits.count_ones();
-    let mut transitions = ((bits ^ ((bits << 1) | low)) & live_beats).count_ones();
-    // The DQ levels of the beat before the current word, starting from
-    // the entry state.
-    let mut prev = u64::from(entry.0 ^ u8::from(entry.1).wrapping_neg());
-    for (k, word) in burst.chunks(8).enumerate() {
-        let mut lanes = [0u8; 8];
-        lanes[..word.len()].copy_from_slice(word);
-        let live = u64::MAX >> (64 - 8 * word.len());
-        // Beats past the burst hold zero data and zero decisions, so
-        // they drive nothing; only their toggles need masking.
-        let driven = u64::from_le_bytes(lanes) ^ SPREAD_FLIP[((bits >> (8 * k)) & 0xFF) as usize];
-        zeros -= driven.count_ones();
-        transitions += ((driven ^ ((driven << 8) | prev)) & live).count_ones();
-        prev = (driven >> (8 * (word.len() - 1))) & 0xFF;
-    }
-    CostBreakdown::new(u64::from(zeros), u64::from(transitions))
 }

@@ -7,22 +7,26 @@
 //! **independent** lane groups — each group carries its own DBI lane and
 //! its own Viterbi chain — so a slab that holds the bursts of multiple
 //! groups can run those chains as parallel lanes of *one* recurrence.
-//! That is exactly what the kernels here do, in two tiers:
+//! That is what the AVX2 kernel here does. There are two tiers:
 //!
 //! 1. **Scalar** ([`KernelKind::Scalar`]) — the per-chain sweep, always
-//!    available, and the differential oracle every other tier is tested
+//!    available, and the differential oracle the AVX2 tier is tested
 //!    against (bit-identical masks, cost rows and carried state).
-//! 2. **Arch SIMD** ([`KernelKind::Sse2`], [`KernelKind::Avx2`],
-//!    [`KernelKind::Neon`]) — explicit vector kernels: four chains per
-//!    `__m128i`/`uint32x4_t` register, and on AVX2 an eight-chain BL8
-//!    kernel that byte-transposes each burst in registers and prices it
-//!    with in-vector nibble popcounts.
+//! 2. **AVX2** ([`KernelKind::Avx2`]) — an eight-chain BL8 kernel that
+//!    byte-transposes each burst in registers and runs the trellis in
+//!    `__m256i` dwords. Every other geometry runs the scalar sweep.
+//!
+//! Every kernel decides first and prices after: the sweeps carry only
+//! path costs and survivor masks, and each burst's zeros and transitions
+//! come from one word-wide pass over its bytes and mask
+//! (`encoding::price_burst_body`), compiled with hardware `popcnt` when
+//! the CPU has it.
 //!
 //! Tier selection happens once per process ([`selected_kernel`]) from
 //! runtime feature detection; `DBI_FORCE_SCALAR=1` pins dispatch to the
 //! scalar tier ([`forced_scalar`]). The decode side gets the same
-//! treatment: `decode_chain_swar` re-prices whole bursts with 64-bit
-//! SWAR popcounts instead of per-beat
+//! treatment: `decode_chain_swar` undoes the inversions eight beats per
+//! word and re-prices through the same pass instead of per-beat
 //! [`LaneWord::from_wire`](crate::word::LaneWord::from_wire) walks.
 //!
 //! Correctness rests on one observation: path costs stay below `2^31`
@@ -33,8 +37,8 @@
 
 use crate::burst::BusState;
 use crate::cost::CostBreakdown;
-use crate::encoding::InversionMask;
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+use crate::encoding::{entry_of, price_burst_body, InversionMask};
+#[cfg(target_arch = "x86_64")]
 use crate::schemes::OptEncoder;
 use crate::word::LaneWord;
 use std::sync::OnceLock;
@@ -50,34 +54,22 @@ use std::sync::OnceLock;
 pub enum KernelKind {
     /// The per-chain scalar sweep — always available, and the oracle.
     Scalar,
-    /// x86-64 SSE2: four chains per `__m128i` (baseline on x86-64).
-    Sse2,
-    /// x86-64 AVX2: eight BL8 chains per `__m256i` with in-register
-    /// transposes and nibble-LUT popcounts; other geometries ride the
-    /// SSE2 tier.
+    /// x86-64 AVX2 with `popcnt`: eight BL8 chains per `__m256i` with
+    /// in-register transposes and nibble-LUT popcounts; other geometries
+    /// run the scalar sweep.
     Avx2,
-    /// AArch64 NEON: four chains per `uint32x4_t`.
-    Neon,
 }
 
 impl KernelKind {
     /// How many chains this tier sweeps per lockstep block for the given
     /// burst length — the lane-occupancy target a packed dispatch should
-    /// fill. The AVX2 tier is eight-wide only for its BL8 fast path
-    /// (other geometries ride the four-wide SSE2 blocks); the scalar
-    /// oracle walks one chain at a time.
+    /// fill: eight for the AVX2 BL8 block, one (a chain at a time)
+    /// everywhere else.
     #[must_use]
     pub const fn lane_width(self, burst_len: usize) -> usize {
         match self {
-            KernelKind::Scalar => 1,
-            KernelKind::Avx2 => {
-                if burst_len == 8 {
-                    8
-                } else {
-                    4
-                }
-            }
-            KernelKind::Sse2 | KernelKind::Neon => 4,
+            KernelKind::Avx2 if burst_len == 8 => 8,
+            _ => 1,
         }
     }
 
@@ -86,9 +78,7 @@ impl KernelKind {
     pub const fn name(self) -> &'static str {
         match self {
             KernelKind::Scalar => "scalar",
-            KernelKind::Sse2 => "sse2",
             KernelKind::Avx2 => "avx2",
-            KernelKind::Neon => "neon",
         }
     }
 }
@@ -120,7 +110,6 @@ fn probe() -> Dispatch {
     {
         // SSE2 is part of the x86-64 baseline; everything else is probed.
         features.push("sse2");
-        available.push(KernelKind::Sse2);
         macro_rules! feat {
             ($($name:tt),+) => {
                 $(if std::arch::is_x86_feature_detected!($name) {
@@ -128,20 +117,16 @@ fn probe() -> Dispatch {
                 })+
             };
         }
-        feat!("ssse3", "sse4.1", "sse4.2", "popcnt", "avx", "bmi2");
-        if std::arch::is_x86_feature_detected!("avx2") {
-            features.push("avx2");
+        feat!("ssse3", "sse4.1", "sse4.2", "popcnt", "avx", "bmi2", "avx2", "avx512f");
+        // The AVX2 block prices its rows in a `popcnt` build.
+        if std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("popcnt")
+        {
             available.push(KernelKind::Avx2);
-        }
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            features.push("avx512f");
         }
     }
     #[cfg(target_arch = "aarch64")]
-    {
-        features.push("neon");
-        available.push(KernelKind::Neon);
-    }
+    features.push("neon");
     if features.is_empty() {
         features.push("portable");
     }
@@ -191,6 +176,88 @@ pub fn cpu_features() -> &'static str {
 }
 
 // ---------------------------------------------------------------------------
+// Scalar chain driver
+// ---------------------------------------------------------------------------
+
+/// One chain's scalar encode kernel: decides and prices the chain's
+/// bursts from the carried entry — the data byte the wires last carried
+/// and whether that beat went out inverted — filling one mask and one
+/// cost row per burst and leaving `entry` at the chain's last driven
+/// beat. Implementations are always inlined, so [`encode_chains`] can
+/// compile them into its hardware-popcount build.
+pub(crate) trait ChainKernel {
+    fn encode_chain(
+        &self,
+        burst_len: usize,
+        bytes: &[u8],
+        masks: &mut [InversionMask],
+        costs: &mut [CostBreakdown],
+        entry: &mut (u8, bool),
+    );
+}
+
+/// Runs `kernel` over chain-major slab columns, one chain per state (chain
+/// `c` owns rows `c·per_chain .. (c+1)·per_chain`), each from and back to
+/// its own [`BusState`]. Picks the hardware-popcount build for the
+/// pricing pass once per call.
+///
+/// `states` must be non-empty and divide the burst count.
+pub(crate) fn encode_chains<K: ChainKernel>(
+    kernel: &K,
+    burst_len: usize,
+    bytes: &[u8],
+    masks: &mut [InversionMask],
+    costs: &mut [CostBreakdown],
+    states: &mut [BusState],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("popcnt") {
+        // SAFETY: guarded by the runtime `popcnt` detection above.
+        #[allow(unsafe_code)]
+        unsafe {
+            return encode_chains_popcnt(kernel, burst_len, bytes, masks, costs, states);
+        }
+    }
+    encode_chains_body(kernel, burst_len, bytes, masks, costs, states);
+}
+
+/// [`encode_chains_body`] compiled with hardware popcount.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "popcnt")]
+fn encode_chains_popcnt<K: ChainKernel>(
+    kernel: &K,
+    burst_len: usize,
+    bytes: &[u8],
+    masks: &mut [InversionMask],
+    costs: &mut [CostBreakdown],
+    states: &mut [BusState],
+) {
+    encode_chains_body(kernel, burst_len, bytes, masks, costs, states);
+}
+
+#[inline(always)]
+fn encode_chains_body<K: ChainKernel>(
+    kernel: &K,
+    burst_len: usize,
+    bytes: &[u8],
+    masks: &mut [InversionMask],
+    costs: &mut [CostBreakdown],
+    states: &mut [BusState],
+) {
+    let per_chain = masks.len() / states.len();
+    for (((chain, masks), costs), state) in bytes
+        .chunks_exact(per_chain * burst_len)
+        .zip(masks.chunks_exact_mut(per_chain))
+        .zip(costs.chunks_exact_mut(per_chain))
+        .zip(states.iter_mut())
+    {
+        let mut entry = entry_of(state);
+        kernel.encode_chain(burst_len, chain, masks, costs, &mut entry);
+        *state = BusState::new(LaneWord::encode_byte(entry.0, entry.1));
+    }
+}
+
+// ---------------------------------------------------------------------------
 // SWAR slab decode
 // ---------------------------------------------------------------------------
 
@@ -215,13 +282,12 @@ pub(crate) const SPREAD_FLIP: [u64; 256] = {
 };
 
 /// Decodes one chain's run of bursts with 64-bit SWAR sweeps: eight wire
-/// bytes load as one `u64`, the inversions undo as one XOR against a
-/// [`SPREAD_FLIP`] constant, and the receiver-side re-pricing becomes
-/// three whole-word popcounts per eight beats — zeros from the word
-/// itself, DQ toggles from `w ^ (w << 8 | prev)`, and the DBI lane's
-/// toggles/zeros straight from the mask word. Bit-identical to the
-/// per-beat [`LaneWord`] walk (differential-tested), including the
-/// carried receiver state.
+/// bytes load as one `u64` and the inversions undo as one XOR against a
+/// [`SPREAD_FLIP`] constant; the receiver-side re-pricing is then the
+/// shared word-wide pass (`encoding::price_burst_body`) over the
+/// recovered payload and the mask. Bit-identical to the per-beat
+/// [`LaneWord`] walk (differential-tested), including the carried
+/// receiver state.
 ///
 /// `masks` must already be validated for the burst length (the slab's
 /// mask loaders guarantee this); `costs` holds one row per burst.
@@ -247,8 +313,7 @@ pub(crate) fn decode_chain_swar(
 
 /// [`decode_chain_swar_body`] compiled with hardware popcount: without
 /// `popcnt` in the codegen baseline, `count_ones` lowers to a multi-op
-/// SWAR sequence per word — the single instruction triples the decode
-/// re-pricing throughput.
+/// SWAR sequence per word.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "popcnt")]
 fn decode_chain_swar_popcnt(
@@ -269,58 +334,53 @@ fn decode_chain_swar_body(
     costs: &mut [CostBreakdown],
     state: &mut BusState,
 ) {
-    let entry = state.last();
-    // The carried receiver state, split the same way the encode kernels
-    // split theirs: the wire levels of the DQ lanes and the DBI lane's
-    // inversion flag. `from_wire` at the end restores a LaneWord.
-    let mut prev_dq = entry.dq_levels();
-    let mut prev_inv = entry.dbi().is_inverted();
-    let len_mask = if burst_len == 32 {
-        u32::MAX
-    } else {
-        (1u32 << burst_len) - 1
-    };
+    // The carried receiver state, split the way the encode kernels split
+    // theirs: the last recovered data byte and the DBI lane's inversion
+    // flag.
+    let mut carried = entry_of(state);
+    // A literal burst length on the standard geometries lets the
+    // always-inlined copies unroll their word loops.
+    match burst_len {
+        8 => decode_runs(8, bytes, masks, costs, &mut carried),
+        16 => decode_runs(16, bytes, masks, costs, &mut carried),
+        _ => decode_runs(burst_len, bytes, masks, costs, &mut carried),
+    }
+    *state = BusState::new(LaneWord::encode_byte(carried.0, carried.1));
+}
 
-    for (index, chunk) in bytes.chunks_exact_mut(burst_len).enumerate() {
-        let mask = masks[index];
-        let m = mask.bits();
-        // The DBI lane, whole-burst at once: its level is the complement
-        // of the mask bit, so toggles are adjacent mask-bit differences
-        // (seeded with the carried flag) and zeros are the set mask bits.
-        let shifted = (m << 1) | u32::from(prev_inv);
-        let mut trans = ((m ^ shifted) & len_mask).count_ones();
-        let mut zeros = m.count_ones();
-
-        let mut mrest = m;
+/// One chain's bursts: undo each burst's inversions word by word, then
+/// re-price the recovered payload from the carried entry.
+#[inline(always)]
+fn decode_runs(
+    burst_len: usize,
+    bytes: &mut [u8],
+    masks: &[InversionMask],
+    costs: &mut [CostBreakdown],
+    carried: &mut (u8, bool),
+) {
+    for ((chunk, mask), cost) in bytes
+        .chunks_exact_mut(burst_len)
+        .zip(masks)
+        .zip(costs.iter_mut())
+    {
+        let mut rest = mask.bits();
         let mut words = chunk.chunks_exact_mut(8);
         for word in &mut words {
-            let w = u64::from_le_bytes((&*word).try_into().expect("chunk is 8 bytes"));
-            zeros += 64 - w.count_ones();
-            trans += (w ^ ((w << 8) | u64::from(prev_dq))).count_ones();
-            prev_dq = (w >> 56) as u8;
-            let flip = SPREAD_FLIP[(mrest & 0xFF) as usize];
-            word.copy_from_slice(&(w ^ flip).to_le_bytes());
-            mrest >>= 8;
+            let wire = u64::from_le_bytes((&*word).try_into().expect("8-byte word"));
+            word.copy_from_slice(&(wire ^ SPREAD_FLIP[(rest & 0xFF) as usize]).to_le_bytes());
+            rest >>= 8;
         }
         let tail = words.into_remainder();
         if !tail.is_empty() {
-            let t = tail.len();
-            let mut buf = [0u8; 8];
-            buf[..t].copy_from_slice(tail);
-            let w = u64::from_le_bytes(buf);
-            let bits_mask = (1u64 << (8 * t)) - 1;
-            zeros += 8 * t as u32 - w.count_ones();
-            trans += ((w ^ ((w << 8) | u64::from(prev_dq))) & bits_mask).count_ones();
-            prev_dq = (w >> (8 * (t - 1))) as u8;
-            let flip = SPREAD_FLIP[(mrest & 0xFF) as usize] & bits_mask;
-            let out = (w ^ flip).to_le_bytes();
-            tail.copy_from_slice(&out[..t]);
+            let mut lanes = [0u8; 8];
+            lanes[..tail.len()].copy_from_slice(tail);
+            let payload = u64::from_le_bytes(lanes) ^ SPREAD_FLIP[(rest & 0xFF) as usize];
+            let len = tail.len();
+            tail.copy_from_slice(&payload.to_le_bytes()[..len]);
         }
-
-        prev_inv = mask.is_inverted(burst_len - 1);
-        costs[index] = CostBreakdown::new(u64::from(zeros), u64::from(trans));
+        *cost = price_burst_body(chunk, mask.bits(), *carried);
+        *carried = (chunk[burst_len - 1], mask.is_inverted(burst_len - 1));
     }
-    *state = BusState::new(LaneWord::from_wire(prev_dq, prev_inv));
 }
 
 // ---------------------------------------------------------------------------
@@ -328,178 +388,14 @@ fn decode_chain_swar_body(
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
-pub(crate) use x86::{encode_block4_sse2, encode_block8_avx2};
+pub(crate) use x86::encode_block8_avx2;
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! SSE2 (baseline, safe) and AVX2 (runtime-detected) encode kernels.
+    //! The AVX2 encode kernel (runtime-detected).
 
-    use super::{CostBreakdown, InversionMask, OptEncoder};
+    use super::{price_burst_body, CostBreakdown, InversionMask, OptEncoder};
     use core::arch::x86_64::*;
-
-    // SSE2 is unconditionally part of the x86-64 baseline, but rustc
-    // still requires the feature to be *listed* on any function calling
-    // its intrinsics safely — hence the annotations here and the
-    // (vacuously satisfied) `unsafe` at the dispatch call site.
-
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    fn set4(v: [u32; 4]) -> __m128i {
-        _mm_set_epi32(v[3] as i32, v[2] as i32, v[1] as i32, v[0] as i32)
-    }
-
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    fn get4(v: __m128i) -> [u32; 4] {
-        [
-            _mm_cvtsi128_si32(v) as u32,
-            _mm_cvtsi128_si32(_mm_shuffle_epi32::<1>(v)) as u32,
-            _mm_cvtsi128_si32(_mm_shuffle_epi32::<2>(v)) as u32,
-            _mm_cvtsi128_si32(_mm_shuffle_epi32::<3>(v)) as u32,
-        ]
-    }
-
-    /// `mask ? b : a`, per bit — SSE2 has no `blendv`, so the select is
-    /// the same AND/ANDNOT/OR triple the scalar kernel uses.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    fn blend4(a: __m128i, b: __m128i, mask: __m128i) -> __m128i {
-        _mm_or_si128(_mm_and_si128(mask, b), _mm_andnot_si128(mask, a))
-    }
-
-    /// Four-chain lockstep sweep on SSE2: path costs, survivor masks and
-    /// pricing accumulators each in one `__m128i`, predecessor selects as
-    /// signed dword compares (exact versus the scalar unsigned `<`
-    /// because path costs stay below `2^31`). Table loads stay scalar —
-    /// SSE2 has no gathers — but they index pure input data, so the four
-    /// lanes' loads pipeline ahead of the vector compare chain.
-    ///
-    /// `bytes`/`masks`/`costs` are the block-local columns of exactly
-    /// four chains (`4 · per_chain` bursts, chain-major). Bit-identical
-    /// to four scalar `slab_runs` chains (differential-tested).
-    ///
-    /// Safety: none in practice — SSE2 is guaranteed on every x86-64
-    /// CPU; the `#[target_feature]` annotation exists only to satisfy
-    /// the safe-intrinsics rules.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "sse2")]
-    pub(crate) fn encode_block4_sse2(
-        enc: &OptEncoder,
-        burst_len: usize,
-        per_chain: usize,
-        bytes: &[u8],
-        masks: &mut [InversionMask],
-        costs: &mut [CostBreakdown],
-        last_data: &mut [u8; 4],
-        prev_low: &mut [bool; 4],
-    ) {
-        let lut = enc.lut();
-        let nine = _mm_set1_epi32(9);
-        for j in 0..per_chain {
-            let base = |c: usize| (c * per_chain + j) * burst_len;
-
-            let mut entry_plain = [0u32; 4];
-            let mut entry_inv = [0u32; 4];
-            let mut prev = [0u8; 4];
-            let (mut zp_a, mut zi_a, mut tp_a, mut ti_a) =
-                ([0u32; 4], [0u32; 4], [0u32; 4], [0u32; 4]);
-            for c in 0..4 {
-                let first = bytes[base(c)];
-                let (plain, inv) = enc.entry_costs(first, last_data[c], prev_low[c]);
-                entry_plain[c] = plain;
-                entry_inv[c] = inv;
-                prev[c] = first;
-                let ones = first.count_ones();
-                let p = (last_data[c] ^ first).count_ones();
-                let anti = 9 - p;
-                let swap = (p ^ anti) & u32::from(prev_low[c]).wrapping_neg();
-                zp_a[c] = 8 - ones;
-                zi_a[c] = ones + 1;
-                tp_a[c] = p ^ swap;
-                ti_a[c] = anti ^ swap;
-            }
-            let mut cp = set4(entry_plain);
-            let mut ci = set4(entry_inv);
-            let mut mp = _mm_setzero_si128();
-            let mut mi = _mm_set1_epi32(1);
-            let mut zp = set4(zp_a);
-            let mut zi = set4(zi_a);
-            let mut tp = set4(tp_a);
-            let mut ti = set4(ti_a);
-
-            for i in 1..burst_len {
-                let mut same_a = [0u32; 4];
-                let mut zeros_plain_a = [0u32; 4];
-                let mut zeros_inv_a = [0u32; 4];
-                let mut same_r_a = [0u32; 4];
-                let mut ones_a = [0u32; 4];
-                for c in 0..4 {
-                    let byte = bytes[base(c) + i];
-                    let xor = prev[c] ^ byte;
-                    let [same_w, _] = lut.transitions(xor);
-                    same_a[c] = same_w;
-                    let [zeros_plain_w, zeros_inv_w] = lut.zeros(byte);
-                    zeros_plain_a[c] = zeros_plain_w;
-                    zeros_inv_a[c] = zeros_inv_w;
-                    same_r_a[c] = xor.count_ones();
-                    ones_a[c] = byte.count_ones();
-                    prev[c] = byte;
-                }
-                // cross = 9α − same, by the complement identity of the
-                // LUT — one vector subtract instead of a second gather.
-                let same_v = set4(same_a);
-                let cross_v =
-                    _mm_sub_epi32(_mm_set1_epi32(9 * enc.weights().alpha() as i32), same_v);
-
-                let via_plain = _mm_add_epi32(cp, same_v);
-                let via_inv = _mm_add_epi32(ci, cross_v);
-                let selp = _mm_cmpgt_epi32(via_plain, via_inv);
-                let alt_plain = _mm_add_epi32(cp, cross_v);
-                let alt_inv = _mm_add_epi32(ci, same_v);
-                let seli = _mm_cmpgt_epi32(alt_plain, alt_inv);
-                cp = _mm_add_epi32(blend4(via_plain, via_inv, selp), set4(zeros_plain_a));
-                ci = _mm_add_epi32(blend4(alt_plain, alt_inv, seli), set4(zeros_inv_a));
-
-                let bit = _mm_set1_epi32(1 << i);
-                let next_mp = blend4(mp, mi, selp);
-                mi = _mm_or_si128(blend4(mp, mi, seli), bit);
-                mp = next_mp;
-
-                let same_r = set4(same_r_a);
-                let cross_r = _mm_sub_epi32(nine, same_r);
-                let ones = set4(ones_a);
-                let zap = _mm_sub_epi32(_mm_set1_epi32(8), ones);
-                let zai = _mm_add_epi32(ones, _mm_set1_epi32(1));
-                let next_zp = _mm_add_epi32(blend4(zp, zi, selp), zap);
-                let next_zi = _mm_add_epi32(blend4(zp, zi, seli), zai);
-                let next_tp = _mm_add_epi32(blend4(tp, ti, selp), blend4(same_r, cross_r, selp));
-                let next_ti = _mm_add_epi32(blend4(tp, ti, seli), blend4(cross_r, same_r, seli));
-                zp = next_zp;
-                zi = next_zi;
-                tp = next_tp;
-                ti = next_ti;
-            }
-
-            let cp_a = get4(cp);
-            let ci_a = get4(ci);
-            let mp_a = get4(mp);
-            let mi_a = get4(mi);
-            let (zp_f, zi_f, tp_f, ti_f) = (get4(zp), get4(zi), get4(tp), get4(ti));
-            for c in 0..4 {
-                let inv_wins = ci_a[c] < cp_a[c];
-                let mbits = if inv_wins { mi_a[c] } else { mp_a[c] };
-                masks[c * per_chain + j] = InversionMask::from_bits(mbits);
-                let (zeros, trans) = if inv_wins {
-                    (zi_f[c], ti_f[c])
-                } else {
-                    (zp_f[c], tp_f[c])
-                };
-                costs[c * per_chain + j] = CostBreakdown::new(u64::from(zeros), u64::from(trans));
-                last_data[c] = prev[c];
-                prev_low[c] = (mbits >> (burst_len - 1)) & 1 == 1;
-            }
-        }
-    }
 
     /// Eight-chain BL8 sweep on AVX2, the throughput showpiece: each
     /// round loads one burst from each of eight chains, byte-transposes
@@ -517,11 +413,17 @@ mod x86 {
     /// bytes ride in `prev_row` and the DBI level in a sign-broadcast
     /// lane mask, so even each burst's entry stage is vectorised.
     ///
-    /// BL8-only by construction (the transpose tree is 8×8); the
-    /// dispatcher routes other geometries to the SSE2 tier.
+    /// The sweep carries only path costs and survivor masks. After each
+    /// round's mask store, the eight rows are priced by the shared
+    /// word-wide pass, compiled here with hardware `popcnt`; it works off
+    /// the scalar `last_data`/`prev_low` entries, which it advances.
     ///
-    /// Safety: caller must have verified AVX2 via runtime detection.
-    #[target_feature(enable = "avx2")]
+    /// BL8-only by construction (the transpose tree is 8×8); the
+    /// dispatcher routes other geometries to the scalar sweep.
+    ///
+    /// Safety: caller must have verified AVX2 and `popcnt` via runtime
+    /// detection.
+    #[target_feature(enable = "avx2,popcnt")]
     pub(crate) fn encode_block8_avx2(
         enc: &OptEncoder,
         per_chain: usize,
@@ -566,8 +468,6 @@ mod x86 {
         let beta_v = _mm256_set1_epi32(beta);
         let nine_alpha = _mm256_set1_epi32(9 * alpha);
         let eight_beta = _mm256_set1_epi32(8 * beta);
-        let nine = _mm256_set1_epi32(9);
-        let eight = _mm256_set1_epi32(8);
         let one = _mm256_set1_epi32(1);
         let nib = _mm256_set1_epi8(0x0F);
         #[rustfmt::skip]
@@ -638,9 +538,10 @@ mod x86 {
             // (beats 0..3 and 4..7, one 8-byte beat row per 64-bit slot),
             // plus the row-shifted block S whose beat `i` holds beat
             // `i−1`'s bytes (the carried `prev_row` for beat 0). Four
-            // nibble-LUT passes then price the whole burst: P = per-beat
-            // byte popcounts, D = popcounts of the beat-to-beat toggles —
-            // work the per-beat loop below only widens, never redoes.
+            // nibble-LUT passes then give every edge weight's input at
+            // once: P = per-beat byte popcounts, D = popcounts of the
+            // beat-to-beat toggles — work the per-beat loop below only
+            // widens, never redoes.
             let rows_lo = _mm256_inserti128_si256::<1>(_mm256_castsi128_si256(f0), f1);
             let rows_hi = _mm256_inserti128_si256::<1>(_mm256_castsi128_si256(f2), f3);
             let t0 = _mm256_permute2x128_si256::<0x20>(prev_row, rows_lo);
@@ -680,11 +581,6 @@ mod x86 {
             let mut ci = _mm256_add_epi32(blend8!(cross0, same0, plv), zeros_inv);
             let mut mp = _mm256_setzero_si256();
             let mut mi = one;
-            let mut zp = _mm256_sub_epi32(eight, p);
-            let mut zi = _mm256_add_epi32(p, one);
-            let cross_r = _mm256_sub_epi32(nine, d);
-            let mut tp = blend8!(d, cross_r, plv);
-            let mut ti = blend8!(cross_r, d, plv);
 
             for i in 1..8 {
                 let d = _mm256_cvtepu8_epi32(dr[i]);
@@ -711,203 +607,22 @@ mod x86 {
                 let next_mp = blend8!(mp, mi, selp);
                 mi = _mm256_or_si256(blend8!(mp, mi, seli), bit);
                 mp = next_mp;
-
-                let cross_r = _mm256_sub_epi32(nine, d);
-                let zap = _mm256_sub_epi32(eight, p);
-                let zai = _mm256_add_epi32(p, one);
-                let next_zp = _mm256_add_epi32(blend8!(zp, zi, selp), zap);
-                let next_zi = _mm256_add_epi32(blend8!(zp, zi, seli), zai);
-                let next_tp = _mm256_add_epi32(blend8!(tp, ti, selp), blend8!(d, cross_r, selp));
-                let next_ti = _mm256_add_epi32(blend8!(tp, ti, seli), blend8!(cross_r, d, seli));
-                zp = next_zp;
-                zi = next_zi;
-                tp = next_tp;
-                ti = next_ti;
             }
 
             let win = _mm256_cmpgt_epi32(cp, ci);
             let mask_v = blend8!(mp, mi, win);
             let mbits = get8!(mask_v);
             for (l, &bits) in mbits.iter().enumerate() {
-                masks[l * per_chain + j] = InversionMask::from_bits(bits);
-            }
-            let zeros_w = get8!(blend8!(zp, zi, win));
-            let trans_w = get8!(blend8!(tp, ti, win));
-            for l in 0..8 {
-                costs[l * per_chain + j] =
-                    CostBreakdown::new(u64::from(zeros_w[l]), u64::from(trans_w[l]));
+                let row = l * per_chain + j;
+                let burst = &bytes[row * 8..row * 8 + 8];
+                masks[row] = InversionMask::from_bits(bits);
+                costs[row] = price_burst_body(burst, bits, (last_data[l], prev_low[l]));
+                last_data[l] = burst[7];
+                prev_low[l] = bits & 0x80 != 0;
             }
             // Next burst's DBI entry level: the sign-broadcast of each
             // winning mask's last decision bit (bit 7 for BL8).
             plv = _mm256_srai_epi32::<31>(_mm256_slli_epi32::<24>(mask_v));
-        }
-
-        // The final carried bytes sit in prev_row's lane-0 high half.
-        let mut tail = [0u8; 16];
-        // SAFETY: 16 writable bytes; storeu is unaligned-safe.
-        #[allow(unsafe_code)]
-        unsafe {
-            _mm_storeu_si128(tail.as_mut_ptr().cast(), _mm256_castsi256_si128(prev_row));
-        }
-        last_data.copy_from_slice(&tail[8..]);
-        let final_low = get8!(plv);
-        for l in 0..8 {
-            prev_low[l] = final_low[l] != 0;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// AArch64 NEON kernel
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "aarch64")]
-pub(crate) use arm::encode_block4_neon;
-
-#[cfg(target_arch = "aarch64")]
-mod arm {
-    //! NEON four-chain kernel: the SSE2 design on `uint32x4_t`, with the
-    //! bonus of genuinely unsigned vector compares (`vcltq_u32`).
-
-    use super::{CostBreakdown, InversionMask, OptEncoder};
-    use core::arch::aarch64::*;
-
-    #[inline(always)]
-    fn set4(v: [u32; 4]) -> uint32x4_t {
-        let mut out = vdupq_n_u32(v[0]);
-        out = vsetq_lane_u32::<1>(v[1], out);
-        out = vsetq_lane_u32::<2>(v[2], out);
-        vsetq_lane_u32::<3>(v[3], out)
-    }
-
-    #[inline(always)]
-    fn get4(v: uint32x4_t) -> [u32; 4] {
-        [
-            vgetq_lane_u32::<0>(v),
-            vgetq_lane_u32::<1>(v),
-            vgetq_lane_u32::<2>(v),
-            vgetq_lane_u32::<3>(v),
-        ]
-    }
-
-    /// See [`encode_block4_sse2`](super::encode_block4_sse2) — identical
-    /// structure, NEON spelling (`vbslq_u32` is the native bit-select).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn encode_block4_neon(
-        enc: &OptEncoder,
-        burst_len: usize,
-        per_chain: usize,
-        bytes: &[u8],
-        masks: &mut [InversionMask],
-        costs: &mut [CostBreakdown],
-        last_data: &mut [u8; 4],
-        prev_low: &mut [bool; 4],
-    ) {
-        let lut = enc.lut();
-        let nine = vdupq_n_u32(9);
-        let eight = vdupq_n_u32(8);
-        let one = vdupq_n_u32(1);
-        let cross_base = vdupq_n_u32(9 * enc.weights().alpha());
-        for j in 0..per_chain {
-            let base = |c: usize| (c * per_chain + j) * burst_len;
-
-            let mut entry_plain = [0u32; 4];
-            let mut entry_inv = [0u32; 4];
-            let mut prev = [0u8; 4];
-            let (mut zp_a, mut zi_a, mut tp_a, mut ti_a) =
-                ([0u32; 4], [0u32; 4], [0u32; 4], [0u32; 4]);
-            for c in 0..4 {
-                let first = bytes[base(c)];
-                let (plain, inv) = enc.entry_costs(first, last_data[c], prev_low[c]);
-                entry_plain[c] = plain;
-                entry_inv[c] = inv;
-                prev[c] = first;
-                let ones = first.count_ones();
-                let p = (last_data[c] ^ first).count_ones();
-                let anti = 9 - p;
-                let swap = (p ^ anti) & u32::from(prev_low[c]).wrapping_neg();
-                zp_a[c] = 8 - ones;
-                zi_a[c] = ones + 1;
-                tp_a[c] = p ^ swap;
-                ti_a[c] = anti ^ swap;
-            }
-            let mut cp = set4(entry_plain);
-            let mut ci = set4(entry_inv);
-            let mut mp = vdupq_n_u32(0);
-            let mut mi = one;
-            let mut zp = set4(zp_a);
-            let mut zi = set4(zi_a);
-            let mut tp = set4(tp_a);
-            let mut ti = set4(ti_a);
-
-            for i in 1..burst_len {
-                let mut same_a = [0u32; 4];
-                let mut zeros_plain_a = [0u32; 4];
-                let mut zeros_inv_a = [0u32; 4];
-                let mut same_r_a = [0u32; 4];
-                let mut ones_a = [0u32; 4];
-                for c in 0..4 {
-                    let byte = bytes[base(c) + i];
-                    let xor = prev[c] ^ byte;
-                    let [same_w, _] = lut.transitions(xor);
-                    same_a[c] = same_w;
-                    let [zeros_plain_w, zeros_inv_w] = lut.zeros(byte);
-                    zeros_plain_a[c] = zeros_plain_w;
-                    zeros_inv_a[c] = zeros_inv_w;
-                    same_r_a[c] = xor.count_ones();
-                    ones_a[c] = byte.count_ones();
-                    prev[c] = byte;
-                }
-                let same_v = set4(same_a);
-                let cross_v = vsubq_u32(cross_base, same_v);
-
-                let via_plain = vaddq_u32(cp, same_v);
-                let via_inv = vaddq_u32(ci, cross_v);
-                let selp = vcltq_u32(via_inv, via_plain);
-                let alt_plain = vaddq_u32(cp, cross_v);
-                let alt_inv = vaddq_u32(ci, same_v);
-                let seli = vcltq_u32(alt_inv, alt_plain);
-                cp = vaddq_u32(vbslq_u32(selp, via_inv, via_plain), set4(zeros_plain_a));
-                ci = vaddq_u32(vbslq_u32(seli, alt_inv, alt_plain), set4(zeros_inv_a));
-
-                let bit = vdupq_n_u32(1 << i);
-                let next_mp = vbslq_u32(selp, mi, mp);
-                mi = vorrq_u32(vbslq_u32(seli, mi, mp), bit);
-                mp = next_mp;
-
-                let same_r = set4(same_r_a);
-                let cross_r = vsubq_u32(nine, same_r);
-                let ones = set4(ones_a);
-                let zap = vsubq_u32(eight, ones);
-                let zai = vaddq_u32(ones, one);
-                let next_zp = vaddq_u32(vbslq_u32(selp, zi, zp), zap);
-                let next_zi = vaddq_u32(vbslq_u32(seli, zi, zp), zai);
-                let next_tp = vaddq_u32(vbslq_u32(selp, ti, tp), vbslq_u32(selp, cross_r, same_r));
-                let next_ti = vaddq_u32(vbslq_u32(seli, ti, tp), vbslq_u32(seli, same_r, cross_r));
-                zp = next_zp;
-                zi = next_zi;
-                tp = next_tp;
-                ti = next_ti;
-            }
-
-            let cp_a = get4(cp);
-            let ci_a = get4(ci);
-            let mp_a = get4(mp);
-            let mi_a = get4(mi);
-            let (zp_f, zi_f, tp_f, ti_f) = (get4(zp), get4(zi), get4(tp), get4(ti));
-            for c in 0..4 {
-                let inv_wins = ci_a[c] < cp_a[c];
-                let mbits = if inv_wins { mi_a[c] } else { mp_a[c] };
-                masks[c * per_chain + j] = InversionMask::from_bits(mbits);
-                let (zeros, trans) = if inv_wins {
-                    (zi_f[c], ti_f[c])
-                } else {
-                    (zp_f[c], tp_f[c])
-                };
-                costs[c * per_chain + j] = CostBreakdown::new(u64::from(zeros), u64::from(trans));
-                last_data[c] = prev[c];
-                prev_low[c] = (mbits >> (burst_len - 1)) & 1 == 1;
-            }
         }
     }
 }
@@ -931,8 +646,108 @@ mod tests {
         assert_eq!(kernels[0], KernelKind::Scalar);
         assert!(kernels.contains(&selected_kernel()) || forced_scalar());
         assert!(!cpu_features().is_empty());
+        assert!(kernels.len() <= 2);
+    }
+
+    #[test]
+    fn lane_width_is_eight_only_for_the_avx2_bl8_block() {
+        assert_eq!(KernelKind::Avx2.lane_width(8), 8);
+        for burst_len in [1, 4, 9, 16, 32] {
+            assert_eq!(KernelKind::Avx2.lane_width(burst_len), 1);
+        }
+        for burst_len in [1, 8, 16] {
+            assert_eq!(KernelKind::Scalar.lane_width(burst_len), 1);
+        }
+    }
+
+    /// Both builds of the word-wide pricing pass and of the SWAR decode,
+    /// called directly, against the per-beat lane-word walk: every length
+    /// 1..=40 (past the 32-bit mask, where beats go out plain), random
+    /// masks, both entry DBI levels. Machines with `popcnt` dispatch to
+    /// the hardware build, so the baseline builds only run here.
+    #[test]
+    fn both_popcount_builds_match_the_lane_word_walk() {
+        type Price = fn(&[u8], u32, (u8, bool)) -> CostBreakdown;
+        type Decode = fn(usize, &mut [u8], &[InversionMask], &mut [CostBreakdown], &mut BusState);
+        #[allow(unused_mut)]
+        let mut builds: Vec<(&str, Price, Decode)> = vec![(
+            "baseline",
+            |bytes, bits, entry| price_burst_body(bytes, bits, entry),
+            |len, bytes, masks, costs, state| {
+                decode_chain_swar_body(len, bytes, masks, costs, state)
+            },
+        )];
         #[cfg(target_arch = "x86_64")]
-        assert_eq!(kernels[1], KernelKind::Sse2);
+        if std::arch::is_x86_feature_detected!("popcnt") {
+            // SAFETY: guarded by the runtime `popcnt` detection above.
+            #[allow(unsafe_code)]
+            builds.push((
+                "popcnt",
+                |bytes, bits, entry| unsafe {
+                    crate::encoding::price_burst_popcnt(bytes, bits, entry)
+                },
+                |len, bytes, masks, costs, state| unsafe {
+                    decode_chain_swar_popcnt(len, bytes, masks, costs, state)
+                },
+            ));
+        }
+
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        const CHAIN: usize = 3;
+        for len in 1..=40usize {
+            for _ in 0..32 {
+                let payload: Vec<u8> = (0..CHAIN * len).map(|_| next() as u8).collect();
+                let bits: Vec<u32> = (0..CHAIN).map(|_| next() as u32).collect();
+                let data = next() as u8;
+                for low in [false, true] {
+                    let entry = BusState::new(LaneWord::encode_byte(data, low));
+                    // The oracle: one lane word per beat, carried across
+                    // the chain's bursts.
+                    let mut state = entry;
+                    let mut oracle = Vec::new();
+                    for (burst, &m) in payload.chunks(len).zip(&bits) {
+                        let symbols: Vec<LaneWord> = burst
+                            .iter()
+                            .enumerate()
+                            .map(|(i, &b)| {
+                                LaneWord::encode_byte(b, InversionMask::from_bits(m).is_inverted(i))
+                            })
+                            .collect();
+                        oracle.push(CostBreakdown::of_symbols(&symbols, &state));
+                        state = BusState::new(*symbols.last().expect("non-empty burst"));
+                    }
+                    for &(name, price, decode) in &builds {
+                        let first = price(&payload[..len], bits[0], (data, low));
+                        assert_eq!(first, oracle[0], "{name} price, len {len}, low {low}");
+                        if len > 32 {
+                            continue;
+                        }
+                        // The decode path needs masks valid for the burst.
+                        let live = u32::MAX >> (32 - len);
+                        let masks: Vec<InversionMask> = bits
+                            .iter()
+                            .map(|&m| InversionMask::from_bits(m & live))
+                            .collect();
+                        let mut wire = payload.clone();
+                        for (burst, mask) in wire.chunks_mut(len).zip(&masks) {
+                            mask.apply_in_place(burst);
+                        }
+                        let mut costs = vec![CostBreakdown::ZERO; CHAIN];
+                        let mut rx = entry;
+                        decode(len, &mut wire, &masks, &mut costs, &mut rx);
+                        assert_eq!(wire, payload, "{name} decode payload, len {len}");
+                        assert_eq!(costs, oracle, "{name} decode costs, len {len}, low {low}");
+                        assert_eq!(rx, state, "{name} decode state, len {len}, low {low}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -940,7 +755,7 @@ mod tests {
         for kernel in available_kernels() {
             assert_eq!(format!("{kernel}"), kernel.name());
         }
+        assert_eq!(KernelKind::Scalar.name(), "scalar");
         assert_eq!(KernelKind::Avx2.name(), "avx2");
-        assert_eq!(KernelKind::Neon.name(), "neon");
     }
 }

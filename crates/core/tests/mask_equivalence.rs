@@ -14,7 +14,7 @@ use dbi_core::schemes::{
     AcDcEncoder, AcEncoder, DbiEncoder, DcEncoder, ExhaustiveEncoder, GreedyEncoder, OptEncoder,
     RawEncoder,
 };
-use dbi_core::{Burst, BusState, CostWeights, EncodedBurst, LaneWord};
+use dbi_core::{Burst, BusState, CostBreakdown, CostWeights, EncodedBurst, LaneWord};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -54,9 +54,10 @@ impl Cases {
     }
 }
 
-/// For every scheme: `encode_mask` == `encode().mask()` and
-/// `assign_from_mask` == `encode`, across burst lengths 1..=16 and random
-/// bus states.
+/// For every scheme: `encode_mask` == `encode().mask()`,
+/// `assign_from_mask` == `encode`, and both pricing paths equal the
+/// per-beat lane-word walk, across burst lengths 1..=16 and random bus
+/// states.
 #[test]
 fn encode_mask_matches_encode_for_every_scheme_and_length() {
     let mut cases = Cases::new(0xD1FF_0001);
@@ -88,6 +89,19 @@ fn encode_mask_matches_encode_for_every_scheme_and_length() {
                     "{name}: encode vs assign_from_mask, len {len}"
                 );
                 assert_eq!(full.decode(), burst, "{name}: losslessness, len {len}");
+                // The serial reference prices word-wide; the per-beat
+                // lane-word walk is its oracle.
+                let walked = CostBreakdown::of_symbols(full.symbols(), &state);
+                assert_eq!(
+                    mask.breakdown(&burst, &state),
+                    walked,
+                    "{name}: mask pricing, len {len}, state {state}"
+                );
+                assert_eq!(
+                    full.breakdown(&state),
+                    walked,
+                    "{name}: encoded pricing, len {len}"
+                );
             }
         }
     }
