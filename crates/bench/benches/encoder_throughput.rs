@@ -28,8 +28,9 @@
 //!   plus `pack_8_chains`, the chain-major pack
 //!   ([`BusSession::append_chains_to_slab`]) that feeds it, and the
 //!   priced four-chain BL16 rows of OPT (Fixed), OPT(2,7) (the
-//!   `pod12@3.2` weights), DBI DC and DBI AC (the x32 geometry of a
-//!   mixed-scheme service session), also recorded in the JSON.
+//!   `pod12@3.2` weights), DBI DC, DBI AC (the x32 geometry of a
+//!   mixed-scheme service session) and DBI ACDC, also recorded in the
+//!   JSON.
 //!
 //! After the criterion groups it re-times the key comparison directly and
 //! writes `BENCH_encode.json` at the repository root, so the perf
@@ -428,17 +429,19 @@ fn encoder_throughput(c: &mut Criterion) {
 }
 
 /// The priced four-chain BL16 rows: OPT (Fixed), OPT at (α, β) = (2, 7)
-/// (the weights of the `pod12@3.2` operating point), DBI DC and DBI AC —
-/// the schemes and geometry of a mixed-scheme x32 service session. The
-/// criterion row names; `BENCH_encode.json` keys each row as
+/// (the weights of the `pod12@3.2` operating point), DBI DC, DBI AC and
+/// DBI ACDC — the schemes and geometry of a mixed-scheme x32 service
+/// session, plus the last word-wide decision. The criterion row names;
+/// `BENCH_encode.json` keys each row as
 /// `<scheme>_bl16x4_priced_ns_per_burst`.
-fn bl16_rows() -> [(&'static str, Scheme); 4] {
+fn bl16_rows() -> [(&'static str, Scheme); 5] {
     let pod12 = CostWeights::new(2, 7).expect("(2, 7) are valid weights");
     [
         ("opt_fixed_4_chains_bl16_priced", Scheme::OptFixed),
         ("opt_2_7_4_chains_bl16_priced", Scheme::Opt(pod12)),
         ("dc_4_chains_bl16_priced", Scheme::Dc),
         ("ac_4_chains_bl16_priced", Scheme::Ac),
+        ("acdc_4_chains_bl16_priced", Scheme::AcDc),
     ]
 }
 

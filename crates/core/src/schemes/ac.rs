@@ -2,7 +2,7 @@
 
 use crate::burst::{Burst, BusState};
 use crate::encoding::InversionMask;
-use crate::schemes::per_byte::{ac_rule, encode_lanes_per_byte};
+use crate::schemes::per_byte::{ac_bits, encode_lanes_by_burst};
 use crate::schemes::DbiEncoder;
 use crate::slab::BurstSlab;
 use crate::word::LaneWord;
@@ -70,9 +70,10 @@ impl DbiEncoder for AcEncoder {
         mask
     }
 
-    /// The shared per-byte kernel under the XOR-popcount form of the rule.
+    /// The shared slab loop under the word-wide XOR-popcount form of
+    /// the rule.
     fn encode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) {
-        encode_lanes_per_byte(slab, states, |_, byte, last, low| ac_rule(byte, last, low));
+        encode_lanes_by_burst(slab, states, ac_bits);
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::burst::{Burst, BusState};
 use crate::encoding::InversionMask;
-use crate::schemes::per_byte::{ac_rule, dc_rule, encode_lanes_per_byte};
+use crate::schemes::per_byte::{acdc_bits, encode_lanes_by_burst};
 use crate::schemes::{AcEncoder, DbiEncoder, DcEncoder};
 use crate::slab::BurstSlab;
 use crate::word::LaneWord;
@@ -55,16 +55,10 @@ impl DbiEncoder for AcDcEncoder {
         mask
     }
 
-    /// The shared per-byte kernel: the DC rule at beat 0, the AC rule
-    /// after it.
+    /// The shared slab loop under the word-wide rules: DC at beat 0,
+    /// AC after it.
     fn encode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) {
-        encode_lanes_per_byte(slab, states, |beat, byte, last, low| {
-            if beat == 0 {
-                dc_rule(byte)
-            } else {
-                ac_rule(byte, last, low)
-            }
-        });
+        encode_lanes_by_burst(slab, states, |burst, _| acdc_bits(burst));
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::burst::{Burst, BusState};
 use crate::encoding::InversionMask;
-use crate::schemes::per_byte::{dc_rule, encode_lanes_per_byte};
+use crate::schemes::per_byte::{dc_bits, encode_lanes_by_burst};
 use crate::schemes::DbiEncoder;
 use crate::slab::BurstSlab;
 use crate::word::byte_zeros;
@@ -65,9 +65,10 @@ impl DbiEncoder for DcEncoder {
         mask
     }
 
-    /// The shared per-byte kernel under the popcount form of the rule.
+    /// The shared slab loop under the word-wide popcount form of the
+    /// rule.
     fn encode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) {
-        encode_lanes_per_byte(slab, states, |_, byte, _, _| dc_rule(byte));
+        encode_lanes_by_burst(slab, states, |burst, _| dc_bits(burst));
     }
 }
 

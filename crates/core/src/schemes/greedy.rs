@@ -3,7 +3,7 @@
 use crate::burst::{Burst, BusState};
 use crate::cost::CostWeights;
 use crate::encoding::InversionMask;
-use crate::schemes::per_byte::{encode_lanes_per_byte, ones};
+use crate::schemes::per_byte::{decide_per_byte, encode_lanes_by_burst, ones};
 use crate::schemes::DbiEncoder;
 use crate::slab::BurstSlab;
 use crate::word::LaneWord;
@@ -84,15 +84,17 @@ impl DbiEncoder for GreedyEncoder {
         mask
     }
 
-    /// The shared per-byte kernel, weighing both candidates with the
-    /// popcount identities instead of lane words.
+    /// The shared slab loop, deciding beat by beat and weighing both
+    /// candidates with the popcount identities instead of lane words.
     fn encode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) {
         let (alpha, beta) = (self.weights.alpha(), self.weights.beta());
-        encode_lanes_per_byte(slab, states, |_, byte, last, low| {
-            let p = ones(byte);
-            let d = ones(last ^ byte);
-            let (plain_trans, inverted_trans) = if low { (9 - d, d) } else { (d, 9 - d) };
-            alpha * inverted_trans + beta * (p + 1) < alpha * plain_trans + beta * (8 - p)
+        encode_lanes_by_burst(slab, states, |burst, entry| {
+            decide_per_byte(burst, entry, |_, byte, last, low| {
+                let p = ones(byte);
+                let d = ones(last ^ byte);
+                let (plain_trans, inverted_trans) = if low { (9 - d, d) } else { (d, 9 - d) };
+                alpha * inverted_trans + beta * (p + 1) < alpha * plain_trans + beta * (8 - p)
+            })
         });
     }
 }

@@ -1,4 +1,12 @@
 //! DBI OPT: the optimal shortest-path encoder (the paper's contribution).
+//!
+//! One decision recurrence, three ways to run it over a slab: the scalar
+//! sweep (one chain at a time; also the per-burst
+//! [`DbiEncoder::encode_mask`]), and on AVX2 an eight-chain BL8 block and
+//! a four-chain block at BL16 and BL8 (`crate::simd`).
+//! [`OptEncoder::encode_lanes_into_with`] routes each group of chains to
+//! the widest block that takes it and the rest to the scalar sweep; every
+//! route is differential-tested bit-identical to the scalar sweep.
 
 use crate::burst::{Burst, BusState};
 use crate::cost::{CostBreakdown, CostWeights};
@@ -255,12 +263,12 @@ impl OptEncoder {
     /// The slab is treated as `states.len()` independent chains laid out
     /// chain-major (chain `c`'s bursts occupy rows `c·per_chain ..
     /// (c+1)·per_chain`), each carrying its own [`BusState`] — the shape
-    /// of a multi-lane-group channel. On [`KernelKind::Avx2`] at BL8,
-    /// chains are swept eight at a time in lockstep; every other chain
-    /// and geometry, and every chain under [`KernelKind::Scalar`], runs
-    /// the scalar sweep. The AVX2 tier requested where it is not
-    /// compiled, or on a CPU without AVX2 and `popcnt`, falls back to the
-    /// scalar sweep.
+    /// of a multi-lane-group channel. On [`KernelKind::Avx2`], chains are
+    /// swept in lockstep: eight at a time at BL8, then four at a time at
+    /// BL8 and BL16. The chains left over, every other geometry, and
+    /// every chain under [`KernelKind::Scalar`] run the scalar sweep. The
+    /// AVX2 tier requested where it is not compiled, or on a CPU without
+    /// AVX2 and `popcnt`, falls back to the scalar sweep.
     ///
     /// # Panics
     ///
@@ -291,37 +299,53 @@ impl OptEncoder {
 
         let mut c = 0usize;
         // The tier is checked against the CPU, not just requested: this
-        // is a safe function and the block runs AVX2 instructions.
+        // is a safe function and the blocks run AVX2 instructions.
         #[cfg(target_arch = "x86_64")]
         if kernel == KernelKind::Avx2
-            && burst_len == 8
             && crate::simd::available_kernels().contains(&KernelKind::Avx2)
         {
-            while c + 8 <= chains {
-                let mut chain_data = [0u8; 8];
-                let mut chain_low = [false; 8];
-                for (k, state) in states[c..c + 8].iter().enumerate() {
-                    (chain_data[k], chain_low[k]) = entry_of(state);
+            use crate::simd::{encode_block4_avx2, encode_block8_avx2};
+            // Sweeps chains `c..` in lockstep blocks of `W` while a whole
+            // block remains, each from and back to its carried states.
+            macro_rules! sweep {
+                ($w:literal, $kernel:expr) => {
+                    while c + $w <= chains {
+                        let mut data = [0u8; $w];
+                        let mut low = [false; $w];
+                        for (k, state) in states[c..c + $w].iter().enumerate() {
+                            (data[k], low[k]) = entry_of(state);
+                        }
+                        let rows = c * per_chain..(c + $w) * per_chain;
+                        // SAFETY: `Avx2` is listed as available only after
+                        // runtime AVX2 and `popcnt` detection succeeded.
+                        #[allow(unsafe_code)]
+                        unsafe {
+                            $kernel(
+                                self,
+                                per_chain,
+                                &bytes[rows.start * burst_len..rows.end * burst_len],
+                                &mut masks[rows.clone()],
+                                &mut costs[rows],
+                                &mut data,
+                                &mut low,
+                            );
+                        }
+                        for (k, state) in states[c..c + $w].iter_mut().enumerate() {
+                            *state = BusState::new(LaneWord::encode_byte(data[k], low[k]));
+                        }
+                        c += $w;
+                    }
+                };
+            }
+            // The four-chain block takes the chains the eight-chain one
+            // leaves at BL8: it beats the scalar sweep there too.
+            match burst_len {
+                8 => {
+                    sweep!(8, encode_block8_avx2);
+                    sweep!(4, encode_block4_avx2::<8>);
                 }
-                let rows = c * per_chain..(c + 8) * per_chain;
-                // SAFETY: `Avx2` is listed as available only after
-                // runtime AVX2 and `popcnt` detection succeeded.
-                #[allow(unsafe_code)]
-                unsafe {
-                    crate::simd::encode_block8_avx2(
-                        self,
-                        per_chain,
-                        &bytes[rows.start * burst_len..rows.end * burst_len],
-                        &mut masks[rows.clone()],
-                        &mut costs[rows],
-                        &mut chain_data,
-                        &mut chain_low,
-                    );
-                }
-                for (k, state) in states[c..c + 8].iter_mut().enumerate() {
-                    *state = BusState::new(LaneWord::encode_byte(chain_data[k], chain_low[k]));
-                }
-                c += 8;
+                16 => sweep!(4, encode_block4_avx2::<16>),
+                _ => {}
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -409,9 +433,10 @@ impl DbiEncoder for OptEncoder {
     }
 
     /// The multi-chain slab encode rides the runtime-selected kernel
-    /// tier ([`crate::simd::selected_kernel`]): the AVX2 lockstep sweep
-    /// across eight BL8 chains, scalar otherwise or when pinned via
-    /// `DBI_FORCE_SCALAR`. See [`OptEncoder::encode_lanes_into_with`].
+    /// tier ([`crate::simd::selected_kernel`]): the AVX2 lockstep blocks
+    /// across eight BL8 or four BL8/BL16 chains, scalar otherwise or when
+    /// pinned via `DBI_FORCE_SCALAR`. See
+    /// [`OptEncoder::encode_lanes_into_with`].
     fn encode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) {
         self.encode_lanes_into_with(crate::simd::selected_kernel(), slab, states);
     }

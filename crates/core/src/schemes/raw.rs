@@ -2,7 +2,7 @@
 
 use crate::burst::{Burst, BusState};
 use crate::encoding::InversionMask;
-use crate::schemes::per_byte::encode_lanes_per_byte;
+use crate::schemes::per_byte::encode_lanes_by_burst;
 use crate::schemes::DbiEncoder;
 use crate::slab::BurstSlab;
 
@@ -42,10 +42,10 @@ impl DbiEncoder for RawEncoder {
         InversionMask::NONE
     }
 
-    /// The shared per-byte kernel with a rule that never inverts; only
+    /// The shared slab loop with a decision that never inverts; only
     /// the pricing does work.
     fn encode_lanes_into(&self, slab: &mut BurstSlab, states: &mut [BusState]) {
-        encode_lanes_per_byte(slab, states, |_, _, _, _| false);
+        encode_lanes_by_burst(slab, states, |_, _| 0);
     }
 }
 

@@ -7,14 +7,25 @@
 //! **independent** lane groups — each group carries its own DBI lane and
 //! its own Viterbi chain — so a slab that holds the bursts of multiple
 //! groups can run those chains as parallel lanes of *one* recurrence.
-//! That is what the AVX2 kernel here does. There are two tiers:
+//! That is what the AVX2 kernels here do. There are two tiers:
 //!
 //! 1. **Scalar** ([`KernelKind::Scalar`]) — the per-chain sweep, always
 //!    available, and the differential oracle the AVX2 tier is tested
 //!    against (bit-identical masks, cost rows and carried state).
-//! 2. **AVX2** ([`KernelKind::Avx2`]) — an eight-chain BL8 kernel that
-//!    byte-transposes each burst in registers and runs the trellis in
-//!    `__m256i` dwords. Every other geometry runs the scalar sweep.
+//! 2. **AVX2** ([`KernelKind::Avx2`]) — two lockstep blocks that run the
+//!    trellis in `__m256i` dwords:
+//!    - an eight-chain BL8 block that byte-transposes each 8×8 burst
+//!      block in registers, one chain per dword;
+//!    - a four-chain block at BL16 and BL8, one `[cost_plain, cost_inv]`
+//!      dword pair per chain, where a stage is one swap, two adds and a
+//!      min. At BL8 it takes the chains the eight-chain block leaves.
+//!
+//!    Chains left over after the blocks, and every other burst length,
+//!    run the scalar sweep. Each block stays only where it beats that
+//!    sweep by more than 10%.
+//!
+//! The non-optimal schemes have no kernel tiers: DC, AC and ACDC decide
+//! eight beats per `u64` in portable code (`schemes::per_byte`).
 //!
 //! Every kernel decides first and prices after: the sweeps carry only
 //! path costs and survivor masks, and each burst's zeros and transitions
@@ -55,20 +66,22 @@ pub enum KernelKind {
     /// The per-chain scalar sweep — always available, and the oracle.
     Scalar,
     /// x86-64 AVX2 with `popcnt`: eight BL8 chains per `__m256i` with
-    /// in-register transposes and nibble-LUT popcounts; other geometries
-    /// run the scalar sweep.
+    /// in-register transposes, or four BL16 or BL8 chains as dword pairs;
+    /// nibble-LUT popcounts feed both. Other geometries and leftover
+    /// chains run the scalar sweep.
     Avx2,
 }
 
 impl KernelKind {
     /// How many chains this tier sweeps per lockstep block for the given
     /// burst length — the lane-occupancy target a packed dispatch should
-    /// fill: eight for the AVX2 BL8 block, one (a chain at a time)
-    /// everywhere else.
+    /// fill: eight for the AVX2 BL8 block, four for the AVX2 BL16 block,
+    /// one (a chain at a time) everywhere else.
     #[must_use]
     pub const fn lane_width(self, burst_len: usize) -> usize {
         match self {
             KernelKind::Avx2 if burst_len == 8 => 8,
+            KernelKind::Avx2 if burst_len == 16 => 4,
             _ => 1,
         }
     }
@@ -388,14 +401,252 @@ fn decode_runs(
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
-pub(crate) use x86::encode_block8_avx2;
+pub(crate) use x86::{encode_block4_avx2, encode_block8_avx2};
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! The AVX2 encode kernel (runtime-detected).
+    //! The AVX2 encode kernels (runtime-detected).
 
     use super::{price_burst_body, CostBreakdown, InversionMask, OptEncoder};
     use core::arch::x86_64::*;
+
+    /// Per-byte popcount of all 32 bytes of a vector: two nibble-LUT
+    /// lookups.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn popcount_bytes(v: __m256i) -> __m256i {
+        let nib = _mm256_set1_epi8(0x0F);
+        #[rustfmt::skip]
+        let lut = _mm256_setr_epi8(
+            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+        );
+        let lo = _mm256_and_si256(v, nib);
+        let hi = _mm256_and_si256(_mm256_srli_epi16::<4>(v), nib);
+        _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi))
+    }
+
+    /// Four-chain sweep on AVX2 at a literal burst length `L` (8 or 16;
+    /// the dispatcher instantiates each).
+    ///
+    /// One `__m256i` holds `[cost_plain, cost_inv]` for each of four
+    /// chains (chains 0 and 1 in the low 128-bit lane, 2 and 3 in the
+    /// high one). With `d` the toggle count from the previous beat and
+    /// `p` the byte's popcount, a stage is
+    /// `v' = min(v + f, swap(v) + e + f)` with `e = α·(9 − 2d)` in both
+    /// states and `f = [α·d + β·(8 − p), α·d + β·(p + 1)]`: the plain
+    /// state weighs `cost_plain + same` against `cost_inv + cross` and
+    /// the inverted one `cost_inv + same` against `cost_plain + cross`,
+    /// each plus its zeros. The swap is one `vpshufd`, so the carried
+    /// dependency is a shuffle, an add and a `vpminsd` per beat, and the
+    /// survivor masks follow the same swap through one blend. The scalar
+    /// sweep's tie-break towards the non-inverted predecessor is a `+1`
+    /// bias on the inverted states' compare.
+    ///
+    /// The entry stage is the same recurrence, started from `[0, 2³⁰]`
+    /// (previous beat plain) or `[2³⁰, 0]` (inverted): the unreachable
+    /// state loses every min, which reproduces
+    /// `OptEncoder::entry_costs`' swap. Each burst's start vector comes
+    /// from the previous winner's last mask bit without leaving the
+    /// registers.
+    ///
+    /// Edge weights: each chain's burst and the burst XORed with itself
+    /// shifted one beat (`alignr` splices in the previous burst's last
+    /// byte) are popcounted with nibble `pshufb`s, two chains per
+    /// vector. A byte unpack interleaves the chain pairs (the 4×16
+    /// transpose), one `pshufb` widens two beats' counts to dwords, and
+    /// the weights of those two beats are built together before an
+    /// unpack hands each stage its own.
+    ///
+    /// After each mask store, the four rows are priced by the shared
+    /// word-wide pass, which advances the scalar `last_data`/`prev_low`
+    /// entries.
+    ///
+    /// Safety: caller must have verified AVX2 and `popcnt` via runtime
+    /// detection.
+    #[target_feature(enable = "avx2,popcnt")]
+    pub(crate) fn encode_block4_avx2<const L: usize>(
+        enc: &OptEncoder,
+        per_chain: usize,
+        bytes: &[u8],
+        masks: &mut [InversionMask],
+        costs: &mut [CostBreakdown],
+        last_data: &mut [u8; 4],
+        prev_low: &mut [bool; 4],
+    ) {
+        const UNREACHABLE: i32 = 1 << 30;
+        assert!(L == 8 || L == 16, "the four-chain block runs BL8 or BL16");
+        let alpha = _mm256_set1_epi32(enc.weights().alpha() as i32);
+        let beta = _mm256_set1_epi32(enc.weights().beta() as i32);
+        let nine_alpha = _mm256_mullo_epi32(alpha, _mm256_set1_epi32(9));
+        let eight_beta = _mm256_slli_epi32::<3>(beta);
+        let inv_states = _mm256_setr_epi32(0, -1, 0, -1, 0, -1, 0, -1);
+        let bias = _mm256_srli_epi32::<31>(inv_states);
+        #[rustfmt::skip]
+        let from_plain = _mm256_setr_epi32(
+            0, UNREACHABLE, 0, UNREACHABLE, 0, UNREACHABLE, 0, UNREACHABLE,
+        );
+        let from_inv = _mm256_shuffle_epi32::<0xB1>(from_plain);
+        let last_bit = _mm256_set1_epi32(1 << (L - 1));
+        // The `pshufb` control that widens bytes 0..3 of each lane to
+        // dwords; adding `2k` moves it to bytes 2k..2k+3, and the 0x80
+        // zero-fill bytes stay at or above 0x80.
+        #[rustfmt::skip]
+        let widen_base = _mm256_setr_epi8(
+            0, -128, -128, -128, 1, -128, -128, -128, 2, -128, -128, -128, 3, -128, -128, -128,
+            0, -128, -128, -128, 1, -128, -128, -128, 2, -128, -128, -128, 3, -128, -128, -128,
+        );
+
+        // The carried previous bytes (chain k's last wire byte at byte 15
+        // of its lane), so the beat-shift alignr splices them in as beat
+        // 0's predecessor.
+        let high = |byte: u8| i64::from(byte) << 56;
+        let mut prev_a = _mm256_set_epi64x(high(last_data[2]), 0, high(last_data[0]), 0);
+        let mut prev_b = _mm256_set_epi64x(high(last_data[3]), 0, high(last_data[1]), 0);
+        let [l0, l1, l2, l3] = prev_low.map(|low| -i32::from(low));
+        let mut entry = _mm256_blendv_epi8(
+            from_plain,
+            from_inv,
+            _mm256_setr_epi32(l0, l0, l1, l1, l2, l2, l3, l3),
+        );
+
+        // One bounds proof up front; the per-burst loads below are raw
+        // unaligned reads inside this envelope.
+        assert!(
+            bytes.len() >= 4 * per_chain * L,
+            "four BL{L} chains of {per_chain} bursts need {} bytes, got {}",
+            4 * per_chain * L,
+            bytes.len()
+        );
+        let base = bytes.as_ptr();
+
+        for j in 0..per_chain {
+            macro_rules! burst {
+                ($k:expr) => {{
+                    // SAFETY: chain $k < 4 and burst j < per_chain, so the
+                    // L bytes at ($k·per_chain + j)·L sit inside the
+                    // envelope asserted above; both loads are
+                    // unaligned-safe and read exactly L bytes.
+                    #[allow(unsafe_code)]
+                    unsafe {
+                        let at = base.add((($k) * per_chain + j) * L);
+                        if L == 16 {
+                            _mm_loadu_si128(at.cast())
+                        } else {
+                            _mm_loadl_epi64(at.cast())
+                        }
+                    }
+                }};
+            }
+            // Chains 0 | 2 in `rows_a`, 1 | 3 in `rows_b`, one burst per
+            // 128-bit lane.
+            let rows_a = _mm256_inserti128_si256::<1>(_mm256_castsi128_si256(burst!(0)), burst!(2));
+            let rows_b = _mm256_inserti128_si256::<1>(_mm256_castsi128_si256(burst!(1)), burst!(3));
+            let shift_a = _mm256_alignr_epi8::<15>(rows_a, prev_a);
+            let shift_b = _mm256_alignr_epi8::<15>(rows_b, prev_b);
+            // Per beat, chain pairs interleaved byte by byte: beats 0..7
+            // in the `lo` unpacks, 8..15 in the `hi` ones.
+            let p_a = popcount_bytes(rows_a);
+            let p_b = popcount_bytes(rows_b);
+            let d_a = popcount_bytes(_mm256_xor_si256(rows_a, shift_a));
+            let d_b = popcount_bytes(_mm256_xor_si256(rows_b, shift_b));
+            let p_lo = _mm256_unpacklo_epi8(p_a, p_b);
+            let d_lo = _mm256_unpacklo_epi8(d_a, d_b);
+            let p_hi = _mm256_unpackhi_epi8(p_a, p_b);
+            let d_hi = _mm256_unpackhi_epi8(d_a, d_b);
+            // A BL8 burst fills bytes 0..7 of its lane; its last byte
+            // moves to byte 15 for the next alignr.
+            (prev_a, prev_b) = if L == 16 {
+                (rows_a, rows_b)
+            } else {
+                (
+                    _mm256_slli_si256::<8>(rows_a),
+                    _mm256_slli_si256::<8>(rows_b),
+                )
+            };
+
+            let mut v = entry;
+            let mut m = _mm256_setzero_si256();
+            // The weights of beats k and k + 1 of an unpacked half, built
+            // as dwords `[x_c(k), x_c'(k), x_c(k+1), x_c'(k+1)]` per lane
+            // and handed out per beat: `f` and `e + f`, each as
+            // `[plain, inverted]` per chain.
+            macro_rules! beat_pair {
+                ($p:expr, $d:expr, $k:literal) => {{
+                    let widen = _mm256_add_epi8(widen_base, _mm256_set1_epi8(2 * $k));
+                    let same = _mm256_mullo_epi32(_mm256_shuffle_epi8($d, widen), alpha);
+                    let ones = _mm256_mullo_epi32(_mm256_shuffle_epi8($p, widen), beta);
+                    let e = _mm256_sub_epi32(nine_alpha, _mm256_add_epi32(same, same));
+                    let f_plain = _mm256_sub_epi32(_mm256_add_epi32(same, eight_beta), ones);
+                    let f_inv = _mm256_add_epi32(_mm256_add_epi32(same, beta), ones);
+                    let ef_plain = _mm256_add_epi32(e, f_plain);
+                    let ef_inv = _mm256_add_epi32(e, f_inv);
+                    (
+                        [
+                            _mm256_unpacklo_epi32(f_plain, f_inv),
+                            _mm256_unpackhi_epi32(f_plain, f_inv),
+                        ],
+                        [
+                            _mm256_unpacklo_epi32(ef_plain, ef_inv),
+                            _mm256_unpackhi_epi32(ef_plain, ef_inv),
+                        ],
+                    )
+                }};
+            }
+            // One trellis stage: `i` is the beat, the weights its own.
+            macro_rules! stage {
+                ($i:expr, $f:expr, $ef:expr) => {{
+                    let stay = _mm256_add_epi32(v, $f);
+                    let cross = _mm256_add_epi32(_mm256_shuffle_epi32::<0xB1>(v), $ef);
+                    let sel = _mm256_cmpgt_epi32(_mm256_add_epi32(stay, bias), cross);
+                    v = _mm256_min_epi32(stay, cross);
+                    let swapped = _mm256_shuffle_epi32::<0xB1>(m);
+                    let bit = _mm256_and_si256(inv_states, _mm256_set1_epi32(1 << $i));
+                    m = _mm256_or_si256(_mm256_blendv_epi8(m, swapped, sel), bit);
+                }};
+            }
+            // The eight beats of one unpacked half, from beat `first`.
+            macro_rules! stages {
+                ($p:expr, $d:expr, $first:literal) => {
+                    stages!(@pairs $p, $d, $first, 0, 2, 4, 6)
+                };
+                (@pairs $p:expr, $d:expr, $first:literal, $($k:literal),+) => {$(
+                    let (f, ef) = beat_pair!($p, $d, $k);
+                    stage!($first + $k, f[0], ef[0]);
+                    stage!($first + $k + 1, f[1], ef[1]);
+                )+};
+            }
+            stages!(p_lo, d_lo, 0);
+            if L == 16 {
+                stages!(p_hi, d_hi, 8);
+            }
+
+            // The cheaper end state wins (ties towards plain): the plain
+            // state of each chain ends up holding its winning mask, and
+            // its last bit picks the next burst's start vector.
+            let win = _mm256_cmpgt_epi32(v, _mm256_shuffle_epi32::<0xB1>(v));
+            let chosen = _mm256_blendv_epi8(m, _mm256_shuffle_epi32::<0xB1>(m), win);
+            let low = _mm256_cmpeq_epi32(_mm256_and_si256(chosen, last_bit), last_bit);
+            entry = _mm256_blendv_epi8(from_plain, from_inv, _mm256_shuffle_epi32::<0xA0>(low));
+
+            let mut lanes = [0u32; 8];
+            // SAFETY: the destination is exactly 32 writable bytes;
+            // storeu has no alignment requirement.
+            #[allow(unsafe_code)]
+            unsafe {
+                _mm256_storeu_si256(lanes.as_mut_ptr().cast(), chosen);
+            }
+            for k in 0..4 {
+                let bits = lanes[2 * k];
+                let row = k * per_chain + j;
+                let burst = &bytes[row * L..row * L + L];
+                masks[row] = InversionMask::from_bits(bits);
+                costs[row] = price_burst_body(burst, bits, (last_data[k], prev_low[k]));
+                last_data[k] = burst[L - 1];
+                prev_low[k] = (bits >> (L - 1)) & 1 == 1;
+            }
+        }
+    }
 
     /// Eight-chain BL8 sweep on AVX2, the throughput showpiece: each
     /// round loads one burst from each of eight chains, byte-transposes
@@ -419,7 +670,8 @@ mod x86 {
     /// the scalar `last_data`/`prev_low` entries, which it advances.
     ///
     /// BL8-only by construction (the transpose tree is 8×8); the
-    /// dispatcher routes other geometries to the scalar sweep.
+    /// dispatcher hands leftover chains to the four-chain block and other
+    /// geometries to it or the scalar sweep.
     ///
     /// Safety: caller must have verified AVX2 and `popcnt` via runtime
     /// detection.
@@ -650,12 +902,13 @@ mod tests {
     }
 
     #[test]
-    fn lane_width_is_eight_only_for_the_avx2_bl8_block() {
+    fn lane_width_counts_the_chains_of_each_avx2_block() {
         assert_eq!(KernelKind::Avx2.lane_width(8), 8);
-        for burst_len in [1, 4, 9, 16, 32] {
+        assert_eq!(KernelKind::Avx2.lane_width(16), 4);
+        for burst_len in (1..=32).filter(|&len| len != 8 && len != 16) {
             assert_eq!(KernelKind::Avx2.lane_width(burst_len), 1);
         }
-        for burst_len in [1, 8, 16] {
+        for burst_len in 1..=32 {
             assert_eq!(KernelKind::Scalar.lane_width(burst_len), 1);
         }
     }

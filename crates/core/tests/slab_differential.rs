@@ -2,11 +2,12 @@
 //! [`DbiEncoder::encode_lanes_into`] — including the optimal encoders'
 //! carried-state LUT and SIMD kernels — is bit-identical to the serial
 //! per-burst `encode_mask` chain of each lane group: same masks, same
-//! per-burst cost rows, same carried final states. Swept at one chain (the
-//! single-stream case), at the four- and eight-chain geometries of the
-//! SIMD blocks and at chain counts that leave remainders after them,
-//! through [`Scheme`] dispatch, an [`EncodePlan`] and the concrete
-//! encoder.
+//! per-burst cost rows, same carried final states. Swept over every burst
+//! length a mask covers (1..=32), at one chain (the single-stream case),
+//! at the four- and eight-chain geometries of the SIMD blocks and at chain
+//! counts that leave remainders after them, through [`Scheme`] dispatch,
+//! an [`EncodePlan`] and the concrete encoder, and for the optimal
+//! encoder through every available kernel tier.
 
 use dbi_core::decode::decode_mask;
 use dbi_core::{
@@ -105,7 +106,7 @@ fn reference_chains(
 fn slab_encode_is_bit_identical_to_the_per_burst_chain() {
     let mut rng = StdRng::seed_from_u64(0x51AB);
     for scheme in all_schemes() {
-        for burst_len in [1usize, 3, 8, 16, 32] {
+        for burst_len in 1usize..=32 {
             for chains in CHAINS {
                 for per_chain in [1usize, 2, 17] {
                     let slab = random_slab(&mut rng, burst_len, chains * per_chain);
@@ -254,7 +255,7 @@ fn one_scratch_slab_prices_every_burst_across_geometries() {
     let mut rng = StdRng::seed_from_u64(0x90FF);
     let mut slab = BurstSlab::new(1);
     for scheme in all_schemes() {
-        for burst_len in [1usize, 3, 8, 16, 32] {
+        for burst_len in 1usize..=32 {
             for chains in CHAINS {
                 for per_chain in [1usize, 2, 17] {
                     let payload = random_slab(&mut rng, burst_len, chains * per_chain);
@@ -361,20 +362,32 @@ fn re_encoding_a_slab_with_another_scheme_overwrites_results() {
 // Kernel-tier sweeps: every dispatchable kernel vs the scalar oracle
 // ---------------------------------------------------------------------------
 
-/// Every available kernel tier — SSE2, AVX2, NEON, whatever the
-/// CPU offers — must produce bit-identical masks, cost rows and carried
-/// chain states to the serial per-burst reference, across burst lengths
-/// and chain counts (including the AVX2 eight-chain geometry and its odd
-/// remainders).
+/// Every available kernel tier must produce bit-identical masks, cost
+/// rows and carried chain states to the serial per-burst reference, at
+/// every burst length and chain count (including the AVX2 eight- and
+/// four-chain geometries and their odd remainders), under fixed and
+/// skewed weights and at the weight cap, where the kernels' signed dword
+/// path costs come closest to overflowing.
 #[test]
 fn lane_kernels_are_bit_identical_to_the_serial_chain_reference() {
     let mut rng = StdRng::seed_from_u64(0x51D3);
-    let encoder = dbi_core::schemes::OptEncoder::new(CostWeights::new(2, 3).unwrap());
-    for burst_len in [1usize, 3, 8, 16, 32] {
-        for chains in [1usize, 2, 4, 5, 8, 9] {
+    let cap = dbi_core::cost::MAX_WEIGHT;
+    for weights in [
+        CostWeights::FIXED,
+        CostWeights::new(2, 3).unwrap(),
+        CostWeights::new(cap, cap - 1).unwrap(),
+    ] {
+        lane_kernels_match_the_serial_chain(&mut rng, weights);
+    }
+}
+
+fn lane_kernels_match_the_serial_chain(rng: &mut StdRng, weights: CostWeights) {
+    let encoder = dbi_core::schemes::OptEncoder::new(weights);
+    for burst_len in 1usize..=32 {
+        for chains in CHAINS {
             for per_chain in [1usize, 2, 17] {
-                let slab = random_slab(&mut rng, burst_len, chains * per_chain);
-                let initial = random_states(&mut rng, chains);
+                let slab = random_slab(rng, burst_len, chains * per_chain);
+                let initial = random_states(rng, chains);
 
                 let mut reference = slab.clone();
                 let mut reference_states = initial.clone();
@@ -387,7 +400,9 @@ fn lane_kernels_are_bit_identical_to_the_serial_chain_reference() {
                     let mut lanes = slab.clone();
                     let mut states = initial.clone();
                     encoder.encode_lanes_into_with(kernel, &mut lanes, &mut states);
-                    let label = format!("{kernel} len={burst_len} chains={chains} per={per_chain}");
+                    let label = format!(
+                        "{kernel} {weights:?} len={burst_len} chains={chains} per={per_chain}"
+                    );
                     assert_one_row_per_burst(&lanes, &label);
                     assert_eq!(lanes.masks(), reference.masks(), "{label}: masks");
                     assert_eq!(lanes.costs(), reference.costs(), "{label}: costs");

@@ -215,7 +215,7 @@ impl JournalWriter {
     /// Any I/O failure reading the old journal or writing the new one;
     /// the old journal then stays in place and keeps receiving appends.
     pub fn compact(&mut self) -> Result<(), PersistError> {
-        let mut newest = std::collections::HashMap::new();
+        let mut newest = super::SessionMap::default();
         if let Some(reader) = JournalReader::open(&self.path)? {
             super::fold_newest(reader, &mut newest)?;
         }

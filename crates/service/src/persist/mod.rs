@@ -47,9 +47,10 @@
 pub mod journal;
 pub mod snapshot;
 
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
@@ -197,6 +198,76 @@ impl RestoredSession {
     }
 }
 
+/// Folded sessions by id, the map every journal fold fills.
+pub(crate) type SessionMap = HashMap<u64, RestoredSession, SessionIdHash>;
+
+/// The hash of a [`SessionMap`]: one 64×64→128-bit multiply of the id
+/// XOR a per-map random key, its halves folded together. Session ids
+/// are client-chosen, so the key (drawn once per map from the standard
+/// library's randomly seeded [`RandomState`]) keeps them from being
+/// pre-collided; at one multiply per lookup the fold costs a fraction of
+/// SipHash's rounds.
+#[derive(Debug, Clone)]
+pub(crate) struct SessionIdHash {
+    key: u64,
+}
+
+impl Default for SessionIdHash {
+    fn default() -> Self {
+        SessionIdHash {
+            key: RandomState::new().hash_one(0x5E55_1011u64),
+        }
+    }
+}
+
+impl BuildHasher for SessionIdHash {
+    type Hasher = SessionIdHasher;
+
+    fn build_hasher(&self) -> SessionIdHasher {
+        SessionIdHasher {
+            key: self.key,
+            hash: 0,
+        }
+    }
+}
+
+/// The [`Hasher`] of [`SessionIdHash`].
+#[derive(Debug)]
+pub(crate) struct SessionIdHasher {
+    key: u64,
+    hash: u64,
+}
+
+impl SessionIdHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        let product = u128::from(self.hash ^ word ^ self.key) * 0x9E37_79B9_7F4A_7C15;
+        self.hash = (product as u64) ^ ((product >> 64) as u64);
+    }
+}
+
+impl Hasher for SessionIdHasher {
+    #[inline]
+    fn write_u64(&mut self, id: u64) {
+        self.mix(id);
+    }
+
+    /// Any other key shape, eight bytes at a time (session maps only ever
+    /// hash `u64` ids).
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
 /// Shared durability bookkeeping, stamped into the metrics snapshot and
 /// served over the durability admin frames.
 #[derive(Debug)]
@@ -240,7 +311,7 @@ pub(crate) struct LoadedState {
 /// of a snapshot or a journal header is a typed refusal — recovery never
 /// silently invents state.
 pub(crate) fn load_state(dir: &std::path::Path) -> Result<LoadedState, PersistError> {
-    let mut folded: HashMap<u64, RestoredSession> = HashMap::new();
+    let mut folded = SessionMap::default();
     let mut dropped_bytes = 0u64;
 
     let snapshot = snapshot::read_snapshot(dir)?;
@@ -286,7 +357,7 @@ pub(crate) fn load_state(dir: &std::path::Path) -> Result<LoadedState, PersistEr
 /// its state buffer). Returns the torn-tail bytes the fold dropped.
 fn fold_newest(
     reader: journal::JournalReader,
-    folded: &mut HashMap<u64, RestoredSession>,
+    folded: &mut SessionMap,
 ) -> Result<u64, PersistError> {
     reader.fold(|view| match folded.entry(view.session_id) {
         Entry::Occupied(mut entry) => entry.get_mut().assign_record(&view),
@@ -346,6 +417,47 @@ mod tests {
         assert_eq!(loaded.sessions[0].session_id, 1);
         assert_eq!(loaded.sessions[0].states, vec![state(0x055)]);
         assert_eq!(loaded.sessions[1].session_id, 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Thousands of sessions journaled round-robin, several records each
+    /// with shifting geometry, fold to exactly the newest record per id
+    /// that an ordered-map replay keeps.
+    #[test]
+    fn round_robin_journal_folds_to_the_newest_record_per_session() {
+        use std::collections::BTreeMap;
+        let dir = temp_dir("round-robin");
+        let ids: Vec<u64> = (0..3000u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i << 3))
+            .chain([0, u64::MAX])
+            .collect();
+        let schemes = [Scheme::OptFixed, Scheme::Dc, Scheme::Ac];
+        let mut oracle: BTreeMap<u64, (Scheme, u8, Vec<BusState>)> = BTreeMap::new();
+        let mut writer = journal::JournalWriter::create(journal::journal_path(&dir, 0), 1).unwrap();
+        for round in 0..4u16 {
+            for (i, &id) in ids.iter().enumerate() {
+                let scheme = schemes[(i + usize::from(round)) % schemes.len()];
+                let burst_len = if round % 2 == 0 { 8 } else { 16 };
+                let states: Vec<BusState> = (0..1 + (i + usize::from(round)) % 4)
+                    .map(|g| state(((i as u16).wrapping_mul(7) + round * 31 + g as u16) & 0x1FF))
+                    .collect();
+                writer.append_session(id, scheme, burst_len, &states);
+                oracle.insert(id, (scheme, burst_len, states));
+            }
+            writer.flush().unwrap();
+        }
+
+        let loaded = load_state(&dir).unwrap();
+        assert_eq!(loaded.generation, 1);
+        assert_eq!(loaded.dropped_bytes, 0);
+        assert_eq!(loaded.sessions.len(), oracle.len());
+        for (session, (&id, (scheme, burst_len, states))) in loaded.sessions.iter().zip(&oracle) {
+            assert_eq!(session.session_id, id);
+            assert_eq!(session.scheme, *scheme, "session {id}");
+            assert_eq!(session.burst_len, *burst_len, "session {id}");
+            assert_eq!(usize::from(session.groups), states.len(), "session {id}");
+            assert_eq!(&session.states, states, "session {id}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
