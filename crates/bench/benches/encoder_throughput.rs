@@ -30,7 +30,10 @@
 //!   priced four-chain BL16 rows of OPT (Fixed), OPT(2,7) (the
 //!   `pod12@3.2` weights), DBI DC, DBI AC (the x32 geometry of a
 //!   mixed-scheme service session) and DBI ACDC, also recorded in the
-//!   JSON.
+//!   JSON, together with the engine's per-job layers at `durable-mixed`'s
+//!   geometry (4 groups x BL16 x 32 accesses): the pack, the scatter
+//!   back to interleaved order, and the verify replay
+//!   ([`BusSession::verify_packed_results`]).
 //!
 //! After the criterion groups it re-times the key comparison directly and
 //! writes `BENCH_encode.json` at the repository root, so the perf
@@ -50,7 +53,7 @@ use dbi_core::{
     PlanCache, Scheme,
 };
 use dbi_hw::PipelineEncoder;
-use dbi_mem::{BusSession, ChannelConfig};
+use dbi_mem::{BusSession, ChannelConfig, ReplayScratch};
 use std::slice;
 use std::time::Instant;
 
@@ -463,6 +466,63 @@ fn drive_wire_image(bursts: &[Burst], state: &BusState) -> (Vec<Vec<u8>>, Vec<In
     (wires, masks)
 }
 
+/// The engine's per-job layers around the kernel at `durable-mixed`'s
+/// geometry — one x32 session (4 groups x BL16) on the `pod12@3.2`
+/// weights, one 32-access request, 128 bursts — in best ns/burst: the
+/// pack ([`BusSession::append_chains_to_slab`]), the scatter back to
+/// interleaved order ([`BurstSlab::scatter_chains_into`]) and the priced
+/// verify replay ([`BusSession::verify_packed_results`]) against the
+/// encoded slab.
+fn time_bl16x4_job(stream: &[u8], state: &BusState) -> (f64, f64, f64) {
+    const ACCESSES: usize = 32;
+    let payload = &stream[..4 * 16 * ACCESSES];
+    let pod12 = Scheme::Opt(CostWeights::new(2, 7).expect("(2, 7) are valid weights"));
+    let mut session = BusSession::with_geometry(4, 16, pod12);
+    session.import_states(&[*state; 4]);
+    let bursts = (4 * ACCESSES) as f64;
+    let best_of = |f: &mut dyn FnMut()| {
+        let mut best = f64::INFINITY;
+        for _ in 0..30 {
+            let start = Instant::now();
+            for _ in 0..100 {
+                f();
+            }
+            best = best.min(start.elapsed().as_secs_f64() * 1e9 / (100.0 * bursts));
+        }
+        best
+    };
+    let mut slab = BurstSlab::with_capacity(16, 4 * ACCESSES);
+    let pack = best_of(&mut || {
+        slab.reset(16);
+        session
+            .append_chains_to_slab(black_box(payload), &mut slab)
+            .expect("whole x32 accesses");
+    });
+    let mut out = vec![0u8; payload.len()];
+    let scatter = best_of(&mut || slab.scatter_chains_into(4, black_box(&mut out)));
+    assert_eq!(out, payload, "the scatter inverts the pack");
+
+    let mut states = Vec::new();
+    session.export_states_into(&mut states);
+    session.plan().encode_lanes_into(&mut slab, &mut states);
+    let mut per_group = Vec::new();
+    session.gather_packed_results(&slab, 4, 0, &mut per_group, None);
+    let mut scratch = ReplayScratch::default();
+    let verify = best_of(&mut || {
+        session
+            .verify_packed_results(
+                &slab,
+                0,
+                black_box(payload),
+                &per_group,
+                &states,
+                &mut scratch,
+            )
+            .expect("the replay matches the encode");
+    });
+    (pack, scatter, verify)
+}
+
 /// Times `f` over the burst set and returns the best ns/burst of several
 /// batches (minimum = least scheduler noise).
 fn best_ns_per_burst(bursts: &[Burst], mut f: impl FnMut(&Burst)) -> f64 {
@@ -653,6 +713,8 @@ fn write_bench_json(bursts: &[Burst], state: &BusState) {
         bl16_json.push_str(&format!("  \"{key}\": {best:.1},\n"));
     }
 
+    let (pack_ns, scatter_ns, verify_ns) = time_bl16x4_job(&stream, state);
+
     let trace = stream;
     let mut session = BusSession::with_geometry(1, 8, Scheme::OptFixed);
     let mut per_group = Vec::new();
@@ -684,6 +746,9 @@ fn write_bench_json(bursts: &[Burst], state: &BusState) {
          \"slab_priced_ns_per_burst\": {slab_priced_ns:.1},\n  \
          \"slab_chain_priced_ns_per_burst\": {slab_chain_priced_ns:.1},\n\
          {bl16_json}  \
+         \"pack_bl16x4_ns_per_burst\": {pack_ns:.2},\n  \
+         \"scatter_bl16x4_ns_per_burst\": {scatter_ns:.2},\n  \
+         \"verify_bl16x4_ns_per_burst\": {verify_ns:.2},\n  \
          \"encode_ns_per_burst\": {encode_ns:.1},\n  \
          \"decode_mask_ns_per_burst\": {decode_mask_ns:.1},\n  \
          \"decode_slab_ns_per_burst\": {decode_slab_ns:.1},\n  \

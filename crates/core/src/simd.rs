@@ -38,7 +38,11 @@
 //! scalar tier ([`forced_scalar`]). The decode side gets the same
 //! treatment: `decode_chain_swar` undoes the inversions eight beats per
 //! word and re-prices through the same pass instead of per-beat
-//! [`LaneWord::from_wire`](crate::word::LaneWord::from_wire) walks.
+//! [`LaneWord::from_wire`](crate::word::LaneWord::from_wire) walks. So
+//! do the slab's two-, four- and eight-chain transposes (the pack in
+//! front of a lanes dispatch and the scatter behind a decode): sixteen
+//! beats per SSSE3 step on the AVX2 tier, 8×8-byte SWAR tiles on the
+//! scalar one.
 //!
 //! Correctness rests on one observation: path costs stay below `2^31`
 //! (at most 32 stages of `9 ·` [`crate::cost::MAX_WEIGHT`] each), so the
@@ -402,13 +406,212 @@ fn decode_runs(
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) use x86::{encode_block4_avx2, encode_block8_avx2};
+#[cfg(all(test, target_arch = "x86_64"))]
+pub(crate) use x86::{transpose_cols_ssse3, transpose_rows_ssse3};
+
+/// The SIMD tier of the slab's `N`-chain de-interleave (`N` = 2, 4 or
+/// 8): `dst[c·rows + r] = src[r·N + c]` for every whole sixteen-beat step,
+/// returning the beats done so the caller's byte loop finishes the rest.
+/// `None` — the caller runs its tiled SWAR path — unless dispatch
+/// selected [`KernelKind::Avx2`] (so `DBI_FORCE_SCALAR` pins the SWAR
+/// path) and the CPU has SSSE3.
+pub(crate) fn transpose_cols_simd<const N: usize>(src: &[u8], dst: &mut [u8]) -> Option<usize> {
+    #[cfg(target_arch = "x86_64")]
+    if selected_kernel() == KernelKind::Avx2 {
+        return x86::transpose_cols_ssse3::<N>(src, dst);
+    }
+    let _ = (src, dst);
+    None
+}
+
+/// The mirror of [`transpose_cols_simd`]: the `N`-chain re-interleave
+/// `dst[c·N + r] = src[r·cols + c]`, under the same gate.
+pub(crate) fn transpose_rows_simd<const N: usize>(src: &[u8], dst: &mut [u8]) -> Option<usize> {
+    #[cfg(target_arch = "x86_64")]
+    if selected_kernel() == KernelKind::Avx2 {
+        return x86::transpose_rows_ssse3::<N>(src, dst);
+    }
+    let _ = (src, dst);
+    None
+}
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! The AVX2 encode kernels (runtime-detected).
+    //! The AVX2 encode kernels and the SSSE3 chain transposes
+    //! (runtime-detected).
 
     use super::{price_burst_body, CostBreakdown, InversionMask, OptEncoder};
     use core::arch::x86_64::*;
+
+    /// The `pshufb` control that groups a 16-byte block of beat-major
+    /// `n`-chain bytes by chain: output byte `c·(16/n) + b` is input byte
+    /// `b·n + c`, so chain `c`'s `16/n` beats end up contiguous.
+    const fn chain_major(n: usize) -> [u8; 16] {
+        let per = 16 / n;
+        let mut control = [0u8; 16];
+        let mut j = 0;
+        while j < 16 {
+            control[j] = ((j % per) * n + j / per) as u8;
+            j += 1;
+        }
+        control
+    }
+
+    /// The inverse of [`chain_major`]: output byte `b·n + c` is input
+    /// byte `c·(16/n) + b`.
+    const fn beat_major(n: usize) -> [u8; 16] {
+        let per = 16 / n;
+        let mut control = [0u8; 16];
+        let mut j = 0;
+        while j < 16 {
+            control[j] = ((j % n) * per + j / n) as u8;
+            j += 1;
+        }
+        control
+    }
+
+    #[inline(always)]
+    fn load16(bytes: &[u8]) -> __m128i {
+        let bytes: &[u8; 16] = bytes.try_into().expect("16-byte block");
+        // SAFETY: an unaligned load of exactly the 16 bytes borrowed.
+        #[allow(unsafe_code)]
+        unsafe {
+            _mm_loadu_si128(bytes.as_ptr().cast())
+        }
+    }
+
+    #[inline(always)]
+    fn store16(out: &mut [u8], v: __m128i) {
+        let out: &mut [u8; 16] = out.try_into().expect("16-byte block");
+        // SAFETY: an unaligned store to exactly the 16 bytes borrowed.
+        #[allow(unsafe_code)]
+        unsafe {
+            _mm_storeu_si128(out.as_mut_ptr().cast(), v);
+        }
+    }
+
+    /// Transposes `v` read as an `n × n` matrix of `16/n`-byte elements
+    /// (`n = v.len()`, 2, 4 or 8): element `e` of vector `i` swaps with
+    /// element `i` of vector `e`, by rounds of 64-, 32- and 16-bit
+    /// unpacks. Its own inverse.
+    #[inline]
+    #[target_feature(enable = "ssse3")]
+    fn transpose_elements(v: &mut [__m128i]) {
+        match *v {
+            [a, b] => {
+                v[0] = _mm_unpacklo_epi64(a, b);
+                v[1] = _mm_unpackhi_epi64(a, b);
+            }
+            [a, b, c, d] => {
+                let (ab_lo, ab_hi) = (_mm_unpacklo_epi32(a, b), _mm_unpackhi_epi32(a, b));
+                let (cd_lo, cd_hi) = (_mm_unpacklo_epi32(c, d), _mm_unpackhi_epi32(c, d));
+                v[0] = _mm_unpacklo_epi64(ab_lo, cd_lo);
+                v[1] = _mm_unpackhi_epi64(ab_lo, cd_lo);
+                v[2] = _mm_unpacklo_epi64(ab_hi, cd_hi);
+                v[3] = _mm_unpackhi_epi64(ab_hi, cd_hi);
+            }
+            [v0, v1, v2, v3, v4, v5, v6, v7] => {
+                // Pairs of rows, word-interleaved: elements 0–3, then 4–7.
+                let lo = [
+                    _mm_unpacklo_epi16(v0, v1),
+                    _mm_unpacklo_epi16(v2, v3),
+                    _mm_unpacklo_epi16(v4, v5),
+                    _mm_unpacklo_epi16(v6, v7),
+                ];
+                let hi = [
+                    _mm_unpackhi_epi16(v0, v1),
+                    _mm_unpackhi_epi16(v2, v3),
+                    _mm_unpackhi_epi16(v4, v5),
+                    _mm_unpackhi_epi16(v6, v7),
+                ];
+                for (half, p) in [lo, hi].into_iter().enumerate() {
+                    let q0 = _mm_unpacklo_epi32(p[0], p[1]);
+                    let q1 = _mm_unpackhi_epi32(p[0], p[1]);
+                    let q2 = _mm_unpacklo_epi32(p[2], p[3]);
+                    let q3 = _mm_unpackhi_epi32(p[2], p[3]);
+                    v[4 * half] = _mm_unpacklo_epi64(q0, q2);
+                    v[4 * half + 1] = _mm_unpackhi_epi64(q0, q2);
+                    v[4 * half + 2] = _mm_unpacklo_epi64(q1, q3);
+                    v[4 * half + 3] = _mm_unpackhi_epi64(q1, q3);
+                }
+            }
+            _ => unreachable!("chain transposes run 2, 4 or 8 chains"),
+        }
+    }
+
+    /// De-interleaves `N` chains (`dst[c·rows + r] = src[r·N + c]`)
+    /// sixteen beats per step: each of the step's `N` 16-byte blocks is
+    /// grouped by chain with one `pshufb`, and [`transpose_elements`]
+    /// gathers each chain's sixteen beats into one vector. Returns the
+    /// beats done; leftover beats are the caller's. `None` without SSSE3.
+    pub(crate) fn transpose_cols_ssse3<const N: usize>(
+        src: &[u8],
+        dst: &mut [u8],
+    ) -> Option<usize> {
+        if !std::arch::is_x86_feature_detected!("ssse3") {
+            return None;
+        }
+        // SAFETY: guarded by the runtime detection above.
+        #[allow(unsafe_code)]
+        unsafe {
+            Some(cols_ssse3::<N>(src, dst))
+        }
+    }
+
+    #[target_feature(enable = "ssse3")]
+    fn cols_ssse3<const N: usize>(src: &[u8], dst: &mut [u8]) -> usize {
+        let rows = src.len() / N;
+        let group = load16(&chain_major(N));
+        let mut v = [_mm_setzero_si128(); N];
+        for (step, block) in src.chunks_exact(16 * N).enumerate() {
+            for (lane, bytes) in v.iter_mut().zip(block.chunks_exact(16)) {
+                *lane = _mm_shuffle_epi8(load16(bytes), group);
+            }
+            transpose_elements(&mut v);
+            for (c, &lane) in v.iter().enumerate() {
+                let at = c * rows + 16 * step;
+                store16(&mut dst[at..at + 16], lane);
+            }
+        }
+        rows / 16 * 16
+    }
+
+    /// Re-interleaves `N` chains (`dst[c·N + r] = src[r·cols + c]`), the
+    /// mirror of [`transpose_cols_ssse3`]: sixteen beats of each chain
+    /// per step, [`transpose_elements`], then one `pshufb` per block back
+    /// to beat-major order. Returns the beats done; `None` without
+    /// SSSE3.
+    pub(crate) fn transpose_rows_ssse3<const N: usize>(
+        src: &[u8],
+        dst: &mut [u8],
+    ) -> Option<usize> {
+        if !std::arch::is_x86_feature_detected!("ssse3") {
+            return None;
+        }
+        // SAFETY: guarded by the runtime detection above.
+        #[allow(unsafe_code)]
+        unsafe {
+            Some(rows_ssse3::<N>(src, dst))
+        }
+    }
+
+    #[target_feature(enable = "ssse3")]
+    fn rows_ssse3<const N: usize>(src: &[u8], dst: &mut [u8]) -> usize {
+        let cols = src.len() / N;
+        let ungroup = load16(&beat_major(N));
+        let mut v = [_mm_setzero_si128(); N];
+        for (step, block) in dst.chunks_exact_mut(16 * N).enumerate() {
+            for (c, lane) in v.iter_mut().enumerate() {
+                let at = c * cols + 16 * step;
+                *lane = load16(&src[at..at + 16]);
+            }
+            transpose_elements(&mut v);
+            for (&lane, out) in v.iter().zip(block.chunks_exact_mut(16)) {
+                store16(out, _mm_shuffle_epi8(lane, ungroup));
+            }
+        }
+        cols / 16 * 16
+    }
 
     /// Per-byte popcount of all 32 bytes of a vector: two nibble-LUT
     /// lookups.

@@ -441,42 +441,52 @@ impl BurstSlab {
         Ok(())
     }
 
-    /// Applies the mask column to the payload area in place: every beat a
-    /// burst's mask inverts is complemented, so payload bytes become the
-    /// DQ lane levels a transmitter drives — the **wire image**
-    /// [`BurstSlab::decode_in_place`] takes. Branch-free: each eight beats
-    /// XOR against one widened mask word, whatever the decisions were.
-    /// Cost rows are cleared (they priced different bytes).
+    /// Fills the slab with the **wire image** of rows `rows` of `src`: the
+    /// DQ lane levels a transmitter drives for those bursts — each
+    /// burst's bytes with every beat its mask inverts complemented —
+    /// plus a copy of their masks, so [`BurstSlab::decode_in_place_chains`]
+    /// recovers exactly `src`'s rows. How a receiver replay starts from
+    /// the rows an encode kernel actually read, not from a fresh pack of
+    /// the payload. One word-wide pass, branch-free: eight beats XOR
+    /// against one widened mask word, and each mask's width is checked
+    /// as its burst is written. The slab takes `src`'s burst length; cost
+    /// rows are cleared (they priced different bytes).
     ///
     /// # Errors
     ///
-    /// Returns [`DbiError::MaskCountMismatch`] when the mask column does
-    /// not cover every burst. The slab is unchanged on error.
-    pub fn apply_masks_in_place(&mut self) -> Result<()> {
-        let count = self.burst_count();
-        if self.masks.len() != count {
-            return Err(DbiError::MaskCountMismatch {
-                got: self.masks.len(),
-                expected: count,
-            });
-        }
-        self.costs.clear();
-        if self.is_empty() {
-            return Ok(());
-        }
-        let spread = |bits: u32| crate::simd::SPREAD_FLIP[(bits & 0xFF) as usize];
-        for (burst, mask) in self.bytes.chunks_exact_mut(self.burst_len).zip(&self.masks) {
-            let mut bits = mask.bits();
-            let mut words = burst.chunks_exact_mut(8);
-            for word in &mut words {
-                let w = u64::from_le_bytes((&*word).try_into().expect("chunk is 8 bytes"));
-                word.copy_from_slice(&(w ^ spread(bits)).to_le_bytes());
-                bits >>= 8;
-            }
-            let flip = spread(bits).to_le_bytes();
-            for (byte, flip) in words.into_remainder().iter_mut().zip(flip) {
-                *byte ^= flip;
-            }
+    /// Returns the index, counted from `rows.start`, of the first mask
+    /// that references beats beyond the burst length; the mask column is
+    /// then left **cleared**, so a later decode fails with
+    /// [`DbiError::MaskCountMismatch`] rather than decoding with the
+    /// wrong masks.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `rows` does not lie inside `src`'s mask column.
+    pub fn load_wire_image(
+        &mut self,
+        src: &BurstSlab,
+        rows: core::ops::Range<usize>,
+    ) -> core::result::Result<(), usize> {
+        let burst_len = src.burst_len;
+        self.reset(burst_len);
+        let masks = &src.masks[rows.clone()];
+        let bytes = &src.bytes[rows.start * burst_len..rows.end * burst_len];
+        self.bytes.resize(bytes.len(), 0);
+        self.masks.extend_from_slice(masks);
+        // A literal burst length on the standard geometries lets the
+        // always-inlined copies unroll their word loops.
+        let stray = match burst_len {
+            8 => wire_image(8, bytes, &mut self.bytes, masks),
+            16 => wire_image(16, bytes, &mut self.bytes, masks),
+            _ => wire_image(burst_len, bytes, &mut self.bytes, masks),
+        };
+        if stray != 0 {
+            self.masks.clear();
+            return Err(masks
+                .iter()
+                .position(|mask| mask.validate_for_len(burst_len).is_err())
+                .expect("a stray mask bit belongs to some mask"));
         }
         Ok(())
     }
@@ -645,11 +655,12 @@ impl BurstSlab {
 /// chain-major ⇄ beat-interleaved conversion of the slab plane.
 ///
 /// One chain is a copy. Two, four and eight chains — the x16, x32 and
-/// x64 channels — go through 8×8-byte tiles in both directions
-/// ([`transpose_narrow_cols`] de-interleaves, [`transpose_narrow_rows`]
-/// re-interleaves); the rows or columns left over past the last whole
-/// tile, and every other chain count, run a byte loop whose inner loop
-/// walks the longer dimension.
+/// x64 channels — go through [`transpose_narrow_cols`] (de-interleave)
+/// and [`transpose_narrow_rows`] (re-interleave): sixteen beats per SSSE3
+/// step on the AVX2 dispatch tier, 8×8-byte SWAR tiles otherwise. The
+/// beats left over past the last whole step or tile, and every other
+/// chain count, run a byte loop whose inner loop walks the longer
+/// dimension.
 fn transpose(src: &[u8], dst: &mut [u8], cols: usize) {
     debug_assert_eq!(src.len(), dst.len());
     if src.is_empty() {
@@ -694,14 +705,30 @@ fn transpose_cols_from(src: &[u8], dst: &mut [u8], cols: usize, from: usize) {
     }
 }
 
-/// Tiled body of [`transpose`] for a `rows × N` matrix, `N` dividing 8
-/// (de-interleaving `N` chains). An 8×8 tile stacks `8 / N` blocks of
-/// eight consecutive rows side by side — word `i` holds rows `i`,
-/// `8 + i`, … of the tile's `64 / N` rows — so after
-/// [`transpose_8x8`] word `k·N + c` is column `c` of block `k`: eight
-/// consecutive output bytes. Rows past the last whole tile go through
-/// the byte loop.
+/// [`transpose`] of a `rows × N` matrix, `N` dividing 8 (de-interleaving
+/// `N` chains): the SIMD tier when dispatch selected it
+/// ([`crate::simd::transpose_cols_simd`]), else [`transpose_tiled_cols`];
+/// the byte loop finishes the rows either leaves.
 fn transpose_narrow_cols<const N: usize>(src: &[u8], dst: &mut [u8]) {
+    let done = crate::simd::transpose_cols_simd::<N>(src, dst)
+        .unwrap_or_else(|| transpose_tiled_cols::<N>(src, dst));
+    transpose_rows_from(src, dst, N, done);
+}
+
+/// [`transpose`] of an `N × cols` matrix, `N` dividing 8 (re-interleaving
+/// `N` chains): the mirror of [`transpose_narrow_cols`].
+fn transpose_narrow_rows<const N: usize>(src: &[u8], dst: &mut [u8]) {
+    let done = crate::simd::transpose_rows_simd::<N>(src, dst)
+        .unwrap_or_else(|| transpose_tiled_rows::<N>(src, dst));
+    transpose_cols_from(src, dst, src.len() / N, done);
+}
+
+/// Tiled SWAR body of [`transpose_narrow_cols`]. An 8×8 tile stacks
+/// `8 / N` blocks of eight consecutive rows side by side — word `i`
+/// holds rows `i`, `8 + i`, … of the tile's `64 / N` rows — so after
+/// [`transpose_8x8`] word `k·N + c` is column `c` of block `k`: eight
+/// consecutive output bytes. Returns the rows done (whole tiles).
+fn transpose_tiled_cols<const N: usize>(src: &[u8], dst: &mut [u8]) -> usize {
     let rows = src.len() / N;
     let blocks = 8 / N;
     for (tile, chunk) in src.chunks_exact(64).enumerate() {
@@ -722,16 +749,15 @@ fn transpose_narrow_cols<const N: usize>(src: &[u8], dst: &mut [u8]) {
             dst[at..at + 8].copy_from_slice(&word.to_le_bytes());
         }
     }
-    transpose_rows_from(src, dst, N, src.len() / 64 * 64 / N);
+    src.len() / 64 * 64 / N
 }
 
-/// Tiled body of [`transpose`] for an `N × cols` matrix, `N` dividing 8
-/// (re-interleaving `N` chains): the mirror of
-/// [`transpose_narrow_cols`]. Word `k·N + r` of a tile holds eight
+/// Tiled SWAR body of [`transpose_narrow_rows`], the mirror of
+/// [`transpose_tiled_cols`]. Word `k·N + r` of a tile holds eight
 /// consecutive bytes of row `r`, block `k`, so after [`transpose_8x8`]
-/// bytes `k·N .. (k+1)·N` of word `j` are one whole output row. Columns
-/// past the last whole tile go through the byte loop.
-fn transpose_narrow_rows<const N: usize>(src: &[u8], dst: &mut [u8]) {
+/// bytes `k·N .. (k+1)·N` of word `j` are one whole output row. Returns
+/// the columns done (whole tiles).
+fn transpose_tiled_rows<const N: usize>(src: &[u8], dst: &mut [u8]) -> usize {
     let cols = src.len() / N;
     let span = 64 / N;
     let blocks = 8 / N;
@@ -751,7 +777,7 @@ fn transpose_narrow_rows<const N: usize>(src: &[u8], dst: &mut [u8]) {
             }
         }
     }
-    transpose_cols_from(src, dst, cols, cols / span * span);
+    cols / span * span
 }
 
 /// Transposes an 8×8 byte matrix held as eight little-endian row words
@@ -773,6 +799,42 @@ fn transpose_8x8(words: &mut [u64; 8]) {
         words[i] ^= t << 8;
         words[i + 1] ^= t;
     }
+}
+
+/// The body of [`BurstSlab::load_wire_image`]: writes each burst of
+/// `src` XORed with its widened mask into `dst`, eight beats per word,
+/// and returns the OR of every mask bit beyond the burst length (zero
+/// when every mask fits).
+#[inline(always)]
+fn wire_image(burst_len: usize, src: &[u8], dst: &mut [u8], masks: &[InversionMask]) -> u32 {
+    let spread = |bits: u32| crate::simd::SPREAD_FLIP[(bits & 0xFF) as usize];
+    let beyond = u32::MAX.checked_shl(burst_len as u32).unwrap_or(0);
+    let mut stray = 0;
+    for ((out, burst), mask) in dst
+        .chunks_exact_mut(burst_len)
+        .zip(src.chunks_exact(burst_len))
+        .zip(masks)
+    {
+        let mut bits = mask.bits();
+        stray |= bits & beyond;
+        let mut outs = out.chunks_exact_mut(8);
+        let mut ins = burst.chunks_exact(8);
+        for (out, word) in (&mut outs).zip(&mut ins) {
+            let word = u64::from_le_bytes(word.try_into().expect("8-byte word"));
+            out.copy_from_slice(&(word ^ spread(bits)).to_le_bytes());
+            bits >>= 8;
+        }
+        let flip = spread(bits).to_le_bytes();
+        for ((out, &byte), flip) in outs
+            .into_remainder()
+            .iter_mut()
+            .zip(ins.remainder())
+            .zip(flip)
+        {
+            *out = byte ^ flip;
+        }
+    }
+    stray
 }
 
 /// The beat-by-beat scalar decode walk over one chain's run of bursts —
@@ -955,43 +1017,110 @@ mod tests {
     }
 
     #[test]
-    fn applying_masks_matches_the_per_burst_complement_at_every_length() {
+    fn wire_image_matches_the_per_burst_complement_at_every_length() {
         for burst_len in 1..=32usize {
-            let mut slab = BurstSlab::new(burst_len);
-            let bytes: Vec<u8> = (0..burst_len * 5)
+            let mut src = BurstSlab::new(burst_len);
+            let bytes: Vec<u8> = (0..burst_len * 7)
                 .map(|i| (i as u32).wrapping_mul(0x9E37_79B9).to_le_bytes()[3])
                 .collect();
-            slab.extend_from_bytes(&bytes).unwrap();
-            assert!(matches!(
-                slab.apply_masks_in_place(),
-                Err(DbiError::MaskCountMismatch {
-                    got: 0,
-                    expected: 5
-                })
-            ));
-            assert_eq!(
-                slab.bytes(),
-                &bytes[..],
-                "len={burst_len}: unchanged on error"
-            );
-
-            let width = if burst_len == 32 {
-                u32::MAX
-            } else {
-                (1 << burst_len) - 1
-            };
-            let masks: Vec<InversionMask> = (0..5u32)
+            src.extend_from_bytes(&bytes).unwrap();
+            let width = u32::MAX >> (32 - burst_len);
+            let masks: Vec<InversionMask> = (0..7u32)
                 .map(|i| InversionMask::from_bits(i.wrapping_mul(0x2545_F491) & width))
                 .collect();
-            slab.load_masks(&masks).unwrap();
-            slab.apply_masks_in_place().unwrap();
-            let mut expected = bytes.clone();
-            for (burst, mask) in expected.chunks_exact_mut(burst_len).zip(&masks) {
+            src.load_masks(&masks).unwrap();
+
+            // Rows 2..6 of the source, into a slab primed for another
+            // length: it takes the source's.
+            let mut wire = BurstSlab::new(if burst_len == 8 { 16 } else { 8 });
+            wire.load_wire_image(&src, 2..6).unwrap();
+            assert_eq!(wire.burst_len(), burst_len);
+            let mut expected = bytes[2 * burst_len..6 * burst_len].to_vec();
+            for (burst, mask) in expected.chunks_exact_mut(burst_len).zip(&masks[2..6]) {
                 mask.apply_in_place(burst);
             }
-            assert_eq!(slab.bytes(), &expected[..], "len={burst_len}");
-            assert!(slab.costs().is_empty());
+            assert_eq!(wire.bytes(), &expected[..], "len={burst_len}");
+            assert_eq!(wire.masks(), &masks[2..6], "len={burst_len}");
+            assert!(wire.costs().is_empty());
+            let mut state = BusState::idle();
+            wire.decode_in_place(&mut state).unwrap();
+            assert_eq!(wire.bytes(), &bytes[2 * burst_len..6 * burst_len]);
+
+            if burst_len == 32 {
+                continue;
+            }
+            // A mask wider than the burst at source row 4: reported as
+            // row 2 of the range, with the mask column left cleared.
+            let (_, raw, _) = src.encode_parts_mut();
+            raw.copy_from_slice(&masks);
+            raw[4] = InversionMask::from_bits(masks[4].bits() | 1 << burst_len);
+            raw[5] = InversionMask::from_bits(1 << 31);
+            assert_eq!(wire.load_wire_image(&src, 2..6), Err(2), "len={burst_len}");
+            assert!(wire.masks().is_empty());
+            assert!(matches!(
+                wire.decode_in_place(&mut state),
+                Err(DbiError::MaskCountMismatch {
+                    got: 0,
+                    expected: 4
+                })
+            ));
+            assert_eq!(wire.load_wire_image(&src, 0..4), Ok(()));
         }
+    }
+
+    /// Both builds of the two-, four- and eight-chain transposes, called
+    /// directly — the SSSE3 steps where the CPU has them and the tiled
+    /// SWAR path — in both directions, finished by the byte loop and
+    /// compared against the byte loop alone, at beat counts straddling
+    /// the 16-beat SIMD step and the SWAR tile. Dispatch runs only one
+    /// build per process, so this is where the other one is checked.
+    #[test]
+    fn both_transpose_builds_match_the_byte_loop() {
+        type Build = fn(&[u8], &mut [u8]) -> Option<usize>;
+        fn run<const N: usize>() {
+            #[allow(unused_mut)]
+            let mut builds: Vec<(&str, usize, Build, Build)> = vec![(
+                "tiled",
+                64 / N,
+                |src, dst| Some(transpose_tiled_cols::<N>(src, dst)),
+                |src, dst| Some(transpose_tiled_rows::<N>(src, dst)),
+            )];
+            #[cfg(target_arch = "x86_64")]
+            builds.push((
+                "ssse3",
+                16,
+                crate::simd::transpose_cols_ssse3::<N>,
+                crate::simd::transpose_rows_ssse3::<N>,
+            ));
+            for beats in [1usize, 15, 16, 17, 31, 32, 33, 512] {
+                let src: Vec<u8> = (0..beats * N)
+                    .map(|i| (i as u32).wrapping_mul(0x9E37_79B9).to_le_bytes()[3])
+                    .collect();
+                let mut cols_ref = vec![0u8; src.len()];
+                transpose_rows_from(&src, &mut cols_ref, N, 0);
+                let mut rows_ref = vec![0u8; src.len()];
+                transpose_cols_from(&src, &mut rows_ref, beats, 0);
+                for &(name, step, cols, rows) in &builds {
+                    let label = format!("{name}, {N} chains, {beats} beats");
+                    let mut out = vec![0xEEu8; src.len()];
+                    let Some(done) = cols(&src, &mut out) else {
+                        continue;
+                    };
+                    assert_eq!(done, beats / step * step, "{label}: de-interleave steps");
+                    transpose_rows_from(&src, &mut out, N, done);
+                    assert_eq!(out, cols_ref, "{label}: de-interleave");
+
+                    let mut out = vec![0xEEu8; src.len()];
+                    let done = rows(&src, &mut out).expect("the same build ran above");
+                    assert_eq!(done, beats / step * step, "{label}: re-interleave steps");
+                    transpose_cols_from(&src, &mut out, beats, done);
+                    assert_eq!(out, rows_ref, "{label}: re-interleave");
+                }
+            }
+        }
+        run::<2>();
+        run::<4>();
+        run::<8>();
     }
 
     #[test]

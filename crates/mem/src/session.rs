@@ -417,15 +417,18 @@ impl BusSession {
     /// `post_states` are the transmitter's gathered activity and
     /// post-dispatch states.
     ///
-    /// The replay re-packs `payload` into `scratch` with one transpose,
-    /// loads the job's mask rows out of `slab` (contiguous, chain-major,
-    /// width-checked), applies them branch-free to form the wire image
-    /// ([`BurstSlab::apply_masks_in_place`]), and decodes it in place
-    /// with the slab decode kernel ([`BurstSlab::decode_in_place_chains`]),
-    /// which re-prices the received lane levels independently of the
-    /// encoder. It then checks, in order, that the recovered bytes equal
-    /// `payload`, that each chain's re-priced activity equals
-    /// `per_group`, and that each receiver end state equals
+    /// The replay starts from the rows the kernel actually encoded: one
+    /// word-wide pass writes the wire image of this session's chain-major
+    /// rows of `slab` into `scratch` — the rows' bytes with every flagged
+    /// beat complemented — and copies and width-checks their masks
+    /// ([`BurstSlab::load_wire_image`]). The slab decode kernel
+    /// ([`BurstSlab::decode_in_place_chains`]) decodes that image in
+    /// place and re-prices the received lane levels independently of the
+    /// encoder, and one transpose scatters the result back to the
+    /// interleaved layout. It then checks, in order, that the recovered
+    /// bytes equal `payload` (so a slab row that differs from the
+    /// client's bytes fails here), that each chain's re-priced activity
+    /// equals `per_group`, and that each receiver end state equals
     /// `post_states`. The session is not modified, and a warm `scratch`
     /// makes the call allocation-free.
     ///
@@ -457,23 +460,17 @@ impl BusSession {
             self.burst_len,
             "shared slab primed for a different burst length"
         );
-        let wire = &mut scratch.slab;
-        wire.reset(self.burst_len);
-        self.append_chains_to_slab(payload, wire)?;
+        self.check_stream(payload)?;
         let accesses = payload.len() / self.access_bytes();
-        let masks = &slab.masks()[chain_base * accesses..(chain_base + groups) * accesses];
-        if wire.load_masks(masks).is_err() {
-            let row = masks
-                .iter()
-                .position(|mask| mask.validate_for_len(self.burst_len).is_err())
-                .expect("only a mask width can fail a full-length load");
-            return Err(MemError::BadMask {
-                index: (row % accesses) * groups + row / accesses,
-                burst_len: self.burst_len,
-            });
-        }
-        wire.apply_masks_in_place()
-            .expect("the loaded mask column covers every burst");
+        let wire = &mut scratch.slab;
+        wire.load_wire_image(
+            slab,
+            chain_base * accesses..(chain_base + groups) * accesses,
+        )
+        .map_err(|row| MemError::BadMask {
+            index: (row % accesses) * groups + row / accesses,
+            burst_len: self.burst_len,
+        })?;
         scratch.states.clear();
         scratch.states.extend_from_slice(&self.groups);
         wire.decode_in_place_chains(&mut scratch.states)
@@ -758,9 +755,10 @@ impl BusSession {
 }
 
 /// Reusable workspace of [`BusSession::verify_packed_results`]: the slab
-/// the wire image is formed and decoded in, the receiver's carried states
-/// and the recovered payload. Every buffer keeps its capacity, so a
-/// verifier that reuses one scratch allocates nothing once warm.
+/// the wire image of the job's encoded rows is written to and decoded in,
+/// the receiver's carried states and the recovered payload in interleaved
+/// order. Every buffer keeps its capacity, so a verifier that reuses one
+/// scratch allocates nothing once warm.
 #[derive(Debug, Default)]
 pub struct ReplayScratch {
     slab: BurstSlab,
@@ -1132,6 +1130,32 @@ mod tests {
             Err(MemError::BadMask {
                 index: 4 * 4 + 1,
                 burst_len: 12
+            })
+        );
+
+        // A payload of the right length that differs from the bytes the
+        // kernel encoded: the replay decodes the slab's rows, so the
+        // compare finds the flipped byte.
+        let mut flipped = payloads[1].clone();
+        flipped[100] ^= 0x40;
+        assert_eq!(
+            verify(&slab, &flipped, &per_group[1], post),
+            Err(MemError::PayloadMismatch { byte_offset: 100 })
+        );
+
+        // An encoded row byte altered after dispatch: beat 7 of group 2,
+        // access 5 — interleaved byte 5·48 + 7·4 + 2.
+        let mut bytes = slab.bytes().to_vec();
+        bytes[(3 * 9 + 2 * 9 + 5) * 12 + 7] ^= 0x01;
+        let mut altered = BurstSlab::new(12);
+        altered.extend_from_bytes(&bytes).unwrap();
+        let (_, altered_masks, altered_costs) = altered.encode_parts_mut();
+        altered_masks.copy_from_slice(slab.masks());
+        altered_costs.copy_from_slice(slab.costs());
+        assert_eq!(
+            verify(&altered, &payloads[1], &per_group[1], post),
+            Err(MemError::PayloadMismatch {
+                byte_offset: 5 * 48 + 7 * 4 + 2
             })
         );
 

@@ -46,10 +46,10 @@
 //! `tests/packed_differential.rs`). Verify-mode requests ride the same
 //! packed machinery: before its post-dispatch states are imported, the
 //! session replays its own chain-major slab rows as a receiver from its
-//! pre-dispatch states ([`BusSession::verify_packed_results`]: the
-//! payload re-packed, the job's mask rows applied as the wire image,
-//! decoded by the slab decode kernel) — a DBI receiver keeps no state
-//! beyond the lane states the worker already holds. Pass sizes,
+//! pre-dispatch states ([`BusSession::verify_packed_results`]: the wire
+//! image of the job's encoded rows, decoded by the slab decode kernel
+//! and compared against the client's payload) — a DBI receiver keeps no
+//! state beyond the lane states the worker already holds. Pass sizes,
 //! coalesced counts and per-dispatch lane occupancy land in the `batch`
 //! block of the metrics.
 //!

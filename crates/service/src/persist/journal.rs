@@ -204,20 +204,30 @@ impl JournalWriter {
     /// Rewrites the flushed journal as its own replay: one record per
     /// session, the newest, in session-id order, under the same
     /// generation — the state recovery folds the old file to, so both
-    /// replay identically. A torn record ends the fold, as it ends
-    /// recovery's. The new file is written beside the old one, synced and
-    /// renamed over it (as snapshots are), so a crash leaves one complete
-    /// journal or the other. Buffered records are not included: flush
-    /// first.
+    /// replay identically. The new file is written beside the old one,
+    /// synced and renamed over it (as snapshots are), so a crash leaves
+    /// one complete journal or the other. Buffered records are not
+    /// included: flush first.
+    ///
+    /// A journal whose fold drops bytes — a malformed record and
+    /// everything after it — is refused: compacting it would make the
+    /// loss of those bytes permanent. The file is left untouched, and the refusal counts as
+    /// a compaction, so [`JournalWriter::compact_if_due`] does not re-fold
+    /// the whole file on every pass.
     ///
     /// # Errors
     ///
-    /// Any I/O failure reading the old journal or writing the new one;
-    /// the old journal then stays in place and keeps receiving appends.
+    /// [`PersistError::TornJournal`] on a refusal, or any I/O failure
+    /// reading the old journal or writing the new one; the old journal
+    /// then stays in place and keeps receiving appends.
     pub fn compact(&mut self) -> Result<(), PersistError> {
         let mut newest = super::SessionMap::default();
         if let Some(reader) = JournalReader::open(&self.path)? {
-            super::fold_newest(reader, &mut newest)?;
+            let dropped_bytes = super::fold_newest(reader, &mut newest)?;
+            if dropped_bytes != 0 {
+                self.compacted_len = self.len;
+                return Err(PersistError::TornJournal { dropped_bytes });
+            }
         }
         let mut sessions: Vec<RestoredSession> = newest.into_values().collect();
         sessions.sort_by_key(|session| session.session_id);
@@ -570,6 +580,37 @@ mod tests {
         assert!(writer.compact_if_due().unwrap());
         let replay = replay_journal(&path).unwrap().unwrap();
         assert_eq!(replay.records.len() as u64, sessions);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A failed write that tore a record mid-file, then more appends:
+    /// compaction refuses, leaves the file byte-identical, and is not
+    /// due again until the journal doubles.
+    #[test]
+    fn compaction_refuses_a_journal_torn_mid_file() {
+        let path = temp_path("compact-torn");
+        let mut writer = JournalWriter::create(path.clone(), 3).unwrap();
+        writer.append_session(1, Scheme::OptFixed, 8, &[state(0x0AA)]);
+        writer.append_session(2, Scheme::Dc, 8, &[state(0x0BB)]);
+        writer.flush().unwrap();
+        let mut record = Vec::new();
+        push_session_record(&mut record, 3, Scheme::Ac, 8, &[state(0x0CC)]);
+        writer.buf.extend_from_slice(&record[..record.len() - 3]);
+        writer.flush().unwrap();
+        writer.append_session(1, Scheme::OptFixed, 8, &[state(0x0DD)]);
+        writer.append_session(4, Scheme::OptFixed, 8, &[state(0x0EE)]);
+        let tail = writer.flush().unwrap() as u64;
+
+        let before = fs::read(&path).unwrap();
+        let torn = (record.len() - 3) as u64;
+        assert!(matches!(
+            writer.compact(),
+            Err(PersistError::TornJournal { dropped_bytes }) if dropped_bytes == torn + tail
+        ));
+        assert_eq!(fs::read(&path).unwrap(), before);
+        assert!(!path.with_extension("bin.compact").exists());
+        assert_eq!(writer.compacted_len, writer.len);
+        assert!(!writer.compact_if_due().unwrap());
         std::fs::remove_file(&path).unwrap();
     }
 

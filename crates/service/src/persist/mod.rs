@@ -105,6 +105,13 @@ pub enum PersistError {
     },
     /// A snapshot carries bytes beyond its last announced record.
     TrailingBytes(usize),
+    /// A journal fold stopped at a malformed record, so compacting it
+    /// would drop that record and everything after it for good; the
+    /// journal is left as it is.
+    TornJournal {
+        /// Bytes from the first malformed record to the end of the file.
+        dropped_bytes: u64,
+    },
 }
 
 impl fmt::Display for PersistError {
@@ -133,6 +140,10 @@ impl fmt::Display for PersistError {
             PersistError::TrailingBytes(extra) => {
                 write!(f, "snapshot carries {extra} bytes past its last record")
             }
+            PersistError::TornJournal { dropped_bytes } => write!(
+                f,
+                "journal holds {dropped_bytes} bytes from a malformed record on; not compacted"
+            ),
         }
     }
 }

@@ -336,9 +336,9 @@ impl ErrorCode {
 ///
 /// Verification replays the full receiver path in the slab's chain-major
 /// layout ([`dbi_mem::BusSession::verify_packed_results`]): the worker
-/// re-packs the payload, applies the request's mask rows to form the
-/// wire image, decodes it from the session's pre-request lane states
-/// through the slab decode kernel, and compares payload bytes, per-group
+/// forms the wire image of the request's encoded slab rows under their
+/// masks, decodes it from the session's pre-request lane states through
+/// the slab decode kernel, and compares payload bytes, per-group
 /// wire activity (re-priced by the decoder) and end lane states. Any
 /// asymmetry fails the request with [`ErrorCode::VerifyMismatch`] instead
 /// of returning silently wrong results. Costs one extra decode pass over
