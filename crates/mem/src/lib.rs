@@ -38,8 +38,6 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-#[cfg(test)]
-mod bus;
 pub mod config;
 pub mod controller;
 pub mod device;

@@ -1,56 +1,19 @@
-//! Per-shard service metrics.
+//! Service metrics: shard and connection counters, as JSON and Prometheus.
 //!
-//! Each shard owns one [`ShardMetrics`] of plain atomic counters — workers
-//! and clients bump them lock-free and allocation-free on the hot path —
-//! and [`MetricsRegistry::snapshot`] turns the whole registry into an
-//! owned, serialisable [`MetricsSnapshot`]. The batched data plane adds a
-//! `batch` block per shard: worker-pass count, coalesced-request count
-//! and a power-of-two pass-size histogram from which the JSON reports the
-//! p50/p99 pass size plus the mean bursts per request. The engine stamps the shared
-//! plan-cache counters ([`dbi_core::PlanCacheStats`]: hits, misses,
-//! evictions, resident plans) into the snapshot as well, and a `kernel`
-//! block records which slab kernel tier the workers dispatch to
-//! ([`dbi_core::simd::selected_kernel`]) together with the detected CPU
-//! features — so a scraped metrics line names the hardware path behind
-//! its throughput numbers. The snapshot's
-//! [`to_json`](MetricsSnapshot::to_json) form is what the service answers
-//! metrics requests with; it is handwritten JSON (no serialisation crate
-//! exists offline) with a fixed key order, so it is easy to assert on in
-//! tests and to scrape. [`to_prometheus`](MetricsSnapshot::to_prometheus)
-//! renders the same snapshot in Prometheus text exposition format.
-//!
-//! The connection plane adds one engine-global `connections` block
-//! ([`ConnectionMetrics`]): accepted/active/closed counts, the
-//! slow-consumer drop count, and the largest read and write buffer any
-//! connection has grown. The block is owned by the TCP server's I/O
-//! threads, not the registry; an engine with no server attached reports
-//! it zeroed.
-//!
-//! The telemetry plane adds three per-shard blocks (see
-//! [`crate::telemetry`]): a `rate` block (requests/s and rejects/s over a
-//! sliding [`RATE_WINDOW_SECONDS`]-second window), a `queue_depth_peak`
-//! high-watermark next to the instantaneous depth, and a `latency` block
-//! with p50/p90/p99/p999 for the queue-wait, encode, verify and
-//! total-service stages — log-bucketed lock-free histograms, same pattern
-//! as `batch_hist`.
-//!
-//! The durable session plane (see [`crate::persist`]) adds per-shard
-//! `sessions_evicted` and `sessions_evicted_uncaptured` counters (the
-//! latter counting victims whose carried state no snapshot or journal
-//! record holds, so it is lost) and a `journal` block (records and bytes the
-//! shard's worker has appended, and journal I/O errors — a failed create,
-//! flush or rotation, each of which silently degrades durability
-//! otherwise), plus one engine-global `durability`
-//! block mirroring the [`SnapshotStatus`] admin response: whether a
-//! persist directory is configured, the journal generation, snapshots
-//! taken, the last snapshot's session count and byte size, and sessions
-//! restored from disk. An engine without persistence reports the block
-//! with `configured: false` and zeros.
+//! Each plain counter is one `counter_table!` row giving its field and
+//! rustdoc, kind, merge rule, JSON path, and Prometheus name and help. A
+//! row becomes a relaxed `AtomicU64`, bumped by name in a `record_*`
+//! method, and a public `u64` snapshot field; snapshot, merge,
+//! [`MetricsSnapshot::to_json`] and [`MetricsSnapshot::to_prometheus`]
+//! follow the rows in table order. The plan-cache and durability blocks
+//! are rows over their own structs. The histograms, rates and derived
+//! batch values are written by hand.
 
 use crate::telemetry::{log2_percentile, LatencyHistogram, LatencyStats, RateWindow};
 use crate::wire::SnapshotStatus;
 use dbi_core::PlanCacheStats;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::fmt::{self, Display, Write};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 pub use crate::telemetry::window::RATE_WINDOW_SECONDS;
 
@@ -59,37 +22,272 @@ pub use crate::telemetry::window::RATE_WINDOW_SECONDS;
 /// absorbing everything beyond.
 pub const BATCH_BUCKETS: usize = 17;
 
-/// Lock-free counters of one shard. All increments use relaxed ordering:
-/// the counters are statistics, not synchronisation.
-#[derive(Debug, Default)]
-pub struct ShardMetrics {
-    requests: AtomicU64,
-    rejected: AtomicU64,
-    bytes: AtomicU64,
-    bursts: AtomicU64,
-    transitions_saved: AtomicU64,
-    queue_depth: AtomicU64,
-    queue_depth_peak: AtomicU64,
-    sessions: AtomicU64,
-    sessions_evicted: AtomicU64,
-    sessions_evicted_uncaptured: AtomicU64,
-    journal_records: AtomicU64,
-    journal_bytes: AtomicU64,
-    journal_errors: AtomicU64,
-    passes: AtomicU64,
-    coalesced: AtomicU64,
-    dispatches: AtomicU64,
-    dispatch_chains: AtomicU64,
-    full_dispatches: AtomicU64,
-    batch_hist: [AtomicU64; BATCH_BUCKETS],
-    verified: AtomicU64,
-    verify_failures: AtomicU64,
-    request_rate: RateWindow,
-    reject_rate: RateWindow,
-    queue_wait_hist: LatencyHistogram,
-    encode_hist: LatencyHistogram,
-    verify_hist: LatencyHistogram,
-    total_hist: LatencyHistogram,
+/// One counter's Prometheus type, JSON path (`"key"` or `"block.key"`;
+/// `None` for Prometheus only), and Prometheus family name and help.
+struct Row {
+    kind: &'static str,
+    json: Option<&'static str>,
+    name: &'static str,
+    help: &'static str,
+}
+
+/// Declares a counter table: an atomic struct and its snapshot struct, one
+/// field per row `field: counter|gauge sum|max "json.path"|- "name" "help";`
+/// plus hand-written fields, or (second form) rows over an existing struct.
+macro_rules! counter_table {
+    (@kind counter) => { "counter" };
+    (@kind gauge) => { "gauge" };
+    (@json -) => { None };
+    (@json $path:literal) => { Some($path) };
+    (@merge sum, $mine:expr, $theirs:expr) => { $mine += $theirs };
+    (@merge max, $mine:expr, $theirs:expr) => { $mine = $mine.max($theirs) };
+    (@row $kind:ident $json:tt $name:literal $help:literal) => {
+        Row {
+            kind: counter_table!(@kind $kind),
+            json: counter_table!(@json $json),
+            name: $name,
+            help: $help,
+        }
+    };
+    (
+        $(#[$metrics_meta:meta])*
+        pub struct $Metrics:ident { $($metrics_extra:tt)* }
+        $(#[$snapshot_meta:meta])*
+        pub struct $Snapshot:ident { $($snapshot_extra:tt)* }
+        const $ROWS:ident = [$(
+            $(#[doc = $doc:literal])*
+            $field:ident: $kind:ident $merge:ident $json:tt $name:literal $help:literal;
+        )*];
+    ) => {
+        $(#[$metrics_meta])*
+        pub struct $Metrics {
+            $($field: AtomicU64,)*
+            $($metrics_extra)*
+        }
+
+        $(#[$snapshot_meta])*
+        pub struct $Snapshot {
+            $($(#[doc = $doc])* pub $field: u64,)*
+            $($snapshot_extra)*
+        }
+
+        const $ROWS: &[Row] = &[$(counter_table!(@row $kind $json $name $help)),*];
+
+        impl $Metrics {
+            fn load_rows(&self, into: &mut $Snapshot) {
+                $(into.$field = self.$field.load(Relaxed);)*
+            }
+        }
+
+        impl $Snapshot {
+            fn rows(&self) -> [u64; $ROWS.len()] {
+                [$(self.$field),*]
+            }
+
+            fn merge_rows(&mut self, other: &Self) {
+                $(counter_table!(@merge $merge, self.$field, other.$field);)*
+            }
+        }
+    };
+    (
+        fn $values:ident($Source:ty) -> $ROWS:ident = [$(
+            $field:ident: $kind:ident $json:tt $name:literal $help:literal;
+        )*];
+    ) => {
+        const $ROWS: &[Row] = &[$(counter_table!(@row $kind $json $name $help)),*];
+
+        fn $values(source: &$Source) -> [u64; $ROWS.len()] {
+            [$(source.$field as u64),*]
+        }
+    };
+}
+
+counter_table! {
+    /// Lock-free counters of one shard. All increments use relaxed
+    /// ordering: the counters are statistics, not synchronisation.
+    #[derive(Debug, Default)]
+    pub struct ShardMetrics {
+        batch_hist: [AtomicU64; BATCH_BUCKETS],
+        request_rate: RateWindow,
+        reject_rate: RateWindow,
+        queue_wait_hist: LatencyHistogram,
+        encode_hist: LatencyHistogram,
+        verify_hist: LatencyHistogram,
+        total_hist: LatencyHistogram,
+    }
+
+    /// A point-in-time copy of one shard's counters.
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
+    pub struct ShardSnapshot {
+        /// Power-of-two histogram of pass sizes in bursts: bucket *i* counts
+        /// passes of `[2^i, 2^(i+1))` bursts.
+        pub batch_hist: [u64; BATCH_BUCKETS],
+        /// Executed requests per second over the sliding
+        /// [`RATE_WINDOW_SECONDS`]-second window, as of the snapshot.
+        pub requests_per_s: f64,
+        /// Rejected requests per second over the same window.
+        pub rejects_per_s: f64,
+        /// Per-stage latency histograms: queue-wait, encode, verify, total.
+        pub latency: StageLatency,
+    }
+
+    const SHARD_ROWS = [
+        /// Requests executed.
+        requests: counter sum "requests" "dbi_requests_total" "Requests executed.";
+        /// Requests rejected (bad geometry/payload, backpressure, shutdown).
+        rejected: counter sum "rejected" "dbi_rejected_total" "Requests rejected.";
+        /// Payload bytes encoded.
+        bytes: counter sum "bytes" "dbi_bytes_total" "Payload bytes encoded.";
+        /// Per-group bursts encoded.
+        bursts: counter sum "bursts" "dbi_bursts_total" "Per-group bursts encoded.";
+        /// Lane transitions avoided relative to sending the same stream raw.
+        transitions_saved: counter sum "transitions_saved" "dbi_transitions_saved_total"
+            "Lane transitions avoided versus sending the stream raw.";
+        /// Requests currently sitting in the shard queue.
+        queue_depth: gauge sum "queue_depth" "dbi_queue_depth" "Requests currently queued.";
+        /// The shard queue's depth high-watermark, which a between-passes
+        /// scrape would miss; summed across shards, it bounds the total's peak.
+        queue_depth_peak: gauge sum "queue_depth_peak" "dbi_queue_depth_peak"
+            "Queue-depth high-watermark since startup.";
+        /// Worker passes executed, each serving one or more coalesced requests.
+        passes: counter sum "batch.passes" "dbi_batch_passes_total" "Worker passes executed.";
+        /// Requests coalesced into another request's pass, not opening their own.
+        coalesced: counter sum "batch.coalesced" "dbi_batch_coalesced_total"
+            "Requests coalesced into another request's pass.";
+        /// Packed kernel dispatches: one `encode_lanes_into` sweep per round.
+        dispatches: counter sum "batch.dispatches" "dbi_batch_dispatches_total"
+            "Packed kernel dispatches executed.";
+        /// Lane-group chains across all dispatches (per dispatch: lane occupancy).
+        dispatch_chains: counter sum - "dbi_batch_dispatch_chains_total"
+            "Lane-group chains encoded across all packed dispatches.";
+        /// Dispatches that filled the selected kernel's lane width.
+        full_dispatches: counter sum - "dbi_batch_full_dispatches_total"
+            "Dispatches that filled the selected kernel's lane width.";
+        /// Verify-mode requests whose output was decoded and compared.
+        verified: counter sum "verify.requests" "dbi_verify_requests_total"
+            "Verify-mode requests round-tripped.";
+        /// Verify round trips that exposed an encode/decode asymmetry (`VerifyMismatch`).
+        verify_failures: counter sum "verify.failures" "dbi_verify_failures_total"
+            "Verify round trips that exposed an encode/decode asymmetry.";
+        /// Encode sessions created on the shard, restored ones included; as
+        /// eviction does not decrement it, `sessions - sessions_evicted` remain.
+        sessions: counter sum "sessions" "dbi_sessions_total" "Encode sessions created.";
+        /// Idle sessions evicted for fresh session ids on a full shard.
+        sessions_evicted: counter sum "sessions_evicted" "dbi_sessions_evicted_total"
+            "Idle sessions evicted to admit fresh session ids on a full shard.";
+        /// Evictions whose victim no snapshot or journal record captured (state lost).
+        sessions_evicted_uncaptured: counter sum "sessions_evicted_uncaptured"
+            "dbi_sessions_evicted_uncaptured_total"
+            "Evicted sessions whose carried state no snapshot or journal record held.";
+        /// Session records the shard's worker has appended to its journal.
+        journal_records: counter sum "journal.records" "dbi_journal_records_total"
+            "Session records appended to the shard's journal.";
+        /// Bytes the shard's worker has flushed to its journal.
+        journal_bytes: counter sum "journal.bytes" "dbi_journal_bytes_total"
+            "Bytes flushed to the shard's journal.";
+        /// Journal create, flush or rotation failures; each degrades only durability.
+        journal_errors: counter sum "journal.errors" "dbi_journal_errors_total"
+            "Journal create, flush or rotation failures (durability degraded).";
+    ];
+}
+
+counter_table! {
+    /// Lock-free counters of the connection plane, one set per server (the
+    /// I/O threads own connections); relaxed atomics like [`ShardMetrics`].
+    #[derive(Debug, Default)]
+    pub struct ConnectionMetrics {}
+
+    /// A point-in-time copy of the connection-plane counters. All zeros for
+    /// an engine that is not fronted by a TCP server.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct ConnectionsSnapshot {}
+
+    const CONNECTION_ROWS = [
+        /// Connections currently multiplexed by the I/O threads.
+        active: gauge sum "active" "dbi_connections_active"
+            "Connections currently multiplexed by the I/O threads.";
+        /// Connections accepted since startup.
+        accepted: counter sum "accepted" "dbi_connections_accepted_total" "Connections accepted.";
+        /// Connections closed since startup, for any reason.
+        closed: counter sum "closed" "dbi_connections_closed_total"
+            "Connections closed, for any reason.";
+        /// Connections dropped for crossing the slow-consumer write high-watermark.
+        dropped_slow: counter sum "dropped_slow" "dbi_connections_dropped_slow_total"
+            "Connections dropped for crossing the slow-consumer write high-watermark.";
+        /// Largest read buffer any connection has grown, in bytes (merge: max).
+        read_buf_high_watermark: gauge max "read_buf_high_watermark"
+            "dbi_connection_read_buf_high_watermark_bytes"
+            "Largest read buffer any connection has grown.";
+        /// Largest write buffer any connection has grown, in bytes (merge: max).
+        write_buf_high_watermark: gauge max "write_buf_high_watermark"
+            "dbi_connection_write_buf_high_watermark_bytes"
+            "Largest write buffer any connection has grown.";
+    ];
+}
+
+counter_table! {
+    fn plan_cache_rows(PlanCacheStats) -> PLAN_CACHE_ROWS = [
+        hits: counter "hits" "dbi_plan_cache_hits_total" "Plan-cache hits.";
+        misses: counter "misses" "dbi_plan_cache_misses_total" "Plan-cache misses.";
+        evictions: counter "evictions" "dbi_plan_cache_evictions_total" "Plan-cache evictions.";
+        entries: gauge "entries" "dbi_plan_cache_entries" "Plans resident in the cache.";
+    ];
+}
+
+// `configured` is 0 or 1 here; the JSON writes it by hand, as a boolean.
+counter_table! {
+    fn durability_rows(SnapshotStatus) -> DURABILITY_ROWS = [
+        configured: gauge - "dbi_durability_configured"
+            "Whether a persist directory is configured (1) or not (0).";
+        generation: gauge "generation" "dbi_durability_generation"
+            "Generation the shard journals are currently writing at.";
+        snapshots_taken: counter "snapshots_taken" "dbi_snapshots_taken_total"
+            "Engine snapshots written since startup (including the self-compacting recovery snapshot).";
+        last_sessions: gauge "last_sessions" "dbi_snapshot_last_sessions"
+            "Sessions captured by the most recent snapshot.";
+        last_bytes: gauge "last_bytes" "dbi_snapshot_last_bytes"
+            "On-disk size of the most recent snapshot in bytes.";
+        restored_sessions: counter "restored_sessions" "dbi_sessions_restored_total"
+            "Sessions restored from disk (at startup or via the restore admin frame).";
+    ];
+}
+
+/// Writes `"key":value`, comma-separated, for each row whose JSON path lies
+/// in `block` (`""` for the top level).
+fn write_json_block(out: &mut String, rows: &[Row], values: &[u64], block: &str) -> fmt::Result {
+    let mut comma = "";
+    for (row, value) in rows.iter().zip(values) {
+        let Some(path) = row.json else { continue };
+        let (parent, key) = path.split_once('.').unwrap_or(("", path));
+        if parent == block {
+            write!(out, "{comma}\"{key}\":{value}")?;
+            comma = ",";
+        }
+    }
+    Ok(())
+}
+
+/// Writes a Prometheus family's `# HELP` and `# TYPE` lines.
+fn write_family_header(out: &mut String, name: &str, kind: &str, help: &str) -> fmt::Result {
+    writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}")
+}
+
+/// Writes each row as one unlabelled Prometheus family.
+fn write_row_families(out: &mut String, rows: &[Row], values: &[u64]) -> fmt::Result {
+    for (row, value) in rows.iter().zip(values) {
+        write_family_header(out, row.name, row.kind, row.help)?;
+        writeln!(out, "{} {value}", row.name)?;
+    }
+    Ok(())
+}
+
+/// `numerator / denominator`, or 0 when the denominator is 0.
+fn ratio(numerator: u64, denominator: u64) -> f64 {
+    if denominator == 0 {
+        0.0
+    } else {
+        numerator as f64 / denominator as f64
+    }
 }
 
 /// The histogram bucket a pass of `bursts` bursts lands in.
@@ -100,19 +298,16 @@ fn batch_bucket(bursts: u64) -> usize {
 impl ShardMetrics {
     /// Records one successfully executed request.
     pub fn record_request(&self, payload_bytes: u64, bursts: u64, transitions_saved: u64) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(payload_bytes, Ordering::Relaxed);
-        self.bursts.fetch_add(bursts, Ordering::Relaxed);
-        self.transitions_saved
-            .fetch_add(transitions_saved, Ordering::Relaxed);
+        self.requests.fetch_add(1, Relaxed);
+        self.bytes.fetch_add(payload_bytes, Relaxed);
+        self.bursts.fetch_add(bursts, Relaxed);
+        self.transitions_saved.fetch_add(transitions_saved, Relaxed);
         self.request_rate.record();
     }
 
-    /// Records the stage breakdown of one worker-handled request into the
-    /// shard's latency histograms. `encode_ns`/`verify_ns` are `None` for
-    /// requests that never reached the respective stage (rejects never
-    /// encode; only verify-mode requests verify) — a `None` stage is not
-    /// recorded at all, so zeros never dilute its distribution.
+    /// Records one worker-handled request's stage latencies. A stage the
+    /// request never reached (`None`: rejects never encode, only verify-mode
+    /// requests verify) is not recorded, so zeros never dilute it.
     pub fn record_stage_sample(
         &self,
         queue_wait_ns: u64,
@@ -133,112 +328,81 @@ impl ShardMetrics {
     /// Records one worker pass of `bursts` total bursts, `coalesced` of
     /// whose requests were drained from the queue behind the pass opener.
     pub fn record_pass(&self, bursts: u64, coalesced: u64) {
-        self.passes.fetch_add(1, Ordering::Relaxed);
-        self.coalesced.fetch_add(coalesced, Ordering::Relaxed);
-        self.batch_hist[batch_bucket(bursts)].fetch_add(1, Ordering::Relaxed);
+        self.passes.fetch_add(1, Relaxed);
+        self.coalesced.fetch_add(coalesced, Relaxed);
+        self.batch_hist[batch_bucket(bursts)].fetch_add(1, Relaxed);
     }
 
     /// Records one packed kernel dispatch of `chains` lane-group chains;
-    /// `full` marks a dispatch whose chain count reached the selected
-    /// kernel's lane width — the lane-occupancy counters behind the
-    /// `batch` block's `lane_occupancy` and `full_dispatch_fraction`.
+    /// `full` marks one that filled the selected kernel's lane width.
     pub fn record_dispatch(&self, chains: u64, full: bool) {
-        self.dispatches.fetch_add(1, Ordering::Relaxed);
-        self.dispatch_chains.fetch_add(chains, Ordering::Relaxed);
+        self.dispatches.fetch_add(1, Relaxed);
+        self.dispatch_chains.fetch_add(chains, Relaxed);
         if full {
-            self.full_dispatches.fetch_add(1, Ordering::Relaxed);
+            self.full_dispatches.fetch_add(1, Relaxed);
         }
     }
 
     /// Records one rejected request (validation failure or backpressure).
     pub fn record_reject(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
+        self.rejected.fetch_add(1, Relaxed);
         self.reject_rate.record();
     }
 
-    /// Records one verify-mode round trip: the worker decoded its own
-    /// output and compared it against the request. `ok` is `false` when
-    /// the comparison found an encode/decode asymmetry (the request then
-    /// fails with `VerifyMismatch`).
+    /// Records one verify-mode round trip; `ok` is `false` when decoding
+    /// the output exposed an encode/decode asymmetry (`VerifyMismatch`).
     pub fn record_verify(&self, ok: bool) {
-        self.verified.fetch_add(1, Ordering::Relaxed);
+        self.verified.fetch_add(1, Relaxed);
         if !ok {
-            self.verify_failures.fetch_add(1, Ordering::Relaxed);
+            self.verify_failures.fetch_add(1, Relaxed);
         }
     }
 
-    /// Records a request entering the shard queue, updating the depth
-    /// high-watermark (a scrape between passes reads an instantaneous
-    /// depth of ~0; the peak is what exposes backpressure pressure).
+    /// Records a request entering the shard queue and raises the depth
+    /// high-watermark, which a scrape between passes would otherwise miss.
     pub fn enqueue(&self) {
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
+        let depth = self.queue_depth.fetch_add(1, Relaxed) + 1;
+        self.queue_depth_peak.fetch_max(depth, Relaxed);
     }
 
     /// Records a request leaving the shard queue.
     pub fn dequeue(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        self.queue_depth.fetch_sub(1, Relaxed);
     }
 
-    /// Records a newly created encode session.
+    /// Records a newly created or restored encode session.
     pub fn session_created(&self) {
-        self.sessions.fetch_add(1, Ordering::Relaxed);
+        self.sessions.fetch_add(1, Relaxed);
     }
 
-    /// Records an idle session evicted to make room for a fresh id on a
-    /// full shard; `captured` tells whether a snapshot or journal record
-    /// still holds its carried state.
+    /// Records an idle session evicted for a fresh id on a full shard;
+    /// `captured` tells whether a snapshot or journal record holds its state.
     pub fn session_evicted(&self, captured: bool) {
-        self.sessions_evicted.fetch_add(1, Ordering::Relaxed);
+        self.sessions_evicted.fetch_add(1, Relaxed);
         if !captured {
-            self.sessions_evicted_uncaptured
-                .fetch_add(1, Ordering::Relaxed);
+            self.sessions_evicted_uncaptured.fetch_add(1, Relaxed);
         }
     }
 
-    /// Records one journal flush of `records` session records totalling
-    /// `bytes` on-disk bytes.
+    /// Records one journal flush of `records` records totalling `bytes` bytes.
     pub fn record_journal(&self, records: u64, bytes: u64) {
-        self.journal_records.fetch_add(records, Ordering::Relaxed);
-        self.journal_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.journal_records.fetch_add(records, Relaxed);
+        self.journal_bytes.fetch_add(bytes, Relaxed);
     }
 
-    /// Records one journal I/O failure: a journal that could not be
-    /// created (journaling stays off for the shard), a failed flush, or a
-    /// failed rotation.
+    /// Records one journal I/O failure: a failed create (journaling stays
+    /// off for the shard), flush or rotation.
     pub fn journal_error(&self) {
-        self.journal_errors.fetch_add(1, Ordering::Relaxed);
+        self.journal_errors.fetch_add(1, Relaxed);
     }
 
     /// Reads the counters into an owned snapshot.
     #[must_use]
     pub fn snapshot(&self) -> ShardSnapshot {
-        let mut batch_hist = [0u64; BATCH_BUCKETS];
-        for (slot, counter) in batch_hist.iter_mut().zip(&self.batch_hist) {
-            *slot = counter.load(Ordering::Relaxed);
-        }
+        let mut counters = ShardSnapshot::default();
+        self.load_rows(&mut counters);
         ShardSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            bursts: self.bursts.load(Ordering::Relaxed),
-            transitions_saved: self.transitions_saved.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            queue_depth_peak: self.queue_depth_peak.load(Ordering::Relaxed),
-            sessions: self.sessions.load(Ordering::Relaxed),
-            sessions_evicted: self.sessions_evicted.load(Ordering::Relaxed),
-            sessions_evicted_uncaptured: self.sessions_evicted_uncaptured.load(Ordering::Relaxed),
-            journal_records: self.journal_records.load(Ordering::Relaxed),
-            journal_bytes: self.journal_bytes.load(Ordering::Relaxed),
-            journal_errors: self.journal_errors.load(Ordering::Relaxed),
-            passes: self.passes.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            dispatches: self.dispatches.load(Ordering::Relaxed),
-            dispatch_chains: self.dispatch_chains.load(Ordering::Relaxed),
-            full_dispatches: self.full_dispatches.load(Ordering::Relaxed),
-            batch_hist,
-            verified: self.verified.load(Ordering::Relaxed),
-            verify_failures: self.verify_failures.load(Ordering::Relaxed),
+            batch_hist: self.batch_hist.each_ref().map(|b| b.load(Relaxed)),
             requests_per_s: self.request_rate.rate_per_second(),
             rejects_per_s: self.reject_rate.rate_per_second(),
             latency: StageLatency {
@@ -247,131 +411,51 @@ impl ShardMetrics {
                 verify: self.verify_hist.snapshot(),
                 total: self.total_hist.snapshot(),
             },
+            ..counters
         }
     }
-}
-
-/// Lock-free counters of the connection plane — one set per server, not
-/// per shard, because connections are owned by the I/O threads, not the
-/// encode workers. Same discipline as [`ShardMetrics`]: relaxed atomics,
-/// bumped allocation-free from the event loop.
-#[derive(Debug, Default)]
-pub struct ConnectionMetrics {
-    active: AtomicU64,
-    accepted: AtomicU64,
-    closed: AtomicU64,
-    dropped_slow: AtomicU64,
-    read_buf_high_watermark: AtomicU64,
-    write_buf_high_watermark: AtomicU64,
 }
 
 impl ConnectionMetrics {
     /// Records an accepted connection entering the event loop.
     pub fn on_accept(&self) {
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-        self.active.fetch_add(1, Ordering::Relaxed);
+        self.accepted.fetch_add(1, Relaxed);
+        self.active.fetch_add(1, Relaxed);
     }
 
     /// Records a connection leaving the event loop, however it ended
     /// (peer hang-up, protocol violation, slow-consumer drop, shutdown).
     pub fn on_close(&self) {
-        self.closed.fetch_add(1, Ordering::Relaxed);
-        self.active.fetch_sub(1, Ordering::Relaxed);
+        self.closed.fetch_add(1, Relaxed);
+        self.active.fetch_sub(1, Relaxed);
     }
 
-    /// Records a connection dropped for falling behind its responses —
-    /// its write buffer crossed the configured high-watermark. The drop
-    /// still counts as a close via [`ConnectionMetrics::on_close`]; this
-    /// counter attributes the cause.
+    /// Records a connection dropped for crossing the write-buffer
+    /// high-watermark; it also counts as a close ([`Self::on_close`]).
     pub fn on_dropped_slow(&self) {
-        self.dropped_slow.fetch_add(1, Ordering::Relaxed);
+        self.dropped_slow.fetch_add(1, Relaxed);
     }
 
-    /// Folds one connection's observed read-buffer peak into the plane's
-    /// high-watermark.
+    /// Folds one connection's read-buffer peak into the high-watermark.
     pub fn record_read_buf(&self, bytes: u64) {
-        self.read_buf_high_watermark
-            .fetch_max(bytes, Ordering::Relaxed);
+        self.read_buf_high_watermark.fetch_max(bytes, Relaxed);
     }
 
-    /// Folds one connection's observed write-buffer peak into the plane's
-    /// high-watermark.
+    /// Folds one connection's write-buffer peak into the high-watermark.
     pub fn record_write_buf(&self, bytes: u64) {
-        self.write_buf_high_watermark
-            .fetch_max(bytes, Ordering::Relaxed);
+        self.write_buf_high_watermark.fetch_max(bytes, Relaxed);
     }
 
     /// Reads the counters into an owned snapshot.
     #[must_use]
     pub fn snapshot(&self) -> ConnectionsSnapshot {
-        ConnectionsSnapshot {
-            active: self.active.load(Ordering::Relaxed),
-            accepted: self.accepted.load(Ordering::Relaxed),
-            closed: self.closed.load(Ordering::Relaxed),
-            dropped_slow: self.dropped_slow.load(Ordering::Relaxed),
-            read_buf_high_watermark: self.read_buf_high_watermark.load(Ordering::Relaxed),
-            write_buf_high_watermark: self.write_buf_high_watermark.load(Ordering::Relaxed),
-        }
+        let mut snapshot = ConnectionsSnapshot::default();
+        self.load_rows(&mut snapshot);
+        snapshot
     }
 }
 
-/// A point-in-time copy of the connection-plane counters. All zeros for
-/// an engine that is not fronted by a TCP server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ConnectionsSnapshot {
-    /// Connections currently multiplexed by the I/O threads.
-    pub active: u64,
-    /// Connections accepted since startup.
-    pub accepted: u64,
-    /// Connections closed since startup, for any reason.
-    pub closed: u64,
-    /// Connections dropped because their write buffer crossed the
-    /// slow-consumer high-watermark (a subset of `closed`).
-    pub dropped_slow: u64,
-    /// Largest read buffer any connection has grown, in bytes.
-    pub read_buf_high_watermark: u64,
-    /// Largest write buffer any connection has grown, in bytes.
-    pub write_buf_high_watermark: u64,
-}
-
-impl ConnectionsSnapshot {
-    /// Folds another connection-plane snapshot into this one: the
-    /// counters (and `active`) sum; the buffer high-watermarks take the
-    /// maximum, because a watermark aggregated across planes is still
-    /// "the largest buffer any connection grew".
-    fn add(&mut self, other: &ConnectionsSnapshot) {
-        self.active += other.active;
-        self.accepted += other.accepted;
-        self.closed += other.closed;
-        self.dropped_slow += other.dropped_slow;
-        self.read_buf_high_watermark = self
-            .read_buf_high_watermark
-            .max(other.read_buf_high_watermark);
-        self.write_buf_high_watermark = self
-            .write_buf_high_watermark
-            .max(other.write_buf_high_watermark);
-    }
-
-    fn write_json(&self, out: &mut String) {
-        use std::fmt::Write;
-        write!(
-            out,
-            "{{\"active\":{},\"accepted\":{},\"closed\":{},\
-             \"dropped_slow\":{},\"read_buf_high_watermark\":{},\
-             \"write_buf_high_watermark\":{}}}",
-            self.active,
-            self.accepted,
-            self.closed,
-            self.dropped_slow,
-            self.read_buf_high_watermark,
-            self.write_buf_high_watermark,
-        )
-        .expect("writing to a String cannot fail");
-    }
-}
-
-/// The four per-stage latency snapshots of one shard: where a request's
-/// time goes, from queue admission to completion signal.
+/// Where one shard's requests spend their time: four stage latencies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageLatency {
     /// Time between enqueue and a worker picking the request up.
@@ -380,8 +464,7 @@ pub struct StageLatency {
     pub encode: LatencyStats,
     /// Time in the verify round trip (verify-mode requests only).
     pub verify: LatencyStats,
-    /// Total service time, enqueue to completion signal (every
-    /// worker-handled request, including rejects).
+    /// Enqueue to completion signal, for every worker-handled request.
     pub total: LatencyStats,
 }
 
@@ -405,108 +488,19 @@ impl StageLatency {
     }
 }
 
-/// A point-in-time copy of one shard's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ShardSnapshot {
-    /// Requests executed.
-    pub requests: u64,
-    /// Requests rejected (bad geometry/payload, backpressure, shutdown).
-    pub rejected: u64,
-    /// Payload bytes encoded.
-    pub bytes: u64,
-    /// Per-group bursts encoded.
-    pub bursts: u64,
-    /// Lane transitions avoided relative to sending the same stream raw.
-    pub transitions_saved: u64,
-    /// Requests currently sitting in the shard queue.
-    pub queue_depth: u64,
-    /// The deepest the shard queue has ever been — the high-watermark
-    /// that exposes backpressure a between-passes scrape would miss.
-    pub queue_depth_peak: u64,
-    /// Encode sessions resident on the shard.
-    pub sessions: u64,
-    /// Idle sessions evicted to make room for fresh session ids once the
-    /// shard hit its configured session bound.
-    pub sessions_evicted: u64,
-    /// The evictions among [`ShardSnapshot::sessions_evicted`] whose
-    /// victim was not captured by a snapshot or journal record: its
-    /// carried state is lost.
-    pub sessions_evicted_uncaptured: u64,
-    /// Session records the shard's worker has appended to its journal.
-    pub journal_records: u64,
-    /// Bytes the shard's worker has flushed to its journal.
-    pub journal_bytes: u64,
-    /// Journal I/O failures: create, flush or rotation errors. Durability
-    /// degrades on each; the data path never fails.
-    pub journal_errors: u64,
-    /// Worker passes executed (each pass serves one or more coalesced
-    /// requests of one session).
-    pub passes: u64,
-    /// Requests that were coalesced into another request's pass instead
-    /// of opening their own.
-    pub coalesced: u64,
-    /// Packed kernel dispatches executed (one per round: a single
-    /// `encode_lanes_into` sweep over every chain packed into the round).
-    pub dispatches: u64,
-    /// Lane-group chains encoded across all dispatches — `dispatch_chains
-    /// / dispatches` is the average lane occupancy of a kernel sweep.
-    pub dispatch_chains: u64,
-    /// Dispatches whose chain count reached the selected kernel's lane
-    /// width (a fully occupied SIMD sweep).
-    pub full_dispatches: u64,
-    /// Power-of-two histogram of pass sizes in bursts: bucket *i* counts
-    /// passes of `[2^i, 2^(i+1))` bursts.
-    pub batch_hist: [u64; BATCH_BUCKETS],
-    /// Verify-mode requests whose output was decoded and compared.
-    pub verified: u64,
-    /// Verify-mode requests whose round trip exposed an encode/decode
-    /// asymmetry (answered with `VerifyMismatch`).
-    pub verify_failures: u64,
-    /// Executed requests per second over the sliding
-    /// [`RATE_WINDOW_SECONDS`]-second window, as of the snapshot.
-    pub requests_per_s: f64,
-    /// Rejected requests per second over the same window.
-    pub rejects_per_s: f64,
-    /// Per-stage latency histograms: queue-wait, encode, verify, total.
-    pub latency: StageLatency,
-}
-
 impl ShardSnapshot {
     fn add(&mut self, other: &ShardSnapshot) {
-        self.requests += other.requests;
-        self.rejected += other.rejected;
-        self.bytes += other.bytes;
-        self.bursts += other.bursts;
-        self.transitions_saved += other.transitions_saved;
-        self.queue_depth += other.queue_depth;
-        self.sessions += other.sessions;
-        self.sessions_evicted += other.sessions_evicted;
-        self.sessions_evicted_uncaptured += other.sessions_evicted_uncaptured;
-        self.journal_records += other.journal_records;
-        self.journal_bytes += other.journal_bytes;
-        self.journal_errors += other.journal_errors;
-        self.passes += other.passes;
-        self.coalesced += other.coalesced;
-        self.dispatches += other.dispatches;
-        self.dispatch_chains += other.dispatch_chains;
-        self.full_dispatches += other.full_dispatches;
+        self.merge_rows(other);
         for (mine, theirs) in self.batch_hist.iter_mut().zip(&other.batch_hist) {
             *mine += theirs;
         }
-        self.verified += other.verified;
-        self.verify_failures += other.verify_failures;
-        // The peak is summed like the other counters: the result is the
-        // (upper bound) high-watermark of total queued work, consistent
-        // with `queue_depth` above.
-        self.queue_depth_peak += other.queue_depth_peak;
         self.requests_per_s += other.requests_per_s;
         self.rejects_per_s += other.rejects_per_s;
         self.latency.add(&other.latency);
     }
 
-    /// The histogram percentile of the pass-size distribution in bursts,
-    /// interpolated within the winning power-of-two bucket (see
-    /// [`log2_percentile`]); 0 when no pass has been recorded.
+    /// The interpolated pass-size percentile in bursts (see
+    /// [`log2_percentile`]); 0 before the first pass.
     #[must_use]
     pub fn batch_size_percentile(&self, percentile: f64) -> u64 {
         log2_percentile(&self.batch_hist, percentile)
@@ -515,86 +509,54 @@ impl ShardSnapshot {
     /// Mean bursts per executed request (0 when no request has run).
     #[must_use]
     pub fn bursts_per_request(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.bursts as f64 / self.requests as f64
-        }
+        ratio(self.bursts, self.requests)
     }
 
     /// Mean lane-group chains per packed kernel dispatch (0 before the
-    /// first dispatch) — how full the cross-session packing keeps the
-    /// kernel sweeps.
+    /// first): how full cross-session packing keeps the kernel sweeps.
     #[must_use]
     pub fn lane_occupancy(&self) -> f64 {
-        if self.dispatches == 0 {
-            0.0
-        } else {
-            self.dispatch_chains as f64 / self.dispatches as f64
-        }
+        ratio(self.dispatch_chains, self.dispatches)
     }
 
-    /// Fraction of dispatches whose chain count reached the selected
-    /// kernel's lane width (0 before the first dispatch).
+    /// Fraction of dispatches that filled the kernel's lane width (or 0).
     #[must_use]
     pub fn full_dispatch_fraction(&self) -> f64 {
-        if self.dispatches == 0 {
-            0.0
-        } else {
-            self.full_dispatches as f64 / self.dispatches as f64
-        }
+        ratio(self.full_dispatches, self.dispatches)
     }
 
-    fn write_json(&self, out: &mut String) {
-        use std::fmt::Write;
+    /// Writes the top-level rows, then the `journal`, `rate`, `batch`,
+    /// `verify` and `latency` blocks.
+    fn write_json(&self, out: &mut String) -> fmt::Result {
+        let values = self.rows();
+        out.push('{');
+        write_json_block(out, SHARD_ROWS, &values, "")?;
+        out.push_str(",\"journal\":{");
+        write_json_block(out, SHARD_ROWS, &values, "journal")?;
         write!(
             out,
-            "{{\"requests\":{},\"rejected\":{},\"bytes\":{},\"bursts\":{},\
-             \"transitions_saved\":{},\"queue_depth\":{},\
-             \"queue_depth_peak\":{},\"sessions\":{},\
-             \"sessions_evicted\":{},\"sessions_evicted_uncaptured\":{},\
-             \"journal\":{{\"records\":{},\"bytes\":{},\"errors\":{}}},\
-             \"rate\":{{\"requests_per_s\":{:.1},\"rejects_per_s\":{:.1},\
-             \"window_s\":{}}},\
-             \"batch\":{{\"passes\":{},\"coalesced\":{},\"dispatches\":{},\
-             \"lane_occupancy\":{:.1},\"full_dispatch_fraction\":{:.2},\
-             \"size_p50\":{},\"size_p99\":{},\"bursts_per_request\":{:.1}}},\
-             \"verify\":{{\"requests\":{},\"failures\":{}}},\"latency\":{{",
-            self.requests,
-            self.rejected,
-            self.bytes,
-            self.bursts,
-            self.transitions_saved,
-            self.queue_depth,
-            self.queue_depth_peak,
-            self.sessions,
-            self.sessions_evicted,
-            self.sessions_evicted_uncaptured,
-            self.journal_records,
-            self.journal_bytes,
-            self.journal_errors,
-            self.requests_per_s,
-            self.rejects_per_s,
-            RATE_WINDOW_SECONDS,
-            self.passes,
-            self.coalesced,
-            self.dispatches,
+            "}},\"rate\":{{\"requests_per_s\":{:.1},\"rejects_per_s\":{:.1},\
+             \"window_s\":{RATE_WINDOW_SECONDS}}},\"batch\":{{",
+            self.requests_per_s, self.rejects_per_s,
+        )?;
+        write_json_block(out, SHARD_ROWS, &values, "batch")?;
+        write!(
+            out,
+            ",\"lane_occupancy\":{:.1},\"full_dispatch_fraction\":{:.2},\
+             \"size_p50\":{},\"size_p99\":{},\"bursts_per_request\":{:.1}}},\"verify\":{{",
             self.lane_occupancy(),
             self.full_dispatch_fraction(),
             self.batch_size_percentile(0.50),
             self.batch_size_percentile(0.99),
             self.bursts_per_request(),
-            self.verified,
-            self.verify_failures,
-        )
-        .expect("writing to a String cannot fail");
+        )?;
+        write_json_block(out, SHARD_ROWS, &values, "verify")?;
+        out.push_str("},\"latency\":{");
         for (index, (name, stats)) in self.latency.stages().into_iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
+            let comma = if index > 0 { "," } else { "" };
             write!(
                 out,
-                "\"{name}\":{{\"count\":{},\"mean_ns\":{},\"p50_ns\":{},\
+                "{comma}\"{name}\":{{\"count\":{},\"mean_ns\":{},\"p50_ns\":{},\
                  \"p90_ns\":{},\"p99_ns\":{},\"p999_ns\":{}}}",
                 stats.count,
                 stats.mean_ns(),
@@ -602,10 +564,10 @@ impl ShardSnapshot {
                 stats.percentile_ns(0.90),
                 stats.percentile_ns(0.99),
                 stats.percentile_ns(0.999),
-            )
-            .expect("writing to a String cannot fail");
+            )?;
         }
         out.push_str("}}");
+        Ok(())
     }
 }
 
@@ -640,9 +602,8 @@ impl MetricsRegistry {
         self.shards.len()
     }
 
-    /// Copies every shard's counters into an owned snapshot. The
-    /// plan-cache block starts zeroed; the engine overwrites it with the
-    /// live [`PlanCacheStats`] when it snapshots.
+    /// Copies every shard's counters into an owned snapshot; the engine
+    /// stamps in the live [`PlanCacheStats`] over the zeroed block.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -664,20 +625,15 @@ pub struct MetricsSnapshot {
     pub per_shard: Vec<ShardSnapshot>,
     /// Counters of the engine's shared plan cache.
     pub plan_cache: PlanCacheStats,
-    /// Counters of the connection plane fronting the engine; all zeros
-    /// when no TCP server is attached (the registry itself has no
-    /// connection counters — the server stamps the live block in when it
-    /// serves a metrics request).
+    /// Counters of the connection plane fronting the engine, stamped in by
+    /// the TCP server; all zeros when none is attached.
     pub connections: ConnectionsSnapshot,
-    /// State of the durable session plane, mirroring the
-    /// [`SnapshotStatus`] admin response; all zeros with
-    /// `configured: false` when the engine was started without a persist
-    /// directory (the registry itself holds no durability state — the
-    /// engine stamps the live block in when it snapshots).
+    /// State of the durable session plane, mirroring the [`SnapshotStatus`]
+    /// admin response and stamped in by the engine; all zeros with
+    /// `configured: false` without a persist directory.
     pub durability: SnapshotStatus,
-    /// The slab kernel tier every worker's batched path dispatches to
-    /// ([`dbi_core::simd::selected_kernel`]) — `"scalar"` when pinned by
-    /// `DBI_FORCE_SCALAR`.
+    /// The slab kernel tier the workers dispatch to
+    /// ([`dbi_core::simd::selected_kernel`]); `"scalar"` when forced.
     pub kernel: &'static str,
     /// Whether `DBI_FORCE_SCALAR` pinned dispatch to the scalar tier.
     pub forced_scalar: bool,
@@ -696,13 +652,11 @@ impl MetricsSnapshot {
         total
     }
 
-    /// Folds another snapshot into this one, shard by shard — shard *i*
-    /// of `other` is added onto shard *i* of `self`, extra shards are
-    /// appended, and the plan-cache counters sum. Useful for aggregating
-    /// scrapes of several engines (or of one engine across restarts) into
-    /// one view; the kernel and durability blocks keep `self`'s values,
-    /// so merge same-hardware, same-store snapshots if those blocks
-    /// matter.
+    /// Folds another snapshot into this one: shard *i* of `other` onto
+    /// shard *i* of `self` (extra shards appended), the plan-cache and
+    /// connection counters summed, each connection buffer high-watermark
+    /// kept at the larger side. For aggregating scrapes of several engines
+    /// or restarts; the kernel and durability blocks keep `self`'s values.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         if self.per_shard.len() < other.per_shard.len() {
             self.per_shard
@@ -715,175 +669,71 @@ impl MetricsSnapshot {
         self.plan_cache.misses += other.plan_cache.misses;
         self.plan_cache.evictions += other.plan_cache.evictions;
         self.plan_cache.entries += other.plan_cache.entries;
-        self.connections.add(&other.connections);
+        self.connections.merge_rows(&other.connections);
     }
 
     /// Serialises the snapshot as a single-line JSON object:
     /// `{"shards":[{...},...],"totals":{...},"plan_cache":{...},"connections":{...},"durability":{...},"kernel":{...}}`.
     #[must_use]
     pub fn to_json(&self) -> String {
-        use std::fmt::Write;
         let mut out = String::with_capacity(128 * (self.per_shard.len() + 2));
-        out.push_str("{\"shards\":[");
-        for (index, shard) in self.per_shard.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            shard.write_json(&mut out);
-        }
-        out.push_str("],\"totals\":");
-        self.totals().write_json(&mut out);
-        write!(
-            out,
-            ",\"plan_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"entries\":{}}}",
-            self.plan_cache.hits,
-            self.plan_cache.misses,
-            self.plan_cache.evictions,
-            self.plan_cache.entries
-        )
-        .expect("writing to a String cannot fail");
-        out.push_str(",\"connections\":");
-        self.connections.write_json(&mut out);
-        write!(
-            out,
-            ",\"durability\":{{\"configured\":{},\"generation\":{},\
-             \"snapshots_taken\":{},\"last_sessions\":{},\"last_bytes\":{},\
-             \"restored_sessions\":{}}}",
-            self.durability.configured,
-            self.durability.generation,
-            self.durability.snapshots_taken,
-            self.durability.last_sessions,
-            self.durability.last_bytes,
-            self.durability.restored_sessions,
-        )
-        .expect("writing to a String cannot fail");
-        write!(
-            out,
-            ",\"kernel\":{{\"selected\":\"{}\",\"forced_scalar\":{},\"cpu_features\":\"{}\"}}",
-            self.kernel, self.forced_scalar, self.cpu_features
-        )
-        .expect("writing to a String cannot fail");
-        out.push('}');
+        self.write_json(&mut out)
+            .expect("writing to a String cannot fail");
         out
     }
 
-    /// Renders the snapshot in Prometheus text exposition format: one
-    /// `{shard="i"}`-labelled series per counter (scrapers sum shards
-    /// themselves), a `dbi_stage_latency_nanoseconds` summary with
-    /// `{shard,stage,quantile}` labels plus `_sum`/`_count`, the
-    /// plan-cache counters, the connection-plane counters and buffer
-    /// high-watermarks, and a `dbi_kernel_info` gauge carrying the
-    /// dispatch tier and CPU features as labels.
+    fn write_json(&self, out: &mut String) -> fmt::Result {
+        out.push_str("{\"shards\":[");
+        for (index, shard) in self.per_shard.iter().enumerate() {
+            out.push_str(if index > 0 { "," } else { "" });
+            shard.write_json(out)?;
+        }
+        out.push_str("],\"totals\":");
+        self.totals().write_json(out)?;
+        let (plan_cache, durability) = (&self.plan_cache, &self.durability);
+        out.push_str(",\"plan_cache\":{");
+        write_json_block(out, PLAN_CACHE_ROWS, &plan_cache_rows(plan_cache), "")?;
+        out.push_str("},\"connections\":{");
+        write_json_block(out, CONNECTION_ROWS, &self.connections.rows(), "")?;
+        let configured = durability.configured;
+        write!(out, "}},\"durability\":{{\"configured\":{configured},")?;
+        write_json_block(out, DURABILITY_ROWS, &durability_rows(durability), "")?;
+        write!(
+            out,
+            "}},\"kernel\":{{\"selected\":\"{}\",\"forced_scalar\":{},\"cpu_features\":\"{}\"}}}}",
+            self.kernel, self.forced_scalar, self.cpu_features
+        )
+    }
+
+    /// Renders the snapshot in Prometheus text exposition format: a
+    /// `{shard="i"}`-labelled family per shard counter (scrapers sum shards
+    /// themselves), a `dbi_stage_latency_nanoseconds` summary, the
+    /// plan-cache, connection and durability families, and a
+    /// `dbi_kernel_info` gauge labelled with the dispatch tier and CPU
+    /// features.
     #[must_use]
     pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write;
-        type Field = fn(&ShardSnapshot) -> u64;
-        const COUNTERS: [(&str, &str, Field); 18] = [
-            ("dbi_requests_total", "Requests executed.", |s| s.requests),
-            ("dbi_rejected_total", "Requests rejected.", |s| s.rejected),
-            ("dbi_bytes_total", "Payload bytes encoded.", |s| s.bytes),
-            ("dbi_bursts_total", "Per-group bursts encoded.", |s| {
-                s.bursts
-            }),
-            (
-                "dbi_transitions_saved_total",
-                "Lane transitions avoided versus sending the stream raw.",
-                |s| s.transitions_saved,
-            ),
-            ("dbi_batch_passes_total", "Worker passes executed.", |s| {
-                s.passes
-            }),
-            (
-                "dbi_batch_coalesced_total",
-                "Requests coalesced into another request's pass.",
-                |s| s.coalesced,
-            ),
-            (
-                "dbi_batch_dispatches_total",
-                "Packed kernel dispatches executed.",
-                |s| s.dispatches,
-            ),
-            (
-                "dbi_batch_dispatch_chains_total",
-                "Lane-group chains encoded across all packed dispatches.",
-                |s| s.dispatch_chains,
-            ),
-            (
-                "dbi_batch_full_dispatches_total",
-                "Dispatches that filled the selected kernel's lane width.",
-                |s| s.full_dispatches,
-            ),
-            (
-                "dbi_verify_requests_total",
-                "Verify-mode requests round-tripped.",
-                |s| s.verified,
-            ),
-            (
-                "dbi_verify_failures_total",
-                "Verify round trips that exposed an encode/decode asymmetry.",
-                |s| s.verify_failures,
-            ),
-            ("dbi_sessions_total", "Encode sessions created.", |s| {
-                s.sessions
-            }),
-            (
-                "dbi_sessions_evicted_total",
-                "Idle sessions evicted to admit fresh session ids on a full shard.",
-                |s| s.sessions_evicted,
-            ),
-            (
-                "dbi_sessions_evicted_uncaptured_total",
-                "Evicted sessions whose carried state no snapshot or journal record held.",
-                |s| s.sessions_evicted_uncaptured,
-            ),
-            (
-                "dbi_journal_records_total",
-                "Session records appended to the shard's journal.",
-                |s| s.journal_records,
-            ),
-            (
-                "dbi_journal_bytes_total",
-                "Bytes flushed to the shard's journal.",
-                |s| s.journal_bytes,
-            ),
-            (
-                "dbi_journal_errors_total",
-                "Journal create, flush or rotation failures (durability degraded).",
-                |s| s.journal_errors,
-            ),
-        ];
-        const GAUGES: [(&str, &str, Field); 2] = [
-            ("dbi_queue_depth", "Requests currently queued.", |s| {
-                s.queue_depth
-            }),
-            (
-                "dbi_queue_depth_peak",
-                "Queue-depth high-watermark since startup.",
-                |s| s.queue_depth_peak,
-            ),
-        ];
         let mut out = String::with_capacity(1024 + 2048 * self.per_shard.len());
-        for (name, help, field) in COUNTERS {
-            writeln!(out, "# HELP {name} {help}").expect("writing to a String cannot fail");
-            writeln!(out, "# TYPE {name} counter").expect("writing to a String cannot fail");
-            for (shard, snapshot) in self.per_shard.iter().enumerate() {
-                writeln!(out, "{name}{{shard=\"{shard}\"}} {}", field(snapshot))
-                    .expect("writing to a String cannot fail");
+        self.write_prometheus(&mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    fn write_prometheus(&self, out: &mut String) -> fmt::Result {
+        // Shard counters, then shard gauges, each in table order.
+        for kind in ["counter", "gauge"] {
+            for (index, row) in SHARD_ROWS.iter().enumerate() {
+                if row.kind == kind {
+                    self.write_shard_family(out, row.name, kind, row.help, |s| s.rows()[index])?;
+                }
             }
         }
-        for (name, help, field) in GAUGES {
-            writeln!(out, "# HELP {name} {help}").expect("writing to a String cannot fail");
-            writeln!(out, "# TYPE {name} gauge").expect("writing to a String cannot fail");
-            for (shard, snapshot) in self.per_shard.iter().enumerate() {
-                writeln!(out, "{name}{{shard=\"{shard}\"}} {}", field(snapshot))
-                    .expect("writing to a String cannot fail");
-            }
-        }
-        for (name, help, field) in [
+        type Derived = fn(&ShardSnapshot) -> f64;
+        let derived: [(&str, &str, Derived); 4] = [
             (
                 "dbi_requests_per_second",
                 "Executed requests per second over the sliding window.",
-                (|s| s.requests_per_s) as fn(&ShardSnapshot) -> f64,
+                |s| s.requests_per_s,
             ),
             (
                 "dbi_rejects_per_second",
@@ -893,180 +743,58 @@ impl MetricsSnapshot {
             (
                 "dbi_batch_lane_occupancy",
                 "Mean lane-group chains per packed kernel dispatch.",
-                |s| s.lane_occupancy(),
+                ShardSnapshot::lane_occupancy,
             ),
             (
                 "dbi_batch_full_dispatch_fraction",
                 "Fraction of dispatches that filled the kernel's lane width.",
-                |s| s.full_dispatch_fraction(),
+                ShardSnapshot::full_dispatch_fraction,
             ),
-        ] {
-            writeln!(out, "# HELP {name} {help}").expect("writing to a String cannot fail");
-            writeln!(out, "# TYPE {name} gauge").expect("writing to a String cannot fail");
-            for (shard, snapshot) in self.per_shard.iter().enumerate() {
-                writeln!(out, "{name}{{shard=\"{shard}\"}} {:.1}", field(snapshot))
-                    .expect("writing to a String cannot fail");
-            }
+        ];
+        for (name, help, value) in derived {
+            self.write_shard_family(out, name, "gauge", help, value)?;
         }
+
         let name = "dbi_stage_latency_nanoseconds";
-        writeln!(out, "# HELP {name} Per-stage request latency.")
-            .expect("writing to a String cannot fail");
-        writeln!(out, "# TYPE {name} summary").expect("writing to a String cannot fail");
+        write_family_header(out, name, "summary", "Per-stage request latency.")?;
         for (shard, snapshot) in self.per_shard.iter().enumerate() {
             for (stage, stats) in snapshot.latency.stages() {
-                for (quantile, value) in [
-                    ("0.5", stats.percentile_ns(0.50)),
-                    ("0.9", stats.percentile_ns(0.90)),
-                    ("0.99", stats.percentile_ns(0.99)),
-                    ("0.999", stats.percentile_ns(0.999)),
-                ] {
-                    writeln!(
-                        out,
-                        "{name}{{shard=\"{shard}\",stage=\"{stage}\",quantile=\"{quantile}\"}} {value}"
-                    )
-                    .expect("writing to a String cannot fail");
+                let labels = format!("shard=\"{shard}\",stage=\"{stage}\"");
+                for quantile in [0.5, 0.9, 0.99, 0.999] {
+                    let value = stats.percentile_ns(quantile);
+                    writeln!(out, "{name}{{{labels},quantile=\"{quantile}\"}} {value}")?;
                 }
-                writeln!(
-                    out,
-                    "{name}_sum{{shard=\"{shard}\",stage=\"{stage}\"}} {}",
-                    stats.sum_ns
-                )
-                .expect("writing to a String cannot fail");
-                writeln!(
-                    out,
-                    "{name}_count{{shard=\"{shard}\",stage=\"{stage}\"}} {}",
-                    stats.count
-                )
-                .expect("writing to a String cannot fail");
+                writeln!(out, "{name}_sum{{{labels}}} {}", stats.sum_ns)?;
+                writeln!(out, "{name}_count{{{labels}}} {}", stats.count)?;
             }
         }
-        for (name, kind, help, value) in [
-            (
-                "dbi_plan_cache_hits_total",
-                "counter",
-                "Plan-cache hits.",
-                self.plan_cache.hits,
-            ),
-            (
-                "dbi_plan_cache_misses_total",
-                "counter",
-                "Plan-cache misses.",
-                self.plan_cache.misses,
-            ),
-            (
-                "dbi_plan_cache_evictions_total",
-                "counter",
-                "Plan-cache evictions.",
-                self.plan_cache.evictions,
-            ),
-            (
-                "dbi_plan_cache_entries",
-                "gauge",
-                "Plans resident in the cache.",
-                self.plan_cache.entries as u64,
-            ),
-        ] {
-            writeln!(out, "# HELP {name} {help}").expect("writing to a String cannot fail");
-            writeln!(out, "# TYPE {name} {kind}").expect("writing to a String cannot fail");
-            writeln!(out, "{name} {value}").expect("writing to a String cannot fail");
-        }
-        for (name, kind, help, value) in [
-            (
-                "dbi_connections_active",
-                "gauge",
-                "Connections currently multiplexed by the I/O threads.",
-                self.connections.active,
-            ),
-            (
-                "dbi_connections_accepted_total",
-                "counter",
-                "Connections accepted.",
-                self.connections.accepted,
-            ),
-            (
-                "dbi_connections_closed_total",
-                "counter",
-                "Connections closed, for any reason.",
-                self.connections.closed,
-            ),
-            (
-                "dbi_connections_dropped_slow_total",
-                "counter",
-                "Connections dropped for crossing the slow-consumer write high-watermark.",
-                self.connections.dropped_slow,
-            ),
-            (
-                "dbi_connection_read_buf_high_watermark_bytes",
-                "gauge",
-                "Largest read buffer any connection has grown.",
-                self.connections.read_buf_high_watermark,
-            ),
-            (
-                "dbi_connection_write_buf_high_watermark_bytes",
-                "gauge",
-                "Largest write buffer any connection has grown.",
-                self.connections.write_buf_high_watermark,
-            ),
-        ] {
-            writeln!(out, "# HELP {name} {help}").expect("writing to a String cannot fail");
-            writeln!(out, "# TYPE {name} {kind}").expect("writing to a String cannot fail");
-            writeln!(out, "{name} {value}").expect("writing to a String cannot fail");
-        }
-        for (name, kind, help, value) in [
-            (
-                "dbi_durability_configured",
-                "gauge",
-                "Whether a persist directory is configured (1) or not (0).",
-                u64::from(self.durability.configured),
-            ),
-            (
-                "dbi_durability_generation",
-                "gauge",
-                "Generation the shard journals are currently writing at.",
-                self.durability.generation,
-            ),
-            (
-                "dbi_snapshots_taken_total",
-                "counter",
-                "Engine snapshots written since startup (including the self-compacting recovery snapshot).",
-                self.durability.snapshots_taken,
-            ),
-            (
-                "dbi_snapshot_last_sessions",
-                "gauge",
-                "Sessions captured by the most recent snapshot.",
-                self.durability.last_sessions,
-            ),
-            (
-                "dbi_snapshot_last_bytes",
-                "gauge",
-                "On-disk size of the most recent snapshot in bytes.",
-                self.durability.last_bytes,
-            ),
-            (
-                "dbi_sessions_restored_total",
-                "counter",
-                "Sessions restored from disk (at startup or via the restore admin frame).",
-                self.durability.restored_sessions,
-            ),
-        ] {
-            writeln!(out, "# HELP {name} {help}").expect("writing to a String cannot fail");
-            writeln!(out, "# TYPE {name} {kind}").expect("writing to a String cannot fail");
-            writeln!(out, "{name} {value}").expect("writing to a String cannot fail");
-        }
-        writeln!(
-            out,
-            "# HELP dbi_kernel_info Selected slab kernel tier and detected CPU features."
-        )
-        .expect("writing to a String cannot fail");
-        writeln!(out, "# TYPE dbi_kernel_info gauge").expect("writing to a String cannot fail");
+
+        write_row_families(out, PLAN_CACHE_ROWS, &plan_cache_rows(&self.plan_cache))?;
+        write_row_families(out, CONNECTION_ROWS, &self.connections.rows())?;
+        write_row_families(out, DURABILITY_ROWS, &durability_rows(&self.durability))?;
+        let help = "Selected slab kernel tier and detected CPU features.";
+        write_family_header(out, "dbi_kernel_info", "gauge", help)?;
         writeln!(
             out,
             "dbi_kernel_info{{selected=\"{}\",forced_scalar=\"{}\",cpu_features=\"{}\"}} 1",
             self.kernel, self.forced_scalar, self.cpu_features
         )
-        .expect("writing to a String cannot fail");
-        out
+    }
+
+    /// Writes one shard-labelled family; `{:.1}` leaves integers as they are.
+    fn write_shard_family<V: Display>(
+        &self,
+        out: &mut String,
+        name: &str,
+        kind: &str,
+        help: &str,
+        value: impl Fn(&ShardSnapshot) -> V,
+    ) -> fmt::Result {
+        write_family_header(out, name, kind, help)?;
+        for (shard, snapshot) in self.per_shard.iter().enumerate() {
+            writeln!(out, "{name}{{shard=\"{shard}\"}} {:.1}", value(snapshot))?;
+        }
+        Ok(())
     }
 }
 
@@ -1390,6 +1118,109 @@ mod tests {
         assert!(text.contains("dbi_sessions_restored_total 1\n"));
         // Every series of a shard-labelled family appears once per shard.
         assert_eq!(text.matches("dbi_batch_passes_total{shard=").count(), 1);
+    }
+
+    /// Two shards in which every counter, histogram bucket, rate and
+    /// latency stage, and every connection, plan-cache and durability
+    /// field, holds a distinct non-zero value. The totals then differ from
+    /// both shards, so a dropped, misplaced or wrongly merged field
+    /// changes the output.
+    fn two_shard_snapshot() -> MetricsSnapshot {
+        let shard = |k: u64| {
+            let base = 1000 * k;
+            let stage = |s: u64| {
+                let buckets: [u64; crate::telemetry::LATENCY_BUCKETS] =
+                    std::array::from_fn(|i| base + 100 * (s + 1) + i as u64 + 1);
+                LatencyStats {
+                    buckets,
+                    count: buckets.iter().sum(),
+                    sum_ns: (k + 1) * 1_000_003 * (s + 1),
+                }
+            };
+            ShardSnapshot {
+                requests: base + 1,
+                rejected: base + 2,
+                bytes: base + 3,
+                bursts: base + 4,
+                transitions_saved: base + 5,
+                queue_depth: base + 6,
+                queue_depth_peak: base + 7,
+                sessions: base + 8,
+                sessions_evicted: base + 9,
+                sessions_evicted_uncaptured: base + 10,
+                journal_records: base + 11,
+                journal_bytes: base + 12,
+                journal_errors: base + 13,
+                passes: base + 14,
+                coalesced: base + 15,
+                dispatches: base + 16,
+                dispatch_chains: base + 17,
+                full_dispatches: base + 18,
+                batch_hist: std::array::from_fn(|i| base + 30 + i as u64),
+                verified: base + 19,
+                verify_failures: base + 20,
+                requests_per_s: 40.5 + 100.0 * k as f64,
+                rejects_per_s: 1.5 + 100.0 * k as f64,
+                latency: StageLatency {
+                    queue_wait: stage(0),
+                    encode: stage(1),
+                    verify: stage(2),
+                    total: stage(3),
+                },
+            }
+        };
+        MetricsSnapshot {
+            per_shard: vec![shard(0), shard(1)],
+            plan_cache: PlanCacheStats {
+                hits: 5001,
+                misses: 5002,
+                evictions: 5003,
+                entries: 5004,
+            },
+            connections: ConnectionsSnapshot {
+                active: 6001,
+                accepted: 6002,
+                closed: 6003,
+                dropped_slow: 6004,
+                read_buf_high_watermark: 6005,
+                write_buf_high_watermark: 6006,
+            },
+            durability: SnapshotStatus {
+                configured: true,
+                generation: 7001,
+                snapshots_taken: 7002,
+                last_sessions: 7003,
+                last_bytes: 7004,
+                restored_sessions: 7005,
+            },
+            kernel: "avx2",
+            forced_scalar: true,
+            cpu_features: "sse2,avx2",
+        }
+    }
+
+    #[test]
+    fn two_shard_golden_pins_json_and_prometheus_byte_for_byte() {
+        let snapshot = two_shard_snapshot();
+        assert_eq!(
+            snapshot.to_json(),
+            include_str!("../vectors/metrics_two_shards.json")
+        );
+        assert_eq!(
+            snapshot.to_prometheus(),
+            include_str!("../vectors/metrics_two_shards.prom")
+        );
+        // Merged with a copy whose read watermark is lower and write
+        // watermark higher: counters sum, each watermark keeps the larger.
+        let mut other = snapshot.clone();
+        other.connections.read_buf_high_watermark = 1;
+        other.connections.write_buf_high_watermark = 9999;
+        let mut merged = snapshot;
+        merged.merge(&other);
+        assert_eq!(
+            merged.to_json(),
+            include_str!("../vectors/metrics_two_shards_merged.json")
+        );
     }
 
     #[test]
