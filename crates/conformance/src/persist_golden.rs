@@ -2,12 +2,14 @@
 //! the matching journal, generated deterministically and checked in as
 //! `vectors/persist_v1.hex`.
 //!
-//! The on-disk formats are a compatibility promise — a snapshot written
-//! by yesterday's build must restore under tomorrow's. The corpus in
-//! [`crate::corpus`] pins the *coding* behaviour; this module pins the
-//! *byte layout* of the persistence layer the same way: an unchanged
-//! writer reproduces the checked-in image bit for bit, so any diff under
-//! version control is a deliberate (and reviewable) format change.
+//! The on-disk formats are a compatibility promise — a store written by
+//! yesterday's build must restore under tomorrow's. The engine now writes
+//! journals only; the snapshot image pins the legacy format engine start
+//! migrates. The corpus in [`crate::corpus`] pins the *coding* behaviour;
+//! this module pins the *byte layout* of the persistence layer the same
+//! way: an unchanged writer reproduces the checked-in image bit for bit,
+//! so any diff under version control is a deliberate (and reviewable)
+//! format change.
 //! Regenerate with `cargo run -p dbi-conformance --bin gen_golden`.
 
 use dbi_core::persist::push_session_record;
@@ -17,8 +19,9 @@ use dbi_service::persist::journal::encode_journal_header;
 use dbi_service::persist::snapshot::encode_snapshot;
 
 /// Generation the golden snapshot is written at. The paired journal is
-/// one generation ahead, matching the engine's invariant that a live
-/// journal always runs at `snapshot generation + 1`.
+/// one generation ahead: the layout older builds left on disk, which
+/// engine start still migrates. The engine itself now writes journals
+/// only, at generation 0.
 pub const PERSIST_GOLDEN_GENERATION: u64 = 41;
 
 /// The checked-in golden image (hex text, snapshot then journal,

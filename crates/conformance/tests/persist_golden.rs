@@ -1,8 +1,10 @@
 //! Drift check of the durable-store byte formats: the checked-in
-//! `vectors/persist_v1.hex` images must match what the persistence
-//! writers produce today, and must read back through the production
-//! parsers. A failing first test means the on-disk format changed —
-//! which breaks restore across builds — so the diff must be deliberate.
+//! `vectors/persist_v1.hex` images — a legacy snapshot at generation 41
+//! and the journal an older build continued it with at 42 — must match
+//! what the format encoders produce today, and must read back through the
+//! production parsers. A failing first test means the on-disk format
+//! changed — which breaks restore across builds — so the diff must be
+//! deliberate.
 
 use dbi_conformance::persist_golden::{
     from_hex_document, golden_journal_image, golden_snapshot_image, to_hex_document,

@@ -149,17 +149,16 @@ impl TcpClient {
         )
     }
 
-    /// Asks the service to take a durable snapshot now: every shard's
-    /// sessions are captured and written to the persist directory, and
-    /// the journals rotate to a fresh generation. Returns the durability
-    /// status after the snapshot.
+    /// Asks the service to take a durable snapshot now: every shard
+    /// compacts its journal with its live sessions' state, synced.
+    /// Returns the durability status after the snapshot.
     ///
     /// # Errors
     ///
     /// Same failure modes as [`TcpClient::metrics_json`]; additionally
     /// the service answers `BadRequest` when it was started without a
-    /// persist directory, and `Internal` when writing the snapshot
-    /// failed.
+    /// persist directory, and `Internal` when a journal could not be
+    /// rewritten.
     pub fn trigger_snapshot(&mut self) -> Result<SnapshotStatus, ClientError> {
         self.admin(wire::encode_snapshot_request)
     }

@@ -107,7 +107,7 @@ use dbi_core::{clock, CostBreakdown, InversionMask, PlanCache, PlanCacheStats, S
 use dbi_mem::ChannelActivity;
 use queue::{ControlOutcome, ControlRequest, ShardQueue};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use worker::ShardWorker;
@@ -373,18 +373,19 @@ impl Engine {
     /// Starts the shard workers, recovering durable session state first
     /// when [`ServiceConfig::persist`] is set.
     ///
-    /// Recovery folds the snapshot and every live journal (journal
-    /// records winning), immediately re-writes the folded state as a
-    /// fresh snapshot — so start *self-compacts* and stale files never
-    /// accumulate — and seeds each shard's worker with its sessions
-    /// before the worker serves its first request.
+    /// Recovery folds every journal and seeds each shard's worker with
+    /// its sessions before the worker serves its first request; the
+    /// workers then append to their journals. Start rewrites a journal
+    /// only when it is torn, the shard count changed, or an older build's
+    /// `snapshot.bin` is migrated (see [`crate::persist`]).
     ///
     /// # Errors
     ///
     /// [`ServiceError::Persistence`] when the configured directory cannot
-    /// be created or its state is structurally corrupt (a torn journal
+    /// be created, its state is structurally corrupt (a torn journal
     /// *tail* is recovered from, never an error — but a corrupt snapshot
-    /// or journal header must not silently reset every bus).
+    /// or journal header must not silently reset every bus), or a
+    /// rewrite fails.
     ///
     /// # Panics
     ///
@@ -447,9 +448,9 @@ impl Engine {
     }
 
     /// Takes a snapshot now: quiesces each shard in turn at a pass
-    /// boundary to capture its sessions, writes the combined capture
-    /// atomically as the new `snapshot.bin`, then rotates every shard's
-    /// journal past it.
+    /// boundary, where its worker compacts its own journal with every live
+    /// session laid over the fold, synced; evicted sessions keep their
+    /// records. The directory is synced before the call returns.
     ///
     /// # Errors
     ///
@@ -457,47 +458,25 @@ impl Engine {
     ///   [`ServiceConfig::persist`] was configured;
     /// * [`ServiceError::ShuttingDown`] — the engine stopped before every
     ///   shard could be captured;
-    /// * [`ServiceError::Persistence`] — the snapshot could not be
-    ///   written.
+    /// * [`ServiceError::Persistence`] — a shard's journal could not be
+    ///   rewritten (the shards before it were).
     pub fn trigger_snapshot(&self) -> Result<SnapshotStatus, ServiceError> {
-        let shared = self.shared();
-        let plane = shared
-            .persist
-            .as_ref()
-            .ok_or(ServiceError::PersistenceDisabled)?;
-        let _ops = plane.ops.lock().expect("persist ops lock poisoned");
-        let generation = plane.generation.load(Ordering::Relaxed);
-        let mut record_count = 0u32;
-        let mut record_bytes = Vec::new();
-        for queue in &shared.queues {
-            match queue.control_round(ControlRequest::Capture)? {
-                ControlOutcome::Captured { records, bytes } => {
-                    record_count += records;
-                    record_bytes.extend_from_slice(&bytes);
+        let (plane, _ops) = self.persist_plane()?;
+        let (mut sessions, mut on_disk) = (0, 0);
+        for queue in &self.shared().queues {
+            match queue.control_round(ControlRequest::Snapshot)? {
+                ControlOutcome::Snapshot { records, bytes } => {
+                    sessions += records;
+                    on_disk += bytes;
                 }
-                _ => return Err(ServiceError::Internal("capture answered without records")),
+                ControlOutcome::Failed(err) => return Err(recovery::persistence(err)),
+                ControlOutcome::Done => return Err(ServiceError::Internal("snapshot not taken")),
             }
         }
-        let bytes = crate::persist::snapshot::write_snapshot(
-            &plane.dir,
-            generation,
-            record_count,
-            &record_bytes,
-        )
-        .map_err(|err| ServiceError::Persistence {
-            detail: err.to_string(),
-        })?;
-        for queue in &shared.queues {
-            queue.control_round(ControlRequest::Rotate {
-                generation: generation + 1,
-            })?;
-        }
-        plane.generation.store(generation + 1, Ordering::Relaxed);
+        crate::persist::sync_dir(&plane.dir).map_err(recovery::persistence)?;
         plane.snapshots_taken.fetch_add(1, Ordering::Relaxed);
-        plane
-            .last_sessions
-            .store(u64::from(record_count), Ordering::Relaxed);
-        plane.last_bytes.store(bytes, Ordering::Relaxed);
+        plane.last_sessions.store(sessions, Ordering::Relaxed);
+        plane.last_bytes.store(on_disk, Ordering::Relaxed);
         Ok(self.snapshot_status())
     }
 
@@ -510,7 +489,7 @@ impl Engine {
             None => SnapshotStatus::default(),
             Some(plane) => SnapshotStatus {
                 configured: true,
-                generation: plane.generation.load(Ordering::Relaxed),
+                compactions: plane.compactions.load(Ordering::Relaxed),
                 snapshots_taken: plane.snapshots_taken.load(Ordering::Relaxed),
                 last_sessions: plane.last_sessions.load(Ordering::Relaxed),
                 last_bytes: plane.last_bytes.load(Ordering::Relaxed),
@@ -519,41 +498,40 @@ impl Engine {
         }
     }
 
-    /// Re-reads the durable state from disk and replaces every shard's
-    /// sessions with it — the recovery path, run against a live engine.
-    /// Sessions the disk does not mention (created since the last
-    /// snapshot+journal write, or evicted ones whose records survive)
-    /// keep their live entries.
+    /// Re-folds every shard's journal and replaces each shard's sessions
+    /// with what the fold holds — the recovery path, run against a live
+    /// engine. Sessions no journal mentions keep their live entries.
     ///
     /// # Errors
     ///
     /// As [`Engine::trigger_snapshot`], plus [`ServiceError::Persistence`]
-    /// when the on-disk state is structurally corrupt.
+    /// when a journal is structurally corrupt.
     pub fn restore(&self) -> Result<SnapshotStatus, ServiceError> {
-        let shared = self.shared();
-        let plane = shared
-            .persist
-            .as_ref()
-            .ok_or(ServiceError::PersistenceDisabled)?;
-        let _ops = plane.ops.lock().expect("persist ops lock poisoned");
-        let loaded =
-            crate::persist::load_state(&plane.dir).map_err(|err| ServiceError::Persistence {
-                detail: err.to_string(),
-            })?;
-        let mut seeded: Vec<Vec<RestoredSession>> =
-            (0..shared.config.shards).map(|_| Vec::new()).collect();
+        let (plane, _ops) = self.persist_plane()?;
+        let config = &self.shared().config;
+        let shards = config.shards;
+        let loaded = crate::persist::load_state(&plane.dir, shards, |id| shard_index(id, shards))
+            .map_err(recovery::persistence)?;
+        let mut seeded: Vec<Vec<RestoredSession>> = (0..shards).map(|_| Vec::new()).collect();
         let restored = recovery::partition_restorable(
             loaded.sessions,
             &mut seeded,
-            shared.config.max_sessions_per_shard,
+            config.max_sessions_per_shard,
         );
-        for (queue, sessions) in shared.queues.iter().zip(seeded) {
+        for (queue, sessions) in self.shared().queues.iter().zip(seeded) {
             queue.control_round(ControlRequest::Restore { sessions })?;
         }
         plane
             .restored_sessions
             .fetch_add(restored, Ordering::Relaxed);
         Ok(self.snapshot_status())
+    }
+
+    /// The durable session plane, locked for one admin operation.
+    fn persist_plane(&self) -> Result<(&PersistPlane, MutexGuard<'_, ()>), ServiceError> {
+        let plane = self.shared().persist.as_ref();
+        let plane = plane.ok_or(ServiceError::PersistenceDisabled)?;
+        Ok((plane, plane.ops.lock().expect("persist ops lock poisoned")))
     }
 
     /// Fault injection for tests: when enabled, every verify-mode round

@@ -3,22 +3,20 @@
 
 use super::{RequestSlot, RouteKey};
 use crate::error::ServiceError;
-use crate::persist::RestoredSession;
+use crate::persist::{PersistError, RestoredSession};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 
 /// An admin operation executed *by the shard worker itself*, between
 /// passes — the per-shard quiesce the durable session plane is built on:
 /// while the worker serves a control job, no request is mutating the
-/// shard's sessions, so a capture sees every session at a pass boundary.
+/// shard's sessions, so a snapshot sees every session at a pass boundary.
 #[derive(Debug)]
 pub(super) enum ControlRequest {
-    /// Serialise every live session into CRC-guarded records and mark
-    /// them captured.
-    Capture,
-    /// Truncate the shard's journal and restart it at `generation`.
-    Rotate { generation: u64 },
+    /// Compact the shard's journal with every live session's state laid
+    /// over it, synced, and mark the live sessions captured.
+    Snapshot,
     /// Replace the shard's sessions with state recovered from disk.
     Restore { sessions: Vec<RestoredSession> },
 }
@@ -26,51 +24,21 @@ pub(super) enum ControlRequest {
 /// What a control job came back with.
 #[derive(Debug)]
 pub(super) enum ControlOutcome {
-    /// `Capture`: the shard's sessions as back-to-back session records.
-    Captured { records: u32, bytes: Vec<u8> },
-    /// `Rotate` / `Restore` completed.
+    /// `Snapshot`: the records and bytes the shard's journal holds after.
+    Snapshot { records: u64, bytes: u64 },
+    /// `Snapshot` could not rewrite the shard's journal.
+    Failed(PersistError),
+    /// `Restore` completed.
     Done,
-    /// The engine shut down before the worker could serve the job.
-    Aborted,
 }
 
-/// The rendezvous a control submitter blocks on. Every admitted control
-/// job is answered exactly once — served by the worker loop, or
-/// `Aborted` by the worker's shutdown drain.
-#[derive(Debug)]
-pub(super) struct ControlReply {
-    result: Mutex<Option<ControlOutcome>>,
-    done: Condvar,
-}
-
-impl ControlReply {
-    fn new() -> Self {
-        ControlReply {
-            result: Mutex::new(None),
-            done: Condvar::new(),
-        }
-    }
-
-    pub(super) fn deliver(&self, outcome: ControlOutcome) {
-        *self.result.lock().expect("control reply poisoned") = Some(outcome);
-        self.done.notify_all();
-    }
-
-    fn wait(&self) -> ControlOutcome {
-        let mut guard = self.result.lock().expect("control reply poisoned");
-        loop {
-            if let Some(outcome) = guard.take() {
-                return outcome;
-            }
-            guard = self.done.wait(guard).expect("control reply poisoned");
-        }
-    }
-}
-
+/// A control job and where its answer goes. Every admitted job is
+/// answered exactly once by the worker, or dropped unanswered by its
+/// shutdown drain, which the submitter sees as [`ServiceError::ShuttingDown`].
 #[derive(Debug)]
 pub(super) struct ControlJob {
     pub(super) request: ControlRequest,
-    pub(super) reply: Arc<ControlReply>,
+    pub(super) reply: mpsc::SyncSender<ControlOutcome>,
 }
 
 /// What a blocking dequeue produced.
@@ -91,9 +59,9 @@ pub(super) enum Popped {
 /// park when idle without putting a mutex on the submission path.
 ///
 /// Beside the ring rides a small mutex-protected **control lane** for the
-/// rare admin jobs (snapshot capture, journal rotation, restore); a
-/// worker checks its flag before popping requests, so control jobs run at
-/// the next pass boundary without the data path ever touching the mutex.
+/// rare admin jobs (snapshot, restore); a worker checks its flag before
+/// popping requests, so control jobs run at the next pass boundary
+/// without the data path ever touching the mutex.
 ///
 /// Shutdown protocol: `close` raises the flag, spins out the producers
 /// currently inside `try_push`/`push_control` (the `inflight` count),
@@ -174,21 +142,14 @@ impl ShardQueue {
     }
 
     /// Submits one control job and blocks for its answer. Every admitted
-    /// job is answered (served, or `Aborted` by the worker's shutdown
-    /// drain), so the wait cannot hang.
+    /// job is answered or dropped, so the wait cannot hang.
     pub(super) fn control_round(
         &self,
         request: ControlRequest,
     ) -> Result<ControlOutcome, ServiceError> {
-        let reply = Arc::new(ControlReply::new());
-        self.push_control(ControlJob {
-            request,
-            reply: Arc::clone(&reply),
-        })?;
-        match reply.wait() {
-            ControlOutcome::Aborted => Err(ServiceError::ShuttingDown),
-            outcome => Ok(outcome),
-        }
+        let (reply, answer) = mpsc::sync_channel(1);
+        self.push_control(ControlJob { request, reply })?;
+        answer.recv().map_err(|_| ServiceError::ShuttingDown)
     }
 
     /// Pops one pending control job; clears the fast-path flag with the
@@ -203,7 +164,7 @@ impl ShardQueue {
     }
 
     /// Blocking dequeue. Control jobs outrank requests — they are rare
-    /// and latency-sensitive (a capture holds the snapshot barrier) — and
+    /// and latency-sensitive (a snapshot holds the admin lock) — and
     /// the data path only ever reads their atomic flag.
     pub(super) fn pop_blocking(&self) -> Popped {
         loop {

@@ -5,10 +5,15 @@ use super::queue::{ControlJob, ControlOutcome, ControlRequest};
 use super::worker::ShardWorker;
 use super::{shard_index, ServiceConfig, MAX_BURST_LEN, MAX_GROUPS};
 use crate::error::ServiceError;
-use crate::persist::{snapshot, PersistConfig, PersistPlane, RestoredSession};
-use dbi_core::persist::push_session_record;
+use crate::persist::journal::{journal_path, write_journal};
+use crate::persist::{
+    fold_file, load_state, snapshot, sorted, sync_dir, PersistConfig, PersistError, PersistPlane,
+    RestoredSession,
+};
+use std::fs;
+use std::io;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Distributes recovered sessions onto `seeded` (one bucket per shard) by
 /// the sticky hash, dropping any whose geometry this engine would not
@@ -40,55 +45,87 @@ pub(super) fn partition_restorable(
     kept
 }
 
-/// Engine-start recovery: folds the on-disk state, partitions it onto the
-/// shards, self-compacts it into a fresh snapshot (so journals restart
-/// empty and files from defunct shard counts can be removed), and builds
-/// the shared plane. `seeded` receives each shard's sessions.
+/// Engine-start recovery: folds the store under the configured directory
+/// onto `seeded` (one bucket per shard), leaves each journal ready for its
+/// worker to append to ([`crate::persist`] has the order), and builds the
+/// shared plane.
 pub(super) fn recover_persist_plane(
     persist_config: &PersistConfig,
     config: &ServiceConfig,
     seeded: &mut [Vec<RestoredSession>],
 ) -> Result<PersistPlane, ServiceError> {
-    let persistence_err = |err: &dyn std::fmt::Display| ServiceError::Persistence {
-        detail: err.to_string(),
-    };
     let dir = &persist_config.dir;
-    std::fs::create_dir_all(dir).map_err(|err| persistence_err(&err))?;
-    let loaded = crate::persist::load_state(dir).map_err(|err| persistence_err(&err))?;
-    let restored = partition_restorable(loaded.sessions, seeded, config.max_sessions_per_shard);
-
-    // Self-compact: everything recovery kept becomes the new snapshot,
-    // written *before* the old journals are removed — at no point does
-    // disk hold less than the recovered state.
-    let mut record_count = 0u32;
-    let mut record_bytes = Vec::new();
-    for bucket in seeded.iter() {
-        for session in bucket {
-            push_session_record(
-                &mut record_bytes,
-                session.session_id,
-                session.scheme,
-                session.burst_len,
-                &session.states,
-            );
-            record_count += 1;
-        }
-    }
-    let snapshot_generation = loaded.generation + 1;
-    let bytes = snapshot::write_snapshot(dir, snapshot_generation, record_count, &record_bytes)
-        .map_err(|err| persistence_err(&err))?;
-    for path in crate::persist::journal::journal_files(dir).map_err(|err| persistence_err(&err))? {
-        std::fs::remove_file(path).map_err(|err| persistence_err(&err))?;
-    }
+    std::fs::create_dir_all(dir).map_err(persistence)?;
+    let restored = settle_store(dir, config.max_sessions_per_shard, seeded).map_err(persistence)?;
     Ok(PersistPlane {
         dir: dir.clone(),
-        generation: AtomicU64::new(snapshot_generation + 1),
-        snapshots_taken: AtomicU64::new(1),
-        last_sessions: AtomicU64::new(u64::from(record_count)),
-        last_bytes: AtomicU64::new(bytes),
         restored_sessions: AtomicU64::new(restored),
-        ops: Mutex::new(()),
+        ..PersistPlane::default()
     })
+}
+
+/// Folds the store under `dir` onto `seeded`, rewriting only what start
+/// must, and returns how many sessions were kept.
+fn settle_store(
+    dir: &Path,
+    max_sessions: usize,
+    seeded: &mut [Vec<RestoredSession>],
+) -> Result<u64, PersistError> {
+    let shards = seeded.len();
+    let home = |session_id| shard_index(session_id, shards);
+    let (legacy, loaded) = match snapshot::load_legacy_state(dir, shards, home)? {
+        Some((generation, loaded)) => (Some(generation), loaded),
+        None => (None, load_state(dir, shards, home)?),
+    };
+    let found = loaded.sessions.len() as u64;
+    let restored = partition_restorable(loaded.sessions, seeded, max_sessions);
+    let generation = legacy.map_or(0, |generation| generation + 1);
+    let settled = legacy.is_none()
+        && restored == found
+        && loaded.journals.iter().all(|j| j.live && !j.foreign);
+    for journal in loaded.journals.iter().filter(|j| j.stale) {
+        fs::remove_file(&journal.path)?;
+    }
+    // 1. Each torn journal (every one, unless settled) becomes its own
+    //    fold plus the sessions its shard owns.
+    let torn = |path: &Path| {
+        let found = loaded.journals.iter().find(|j| j.path == path);
+        found.is_some_and(|j| j.dropped_bytes != 0)
+    };
+    for (shard, sessions) in seeded.iter().enumerate() {
+        let path = journal_path(dir, shard);
+        if settled && !torn(&path) {
+            continue;
+        }
+        let (mut own, _) = fold_file(&path)?;
+        own.extend(sessions.iter().map(|s| (s.session_id, s.clone())));
+        write_journal(&path, generation, &sorted(own))?;
+        sync_dir(dir)?;
+    }
+    if settled {
+        return Ok(restored);
+    }
+    // 2. Defunct journals and a migrated snapshot go.
+    for journal in loaded.journals.iter().filter(|j| !j.stale && !j.live) {
+        fs::remove_file(&journal.path)?;
+    }
+    if legacy.is_some() {
+        fs::remove_file(snapshot::snapshot_path(dir))?;
+    }
+    sync_dir(dir)?;
+    // 3. Each journal down to the sessions its shard owns.
+    for (shard, sessions) in seeded.iter().enumerate() {
+        write_journal(&journal_path(dir, shard), generation, sessions)?;
+    }
+    sync_dir(dir)?;
+    Ok(restored)
+}
+
+/// A durability failure as the engine reports it.
+pub(super) fn persistence(err: impl std::fmt::Display) -> ServiceError {
+    ServiceError::Persistence {
+        detail: err.to_string(),
+    }
 }
 
 impl ShardWorker<'_> {
@@ -132,8 +169,10 @@ impl ShardWorker<'_> {
                         entry.captured = true;
                     }
                 }
-                if journal.compact_if_due().is_err() {
-                    self.metrics.journal_error();
+                match journal.compact_if_due() {
+                    Ok(false) => {}
+                    Ok(true) => self.count_compaction(),
+                    Err(_) => self.metrics.journal_error(),
                 }
             }
             Err(_) => self.metrics.journal_error(),
@@ -141,44 +180,55 @@ impl ShardWorker<'_> {
     }
 
     /// Serves one quiesced admin job. Runs between passes, so every
-    /// session is at a burst boundary — the consistency point the
-    /// snapshot format stores.
+    /// session is at a burst boundary — the consistency point a journal
+    /// record stores.
     pub(super) fn serve_control(&mut self, job: ControlJob) {
         let outcome = match job.request {
-            ControlRequest::Capture => {
-                let mut bytes = Vec::new();
-                let mut records = 0u32;
-                for (session_id, entry) in self.sessions.iter_mut() {
-                    self.journal_states.clear();
-                    entry.session.export_states_into(&mut self.journal_states);
-                    push_session_record(
-                        &mut bytes,
-                        *session_id,
-                        entry.scheme,
-                        entry.session.burst_len() as u8,
-                        &self.journal_states,
-                    );
-                    entry.captured = true;
-                    records += 1;
-                }
-                ControlOutcome::Captured { records, bytes }
-            }
-            ControlRequest::Rotate { generation } => {
-                if let Some(journal) = self.journal.as_mut() {
-                    if journal.flush().is_err() {
-                        self.metrics.journal_error();
-                    }
-                    if journal.rotate(generation).is_err() {
-                        self.metrics.journal_error();
-                    }
-                }
-                ControlOutcome::Done
-            }
+            ControlRequest::Snapshot => self.snapshot(),
             ControlRequest::Restore { sessions } => {
                 self.sessions.restore(sessions);
                 ControlOutcome::Done
             }
         };
-        job.reply.deliver(outcome);
+        let _ = job.reply.send(outcome);
+    }
+
+    /// The shard's part of an admin snapshot: compacts its journal with
+    /// every live session laid over the fold, and marks them captured.
+    fn snapshot(&mut self) -> ControlOutcome {
+        let Some(journal) = self.journal.as_mut() else {
+            return ControlOutcome::Failed(io::Error::other("the shard has no journal").into());
+        };
+        let live = self.sessions.iter_mut().map(|(&session_id, entry)| {
+            let mut states = Vec::new();
+            entry.session.export_states_into(&mut states);
+            RestoredSession {
+                session_id,
+                scheme: entry.scheme,
+                groups: entry.session.group_count() as u16,
+                burst_len: entry.session.burst_len() as u8,
+                states,
+            }
+        });
+        match journal.compact(Some(live.collect())) {
+            Ok(records) => {
+                let bytes = journal.file_len();
+                for (_, entry) in self.sessions.iter_mut() {
+                    entry.captured = true;
+                }
+                self.count_compaction();
+                ControlOutcome::Snapshot { records, bytes }
+            }
+            Err(err) => {
+                self.metrics.journal_error();
+                ControlOutcome::Failed(err)
+            }
+        }
+    }
+
+    fn count_compaction(&self) {
+        if let Some(plane) = &self.shared.persist {
+            plane.compactions.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }

@@ -21,9 +21,9 @@ pub(super) struct SessionEntry {
     /// stamps equal to the current pass are in use and never evicted.
     last_touch: u64,
     /// Whether the session's current carried state is already on disk (a
-    /// snapshot capture or a journal record since its last touch).
-    /// Eviction prefers captured sessions: their state survives for an
-    /// admin restore, so evicting them loses nothing durable.
+    /// journal record since its last touch). Eviction prefers captured
+    /// sessions: their state survives for an admin restore, so evicting
+    /// them loses nothing durable.
     pub(super) captured: bool,
 }
 
@@ -91,8 +91,8 @@ impl<'a> SessionTable<'a> {
     /// meaning not touched by the current pass (`last_touch <
     /// pass_stamp`), so a session with work in this very window can never
     /// lose its carried state mid-pass. Among idle candidates,
-    /// snapshot/journal-captured entries go first: their state survives
-    /// on disk and an admin restore can bring them back. Only when *every*
+    /// journal-captured entries go first: their state survives on disk
+    /// and an admin restore can bring them back. Only when *every*
     /// resident session is active in the current pass does the claim fail
     /// with [`ServiceError::SessionLimit`] — a transient condition, not a
     /// permanent lock-out.

@@ -2,13 +2,14 @@
 //! packed rounds, and runs each round as one kernel dispatch.
 
 use super::account::StageTiming;
-use super::queue::{ControlOutcome, Popped};
+use super::queue::Popped;
 use super::sessions::SessionTable;
 use super::{RequestSlot, RouteKey, Shared};
 use crate::error::ServiceError;
 use crate::metrics::ShardMetrics;
-use crate::persist::journal::{journal_path, JournalWriter};
+use crate::persist::journal::{journal_path, JournalWriter, JOURNAL_HEAD_LEN};
 use crate::persist::RestoredSession;
+use dbi_core::persist::session_record_len;
 use dbi_core::{clock, BurstSlab, BusState, DbiEncoder, EncodePlan, KernelKind, Scheme};
 use dbi_mem::ReplayScratch;
 use std::sync::atomic::Ordering;
@@ -101,7 +102,7 @@ pub(super) struct ShardWorker<'a> {
     /// in the shard's `journal_errors`; the data path never fails).
     pub(super) journal: Option<JournalWriter>,
     /// Reused scratch for serialising one session's states into the
-    /// journal or a capture.
+    /// journal.
     pub(super) journal_states: Vec<BusState>,
     /// Monotonic pass counter; stamps each session's last touch for
     /// idle-age eviction.
@@ -115,13 +116,14 @@ impl<'a> ShardWorker<'a> {
     /// left it.
     pub(super) fn new(shard: usize, shared: &'a Shared, restored: Vec<RestoredSession>) -> Self {
         let metrics = shared.metrics.shard(shard);
+        // Start left the journal holding exactly the restored sessions.
+        let live_len = restored.iter().fold(JOURNAL_HEAD_LEN, |len, session| {
+            len + session_record_len(usize::from(session.groups))
+        });
         let journal = shared.persist.as_ref().and_then(|plane| {
-            JournalWriter::create(
-                journal_path(&plane.dir, shard),
-                plane.generation.load(Ordering::Relaxed),
-            )
-            .inspect_err(|_| metrics.journal_error())
-            .ok()
+            JournalWriter::open(journal_path(&plane.dir, shard), live_len as u64)
+                .inspect_err(|_| metrics.journal_error())
+                .ok()
         });
         let mut sessions = SessionTable::new(
             shard,
@@ -182,11 +184,9 @@ impl<'a> ShardWorker<'a> {
             let dequeue_ns = clock::now_nanos();
             self.run_pass(dequeue_ns);
         }
-        // Answer control jobs that slipped in behind the close; their
-        // submitters are blocked on the reply.
-        while let Some(job) = queue.take_control() {
-            job.reply.deliver(ControlOutcome::Aborted);
-        }
+        // Drop control jobs that slipped in behind the close: their
+        // submitters, blocked on the reply, see the engine shut down.
+        while queue.take_control().is_some() {}
     }
 
     fn push_job(&mut self, key: RouteKey, slot: Arc<RequestSlot>) {

@@ -91,13 +91,14 @@
 //!   decode. Workers append each touched session's state to a per-shard
 //!   append-only journal at every burst boundary (buffered writer, zero
 //!   allocations once warm); [`Engine::trigger_snapshot`] quiesces the
-//!   shards one at a time and writes an atomic (temp-file + rename)
-//!   engine-wide snapshot; recovery at [`Engine::try_start`] folds
-//!   snapshot + journals (journal wins, torn tails skipped) and replays
-//!   **bit-identically** to an uninterrupted serial run. When a shard's
-//!   session table fills, the least-recently-touched idle session is
-//!   evicted (snapshot-captured sessions preferred) rather than
-//!   rejecting fresh ids forever; a full table of busy sessions answers
+//!   shards one at a time, each compacting its journal with its live
+//!   sessions' state (staged, synced, renamed); recovery at
+//!   [`Engine::try_start`] folds the journals (newest record wins, torn
+//!   tails skipped) and replays **bit-identically** to an uninterrupted
+//!   serial run. When a shard's session table fills, the
+//!   least-recently-touched idle session is evicted (journal-captured
+//!   sessions preferred) rather than rejecting fresh ids forever; a full
+//!   table of busy sessions answers
 //!   [`wire::ErrorCode::SessionLimit`]. Admin access: the durability
 //!   admin wire frames, [`TcpClient::trigger_snapshot`] /
 //!   [`TcpClient::snapshot_status`] / [`TcpClient::restore`], and a

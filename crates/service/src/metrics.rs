@@ -175,19 +175,19 @@ counter_table! {
         /// Idle sessions evicted for fresh session ids on a full shard.
         sessions_evicted: counter sum "sessions_evicted" "dbi_sessions_evicted_total"
             "Idle sessions evicted to admit fresh session ids on a full shard.";
-        /// Evictions whose victim no snapshot or journal record captured (state lost).
+        /// Evictions whose victim no journal record captured (state lost).
         sessions_evicted_uncaptured: counter sum "sessions_evicted_uncaptured"
             "dbi_sessions_evicted_uncaptured_total"
-            "Evicted sessions whose carried state no snapshot or journal record held.";
+            "Evicted sessions whose carried state no journal record held.";
         /// Session records the shard's worker has appended to its journal.
         journal_records: counter sum "journal.records" "dbi_journal_records_total"
             "Session records appended to the shard's journal.";
         /// Bytes the shard's worker has flushed to its journal.
         journal_bytes: counter sum "journal.bytes" "dbi_journal_bytes_total"
             "Bytes flushed to the shard's journal.";
-        /// Journal create, flush or rotation failures; each degrades only durability.
+        /// Journal create, flush or compaction failures; each degrades only durability.
         journal_errors: counter sum "journal.errors" "dbi_journal_errors_total"
-            "Journal create, flush or rotation failures (durability degraded).";
+            "Journal create, flush or compaction failures (durability degraded).";
     ];
 }
 
@@ -239,14 +239,14 @@ counter_table! {
     fn durability_rows(SnapshotStatus) -> DURABILITY_ROWS = [
         configured: gauge - "dbi_durability_configured"
             "Whether a persist directory is configured (1) or not (0).";
-        generation: gauge "generation" "dbi_durability_generation"
-            "Generation the shard journals are currently writing at.";
+        compactions: counter "compactions" "dbi_journal_compactions_total"
+            "Journal compactions since startup (automatic, and one per shard per snapshot).";
         snapshots_taken: counter "snapshots_taken" "dbi_snapshots_taken_total"
-            "Engine snapshots written since startup (including the self-compacting recovery snapshot).";
+            "Snapshots (every shard journal compacted and synced) taken since startup.";
         last_sessions: gauge "last_sessions" "dbi_snapshot_last_sessions"
-            "Sessions captured by the most recent snapshot.";
+            "Session records the journals held after the most recent snapshot.";
         last_bytes: gauge "last_bytes" "dbi_snapshot_last_bytes"
-            "On-disk size of the most recent snapshot in bytes.";
+            "Bytes the journals held after the most recent snapshot.";
         restored_sessions: counter "restored_sessions" "dbi_sessions_restored_total"
             "Sessions restored from disk (at startup or via the restore admin frame).";
     ];
@@ -376,7 +376,7 @@ impl ShardMetrics {
     }
 
     /// Records an idle session evicted for a fresh id on a full shard;
-    /// `captured` tells whether a snapshot or journal record holds its state.
+    /// `captured` tells whether a journal record holds its state.
     pub fn session_evicted(&self, captured: bool) {
         self.sessions_evicted.fetch_add(1, Relaxed);
         if !captured {
@@ -391,7 +391,7 @@ impl ShardMetrics {
     }
 
     /// Records one journal I/O failure: a failed create (journaling stays
-    /// off for the shard), flush or rotation.
+    /// off for the shard), flush or compaction.
     pub fn journal_error(&self) {
         self.journal_errors.fetch_add(1, Relaxed);
     }
@@ -931,7 +931,7 @@ mod tests {
             ",\"connections\":{\"active\":0,\"accepted\":0,\"closed\":0,\
              \"dropped_slow\":0,\"read_buf_high_watermark\":0,\
              \"write_buf_high_watermark\":0},\
-             \"durability\":{\"configured\":false,\"generation\":0,\
+             \"durability\":{\"configured\":false,\"compactions\":0,\
              \"snapshots_taken\":0,\"last_sessions\":0,\"last_bytes\":0,\
              \"restored_sessions\":0},\"kernel\":{"
         ));
@@ -1005,7 +1005,7 @@ mod tests {
             },
             durability: SnapshotStatus {
                 configured: true,
-                generation: 3,
+                compactions: 3,
                 snapshots_taken: 2,
                 last_sessions: 2,
                 last_bytes: 120,
@@ -1046,7 +1046,7 @@ mod tests {
              \"connections\":{{\"active\":1,\"accepted\":3,\"closed\":2,\
              \"dropped_slow\":1,\"read_buf_high_watermark\":4096,\
              \"write_buf_high_watermark\":65536}},\
-             \"durability\":{{\"configured\":true,\"generation\":3,\
+             \"durability\":{{\"configured\":true,\"compactions\":3,\
              \"snapshots_taken\":2,\"last_sessions\":2,\"last_bytes\":120,\
              \"restored_sessions\":1}},\
              \"kernel\":{{\"selected\":\"scalar\",\"forced_scalar\":false,\
@@ -1110,7 +1110,7 @@ mod tests {
         assert!(text.contains("dbi_journal_errors_total{shard=\"0\"} 1\n"));
         assert!(text.contains("# TYPE dbi_durability_configured gauge\n"));
         assert!(text.contains("dbi_durability_configured 1\n"));
-        assert!(text.contains("dbi_durability_generation 3\n"));
+        assert!(text.contains("dbi_journal_compactions_total 3\n"));
         assert!(text.contains("# TYPE dbi_snapshots_taken_total counter\n"));
         assert!(text.contains("dbi_snapshots_taken_total 2\n"));
         assert!(text.contains("dbi_snapshot_last_sessions 2\n"));
@@ -1187,7 +1187,7 @@ mod tests {
             },
             durability: SnapshotStatus {
                 configured: true,
-                generation: 7001,
+                compactions: 7001,
                 snapshots_taken: 7002,
                 last_sessions: 7003,
                 last_bytes: 7004,

@@ -1,4 +1,5 @@
-//! The append-only per-shard session journal.
+//! The append-only per-shard session journal, the only file the engine
+//! writes.
 //!
 //! Each shard worker owns one journal file, `journal-<shard>.bin`:
 //!
@@ -10,7 +11,9 @@
 //! +--------+-----+------+------------+--------+------------------ - - -
 //! ```
 //!
-//! The header CRC covers bytes `0..14`. After the header come CRC-guarded
+//! The header CRC covers bytes `0..14`. The engine writes generation 0;
+//! the field is read only when engine start migrates a store that still
+//! holds a `snapshot.bin` ([`super`]). After the header come CRC-guarded
 //! session records ([`dbi_core::persist`]), appended by the worker at
 //! every pass boundary for each session the pass touched — full carried
 //! state, not deltas, so replay needs only the *last* record per session.
@@ -21,21 +24,17 @@
 //! first passes and then reused). Once the file reaches
 //! [`JOURNAL_COMPACT_FLOOR`] and twice its length after the last
 //! compaction, the writer rewrites it as its own fold — one record per
-//! session, staged beside it and renamed over it
-//! ([`JournalWriter::compact`]) — so a journal, and the recovery that
-//! replays it, stays within twice its live records or the floor however
-//! long the engine runs.
+//! session ([`JournalWriter::compact`]) — so a journal, and the recovery
+//! that replays it, stays within twice its live records or the floor
+//! however long the engine runs. An admin snapshot is the same rewrite
+//! with the shard's live sessions laid over the fold. Every rewrite goes
+//! through one routine: staged, synced and renamed over the file.
 //!
-//! Replay streams the file through one chunk-sized buffer
-//! ([`JournalReader::fold`]), parsing each record in place, so reading a
-//! journal costs memory for one chunk, whatever its length. A corrupt
-//! header is a typed error; records are read **leniently at the tail**: a
-//! process killed mid-append leaves a torn final record, which replay
-//! skips cleanly (counting the dropped bytes). A bad record *followed by
-//! more bytes than a torn tail could explain* is still just the torn-tail
-//! rule — append-only files only ever tear at the end, so replay stops at
-//! the first unparseable record and reports everything after it as
-//! dropped.
+//! Replay streams the file a chunk at a time ([`JournalReader::fold`]),
+//! parsing each record in place. A corrupt header is a typed error;
+//! records are read **leniently at the tail**: a process killed
+//! mid-append leaves a torn final record, so replay stops at the first
+//! record that does not parse and reports everything from it as dropped.
 
 use std::fs;
 use std::io::{self, Read, Write};
@@ -112,10 +111,10 @@ pub struct JournalWriter {
     path: PathBuf,
     file: fs::File,
     buf: Vec<u8>,
-    generation: u64,
     /// Bytes in the file: header plus every record flushed since.
     len: u64,
-    /// `len` right after the last create, rotation or compaction.
+    /// `len` right after the last create or compaction; for a reopened
+    /// journal, the length of its fold.
     compacted_len: u64,
 }
 
@@ -133,16 +132,37 @@ impl JournalWriter {
             path,
             file,
             buf: Vec::new(),
-            generation,
             len: JOURNAL_HEAD_LEN as u64,
             compacted_len: JOURNAL_HEAD_LEN as u64,
         })
     }
 
-    /// The generation the journal is currently writing.
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.generation
+    /// Opens the journal at `path` to append to it, creating it when it
+    /// is missing or shorter than a header. Start must have healed a torn
+    /// file first: records appended after a tear are lost to every fold.
+    /// `live_len`, the length of the file's fold, is the baseline
+    /// [`JournalWriter::compact_if_due`] doubles from.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O failure opening or creating the file.
+    pub(crate) fn open(path: PathBuf, live_len: u64) -> Result<Self, PersistError> {
+        let file = match fs::OpenOptions::new().append(true).open(&path) {
+            Ok(file) => file,
+            Err(err) if err.kind() == io::ErrorKind::NotFound => return Self::create(path, 0),
+            Err(err) => return Err(err.into()),
+        };
+        let len = file.metadata()?.len();
+        if len < JOURNAL_HEAD_LEN as u64 {
+            return Self::create(path, 0);
+        }
+        Ok(JournalWriter {
+            path,
+            file,
+            buf: Vec::new(),
+            len,
+            compacted_len: live_len.clamp(JOURNAL_HEAD_LEN as u64, len),
+        })
     }
 
     /// Buffers one session record. Appends into the reused buffer — once
@@ -156,6 +176,12 @@ impl JournalWriter {
         states: &[BusState],
     ) {
         push_session_record(&mut self.buf, session_id, scheme, burst_len, states);
+    }
+
+    /// Bytes in the file: the header and every record flushed since.
+    #[must_use]
+    pub(crate) fn file_len(&self) -> u64 {
+        self.len
     }
 
     /// Bytes currently buffered and not yet flushed.
@@ -197,103 +223,97 @@ impl JournalWriter {
         if self.len < JOURNAL_COMPACT_FLOOR.max(2 * self.compacted_len) {
             return Ok(false);
         }
-        self.compact()?;
+        self.compact(None)?;
         Ok(true)
     }
 
-    /// Rewrites the flushed journal as its own replay: one record per
-    /// session, the newest, in session-id order, under the same
-    /// generation — the state recovery folds the old file to, so both
-    /// replay identically. The new file is written beside the old one,
-    /// synced and renamed over it (as snapshots are), so a crash leaves
-    /// one complete journal or the other. Buffered records are not
-    /// included: flush first.
+    /// Flushes and rewrites the journal as its own replay — one record
+    /// per session, the newest, in session-id order — with `live` laid
+    /// over it, staged, synced and renamed over the file. Returns the
+    /// records written.
     ///
-    /// A journal whose fold drops bytes — a malformed record and
-    /// everything after it — is refused: compacting it would make the
-    /// loss of those bytes permanent. The file is left untouched, and the refusal counts as
-    /// a compaction, so [`JournalWriter::compact_if_due`] does not re-fold
-    /// the whole file on every pass.
+    /// Automatic compaction passes no `live` sessions and refuses a
+    /// journal whose fold drops bytes (a malformed record and everything
+    /// after it): compacting it would make that loss permanent. The
+    /// refusal counts as a compaction, so
+    /// [`JournalWriter::compact_if_due`] does not re-fold the file on
+    /// every pass. An admin snapshot passes every live session of the
+    /// shard and rewrites a torn journal too: the live states come from
+    /// memory, and no fold reads the records past a tear.
     ///
     /// # Errors
     ///
-    /// [`PersistError::TornJournal`] on a refusal, or any I/O failure
-    /// reading the old journal or writing the new one; the old journal
-    /// then stays in place and keeps receiving appends.
-    pub fn compact(&mut self) -> Result<(), PersistError> {
-        let mut newest = super::SessionMap::default();
-        if let Some(reader) = JournalReader::open(&self.path)? {
-            let dropped_bytes = super::fold_newest(reader, &mut newest)?;
-            if dropped_bytes != 0 {
+    /// [`PersistError::TornJournal`] on a refusal, or any I/O failure;
+    /// the old journal then stays in place and keeps receiving appends.
+    pub fn compact(&mut self, live: Option<Vec<RestoredSession>>) -> Result<u64, PersistError> {
+        self.flush()?;
+        let (mut newest, dropped_bytes) = super::fold_file(&self.path)?;
+        match live {
+            Some(live) => newest.extend(live.into_iter().map(|s| (s.session_id, s))),
+            None if dropped_bytes != 0 => {
                 self.compacted_len = self.len;
                 return Err(PersistError::TornJournal { dropped_bytes });
             }
+            None => {}
         }
-        let mut sessions: Vec<RestoredSession> = newest.into_values().collect();
-        sessions.sort_by_key(|session| session.session_id);
-        let mut bytes = encode_journal_header(self.generation).to_vec();
-        for session in &sessions {
-            push_session_record(
-                &mut bytes,
-                session.session_id,
-                session.scheme,
-                session.burst_len,
-                &session.states,
-            );
-        }
-        let staged = self.path.with_extension("bin.compact");
-        let written = fs::File::create(&staged)
-            .and_then(|mut file| file.write_all(&bytes).map(|()| file))
-            .and_then(|file| file.sync_all().map(|()| file))
-            .and_then(|file| fs::rename(&staged, &self.path).map(|()| file));
-        match written {
-            Ok(file) => {
-                // The handle is already at the end of the renamed file.
-                self.file = file;
-                self.len = bytes.len() as u64;
-                self.compacted_len = self.len;
-                Ok(())
-            }
-            Err(err) => {
-                let _ = fs::remove_file(&staged);
-                Err(err.into())
-            }
-        }
+        let sessions = super::sorted(newest);
+        (self.file, self.len) = write_journal(&self.path, 0, &sessions)?;
+        self.compacted_len = self.len;
+        Ok(sessions.len() as u64)
     }
 
     /// Test fault injection: reopens the journal file read-only, so every
     /// later non-empty [`JournalWriter::flush`] fails with a real write
-    /// error until the next rotation.
+    /// error until a compaction replaces the file.
     pub(crate) fn reopen_read_only(&mut self) -> Result<(), PersistError> {
         self.file = fs::File::open(&self.path)?;
         Ok(())
     }
+}
 
-    /// Starts a new generation: truncates the file and writes a fresh
-    /// header. Buffered-but-unflushed records are dropped — the caller
-    /// snapshots (capturing that state) before rotating.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O failure recreating the file.
-    pub fn rotate(&mut self, generation: u64) -> Result<(), PersistError> {
-        self.buf.clear();
-        let mut file = fs::File::create(&self.path)?;
-        file.write_all(&encode_journal_header(generation))?;
-        self.file = file;
-        self.generation = generation;
-        self.len = JOURNAL_HEAD_LEN as u64;
-        self.compacted_len = self.len;
-        Ok(())
+/// Writes `sessions` as the whole journal at `path`, at `generation`:
+/// staged as `journal-<shard>.bin.compact`, synced and renamed over it, so
+/// a crash leaves the old file or the new one (recovery never reads the
+/// staged one). Every journal rewrite goes through here; the rename is
+/// durable once the directory is synced. Returns a handle at the end of
+/// the new file and its length.
+///
+/// # Errors
+///
+/// Any I/O failure; the staged file is then removed.
+pub(crate) fn write_journal(
+    path: &Path,
+    generation: u64,
+    sessions: &[RestoredSession],
+) -> Result<(fs::File, u64), PersistError> {
+    let mut bytes = encode_journal_header(generation).to_vec();
+    for session in sessions {
+        push_session_record(
+            &mut bytes,
+            session.session_id,
+            session.scheme,
+            session.burst_len,
+            &session.states,
+        );
+    }
+    let staged = path.with_extension("bin.compact");
+    let written = fs::File::create(&staged)
+        .and_then(|mut file| file.write_all(&bytes).map(|()| file))
+        .and_then(|file| file.sync_all().map(|()| file))
+        .and_then(|file| fs::rename(&staged, path).map(|()| file));
+    match written {
+        // The handle is already at the end of the renamed file.
+        Ok(file) => Ok((file, bytes.len() as u64)),
+        Err(err) => {
+            let _ = fs::remove_file(&staged);
+            Err(err.into())
+        }
     }
 }
 
-/// Size of the reads a journal fold makes. Records are parsed in place
-/// out of one buffer of this size, refilled as the fold advances, so
+/// Size of the reads a journal fold makes: records are parsed in place
+/// out of one buffer of this size (grown for a longer record), so
 /// recovery holds a chunk of a journal in memory, never the whole file.
-/// Reads start at the top of the file, so chunk `k` covers file bytes
-/// `k·JOURNAL_CHUNK .. (k+1)·JOURNAL_CHUNK` (a record longer than a
-/// chunk grows the buffer to fit it).
 pub const JOURNAL_CHUNK: usize = 64 * 1024;
 
 /// The result of replaying one journal file.
@@ -456,6 +476,7 @@ pub fn replay_journal(path: &Path) -> Result<Option<JournalReplay>, PersistError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbi_core::persist::session_record_len;
     use dbi_core::LaneWord;
 
     fn state(raw: u16) -> BusState {
@@ -471,10 +492,9 @@ mod tests {
     }
 
     #[test]
-    fn journal_round_trips_and_rotates() {
+    fn journal_round_trips_and_reopens_for_append() {
         let path = temp_path("roundtrip");
         let mut writer = JournalWriter::create(path.clone(), 4).unwrap();
-        assert_eq!(writer.generation(), 4);
         writer.append_session(1, Scheme::OptFixed, 8, &[state(0x0AA), state(0x155)]);
         writer.append_session(1, Scheme::OptFixed, 8, &[state(0x0AB), state(0x156)]);
         writer.append_session(2, Scheme::Dc, 4, &[state(0x001)]);
@@ -489,16 +509,34 @@ mod tests {
         assert_eq!(replay.records.len(), 3);
         assert_eq!(replay.dropped_bytes, 0);
         assert_eq!(replay.records[1].states, vec![state(0x0AB), state(0x156)]);
+        drop(writer);
 
-        // Rotation truncates: the old records are gone, the new
-        // generation is in the header.
-        writer.rotate(5).unwrap();
+        // Reopening appends after the records already there, keeps the
+        // header, and takes the caller's fold length as its baseline.
+        let len = fs::metadata(&path).unwrap().len();
+        let live_len = (JOURNAL_HEAD_LEN + 2 * session_record_len(1)) as u64;
+        let mut writer = JournalWriter::open(path.clone(), live_len).unwrap();
+        assert_eq!((writer.len, writer.compacted_len), (len, live_len));
         writer.append_session(3, Scheme::Ac, 8, &[state(0x111)]);
         writer.flush().unwrap();
         let replay = replay_journal(&path).unwrap().unwrap();
-        assert_eq!(replay.generation, 5);
-        assert_eq!(replay.records.len(), 1);
-        assert_eq!(replay.records[0].session_id, 3);
+        assert_eq!(replay.generation, 4);
+        assert_eq!(replay.records.len(), 4);
+        assert_eq!(replay.records[3].session_id, 3);
+        assert_eq!(fs::metadata(&path).unwrap().len(), writer.len);
+
+        // A journal that never got its header out, or none at all, is
+        // created afresh.
+        for cut in [0, JOURNAL_HEAD_LEN - 1] {
+            fs::write(&path, &encode_journal_header(9)[..cut]).unwrap();
+            let writer = JournalWriter::open(path.clone(), 0).unwrap();
+            assert_eq!(writer.len, JOURNAL_HEAD_LEN as u64);
+            let replay = replay_journal(&path).unwrap().unwrap();
+            assert_eq!((replay.generation, replay.records.len()), (0, 0));
+        }
+        std::fs::remove_file(&path).unwrap();
+        drop(JournalWriter::open(path.clone(), 0).unwrap());
+        assert!(replay_journal(&path).unwrap().is_some());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -531,9 +569,9 @@ mod tests {
         let before = newest_states(&path);
         let len_before = fs::metadata(&path).unwrap().len();
 
-        writer.compact().unwrap();
+        writer.compact(None).unwrap();
         let replay = replay_journal(&path).unwrap().unwrap();
-        assert_eq!(replay.generation, 7);
+        assert_eq!(replay.generation, 0, "a rewrite is at generation 0");
         assert_eq!(replay.records.len(), 3);
         assert_eq!(replay.dropped_bytes, 0);
         assert_eq!(newest_states(&path), before);
@@ -604,13 +642,60 @@ mod tests {
         let before = fs::read(&path).unwrap();
         let torn = (record.len() - 3) as u64;
         assert!(matches!(
-            writer.compact(),
+            writer.compact(None),
             Err(PersistError::TornJournal { dropped_bytes }) if dropped_bytes == torn + tail
         ));
         assert_eq!(fs::read(&path).unwrap(), before);
         assert!(!path.with_extension("bin.compact").exists());
         assert_eq!(writer.compacted_len, writer.len);
         assert!(!writer.compact_if_due().unwrap());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A snapshot lays the live sessions over the journal's fold: evicted
+    /// sessions keep their records, live ones take their in-memory state,
+    /// and a torn journal comes out whole.
+    #[test]
+    fn snapshot_overlays_live_sessions_and_heals_a_torn_journal() {
+        let path = temp_path("snapshot");
+        let mut writer = JournalWriter::create(path.clone(), 0).unwrap();
+        writer.append_session(1, Scheme::OptFixed, 8, &[state(0x0AA)]);
+        writer.append_session(2, Scheme::Dc, 8, &[state(0x0BB)]);
+        writer.flush().unwrap();
+        let mut record = Vec::new();
+        push_session_record(&mut record, 2, Scheme::Dc, 8, &[state(0x0CC)]);
+        writer.buf.extend_from_slice(&record[..record.len() - 1]);
+        writer.flush().unwrap();
+
+        let live = |id: u64, raw: u16| RestoredSession {
+            session_id: id,
+            scheme: Scheme::Dc,
+            groups: 1,
+            burst_len: 8,
+            states: vec![state(raw)],
+        };
+        let records = writer
+            .compact(Some(vec![live(3, 0x033), live(2, 0x022)]))
+            .unwrap();
+        assert_eq!(records, 3);
+        let bytes = fs::metadata(&path).unwrap().len();
+        assert_eq!((writer.file_len(), writer.compacted_len), (bytes, bytes));
+        let replay = replay_journal(&path).unwrap().unwrap();
+        assert_eq!(replay.dropped_bytes, 0);
+        let states: Vec<(u64, Vec<BusState>)> = replay
+            .records
+            .into_iter()
+            .map(|record| (record.session_id, record.states))
+            .collect();
+        assert_eq!(
+            states,
+            vec![
+                (1, vec![state(0x0AA)]),
+                (2, vec![state(0x022)]),
+                (3, vec![state(0x033)])
+            ]
+        );
+        assert!(!path.with_extension("bin.compact").exists());
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -1,48 +1,34 @@
-//! The durable session plane: snapshots plus an append-only journal.
+//! The durable session plane: one append-only journal per shard.
 //!
 //! Every scheme the engine serves is a *memory-based* code — decodability
 //! depends on the receiver holding exactly the transmitter's carried
-//! [`BusState`]. Worker memory is therefore the only
-//! copy of state a restart must not lose. This module keeps a second copy
-//! on disk, built from the CRC-guarded session records of
-//! [`dbi_core::persist`]:
+//! [`BusState`], so worker memory is the only copy of state a restart
+//! must not lose. This module keeps a second copy on disk, as the
+//! CRC-guarded session records of [`dbi_core::persist`], in one kind of
+//! file: each shard worker's journal ([`journal`]), to which it appends
+//! the full carried state of every session a pass touched, through a
+//! buffer sized once, so the hot path stays allocation-free.
 //!
-//! * **Snapshot** (`snapshot.bin`, [`snapshot`]) — a compact engine-wide
-//!   capture of every live session, written atomically (temp file +
-//!   rename) while each shard is quiesced at a pass boundary.
-//! * **Journal** (`journal-<shard>.bin`, [`journal`]) — an append-only
-//!   per-shard log written *between* snapshots by the worker itself at
-//!   burst boundaries: after every pass, the full carried state of each
-//!   session the pass touched. Appends go through a worker-owned buffer
-//!   sized once, so the steady-state hot path stays allocation-free.
+//! Recovery folds the journals, streamed a chunk at a time, keeping the
+//! newest record per session: its memory follows the session count, its
+//! time the journals' length, which compaction bounds
+//! ([`journal::JournalWriter::compact`]). An admin snapshot is that
+//! compaction on every shard, with the live sessions laid over the fold.
 //!
-//! Recovery folds the snapshot first and then the journals, later records
-//! winning — the journal always holds state at least as new as the
-//! snapshot for any session it mentions (the worker journals every touched
-//! pass, and captures happen quiesced at pass boundaries). Journals are
-//! **streamed**: each is read a fixed-size chunk at a time
-//! ([`journal::JournalReader`]), its records parsed in place, and only the
-//! newest record per session is kept, so recovery memory follows the
-//! session count and chunk size, not how many passes the previous run
-//! journaled. Recovery *time* follows the journal's length, which the
-//! worker bounds: once a journal reaches
-//! [`journal::JOURNAL_COMPACT_FLOOR`] and twice its size after the last
-//! compaction, it is rewritten as its own fold, one record per session
-//! ([`journal::JournalWriter::compact`]).
+//! ## Migration and re-sharding
 //!
-//! ## Generations
-//!
-//! Files carry a monotonically increasing **generation** so recovery can
-//! tell which journal belongs with which snapshot. The invariant is
-//! *journal generation = snapshot generation + 1*; a snapshot is taken at
-//! the journals' current generation and the journals then rotate past it.
-//! Recovery accepts journals at the snapshot's generation (the crash
-//! window between writing a snapshot and rotating the journals — safe,
-//! because in that window every journal record is at least as new as the
-//! snapshot) or one above it; anything older is stale and skipped.
-//! Engine start self-compacts: the folded recovery state is immediately
-//! written as a fresh snapshot and the journals restart empty one
-//! generation above it, so stale files never accumulate.
+//! A serving engine keeps each session in exactly one journal, its
+//! shard's, so the fold needs no order between files. When start finds
+//! anything else — a changed shard count, a dropped session, or a
+//! `snapshot.bin` from an older build ([`snapshot`]), folded once by its
+//! old rule — it rewrites each live journal as its own fold plus the
+//! sessions its shard owns, removes defunct journals and the snapshot,
+//! and only then rewrites each journal down to its own sessions. Every
+//! copy of a session on disk is then the same state at every step, so a
+//! crash anywhere recovers it; the migration writes at a generation the
+//! snapshot's rule accepts until the snapshot is gone. A torn journal is
+//! rewritten as its own fold before anything is appended to it.
+//! Otherwise start rewrites nothing, and the workers append.
 
 pub mod journal;
 pub mod snapshot;
@@ -52,7 +38,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasher, Hasher};
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicU64;
 use std::sync::Mutex;
 
@@ -65,8 +51,8 @@ use dbi_core::{BusState, Scheme};
 /// to enable the durable session plane; the default is off.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PersistConfig {
-    /// Directory holding `snapshot.bin` and the per-shard journals.
-    /// Created (with parents) on engine start if absent.
+    /// Directory holding the per-shard journals. Created (with parents)
+    /// on engine start if absent.
     pub dir: PathBuf,
 }
 
@@ -281,18 +267,18 @@ impl Hasher for SessionIdHasher {
 
 /// Shared durability bookkeeping, stamped into the metrics snapshot and
 /// served over the durability admin frames.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct PersistPlane {
-    /// Directory holding the snapshot and journals.
+    /// Directory holding the journals.
     pub dir: PathBuf,
-    /// Current journal generation (the snapshot on disk is one behind).
-    pub generation: AtomicU64,
-    /// Snapshots written since engine start (including the start-time
-    /// self-compaction snapshot).
+    /// Journal compactions since engine start: automatic ones, and one
+    /// per shard for each admin snapshot.
+    pub compactions: AtomicU64,
+    /// Admin snapshots taken since engine start.
     pub snapshots_taken: AtomicU64,
-    /// Sessions captured by the most recent snapshot.
+    /// Session records the journals held after the most recent snapshot.
     pub last_sessions: AtomicU64,
-    /// Bytes of the most recent snapshot file.
+    /// Bytes the journals held after the most recent snapshot.
     pub last_bytes: AtomicU64,
     /// Sessions recovered from disk at engine start.
     pub restored_sessions: AtomicU64,
@@ -300,82 +286,108 @@ pub(crate) struct PersistPlane {
     pub ops: Mutex<()>,
 }
 
-/// Everything recovery found on disk, folded to one entry per session.
+/// One journal file a recovery fold found.
+#[derive(Debug)]
+pub(crate) struct FoundJournal {
+    pub path: PathBuf,
+    /// Whether it is the journal of a live shard.
+    pub live: bool,
+    /// Bytes the fold dropped from a malformed record on.
+    pub dropped_bytes: u64,
+    /// Whether it holds a session another shard owns.
+    pub foreign: bool,
+    /// Whether its generation is one a migrated snapshot does not accept
+    /// (then it was not folded).
+    pub stale: bool,
+}
+
+/// Everything recovery found on disk.
 #[derive(Debug)]
 pub(crate) struct LoadedState {
-    /// Generation the *journals* should continue at (max accepted
-    /// generation seen on disk; 0 on a cold start).
-    pub generation: u64,
-    /// One entry per session, journal state winning over snapshot state,
-    /// sorted by session id for determinism.
+    /// The newest state of each session, in session-id order.
     pub sessions: Vec<RestoredSession>,
-    /// Journal bytes dropped as torn tails during replay. Diagnostic:
-    /// recovery deliberately discards torn tails (the records were never
-    /// acknowledged), so outside the replay tests nothing consumes it.
-    #[allow(dead_code)]
-    pub dropped_bytes: u64,
+    /// Every journal file, in name order.
+    pub journals: Vec<FoundJournal>,
 }
 
-/// Reads and folds the snapshot plus every acceptable journal under
-/// `dir`. Missing files are a cold start, not an error; torn journal
-/// tails are skipped (counted in `dropped_bytes`); structural corruption
-/// of a snapshot or a journal header is a typed refusal — recovery never
-/// silently invents state.
-pub(crate) fn load_state(dir: &std::path::Path) -> Result<LoadedState, PersistError> {
-    let mut folded = SessionMap::default();
-    let mut dropped_bytes = 0u64;
+/// Folds every journal under `dir` for an engine of `shards` shards,
+/// where `home` names the shard that owns a session id. Missing files are
+/// a cold start; torn tails are skipped; a corrupt journal header is a
+/// typed refusal.
+pub(crate) fn load_state(
+    dir: &Path,
+    shards: usize,
+    home: impl Fn(u64) -> usize,
+) -> Result<LoadedState, PersistError> {
+    fold_journals(dir, SessionMap::default(), |_| true, shards, home)
+}
 
-    let snapshot = snapshot::read_snapshot(dir)?;
-    let snapshot_generation = snapshot.as_ref().map_or(0, |snap| snap.generation);
-    if let Some(snap) = snapshot {
-        for session in snap.sessions {
-            folded.insert(session.session_id, session);
-        }
-    }
-
-    // Journals at the snapshot's generation or one above are live; older
-    // ones are leftovers of a previous epoch whose state the snapshot
-    // already holds. Journal records win over snapshot records: the
-    // worker journals every touched pass, so for any session the journal
-    // mentions its last record is at least as new as the capture. Each
-    // session's entry is overwritten in place by its newer records.
-    let mut generation = snapshot_generation;
+/// Folds, over `folded` and in name order, the journals under `dir`
+/// whose generation `accept`s; the others are stale.
+fn fold_journals(
+    dir: &Path,
+    mut folded: SessionMap,
+    accept: impl Fn(u64) -> bool,
+    shards: usize,
+    home: impl Fn(u64) -> usize,
+) -> Result<LoadedState, PersistError> {
+    let mut journals = Vec::new();
     for path in journal::journal_files(dir)? {
-        let Some(reader) = journal::JournalReader::open(&path)? else {
-            continue;
-        };
-        let journal_generation = reader.generation();
-        if journal_generation != snapshot_generation
-            && journal_generation != snapshot_generation + 1
-        {
-            continue;
+        let shard = (0..shards).find(|&shard| journal::journal_path(dir, shard) == path);
+        let (mut dropped_bytes, mut foreign, mut stale) = (0, false, false);
+        match journal::JournalReader::open(&path)? {
+            Some(reader) if accept(reader.generation()) => {
+                dropped_bytes = reader.fold(|view| {
+                    foreign |= shard != Some(home(view.session_id));
+                    fold_record(&mut folded, &view);
+                })?;
+            }
+            reader => stale = reader.is_some(),
         }
-        generation = generation.max(journal_generation);
-        dropped_bytes += fold_newest(reader, &mut folded)?;
+        let live = shard.is_some();
+        journals.push(FoundJournal {
+            path,
+            live,
+            dropped_bytes,
+            foreign,
+            stale,
+        });
     }
+    let sessions = sorted(folded);
+    Ok(LoadedState { sessions, journals })
+}
 
+/// Syncs `dir`, making the renames and removals inside it durable.
+pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
+    std::fs::File::open(dir)?.sync_all()
+}
+
+/// Folds one record into `folded`: an existing entry is overwritten in
+/// place, reusing its state buffer.
+fn fold_record(folded: &mut SessionMap, view: &SessionRecordView<'_>) {
+    match folded.entry(view.session_id) {
+        Entry::Occupied(mut entry) => entry.get_mut().assign_record(view),
+        Entry::Vacant(entry) => {
+            entry.insert(RestoredSession::from_record(view));
+        }
+    }
+}
+
+/// Folds one journal file; also returns the bytes the fold dropped.
+pub(crate) fn fold_file(path: &Path) -> Result<(SessionMap, u64), PersistError> {
+    let mut newest = SessionMap::default();
+    let dropped_bytes = match journal::JournalReader::open(path)? {
+        Some(reader) => reader.fold(|view| fold_record(&mut newest, &view))?,
+        None => 0,
+    };
+    Ok((newest, dropped_bytes))
+}
+
+/// The sessions of `folded`, in session-id order.
+pub(crate) fn sorted(folded: SessionMap) -> Vec<RestoredSession> {
     let mut sessions: Vec<RestoredSession> = folded.into_values().collect();
     sessions.sort_by_key(|session| session.session_id);
-    Ok(LoadedState {
-        generation,
-        sessions,
-        dropped_bytes,
-    })
-}
-
-/// Folds every record of `reader` into `folded`, the newest record per
-/// session winning (an existing entry is overwritten in place, reusing
-/// its state buffer). Returns the torn-tail bytes the fold dropped.
-fn fold_newest(
-    reader: journal::JournalReader,
-    folded: &mut SessionMap,
-) -> Result<u64, PersistError> {
-    reader.fold(|view| match folded.entry(view.session_id) {
-        Entry::Occupied(mut entry) => entry.get_mut().assign_record(&view),
-        Entry::Vacant(entry) => {
-            entry.insert(RestoredSession::from_record(&view));
-        }
-    })
+    sessions
 }
 
 #[cfg(test)]
@@ -399,31 +411,47 @@ mod tests {
         dir
     }
 
+    /// Every session id lives on shard 0.
+    fn one_shard(_: u64) -> usize {
+        0
+    }
+
+    /// Writes a legacy `snapshot.bin` at `generation` over `records`.
+    fn write_legacy_snapshot(dir: &Path, generation: u64, count: u32, records: &[u8]) {
+        let image = snapshot::encode_snapshot(generation, count, records);
+        std::fs::write(snapshot::snapshot_path(dir), image).unwrap();
+    }
+
     #[test]
     fn cold_start_is_empty_not_an_error() {
         let dir = temp_dir("cold");
-        let loaded = load_state(&dir).unwrap();
-        assert_eq!(loaded.generation, 0);
+        let loaded = load_state(&dir, 1, one_shard).unwrap();
         assert!(loaded.sessions.is_empty());
-        assert_eq!(loaded.dropped_bytes, 0);
+        assert!(loaded.journals.is_empty());
+        assert!(snapshot::load_legacy_state(&dir, 1, one_shard)
+            .unwrap()
+            .is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn journal_records_win_over_snapshot_records() {
         let dir = temp_dir("fold");
-        // Snapshot at generation 3 holds session 1 in one state…
+        // A legacy snapshot at generation 3 holds session 1 in one state…
         let mut records = Vec::new();
         push_session_record(&mut records, 1, Scheme::OptFixed, 8, &[state(0x100)]);
         push_session_record(&mut records, 2, Scheme::Dc, 8, &[state(0x0FF)]);
-        snapshot::write_snapshot(&dir, 3, 2, &records).unwrap();
+        write_legacy_snapshot(&dir, 3, 2, &records);
         // …and the generation-4 journal moves it on.
         let mut writer = journal::JournalWriter::create(journal::journal_path(&dir, 0), 4).unwrap();
         writer.append_session(1, Scheme::OptFixed, 8, &[state(0x055)]);
         writer.flush().unwrap();
 
-        let loaded = load_state(&dir).unwrap();
-        assert_eq!(loaded.generation, 4);
+        let (generation, loaded) = snapshot::load_legacy_state(&dir, 1, one_shard)
+            .unwrap()
+            .unwrap();
+        assert_eq!(generation, 3);
+        assert!(!loaded.journals[0].stale);
         assert_eq!(loaded.sessions.len(), 2);
         assert_eq!(loaded.sessions[0].session_id, 1);
         assert_eq!(loaded.sessions[0].states, vec![state(0x055)]);
@@ -458,9 +486,11 @@ mod tests {
             writer.flush().unwrap();
         }
 
-        let loaded = load_state(&dir).unwrap();
-        assert_eq!(loaded.generation, 1);
-        assert_eq!(loaded.dropped_bytes, 0);
+        let loaded = load_state(&dir, 1, one_shard).unwrap();
+        assert_eq!(loaded.journals.len(), 1);
+        assert!(loaded.journals[0].live);
+        assert_eq!(loaded.journals[0].dropped_bytes, 0);
+        assert!(!loaded.journals[0].foreign);
         assert_eq!(loaded.sessions.len(), oracle.len());
         for (session, (&id, (scheme, burst_len, states))) in loaded.sessions.iter().zip(&oracle) {
             assert_eq!(session.session_id, id);
@@ -472,23 +502,70 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Each journal knows whether its name is a live shard's and whether
+    /// it holds a session another shard owns; any other `journal-*.bin`
+    /// name belongs to no shard.
+    #[test]
+    fn journals_know_their_shard_and_foreign_records() {
+        let dir = temp_dir("homes");
+        let write = |name: &str, ids: &[u64]| {
+            let mut writer = journal::JournalWriter::create(dir.join(name), 0).unwrap();
+            for &id in ids {
+                writer.append_session(id, Scheme::Dc, 8, &[state(id as u16)]);
+            }
+            writer.flush().unwrap();
+        };
+        write("journal-0.bin", &[0, 2]);
+        write("journal-1.bin", &[3, 4]);
+        write("journal-01.bin", &[5]);
+        std::fs::write(dir.join("journal-1.bin.compact"), b"staged").unwrap();
+
+        let loaded = load_state(&dir, 2, |id| (id % 2) as usize).unwrap();
+        let found: Vec<(String, bool, bool)> = loaded
+            .journals
+            .iter()
+            .map(|journal| {
+                let name = journal.path.file_name().unwrap().to_str().unwrap();
+                (name.to_owned(), journal.live, journal.foreign)
+            })
+            .collect();
+        assert_eq!(
+            found,
+            [
+                ("journal-0.bin".to_owned(), true, false),
+                ("journal-01.bin".to_owned(), false, true),
+                ("journal-1.bin".to_owned(), true, true),
+            ]
+        );
+        // With one shard, shard 1's journal is defunct.
+        assert!(!load_state(&dir, 1, |_| 0).unwrap().journals[2].live);
+        assert_eq!(loaded.sessions.len(), 5);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn stale_journals_are_skipped() {
         let dir = temp_dir("stale");
         let mut records = Vec::new();
         push_session_record(&mut records, 7, Scheme::Ac, 8, &[state(0x1FF)]);
-        snapshot::write_snapshot(&dir, 5, 1, &records).unwrap();
+        write_legacy_snapshot(&dir, 5, 1, &records);
         // Generation 2 predates the snapshot: its state is already folded
-        // into it (or superseded), so replay must ignore the file.
+        // into it (or superseded), so the legacy fold must ignore the file.
         let mut writer = journal::JournalWriter::create(journal::journal_path(&dir, 0), 2).unwrap();
         writer.append_session(7, Scheme::Ac, 8, &[state(0x000)]);
         writer.append_session(9, Scheme::Ac, 8, &[state(0x001)]);
         writer.flush().unwrap();
 
-        let loaded = load_state(&dir).unwrap();
-        assert_eq!(loaded.generation, 5);
+        let (generation, loaded) = snapshot::load_legacy_state(&dir, 1, one_shard)
+            .unwrap()
+            .unwrap();
+        assert_eq!(generation, 5);
+        assert!(loaded.journals[0].stale);
         assert_eq!(loaded.sessions.len(), 1);
         assert_eq!(loaded.sessions[0].states, vec![state(0x1FF)]);
+        // Without the snapshot, generations mean nothing: the journal is
+        // the store.
+        assert_eq!(load_state(&dir, 1, one_shard).unwrap().sessions.len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,7 +1,8 @@
-//! Engine-wide session snapshots.
+//! The legacy engine-wide snapshot, read once to migrate an old store.
 //!
-//! One file, `snapshot.bin`, holding every live session as a CRC-guarded
-//! record ([`dbi_core::persist`]), behind a CRC-guarded file header:
+//! Older builds also wrote `snapshot.bin`: every live session as a
+//! CRC-guarded record ([`dbi_core::persist`]) behind a header whose CRC
+//! covers bytes `0..18`, continued by journals one generation above:
 //!
 //! ```text
 //!  0        4     5      6            14       18      22
@@ -11,25 +12,22 @@
 //! +--------+-----+------+------------+--------+--------+----- - - -
 //! ```
 //!
-//! The header CRC covers bytes `0..18` (everything before itself); each
-//! record carries its own body CRC. Snapshots are written to a temp file
-//! and renamed into place, so a reader only ever sees a complete file —
-//! and the reader is **strict**: any malformation is a typed
-//! [`PersistError`], because a snapshot that cannot be trusted byte for
-//! byte must not seed bus state.
+//! The reader is **strict**: any malformation is a typed [`PersistError`],
+//! because a snapshot that cannot be trusted byte for byte must not seed
+//! bus state. Engine start folds a store that still has one by its old
+//! rule, then deletes it.
 
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use dbi_core::persist::{crc32, parse_session_record};
 
-use super::{PersistError, RestoredSession};
+use super::{LoadedState, PersistError, RestoredSession};
 
 /// Snapshot file magic, ASCII `"DBSN"`.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"DBSN";
 
-/// The snapshot format version this build writes and reads.
+/// The snapshot format version this build reads.
 pub const SNAPSHOT_VERSION: u8 = 1;
 
 /// Fixed snapshot header length (magic, version, reserved, generation,
@@ -56,8 +54,8 @@ pub struct Snapshot {
 
 /// Serialises a snapshot header followed by `record_bytes` (which must be
 /// exactly `record_count` back-to-back session records). Exposed so the
-/// format tests and the drift check can build images without touching
-/// disk.
+/// format tests, the migration tests and the drift check can build
+/// images.
 #[must_use]
 pub fn encode_snapshot(generation: u64, record_count: u32, record_bytes: &[u8]) -> Vec<u8> {
     let mut image = Vec::with_capacity(SNAPSHOT_HEAD_LEN + record_bytes.len());
@@ -70,28 +68,6 @@ pub fn encode_snapshot(generation: u64, record_count: u32, record_bytes: &[u8]) 
     image.extend_from_slice(&crc.to_le_bytes());
     image.extend_from_slice(record_bytes);
     image
-}
-
-/// Writes the snapshot atomically: temp file in the same directory, then
-/// rename over [`SNAPSHOT_FILE`]. Returns the file's size in bytes.
-///
-/// # Errors
-///
-/// Any I/O failure creating, writing, syncing or renaming the file.
-pub fn write_snapshot(
-    dir: &Path,
-    generation: u64,
-    record_count: u32,
-    record_bytes: &[u8],
-) -> Result<u64, PersistError> {
-    let image = encode_snapshot(generation, record_count, record_bytes);
-    let tmp = dir.join("snapshot.bin.tmp");
-    let mut file = fs::File::create(&tmp)?;
-    file.write_all(&image)?;
-    file.sync_all()?;
-    drop(file);
-    fs::rename(&tmp, snapshot_path(dir))?;
-    Ok(image.len() as u64)
 }
 
 /// Parses a snapshot image. Strict: every truncation point, corrupt
@@ -158,6 +134,34 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<Snapshot>, PersistError> {
     parse_snapshot(&bytes).map(Some)
 }
 
+/// Folds a store that still holds a snapshot by the rule it was written
+/// under — the snapshot, then the journals at its generation or one above,
+/// journal records winning — as [`super::load_state`] folds journals.
+/// Returns the snapshot's generation with the fold, or `None` when `dir`
+/// has no snapshot.
+///
+/// # Errors
+///
+/// The snapshot's strict refusals, or a journal header's.
+pub(crate) fn load_legacy_state(
+    dir: &Path,
+    shards: usize,
+    home: impl Fn(u64) -> usize,
+) -> Result<Option<(u64, LoadedState)>, PersistError> {
+    let Some(snapshot) = read_snapshot(dir)? else {
+        return Ok(None);
+    };
+    let generation = snapshot.generation;
+    let folded = snapshot
+        .sessions
+        .into_iter()
+        .map(|session| (session.session_id, session))
+        .collect();
+    let accept = |journal: u64| journal == generation || journal == generation + 1;
+    let loaded = super::fold_journals(dir, folded, accept, shards, home)?;
+    Ok(Some((generation, loaded)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,8 +184,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dbi-snap-roundtrip-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let (count, records) = sample_records();
-        let written = write_snapshot(&dir, 9, count, &records).unwrap();
-        assert_eq!(written as usize, SNAPSHOT_HEAD_LEN + records.len());
+        let image = encode_snapshot(9, count, &records);
+        assert_eq!(image.len(), SNAPSHOT_HEAD_LEN + records.len());
+        std::fs::write(snapshot_path(&dir), &image).unwrap();
         let snap = read_snapshot(&dir).unwrap().unwrap();
         assert_eq!(snap.generation, 9);
         assert_eq!(snap.sessions.len(), 2);

@@ -52,7 +52,7 @@
 //! batch response:  session_id u64 | bursts u64 | count u16 | group_count u16 |
 //!                  mask_count u32 | group_count × 16-byte records | mask_count × 4-byte masks
 //! trace records:   count × 48-byte TraceEvent records
-//! status block:    configured u8 | generation u64 | snapshots_taken u64 |
+//! status block:    configured u8 | compactions u64 | snapshots_taken u64 |
 //!                  last_sessions u64 | last_bytes u64 | restored_sessions u64
 //! ```
 //!
@@ -1211,15 +1211,14 @@ impl PipelinedErrorFrame<'_> {
 pub struct SnapshotStatus {
     /// Whether the engine was started with a persist directory.
     pub configured: bool,
-    /// The current journal generation (the on-disk snapshot is one
-    /// behind).
-    pub generation: u64,
-    /// Snapshots written since engine start (including the start-time
-    /// self-compaction snapshot).
+    /// Journal compactions since engine start: automatic ones, and one
+    /// per shard for each snapshot.
+    pub compactions: u64,
+    /// Snapshots taken since engine start.
     pub snapshots_taken: u64,
-    /// Sessions captured by the most recent snapshot.
+    /// Session records the journals held after the most recent snapshot.
     pub last_sessions: u64,
-    /// Size in bytes of the most recent snapshot file.
+    /// Bytes the journals held after the most recent snapshot.
     pub last_bytes: u64,
     /// Sessions recovered from disk at engine start, plus any brought
     /// back by explicit restore requests.
@@ -1238,7 +1237,7 @@ impl SnapshotStatus {
             SNAPSHOT_STATUS_WIRE_BYTES,
         );
         out.push(u8::from(self.configured));
-        out.extend_from_slice(&self.generation.to_le_bytes());
+        out.extend_from_slice(&self.compactions.to_le_bytes());
         out.extend_from_slice(&self.snapshots_taken.to_le_bytes());
         out.extend_from_slice(&self.last_sessions.to_le_bytes());
         out.extend_from_slice(&self.last_bytes.to_le_bytes());
@@ -1265,7 +1264,7 @@ fn decode_snapshot_status(body: &[u8]) -> Result<SnapshotStatus, WireError> {
     let word = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().expect("checked length"));
     Ok(SnapshotStatus {
         configured,
-        generation: word(1),
+        compactions: word(1),
         snapshots_taken: word(9),
         last_sessions: word(17),
         last_bytes: word(25),
@@ -1274,8 +1273,8 @@ fn decode_snapshot_status(body: &[u8]) -> Result<SnapshotStatus, WireError> {
 }
 
 /// Appends a snapshot-request frame (empty body) to `out`: the service
-/// quiesces every shard at a pass boundary, writes a fresh snapshot and
-/// rotates the journals, then answers with [`SnapshotStatus`].
+/// quiesces every shard at a pass boundary, where each compacts its
+/// journal, synced, then answers with [`SnapshotStatus`].
 pub fn encode_snapshot_request(out: &mut Vec<u8>) {
     push_header(out, tag::SNAPSHOT_REQUEST, 0);
 }
@@ -1288,8 +1287,8 @@ pub fn encode_snapshot_status_request(out: &mut Vec<u8>) {
 }
 
 /// Appends a restore-request frame (empty body) to `out`: the service
-/// re-reads its persist directory and seeds every recovered session into
-/// the live shards (replacing same-id entries), then answers with
+/// re-folds its journals and seeds every recovered session into the live
+/// shards (replacing same-id entries), then answers with
 /// [`SnapshotStatus`].
 pub fn encode_restore_request(out: &mut Vec<u8>) {
     push_header(out, tag::RESTORE_REQUEST, 0);
@@ -2199,7 +2198,7 @@ mod tests {
     fn durability_admin_frames_roundtrip() {
         let status = SnapshotStatus {
             configured: true,
-            generation: 7,
+            compactions: 7,
             snapshots_taken: 3,
             last_sessions: 120,
             last_bytes: 4096,
@@ -2242,7 +2241,7 @@ mod tests {
         let mut buf = Vec::new();
         SnapshotStatus {
             configured: true,
-            generation: 1,
+            compactions: 1,
             ..SnapshotStatus::default()
         }
         .encode_into(&mut buf);

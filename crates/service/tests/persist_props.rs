@@ -411,7 +411,7 @@ fn journal_fold_streams_records_across_chunk_boundaries() {
 #[test]
 fn engine_recovery_never_panics_on_corrupt_stores() {
     // Build one valid store: a few sessions, a snapshot, then more
-    // traffic so the journals hold post-snapshot records.
+    // traffic so the journals hold records appended after it.
     let source = temp_dir("fuzz-source");
     let engine = Engine::start(ServiceConfig {
         shards: 2,
@@ -450,7 +450,7 @@ fn engine_recovery_never_panics_on_corrupt_stores() {
     }
     drop(client);
     engine.shutdown();
-    let files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&source)
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&source)
         .unwrap()
         .map(|entry| {
             let entry = entry.unwrap();
@@ -460,7 +460,13 @@ fn engine_recovery_never_panics_on_corrupt_stores() {
             )
         })
         .collect();
-    assert!(files.iter().any(|(name, _)| name == "snapshot.bin"));
+    assert!(files.iter().all(|(name, _)| name.starts_with("journal-")));
+    // Plus a legacy snapshot, so the sweep also mangles stores that start
+    // migrates: its records at generation 0 continue into the journals.
+    let mut records = Vec::new();
+    push_session_record(&mut records, 1, Scheme::OptFixed, 8, &[state(0x0AA); 4]);
+    push_session_record(&mut records, 7, Scheme::Dc, 8, &[state(0x155); 4]);
+    files.push(("snapshot.bin".to_owned(), encode_snapshot(0, 2, &records)));
 
     // Bounded fuzz smoke: mangle the store, recover, never panic. A
     // recovered engine must serve traffic; a refused store must be a
