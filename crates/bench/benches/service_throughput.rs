@@ -403,6 +403,11 @@ fn run_fan_in(
             in_flight.push((index, id, start));
             submitted += 1;
         }
+        // Submissions are staged; put the whole wave on the wire before
+        // draining any client, so the I/O threads see the full fan-in.
+        for client in &mut clients {
+            client.flush().expect("fan-in flush");
+        }
         for (index, id, start) in in_flight {
             let done = clients[index]
                 .next_completion(&mut reply)

@@ -10,15 +10,24 @@
 //! connection concurrently, so a single client can keep every engine
 //! shard busy without one thread per outstanding request.
 //!
+//! Submissions are **staged**: each frame is appended to the client's
+//! send buffer, and the staged frames reach the socket in one `write`
+//! when a poll finds no whole response buffered and must read, when the
+//! caller calls [`PipelinedClient::flush`], or when the staged bytes
+//! cross a fixed bound (64 KiB). A burst of submissions therefore costs
+//! one syscall, not one per frame. An error from a deferred write
+//! surfaces at the poll or `flush` that performed it, as
+//! [`ClientError::Io`]; frames still staged when the client is dropped
+//! are never sent.
+//!
 //! [`TcpClient`] is the request–response convenience over it: each call
-//! submits one request and waits for its completion, exposing the same
-//! [`EncodeRequest`]/[`EncodeReply`] types as the in-process
-//! [`LocalClient`](crate::LocalClient) — code written against one client
-//! works against the other. Its admin requests (metrics, telemetry,
-//! durability) travel over the same socket and buffers. The frame
-//! buffers are owned by the client and reused, so a steady request loop
-//! settles into zero buffer reallocation (the socket itself, of course,
-//! still costs syscalls).
+//! submits one request and waits for its completion (one write, one
+//! read), exposing the same [`EncodeRequest`]/[`EncodeReply`] types as
+//! the in-process [`LocalClient`](crate::LocalClient) — code written
+//! against one client works against the other. Its admin requests
+//! (metrics, telemetry, durability) travel over the same socket and
+//! buffers. The frame buffers are owned by the client and reused, so a
+//! steady request loop settles into zero buffer reallocation.
 
 use crate::engine::{EncodeBatchRequest, EncodeReply, EncodeRequest};
 use crate::error::ClientError;
@@ -221,6 +230,11 @@ impl PipelinedCompletion {
 /// backlog — a soak harness can hold thousands of these clients.
 const RECV_CHUNK: usize = 16 * 1024;
 
+/// Staged submission bytes at which a submit writes them out without
+/// waiting for a poll, so a caller that submits without ever polling
+/// holds a bounded send buffer.
+const SEND_BOUND: usize = 64 * 1024;
+
 /// A pipelined client over TCP: submit many, poll completions by request
 /// id.
 ///
@@ -240,9 +254,9 @@ pub struct PipelinedClient {
 }
 
 impl PipelinedClient {
-    /// Connects to a service and disables Nagle batching (submissions
-    /// should hit the wire immediately — pipelining already amortises
-    /// the per-frame cost).
+    /// Connects to a service and disables Nagle batching (the client
+    /// batches its own submissions, so a flush should hit the wire
+    /// immediately).
     ///
     /// # Errors
     ///
@@ -263,57 +277,82 @@ impl PipelinedClient {
     /// Submits one encode request without waiting for its response;
     /// returns the auto-assigned request id its completion will echo.
     ///
-    /// The write itself is blocking: if the socket's send buffer is
-    /// full (the service applies backpressure by pausing its reads once
-    /// this connection has [`ConnConfig::max_in_flight`] requests in
-    /// flight), `submit` waits until the frame is fully handed to the
-    /// kernel.
+    /// The frame is staged, not written: it reaches the socket with the
+    /// other staged frames at the next poll that must read, at
+    /// [`PipelinedClient::flush`], or here once the staged bytes cross
+    /// the client's send bound. That write is blocking: if the socket's
+    /// send buffer is full (the service applies backpressure by pausing
+    /// its reads once this connection has [`ConnConfig::max_in_flight`]
+    /// requests in flight), it waits until every staged byte is handed
+    /// to the kernel.
     ///
     /// [`ConnConfig::max_in_flight`]: crate::ConnConfig::max_in_flight
     ///
     /// # Errors
     ///
-    /// [`ClientError::Io`] — the transport failed mid-write.
+    /// [`ClientError::Io`] — the staged bytes crossed the send bound and
+    /// the transport failed while writing them.
     pub fn submit(&mut self, request: &EncodeRequest<'_>) -> Result<u64, ClientError> {
         let request_id = self.next_id;
-        self.out_buf.clear();
         PipelinedRequestFrame {
             request_id,
             request: *request,
         }
         .encode_into(&mut self.out_buf);
-        self.send_request()?;
+        self.staged()?;
         Ok(request_id)
     }
 
     /// Submits one **batched** encode request without waiting; returns
-    /// the auto-assigned request id. Same semantics as
+    /// the auto-assigned request id. Staged like
     /// [`PipelinedClient::submit`].
     ///
     /// # Errors
     ///
-    /// [`ClientError::Io`] — the transport failed mid-write.
+    /// Same failure modes as [`PipelinedClient::submit`].
     pub fn submit_batch(&mut self, request: &EncodeBatchRequest<'_>) -> Result<u64, ClientError> {
         let request_id = self.next_id;
-        self.out_buf.clear();
         PipelinedBatchRequestFrame {
             request_id,
             request: *request,
         }
         .encode_into(&mut self.out_buf);
-        self.send_request()?;
+        self.staged()?;
         Ok(request_id)
     }
 
-    /// Writes the request staged in `out_buf` and counts it in flight.
-    fn send_request(&mut self) -> Result<(), ClientError> {
-        self.stream.write_all(&self.out_buf)?;
+    /// Counts the request just staged in `out_buf` in flight, and writes
+    /// the staged bytes out once they cross the send bound.
+    fn staged(&mut self) -> Result<(), ClientError> {
         self.next_id = self.next_id.wrapping_add(1);
         self.in_flight += 1;
+        if self.out_buf.len() >= SEND_BOUND {
+            self.flush()?;
+        }
         Ok(())
     }
 
-    /// How many submitted requests have not yet been completed.
+    /// Writes every staged submission to the socket in one blocking
+    /// `write_all`. A no-op when nothing is staged. Polls flush by
+    /// themselves before they read, so a caller needs this only to put
+    /// requests on the wire without polling — say, to submit on many
+    /// clients before draining any of them.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::Io`] — the transport failed mid-write. The staged
+    /// bytes are dropped either way.
+    pub fn flush(&mut self) -> Result<(), ClientError> {
+        if self.out_buf.is_empty() {
+            return Ok(());
+        }
+        let written = self.stream.write_all(&self.out_buf);
+        self.out_buf.clear();
+        Ok(written?)
+    }
+
+    /// How many submitted requests have not yet been completed, staged
+    /// ones included.
     #[must_use]
     pub fn in_flight(&self) -> usize {
         self.in_flight
@@ -323,12 +362,14 @@ impl PipelinedClient {
     /// which across sessions need not be submission order). On success
     /// `reply` holds the response's results; on a per-request failure
     /// the returned completion carries the typed error and `reply` is
-    /// untouched.
+    /// untouched. When no whole response is buffered, the staged
+    /// submissions are written out before the socket is read.
     ///
     /// # Errors
     ///
-    /// * [`ClientError::Io`] — the transport failed, or the service
-    ///   closed the connection with requests still in flight (e.g. a
+    /// * [`ClientError::Io`] — the transport failed (including the
+    ///   deferred write of staged submissions), or the service closed
+    ///   the connection with requests still in flight (e.g. a
     ///   slow-consumer drop);
     /// * [`ClientError::Wire`] — the service sent a malformed frame;
     /// * [`ClientError::Remote`] — the service answered with a
@@ -346,9 +387,12 @@ impl PipelinedClient {
         self.take_completion(total, reply)
     }
 
-    /// [`PipelinedClient::next_completion`] without blocking: drains
-    /// whatever the socket has ready and returns `Ok(None)` when no
-    /// complete response frame has arrived yet.
+    /// [`PipelinedClient::next_completion`] without blocking on the
+    /// service: when no whole response is buffered, writes the staged
+    /// submissions out (a blocking write, as in
+    /// [`PipelinedClient::flush`]), drains whatever the socket has ready
+    /// and returns `Ok(None)` when no complete response frame has
+    /// arrived yet.
     ///
     /// # Errors
     ///
@@ -358,6 +402,7 @@ impl PipelinedClient {
         reply: &mut EncodeReply,
     ) -> Result<Option<PipelinedCompletion>, ClientError> {
         if self.buffered_frame_len()?.is_none() {
+            self.flush()?;
             self.stream.set_nonblocking(true)?;
             let drained = self.drain_ready();
             self.stream.set_nonblocking(false)?;
@@ -377,9 +422,8 @@ impl PipelinedClient {
         stage: impl FnOnce(&mut Vec<u8>),
         answer: impl FnOnce(Frame<'_>) -> Option<T>,
     ) -> Result<T, ClientError> {
-        self.out_buf.clear();
         stage(&mut self.out_buf);
-        self.stream.write_all(&self.out_buf)?;
+        self.flush()?;
         let total = self.next_frame_len()?;
         let result = match wire::decode_frame(&self.recv_buf[self.parsed..self.parsed + total]) {
             Ok((Frame::Error(view), _)) => Err(remote_error(&view)),
@@ -405,12 +449,14 @@ impl PipelinedClient {
         Ok((avail.len() >= total).then_some(total))
     }
 
-    /// Reads until a whole frame is buffered; returns its length.
+    /// Reads until a whole frame is buffered, writing the staged
+    /// submissions out before the first read; returns the frame's length.
     fn next_frame_len(&mut self) -> Result<usize, ClientError> {
         loop {
             if let Some(total) = self.buffered_frame_len()? {
                 return Ok(total);
             }
+            self.flush()?;
             self.read_some()?;
         }
     }
@@ -600,6 +646,177 @@ mod tests {
         let done = client.next_completion(&mut reply).unwrap();
         assert_eq!(done.request_id, 0);
         assert_eq!(client.in_flight(), 0);
+    }
+
+    /// A client and the accepted loopback peer it talks to.
+    fn client_and_peer() -> (PipelinedClient, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = PipelinedClient::connect(listener.local_addr().unwrap()).unwrap();
+        let (peer, _) = listener.accept().unwrap();
+        peer.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        (client, peer)
+    }
+
+    fn request(payload: &[u8]) -> EncodeRequest<'_> {
+        EncodeRequest {
+            session_id: 7,
+            scheme: dbi_core::Scheme::OptFixed,
+            cost_model: crate::CostModel::Inline,
+            groups: 4,
+            burst_len: 8,
+            want_masks: false,
+            verify: crate::VerifyMode::Off,
+            payload,
+        }
+    }
+
+    /// The wire image of `count` submissions of `request`, ids from 0.
+    fn frames(request: &EncodeRequest<'_>, count: u64) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for request_id in 0..count {
+            PipelinedRequestFrame {
+                request_id,
+                request: *request,
+            }
+            .encode_into(&mut bytes);
+        }
+        bytes
+    }
+
+    /// Whether a nonblocking read of `peer` finds nothing to read.
+    fn peer_has_nothing(peer: &mut TcpStream) -> bool {
+        peer.set_nonblocking(true).unwrap();
+        let found = peer.read(&mut [0u8; 64]);
+        peer.set_nonblocking(false).unwrap();
+        matches!(found, Err(err) if err.kind() == io::ErrorKind::WouldBlock)
+    }
+
+    /// Reads exactly `len` bytes off `peer`.
+    fn peer_reads(peer: &mut TcpStream, len: usize) -> Vec<u8> {
+        let mut bytes = vec![0u8; len];
+        peer.read_exact(&mut bytes).unwrap();
+        bytes
+    }
+
+    /// One completion frame for request `request_id`.
+    fn completion_frame(request_id: u64) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        wire::PipelinedErrorFrame {
+            request_id,
+            error: wire::ErrorFrame {
+                code: ErrorCode::Overloaded,
+                message: "busy",
+            },
+        }
+        .encode_into(&mut bytes);
+        bytes
+    }
+
+    #[test]
+    fn submissions_stay_staged_until_flush() {
+        let (mut client, mut peer) = client_and_peer();
+        let payload = [0x5Au8; 32];
+        for _ in 0..3 {
+            client.submit(&request(&payload)).unwrap();
+        }
+        assert_eq!(client.in_flight(), 3, "staged requests count in flight");
+        assert!(peer_has_nothing(&mut peer));
+        client.flush().unwrap();
+        let expected = frames(&request(&payload), 3);
+        assert_eq!(peer_reads(&mut peer, expected.len()), expected);
+        // A second flush has nothing left to send.
+        client.flush().unwrap();
+        assert!(peer_has_nothing(&mut peer));
+    }
+
+    #[test]
+    fn a_poll_that_must_read_flushes_the_staged_frames_first() {
+        let payload = [0xA5u8; 32];
+        let expected = frames(&request(&payload), 2);
+        let mut reply = EncodeReply::new();
+
+        // Blocking poll: the peer's answer is already waiting, but no
+        // whole frame is buffered in the client, so it must read.
+        let (mut client, mut peer) = client_and_peer();
+        peer.write_all(&completion_frame(0)).unwrap();
+        client.submit(&request(&payload)).unwrap();
+        client.submit(&request(&payload)).unwrap();
+        let done = client.next_completion(&mut reply).unwrap();
+        assert_eq!(done.request_id, 0);
+        assert_eq!(peer_reads(&mut peer, expected.len()), expected);
+
+        // Nonblocking poll: nothing has arrived, yet it flushed.
+        let (mut client, mut peer) = client_and_peer();
+        client.submit(&request(&payload)).unwrap();
+        client.submit(&request(&payload)).unwrap();
+        assert!(client.try_next_completion(&mut reply).unwrap().is_none());
+        assert_eq!(peer_reads(&mut peer, expected.len()), expected);
+    }
+
+    #[test]
+    fn a_poll_served_from_the_buffer_does_not_flush() {
+        let (mut client, mut peer) = client_and_peer();
+        let mut answers = completion_frame(0);
+        answers.extend_from_slice(&completion_frame(1));
+        peer.write_all(&answers).unwrap();
+        let payload = [0x3Cu8; 32];
+        client.submit(&request(&payload)).unwrap();
+        client.submit(&request(&payload)).unwrap();
+        let mut reply = EncodeReply::new();
+        // The first poll reads, flushing both submissions; the second is
+        // served from the bytes that read brought in.
+        assert_eq!(client.next_completion(&mut reply).unwrap().request_id, 0);
+        let flushed = frames(&request(&payload), 2);
+        assert_eq!(peer_reads(&mut peer, flushed.len()), flushed);
+        client.submit(&request(&payload)).unwrap();
+        assert!(client.buffered_frame_len().unwrap().is_some());
+        assert_eq!(client.next_completion(&mut reply).unwrap().request_id, 1);
+        assert!(peer_has_nothing(&mut peer));
+        assert_eq!(client.out_buf.len(), flushed.len() / 2);
+    }
+
+    #[test]
+    fn staging_past_the_bound_writes_without_a_poll() {
+        let (mut client, mut peer) = client_and_peer();
+        let payload = vec![0x11u8; 1024];
+        let frame_len = frames(&request(&payload), 1).len();
+        let bound_frames = SEND_BOUND.div_ceil(frame_len) as u64;
+        let sink = std::thread::spawn(move || {
+            let mut bytes = Vec::new();
+            peer.read_to_end(&mut bytes).unwrap();
+            bytes
+        });
+        for _ in 0..bound_frames {
+            client.submit(&request(&payload)).unwrap();
+        }
+        assert!(client.out_buf.is_empty(), "crossing the bound writes");
+        // One more stays staged and dies with the client.
+        client.submit(&request(&payload)).unwrap();
+        assert_eq!(client.in_flight(), bound_frames as usize + 1);
+        drop(client);
+        let received = sink.join().unwrap();
+        assert_eq!(received, frames(&request(&payload), bound_frames));
+    }
+
+    #[test]
+    fn a_peer_that_hung_up_fails_the_next_poll() {
+        let payload = [0x77u8; 32];
+        let mut reply = EncodeReply::new();
+        for nonblocking in [false, true] {
+            let (mut client, peer) = client_and_peer();
+            drop(peer);
+            client.submit(&request(&payload)).unwrap();
+            let polled = if nonblocking {
+                client.try_next_completion(&mut reply).map(|_| ())
+            } else {
+                client.next_completion(&mut reply).map(|_| ())
+            };
+            assert!(
+                matches!(polled, Err(ClientError::Io(_))),
+                "nonblocking {nonblocking}: {polled:?}"
+            );
+        }
     }
 
     #[test]

@@ -149,7 +149,8 @@ impl Connection {
         }
     }
 
-    /// Services one readiness notification.
+    /// Services one readiness notification. Queued responses wait for
+    /// the I/O thread's per-wake [`Connection::after_work`].
     pub(crate) fn handle_event(
         &mut self,
         event: poller::Event,
@@ -162,11 +163,13 @@ impl Connection {
             self.fill_read_buf(ctx)?;
             self.parse_frames(ctx)?;
         }
-        self.after_work(ctx)
+        Ok(())
     }
 
     /// Services one finished engine submission: frames its response,
     /// then resumes parsing (the completion may have lifted the pause).
+    /// Like [`Connection::handle_event`], it leaves the flush to the
+    /// per-wake [`Connection::after_work`].
     pub(crate) fn handle_completion(
         &mut self,
         slot: &Arc<RequestSlot>,
@@ -179,7 +182,7 @@ impl Connection {
         else {
             // Not ours (cannot happen while generations are honoured);
             // the caller recycles the slot either way.
-            return self.after_work(ctx);
+            return Ok(());
         };
         let entry = self.pending.remove(position);
         {
@@ -219,8 +222,7 @@ impl Connection {
             }
         }
         self.note_queued_output(ctx)?;
-        self.parse_frames(ctx)?;
-        self.after_work(ctx)
+        self.parse_frames(ctx)
     }
 
     /// Best-effort slow-consumer notice, sent right before the drop: one
@@ -249,7 +251,10 @@ impl Connection {
                     self.read_closed = true;
                     break;
                 }
-                Ok(n) => self.read_buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => {
+                    ctx.metrics.on_socket_read();
+                    self.read_buf.extend_from_slice(&chunk[..n]);
+                }
                 Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
                 Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => return Err(Close::Error),
@@ -336,9 +341,12 @@ impl Connection {
     }
 
     /// Flushes what the socket will take, refreshes the pause mirror and
-    /// decides whether the connection is finished.
-    fn after_work(&mut self, ctx: &mut IoContext<'_>) -> Result<(), Close> {
-        self.flush().map_err(|_| Close::Error)?;
+    /// decides whether the connection is finished. The I/O thread runs it
+    /// once per connection per wake, after every completion and readiness
+    /// event of that wake, so all the responses they queued leave in one
+    /// write.
+    pub(crate) fn after_work(&mut self, ctx: &mut IoContext<'_>) -> Result<(), Close> {
+        self.flush(ctx.metrics).map_err(|_| Close::Error)?;
         self.paused = self.is_paused(ctx);
         let drained = self.flushed == self.write_buf.len();
         if (self.read_closed || self.close_after_flush) && self.pending.is_empty() && drained {
@@ -351,7 +359,7 @@ impl Connection {
         self.pending.len() >= ctx.config.max_in_flight
     }
 
-    fn flush(&mut self) -> io::Result<()> {
+    fn flush(&mut self, metrics: &ConnectionMetrics) -> io::Result<()> {
         while self.flushed < self.write_buf.len() {
             match self.stream.write(&self.write_buf[self.flushed..]) {
                 Ok(0) => {
@@ -360,7 +368,10 @@ impl Connection {
                         "socket accepted zero bytes",
                     ))
                 }
-                Ok(n) => self.flushed += n,
+                Ok(n) => {
+                    metrics.on_socket_write();
+                    self.flushed += n;
+                }
                 Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
                 Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
                 Err(err) => return Err(err),

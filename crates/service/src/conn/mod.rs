@@ -27,7 +27,14 @@
 //! [`ConnConfig::write_high_watermark`] is a **slow consumer** — it is
 //! sent a best-effort [`ErrorCode::SlowConsumer`](crate::wire::ErrorCode)
 //! frame and dropped, so one unread client cannot grow server memory
-//! without limit.
+//! without limit. That check runs at every queued frame.
+//!
+//! Responses are flushed **once per connection per wake**. Completions
+//! and readiness events only queue responses; after the thread has
+//! handled every one of them, it flushes each connection they touched —
+//! normally one `write`, however many responses the wake queued — then
+//! decides whether the connection is finished and settles its poller
+//! interest (at most one reregister).
 //!
 //! Requests reach the engine through its non-blocking submission path
 //! (`Shared::submit_slot`) with a completion registration; the shard
@@ -264,6 +271,7 @@ fn io_loop(
     let mut events: Vec<Event> = Vec::new();
     let mut new_conns: Vec<TcpStream> = Vec::new();
     let mut completions: Vec<(u64, Arc<RequestSlot>)> = Vec::new();
+    let mut touched: Vec<usize> = Vec::new();
     let sink: Arc<dyn CompletionSink> = Arc::clone(inbox) as Arc<dyn CompletionSink>;
 
     loop {
@@ -315,31 +323,36 @@ fn io_loop(
             conns[index] = Some(conn);
         }
 
+        // Completions and readiness only queue output; each connection
+        // they touched is flushed (and its interest settled) once, after
+        // both loops.
+        let mut ctx = IoContext {
+            engine,
+            config,
+            metrics,
+            sink: &sink,
+            slot_pool: &mut slot_pool,
+        };
         for (token, slot) in completions.drain(..) {
             let index = (token >> 32) as usize;
             let generation = token as u32;
-            let live = matches!(conns.get(index), Some(Some(_))) && gens[index] == generation;
-            if live {
-                let mut ctx = IoContext {
-                    engine,
-                    config,
-                    metrics,
-                    sink: &sink,
-                    slot_pool: &mut slot_pool,
-                };
-                let conn = conns[index].as_mut().expect("checked live above");
-                let result = conn.handle_completion(&slot, &mut ctx);
-                finish(
-                    &mut poller,
-                    &mut conns,
-                    &mut gens,
-                    &mut free,
-                    metrics,
-                    index,
-                    result,
-                );
+            if gens.get(index) == Some(&generation) {
+                if let Some(Some(conn)) = conns.get_mut(index) {
+                    match conn.handle_completion(&slot, &mut ctx) {
+                        Ok(()) => touched.push(index),
+                        closed => finish(
+                            &mut poller,
+                            &mut conns,
+                            &mut gens,
+                            &mut free,
+                            metrics,
+                            index,
+                            closed,
+                        ),
+                    }
+                }
             }
-            recycle_slot(&mut slot_pool, slot);
+            recycle_slot(ctx.slot_pool, slot);
         }
 
         for &event in &events {
@@ -351,14 +364,30 @@ fn io_loop(
                 // Closed earlier in this same wait batch.
                 continue;
             };
-            let mut ctx = IoContext {
-                engine,
-                config,
-                metrics,
-                sink: &sink,
-                slot_pool: &mut slot_pool,
+            match conn.handle_event(event, &mut ctx) {
+                Ok(()) => touched.push(index),
+                closed => finish(
+                    &mut poller,
+                    &mut conns,
+                    &mut gens,
+                    &mut free,
+                    metrics,
+                    index,
+                    closed,
+                ),
+            }
+        }
+
+        // New connections are placed only at the top of the loop, so no
+        // index in `touched` has been reused by a different connection.
+        touched.sort_unstable();
+        touched.dedup();
+        for index in touched.drain(..) {
+            let Some(Some(conn)) = conns.get_mut(index) else {
+                // Closed earlier in this same wake.
+                continue;
             };
-            let result = conn.handle_event(event, &mut ctx);
+            let result = conn.after_work(&mut ctx);
             finish(
                 &mut poller,
                 &mut conns,

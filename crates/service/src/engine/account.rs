@@ -137,8 +137,9 @@ impl ShardWorker<'_> {
     /// Publishes a finished slot: feeds the shard's latency histograms,
     /// trace ring and slowlog (queue wait runs enqueue→dequeue, total
     /// runs enqueue→now), stores the result, flips the phase to `Done`,
-    /// and fires the completion (if registered) after the lock is
-    /// released — once per slot, exactly.
+    /// and fires the completion after the lock is released — the sink
+    /// when one is registered, the slot's condvar otherwise — once per
+    /// slot, exactly.
     pub(super) fn finish_slot(
         &self,
         job: &PassJob,
@@ -182,9 +183,12 @@ impl ShardWorker<'_> {
         // fire exactly once.
         let completion = state.completion.take();
         drop(state);
-        job.slot.done.notify_all();
-        if let Some(completion) = completion {
-            completion.sink.complete(completion.token, &job.slot);
+        // Only a blocking submitter waits on `done`; a slot with a sink
+        // skips the notify, whose futex wake is a syscall even when
+        // nobody waits.
+        match completion {
+            Some(completion) => completion.sink.complete(completion.token, &job.slot),
+            None => job.slot.done.notify_all(),
         }
     }
 }

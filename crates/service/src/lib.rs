@@ -64,9 +64,12 @@
 //!   joins every I/O thread and closes every connection.
 //! * [`TcpClient`] / [`PipelinedClient`] — the client sides, both
 //!   returning bytes identical to [`LocalClient`]:
-//!   [`PipelinedClient::submit`] returns the assigned request id
-//!   immediately, [`PipelinedClient::next_completion`] blocks for the
-//!   next completion, [`PipelinedClient::try_next_completion`] polls.
+//!   [`PipelinedClient::submit`] stages the frame and returns the
+//!   assigned request id immediately,
+//!   [`PipelinedClient::next_completion`] blocks for the next
+//!   completion, [`PipelinedClient::try_next_completion`] polls; staged
+//!   frames go out in one write when a poll must read, at
+//!   [`PipelinedClient::flush`], or past a 64 KiB bound.
 //!   `TcpClient` is the one-at-a-time wrapper over it (submit, then wait
 //!   for that completion); [`TcpClient::encode_batch`] ships a whole
 //!   batch per round trip.

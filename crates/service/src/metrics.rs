@@ -222,6 +222,12 @@ counter_table! {
         write_buf_high_watermark: gauge max "write_buf_high_watermark"
             "dbi_connection_write_buf_high_watermark_bytes"
             "Largest write buffer any connection has grown.";
+        /// Socket read calls that moved bytes, across all connections.
+        socket_reads: counter sum "socket_reads" "dbi_connection_socket_reads_total"
+            "Socket read calls that moved bytes.";
+        /// Socket write calls that moved bytes, across all connections.
+        socket_writes: counter sum "socket_writes" "dbi_connection_socket_writes_total"
+            "Socket write calls that moved bytes.";
     ];
 }
 
@@ -444,6 +450,16 @@ impl ConnectionMetrics {
     /// Folds one connection's write-buffer peak into the high-watermark.
     pub fn record_write_buf(&self, bytes: u64) {
         self.write_buf_high_watermark.fetch_max(bytes, Relaxed);
+    }
+
+    /// Records one socket read call that moved bytes.
+    pub fn on_socket_read(&self) {
+        self.socket_reads.fetch_add(1, Relaxed);
+    }
+
+    /// Records one socket write call that moved bytes.
+    pub fn on_socket_write(&self) {
+        self.socket_writes.fetch_add(1, Relaxed);
     }
 
     /// Reads the counters into an owned snapshot.
@@ -930,7 +946,8 @@ mod tests {
         assert!(json.contains(
             ",\"connections\":{\"active\":0,\"accepted\":0,\"closed\":0,\
              \"dropped_slow\":0,\"read_buf_high_watermark\":0,\
-             \"write_buf_high_watermark\":0},\
+             \"write_buf_high_watermark\":0,\"socket_reads\":0,\
+             \"socket_writes\":0},\
              \"durability\":{\"configured\":false,\"compactions\":0,\
              \"snapshots_taken\":0,\"last_sessions\":0,\"last_bytes\":0,\
              \"restored_sessions\":0},\"kernel\":{"
@@ -1002,6 +1019,8 @@ mod tests {
                 dropped_slow: 1,
                 read_buf_high_watermark: 4096,
                 write_buf_high_watermark: 65536,
+                socket_reads: 5,
+                socket_writes: 4,
             },
             durability: SnapshotStatus {
                 configured: true,
@@ -1045,7 +1064,8 @@ mod tests {
              \"entries\":1}},\
              \"connections\":{{\"active\":1,\"accepted\":3,\"closed\":2,\
              \"dropped_slow\":1,\"read_buf_high_watermark\":4096,\
-             \"write_buf_high_watermark\":65536}},\
+             \"write_buf_high_watermark\":65536,\"socket_reads\":5,\
+             \"socket_writes\":4}},\
              \"durability\":{{\"configured\":true,\"compactions\":3,\
              \"snapshots_taken\":2,\"last_sessions\":2,\"last_bytes\":120,\
              \"restored_sessions\":1}},\
@@ -1091,6 +1111,9 @@ mod tests {
         assert!(text.contains("dbi_connections_dropped_slow_total 1\n"));
         assert!(text.contains("dbi_connection_read_buf_high_watermark_bytes 4096\n"));
         assert!(text.contains("dbi_connection_write_buf_high_watermark_bytes 65536\n"));
+        assert!(text.contains("# TYPE dbi_connection_socket_reads_total counter\n"));
+        assert!(text.contains("dbi_connection_socket_reads_total 5\n"));
+        assert!(text.contains("dbi_connection_socket_writes_total 4\n"));
         assert!(text.contains(
             "dbi_kernel_info{selected=\"scalar\",forced_scalar=\"false\",cpu_features=\"none\"} 1\n"
         ));
@@ -1184,6 +1207,8 @@ mod tests {
                 dropped_slow: 6004,
                 read_buf_high_watermark: 6005,
                 write_buf_high_watermark: 6006,
+                socket_reads: 6007,
+                socket_writes: 6008,
             },
             durability: SnapshotStatus {
                 configured: true,
@@ -1254,6 +1279,8 @@ mod tests {
         assert_eq!(left.connections.dropped_slow, 2);
         assert_eq!(left.connections.read_buf_high_watermark, 4096);
         assert_eq!(left.connections.write_buf_high_watermark, 65536);
+        assert_eq!(left.connections.socket_reads, 10);
+        assert_eq!(left.connections.socket_writes, 8);
         // Per-shard durability counters fold like any other counter; the
         // engine-level durability block keeps the left side's values,
         // like the kernel block.

@@ -119,9 +119,20 @@ fn two_sessions_with_different_cost_models_carry_independent_streams() {
     let end = start + json[start..].find('}').expect("flat object") + 1;
     assert!(json[start..end].contains("\"active\":2"), "{json}");
     assert!(json[start..end].contains("\"accepted\":2"), "{json}");
+    // Every exchange so far crossed the plane: four encodes and this
+    // metrics request were read, the four encode answers written.
+    let counter = |name: &str| -> u64 {
+        let key = format!("\"{name}\":");
+        let at = start + json[start..end].find(&key).expect("counter") + key.len();
+        let digits = json[at..].split(|c: char| !c.is_ascii_digit()).next();
+        digits.unwrap().parse().unwrap()
+    };
+    assert!(counter("socket_reads") >= 5, "{json}");
+    assert!(counter("socket_writes") >= 4, "{json}");
     let neutral = format!(
         "{}\"connections\":{{\"active\":0,\"accepted\":0,\"closed\":0,\"dropped_slow\":0,\
-         \"read_buf_high_watermark\":0,\"write_buf_high_watermark\":0}}{}",
+         \"read_buf_high_watermark\":0,\"write_buf_high_watermark\":0,\"socket_reads\":0,\
+         \"socket_writes\":0}}{}",
         &json[..start],
         &json[end..]
     );

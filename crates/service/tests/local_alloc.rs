@@ -15,6 +15,11 @@
 //! journal at each burst boundary, and that hot path must be as
 //! allocation-free as the encode itself (reused state scratch, reused
 //! writer buffer, one `write_all` per pass).
+//!
+//! The last section drives the pipelined TCP path in steady state: a
+//! `PipelinedClient` keeping 64 requests in flight through the I/O
+//! threads, so the window covers the client's staging and reads, the
+//! per-wake flush, the completion inbox and the workers.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -24,7 +29,7 @@ use std::time::Duration;
 use dbi_core::Scheme;
 use dbi_service::{
     CostModel, EncodeBatchRequest, EncodeReply, EncodeRequest, Engine, PersistConfig,
-    ServiceConfig, VerifyMode,
+    PipelinedClient, ServiceConfig, TcpServer, VerifyMode,
 };
 
 /// A fresh persist directory under the system temp dir, so the
@@ -333,4 +338,55 @@ fn steady_state_requests_are_allocation_free() {
     assert!(engine.metrics().totals().journal_records > 0);
     engine.shutdown();
     let _ = std::fs::remove_dir_all(&packed_dir);
+
+    // ── Pipelined TCP path ───────────────────────────────────────────
+    // One connection with 64 requests in flight over 16 sessions: every
+    // completion is followed by one more submission, so the client
+    // stages while it polls and the I/O thread flushes once per wake.
+    const IN_FLIGHT: usize = 64;
+    let engine = Engine::start(ServiceConfig {
+        shards: 2,
+        queue_capacity: 2 * IN_FLIGHT,
+        max_payload: 1 << 16,
+        ..ServiceConfig::default()
+    });
+    let server = TcpServer::bind(&engine, "127.0.0.1:0").unwrap();
+    let mut client = PipelinedClient::connect(server.addr()).unwrap();
+    let mut submitted = 0u64;
+    // Tops the window up to IN_FLIGHT, then answers each completion with
+    // one more submission.
+    let mut drive = |client: &mut PipelinedClient, requests: usize| {
+        for round in 0..=requests {
+            if round > 0 {
+                let done = client.next_completion(&mut reply).unwrap();
+                assert!(done.is_ok(), "{:?}", done.error);
+            }
+            while client.in_flight() < IN_FLIGHT {
+                let session_id = 0x919E + submitted % 16;
+                submitted += 1;
+                client
+                    .submit(&EncodeRequest {
+                        session_id,
+                        ..request
+                    })
+                    .unwrap();
+            }
+        }
+    };
+    drive(&mut client, 4096); // warm: slot pools, buffers, session entries
+    let pipelined_steady = allocations_during(|| drive(&mut client, 4096));
+    assert_eq!(
+        pipelined_steady, 0,
+        "a warm pipelined TCP loop must not allocate (observed {pipelined_steady})"
+    );
+    while client.in_flight() > 0 {
+        client.next_completion(&mut reply).unwrap();
+    }
+    assert_eq!(
+        engine.metrics().totals().requests,
+        4096 * 2 + IN_FLIGHT as u64
+    );
+    drop(client);
+    server.shutdown();
+    engine.shutdown();
 }

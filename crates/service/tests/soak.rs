@@ -101,6 +101,13 @@ fn open_and_drive(addr: &str, base: u64, count: usize) -> Vec<PipelinedClient> {
             submitted[index].push(id);
         }
     }
+    // Submissions are staged; put every connection's window on the wire
+    // before draining any of them.
+    for (index, client) in clients.iter_mut().enumerate() {
+        client
+            .flush()
+            .unwrap_or_else(|err| panic!("connection {index}: flush: {err}"));
+    }
 
     // Drain every completion: request-id matching and within-session
     // FIFO asserted per connection.
