@@ -4,7 +4,7 @@
 //! its telemetry.
 
 use super::worker::{PassJob, ShardWorker};
-use super::{Phase, SlotState};
+use super::{Phase, Shared, SlotState};
 use crate::error::ServiceError;
 use crate::telemetry::{TraceEvent, TraceOutcome};
 use dbi_core::persist::scheme_to_tag;
@@ -27,7 +27,7 @@ fn clamp_ns(nanos: u64) -> u32 {
     u32::try_from(nanos).unwrap_or(u32::MAX)
 }
 
-impl ShardWorker<'_> {
+impl ShardWorker {
     /// Finishes job `index` of the just-dispatched round: gathers its
     /// masks and per-group activity out of the slab straight into the
     /// slot's response buffers, counts the transitions-saved metric from
@@ -37,7 +37,14 @@ impl ShardWorker<'_> {
     /// round's dispatch time, apportioned to the job by its share of the
     /// slab's chains. Returns the bursts the job encoded (zero on
     /// failure).
-    pub(super) fn finish_job(&mut self, index: usize, encode_span: u64, dequeue_ns: u64) -> u64 {
+    pub(super) fn finish_job(
+        &mut self,
+        shared: &Shared,
+        index: usize,
+        encode_span: u64,
+        dequeue_ns: u64,
+    ) -> u64 {
+        let metrics = shared.metrics.shard(self.shard);
         let job = &self.window[index];
         let groups = usize::from(job.key.groups);
         let base = job.chain_base as usize;
@@ -85,7 +92,7 @@ impl ShardWorker<'_> {
         };
 
         let outcome = if state.verify {
-            if self.shared.hooks.corrupt_verify.load(Ordering::Relaxed) {
+            if shared.hooks.corrupt_verify.load(Ordering::Relaxed) {
                 self.verify.corrupt_next_for_tests();
             }
             let verify_start = clock::now_nanos();
@@ -98,7 +105,7 @@ impl ShardWorker<'_> {
                 &mut self.verify,
             );
             timing.verify_ns = Some(clock::now_nanos().saturating_sub(verify_start));
-            self.metrics.record_verify(outcome.is_ok());
+            metrics.record_verify(outcome.is_ok());
             outcome
         } else {
             Ok(())
@@ -108,8 +115,7 @@ impl ShardWorker<'_> {
         entry.session.import_states(post_states);
         let result = match outcome {
             Ok(()) => {
-                self.metrics
-                    .record_request(state.payload.len() as u64, bursts, saved);
+                metrics.record_request(state.payload.len() as u64, bursts, saved);
                 Ok(bursts)
             }
             Err(err) => {
@@ -117,7 +123,7 @@ impl ShardWorker<'_> {
                 // requests + rejected keeps accounting for submitted
                 // traffic (the work was executed, but the caller got an
                 // error).
-                self.metrics.record_reject();
+                metrics.record_reject();
                 let byte_offset = match err {
                     MemError::PayloadMismatch { byte_offset } => Some(byte_offset as u64),
                     _ => None,
@@ -129,7 +135,7 @@ impl ShardWorker<'_> {
             }
         };
         let finished = *result.as_ref().unwrap_or(&0);
-        self.finish_slot(job, guard, result, dequeue_ns, timing);
+        self.finish_slot(shared, job, guard, result, dequeue_ns, timing);
         self.window[index].done = true;
         finished
     }
@@ -138,10 +144,11 @@ impl ShardWorker<'_> {
     /// trace ring and slowlog (queue wait runs enqueue→dequeue, total
     /// runs enqueue→now), stores the result, flips the phase to `Done`,
     /// and fires the completion after the lock is released — the sink
-    /// when one is registered, the slot's condvar otherwise — once per
-    /// slot, exactly.
+    /// when one is registered, the slot's condvar otherwise, nothing for
+    /// the draining client's own slot — once per slot, exactly.
     pub(super) fn finish_slot(
         &self,
+        shared: &Shared,
         job: &PassJob,
         mut state: MutexGuard<'_, SlotState>,
         result: Result<u64, ServiceError>,
@@ -151,7 +158,7 @@ impl ShardWorker<'_> {
         let end_ns = clock::now_nanos();
         let queue_wait_ns = dequeue_ns.saturating_sub(state.enqueue_ns);
         let total_ns = end_ns.saturating_sub(state.enqueue_ns);
-        self.metrics.record_stage_sample(
+        shared.metrics.shard(self.shard).record_stage_sample(
             queue_wait_ns,
             timing.encode_ns,
             timing.verify_ns,
@@ -163,7 +170,7 @@ impl ShardWorker<'_> {
             Err(_) => (TraceOutcome::Rejected, 0),
         };
         let (scheme_tag, _) = scheme_to_tag(job.key.scheme);
-        self.shared.telemetry.record(&TraceEvent {
+        shared.telemetry.record(&TraceEvent {
             request_id: state.request_id,
             session_id: job.key.session_id,
             enqueue_ns: state.enqueue_ns,
@@ -183,11 +190,12 @@ impl ShardWorker<'_> {
         // fire exactly once.
         let completion = state.completion.take();
         drop(state);
-        // Only a blocking submitter waits on `done`; a slot with a sink
-        // skips the notify, whose futex wake is a syscall even when
-        // nobody waits.
+        // Only a blocking submitter waits on `done`; a slot with a sink,
+        // or the draining client's own, skips the notify, whose futex
+        // wake is a syscall even when nobody waits.
         match completion {
             Some(completion) => completion.sink.complete(completion.token, &job.slot),
+            None if job.inline => {}
             None => job.slot.done.notify_all(),
         }
     }

@@ -1,13 +1,15 @@
 //! The sharded encode engine.
 //!
-//! [`Engine::start`] spawns N worker threads. Each worker owns a **shard**:
-//! a bounded job queue and a private map of encode sessions
-//! ([`dbi_mem::BusSession`]) keyed by client session id. Requests are
-//! routed by `shard_of(session_id)`, so a given session always lands on
-//! the same worker — *sticky sharding* — which is what lets the carried
-//! bus state of every session evolve exactly as it would in a
-//! single-threaded run. No session is ever shared between threads, so the
-//! workers need no locks around the encode hot path.
+//! [`Engine::start`] spawns N worker threads, one per **shard**: a bounded
+//! job queue and the shard's state — a map of encode sessions
+//! ([`dbi_mem::BusSession`]) keyed by client session id, plus the pass's
+//! reusable buffers — behind one per-shard lock. Requests are routed by
+//! `shard_of(session_id)`, so a given session always lands on the same
+//! shard — *sticky sharding* — and whoever holds the shard's lock runs
+//! its passes, one at a time, in queue order, which is what lets the
+//! carried bus state of every session evolve exactly as it would in a
+//! single-threaded run. The lock is taken once per drain, never per
+//! session or per burst: the encode hot path itself takes no lock.
 //!
 //! Queues are bounded and **lock-free**: each shard queue is a
 //! Vyukov-style MPSC ring ([`eventring::Ring`]) paired with an eventcount
@@ -69,10 +71,17 @@
 //!
 //! A [`LocalClient`] owns one reusable **request slot**: a mutex-protected
 //! scratch area holding the request payload and the response buffers. A
-//! call copies the payload into the slot, enqueues a reference-counted
-//! pointer to it, and blocks on the slot's condvar; the worker gathers
-//! its results straight into the slot's buffers and signals completion.
-//! Every
+//! call copies the payload into the slot and enqueues a reference-counted
+//! pointer to it. When the shard is idle — its lock free — the client
+//! *runs the shard's passes on its own thread* (caller-runs): it takes
+//! the lock, enqueues without waking the worker, drains until its own
+//! job has run, and reads its results back with no thread hand-off at
+//! all. When the shard is busy it enqueues with a wake-up and blocks on
+//! the slot's condvar; the lock holder gathers its results straight into
+//! the slot's buffers and signals completion. The connection plane's I/O
+//! threads never run passes: they submit asynchronously and take their
+//! results through a completion sink. The `batch.inline_passes` counter
+//! shows how many passes ran on a submitting client. Every
 //! buffer in this round trip — payload, per-group activity, mask stream,
 //! queue storage — reuses capacity from previous requests, so a warmed-up
 //! client performs **zero heap allocations per request** (asserted by the
@@ -107,7 +116,7 @@ use dbi_core::{clock, CostBreakdown, InversionMask, PlanCache, PlanCacheStats, S
 use dbi_mem::ChannelActivity;
 use queue::{ControlOutcome, ControlRequest, ShardQueue};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use worker::ShardWorker;
@@ -201,10 +210,11 @@ pub(crate) enum Phase {
 
 /// Where a finished slot's result is delivered when the submitter does
 /// not block on the slot's condvar — the connection plane's event loop.
-/// Fired by the shard worker *after* `Done` is published and the slot
-/// lock is released, so a sink may immediately re-lock the slot to read
-/// the response. Firing must not block: the implementation is expected
-/// to push the slot onto an inbox and wake a poller.
+/// Fired by whichever thread ran the pass — the shard worker, or a
+/// [`LocalClient`] draining inline — *after* `Done` is published and the
+/// slot lock is released, so a sink may immediately re-lock the slot to
+/// read the response. Firing must not block: the implementation is
+/// expected to push the slot onto an inbox and wake a poller.
 pub(crate) trait CompletionSink: Send + Sync {
     /// Delivers a finished slot. `token` is the submitter-chosen value
     /// registered at submission; the engine never interprets it.
@@ -319,6 +329,10 @@ struct TestHooks {
 pub(crate) struct Shared {
     config: ServiceConfig,
     queues: Vec<ShardQueue>,
+    /// Each shard's state, `None` until its worker thread has built it.
+    /// The holder of a shard's lock runs its passes: the worker thread,
+    /// or a [`LocalClient`] that found the shard idle.
+    shards: Vec<Mutex<Option<ShardWorker>>>,
     metrics: MetricsRegistry,
     telemetry: TelemetryRegistry,
     plans: PlanCache,
@@ -414,6 +428,7 @@ impl Engine {
             queues: (0..config.shards)
                 .map(|_| ShardQueue::new(config.queue_capacity))
                 .collect(),
+            shards: (0..config.shards).map(|_| Mutex::new(None)).collect(),
             metrics: MetricsRegistry::new(config.shards),
             telemetry: TelemetryRegistry::new(
                 config.shards,
@@ -434,7 +449,7 @@ impl Engine {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("dbi-shard-{shard}"))
-                    .spawn(move || ShardWorker::new(shard, &shared, restored).run())
+                    .spawn(move || worker::serve(&shared, shard, restored))
                     .expect("spawning a shard worker failed")
             })
             .collect();
@@ -448,9 +463,10 @@ impl Engine {
     }
 
     /// Takes a snapshot now: quiesces each shard in turn at a pass
-    /// boundary, where its worker compacts its own journal with every live
-    /// session laid over the fold, synced; evicted sessions keep their
-    /// records. The directory is synced before the call returns.
+    /// boundary, where the shard's lock holder compacts its journal with
+    /// every live session laid over the fold, synced; evicted sessions
+    /// keep their records. The directory is synced before the call
+    /// returns.
     ///
     /// # Errors
     ///
@@ -634,7 +650,11 @@ impl Engine {
     }
 
     /// Stops admitting requests, drains the queues and joins the workers.
-    /// Idempotent; also runs when the last engine handle is dropped.
+    /// With persistence on, each shard's journal is then compacted to one
+    /// record per session, synced, as an admin snapshot would, so the
+    /// next start folds that instead of a journal tail; a failure counts
+    /// in `journal_errors`. Idempotent; also runs when the last engine
+    /// handle is dropped.
     pub fn shutdown(&self) {
         self.inner.shutdown();
     }
@@ -774,12 +794,12 @@ impl Shared {
         ))
     }
 
-    /// Fills a prepared slot and enqueues it on its shard without
-    /// blocking for the result. On success the worker owns the slot until
-    /// it publishes `Done` (and fires the registered completion, if any);
-    /// on failure the slot is rolled back to `Idle`, the rejection is
-    /// counted, and the completion — never fired — is returned to the
-    /// caller inside the untouched slot.
+    /// Fills a prepared slot and enqueues it on its shard, waking the
+    /// worker, without blocking for the result. On success the shard owns
+    /// the slot until a pass publishes `Done` (and fires the registered
+    /// completion, if any); on failure the slot is rolled back to `Idle`,
+    /// the rejection is counted, and the completion — never fired — is
+    /// returned to the caller inside the untouched slot.
     pub(crate) fn submit_slot(
         &self,
         shard: usize,
@@ -787,6 +807,21 @@ impl Shared {
         request: &EncodeRequest<'_>,
         completion: Option<Completion>,
         slot: &Arc<RequestSlot>,
+    ) -> Result<(), ServiceError> {
+        self.enqueue(shard, key, request, completion, slot, true)
+    }
+
+    /// [`Shared::submit_slot`], with the worker's wake-up optional: only
+    /// the holder of the shard's lock skips it, for the job it is about to
+    /// run itself.
+    fn enqueue(
+        &self,
+        shard: usize,
+        key: RouteKey,
+        request: &EncodeRequest<'_>,
+        completion: Option<Completion>,
+        slot: &Arc<RequestSlot>,
+        notify: bool,
     ) -> Result<(), ServiceError> {
         let shard_metrics = self.metrics.shard(shard);
         {
@@ -810,7 +845,7 @@ impl Shared {
         // worker may pop and `dequeue()` immediately, and the depth
         // counter must never transiently underflow.
         shard_metrics.enqueue();
-        if let Err(err) = self.queues[shard].try_push(shard, key, Arc::clone(slot)) {
+        if let Err(err) = self.queues[shard].try_push(shard, key, Arc::clone(slot), notify) {
             shard_metrics.dequeue();
             slot.state.lock().expect("slot mutex poisoned").phase = Phase::Idle;
             shard_metrics.record_reject();
@@ -832,6 +867,34 @@ impl EngineInner {
         for worker in workers {
             let _ = worker.join();
         }
+        self.compact_journals();
+    }
+
+    /// The clean-shutdown half of durability: after the last drain, each
+    /// shard runs its admin-snapshot step (its journal compacted with
+    /// every live session laid over the fold, synced), then the directory
+    /// is synced once. A restart then folds one record per session
+    /// instead of a journal tail. Failures count in `journal_errors` (a
+    /// failed directory sync on shard 0's); a shard whose lock a panicked
+    /// pass poisoned is left as it is.
+    fn compact_journals(&self) {
+        let shared = &*self.shared;
+        let Some(plane) = &shared.persist else {
+            return;
+        };
+        for lock in &shared.shards {
+            let Ok(mut guard) = lock.lock() else {
+                continue;
+            };
+            // A shard without a journal answers `Failed` uncounted: its
+            // create failure was counted when it was built.
+            if let Some(worker) = guard.as_mut() {
+                worker.snapshot(shared);
+            }
+        }
+        if crate::persist::sync_dir(&plane.dir).is_err() {
+            shared.metrics.shard(0).journal_error();
+        }
     }
 }
 
@@ -851,9 +914,10 @@ pub struct LocalClient {
 }
 
 impl LocalClient {
-    /// Executes one encode request, blocking until the shard worker has
-    /// encoded the payload. Results are written into `reply`, whose
-    /// buffers are cleared and refilled (reusing capacity).
+    /// Executes one encode request, blocking until its shard has encoded
+    /// the payload — on this thread when the shard is idle. Results are
+    /// written into `reply`, whose buffers are cleared and refilled
+    /// (reusing capacity).
     ///
     /// # Errors
     ///
@@ -897,6 +961,11 @@ impl LocalClient {
     /// [`LocalClient::encode_batch`]: validates and resolves the request
     /// (a batch when `count` is set), then round-trips it through the
     /// reusable slot.
+    ///
+    /// Caller-runs: when the shard's lock is free (and its state built),
+    /// the job is enqueued without a wake-up and this thread drains the
+    /// shard until the job has run. Otherwise it is enqueued with a
+    /// wake-up and this thread waits on the slot's condvar.
     fn submit(
         &mut self,
         request: &EncodeRequest<'_>,
@@ -905,7 +974,19 @@ impl LocalClient {
     ) -> Result<(), ServiceError> {
         let shared = &self.engine.shared;
         let (shard, key) = shared.prepare(request, count)?;
-        shared.submit_slot(shard, key, request, None, &self.slot)?;
+        let idle = match shared.shards[shard].try_lock() {
+            Ok(guard) => Some(guard).filter(|guard| guard.is_some()),
+            Err(TryLockError::WouldBlock) => None,
+            Err(TryLockError::Poisoned(_)) => panic!("shard state poisoned"),
+        };
+        match idle {
+            Some(mut guard) => {
+                shared.enqueue(shard, key, request, None, &self.slot, false)?;
+                let worker = guard.as_mut().expect("filtered on a built state");
+                worker.drain(shared, Some(&self.slot));
+            }
+            None => shared.submit_slot(shard, key, request, None, &self.slot)?,
+        }
 
         let mut state = self.slot.state.lock().expect("slot mutex poisoned");
         while state.phase != Phase::Done {

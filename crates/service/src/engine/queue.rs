@@ -41,17 +41,6 @@ pub(super) struct ControlJob {
     pub(super) reply: mpsc::SyncSender<ControlOutcome>,
 }
 
-/// What a blocking dequeue produced.
-pub(super) enum Popped {
-    /// A request to execute.
-    Job((RouteKey, Arc<RequestSlot>)),
-    /// One or more control jobs are pending; drain them via
-    /// [`ShardQueue::take_control`].
-    Control,
-    /// The queue is closed and drained; the worker exits.
-    Closed,
-}
-
 /// A bounded **lock-free** multi-producer queue feeding one shard worker:
 /// a Vyukov-style ring holds the jobs (exact logical capacity, so the
 /// [`ServiceError::Overloaded`] threshold is precisely
@@ -63,10 +52,17 @@ pub(super) enum Popped {
 /// popping requests, so control jobs run at the next pass boundary
 /// without the data path ever touching the mutex.
 ///
+/// Jobs are popped only by the holder of the shard's state lock (the
+/// worker thread, or a [`super::LocalClient`] running its own request),
+/// and each holder finishes every job it popped before letting go, so
+/// per-session FIFO holds whoever runs a pass. Every job but the lock
+/// holder's own is pushed with a notify, so the worker wakes for it even
+/// when a client takes the lock first and leaves once its own job ran.
+///
 /// Shutdown protocol: `close` raises the flag, spins out the producers
 /// currently inside `try_push`/`push_control` (the `inflight` count),
-/// then wakes the worker. `pop_blocking` only returns [`Popped::Closed`]
-/// after observing `closed && inflight == 0` *and* a final empty pop — so
+/// then wakes the worker. `wait_ready` only reports the queue finished
+/// after observing `closed && inflight == 0` *and* both lanes empty — so
 /// every job a producer was admitted to push is drained and answered
 /// before the worker exits, exactly as the old mutex queue guaranteed by
 /// linearising `close` against `try_push`.
@@ -93,12 +89,15 @@ impl ShardQueue {
     }
 
     /// Non-blocking enqueue: a full ring is an immediate, explicit
-    /// overload signal, never a stall.
+    /// overload signal, never a stall. `notify` is false only for the
+    /// shard state's lock holder pushing its own job, which it runs
+    /// itself: waking the worker for it would only cost a futex wake.
     pub(super) fn try_push(
         &self,
         shard: usize,
         key: RouteKey,
         job: Arc<RequestSlot>,
+        notify: bool,
     ) -> Result<(), ServiceError> {
         self.inflight.fetch_add(1, Ordering::SeqCst);
         if self.closed.load(Ordering::SeqCst) {
@@ -109,15 +108,16 @@ impl ShardQueue {
         self.inflight.fetch_sub(1, Ordering::SeqCst);
         match pushed {
             Ok(()) => {
-                self.ready.notify_all();
+                if notify {
+                    self.ready.notify_all();
+                }
                 Ok(())
             }
             Err(_full) => Err(ServiceError::Overloaded { shard }),
         }
     }
 
-    /// Non-blocking dequeue, used to drain the packing window behind a
-    /// popped job.
+    /// Non-blocking dequeue, called only under the shard state's lock.
     pub(super) fn try_pop(&self) -> Option<(RouteKey, Arc<RequestSlot>)> {
         self.ring.pop()
     }
@@ -154,7 +154,11 @@ impl ShardQueue {
 
     /// Pops one pending control job; clears the fast-path flag with the
     /// last one (flag and queue move together under the lane's lock).
+    /// The data path only reads the flag.
     pub(super) fn take_control(&self) -> Option<ControlJob> {
+        if !self.control_pending.load(Ordering::SeqCst) {
+            return None;
+        }
         let mut control = self.control.lock().expect("control lane poisoned");
         let job = control.pop_front();
         if control.is_empty() {
@@ -163,38 +167,34 @@ impl ShardQueue {
         job
     }
 
-    /// Blocking dequeue. Control jobs outrank requests — they are rare
-    /// and latency-sensitive (a snapshot holds the admin lock) — and
-    /// the data path only ever reads their atomic flag.
-    pub(super) fn pop_blocking(&self) -> Popped {
+    /// Parks until a job or a control job is queued, or the queue has
+    /// closed and drained; pops nothing. Returns `false` once closed with
+    /// both lanes empty and no push still in flight: nothing can be
+    /// queued any more, and the worker exits.
+    pub(super) fn wait_ready(&self) -> bool {
         loop {
-            if self.control_pending.load(Ordering::SeqCst) {
-                return Popped::Control;
-            }
-            if let Some(job) = self.ring.pop() {
-                return Popped::Job(job);
+            if self.has_work() {
+                return true;
             }
             let ticket = self.ready.listen();
-            if self.control_pending.load(Ordering::SeqCst) {
-                return Popped::Control;
-            }
-            if let Some(job) = self.ring.pop() {
-                return Popped::Job(job);
+            if self.has_work() {
+                return true;
             }
             if self.closed.load(Ordering::SeqCst) && self.inflight.load(Ordering::SeqCst) == 0 {
                 // Reading `inflight == 0` (SeqCst) after `closed` means
                 // every admitted push has finished its insertion; one
                 // last check of both lanes linearises the drain.
-                if self.control_pending.load(Ordering::SeqCst) {
-                    return Popped::Control;
-                }
-                return match self.ring.pop() {
-                    Some(job) => Popped::Job(job),
-                    None => Popped::Closed,
-                };
+                return self.has_work();
             }
             self.ready.wait(ticket);
         }
+    }
+
+    /// Whether either lane holds a job. The ring counts a job from the
+    /// moment its push is admitted, so this may run ahead of `try_pop` by
+    /// the few instructions a producer takes to publish it.
+    fn has_work(&self) -> bool {
+        self.control_pending.load(Ordering::SeqCst) || !self.ring.is_empty()
     }
 
     pub(super) fn close(&self) {

@@ -3,7 +3,7 @@
 
 use super::queue::{ControlJob, ControlOutcome, ControlRequest};
 use super::worker::ShardWorker;
-use super::{shard_index, ServiceConfig, MAX_BURST_LEN, MAX_GROUPS};
+use super::{shard_index, ServiceConfig, Shared, MAX_BURST_LEN, MAX_GROUPS};
 use crate::error::ServiceError;
 use crate::persist::journal::{journal_path, write_journal};
 use crate::persist::{
@@ -128,16 +128,17 @@ pub(super) fn persistence(err: impl std::fmt::Display) -> ServiceError {
     }
 }
 
-impl ShardWorker<'_> {
+impl ShardWorker {
     /// Journals the full carried state of every session the just-finished
     /// pass touched, then flushes, and compacts the journal when it is due.
     /// Only a flushed record marks its session captured. Write failures
     /// degrade durability (the next snapshot re-captures everything) but
     /// never the data path.
-    pub(super) fn journal_pass(&mut self) {
+    pub(super) fn journal_pass(&mut self, shared: &Shared) {
         let Some(journal) = self.journal.as_mut() else {
             return;
         };
+        let metrics = shared.metrics.shard(self.shard);
         let mut records = 0u64;
         for &(session_id, _) in &self.session_rounds {
             let Some(entry) = self.sessions.get_mut(session_id) else {
@@ -153,17 +154,17 @@ impl ShardWorker<'_> {
             );
             records += 1;
         }
-        let hooks = &self.shared.hooks;
+        let hooks = &shared.hooks;
         if hooks.fail_next_flush.load(Ordering::Relaxed)
             && hooks.fail_next_flush.swap(false, Ordering::Relaxed)
             && journal.reopen_read_only().is_err()
         {
-            self.metrics.journal_error();
+            metrics.journal_error();
         }
         match journal.flush() {
             Ok(0) => {}
             Ok(bytes) => {
-                self.metrics.record_journal(records, bytes as u64);
+                metrics.record_journal(records, bytes as u64);
                 for &(session_id, _) in &self.session_rounds {
                     if let Some(entry) = self.sessions.get_mut(session_id) {
                         entry.captured = true;
@@ -171,31 +172,34 @@ impl ShardWorker<'_> {
                 }
                 match journal.compact_if_due() {
                     Ok(false) => {}
-                    Ok(true) => self.count_compaction(),
-                    Err(_) => self.metrics.journal_error(),
+                    Ok(true) => count_compaction(shared),
+                    Err(_) => metrics.journal_error(),
                 }
             }
-            Err(_) => self.metrics.journal_error(),
+            Err(_) => metrics.journal_error(),
         }
     }
 
     /// Serves one quiesced admin job. Runs between passes, so every
     /// session is at a burst boundary — the consistency point a journal
     /// record stores.
-    pub(super) fn serve_control(&mut self, job: ControlJob) {
+    pub(super) fn serve_control(&mut self, shared: &Shared, job: ControlJob) {
         let outcome = match job.request {
-            ControlRequest::Snapshot => self.snapshot(),
+            ControlRequest::Snapshot => self.snapshot(shared),
             ControlRequest::Restore { sessions } => {
-                self.sessions.restore(sessions);
+                let metrics = shared.metrics.shard(self.shard);
+                self.sessions.restore(sessions, &shared.plans, metrics);
                 ControlOutcome::Done
             }
         };
         let _ = job.reply.send(outcome);
     }
 
-    /// The shard's part of an admin snapshot: compacts its journal with
-    /// every live session laid over the fold, and marks them captured.
-    fn snapshot(&mut self) -> ControlOutcome {
+    /// The shard's part of an admin snapshot, and of a clean shutdown:
+    /// compacts its journal with every live session laid over the fold,
+    /// synced, and marks them captured. A failure counts in the shard's
+    /// `journal_errors`.
+    pub(super) fn snapshot(&mut self, shared: &Shared) -> ControlOutcome {
         let Some(journal) = self.journal.as_mut() else {
             return ControlOutcome::Failed(io::Error::other("the shard has no journal").into());
         };
@@ -216,19 +220,19 @@ impl ShardWorker<'_> {
                 for (_, entry) in self.sessions.iter_mut() {
                     entry.captured = true;
                 }
-                self.count_compaction();
+                count_compaction(shared);
                 ControlOutcome::Snapshot { records, bytes }
             }
             Err(err) => {
-                self.metrics.journal_error();
+                shared.metrics.shard(self.shard).journal_error();
                 ControlOutcome::Failed(err)
             }
         }
     }
+}
 
-    fn count_compaction(&self) {
-        if let Some(plane) = &self.shared.persist {
-            plane.compactions.fetch_add(1, Ordering::Relaxed);
-        }
+fn count_compaction(shared: &Shared) {
+    if let Some(plane) = &shared.persist {
+        plane.compactions.fetch_add(1, Ordering::Relaxed);
     }
 }

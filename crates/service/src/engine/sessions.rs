@@ -49,26 +49,17 @@ impl SessionEntry {
 }
 
 /// The sessions one shard holds, keyed by client session id.
-pub(super) struct SessionTable<'a> {
+pub(super) struct SessionTable {
     shard: usize,
     max_sessions: usize,
-    plans: &'a PlanCache,
-    metrics: &'a ShardMetrics,
     entries: HashMap<u64, SessionEntry>,
 }
 
-impl<'a> SessionTable<'a> {
-    pub(super) fn new(
-        shard: usize,
-        max_sessions: usize,
-        plans: &'a PlanCache,
-        metrics: &'a ShardMetrics,
-    ) -> Self {
+impl SessionTable {
+    pub(super) fn new(shard: usize, max_sessions: usize) -> Self {
         SessionTable {
             shard,
             max_sessions,
-            plans,
-            metrics,
             entries: HashMap::new(),
         }
     }
@@ -100,6 +91,8 @@ impl<'a> SessionTable<'a> {
         &mut self,
         key: &RouteKey,
         pass_stamp: u64,
+        plans: &PlanCache,
+        metrics: &ShardMetrics,
     ) -> Result<&mut SessionEntry, ServiceError> {
         if self.entries.len() >= self.max_sessions && !self.entries.contains_key(&key.session_id) {
             let victim = self
@@ -111,7 +104,7 @@ impl<'a> SessionTable<'a> {
             match victim {
                 Some((id, captured)) => {
                     self.entries.remove(&id);
-                    self.metrics.session_evicted(captured);
+                    metrics.session_evicted(captured);
                 }
                 None => return Err(ServiceError::SessionLimit { shard: self.shard }),
             }
@@ -129,12 +122,12 @@ impl<'a> SessionTable<'a> {
                 Ok(entry)
             }
             Entry::Vacant(vacant) => {
-                self.metrics.session_created();
+                metrics.session_created();
                 let entry = vacant.insert(SessionEntry::new(
                     key.scheme,
                     key.groups,
                     key.burst_len,
-                    self.plans,
+                    plans,
                 ));
                 entry.last_touch = pass_stamp;
                 Ok(entry)
@@ -146,18 +139,19 @@ impl<'a> SessionTable<'a> {
     /// with the same id). Restored state is on disk by definition, so the
     /// entries start `captured` — first in line for eviction until a
     /// request touches them.
-    pub(super) fn restore(&mut self, restored: Vec<RestoredSession>) {
+    pub(super) fn restore(
+        &mut self,
+        restored: Vec<RestoredSession>,
+        plans: &PlanCache,
+        metrics: &ShardMetrics,
+    ) {
         for session in restored {
-            let mut entry = SessionEntry::new(
-                session.scheme,
-                session.groups,
-                session.burst_len,
-                self.plans,
-            );
+            let mut entry =
+                SessionEntry::new(session.scheme, session.groups, session.burst_len, plans);
             entry.session.import_states(&session.states);
             entry.captured = true;
             if !self.entries.contains_key(&session.session_id) {
-                self.metrics.session_created();
+                metrics.session_created();
             }
             self.entries.insert(session.session_id, entry);
         }

@@ -631,3 +631,64 @@ fn failed_journal_flush_leaves_sessions_uncaptured() {
     engine.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn an_inline_drain_runs_passes_until_its_own_job_has_run() {
+    // More jobs are queued ahead of the draining client's own job than
+    // one pass takes, and nobody was woken for its job: the drain must
+    // keep running passes until that job has run.
+    let engine = Engine::start(ServiceConfig {
+        shards: 1,
+        queue_capacity: 64,
+        max_payload: 1 << 16,
+        ..ServiceConfig::default()
+    });
+    let shared = engine.shared();
+    let payload = pseudo_random(4 * 8, 0x1A1);
+    let request = |session_id| EncodeRequest {
+        session_id,
+        scheme: Scheme::OptFixed,
+        cost_model: CostModel::Inline,
+        groups: 4,
+        burst_len: 8,
+        want_masks: true,
+        verify: VerifyMode::Off,
+        payload: &payload,
+    };
+    // Hold the shard the way an inline client does, once its worker has
+    // published the state.
+    let mut guard = loop {
+        let guard = shared.shards[0].lock().unwrap();
+        if guard.is_some() {
+            break guard;
+        }
+        drop(guard);
+        std::thread::yield_now();
+    };
+    let ahead: Vec<_> = (0..2 * (worker::COALESCE_LIMIT as u64 + 1))
+        .map(|index| {
+            let slot = RequestSlot::new();
+            let request = request(0x100 + index);
+            let (shard, key) = shared.prepare(&request, None).unwrap();
+            shared
+                .submit_slot(shard, key, &request, None, &slot)
+                .unwrap();
+            slot
+        })
+        .collect();
+    let own = RequestSlot::new();
+    let (shard, key) = shared.prepare(&request(1), None).unwrap();
+    shared
+        .enqueue(shard, key, &request(1), None, &own, false)
+        .unwrap();
+    guard.as_mut().unwrap().drain(shared, Some(&own));
+
+    let phase = |slot: &RequestSlot| slot.state.lock().unwrap().phase;
+    assert_eq!(phase(&own), Phase::Done);
+    assert!(ahead.iter().all(|slot| phase(slot) == Phase::Done));
+    let totals = engine.metrics().totals();
+    assert_eq!(totals.passes, 3, "{} jobs at 17 per pass", ahead.len() + 1);
+    assert_eq!(totals.inline_passes, 1, "only the last pass held its job");
+    drop(guard);
+    engine.shutdown();
+}

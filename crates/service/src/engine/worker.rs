@@ -1,12 +1,14 @@
-//! The shard worker: drains a window of queued jobs, partitions it into
-//! packed rounds, and runs each round as one kernel dispatch.
+//! A shard's state and its pass: drains a window of queued jobs,
+//! partitions it into packed rounds, and runs each round as one kernel
+//! dispatch. The state lives behind the shard's lock in [`Shared`] and
+//! holds no reference back to it: every pass takes `&Shared` as an
+//! argument, so the worker thread and a [`super::LocalClient`] running
+//! its own request drive the same [`ShardWorker::drain`].
 
 use super::account::StageTiming;
-use super::queue::Popped;
 use super::sessions::SessionTable;
 use super::{RequestSlot, RouteKey, Shared};
 use crate::error::ServiceError;
-use crate::metrics::ShardMetrics;
 use crate::persist::journal::{journal_path, JournalWriter, JOURNAL_HEAD_LEN};
 use crate::persist::RestoredSession;
 use dbi_core::persist::session_record_len;
@@ -19,7 +21,7 @@ use std::time::Duration;
 /// Upper bound on how many further queued requests one worker pass drains
 /// behind the request it popped (the packing window). Bounds the latency
 /// a burst of requests can add to work still arriving behind it.
-const COALESCE_LIMIT: usize = 16;
+pub(super) const COALESCE_LIMIT: usize = 16;
 
 /// Largest chain count one packed round accepts before a job opens a new
 /// round. Generous multiple of every kernel's lane width; bounds the
@@ -48,6 +50,9 @@ pub(super) struct PassJob {
     /// Set once the job's slot has been published (success or failure);
     /// later phases skip it.
     pub(super) done: bool,
+    /// Whether this is the draining client's own job: its slot is read
+    /// back on the same thread, so publishing it wakes nobody.
+    pub(super) inline: bool,
 }
 
 impl PassJob {
@@ -71,18 +76,17 @@ struct RoundMeta {
     bytes: usize,
 }
 
-/// One shard worker's whole private state: the session table plus every
-/// reusable buffer of the packed data path. All scratch survives across
-/// passes, so a warmed-up worker allocates nothing per request.
-pub(super) struct ShardWorker<'a> {
+/// One shard's whole state: the session table plus every reusable buffer
+/// of the packed data path. All scratch survives across passes, so a
+/// warmed-up shard allocates nothing per request, whichever thread runs
+/// the pass.
+pub(super) struct ShardWorker {
     pub(super) shard: usize,
-    pub(super) shared: &'a Shared,
-    pub(super) metrics: &'a ShardMetrics,
     /// The process-selected SIMD tier, resolved once: a dispatch whose
     /// chain count reaches this kernel's lane width is "full-width" in
     /// the lane-occupancy metrics.
     kernel: KernelKind,
-    pub(super) sessions: SessionTable<'a>,
+    pub(super) sessions: SessionTable,
     /// The packed encode slab every round runs through.
     pub(super) slab: BurstSlab,
     /// The packed dispatch's chain states: each member session's carried
@@ -109,12 +113,35 @@ pub(super) struct ShardWorker<'a> {
     pass_stamp: u64,
 }
 
-impl<'a> ShardWorker<'a> {
-    /// The worker of `shard`, seeded with its recovered sessions before it
+impl std::fmt::Debug for ShardWorker {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShardWorker")
+            .field("shard", &self.shard)
+            .finish_non_exhaustive()
+    }
+}
+
+/// The body of shard `shard`'s worker thread: builds the shard's state
+/// here, so its buffers come from this thread's malloc arena, publishes
+/// it into the shard's lock, then drains whenever the queue has work
+/// until it closes.
+pub(super) fn serve(shared: &Shared, shard: usize, restored: Vec<RestoredSession>) {
+    let worker = ShardWorker::new(shard, shared, restored);
+    let lock = &shared.shards[shard];
+    *lock.lock().expect("shard state poisoned") = Some(worker);
+    while shared.queues[shard].wait_ready() {
+        let mut guard = lock.lock().expect("shard state poisoned");
+        let worker = guard.as_mut().expect("published above");
+        worker.drain(shared, None);
+    }
+}
+
+impl ShardWorker {
+    /// The state of `shard`, seeded with its recovered sessions before it
     /// serves anything: the first request a restored session sees
     /// continues its carried state exactly where the previous process
     /// left it.
-    pub(super) fn new(shard: usize, shared: &'a Shared, restored: Vec<RestoredSession>) -> Self {
+    fn new(shard: usize, shared: &Shared, restored: Vec<RestoredSession>) -> Self {
         let metrics = shared.metrics.shard(shard);
         // Start left the journal holding exactly the restored sessions.
         let live_len = restored.iter().fold(JOURNAL_HEAD_LEN, |len, session| {
@@ -125,17 +152,10 @@ impl<'a> ShardWorker<'a> {
                 .inspect_err(|_| metrics.journal_error())
                 .ok()
         });
-        let mut sessions = SessionTable::new(
-            shard,
-            shared.config.max_sessions_per_shard,
-            &shared.plans,
-            metrics,
-        );
-        sessions.restore(restored);
+        let mut sessions = SessionTable::new(shard, shared.config.max_sessions_per_shard);
+        sessions.restore(restored, &shared.plans, metrics);
         ShardWorker {
             shard,
-            shared,
-            metrics,
             kernel: dbi_core::simd::selected_kernel(),
             sessions,
             slab: BurstSlab::new(dbi_core::STANDARD_BURST_LEN),
@@ -150,46 +170,48 @@ impl<'a> ShardWorker<'a> {
         }
     }
 
-    /// Serves the shard's queue until it closes.
-    pub(super) fn run(mut self) {
-        let shared = self.shared;
+    /// Serves the shard's queued control jobs, then runs passes: until
+    /// the ring is empty, or — for a client draining with its own slot
+    /// `own` — until the pass that ran `own`'s job. Jobs left behind by
+    /// the early return were pushed with a notify, so the worker wakes
+    /// for them.
+    pub(super) fn drain(&mut self, shared: &Shared, own: Option<&Arc<RequestSlot>>) {
         let queue = &shared.queues[self.shard];
+        let metrics = shared.metrics.shard(self.shard);
         loop {
-            let (key, slot) = match queue.pop_blocking() {
-                Popped::Job(job) => job,
-                Popped::Control => {
-                    while let Some(job) = queue.take_control() {
-                        self.serve_control(job);
-                    }
-                    continue;
-                }
-                Popped::Closed => break,
-            };
-            self.metrics.dequeue();
+            while let Some(job) = queue.take_control() {
+                self.serve_control(shared, job);
+            }
+            // The packing window: whatever is queued — any session, any
+            // geometry — joins this pass.
             self.window.clear();
-            self.push_job(key, slot);
-            // Drain the packing window: whatever is queued behind the popped
-            // job — any session, any geometry — joins this pass.
             while self.window.len() <= COALESCE_LIMIT {
-                match queue.try_pop() {
-                    Some((key, slot)) => {
-                        self.metrics.dequeue();
-                        self.push_job(key, slot);
-                    }
-                    None => break,
+                let Some((key, slot)) = queue.try_pop() else {
+                    break;
+                };
+                metrics.dequeue();
+                let inline = own.is_some_and(|own| Arc::ptr_eq(own, &slot));
+                self.push_job(key, slot, inline);
+            }
+            if self.window.is_empty() {
+                if own.is_none() {
+                    return;
                 }
+                // The client's own job is queued behind a push another
+                // producer has claimed but not yet published.
+                std::thread::yield_now();
+                continue;
             }
             // One dequeue stamp serves the whole pass: the window left the
             // queue in the same drain.
             let dequeue_ns = clock::now_nanos();
-            self.run_pass(dequeue_ns);
+            if self.run_pass(shared, dequeue_ns) {
+                return;
+            }
         }
-        // Drop control jobs that slipped in behind the close: their
-        // submitters, blocked on the reply, see the engine shut down.
-        while queue.take_control().is_some() {}
     }
 
-    fn push_job(&mut self, key: RouteKey, slot: Arc<RequestSlot>) {
+    fn push_job(&mut self, key: RouteKey, slot: Arc<RequestSlot>, inline: bool) {
         let payload_len = slot
             .state
             .lock()
@@ -205,37 +227,44 @@ impl<'a> ShardWorker<'a> {
             round: 0,
             chain_base: 0,
             done: false,
+            inline,
         });
     }
 
     /// One pass over the drained window, in order: form rounds; for each
     /// round claim and pack, dispatch, then gather, account and verify,
     /// and publish each of its jobs; journal every session the pass
-    /// touched.
-    fn run_pass(&mut self, dequeue_ns: u64) {
+    /// touched. Returns whether the window held the draining client's own
+    /// job.
+    fn run_pass(&mut self, shared: &Shared, dequeue_ns: u64) -> bool {
         self.pass_stamp += 1;
         self.form_rounds();
         let mut pass_bursts = 0u64;
         let mut executed = false;
         for round in 0..self.rounds.len() {
-            let Some(plan) = self.claim_and_pack(round, dequeue_ns) else {
+            let Some(plan) = self.claim_and_pack(shared, round, dequeue_ns) else {
                 continue;
             };
             executed = true;
-            let encode_span = self.dispatch(round, &plan);
+            let encode_span = self.dispatch(shared, round, &plan);
             for job in 0..self.window.len() {
                 if self.window[job].pending_in(round) {
-                    pass_bursts += self.finish_job(job, encode_span, dequeue_ns);
+                    pass_bursts += self.finish_job(shared, job, encode_span, dequeue_ns);
                 }
             }
         }
+        let inline = self.window.iter().any(|job| job.inline);
         // A pass counts, and journals, once it executed at least one
         // claimed session's work.
         if executed {
-            self.metrics
-                .record_pass(pass_bursts, (self.window.len() - 1) as u64);
-            self.journal_pass();
+            shared.metrics.shard(self.shard).record_pass(
+                pass_bursts,
+                (self.window.len() - 1) as u64,
+                inline,
+            );
+            self.journal_pass(shared);
         }
+        inline
     }
 
     /// Partitions the window, in queue order, into packed rounds. A job
@@ -301,8 +330,14 @@ impl<'a> ShardWorker<'a> {
     /// slab and exports its carried states. Jobs whose claim fails are
     /// published right here. Returns the plan the round dispatches
     /// through, or `None` when no job was packed.
-    fn claim_and_pack(&mut self, round: usize, dequeue_ns: u64) -> Option<Arc<EncodePlan>> {
-        self.slow_down_for_tests(round);
+    fn claim_and_pack(
+        &mut self,
+        shared: &Shared,
+        round: usize,
+        dequeue_ns: u64,
+    ) -> Option<Arc<EncodePlan>> {
+        self.slow_down_for_tests(shared, round);
+        let metrics = shared.metrics.shard(self.shard);
         self.slab.reset(usize::from(self.rounds[round].burst_len));
         self.states.clear();
         let mut plan = None;
@@ -312,7 +347,10 @@ impl<'a> ShardWorker<'a> {
             }
             let job = &self.window[i];
             let state = job.slot.state.lock().expect("slot mutex poisoned");
-            let failure = match self.sessions.claim(&job.key, self.pass_stamp) {
+            let claimed = self
+                .sessions
+                .claim(&job.key, self.pass_stamp, &shared.plans, metrics);
+            let failure = match claimed {
                 Ok(entry) => match entry
                     .session
                     .append_chains_to_slab(&state.payload, &mut self.slab)
@@ -329,11 +367,12 @@ impl<'a> ShardWorker<'a> {
                     Err(_) => ServiceError::Internal("validated payload rejected by the session"),
                 },
                 Err(err) => {
-                    self.metrics.record_reject();
+                    metrics.record_reject();
                     err
                 }
             };
-            self.finish_slot(job, state, Err(failure), dequeue_ns, StageTiming::default());
+            let timing = StageTiming::default();
+            self.finish_slot(shared, job, state, Err(failure), dequeue_ns, timing);
             self.window[i].done = true;
         }
         plan
@@ -341,7 +380,7 @@ impl<'a> ShardWorker<'a> {
 
     /// Runs the round's one kernel sweep over every packed chain and
     /// returns its span in nanoseconds.
-    fn dispatch(&mut self, round: usize, plan: &EncodePlan) -> u64 {
+    fn dispatch(&mut self, shared: &Shared, round: usize, plan: &EncodePlan) -> u64 {
         let chains = self.states.len();
         let start = clock::now_nanos();
         plan.encode_lanes_into(&mut self.slab, &mut self.states);
@@ -350,14 +389,17 @@ impl<'a> ShardWorker<'a> {
             >= self
                 .kernel
                 .lane_width(usize::from(self.rounds[round].burst_len));
-        self.metrics.record_dispatch(chains as u64, full);
+        shared
+            .metrics
+            .shard(self.shard)
+            .record_dispatch(chains as u64, full);
         span
     }
 
     /// Test fault injection: sleeps before packing a round that holds a
     /// job of the slowed session.
-    fn slow_down_for_tests(&self, round: usize) {
-        let hooks = &self.shared.hooks;
+    fn slow_down_for_tests(&self, shared: &Shared, round: usize) {
+        let hooks = &shared.hooks;
         let delay_ns = hooks.slow_delay_ns.load(Ordering::Relaxed);
         if delay_ns > 0 {
             let slow = hooks.slow_session.load(Ordering::Relaxed);

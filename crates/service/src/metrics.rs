@@ -157,6 +157,10 @@ counter_table! {
         /// Packed kernel dispatches: one `encode_lanes_into` sweep per round.
         dispatches: counter sum "batch.dispatches" "dbi_batch_dispatches_total"
             "Packed kernel dispatches executed.";
+        /// Passes a blocking `LocalClient` ran on its own thread, having found
+        /// the shard idle (caller-runs); `passes` counts these too.
+        inline_passes: counter sum "batch.inline_passes" "dbi_batch_inline_passes_total"
+            "Worker passes run on a submitting client's thread.";
         /// Lane-group chains across all dispatches (per dispatch: lane occupancy).
         dispatch_chains: counter sum - "dbi_batch_dispatch_chains_total"
             "Lane-group chains encoded across all packed dispatches.";
@@ -332,9 +336,13 @@ impl ShardMetrics {
     }
 
     /// Records one worker pass of `bursts` total bursts, `coalesced` of
-    /// whose requests were drained from the queue behind the pass opener.
-    pub fn record_pass(&self, bursts: u64, coalesced: u64) {
+    /// whose requests were drained from the queue behind the pass opener;
+    /// `inline` marks a pass a submitting client ran on its own thread.
+    pub fn record_pass(&self, bursts: u64, coalesced: u64, inline: bool) {
         self.passes.fetch_add(1, Relaxed);
+        if inline {
+            self.inline_passes.fetch_add(1, Relaxed);
+        }
         self.coalesced.fetch_add(coalesced, Relaxed);
         self.batch_hist[batch_bucket(bursts)].fetch_add(1, Relaxed);
     }
@@ -845,13 +853,14 @@ mod tests {
     #[test]
     fn batch_counters_histogram_and_percentiles() {
         let metrics = ShardMetrics::default();
-        metrics.record_pass(0, 0); // all-error pass lands in bucket 0
+        metrics.record_pass(0, 0, false); // all-error pass lands in bucket 0
         for _ in 0..98 {
-            metrics.record_pass(64, 1); // bucket 6
+            metrics.record_pass(64, 1, true); // bucket 6
         }
-        metrics.record_pass(70_000, 3); // beyond the last bucket boundary
+        metrics.record_pass(70_000, 3, false); // beyond the last bucket boundary
         let snapshot = metrics.snapshot();
         assert_eq!(snapshot.passes, 100);
+        assert_eq!(snapshot.inline_passes, 98);
         assert_eq!(snapshot.coalesced, 101);
         assert_eq!(snapshot.batch_hist[0], 1);
         assert_eq!(snapshot.batch_hist[6], 98);
@@ -870,10 +879,11 @@ mod tests {
 
         // Totals fold the histograms elementwise.
         let registry = MetricsRegistry::new(2);
-        registry.shard(0).record_pass(8, 0);
-        registry.shard(1).record_pass(8, 2);
+        registry.shard(0).record_pass(8, 0, true);
+        registry.shard(1).record_pass(8, 2, false);
         let totals = registry.snapshot().totals();
         assert_eq!(totals.passes, 2);
+        assert_eq!(totals.inline_passes, 1);
         assert_eq!(totals.coalesced, 2);
         assert_eq!(totals.batch_hist[3], 2);
     }
@@ -883,7 +893,7 @@ mod tests {
         // One pass of 255 bursts lands in [128, 256): its p50 is the
         // bucket midpoint 192, not the old lower-bound answer of 128.
         let metrics = ShardMetrics::default();
-        metrics.record_pass(255, 0);
+        metrics.record_pass(255, 0, false);
         let snapshot = metrics.snapshot();
         assert_eq!(snapshot.batch_size_percentile(0.50), 192);
         // p0 reports the bucket floor, p100 its upper bound.
@@ -892,7 +902,7 @@ mod tests {
 
         // 256 crosses into the next bucket.
         let metrics = ShardMetrics::default();
-        metrics.record_pass(256, 0);
+        metrics.record_pass(256, 0, false);
         assert_eq!(metrics.snapshot().batch_size_percentile(0.50), 384);
     }
 
@@ -992,6 +1002,7 @@ mod tests {
             passes: 2,
             coalesced: 1,
             dispatches: 2,
+            inline_passes: 1,
             dispatch_chains: 7,
             full_dispatches: 1,
             batch_hist,
@@ -1049,7 +1060,7 @@ mod tests {
              \"rate\":{{\"requests_per_s\":2.5,\"rejects_per_s\":0.5,\
              \"window_s\":8}},\
              \"batch\":{{\"passes\":2,\"coalesced\":1,\"dispatches\":2,\
-             \"lane_occupancy\":3.5,\"full_dispatch_fraction\":0.50,\
+             \"inline_passes\":1,\"lane_occupancy\":3.5,\"full_dispatch_fraction\":0.50,\
              \"size_p50\":3,\"size_p99\":4,\"bursts_per_request\":2.0}},\
              \"verify\":{{\"requests\":1,\"failures\":0}},\
              \"latency\":{{\"queue_wait\":{empty_stage},\
@@ -1177,6 +1188,7 @@ mod tests {
                 passes: base + 14,
                 coalesced: base + 15,
                 dispatches: base + 16,
+                inline_passes: base + 21,
                 dispatch_chains: base + 17,
                 full_dispatches: base + 18,
                 batch_hist: std::array::from_fn(|i| base + 30 + i as u64),

@@ -272,7 +272,7 @@ pub(crate) struct PersistPlane {
     /// Directory holding the journals.
     pub dir: PathBuf,
     /// Journal compactions since engine start: automatic ones, and one
-    /// per shard for each admin snapshot.
+    /// per shard for each admin snapshot and at a clean shutdown.
     pub compactions: AtomicU64,
     /// Admin snapshots taken since engine start.
     pub snapshots_taken: AtomicU64,

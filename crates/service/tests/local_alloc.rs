@@ -1,6 +1,7 @@
 //! Counting-allocator proof of the service claim: once warm, the
 //! `LocalClient` request loop performs **zero heap allocations per
-//! request** — across the queue hop, the shard worker, the encode itself,
+//! request** — across the queue hop, the shard's pass (run inline on the
+//! client's own thread when the shard is idle), the encode itself,
 //! the metrics updates and the full telemetry path (stage histograms,
 //! trace-ring write, slowlog capture — the threshold is pinned to 0 so
 //! *every* request takes the capture branch, not just slow ones).
@@ -123,12 +124,18 @@ fn steady_state_requests_are_allocation_free() {
         }
     }
 
+    let inline_before = engine.metrics().totals().inline_passes;
     let one = allocations_during(|| client.encode(&request, &mut reply).unwrap());
     let many = allocations_during(|| {
         for _ in 0..256 {
             client.encode(&request, &mut reply).unwrap();
         }
     });
+    // The measured requests ran their passes on this thread: the shard
+    // was idle, so the window covers the inline path, not only the
+    // worker's.
+    let inline_passes = engine.metrics().totals().inline_passes - inline_before;
+    assert!(inline_passes > 0, "no measured request ran its pass inline");
 
     assert_eq!(
         one, 0,

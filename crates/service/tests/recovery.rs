@@ -4,8 +4,9 @@
 //! per-session [`BusState`]: lose it and every later burst decodes
 //! wrong. This test drives half of each session's stream through one
 //! engine (snapshotting mid-way, so recovery folds compacted journals
-//! *and* the records appended after them), kills it, recovers a second
-//! engine from the same persist directory and drives the other half —
+//! *and* the records appended after them), kills it without a shutdown,
+//! recovers a second engine from the same persist directory and drives
+//! the other half —
 //! the concatenated responses must be **bit-identical** to one
 //! uninterrupted serial [`BusSession`] run over the whole stream. Runs
 //! identically on both dispatch arms (`DBI_FORCE_SCALAR=1` pins the
@@ -18,6 +19,10 @@
 //! every session bit-identically and keeps it so across further
 //! restarts. A start stopped half-way is forced by a directory sitting
 //! where a staged journal rewrite would go.
+//!
+//! A clean shutdown compacts every journal to one record per live
+//! session, so the next start folds no journal tail; a kill leaves the
+//! tail, which recovery folds to the same states.
 //!
 //! Also covers the durability admin surface end to end: snapshot /
 //! status / restore frames over a real socket, and the typed refusal
@@ -111,6 +116,27 @@ fn drive(engine: &Engine, range: std::ops::Range<usize>, into: &mut [Accumulated
     }
 }
 
+/// Stops `engine` the way a crash would, as far as its store can tell:
+/// it is leaked, never shut down, so no clean-shutdown compaction runs
+/// and each journal keeps its tail. Waits first until every served
+/// request's record is flushed (a reply can go out before its pass
+/// journals); the idle workers write nothing after that.
+fn kill(engine: Engine) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    loop {
+        let totals = engine.metrics().totals();
+        if totals.journal_records >= totals.requests {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "journal never caught up"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    std::mem::forget(engine);
+}
+
 /// Every session's accumulated replies must equal one uninterrupted
 /// serial [`BusSession`] run over its whole stream.
 fn assert_matches_serial(accumulated: &[Accumulated]) {
@@ -161,11 +187,9 @@ fn kill_and_restore_replay_is_bit_identical_to_serial() {
     assert_eq!(status.last_sessions, SESSIONS);
     drive(&engine, half / 2..half, &mut accumulated);
     let saved_before_kill = engine.metrics().totals().transitions_saved;
-    // The kill point: every served burst's state is already journaled
-    // (the worker flushes at each burst boundary), so a crash here loses
-    // nothing. Shutdown stands in for the kill.
-    engine.shutdown();
-    drop(engine);
+    // The kill point: every served burst's state is journaled (each pass
+    // flushes at its burst boundary), so a crash here loses nothing.
+    kill(engine);
 
     // Second life: recover from the same directory and finish the
     // streams on the carried state the journals preserved.
@@ -201,6 +225,69 @@ fn kill_and_restore_replay_is_bit_identical_to_serial() {
         uninterrupted,
         "transitions saved drifted across the kill"
     );
+}
+
+/// Records in each shard's journal, and the sessions each shard owns.
+fn journal_shape(dir: &std::path::Path, engine: &Engine) -> Vec<(usize, usize)> {
+    (0..engine.shard_count())
+        .map(|shard| {
+            let path = dbi_service::persist::journal::journal_path(dir, shard);
+            let replay = replay_journal(&path).unwrap().expect("a journal per shard");
+            let owned = (0..SESSIONS)
+                .filter(|session| engine.shard_of(0x5E55 + session) == shard)
+                .count();
+            (replay.records.len(), owned)
+        })
+        .collect()
+}
+
+#[test]
+fn a_clean_shutdown_compacts_each_journal_to_one_record_per_session() {
+    let dir = persist_dir("clean-shutdown");
+    let config = || ServiceConfig {
+        shards: 2,
+        queue_capacity: 16,
+        max_payload: 1 << 16,
+        persist: Some(PersistConfig { dir: dir.clone() }),
+        ..ServiceConfig::default()
+    };
+    let mut accumulated = vec![Accumulated::new(); SESSIONS as usize];
+    let third = REQUESTS / 3;
+
+    // A kill keeps each journal's tail: a record per pass, not per
+    // session.
+    let engine = Engine::start(config());
+    drive(&engine, 0..third, &mut accumulated);
+    let probe = engine.clone();
+    kill(engine);
+    for (shard, (records, owned)) in journal_shape(&dir, &probe).into_iter().enumerate() {
+        assert!(
+            records > owned,
+            "shard {shard}: a killed engine's journal keeps its tail ({records} records)"
+        );
+    }
+
+    // A clean shutdown compacts each journal to exactly one record per
+    // session its shard holds, and the restart folds nothing else.
+    let engine = Engine::start(config());
+    assert_eq!(engine.snapshot_status().restored_sessions, SESSIONS);
+    drive(&engine, third..2 * third, &mut accumulated);
+    engine.shutdown();
+    assert_eq!(engine.metrics().totals().journal_errors, 0);
+    for (shard, (records, owned)) in journal_shape(&dir, &engine).into_iter().enumerate() {
+        assert_eq!(records, owned, "shard {shard}: one record per live session");
+    }
+    let fold = journal_fold(&dir);
+    assert_eq!(fold.len(), SESSIONS as usize);
+    drop(engine);
+
+    // The compacted journals carry every session on bit-identically.
+    let engine = Engine::start(config());
+    assert_eq!(engine.snapshot_status().restored_sessions, SESSIONS);
+    drive(&engine, 2 * third..REQUESTS, &mut accumulated);
+    engine.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_matches_serial(&accumulated);
 }
 
 #[test]
