@@ -458,8 +458,9 @@ fn dispatch_frame(
             let entries = ctx.engine.slowlog(max_entries as usize);
             wire::encode_slowlog_response(write_buf, ctx.engine.slowlog_threshold_ns(), &entries);
         }
-        // Durability admin frames: answered inline — a snapshot quiesces
-        // every shard anyway, so there is nothing to overlap.
+        // Durability admin frames: answered inline — a snapshot or restore
+        // takes every shard's lock in turn anyway, so there is nothing to
+        // overlap.
         Frame::SnapshotRequest => match ctx.engine.trigger_snapshot() {
             Ok(status) => status.encode_into(write_buf),
             Err(err) => queue_error(write_buf, err.code(), &err.to_string()),

@@ -55,11 +55,14 @@
 //! coalesced counts and per-dispatch lane occupancy land in the `batch`
 //! block of the metrics.
 //!
-//! The module follows the worker's seams: `queue` (the shard queue and
-//! its control lane), `sessions` (the session table and eviction),
-//! `worker` (the pass: rounds, packing, dispatch), `account` (gather,
-//! savings, verify and telemetry, then publish) and `recovery` (start-up
-//! recovery, the journal pass and the admin control jobs).
+//! The module follows the worker's seams: `queue` (the shard queue),
+//! `sessions` (the session table and eviction), `worker` (the pass:
+//! rounds, packing, dispatch), `account` (gather, savings, verify and
+//! telemetry, then publish) and `recovery` (start-up recovery, the
+//! journal pass and a shard's part of an admin snapshot). The shard's
+//! lock is the only way into its state: admin snapshots, restores and
+//! the clean-shutdown compaction take it too, so they run at a pass
+//! boundary with no job queued on their behalf.
 //!
 //! [`BusSession::append_chains_to_slab`]: dbi_mem::BusSession::append_chains_to_slab
 //! [`BusSession::export_states_into`]: dbi_mem::BusSession::export_states_into
@@ -114,9 +117,9 @@ use crate::telemetry::{TelemetryRegistry, TraceEvent};
 use crate::wire::{CostModel, EncodeBatchRequestFrame, EncodeRequestFrame, SnapshotStatus};
 use dbi_core::{clock, CostBreakdown, InversionMask, PlanCache, PlanCacheStats, Scheme};
 use dbi_mem::ChannelActivity;
-use queue::{ControlOutcome, ControlRequest, ShardQueue};
+use queue::ShardQueue;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
+use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use worker::ShardWorker;
@@ -319,9 +322,6 @@ struct TestHooks {
     /// deterministic way to land a request in the slowlog.
     slow_session: AtomicU64,
     slow_delay_ns: AtomicU64,
-    /// When set, the next journal pass reopens its journal read-only
-    /// before flushing, so the flush meets a real write error.
-    fail_next_flush: AtomicBool,
 }
 
 /// What the engine handle and every shard worker share.
@@ -329,10 +329,11 @@ struct TestHooks {
 pub(crate) struct Shared {
     config: ServiceConfig,
     queues: Vec<ShardQueue>,
-    /// Each shard's state, `None` until its worker thread has built it.
-    /// The holder of a shard's lock runs its passes: the worker thread,
-    /// or a [`LocalClient`] that found the shard idle.
-    shards: Vec<Mutex<Option<ShardWorker>>>,
+    /// Each shard's state, built before its worker thread starts. The
+    /// holder of a shard's lock is always at a pass boundary: the worker
+    /// thread or a [`LocalClient`] that found the shard idle runs passes
+    /// under it, and admin snapshots and restores run under it.
+    shards: Vec<Mutex<ShardWorker>>,
     metrics: MetricsRegistry,
     telemetry: TelemetryRegistry,
     plans: PlanCache,
@@ -387,9 +388,9 @@ impl Engine {
     /// Starts the shard workers, recovering durable session state first
     /// when [`ServiceConfig::persist`] is set.
     ///
-    /// Recovery folds every journal and seeds each shard's worker with
-    /// its sessions before the worker serves its first request; the
-    /// workers then append to their journals. Start rewrites a journal
+    /// Recovery folds every journal and seeds each shard's state with
+    /// its sessions before any request runs; every pass then appends to
+    /// its shard's journal. Start rewrites a journal
     /// only when it is torn, the shard count changed, or an older build's
     /// `snapshot.bin` is migrated (see [`crate::persist`]).
     ///
@@ -424,11 +425,11 @@ impl Engine {
                 &mut seeded,
             )?),
         };
-        let shared = Arc::new(Shared {
+        let mut shared = Shared {
             queues: (0..config.shards)
                 .map(|_| ShardQueue::new(config.queue_capacity))
                 .collect(),
-            shards: (0..config.shards).map(|_| Mutex::new(None)).collect(),
+            shards: Vec::new(),
             metrics: MetricsRegistry::new(config.shards),
             telemetry: TelemetryRegistry::new(
                 config.shards,
@@ -441,18 +442,33 @@ impl Engine {
             hooks: TestHooks::default(),
             persist,
             config,
-        });
-        let workers = seeded
+        };
+        // Each shard's state reads the plan cache, metrics and journal
+        // directory above, so it is built once they are in place.
+        shared.shards = seeded
             .into_iter()
             .enumerate()
-            .map(|(shard, restored)| {
-                let shared = Arc::clone(&shared);
+            .map(|(shard, restored)| Mutex::new(ShardWorker::new(shard, &shared, restored)))
+            .collect();
+        let shared = Arc::new(shared);
+        // The engine is returned only once every worker thread runs: a
+        // thread's own start-up allocates, and a caller-runs request never
+        // waits for the worker, so without this the start-up can land
+        // inside the first requests (`tests/local_alloc.rs`).
+        let started = Arc::new(Barrier::new(shared.config.shards + 1));
+        let workers = (0..shared.config.shards)
+            .map(|shard| {
+                let (shared, started) = (Arc::clone(&shared), Arc::clone(&started));
                 std::thread::Builder::new()
                     .name(format!("dbi-shard-{shard}"))
-                    .spawn(move || worker::serve(&shared, shard, restored))
+                    .spawn(move || {
+                        started.wait();
+                        worker::serve(&shared, shard);
+                    })
                     .expect("spawning a shard worker failed")
             })
             .collect();
+        started.wait();
         Ok(Engine {
             inner: Arc::new(EngineInner {
                 shared,
@@ -462,33 +478,21 @@ impl Engine {
         })
     }
 
-    /// Takes a snapshot now: quiesces each shard in turn at a pass
-    /// boundary, where the shard's lock holder compacts its journal with
-    /// every live session laid over the fold, synced; evicted sessions
-    /// keep their records. The directory is synced before the call
-    /// returns.
+    /// Takes a snapshot now: each shard in turn, under its lock and so at
+    /// a pass boundary, compacts its journal with every live session laid
+    /// over the fold, synced; evicted sessions keep their records. The
+    /// directory is synced before the call returns.
     ///
     /// # Errors
     ///
     /// * [`ServiceError::PersistenceDisabled`] — no
     ///   [`ServiceConfig::persist`] was configured;
-    /// * [`ServiceError::ShuttingDown`] — the engine stopped before every
-    ///   shard could be captured;
+    /// * [`ServiceError::ShuttingDown`] — [`Engine::shutdown`] has run;
     /// * [`ServiceError::Persistence`] — a shard's journal could not be
-    ///   rewritten (the shards before it were).
+    ///   rewritten (every other shard's still was).
     pub fn trigger_snapshot(&self) -> Result<SnapshotStatus, ServiceError> {
         let (plane, _ops) = self.persist_plane()?;
-        let (mut sessions, mut on_disk) = (0, 0);
-        for queue in &self.shared().queues {
-            match queue.control_round(ControlRequest::Snapshot)? {
-                ControlOutcome::Snapshot { records, bytes } => {
-                    sessions += records;
-                    on_disk += bytes;
-                }
-                ControlOutcome::Failed(err) => return Err(recovery::persistence(err)),
-                ControlOutcome::Done => return Err(ServiceError::Internal("snapshot not taken")),
-            }
-        }
+        let (sessions, on_disk) = self.shared().snapshot_shards()?;
         crate::persist::sync_dir(&plane.dir).map_err(recovery::persistence)?;
         plane.snapshots_taken.fetch_add(1, Ordering::Relaxed);
         plane.last_sessions.store(sessions, Ordering::Relaxed);
@@ -518,24 +522,36 @@ impl Engine {
     /// with what the fold holds — the recovery path, run against a live
     /// engine. Sessions no journal mentions keep their live entries.
     ///
+    /// Every shard's lock is held, taken in index order, from before the
+    /// fold until each shard is restored: every shard sits at a pass
+    /// boundary whose state its journal already holds, so no pass can
+    /// run between the fold and its shard's restore and be rolled back.
+    ///
     /// # Errors
     ///
     /// As [`Engine::trigger_snapshot`], plus [`ServiceError::Persistence`]
     /// when a journal is structurally corrupt.
     pub fn restore(&self) -> Result<SnapshotStatus, ServiceError> {
         let (plane, _ops) = self.persist_plane()?;
-        let config = &self.shared().config;
-        let shards = config.shards;
+        let shared = self.shared();
+        let poisoned = |_| ServiceError::Internal("shard state poisoned");
+        let mut workers: Vec<_> = shared
+            .shards
+            .iter()
+            .map(|lock| lock.lock().map_err(poisoned))
+            .collect::<Result<_, _>>()?;
+        let shards = workers.len();
         let loaded = crate::persist::load_state(&plane.dir, shards, |id| shard_index(id, shards))
             .map_err(recovery::persistence)?;
         let mut seeded: Vec<Vec<RestoredSession>> = (0..shards).map(|_| Vec::new()).collect();
         let restored = recovery::partition_restorable(
             loaded.sessions,
             &mut seeded,
-            config.max_sessions_per_shard,
+            shared.config.max_sessions_per_shard,
         );
-        for (queue, sessions) in self.shared().queues.iter().zip(seeded) {
-            queue.control_round(ControlRequest::Restore { sessions })?;
+        for (worker, sessions) in workers.iter_mut().zip(seeded) {
+            let metrics = shared.metrics.shard(worker.shard);
+            worker.sessions.restore(sessions, &shared.plans, metrics);
         }
         plane
             .restored_sessions
@@ -543,8 +559,12 @@ impl Engine {
         Ok(self.snapshot_status())
     }
 
-    /// The durable session plane, locked for one admin operation.
+    /// The durable session plane, locked for one admin operation; refused
+    /// once the engine has shut down.
     fn persist_plane(&self) -> Result<(&PersistPlane, MutexGuard<'_, ()>), ServiceError> {
+        if self.inner.stopped.load(Ordering::SeqCst) {
+            return Err(ServiceError::ShuttingDown);
+        }
         let plane = self.shared().persist.as_ref();
         let plane = plane.ok_or(ServiceError::PersistenceDisabled)?;
         Ok((plane, plane.ops.lock().expect("persist ops lock poisoned")))
@@ -875,23 +895,13 @@ impl EngineInner {
     /// every live session laid over the fold, synced), then the directory
     /// is synced once. A restart then folds one record per session
     /// instead of a journal tail. Failures count in `journal_errors` (a
-    /// failed directory sync on shard 0's); a shard whose lock a panicked
-    /// pass poisoned is left as it is.
+    /// failed directory sync on shard 0's).
     fn compact_journals(&self) {
         let shared = &*self.shared;
         let Some(plane) = &shared.persist else {
             return;
         };
-        for lock in &shared.shards {
-            let Ok(mut guard) = lock.lock() else {
-                continue;
-            };
-            // A shard without a journal answers `Failed` uncounted: its
-            // create failure was counted when it was built.
-            if let Some(worker) = guard.as_mut() {
-                worker.snapshot(shared);
-            }
-        }
+        let _ = shared.snapshot_shards();
         if crate::persist::sync_dir(&plane.dir).is_err() {
             shared.metrics.shard(0).journal_error();
         }
@@ -962,10 +972,10 @@ impl LocalClient {
     /// (a batch when `count` is set), then round-trips it through the
     /// reusable slot.
     ///
-    /// Caller-runs: when the shard's lock is free (and its state built),
-    /// the job is enqueued without a wake-up and this thread drains the
-    /// shard until the job has run. Otherwise it is enqueued with a
-    /// wake-up and this thread waits on the slot's condvar.
+    /// Caller-runs: when the shard's lock is free, the job is enqueued
+    /// without a wake-up and this thread drains the shard until the job
+    /// has run. Otherwise it is enqueued with a wake-up and this thread
+    /// waits on the slot's condvar.
     fn submit(
         &mut self,
         request: &EncodeRequest<'_>,
@@ -974,18 +984,15 @@ impl LocalClient {
     ) -> Result<(), ServiceError> {
         let shared = &self.engine.shared;
         let (shard, key) = shared.prepare(request, count)?;
-        let idle = match shared.shards[shard].try_lock() {
-            Ok(guard) => Some(guard).filter(|guard| guard.is_some()),
-            Err(TryLockError::WouldBlock) => None,
-            Err(TryLockError::Poisoned(_)) => panic!("shard state poisoned"),
-        };
-        match idle {
-            Some(mut guard) => {
+        match shared.shards[shard].try_lock() {
+            Ok(mut worker) => {
                 shared.enqueue(shard, key, request, None, &self.slot, false)?;
-                let worker = guard.as_mut().expect("filtered on a built state");
                 worker.drain(shared, Some(&self.slot));
             }
-            None => shared.submit_slot(shard, key, request, None, &self.slot)?,
+            Err(TryLockError::WouldBlock) => {
+                shared.submit_slot(shard, key, request, None, &self.slot)?;
+            }
+            Err(TryLockError::Poisoned(_)) => panic!("shard state poisoned"),
         }
 
         let mut state = self.slot.state.lock().expect("slot mutex poisoned");

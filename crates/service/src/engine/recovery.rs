@@ -1,7 +1,6 @@
-//! The durable session plane's engine side: start-up recovery, and the
-//! worker's journal pass and admin control jobs.
+//! The durable session plane's engine side: start-up recovery, the
+//! pass's journal step, and a shard's part of an admin snapshot.
 
-use super::queue::{ControlJob, ControlOutcome, ControlRequest};
 use super::worker::ShardWorker;
 use super::{shard_index, ServiceConfig, Shared, MAX_BURST_LEN, MAX_GROUPS};
 use crate::error::ServiceError;
@@ -154,13 +153,6 @@ impl ShardWorker {
             );
             records += 1;
         }
-        let hooks = &shared.hooks;
-        if hooks.fail_next_flush.load(Ordering::Relaxed)
-            && hooks.fail_next_flush.swap(false, Ordering::Relaxed)
-            && journal.reopen_read_only().is_err()
-        {
-            metrics.journal_error();
-        }
         match journal.flush() {
             Ok(0) => {}
             Ok(bytes) => {
@@ -180,28 +172,15 @@ impl ShardWorker {
         }
     }
 
-    /// Serves one quiesced admin job. Runs between passes, so every
-    /// session is at a burst boundary — the consistency point a journal
-    /// record stores.
-    pub(super) fn serve_control(&mut self, shared: &Shared, job: ControlJob) {
-        let outcome = match job.request {
-            ControlRequest::Snapshot => self.snapshot(shared),
-            ControlRequest::Restore { sessions } => {
-                let metrics = shared.metrics.shard(self.shard);
-                self.sessions.restore(sessions, &shared.plans, metrics);
-                ControlOutcome::Done
-            }
-        };
-        let _ = job.reply.send(outcome);
-    }
-
     /// The shard's part of an admin snapshot, and of a clean shutdown:
     /// compacts its journal with every live session laid over the fold,
-    /// synced, and marks them captured. A failure counts in the shard's
-    /// `journal_errors`.
-    pub(super) fn snapshot(&mut self, shared: &Shared) -> ControlOutcome {
+    /// synced, and marks them captured. Runs under the shard's lock, so
+    /// every session is at a pass boundary — the consistency point a
+    /// journal record stores. Returns the records and bytes the journal
+    /// holds after; a failure counts in the shard's `journal_errors`.
+    pub(super) fn snapshot(&mut self, shared: &Shared) -> Result<(u64, u64), PersistError> {
         let Some(journal) = self.journal.as_mut() else {
-            return ControlOutcome::Failed(io::Error::other("the shard has no journal").into());
+            return Err(io::Error::other("the shard has no journal").into());
         };
         let live = self.sessions.iter_mut().map(|(&session_id, entry)| {
             let mut states = Vec::new();
@@ -214,20 +193,44 @@ impl ShardWorker {
                 states,
             }
         });
-        match journal.compact(Some(live.collect())) {
-            Ok(records) => {
-                let bytes = journal.file_len();
-                for (_, entry) in self.sessions.iter_mut() {
-                    entry.captured = true;
+        let records = journal
+            .compact(Some(live.collect()))
+            .inspect_err(|_| shared.metrics.shard(self.shard).journal_error())?;
+        let bytes = journal.file_len();
+        for (_, entry) in self.sessions.iter_mut() {
+            entry.captured = true;
+        }
+        count_compaction(shared);
+        Ok((records, bytes))
+    }
+}
+
+impl Shared {
+    /// Runs every shard's [`ShardWorker::snapshot`] under its lock, in
+    /// index order — the loop an admin snapshot and the clean-shutdown
+    /// compaction share. Returns the records and bytes the journals hold
+    /// after, or the first failure; a failing shard does not stop the
+    /// rest. A shard without a journal fails uncounted (its create
+    /// failure was counted when it was built), and a shard whose lock a
+    /// panicked pass poisoned is left as it is.
+    pub(super) fn snapshot_shards(&self) -> Result<(u64, u64), ServiceError> {
+        let (mut totals, mut failure) = ((0, 0), None);
+        for lock in &self.shards {
+            let outcome = match lock.lock() {
+                Ok(mut worker) => worker.snapshot(self).map_err(persistence),
+                Err(_) => Err(ServiceError::Internal("shard state poisoned")),
+            };
+            match outcome {
+                Ok((records, bytes)) => {
+                    totals.0 += records;
+                    totals.1 += bytes;
                 }
-                count_compaction(shared);
-                ControlOutcome::Snapshot { records, bytes }
-            }
-            Err(err) => {
-                shared.metrics.shard(self.shard).journal_error();
-                ControlOutcome::Failed(err)
+                Err(err) => {
+                    failure.get_or_insert(err);
+                }
             }
         }
+        failure.map_or(Ok(totals), Err)
     }
 }
 

@@ -569,6 +569,23 @@ fn shutdown_rejects_new_work_and_is_idempotent() {
 }
 
 #[test]
+fn admin_calls_after_shutdown_answer_shutting_down() {
+    let dir = std::env::temp_dir().join(format!("dbi-engine-admin-stopped-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let engine = Engine::start(ServiceConfig {
+        shards: 2,
+        persist: Some(PersistConfig { dir: dir.clone() }),
+        ..ServiceConfig::default()
+    });
+    engine.trigger_snapshot().unwrap();
+    engine.shutdown();
+    assert_eq!(engine.trigger_snapshot(), Err(ServiceError::ShuttingDown));
+    assert_eq!(engine.restore(), Err(ServiceError::ShuttingDown));
+    assert_eq!(engine.snapshot_status().snapshots_taken, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn raw_sessions_report_zero_savings() {
     let engine = small_engine();
     let mut client = engine.local_client();
@@ -616,11 +633,9 @@ fn failed_journal_flush_leaves_sessions_uncaptured() {
         payload: &payload,
     };
     // Session A's journal record never reaches the file...
-    engine
-        .shared()
-        .hooks
-        .fail_next_flush
-        .store(true, Ordering::SeqCst);
+    let mut worker = engine.shared().shards[0].lock().unwrap();
+    worker.journal.as_mut().unwrap().reopen_read_only().unwrap();
+    drop(worker);
     client.encode(&request(1), &mut reply).unwrap();
     // ...so evicting it for session B loses state no disk holds.
     client.encode(&request(2), &mut reply).unwrap();
@@ -655,16 +670,8 @@ fn an_inline_drain_runs_passes_until_its_own_job_has_run() {
         verify: VerifyMode::Off,
         payload: &payload,
     };
-    // Hold the shard the way an inline client does, once its worker has
-    // published the state.
-    let mut guard = loop {
-        let guard = shared.shards[0].lock().unwrap();
-        if guard.is_some() {
-            break guard;
-        }
-        drop(guard);
-        std::thread::yield_now();
-    };
+    // Hold the shard the way an inline client does.
+    let mut worker = shared.shards[0].lock().unwrap();
     let ahead: Vec<_> = (0..2 * (worker::COALESCE_LIMIT as u64 + 1))
         .map(|index| {
             let slot = RequestSlot::new();
@@ -681,7 +688,7 @@ fn an_inline_drain_runs_passes_until_its_own_job_has_run() {
     shared
         .enqueue(shard, key, &request(1), None, &own, false)
         .unwrap();
-    guard.as_mut().unwrap().drain(shared, Some(&own));
+    worker.drain(shared, Some(&own));
 
     let phase = |slot: &RequestSlot| slot.state.lock().unwrap().phase;
     assert_eq!(phase(&own), Phase::Done);
@@ -689,6 +696,6 @@ fn an_inline_drain_runs_passes_until_its_own_job_has_run() {
     let totals = engine.metrics().totals();
     assert_eq!(totals.passes, 3, "{} jobs at 17 per pass", ahead.len() + 1);
     assert_eq!(totals.inline_passes, 1, "only the last pass held its job");
-    drop(guard);
+    drop(worker);
     engine.shutdown();
 }

@@ -121,17 +121,11 @@ impl std::fmt::Debug for ShardWorker {
     }
 }
 
-/// The body of shard `shard`'s worker thread: builds the shard's state
-/// here, so its buffers come from this thread's malloc arena, publishes
-/// it into the shard's lock, then drains whenever the queue has work
-/// until it closes.
-pub(super) fn serve(shared: &Shared, shard: usize, restored: Vec<RestoredSession>) {
-    let worker = ShardWorker::new(shard, shared, restored);
-    let lock = &shared.shards[shard];
-    *lock.lock().expect("shard state poisoned") = Some(worker);
+/// The body of shard `shard`'s worker thread: drains whenever the queue
+/// has work, until it closes.
+pub(super) fn serve(shared: &Shared, shard: usize) {
     while shared.queues[shard].wait_ready() {
-        let mut guard = lock.lock().expect("shard state poisoned");
-        let worker = guard.as_mut().expect("published above");
+        let mut worker = shared.shards[shard].lock().expect("shard state poisoned");
         worker.drain(shared, None);
     }
 }
@@ -141,7 +135,7 @@ impl ShardWorker {
     /// serves anything: the first request a restored session sees
     /// continues its carried state exactly where the previous process
     /// left it.
-    fn new(shard: usize, shared: &Shared, restored: Vec<RestoredSession>) -> Self {
+    pub(super) fn new(shard: usize, shared: &Shared, restored: Vec<RestoredSession>) -> Self {
         let metrics = shared.metrics.shard(shard);
         // Start left the journal holding exactly the restored sessions.
         let live_len = restored.iter().fold(JOURNAL_HEAD_LEN, |len, session| {
@@ -170,18 +164,14 @@ impl ShardWorker {
         }
     }
 
-    /// Serves the shard's queued control jobs, then runs passes: until
-    /// the ring is empty, or — for a client draining with its own slot
-    /// `own` — until the pass that ran `own`'s job. Jobs left behind by
-    /// the early return were pushed with a notify, so the worker wakes
-    /// for them.
+    /// Runs passes until the ring is empty, or — for a client draining
+    /// with its own slot `own` — until the pass that ran `own`'s job.
+    /// Jobs left behind by the early return were pushed with a notify, so
+    /// the worker wakes for them.
     pub(super) fn drain(&mut self, shared: &Shared, own: Option<&Arc<RequestSlot>>) {
         let queue = &shared.queues[self.shard];
         let metrics = shared.metrics.shard(self.shard);
         loop {
-            while let Some(job) = queue.take_control() {
-                self.serve_control(shared, job);
-            }
             // The packing window: whatever is queued — any session, any
             // geometry — joins this pass.
             self.window.clear();

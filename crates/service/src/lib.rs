@@ -93,9 +93,9 @@
 //!   the carried per-session bus state, so losing it breaks every later
 //!   decode. Workers append each touched session's state to a per-shard
 //!   append-only journal at every burst boundary (buffered writer, zero
-//!   allocations once warm); [`Engine::trigger_snapshot`] quiesces the
-//!   shards one at a time, each compacting its journal with its live
-//!   sessions' state (staged, synced, renamed); recovery at
+//!   allocations once warm); [`Engine::trigger_snapshot`] takes the
+//!   shard locks one at a time and compacts each shard's journal with
+//!   its live sessions' state (staged, synced, renamed); recovery at
 //!   [`Engine::try_start`] folds the journals (newest record wins, torn
 //!   tails skipped) and replays **bit-identically** to an uninterrupted
 //!   serial run. When a shard's session table fills, the

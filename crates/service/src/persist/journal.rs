@@ -265,6 +265,7 @@ impl JournalWriter {
     /// Test fault injection: reopens the journal file read-only, so every
     /// later non-empty [`JournalWriter::flush`] fails with a real write
     /// error until a compaction replaces the file.
+    #[cfg(test)]
     pub(crate) fn reopen_read_only(&mut self) -> Result<(), PersistError> {
         self.file = fs::File::open(&self.path)?;
         Ok(())

@@ -1273,8 +1273,8 @@ fn decode_snapshot_status(body: &[u8]) -> Result<SnapshotStatus, WireError> {
 }
 
 /// Appends a snapshot-request frame (empty body) to `out`: the service
-/// quiesces every shard at a pass boundary, where each compacts its
-/// journal, synced, then answers with [`SnapshotStatus`].
+/// takes each shard's lock in turn, at a pass boundary, compacts the
+/// shard's journal, synced, then answers with [`SnapshotStatus`].
 pub fn encode_snapshot_request(out: &mut Vec<u8>) {
     push_header(out, tag::SNAPSHOT_REQUEST, 0);
 }

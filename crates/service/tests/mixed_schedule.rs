@@ -15,7 +15,12 @@
 //! against LocalClients mid-request: each must get a reply or
 //! `ShuttingDown`, none may hang, and the journals the shutdown compacts
 //! must carry every session on from exactly the replies its clients saw.
+//! The third races admin restores and snapshots against inline and
+//! worker passes: a restore runs with every shard at a pass boundary,
+//! where the journals hold exactly the live states, so it must roll no
+//! session back.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
@@ -173,32 +178,8 @@ fn inline_fallback_and_pipelined_passes_match_serial_sessions() {
             });
         }
         let pipelined_ids = &pipelined_ids;
-        let pump = scope.spawn(move || {
-            let mut client = PipelinedClient::connect(addr).unwrap();
-            let mut in_flight = std::collections::HashMap::new();
-            let mut replies = vec![Vec::new(); pipelined_ids.len()];
-            let mut sent = vec![0usize; pipelined_ids.len()];
-            let mut reply = EncodeReply::new();
-            let total = PIPELINED_REQUESTS * pipelined_ids.len();
-            let mut submitted = 0;
-            while replies.iter().map(Vec::len).sum::<usize>() < total {
-                while submitted < total && client.in_flight() < WINDOW {
-                    let which = submitted % pipelined_ids.len();
-                    let session = pipelined_ids[which];
-                    let payload = payload(session, sent[which]);
-                    let id = client.submit(&request(session, &payload)).unwrap();
-                    in_flight.insert(id, (which, sent[which]));
-                    sent[which] += 1;
-                    submitted += 1;
-                }
-                let done = client.next_completion(&mut reply).unwrap();
-                assert!(done.is_ok(), "{:?}", done.error);
-                let (which, index) = in_flight.remove(&done.request_id).unwrap();
-                assert_eq!(index, replies[which].len(), "a session's replies reordered");
-                replies[which].push(Outcome::of(&reply));
-            }
-            replies
-        });
+        let pump =
+            scope.spawn(move || pump_pipelined(addr, pipelined_ids, PIPELINED_REQUESTS, WINDOW));
         pump.join().unwrap()
     });
 
@@ -316,6 +297,151 @@ fn shutdown_racing_local_clients_answers_every_request() {
             assert_serial(session, replies);
         }
     }
+    engine.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Drives `requests` requests of each of `sessions`' streams through one
+/// pipelined connection, at most `window` in flight, and returns every
+/// session's replies in stream order.
+fn pump_pipelined(
+    addr: std::net::SocketAddr,
+    sessions: &[u64],
+    requests: usize,
+    window: usize,
+) -> Vec<Vec<Outcome>> {
+    let mut client = PipelinedClient::connect(addr).unwrap();
+    let mut in_flight = std::collections::HashMap::new();
+    let mut replies = vec![Vec::new(); sessions.len()];
+    let mut sent = vec![0usize; sessions.len()];
+    let mut reply = EncodeReply::new();
+    let total = requests * sessions.len();
+    let mut submitted = 0;
+    while replies.iter().map(Vec::len).sum::<usize>() < total {
+        while submitted < total && client.in_flight() < window {
+            let which = submitted % sessions.len();
+            let session = sessions[which];
+            let payload = payload(session, sent[which]);
+            let id = client.submit(&request(session, &payload)).unwrap();
+            in_flight.insert(id, (which, sent[which]));
+            sent[which] += 1;
+            submitted += 1;
+        }
+        let done = client.next_completion(&mut reply).unwrap();
+        assert!(done.is_ok(), "{:?}", done.error);
+        let (which, index) = in_flight.remove(&done.request_id).unwrap();
+        assert_eq!(index, replies[which].len(), "a session's replies reordered");
+        replies[which].push(Outcome::of(&reply));
+    }
+    replies
+}
+
+/// Request `index` of a one-access OptFixed stream: four masks.
+fn opt_fixed_payload(index: usize) -> Vec<u8> {
+    let mut x = (index as u32).wrapping_mul(0x9E37_79B9) | 1;
+    let mut next = || {
+        x ^= x << 13;
+        x ^= x >> 17;
+        x ^= x << 5;
+        (x >> 24) as u8
+    };
+    (0..usize::from(GROUPS) * usize::from(BURST_LEN))
+        .map(|_| next())
+        .collect()
+}
+
+fn opt_fixed_request(session: u64, payload: &[u8]) -> EncodeRequest<'_> {
+    EncodeRequest {
+        session_id: session,
+        scheme: Scheme::OptFixed,
+        cost_model: CostModel::Inline,
+        groups: GROUPS,
+        burst_len: BURST_LEN,
+        want_masks: true,
+        verify: VerifyMode::Off,
+        payload,
+    }
+}
+
+#[test]
+fn restores_racing_passes_roll_no_session_back() {
+    const REQUESTS: usize = 4_000;
+    const PIPELINED_REQUESTS: usize = 400;
+    const ADMIN_CALLS: usize = 20;
+
+    let dir = std::env::temp_dir().join(format!("dbi-restore-race-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let engine = Engine::start(ServiceConfig {
+        shards: 1,
+        queue_capacity: 64,
+        max_payload: 1 << 16,
+        persist: Some(PersistConfig { dir: dir.clone() }),
+        ..ServiceConfig::default()
+    });
+    let server = TcpServer::bind(&engine, "127.0.0.1:0").unwrap();
+    let addr = server.addr();
+    const SESSION: u64 = 0x6100;
+    let pipelined_ids = [0x6200, 0x6201];
+    let streaming = AtomicBool::new(true);
+    let (masks, pipelined) = std::thread::scope(|scope| {
+        let (engine, streaming) = (&engine, &streaming);
+        scope.spawn(move || {
+            for call in 0..ADMIN_CALLS {
+                if !streaming.load(Ordering::Relaxed) {
+                    break;
+                }
+                std::thread::sleep(Duration::from_micros(100));
+                if call % 4 == 3 {
+                    engine.trigger_snapshot().unwrap();
+                } else {
+                    engine.restore().unwrap();
+                }
+            }
+        });
+        let pipelined_ids = &pipelined_ids;
+        let pump = scope.spawn(move || pump_pipelined(addr, pipelined_ids, PIPELINED_REQUESTS, 16));
+        let mut local = engine.local_client();
+        let mut reply = EncodeReply::new();
+        let mut masks = Vec::with_capacity(REQUESTS * usize::from(GROUPS));
+        for index in 0..REQUESTS {
+            let payload = opt_fixed_payload(index);
+            local
+                .encode(&opt_fixed_request(SESSION, &payload), &mut reply)
+                .unwrap();
+            masks.extend_from_slice(&reply.masks);
+        }
+        streaming.store(false, Ordering::Relaxed);
+        (masks, pump.join().unwrap())
+    });
+
+    let mut reference = BusSession::with_geometry(
+        usize::from(GROUPS),
+        usize::from(BURST_LEN),
+        Scheme::OptFixed,
+    );
+    let (mut per_group, mut step, mut want) = (Vec::new(), Vec::new(), Vec::new());
+    for index in 0..REQUESTS {
+        let payload = opt_fixed_payload(index);
+        reference
+            .encode_stream_into(&payload, &mut per_group, Some(&mut step))
+            .unwrap();
+        want.extend_from_slice(&step);
+    }
+    assert_eq!(masks.len(), want.len());
+    let diverged = masks
+        .iter()
+        .zip(&want)
+        .position(|(have, want)| have != want);
+    assert_eq!(
+        diverged, None,
+        "the mask stream diverged from its serial reference"
+    );
+    for (session, replies) in pipelined_ids.iter().zip(&pipelined) {
+        assert_eq!(replies.len(), PIPELINED_REQUESTS);
+        assert_serial(*session, replies);
+    }
+    assert!(engine.snapshot_status().restored_sessions > 0);
+    server.shutdown();
     engine.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
