@@ -28,10 +28,13 @@
 //! eight beats per `u64` in portable code (`schemes::per_byte`).
 //!
 //! Every kernel decides first and prices after: the sweeps carry only
-//! path costs and survivor masks, and each burst's zeros and transitions
-//! come from one word-wide pass over its bytes and mask
+//! path costs and survivor masks. The eight-chain block then counts each
+//! burst's zeros and transitions in registers, from the per-beat
+//! popcounts its edge weights came from; every other kernel prices
+//! through one word-wide pass over the burst's bytes and mask
 //! (`encoding::price_burst_body`), compiled with hardware `popcnt` when
-//! the CPU has it.
+//! the CPU has it. That pass also prices the serial reference, which the
+//! eight-chain block's cost rows are tested against.
 //!
 //! Tier selection happens once per process ([`selected_kernel`]) from
 //! runtime feature detection; `DBI_FORCE_SCALAR=1` pins dispatch to the
@@ -71,8 +74,10 @@ pub enum KernelKind {
     Scalar,
     /// x86-64 AVX2 with `popcnt`: eight BL8 chains per `__m256i` with
     /// in-register transposes, or four BL16 or BL8 chains as dword pairs;
-    /// nibble-LUT popcounts feed both. Other geometries and leftover
-    /// chains run the scalar sweep.
+    /// nibble-LUT popcounts feed both. The eight-chain block prices its
+    /// rows from those popcounts; the four-chain block prices through the
+    /// shared word-wide pass. Other geometries and leftover chains run
+    /// the scalar sweep.
     Avx2,
 }
 
@@ -867,10 +872,14 @@ mod x86 {
     /// bytes ride in `prev_row` and the DBI level in a sign-broadcast
     /// lane mask, so even each burst's entry stage is vectorised.
     ///
-    /// The sweep carries only path costs and survivor masks. After each
-    /// round's mask store, the eight rows are priced by the shared
-    /// word-wide pass, compiled here with hardware `popcnt`; it works off
-    /// the scalar `last_data`/`prev_low` entries, which it advances.
+    /// The sweep carries only path costs and survivor masks. Each round
+    /// then prices its eight rows from the same `P`/`D` popcounts, one
+    /// byte per (beat, chain): the winning masks, packed one byte per
+    /// chain into a `u64`, and their DBI flips against the beat before
+    /// (the carried level for beat 0) are widened back to byte masks
+    /// that choose each beat's zeros and toggles, and byte adds sum the
+    /// eight beats of every row. The carried `last_data`/`prev_low`
+    /// entries are written back once, after the last round.
     ///
     /// BL8-only by construction (the transpose tree is 8×8); the
     /// dispatcher hands leftover chains to the four-chain block and other
@@ -892,18 +901,6 @@ mod x86 {
             ($a:expr, $b:expr, $m:expr) => {
                 _mm256_blendv_epi8($a, $b, $m)
             };
-        }
-        macro_rules! get8 {
-            ($v:expr) => {{
-                let mut out = [0u32; 8];
-                // SAFETY: the destination is exactly 32 writable bytes;
-                // storeu has no alignment requirement.
-                #[allow(unsafe_code)]
-                unsafe {
-                    _mm256_storeu_si256(out.as_mut_ptr().cast(), $v);
-                }
-                out
-            }};
         }
         // Per-byte popcount of all 32 bytes of a vector: nibble LUT
         // lookups. Run once per 8×8 block half instead of once per beat —
@@ -942,6 +939,24 @@ mod x86 {
             -(prev_low[0] as i32), -(prev_low[1] as i32), -(prev_low[2] as i32), -(prev_low[3] as i32),
             -(prev_low[4] as i32), -(prev_low[5] as i32), -(prev_low[6] as i32), -(prev_low[7] as i32),
         );
+        // The same DBI levels for pricing, chain c's in bit 0 of byte c.
+        let mut entry = u64::from_le_bytes(prev_low.map(u8::from));
+
+        // Pricing constants: `pack_low` + `lane_words` gather each
+        // chain's mask byte into byte c of a `u64`; `beats_lo`/`beats_hi`
+        // hold beat i's mask bit in the 64-bit slot that holds beat i in
+        // `p_lo`/`p_hi`.
+        #[rustfmt::skip]
+        let pack_low = _mm256_setr_epi8(
+            0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+            0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+        );
+        let lane_words = _mm256_setr_epi32(0, 4, 0, 0, 0, 0, 0, 0);
+        let beat_bits = |beat: i64| 0x0101_0101_0101_0101 << beat;
+        let beats_lo = _mm256_setr_epi64x(beat_bits(0), beat_bits(1), beat_bits(2), beat_bits(3));
+        let beats_hi = _mm256_slli_epi64::<4>(beats_lo);
+        let eight8 = _mm256_set1_epi8(8);
+        let nine8 = _mm256_set1_epi8(9);
 
         // One bounds proof up front; the per-burst loads below are raw
         // unaligned 64-bit reads inside this envelope.
@@ -1066,19 +1081,65 @@ mod x86 {
 
             let win = _mm256_cmpgt_epi32(cp, ci);
             let mask_v = blend8!(mp, mi, win);
-            let mbits = get8!(mask_v);
-            for (l, &bits) in mbits.iter().enumerate() {
-                let row = l * per_chain + j;
-                let burst = &bytes[row * 8..row * 8 + 8];
-                masks[row] = InversionMask::from_bits(bits);
-                costs[row] = price_burst_body(burst, bits, (last_data[l], prev_low[l]));
-                last_data[l] = burst[7];
-                prev_low[l] = bits & 0x80 != 0;
-            }
             // Next burst's DBI entry level: the sign-broadcast of each
             // winning mask's last decision bit (bit 7 for BL8).
             plv = _mm256_srai_epi32::<31>(_mm256_slli_epi32::<24>(mask_v));
+
+            // Pricing, per (beat, chain) byte of the P/D layout. A beat
+            // drives `8 − p` zeros plain and `9 − (8 − p)` inverted (the
+            // DBI lane adds one), and `d` toggles, or `9 − d` when its DBI
+            // level flips against the beat before (the entry level for
+            // beat 0). The winning masks, packed one byte per chain, give
+            // the inversions; their one-beat shift, the flips.
+            let packed =
+                _mm256_permutevar8x32_epi32(_mm256_shuffle_epi8(mask_v, pack_low), lane_words);
+            let m = _mm_cvtsi128_si64(_mm256_castsi256_si128(packed)) as u64;
+            let flips = m ^ (((m << 1) & 0xFEFE_FEFE_FEFE_FEFE) | entry);
+            entry = (m >> 7) & 0x0101_0101_0101_0101;
+            let inv_word = _mm256_set1_epi64x(m as i64);
+            let flip_word = _mm256_set1_epi64x(flips as i64);
+            // `x`, with `9 − x` in the bytes whose beat has its bit set in
+            // `word`.
+            macro_rules! nine_minus_where {
+                ($x:expr, $word:expr, $beats:expr) => {{
+                    let x = $x;
+                    let set = _mm256_cmpeq_epi8(_mm256_and_si256($word, $beats), $beats);
+                    blend8!(x, _mm256_sub_epi8(nine8, x), set)
+                }};
+            }
+            // Eight beats of at most 9 each: byte sums cannot overflow.
+            let zeros = _mm256_add_epi8(
+                nine_minus_where!(_mm256_sub_epi8(eight8, p_lo), inv_word, beats_lo),
+                nine_minus_where!(_mm256_sub_epi8(eight8, p_hi), inv_word, beats_hi),
+            );
+            let toggles = _mm256_add_epi8(
+                nine_minus_where!(d_lo, flip_word, beats_lo),
+                nine_minus_where!(d_hi, flip_word, beats_hi),
+            );
+            // Folding the four beat slots leaves each chain's zeros in
+            // byte c of the low word and its transitions in the high one.
+            let sums = _mm256_add_epi8(
+                _mm256_unpacklo_epi64(zeros, toggles),
+                _mm256_unpackhi_epi64(zeros, toggles),
+            );
+            let sums = _mm_add_epi8(
+                _mm256_castsi256_si128(sums),
+                _mm256_extracti128_si256::<1>(sums),
+            );
+            let zeros = (_mm_cvtsi128_si64(sums) as u64).to_le_bytes();
+            let toggles = (_mm_extract_epi64::<1>(sums) as u64).to_le_bytes();
+            for (l, bits) in m.to_le_bytes().into_iter().enumerate() {
+                let row = l * per_chain + j;
+                masks[row] = InversionMask::from_bits(u32::from(bits));
+                costs[row] = CostBreakdown::new(u64::from(zeros[l]), u64::from(toggles[l]));
+            }
         }
+
+        // The carried entries: beat 7's bytes (the high half of
+        // `prev_row`'s low lane) and the last DBI levels.
+        *last_data =
+            (_mm_extract_epi64::<1>(_mm256_castsi256_si128(prev_row)) as u64).to_le_bytes();
+        *prev_low = entry.to_le_bytes().map(|level| level != 0);
     }
 }
 

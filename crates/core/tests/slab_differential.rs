@@ -368,6 +368,12 @@ fn re_encoding_a_slab_with_another_scheme_overwrites_results() {
 /// four-chain geometries and their odd remainders), under fixed and
 /// skewed weights and at the weight cap, where the kernels' signed dword
 /// path costs come closest to overflowing.
+///
+/// Besides random payloads from random entry states, each geometry runs
+/// the payload corners of the per-beat price (all `0x00`, all `0xFF`, and
+/// `0x00`/`0xFF` alternating per beat, where every beat toggles all
+/// eight lanes and a row's byte sums reach their maximum) from every
+/// entry state: last byte `0x00` or `0xFF`, DBI level high or low.
 #[test]
 fn lane_kernels_are_bit_identical_to_the_serial_chain_reference() {
     let mut rng = StdRng::seed_from_u64(0x51D3);
@@ -377,17 +383,65 @@ fn lane_kernels_are_bit_identical_to_the_serial_chain_reference() {
         CostWeights::new(2, 3).unwrap(),
         CostWeights::new(cap, cap - 1).unwrap(),
     ] {
-        lane_kernels_match_the_serial_chain(&mut rng, weights);
+        for family in FAMILIES {
+            // Random payloads also run from random entry states.
+            let random_entry = family.is_none().then_some(None);
+            for shift in random_entry.into_iter().chain((0..4).map(Some)) {
+                lane_kernels_match_the_serial_chain(&mut rng, weights, family, shift);
+            }
+        }
     }
 }
 
-fn lane_kernels_match_the_serial_chain(rng: &mut StdRng, weights: CostWeights) {
+/// A payload family of the kernel sweep: `None` for random bytes, or the
+/// byte beat `b` carries.
+type Family = Option<fn(usize) -> u8>;
+
+const FAMILIES: [Family; 4] = [
+    None,
+    Some(|_| 0x00),
+    Some(|_| 0xFF),
+    Some(|beat| if beat % 2 == 0 { 0x00 } else { 0xFF }),
+];
+
+/// Chain `c` enters from corner `(c + shift) % 4` of the entry states:
+/// last byte `0x00` or `0xFF`, DBI level high or low.
+fn corner_states(chains: usize, shift: usize) -> Vec<BusState> {
+    const CORNERS: [(u8, bool); 4] = [(0x00, false), (0x00, true), (0xFF, false), (0xFF, true)];
+    (0..chains)
+        .map(|c| {
+            let (byte, low) = CORNERS[(c + shift) % 4];
+            BusState::new(LaneWord::encode_byte(byte, low))
+        })
+        .collect()
+}
+
+/// One sweep of every geometry: payloads from `family`, entry states
+/// from [`corner_states`] at `shift`, or random ones for `None`.
+fn lane_kernels_match_the_serial_chain(
+    rng: &mut StdRng,
+    weights: CostWeights,
+    family: Family,
+    shift: Option<usize>,
+) {
     let encoder = dbi_core::schemes::OptEncoder::new(weights);
     for burst_len in 1usize..=32 {
         for chains in CHAINS {
             for per_chain in [1usize, 2, 17] {
-                let slab = random_slab(rng, burst_len, chains * per_chain);
-                let initial = random_states(rng, chains);
+                let slab = match family {
+                    None => random_slab(rng, burst_len, chains * per_chain),
+                    Some(byte) => {
+                        let mut slab = BurstSlab::with_capacity(burst_len, chains * per_chain);
+                        for _ in 0..chains * per_chain {
+                            slab.push_with(|out| out.extend((0..burst_len).map(byte)));
+                        }
+                        slab
+                    }
+                };
+                let initial = match shift {
+                    None => random_states(rng, chains),
+                    Some(shift) => corner_states(chains, shift),
+                };
 
                 let mut reference = slab.clone();
                 let mut reference_states = initial.clone();
@@ -401,7 +455,9 @@ fn lane_kernels_match_the_serial_chain(rng: &mut StdRng, weights: CostWeights) {
                     let mut states = initial.clone();
                     encoder.encode_lanes_into_with(kernel, &mut lanes, &mut states);
                     let label = format!(
-                        "{kernel} {weights:?} len={burst_len} chains={chains} per={per_chain}"
+                        "{kernel} {weights:?} len={burst_len} chains={chains} per={per_chain} \
+                         constant={} corners={shift:?}",
+                        family.is_some()
                     );
                     assert_one_row_per_burst(&lanes, &label);
                     assert_eq!(lanes.masks(), reference.masks(), "{label}: masks");

@@ -249,6 +249,9 @@ pub struct PipelinedClient {
     out_buf: Vec<u8>,
     recv_buf: Vec<u8>,
     parsed: usize,
+    /// The longest frame received so far: the receive buffer's room per
+    /// in-flight request.
+    largest_frame: usize,
     next_id: u64,
     in_flight: usize,
 }
@@ -269,6 +272,7 @@ impl PipelinedClient {
             out_buf: Vec::new(),
             recv_buf: Vec::new(),
             parsed: 0,
+            largest_frame: 0,
             next_id: 0,
             in_flight: 0,
         })
@@ -323,9 +327,17 @@ impl PipelinedClient {
 
     /// Counts the request just staged in `out_buf` in flight, and writes
     /// the staged bytes out once they cross the send bound.
+    ///
+    /// Every byte the receive buffer holds past its consumed prefix,
+    /// which reads drop first, answers an in-flight request. Reserving
+    /// room for that many of the largest frame seen here, rather than
+    /// growing at a read, keeps a warm poll loop from allocating.
     fn staged(&mut self) -> Result<(), ClientError> {
         self.next_id = self.next_id.wrapping_add(1);
         self.in_flight += 1;
+        let room = self.in_flight * self.largest_frame;
+        self.recv_buf
+            .reserve(room.saturating_sub(self.recv_buf.len()));
         if self.out_buf.len() >= SEND_BOUND {
             self.flush()?;
         }
@@ -467,9 +479,14 @@ impl PipelinedClient {
         Ok(())
     }
 
-    /// One read off the socket into the receive buffer; `false` when a
-    /// nonblocking socket has nothing ready.
+    /// One read off the socket into the receive buffer, after dropping
+    /// its consumed prefix; `false` when a nonblocking socket has nothing
+    /// ready.
     fn read_some(&mut self) -> Result<bool, ClientError> {
+        if self.parsed > 0 {
+            self.recv_buf.drain(..self.parsed);
+            self.parsed = 0;
+        }
         let mut chunk = [0u8; RECV_CHUNK];
         loop {
             match self.stream.read(&mut chunk) {
@@ -547,6 +564,7 @@ impl PipelinedClient {
 
     /// Drops the `total`-byte frame at the front of the receive buffer.
     fn consume(&mut self, total: usize) {
+        self.largest_frame = self.largest_frame.max(total);
         self.parsed += total;
         if self.parsed == self.recv_buf.len() {
             self.recv_buf.clear();

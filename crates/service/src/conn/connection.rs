@@ -12,7 +12,7 @@
 //! carries the request's id when the frame is an encode request whose id
 //! prefix is readable, so the client can retire exactly that request.
 
-use super::ConnConfig;
+use super::{CompletionBudget, ConnConfig, Inbox};
 use crate::engine::{Completion, CompletionSink, EncodeRequest, Engine, Phase, RequestSlot};
 use crate::error::ServiceError;
 use crate::metrics::ConnectionMetrics;
@@ -55,6 +55,10 @@ pub(crate) struct IoContext<'a> {
     /// The thread's [`Inbox`](super::Inbox) as a completion sink,
     /// cloned into every submission.
     pub(crate) sink: &'a Arc<dyn CompletionSink>,
+    /// The same inbox, for reserving completion room before a submission.
+    pub(crate) inbox: &'a Inbox,
+    /// The thread's outstanding completions and the room held for them.
+    pub(crate) budget: &'a mut CompletionBudget,
     /// Thread-local pool of recycled request slots.
     pub(crate) slot_pool: &'a mut Vec<Arc<RequestSlot>>,
 }
@@ -95,6 +99,9 @@ pub(crate) struct Connection {
     /// Bytes queued for the socket; `[..flushed]` is already written.
     write_buf: Vec<u8>,
     flushed: usize,
+    /// The longest response frame queued so far: the write buffer's
+    /// room per pending request.
+    largest_response: usize,
     pending: Vec<Pending>,
     /// Mirror of the pause condition, refreshed after every unit of
     /// work, so interest can be computed without a context.
@@ -116,6 +123,7 @@ impl Connection {
             parsed: 0,
             write_buf: Vec::new(),
             flushed: 0,
+            largest_response: 0,
             pending: Vec::new(),
             paused: false,
             read_closed: false,
@@ -185,6 +193,7 @@ impl Connection {
             return Ok(());
         };
         let entry = self.pending.remove(position);
+        let queued = self.write_buf.len();
         {
             let state = slot.state.lock().expect("slot mutex poisoned");
             debug_assert_eq!(
@@ -221,6 +230,7 @@ impl Connection {
                 Err(err) => queue_failure(&mut self.write_buf, entry.kind.request_id(), err),
             }
         }
+        self.largest_response = self.largest_response.max(self.write_buf.len() - queued);
         self.note_queued_output(ctx)?;
         self.parse_frames(ctx)
     }
@@ -299,11 +309,19 @@ impl Connection {
                 write_buf,
                 pending,
                 completion_token,
+                largest_response,
                 ..
             } = self;
             let frame = &read_buf[start..start + total];
             match wire::decode_frame(frame) {
-                Ok((frame, _)) => dispatch_frame(frame, write_buf, pending, *completion_token, ctx),
+                Ok((frame, _)) => {
+                    dispatch_frame(frame, write_buf, pending, *completion_token, ctx);
+                    // A flushed wake leaves the buffer empty and queues at
+                    // most one response per pending request, so room for
+                    // that many keeps a warm connection from growing it.
+                    let room = pending.len() * *largest_response;
+                    write_buf.reserve(room.saturating_sub(write_buf.len()));
+                }
                 // Body-level decode failure: the frame boundary held, so
                 // answer — under the request's id when it has a readable
                 // one — and keep serving the connection.
@@ -504,8 +522,12 @@ fn submit_job(
         sink: Arc::clone(ctx.sink),
         token: completion_token,
     };
+    ctx.budget.make_room(ctx.inbox);
     match shared.submit_slot(shard, key, request, Some(completion), &slot) {
-        Ok(()) => pending.push(Pending { slot, kind }),
+        Ok(()) => {
+            ctx.budget.in_flight += 1;
+            pending.push(Pending { slot, kind });
+        }
         Err(err) => {
             super::recycle_slot(ctx.slot_pool, slot);
             queue_failure(write_buf, kind.request_id(), &err);

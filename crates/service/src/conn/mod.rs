@@ -145,6 +145,14 @@ impl Inbox {
         self.waker.wake();
     }
 
+    /// Grows the completion list's capacity to at least `capacity`, so
+    /// the pushes of that many outstanding jobs never reallocate it.
+    fn reserve_completions(&self, capacity: usize) {
+        let mut state = self.state.lock().expect("inbox mutex poisoned");
+        let len = state.completions.len();
+        state.completions.reserve(capacity.saturating_sub(len));
+    }
+
     fn request_stop(&self) {
         self.state.lock().expect("inbox mutex poisoned").stop = true;
         self.waker.wake();
@@ -175,6 +183,29 @@ impl CompletionSink for Inbox {
         drop(state);
         if first {
             self.waker.wake();
+        }
+    }
+}
+
+/// The jobs one I/O thread has submitted whose completions it has not
+/// drained yet, and the capacity reserved for them in both completion
+/// lists: the inbox's, which a finished pass pushes into, and the
+/// thread's drain buffer. Room is made before each submission, so neither
+/// list grows once the thread's in-flight peak (bounded by connections ×
+/// [`ConnConfig::max_in_flight`]) has been reached.
+#[derive(Default)]
+pub(crate) struct CompletionBudget {
+    in_flight: usize,
+    reserved: usize,
+}
+
+impl CompletionBudget {
+    /// Makes room in `inbox` for one more completion; call before
+    /// submitting the job it answers.
+    pub(crate) fn make_room(&mut self, inbox: &Inbox) {
+        if self.in_flight >= self.reserved {
+            self.reserved = (2 * self.reserved).max(16);
+            inbox.reserve_completions(self.reserved);
         }
     }
 }
@@ -272,6 +303,7 @@ fn io_loop(
     let mut new_conns: Vec<TcpStream> = Vec::new();
     let mut completions: Vec<(u64, Arc<RequestSlot>)> = Vec::new();
     let mut touched: Vec<usize> = Vec::new();
+    let mut budget = CompletionBudget::default();
     let sink: Arc<dyn CompletionSink> = Arc::clone(inbox) as Arc<dyn CompletionSink>;
 
     loop {
@@ -281,7 +313,13 @@ fn io_loop(
             return;
         }
 
+        // Both lists are empty here. The drain buffer gets room for every
+        // outstanding completion the inbox can hand over; `touched` for
+        // one entry per completion and per ready connection.
+        completions.reserve(budget.reserved);
+        touched.reserve(budget.reserved + conns.len());
         let stop = inbox.drain(&mut new_conns, &mut completions);
+        budget.in_flight -= completions.len();
         if stop {
             for (index, conn) in conns.iter_mut().enumerate() {
                 if let Some(conn) = conn.take() {
@@ -331,6 +369,8 @@ fn io_loop(
             config,
             metrics,
             sink: &sink,
+            inbox,
+            budget: &mut budget,
             slot_pool: &mut slot_pool,
         };
         for (token, slot) in completions.drain(..) {
