@@ -310,7 +310,7 @@ fn encoder_throughput(c: &mut Criterion) {
     // independent lane-group chains of 128 bursts each — the geometry the
     // SIMD kernels run as parallel lanes of one recurrence. Which kernel
     // tier runs is decided by dispatch (AVX2 here unless DBI_FORCE_SCALAR
-    // pins the scalar oracle).
+    // pins the scalar tier).
     let mut group = c.benchmark_group("slab_lanes");
     group.throughput(Throughput::Elements(bursts.len() as u64));
     group.bench_function("opt_fixed_8_chains_priced", |b| {
@@ -798,7 +798,7 @@ fn write_bench_json(bursts: &[Burst], state: &BusState) {
     // The vectorised lanes plane (8 chains x 128 BL8 bursts) must at
     // least halve the priced single chain over the same bytes — the
     // reason the SIMD kernels exist. Under DBI_FORCE_SCALAR the gate is
-    // skipped: pinning the scalar oracle is an escape hatch, not a perf
+    // skipped: pinning the scalar tier is an escape hatch, not a perf
     // claim.
     if lanes_over_chain > 0.5 && !dbi_core::simd::forced_scalar() {
         let message = format!(

@@ -24,18 +24,20 @@
 //!   (on small bursts) equals the exhaustive 2ⁿ minimum;
 //! * **plan-swap coherence** — a [`BusSession`] whose plan is swapped at
 //!   a burst boundary stays bit-identical to the hand-stitched chain;
-//! * **kernel-tier equality** — every available slab kernel
+//! * **kernel-tier equality** — every available slab encode kernel
 //!   ([`dbi_core::simd::available_kernels`]: scalar, and AVX2 where the
 //!   CPU has it)
 //!   produces bit-identical masks, cost rows and carried chain states to
-//!   the serial reference on multi-chain lane sweeps, encode and decode,
-//!   with the decode's wire re-pricing checked on every case.
+//!   the serial reference on multi-chain lane sweeps, and the slab
+//!   decode (one kernel on every tier) matches the per-beat oracle
+//!   decode, payload, wire re-pricing and receiver states included.
 
 use crate::corpus::ref_scheme;
 use crate::reference;
 use dbi_core::decode::decode_mask;
 use dbi_core::{
-    Burst, BurstSlab, BusState, CostWeights, DbiEncoder, InversionMask, LaneWord, Scheme,
+    Burst, BurstSlab, BusState, CostBreakdown, CostWeights, DbiEncoder, InversionMask, LaneWord,
+    Scheme,
 };
 use dbi_mem::BusSession;
 use dbi_workloads::LoadProfile;
@@ -387,12 +389,12 @@ fn run_case(
         report.swaps += 1;
     }
 
-    // Kernel-tier differential: the multi-chain lanes encode and the SWAR
-    // decode must be bit-identical to the serial per-chain reference on
-    // EVERY available kernel (scalar, and AVX2 where the CPU offers
-    // it), cost rows included, whatever the geometry. This is
-    // what lets `DBI_FORCE_SCALAR` be an escape hatch rather than a
-    // different codec.
+    // Kernel-tier differential: the multi-chain lanes encode must be
+    // bit-identical to the serial per-chain reference on EVERY available
+    // kernel (scalar, and AVX2 where the CPU offers it), cost rows
+    // included, whatever the geometry. This is what lets
+    // `DBI_FORCE_SCALAR` be an escape hatch rather than a different codec.
+    // Decode has one kernel on every tier, checked once per case.
     if case.is_multiple_of(3) {
         let chains = rng.gen_range(1..10usize);
         // Discarded draw: it holds the seeded case stream fixed, so every
@@ -436,34 +438,54 @@ fn run_case(
                      (len {burst_len}, {chains}x{bursts})"
                 ));
             }
+        }
 
-            // Decode arm: the wire image must come back bit-identical
-            // through the same kernel tier, receiver states included.
-            let mut rx = BurstSlab::with_capacity(burst_len, chains * bursts);
-            for (index, mask) in lanes.masks().iter().enumerate() {
-                let bytes = lanes.burst_bytes(index).expect("burst was pushed above");
-                scratch.wire.clear();
-                scratch.wire.extend_from_slice(bytes);
-                mask.apply_in_place(&mut scratch.wire);
-                rx.push_bytes(&scratch.wire).expect("wire bursts fit");
-            }
-            rx.load_masks(lanes.masks())
-                .map_err(|err| format!("lanes {kernel}: load_masks: {err}"))?;
-            let mut rx_states = initial.clone();
-            rx.decode_in_place_with(kernel, &mut rx_states)
-                .map_err(|err| format!("lanes {kernel}: decode: {err}"))?;
-            if rx.bytes() != slab.bytes() || rx_states != states {
-                return Err(format!(
-                    "lanes kernel {kernel} decode diverges \
-                     (len {burst_len}, {chains}x{bursts})"
-                ));
-            }
-            if rx.costs() != reference.costs() {
-                return Err(format!(
-                    "lanes kernel {kernel} wire re-pricing diverges \
-                     (len {burst_len}, {chains}x{bursts})"
-                ));
-            }
+        // Decode arm: the production decode (one SWAR kernel on every
+        // tier) against the per-beat oracle walk, chain by chain. Both
+        // must recover the payload and the transmitter's states, and
+        // re-price the wire exactly as the serial reference priced it.
+        let mut rx = BurstSlab::with_capacity(burst_len, chains * bursts);
+        for (index, mask) in reference.masks().iter().enumerate() {
+            let bytes = reference
+                .burst_bytes(index)
+                .expect("burst was pushed above");
+            scratch.wire.clear();
+            scratch.wire.extend_from_slice(bytes);
+            mask.apply_in_place(&mut scratch.wire);
+            rx.push_bytes(&scratch.wire).expect("wire bursts fit");
+        }
+        rx.load_masks(reference.masks())
+            .map_err(|err| format!("lanes load_masks: {err}"))?;
+        let mut oracle_bytes = rx.bytes().to_vec();
+        let mut oracle_costs = vec![CostBreakdown::ZERO; chains * bursts];
+        let mut oracle_states = initial.clone();
+        for (chain, state) in oracle_states.iter_mut().enumerate() {
+            let rows = chain * bursts..(chain + 1) * bursts;
+            dbi_core::oracle::decode_chain(
+                burst_len,
+                &mut oracle_bytes[rows.start * burst_len..rows.end * burst_len],
+                &reference.masks()[rows.clone()],
+                &mut oracle_costs[rows],
+                state,
+            );
+        }
+        let mut rx_states = initial.clone();
+        rx.decode_in_place_chains(&mut rx_states)
+            .map_err(|err| format!("lanes decode: {err}"))?;
+        if rx.bytes() != oracle_bytes.as_slice() || rx_states != oracle_states {
+            return Err(format!(
+                "lanes decode diverges from the oracle (len {burst_len}, {chains}x{bursts})"
+            ));
+        }
+        if rx.bytes() != slab.bytes() || rx_states != reference_states {
+            return Err(format!(
+                "lanes decode loses the stream (len {burst_len}, {chains}x{bursts})"
+            ));
+        }
+        if rx.costs() != oracle_costs.as_slice() || rx.costs() != reference.costs() {
+            return Err(format!(
+                "lanes wire re-pricing diverges (len {burst_len}, {chains}x{bursts})"
+            ));
         }
         report.lanes += 1;
     }

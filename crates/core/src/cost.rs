@@ -7,7 +7,6 @@
 //! integers; the hardware design in the paper uses either fixed α = β = 1
 //! or configurable 3-bit coefficients.
 
-use crate::burst::BusState;
 use crate::error::{DbiError, Result};
 use crate::word::LaneWord;
 use core::fmt;
@@ -212,27 +211,6 @@ impl CostBreakdown {
         CostBreakdown { zeros, transitions }
     }
 
-    /// Activity of a single lane word relative to the previous bus levels.
-    #[must_use]
-    pub fn of_symbol(word: LaneWord, prev: LaneWord) -> Self {
-        CostBreakdown {
-            zeros: u64::from(word.zeros()),
-            transitions: u64::from(word.transitions_from(prev)),
-        }
-    }
-
-    /// Total activity of a sequence of lane words starting from `state`.
-    #[must_use]
-    pub fn of_symbols(symbols: &[LaneWord], state: &BusState) -> Self {
-        let mut prev = state.last();
-        let mut total = CostBreakdown::ZERO;
-        for &word in symbols {
-            total += CostBreakdown::of_symbol(word, prev);
-            prev = word;
-        }
-        total
-    }
-
     /// Weighted integer cost under the given coefficients.
     #[must_use]
     pub fn weighted(&self, weights: &CostWeights) -> u64 {
@@ -389,17 +367,6 @@ mod tests {
         assert_eq!(c, CostBreakdown::new(4, 7));
         let total: CostBreakdown = [a, b, CostBreakdown::ZERO].into_iter().sum();
         assert_eq!(total, CostBreakdown::new(4, 7));
-    }
-
-    #[test]
-    fn breakdown_of_symbols_accumulates_sequentially() {
-        let state = BusState::idle();
-        let symbols = [
-            LaneWord::encode_byte(0x00, false), // 8 zeros + 8 transitions from all-ones
-            LaneWord::encode_byte(0x00, false), // 8 zeros, 0 transitions
-        ];
-        let breakdown = CostBreakdown::of_symbols(&symbols, &state);
-        assert_eq!(breakdown, CostBreakdown::new(16, 8));
     }
 
     #[test]

@@ -360,29 +360,6 @@ impl EncodedBurst {
         Ok(())
     }
 
-    /// Builds an encoded burst from per-byte decisions produced by an
-    /// encoder walking the burst front to back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `decisions` and `burst` have different lengths; encoders in
-    /// this crate always produce exactly one decision per byte.
-    #[must_use]
-    pub fn from_decisions(burst: &Burst, decisions: &[bool]) -> Self {
-        assert_eq!(
-            decisions.len(),
-            burst.len(),
-            "one inversion decision is required per burst byte"
-        );
-        let mut mask = InversionMask::NONE;
-        for (i, &invert) in decisions.iter().enumerate() {
-            if invert {
-                mask = mask.with_inverted(i);
-            }
-        }
-        Self::from_mask(burst, mask).expect("the decision slice length matches the burst length")
-    }
-
     /// The lane words in transmission order.
     #[must_use]
     pub fn symbols(&self) -> &[LaneWord] {
@@ -481,8 +458,8 @@ pub(crate) fn entry_of(state: &BusState) -> (u8, bool) {
 /// the DBI lane adds one zero per inverted beat and one toggle per level
 /// change. Mask bits at or past the burst length are ignored, and beats
 /// past bit 31 go out plain. Bit-identical to the per-beat
-/// [`LaneWord`] walk ([`CostBreakdown::of_symbols`]), which the tests keep
-/// as its oracle.
+/// [`LaneWord`] walk, which the tests keep as its oracle
+/// (`price_symbols` in the doc-hidden `oracle` module).
 ///
 /// Picks the hardware-popcount build once per call; slab kernels inline
 /// [`price_burst_body`] into their own popcount build instead.
@@ -545,15 +522,6 @@ pub(crate) fn price_burst_body(bytes: &[u8], bits: u32, entry: (u8, bool)) -> Co
     CostBreakdown::new(zeros, transitions)
 }
 
-/// Decodes a sequence of lane words back into payload bytes.
-///
-/// # Errors
-///
-/// Returns [`DbiError::EmptyBurst`] when `symbols` is empty.
-pub fn decode_symbols(symbols: &[LaneWord]) -> Result<Burst> {
-    Burst::new(symbols.iter().map(|w| w.decode()).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -612,7 +580,7 @@ mod tests {
             for state in [BusState::idle(), BusState::new(LaneWord::ALL_ZEROS)] {
                 // Both price word-wide; the per-beat lane-word walk is
                 // the oracle.
-                let oracle = CostBreakdown::of_symbols(encoded.symbols(), &state);
+                let oracle = crate::oracle::price_symbols(encoded.symbols(), &state);
                 assert_eq!(mask.breakdown(&burst, &state), oracle);
                 assert_eq!(encoded.breakdown(&state), oracle);
                 assert_eq!(
@@ -645,7 +613,7 @@ mod tests {
                         .collect();
                     assert_eq!(
                         mask.breakdown(burst, &state),
-                        CostBreakdown::of_symbols(&symbols, &state),
+                        crate::oracle::price_symbols(&symbols, &state),
                         "mask {bits:#x}, {} beats",
                         burst.len()
                     );
@@ -710,22 +678,6 @@ mod tests {
             EncodedBurst::from_mask(&long, InversionMask::NONE),
             Err(DbiError::BurstTooLong { .. })
         ));
-    }
-
-    #[test]
-    fn from_decisions_matches_from_mask() {
-        let burst = Burst::from_slice(&[1, 2, 3, 4]).unwrap();
-        let decisions = [true, false, true, false];
-        let a = EncodedBurst::from_decisions(&burst, &decisions);
-        let b = EncodedBurst::from_mask(&burst, InversionMask::from_bits(0b0101)).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "one inversion decision")]
-    fn from_decisions_panics_on_length_mismatch() {
-        let burst = Burst::from_slice(&[1, 2]).unwrap();
-        let _ = EncodedBurst::from_decisions(&burst, &[true]);
     }
 
     #[test]
@@ -814,14 +766,6 @@ mod tests {
         let encoded = EncodedBurst::from_mask(&burst, InversionMask::from_bits(0b10)).unwrap();
         let state = encoded.final_state(&BusState::idle());
         assert_eq!(state.last(), LaneWord::encode_byte(0xCD, true));
-    }
-
-    #[test]
-    fn decode_symbols_roundtrip_and_empty_error() {
-        let burst = Burst::from_slice(&[9, 8, 7]).unwrap();
-        let encoded = EncodedBurst::from_mask(&burst, InversionMask::from_bits(0b111)).unwrap();
-        assert_eq!(decode_symbols(encoded.symbols()).unwrap(), burst);
-        assert_eq!(decode_symbols(&[]), Err(DbiError::EmptyBurst));
     }
 
     #[test]

@@ -98,6 +98,8 @@ pub mod encoding;
 pub mod error;
 pub mod graph;
 pub mod lut;
+#[doc(hidden)]
+pub mod oracle;
 pub mod pareto;
 pub mod persist;
 pub mod plan;
@@ -109,7 +111,7 @@ pub mod word;
 
 pub use burst::{Burst, BusState, MAX_EXHAUSTIVE_LEN, STANDARD_BURST_LEN};
 pub use cost::{CostBreakdown, CostWeights};
-pub use encoding::{decode_symbols, EncodedBurst, InversionMask, INLINE_SYMBOLS};
+pub use encoding::{EncodedBurst, InversionMask, INLINE_SYMBOLS};
 pub use error::{DbiError, Result};
 pub use lut::CostLut;
 pub use pareto::{ParetoFront, ParetoPoint};

@@ -10,8 +10,9 @@
 //! That is what the AVX2 kernels here do. There are two tiers:
 //!
 //! 1. **Scalar** ([`KernelKind::Scalar`]) — the per-chain sweep, always
-//!    available, and the differential oracle the AVX2 tier is tested
-//!    against (bit-identical masks, cost rows and carried state).
+//!    available: the production tier on every host without AVX2. Both
+//!    tiers are tested against the serial per-burst reference
+//!    (bit-identical masks, cost rows and carried state).
 //! 2. **AVX2** ([`KernelKind::Avx2`]) — two lockstep blocks that run the
 //!    trellis in `__m256i` dwords:
 //!    - an eight-chain BL8 block that byte-transposes each 8×8 burst
@@ -38,14 +39,14 @@
 //!
 //! Tier selection happens once per process ([`selected_kernel`]) from
 //! runtime feature detection; `DBI_FORCE_SCALAR=1` pins dispatch to the
-//! scalar tier ([`forced_scalar`]). The decode side gets the same
-//! treatment: `decode_chain_swar` undoes the inversions eight beats per
-//! word and re-prices through the same pass instead of per-beat
-//! [`LaneWord::from_wire`](crate::word::LaneWord::from_wire) walks. So
-//! do the slab's two-, four- and eight-chain transposes (the pack in
-//! front of a lanes dispatch and the scatter behind a decode): sixteen
-//! beats per SSSE3 step on the AVX2 tier, 8×8-byte SWAR tiles on the
-//! scalar one.
+//! scalar tier ([`forced_scalar`]). It picks the OPT encode sweep and the
+//! slab's two-, four- and eight-chain transposes (the pack in front of a
+//! lanes dispatch and the scatter behind a decode): sixteen beats per
+//! SSSE3 step on the AVX2 tier, 8×8-byte SWAR tiles on the scalar one.
+//! Decode has one kernel on every tier: `decode_chain_swar` undoes the
+//! inversions eight beats per word and re-prices through the word-wide
+//! pass. The per-beat walks it is tested against live in the
+//! doc-hidden `oracle` module, which no production path calls.
 //!
 //! Correctness rests on one observation: path costs stay below `2^31`
 //! (at most 32 stages of `9 ·` [`crate::cost::MAX_WEIGHT`] each), so the
@@ -61,16 +62,16 @@ use crate::schemes::OptEncoder;
 use crate::word::LaneWord;
 use std::sync::OnceLock;
 
-/// The kernel tiers a slab encode/decode can dispatch to.
+/// The kernel tiers a slab encode can dispatch to.
 ///
 /// Every variant exists on every architecture so configuration and test
 /// code can name them portably; [`available_kernels`] lists the ones that
 /// are actually compiled in **and** supported by the running CPU.
 /// Dispatching an arch kernel on an architecture where it was not
-/// compiled falls back to the scalar oracle.
+/// compiled falls back to the scalar sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
-    /// The per-chain scalar sweep — always available, and the oracle.
+    /// The per-chain scalar sweep — always available.
     Scalar,
     /// x86-64 AVX2 with `popcnt`: eight BL8 chains per `__m256i` with
     /// in-register transposes, or four BL16 or BL8 chains as dword pairs;
@@ -166,7 +167,7 @@ fn probe() -> Dispatch {
 }
 
 /// The kernels compiled in and supported by the running CPU, ordered from
-/// the scalar oracle to the most capable tier. Unaffected by
+/// the scalar sweep to the most capable tier. Unaffected by
 /// `DBI_FORCE_SCALAR` — differential tests iterate this list even when
 /// dispatch is pinned.
 #[must_use]
@@ -174,7 +175,7 @@ pub fn available_kernels() -> &'static [KernelKind] {
     &dispatch().available
 }
 
-/// The kernel slab encodes and decodes dispatch to: the most capable
+/// The kernel slab encodes dispatch to: the most capable
 /// available tier, or [`KernelKind::Scalar`] when `DBI_FORCE_SCALAR` is
 /// set (to anything non-empty other than `0`). Decided once per process.
 #[must_use]
@@ -308,8 +309,9 @@ pub(crate) const SPREAD_FLIP: [u64; 256] = {
 /// [`SPREAD_FLIP`] constant; the receiver-side re-pricing is then the
 /// shared word-wide pass (`encoding::price_burst_body`) over the
 /// recovered payload and the mask. Bit-identical to the per-beat
-/// [`LaneWord`] walk (differential-tested), including the carried
-/// receiver state.
+/// [`LaneWord`] walk (the oracle's `decode_chain`, differential-tested),
+/// including the carried receiver state. The only decode kernel: every
+/// dispatch tier runs it.
 ///
 /// `masks` must already be validated for the burst length (the slab's
 /// mask loaders guarantee this); `costs` holds one row per burst.
@@ -1156,6 +1158,7 @@ mod tests {
         assert_eq!(SPREAD_FLIP[0xFF], u64::MAX);
     }
 
+    /// The scalar tier is listed first because every host has it.
     #[test]
     fn dispatch_lists_the_scalar_oracle_first() {
         let kernels = available_kernels();
@@ -1236,7 +1239,7 @@ mod tests {
                                 LaneWord::encode_byte(b, InversionMask::from_bits(m).is_inverted(i))
                             })
                             .collect();
-                        oracle.push(CostBreakdown::of_symbols(&symbols, &state));
+                        oracle.push(crate::oracle::price_symbols(&symbols, &state));
                         state = BusState::new(*symbols.last().expect("non-empty burst"));
                     }
                     for &(name, price, decode) in &builds {

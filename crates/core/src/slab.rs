@@ -38,7 +38,6 @@ use crate::burst::{Burst, BusState};
 use crate::cost::CostBreakdown;
 use crate::encoding::InversionMask;
 use crate::error::{DbiError, Result};
-use crate::simd::KernelKind;
 use core::fmt;
 
 /// A caller-owned batch of fixed-length bursts plus their per-burst encode
@@ -500,11 +499,14 @@ impl BurstSlab {
     /// carries the transmitter's, and holds the post-slab state on return.
     ///
     /// The per-burst cost rows are filled with the wire activity *as
-    /// observed by the receiver* — reassembled from the wire bytes and the
-    /// DBI lane via [`LaneWord::from_wire`](crate::word::LaneWord::from_wire),
-    /// a deliberately independent path from the encode-side pricing, so a
-    /// transmitter and a receiver that disagree about activity expose an
-    /// encode/decode asymmetry instead of hiding it.
+    /// observed by the receiver*, re-priced from the recovered payload and
+    /// the mask column through the word-wide pass
+    /// (`encoding::price_burst_body`) that the scalar OPT sweep, the AVX2
+    /// four-chain block and the per-byte kernel price through too. Against
+    /// those encoders the rows are the same computation, not a cross-check;
+    /// they are independent only of the AVX2 eight-chain block, which
+    /// counts its rows in registers. The recovered payload and the carried
+    /// end state are independent of every encoder.
     ///
     /// Performs no heap allocation once the slab's buffers are warm.
     ///
@@ -520,10 +522,10 @@ impl BurstSlab {
     /// the slab's bursts are split chain-major into `states.len()` runs
     /// (chain `c` owns rows `c·per_chain .. (c+1)·per_chain`), each
     /// decoded with its own carried receiver state — the layout
-    /// [`DbiEncoder::encode_lanes_into`](crate::DbiEncoder::encode_lanes_into) encodes. Dispatches to the
-    /// runtime-selected kernel tier ([`crate::simd::selected_kernel`]):
-    /// the SWAR kernel re-prices eight beats per popcount where the
-    /// scalar tier walks beat-by-beat lane words.
+    /// [`DbiEncoder::encode_lanes_into`](crate::DbiEncoder::encode_lanes_into) encodes. Every chain runs
+    /// the SWAR kernel on every dispatch tier: decode has no cross-chain
+    /// recurrence to vectorise further, so there is nothing for a tier to
+    /// choose.
     ///
     /// # Errors
     ///
@@ -535,29 +537,6 @@ impl BurstSlab {
     /// Panics when `states` is empty or the burst count is not a whole
     /// number of chains.
     pub fn decode_in_place_chains(&mut self, states: &mut [BusState]) -> Result<()> {
-        self.decode_in_place_with(crate::simd::selected_kernel(), states)
-    }
-
-    /// [`BurstSlab::decode_in_place_chains`] with an explicit kernel
-    /// tier — the differential-test surface: every [`KernelKind`] must
-    /// produce identical payload bytes, cost rows and carried states.
-    /// Any non-scalar tier decodes through the SWAR kernel (decode has
-    /// no cross-chain recurrence to vectorise further).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbiError::MaskCountMismatch`] when the mask column does
-    /// not cover every burst. The slab is unchanged on error.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `states` is empty or the burst count is not a whole
-    /// number of chains.
-    pub fn decode_in_place_with(
-        &mut self,
-        kernel: KernelKind,
-        states: &mut [BusState],
-    ) -> Result<()> {
         let chains = states.len();
         assert!(
             chains > 0,
@@ -586,11 +565,7 @@ impl BurstSlab {
             let bytes = &mut self.bytes[rows.start * burst_len..rows.end * burst_len];
             let masks = &self.masks[rows.clone()];
             let costs = &mut self.costs[rows];
-            if kernel == KernelKind::Scalar {
-                decode_chain_scalar(burst_len, bytes, masks, costs, state);
-            } else {
-                crate::simd::decode_chain_swar(burst_len, bytes, masks, costs, state);
-            }
+            crate::simd::decode_chain_swar(burst_len, bytes, masks, costs, state);
         }
         Ok(())
     }
@@ -835,38 +810,6 @@ fn wire_image(burst_len: usize, src: &[u8], dst: &mut [u8], masks: &[InversionMa
         }
     }
     stray
-}
-
-/// The beat-by-beat scalar decode walk over one chain's run of bursts —
-/// the oracle the SWAR decode kernel
-/// ([`crate::simd::decode_chain_swar`]) is differential-tested against.
-/// Deliberately re-prices through [`LaneWord::from_wire`]: an
-/// independent path from the encode-side pricing, so a transmitter and
-/// receiver that disagree about activity expose an encode/decode
-/// asymmetry instead of hiding it.
-fn decode_chain_scalar(
-    burst_len: usize,
-    bytes: &mut [u8],
-    masks: &[InversionMask],
-    costs: &mut [CostBreakdown],
-    state: &mut BusState,
-) {
-    use crate::word::LaneWord;
-    let mut prev = state.last();
-    for (index, chunk) in bytes.chunks_exact_mut(burst_len).enumerate() {
-        let mask = masks[index];
-        let mut zeros = 0u64;
-        let mut transitions = 0u64;
-        for (beat, byte) in chunk.iter_mut().enumerate() {
-            let word = LaneWord::from_wire(*byte, mask.is_inverted(beat));
-            zeros += u64::from(word.zeros());
-            transitions += u64::from(word.transitions_from(prev));
-            prev = word;
-            *byte = word.decode();
-        }
-        costs[index] = CostBreakdown::new(zeros, transitions);
-    }
-    *state = BusState::new(prev);
 }
 
 /// One chain's slice of a multi-chain slab, as carved out by

@@ -10,11 +10,12 @@
 //!   shared code path.
 
 use dbi_core::graph::Trellis;
+use dbi_core::oracle;
 use dbi_core::schemes::{
     AcDcEncoder, AcEncoder, DbiEncoder, DcEncoder, ExhaustiveEncoder, GreedyEncoder, OptEncoder,
     RawEncoder,
 };
-use dbi_core::{Burst, BusState, CostBreakdown, CostWeights, EncodedBurst, LaneWord};
+use dbi_core::{Burst, BusState, CostWeights, EncodedBurst, LaneWord};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -91,7 +92,7 @@ fn encode_mask_matches_encode_for_every_scheme_and_length() {
                 assert_eq!(full.decode(), burst, "{name}: losslessness, len {len}");
                 // The serial reference prices word-wide; the per-beat
                 // lane-word walk is its oracle.
-                let walked = CostBreakdown::of_symbols(full.symbols(), &state);
+                let walked = oracle::price_symbols(full.symbols(), &state);
                 assert_eq!(
                     mask.breakdown(&burst, &state),
                     walked,

@@ -9,11 +9,12 @@
 //! * DBI ACDC equals DBI AC under the idle boundary condition,
 //! * the optimal encoder is never worse than any other scheme.
 
+use dbi_core::oracle;
 use dbi_core::schemes::{
     AcDcEncoder, AcEncoder, DbiEncoder, DcEncoder, ExhaustiveEncoder, GreedyEncoder, OptEncoder,
     RawEncoder,
 };
-use dbi_core::{Burst, BusState, CostBreakdown, CostWeights, LaneWord, ParetoFront};
+use dbi_core::{Burst, BusState, CostWeights, LaneWord, ParetoFront};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -234,8 +235,7 @@ fn breakdown_of_concatenated_bursts_is_additive() {
         let mid = enc1.final_state(&state);
         let enc2 = opt.encode(&second, &mid);
         let total = enc1.breakdown(&state) + enc2.breakdown(&mid);
-        let recomputed =
-            CostBreakdown::of_symbols(&[enc1.symbols(), enc2.symbols()].concat(), &state);
+        let recomputed = oracle::price_symbols(&[enc1.symbols(), enc2.symbols()].concat(), &state);
         assert_eq!(total, recomputed);
     }
 }

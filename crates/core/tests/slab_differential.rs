@@ -10,6 +10,7 @@
 //! encoder through every available kernel tier.
 
 use dbi_core::decode::decode_mask;
+use dbi_core::oracle;
 use dbi_core::{
     Burst, BurstSlab, BusState, CostBreakdown, CostWeights, DbiEncoder, EncodePlan, InversionMask,
     LaneWord, Scheme,
@@ -359,7 +360,8 @@ fn re_encoding_a_slab_with_another_scheme_overwrites_results() {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel-tier sweeps: every dispatchable kernel vs the scalar oracle
+// Kernel-tier sweeps: every encode tier vs the serial reference, and the
+// one decode kernel vs the per-beat oracle
 // ---------------------------------------------------------------------------
 
 /// Every available kernel tier must produce bit-identical masks, cost
@@ -469,12 +471,13 @@ fn lane_kernels_match_the_serial_chain(
     }
 }
 
-/// The SWAR decode kernel must agree with the scalar beat-by-beat decode —
-/// payload bytes, wire re-pricing and carried receiver states — and both
-/// must round-trip the transmitter exactly, across the same geometry sweep.
+/// The production decode ([`BurstSlab::decode_in_place_chains`], one SWAR
+/// kernel on every dispatch tier) must agree with the per-beat oracle
+/// decode ([`oracle::decode_chain`], one lane word per beat) — payload
+/// bytes, wire re-pricing and carried receiver states — and both must
+/// round-trip the transmitter exactly, across the same geometry sweep.
 #[test]
 fn lane_decode_kernels_match_the_scalar_decode_oracle() {
-    use dbi_core::simd::KernelKind;
     let mut rng = StdRng::seed_from_u64(0xDE5A);
     let encoder = dbi_core::schemes::OptEncoder::new(CostWeights::new(3, 1).unwrap());
     for burst_len in [1usize, 3, 8, 16, 32] {
@@ -485,37 +488,39 @@ fn lane_decode_kernels_match_the_scalar_decode_oracle() {
                 let payload = tx.bytes().to_vec();
                 let initial = random_states(&mut rng, chains);
                 let mut tx_states = initial.clone();
-                encoder.encode_lanes_into_with(
-                    dbi_core::simd::selected_kernel(),
-                    &mut tx,
-                    &mut tx_states,
-                );
+                encoder.encode_lanes_into(&mut tx, &mut tx_states);
                 let masks = tx.masks().to_vec();
                 let tx_costs = tx.costs().to_vec();
                 let wire = wire_image(&tx);
+                let label = format!("len={burst_len} chains={chains} per={per_chain}");
 
-                let decode_with = |kernel: KernelKind| {
-                    let mut rx = BurstSlab::new(burst_len);
-                    rx.extend_from_bytes(&wire).unwrap();
-                    rx.load_masks(&masks).unwrap();
-                    let mut states = initial.clone();
-                    rx.decode_in_place_with(kernel, &mut states).unwrap();
-                    (rx, states)
-                };
-
-                let (oracle, oracle_states) = decode_with(KernelKind::Scalar);
-                assert_eq!(oracle.bytes(), &payload[..], "scalar round trip");
-                assert_eq!(oracle_states, tx_states, "scalar receiver states");
-                assert_eq!(oracle.costs(), &tx_costs[..], "scalar wire pricing");
-
-                for &kernel in dbi_core::simd::available_kernels() {
-                    let (rx, states) = decode_with(kernel);
-                    let label = format!("{kernel} len={burst_len} chains={chains} per={per_chain}");
-                    assert_one_row_per_burst(&rx, &label);
-                    assert_eq!(rx.bytes(), oracle.bytes(), "{label}: payload");
-                    assert_eq!(rx.costs(), oracle.costs(), "{label}: costs");
-                    assert_eq!(states, oracle_states, "{label}: states");
+                // The oracle walks each chain's run of bursts on its own.
+                let mut oracle_bytes = wire.clone();
+                let mut oracle_costs = vec![CostBreakdown::ZERO; bursts];
+                let mut oracle_states = initial.clone();
+                for (c, state) in oracle_states.iter_mut().enumerate() {
+                    let rows = c * per_chain..(c + 1) * per_chain;
+                    oracle::decode_chain(
+                        burst_len,
+                        &mut oracle_bytes[rows.start * burst_len..rows.end * burst_len],
+                        &masks[rows.clone()],
+                        &mut oracle_costs[rows],
+                        state,
+                    );
                 }
+                assert_eq!(oracle_bytes, payload, "{label}: oracle round trip");
+                assert_eq!(oracle_states, tx_states, "{label}: oracle receiver states");
+                assert_eq!(oracle_costs, tx_costs, "{label}: oracle wire pricing");
+
+                let mut rx = BurstSlab::new(burst_len);
+                rx.extend_from_bytes(&wire).unwrap();
+                rx.load_masks(&masks).unwrap();
+                let mut states = initial.clone();
+                rx.decode_in_place_chains(&mut states).unwrap();
+                assert_one_row_per_burst(&rx, &label);
+                assert_eq!(rx.bytes(), &oracle_bytes[..], "{label}: payload");
+                assert_eq!(rx.costs(), &oracle_costs[..], "{label}: costs");
+                assert_eq!(states, oracle_states, "{label}: states");
             }
         }
     }

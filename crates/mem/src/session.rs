@@ -46,7 +46,7 @@ use crate::error::{MemError, Result};
 use core::fmt;
 use dbi_core::{
     Burst, BurstSlab, BusState, CostBreakdown, CostWeights, DbiEncoder, EncodePlan, InversionMask,
-    LaneWord, Scheme,
+    Scheme,
 };
 use std::sync::Arc;
 
@@ -544,7 +544,7 @@ impl BusSession {
     /// payload + masks). Branch-free: every beat XORs with a byte derived
     /// from its mask bit. `wire` is cleared and refilled, reusing capacity.
     ///
-    /// Feeding the result to [`BusSession::decode_stream_into`] recovers
+    /// Feeding the result to [`BusSession::decode_stream`] recovers
     /// `payload` bit-identically — masked complementation is an
     /// involution (see
     /// [`InversionMask::apply_in_place`](dbi_core::InversionMask::apply_in_place)).
@@ -562,7 +562,16 @@ impl BusSession {
         wire: &mut Vec<u8>,
     ) -> Result<()> {
         wire.clear();
-        self.check_decode_stream(payload, masks)?;
+        self.check_mask_count(payload, masks)?;
+        if let Some(index) = masks
+            .iter()
+            .position(|mask| mask.validate_for_len(self.burst_len).is_err())
+        {
+            return Err(MemError::BadMask {
+                index,
+                burst_len: self.burst_len,
+            });
+        }
         let groups = self.groups.len();
         let burst_len = self.burst_len;
         wire.extend_from_slice(payload);
@@ -587,70 +596,20 @@ impl BusSession {
     ///
     /// `wire` holds the DQ lane levels in the interleaved layout the
     /// channel drives, and `masks` the DBI-lane decisions in transmission
-    /// order. `out` is cleared and refilled with the recovered payload
-    /// bytes (same layout as the wire), and `per_group` with one
-    /// [`CostBreakdown`] per lane group holding the wire activity **as
-    /// observed by the receiver** — re-priced from the received lane
-    /// levels, an independent path from the encode-side accounting, so
-    /// transmitter and receiver cross-check each other.
-    ///
-    /// The session's carried [`BusState`]s advance as the *receiver's*
-    /// lane states: after decoding the stream a transmitter produced, a
-    /// receiver session started from the same states holds bit-identical
-    /// ones (tested below; the service's verify mode asserts it per
-    /// request). All buffers reuse capacity; a warmed-up caller performs
-    /// no heap allocation. Returns the number of bursts decoded.
+    /// order. Returns the recovered payload (same layout as the wire) and
+    /// one [`CostBreakdown`] per lane group holding the wire activity **as
+    /// observed by the receiver**. The session's carried [`BusState`]s
+    /// advance as the *receiver's* lane states: after decoding the stream
+    /// a transmitter produced, a receiver session started from the same
+    /// states holds bit-identical ones (tested below). Runs
+    /// [`BusSession::decode_stream_slab_into`] through a fresh slab.
     ///
     /// # Errors
     ///
     /// [`MemError::BadAccessSize`], [`MemError::BadMaskCount`] or
-    /// [`MemError::BadMask`], as for
+    /// [`MemError::BadMask`] (indexed in transmission order), as for
     /// [`BusSession::transmit_stream_into`]; carried states are untouched
-    /// and the output buffers left cleared on error.
-    pub fn decode_stream_into(
-        &mut self,
-        wire: &[u8],
-        masks: &[InversionMask],
-        per_group: &mut Vec<CostBreakdown>,
-        out: &mut Vec<u8>,
-    ) -> Result<u64> {
-        per_group.clear();
-        out.clear();
-        self.check_decode_stream(wire, masks)?;
-        let groups = self.groups.len();
-        let burst_len = self.burst_len;
-        let accesses = wire.len() / self.access_bytes();
-        per_group.resize(groups, CostBreakdown::ZERO);
-        out.resize(wire.len(), 0);
-
-        for (group, activity) in per_group.iter_mut().enumerate() {
-            let mut prev = self.groups[group].last();
-            let mut zeros = 0u64;
-            let mut transitions = 0u64;
-            for access in 0..accesses {
-                let base = access * groups * burst_len;
-                let mask = masks[access * groups + group];
-                for beat in 0..burst_len {
-                    let index = base + beat * groups + group;
-                    let word = LaneWord::from_wire(wire[index], mask.is_inverted(beat));
-                    zeros += u64::from(word.zeros());
-                    transitions += u64::from(word.transitions_from(prev));
-                    prev = word;
-                    out[index] = word.decode();
-                }
-            }
-            *activity = CostBreakdown::new(zeros, transitions);
-            self.groups[group] = BusState::new(prev);
-        }
-        Ok((accesses * groups) as u64)
-    }
-
-    /// The convenient form of [`BusSession::decode_stream_into`]: returns
-    /// the recovered payload and the receiver-side activity.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BusSession::decode_stream_into`].
+    /// on error.
     pub fn decode_stream(
         &mut self,
         wire: &[u8],
@@ -658,21 +617,23 @@ impl BusSession {
     ) -> Result<(ChannelActivity, Vec<u8>)> {
         let mut per_group = Vec::new();
         let mut out = Vec::new();
-        let bursts = self.decode_stream_into(wire, masks, &mut per_group, &mut out)?;
+        let mut slab = BurstSlab::new(self.burst_len);
+        let bursts =
+            self.decode_stream_slab_into(wire, masks, &mut per_group, &mut out, &mut slab)?;
         Ok((ChannelActivity { bursts, per_group }, out))
     }
 
-    /// The batched (slab) form of [`BusSession::decode_stream_into`]: each
+    /// [`BusSession::decode_stream`] into caller-owned storage: each
     /// group's whole burst chain is de-interleaved into `slab` and all of
     /// them are decoded in **one**
-    /// [`BurstSlab::decode_in_place_chains`] call — one kernel pass per
-    /// stream instead of one mask application per burst. Bit-identical
-    /// to [`BusSession::decode_stream_into`] (differential-tested below),
-    /// including the carried receiver states and the wire-side pricing.
+    /// [`BurstSlab::decode_in_place_chains`] call. `per_group` and `out`
+    /// are cleared and refilled; every buffer reuses its capacity.
+    /// Returns the number of bursts decoded.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`BusSession::decode_stream_into`].
+    /// Same conditions as [`BusSession::decode_stream`]; the output
+    /// buffers are left cleared on error.
     pub fn decode_stream_slab_into(
         &mut self,
         wire: &[u8],
@@ -712,23 +673,7 @@ impl BusSession {
         Ok((accesses * groups) as u64)
     }
 
-    /// Shared validation of the decode/transmit stream inputs: the wire
-    /// (or payload) must be whole accesses and `masks` must hold exactly
-    /// one in-range mask per burst.
-    fn check_decode_stream(&self, data: &[u8], masks: &[InversionMask]) -> Result<()> {
-        self.check_mask_count(data, masks)?;
-        for (index, mask) in masks.iter().enumerate() {
-            if mask.validate_for_len(self.burst_len).is_err() {
-                return Err(MemError::BadMask {
-                    index,
-                    burst_len: self.burst_len,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// The geometry half of [`BusSession::check_decode_stream`]: whole
+    /// Validation of a transmit or decode stream's geometry: whole
     /// accesses and exactly one mask per burst, widths unchecked.
     fn check_mask_count(&self, data: &[u8], masks: &[InversionMask]) -> Result<()> {
         self.check_stream(data)?;
@@ -1101,7 +1046,7 @@ mod tests {
         // A wrong post-dispatch state on group 1.
         let mut wrong_post = post.to_vec();
         let last = wrong_post[1].last();
-        wrong_post[1] = BusState::new(LaneWord::from_wire(
+        wrong_post[1] = BusState::new(dbi_core::LaneWord::from_wire(
             last.dq_levels() ^ 0x10,
             last.dbi().is_inverted(),
         ));
@@ -1220,7 +1165,7 @@ mod tests {
                 assert_ne!(wire, data, "{scheme}: some byte must have been inverted");
             }
 
-            // Per-burst receiver.
+            // One-call receiver.
             let mut rx = BusSession::new(&config, scheme);
             let (activity, decoded) = rx.decode_stream(&wire, &masks).unwrap();
             assert_eq!(decoded, data, "{scheme}: payload recovery");
@@ -1234,8 +1179,8 @@ mod tests {
                 );
             }
 
-            // Slab receiver, bit-identical to the per-burst one — fed in
-            // two halves to prove the receiver state carries across calls.
+            // Caller-owned buffers, fed in two halves to prove the
+            // receiver state carries across calls.
             let mut rx_slab = BusSession::new(&config, scheme);
             let mut slab_groups = Vec::new();
             let mut slab_out = Vec::new();
@@ -1320,12 +1265,23 @@ mod tests {
         let masks = vec![InversionMask::NONE; 8];
         let mut per_group = vec![CostBreakdown::new(1, 1)];
         let mut out = vec![7u8];
+        let mut slab = BurstSlab::new(8);
 
         // Misaligned wire.
-        assert!(matches!(
-            session.decode_stream_into(&wire[..31], &masks, &mut per_group, &mut out),
-            Err(MemError::BadAccessSize { .. })
-        ));
+        let misaligned = MemError::BadAccessSize {
+            got: 31,
+            expected: 32,
+        };
+        assert_eq!(
+            session.decode_stream(&wire[..31], &masks).unwrap_err(),
+            misaligned
+        );
+        assert_eq!(
+            session
+                .decode_stream_slab_into(&wire[..31], &masks, &mut per_group, &mut out, &mut slab)
+                .unwrap_err(),
+            misaligned
+        );
         assert!(per_group.is_empty() && out.is_empty());
 
         // Wrong mask count.
@@ -1338,9 +1294,8 @@ mod tests {
         );
 
         // A mask wider than the burst, reported in transmission order by
-        // both receivers: index 3 is access 0 of group 3, index 6 access 1
-        // of group 2 (the slab receiver loads it into chain-major row 9).
-        let mut slab = BurstSlab::new(8);
+        // both forms: index 3 is access 0 of group 3, index 6 access 1 of
+        // group 2 (the slab loads it into chain-major row 9).
         for index in [3, 6] {
             let mut bad = masks.clone();
             bad[index] = InversionMask::from_bits(1 << 8);
@@ -1358,11 +1313,20 @@ mod tests {
                 expected
             );
             assert!(per_group.is_empty() && out.is_empty());
+            let mut wire_out = vec![1u8];
+            assert_eq!(
+                session
+                    .transmit_stream_into(&wire, &bad, &mut wire_out)
+                    .unwrap_err(),
+                expected,
+                "transmit"
+            );
+            assert!(wire_out.is_empty());
         }
         // Carried state untouched by any of the failures.
         assert_eq!(session.group_state(0), Some(BusState::idle()));
 
-        // Transmit shares the same validation.
+        // Transmit shares the same geometry checks.
         let mut wire_out = vec![1u8];
         assert!(matches!(
             session.transmit_stream_into(&wire, &masks[..7], &mut wire_out),
@@ -1498,6 +1462,77 @@ mod tests {
         recombined += second.total();
         assert_eq!(all.total(), recombined);
         assert_eq!(all.bursts, first.bursts + second.bursts);
+    }
+
+    #[test]
+    fn summary_arithmetic() {
+        // A one-group stream fed in two slices adds up to the whole
+        // stream, bursts and weighted cost included.
+        let bytes = test_stream(24, 13);
+        let whole = BusSession::with_geometry(1, 8, Scheme::OptFixed)
+            .encode_stream(&bytes)
+            .unwrap();
+        let mut sliced = BusSession::with_geometry(1, 8, Scheme::OptFixed);
+        let a = sliced.encode_stream(&bytes[..16]).unwrap();
+        let b = sliced.encode_stream(&bytes[16..]).unwrap();
+        assert_eq!(a.bursts + b.bursts, 3);
+        assert_eq!(a.total() + b.total(), whole.total());
+        let weights = CostWeights::FIXED;
+        assert_eq!(a.cost(&weights) + b.cost(&weights), whole.cost(&weights));
+        assert!(whole.to_string().contains("3 bursts"));
+        assert_eq!(ChannelActivity::default().cost(&weights), 0);
+    }
+
+    #[test]
+    fn slab_encoding_matches_the_per_burst_loop() {
+        // One group: the slab holds a single chain, so its mask column is
+        // the transmission-order mask stream itself.
+        let bytes = test_stream(8 * 80, 61);
+        for scheme in Scheme::paper_set().iter().copied() {
+            let mut per_burst = BusSession::with_geometry(1, 8, scheme);
+            let mut expected = Vec::new();
+            let mut masks = Vec::new();
+            per_burst
+                .encode_stream_into(&bytes, &mut expected, Some(&mut masks))
+                .unwrap();
+
+            let mut slabbed = BusSession::with_geometry(1, 8, scheme);
+            let mut slab = BurstSlab::new(8);
+            let mut per_group = Vec::new();
+            let bursts = slabbed
+                .encode_stream_slab_into(&bytes, &mut per_group, None, &mut slab)
+                .unwrap();
+            assert_eq!(bursts, 80, "{scheme}");
+            assert_eq!(per_group, expected, "{scheme}");
+            assert_eq!(slabbed.group_state(0), per_burst.group_state(0), "{scheme}");
+            assert_eq!(slab.masks(), masks.as_slice(), "{scheme}");
+        }
+
+        // Errors: empty input, a partial burst; state untouched.
+        let mut session = BusSession::with_geometry(1, 8, Scheme::Dc);
+        let mut slab = BurstSlab::new(8);
+        let mut per_group = Vec::new();
+        assert!(session
+            .encode_stream_slab_into(&[], &mut per_group, None, &mut slab)
+            .is_err());
+        assert!(session
+            .encode_stream_slab_into(&bytes[..11], &mut per_group, None, &mut slab)
+            .is_err());
+        assert_eq!(session.group_state(0), Some(BusState::idle()));
+    }
+
+    #[test]
+    fn empty_stream_reports_zero_and_keeps_state() {
+        let mut session = BusSession::with_geometry(1, 8, Scheme::Dc);
+        let mut per_group = vec![CostBreakdown::new(1, 1)];
+        let mut masks = vec![InversionMask::from_bits(1)];
+        // An empty stream is rejected, and leaves no stale activity behind.
+        assert!(session
+            .encode_stream_into(&[], &mut per_group, Some(&mut masks))
+            .is_err());
+        assert!(per_group.is_empty() && masks.is_empty());
+        assert_eq!(session.group_state(0), Some(BusState::idle()));
+        assert_eq!(session.scheme(), Scheme::Dc);
     }
 
     #[test]

@@ -30,8 +30,6 @@ pub mod patterns;
 pub mod random;
 pub mod synthetic;
 pub mod trace;
-#[cfg(test)]
-mod trace_encoder;
 
 pub use generator::{BurstSource, IterSource};
 pub use load::LoadProfile;
