@@ -264,8 +264,9 @@ impl OptEncoder {
     /// chain-major (chain `c`'s bursts occupy rows `c·per_chain ..
     /// (c+1)·per_chain`), each carrying its own [`BusState`] — the shape
     /// of a multi-lane-group channel. On [`KernelKind::Avx2`], chains are
-    /// swept in lockstep: eight at a time at BL8, then four at a time at
-    /// BL8 and BL16. The chains left over, every other geometry, and
+    /// swept in lockstep: eight at a time at BL8 (for plans with α and β
+    /// up to 1024, the eight-chain block's `i16` bound), then four at a
+    /// time at BL8 and BL16. The chains left over, every other geometry, and
     /// every chain under [`KernelKind::Scalar`] run the scalar sweep. The
     /// AVX2 tier requested where it is not compiled, or on a CPU without
     /// AVX2 and `popcnt`, falls back to the scalar sweep.
@@ -304,7 +305,7 @@ impl OptEncoder {
         if kernel == KernelKind::Avx2
             && crate::simd::available_kernels().contains(&KernelKind::Avx2)
         {
-            use crate::simd::{encode_block4_avx2, encode_block8_avx2};
+            use crate::simd::{encode_block4_avx2, encode_block8_avx2, BLOCK8_MAX_WEIGHT};
             // Sweeps chains `c..` in lockstep blocks of `W` while a whole
             // block remains, each from and back to its carried states.
             macro_rules! sweep {
@@ -338,10 +339,15 @@ impl OptEncoder {
                 };
             }
             // The four-chain block takes the chains the eight-chain one
-            // leaves at BL8: it beats the scalar sweep there too.
+            // leaves at BL8, and every BL8 chain of a plan too heavy for
+            // the eight-chain block's `i16` costs: it beats the scalar
+            // sweep there too.
+            let weights = self.weights();
             match burst_len {
                 8 => {
-                    sweep!(8, encode_block8_avx2);
+                    if weights.alpha().max(weights.beta()) <= BLOCK8_MAX_WEIGHT {
+                        sweep!(8, encode_block8_avx2);
+                    }
                     sweep!(4, encode_block4_avx2::<8>);
                 }
                 16 => sweep!(4, encode_block4_avx2::<16>),

@@ -13,13 +13,16 @@
 //!    available: the production tier on every host without AVX2. Both
 //!    tiers are tested against the serial per-burst reference
 //!    (bit-identical masks, cost rows and carried state).
-//! 2. **AVX2** ([`KernelKind::Avx2`]) — two lockstep blocks that run the
-//!    trellis in `__m256i` dwords:
+//! 2. **AVX2** ([`KernelKind::Avx2`]) — two lockstep blocks:
 //!    - an eight-chain BL8 block that byte-transposes each 8×8 burst
-//!      block in registers, one chain per dword;
+//!      block in registers and carries one `i16` path-cost difference
+//!      `δ = cost_inv − cost_plain` per chain, all eight in one
+//!      `__m128i`;
 //!    - a four-chain block at BL16 and BL8, one `[cost_plain, cost_inv]`
-//!      dword pair per chain, where a stage is one swap, two adds and a
-//!      min. At BL8 it takes the chains the eight-chain block leaves.
+//!      dword pair per chain in an `__m256i`, where a stage is one swap,
+//!      two adds and a min. At BL8 it takes the chains the eight-chain
+//!      block leaves, and every BL8 chain of a plan too heavy for the
+//!      eight-chain block's `i16`.
 //!
 //!    Chains left over after the blocks, and every other burst length,
 //!    run the scalar sweep. Each block stays only where it beats that
@@ -48,11 +51,23 @@
 //! pass. The per-beat walks it is tested against live in the
 //! doc-hidden `oracle` module, which no production path calls.
 //!
-//! Correctness rests on one observation: path costs stay below `2^31`
-//! (at most 32 stages of `9 ·` [`crate::cost::MAX_WEIGHT`] each), so the
-//! **signed** 32-bit vector compares the hardware offers are bit-identical
-//! to the scalar code's unsigned `<` — including the strict-inequality
-//! tie-break towards the non-inverted predecessor.
+//! Correctness rests on the signed vector compares being exact, with
+//! strict inequalities that keep the scalar sweep's tie-break towards the
+//! non-inverted predecessor:
+//! - the four-chain block's dword path costs stay below `2^31` (at most
+//!   32 stages of `9 ·` [`crate::cost::MAX_WEIGHT`] each), so its
+//!   compares match the scalar code's unsigned `<`;
+//! - every decision of the two-state trellis depends only on the cost
+//!   difference, and the eight-chain block's recurrence
+//!   `δ ← min(t + g, δ + g) − min(0, δ + t)` (with `t = 9α − 2α·d` and
+//!   `g = β·(2p − 7)` for a beat of toggle count `d` and popcount `p`)
+//!   keeps `|δ ± t| ≤ 18α + 9β`, exact in `i16` while α and β are at
+//!   most 1024. Heavier plans run their BL8 chains through the four-chain
+//!   block.
+//!
+//! The service's transitions-saved count rides the selected tier too:
+//! [`xor_popcount`] runs an AVX2 build on [`KernelKind::Avx2`] and the
+//! baseline one otherwise.
 
 use crate::burst::BusState;
 use crate::cost::CostBreakdown;
@@ -73,12 +88,13 @@ use std::sync::OnceLock;
 pub enum KernelKind {
     /// The per-chain scalar sweep — always available.
     Scalar,
-    /// x86-64 AVX2 with `popcnt`: eight BL8 chains per `__m256i` with
-    /// in-register transposes, or four BL16 or BL8 chains as dword pairs;
-    /// nibble-LUT popcounts feed both. The eight-chain block prices its
-    /// rows from those popcounts; the four-chain block prices through the
-    /// shared word-wide pass. Other geometries and leftover chains run
-    /// the scalar sweep.
+    /// x86-64 AVX2 with `popcnt`: eight BL8 chains as `i16` cost
+    /// differences with in-register transposes (plans with α and β up to
+    /// 1024), or four BL16 or BL8 chains as dword pairs; nibble-LUT
+    /// popcounts feed both. The eight-chain block prices its rows from
+    /// those popcounts; the four-chain block prices through the shared
+    /// word-wide pass. Other geometries and leftover chains run the
+    /// scalar sweep.
     Avx2,
 }
 
@@ -408,11 +424,70 @@ fn decode_runs(
 }
 
 // ---------------------------------------------------------------------------
+// Toggle count
+// ---------------------------------------------------------------------------
+
+/// The number of bits that differ between two equal-length byte slices:
+/// the lane toggles of one beat stream against itself shifted by one
+/// access, as a service's transitions-saved count sums them. Runs on the
+/// selected tier: an AVX2 and `popcnt` build on [`KernelKind::Avx2`], the
+/// baseline build otherwise (so `DBI_FORCE_SCALAR` pins it too).
+///
+/// # Panics
+///
+/// Panics when the slices differ in length.
+#[must_use]
+pub fn xor_popcount(a: &[u8], b: &[u8]) -> u64 {
+    assert_eq!(a.len(), b.len(), "xor_popcount compares equal lengths");
+    #[cfg(target_arch = "x86_64")]
+    if selected_kernel() == KernelKind::Avx2 {
+        // SAFETY: the AVX2 tier is selected only after runtime AVX2 and
+        // `popcnt` detection succeeded.
+        #[allow(unsafe_code)]
+        unsafe {
+            return xor_popcount_avx2(a, b);
+        }
+    }
+    xor_popcount_body(a, b)
+}
+
+/// [`xor_popcount_body`] compiled for AVX2 with hardware popcount: the
+/// word loop vectorises, where the baseline build lowers every
+/// `count_ones` to a multi-op SWAR sequence.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,popcnt")]
+fn xor_popcount_avx2(a: &[u8], b: &[u8]) -> u64 {
+    xor_popcount_body(a, b)
+}
+
+/// Eight bytes per `u64` word, then a byte tail.
+#[inline(always)]
+fn xor_popcount_body(a: &[u8], b: &[u8]) -> u64 {
+    let words_a = a.chunks_exact(8);
+    let words_b = b.chunks_exact(8);
+    let tail = words_a
+        .remainder()
+        .iter()
+        .zip(words_b.remainder())
+        .map(|(x, y)| u64::from((x ^ y).count_ones()))
+        .sum::<u64>();
+    words_a
+        .zip(words_b)
+        .map(|(x, y)| {
+            let x = u64::from_le_bytes(x.try_into().expect("8-byte chunk"));
+            let y = u64::from_le_bytes(y.try_into().expect("8-byte chunk"));
+            u64::from((x ^ y).count_ones())
+        })
+        .sum::<u64>()
+        + tail
+}
+
+// ---------------------------------------------------------------------------
 // x86-64 kernels
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
-pub(crate) use x86::{encode_block4_avx2, encode_block8_avx2};
+pub(crate) use x86::{encode_block4_avx2, encode_block8_avx2, BLOCK8_MAX_WEIGHT};
 #[cfg(all(test, target_arch = "x86_64"))]
 pub(crate) use x86::{transpose_cols_ssse3, transpose_rows_ssse3};
 
@@ -858,30 +933,49 @@ mod x86 {
         }
     }
 
+    /// The largest α and β the eight-chain block takes: with both at most
+    /// 1024, every intermediate of its `i16` recurrence stays within
+    /// `18α + 9β ≤ 27648 < 2¹⁵`. Heavier plans run their BL8 chains
+    /// through the four-chain block instead.
+    pub(crate) const BLOCK8_MAX_WEIGHT: u32 = 1024;
+
     /// Eight-chain BL8 sweep on AVX2, the throughput showpiece: each
     /// round loads one burst from each of eight chains, byte-transposes
     /// the 8×8 block in registers (the classic `punpck` tree), popcounts
     /// the **whole block** in four nibble-`pshufb` passes (per-beat byte
-    /// popcounts, plus the popcounts of the row-shifted XOR — every
-    /// beat-to-beat toggle count of the burst at once), and runs the
-    /// trellis in `__m256i` dwords — edge weights rebuilt arithmetically
-    /// from the LUT identities (`same = α·d`, `cross = 9α − same`, zeros
-    /// from the byte's popcount), predecessor selects as signed compares
-    /// steering byte blends (the select masks are dword-wide, so per-byte
-    /// `vpblendvb` is exact), winner costs via `vpminsd` (ties carry
-    /// equal costs, so min matches the compare-steered select). The
-    /// carried inter-burst state is itself a vector: the previous wire
-    /// bytes ride in `prev_row` and the DBI level in a sign-broadcast
-    /// lane mask, so even each burst's entry stage is vectorised.
+    /// popcounts `p`, plus the popcounts `d` of the row-shifted XOR —
+    /// every beat-to-beat toggle count of the burst at once), and runs
+    /// the trellis on one `i16` per chain, all eight chains in one
+    /// `__m128i`.
     ///
-    /// The sweep carries only path costs and survivor masks. Each round
-    /// then prices its eight rows from the same `P`/`D` popcounts, one
-    /// byte per (beat, chain): the winning masks, packed one byte per
-    /// chain into a `u64`, and their DBI flips against the beat before
-    /// (the carried level for beat 0) are widened back to byte masks
-    /// that choose each beat's zeros and toggles, and byte adds sum the
-    /// eight beats of every row. The carried `last_data`/`prev_low`
-    /// entries are written back once, after the last round.
+    /// Every decision of the two-state trellis depends only on the
+    /// difference `δ = cost_inv − cost_plain` of its path costs. With
+    /// `t = 9α − 2α·d` (cross minus same transitions) and
+    /// `g = β·(2p − 7)` (inverted minus plain zeros), both built with
+    /// `vpmullw` two beats per vector:
+    /// - entry: `δ = (previous beat inverted ? −t₀ : t₀) + g₀`;
+    /// - stage: the plain state comes from the inverted one iff
+    ///   `δ < −t`, the inverted state stays inverted iff `δ < t`, and
+    ///   `δ ← min(t + g, δ + g) − min(0, δ + t)`;
+    /// - end: the burst ends inverted iff `δ < 0`, which is also the next
+    ///   burst's entry level.
+    ///
+    /// The strict compares reproduce the scalar sweep's tie-break towards
+    /// the non-inverted predecessor. `|δ| ≤ 9α + 9β` and
+    /// `|δ ± t| ≤ 18α + 9β`, so the recurrence is exact in `i16` while α
+    /// and β stay at most [`BLOCK8_MAX_WEIGHT`]; the dispatcher sends
+    /// heavier plans to the four-chain block. The survivor masks ride in
+    /// the high byte of each chain's `i16`, so the signs of `δ + t`,
+    /// `δ − t` and `δ` steer their byte blends directly.
+    ///
+    /// The sweep carries only `δ` and survivor masks. Each round then
+    /// prices its eight rows from the same `P`/`D` popcounts, one byte
+    /// per (beat, chain): the winning masks, packed one byte per chain
+    /// into a `u64`, and their DBI flips against the beat before (the
+    /// carried level for beat 0) are widened back to byte masks that
+    /// choose each beat's zeros and toggles, and byte adds sum the eight
+    /// beats of every row. The carried `last_data`/`prev_low` entries are
+    /// written back once, after the last round.
     ///
     /// BL8-only by construction (the transpose tree is 8×8); the
     /// dispatcher hands leftover chains to the four-chain block and other
@@ -899,36 +993,17 @@ mod x86 {
         last_data: &mut [u8; 8],
         prev_low: &mut [bool; 8],
     ) {
-        macro_rules! blend8 {
-            ($a:expr, $b:expr, $m:expr) => {
-                _mm256_blendv_epi8($a, $b, $m)
-            };
-        }
-        // Per-byte popcount of all 32 bytes of a vector: nibble LUT
-        // lookups. Run once per 8×8 block half instead of once per beat —
-        // the batched form that keeps the trellis loop lean.
-        macro_rules! popc_bytes {
-            ($v:expr, $lut:expr, $nib:expr) => {{
-                let v = $v;
-                let lo = _mm256_and_si256(v, $nib);
-                let hi = _mm256_and_si256(_mm256_srli_epi16::<4>(v), $nib);
-                _mm256_add_epi8(_mm256_shuffle_epi8($lut, lo), _mm256_shuffle_epi8($lut, hi))
-            }};
-        }
-
-        let alpha = enc.weights().alpha() as i32;
-        let beta = enc.weights().beta() as i32;
-        let alpha_v = _mm256_set1_epi32(alpha);
-        let beta_v = _mm256_set1_epi32(beta);
-        let nine_alpha = _mm256_set1_epi32(9 * alpha);
-        let eight_beta = _mm256_set1_epi32(8 * beta);
-        let one = _mm256_set1_epi32(1);
-        let nib = _mm256_set1_epi8(0x0F);
-        #[rustfmt::skip]
-        let pop_lut = _mm256_setr_epi8(
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+        let (alpha, beta) = (enc.weights().alpha(), enc.weights().beta());
+        assert!(
+            alpha <= BLOCK8_MAX_WEIGHT && beta <= BLOCK8_MAX_WEIGHT,
+            "the eight-chain block takes weights up to {BLOCK8_MAX_WEIGHT}, got α={alpha} β={beta}"
         );
+        let (alpha, beta) = (alpha as i16, beta as i16);
+        let two_alpha = _mm256_set1_epi16(2 * alpha);
+        let nine_alpha = _mm256_set1_epi16(9 * alpha);
+        let two_beta = _mm256_set1_epi16(2 * beta);
+        let seven_beta = _mm256_set1_epi16(7 * beta);
+        let zero = _mm_setzero_si128();
 
         // The carried previous-beat bytes (chain c's last wire byte in
         // byte c), parked in the HIGH half of lane 0 so the row-shift
@@ -936,24 +1011,19 @@ mod x86 {
         let prev_u64 = u64::from_le_bytes(*last_data);
         let mut prev_row =
             _mm256_castsi128_si256(_mm_slli_si128::<8>(_mm_cvtsi64_si128(prev_u64 as i64)));
-        #[rustfmt::skip]
-        let mut plv = _mm256_setr_epi32(
-            -(prev_low[0] as i32), -(prev_low[1] as i32), -(prev_low[2] as i32), -(prev_low[3] as i32),
-            -(prev_low[4] as i32), -(prev_low[5] as i32), -(prev_low[6] as i32), -(prev_low[7] as i32),
-        );
+        // The carried DBI levels, all-ones in chain c's `i16` when its
+        // last beat went out inverted.
+        let [l0, l1, l2, l3, l4, l5, l6, l7] = prev_low.map(|low| -i16::from(low));
+        let mut level = _mm_setr_epi16(l0, l1, l2, l3, l4, l5, l6, l7);
         // The same DBI levels for pricing, chain c's in bit 0 of byte c.
         let mut entry = u64::from_le_bytes(prev_low.map(u8::from));
 
-        // Pricing constants: `pack_low` + `lane_words` gather each
-        // chain's mask byte into byte c of a `u64`; `beats_lo`/`beats_hi`
-        // hold beat i's mask bit in the 64-bit slot that holds beat i in
-        // `p_lo`/`p_hi`.
+        // Pricing constants: `high_bytes` gathers each chain's mask byte
+        // (the high byte of its `i16`) into byte c of a `u64`;
+        // `beats_lo`/`beats_hi` hold beat i's mask bit in the 64-bit slot
+        // that holds beat i in `p_lo`/`p_hi`.
         #[rustfmt::skip]
-        let pack_low = _mm256_setr_epi8(
-            0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-            0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
-        );
-        let lane_words = _mm256_setr_epi32(0, 4, 0, 0, 0, 0, 0, 0);
+        let high_bytes = _mm_setr_epi8(1, 3, 5, 7, 9, 11, 13, 15, -1, -1, -1, -1, -1, -1, -1, -1);
         let beat_bits = |beat: i64| 0x0101_0101_0101_0101 << beat;
         let beats_lo = _mm256_setr_epi64x(beat_bits(0), beat_bits(1), beat_bits(2), beat_bits(3));
         let beats_hi = _mm256_slli_epi64::<4>(beats_lo);
@@ -1020,72 +1090,66 @@ mod x86 {
             let s0 = _mm256_alignr_epi8::<8>(rows_lo, t0);
             let t1 = _mm256_permute2x128_si256::<0x21>(rows_lo, rows_hi);
             let s1 = _mm256_alignr_epi8::<8>(rows_hi, t1);
-            let p_lo = popc_bytes!(rows_lo, pop_lut, nib);
-            let p_hi = popc_bytes!(rows_hi, pop_lut, nib);
-            let d_lo = popc_bytes!(_mm256_xor_si256(rows_lo, s0), pop_lut, nib);
-            let d_hi = popc_bytes!(_mm256_xor_si256(rows_hi, s1), pop_lut, nib);
+            let p_lo = popcount_bytes(rows_lo);
+            let p_hi = popcount_bytes(rows_hi);
+            let d_lo = popcount_bytes(_mm256_xor_si256(rows_lo, s0));
+            let d_hi = popcount_bytes(_mm256_xor_si256(rows_hi, s1));
             prev_row = _mm256_permute2x128_si256::<0x11>(rows_hi, rows_hi);
 
-            macro_rules! rows4 {
-                ($v:expr) => {{
-                    let lo = _mm256_castsi256_si128($v);
-                    let hi = _mm256_extracti128_si256::<1>($v);
-                    [lo, _mm_srli_si128::<8>(lo), hi, _mm_srli_si128::<8>(hi)]
-                }};
+            // Per-beat weights `t`, `g` and `t + g`, eight chains of
+            // `i16` per beat: each 128-bit half of `p_lo`/`d_lo` holds two
+            // beats' bytes, widened and weighed together.
+            let mut t = [zero; 8];
+            let mut g = [zero; 8];
+            let mut tg = [zero; 8];
+            for (pair, (p, d)) in [
+                (_mm256_castsi256_si128(p_lo), _mm256_castsi256_si128(d_lo)),
+                (
+                    _mm256_extracti128_si256::<1>(p_lo),
+                    _mm256_extracti128_si256::<1>(d_lo),
+                ),
+                (_mm256_castsi256_si128(p_hi), _mm256_castsi256_si128(d_hi)),
+                (
+                    _mm256_extracti128_si256::<1>(p_hi),
+                    _mm256_extracti128_si256::<1>(d_hi),
+                ),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let d = _mm256_cvtepu8_epi16(d);
+                let p = _mm256_cvtepu8_epi16(p);
+                let t2 = _mm256_sub_epi16(nine_alpha, _mm256_mullo_epi16(d, two_alpha));
+                let g2 = _mm256_sub_epi16(_mm256_mullo_epi16(p, two_beta), seven_beta);
+                let tg2 = _mm256_add_epi16(t2, g2);
+                for (out, v) in [(&mut t, t2), (&mut g, g2), (&mut tg, tg2)] {
+                    out[2 * pair] = _mm256_castsi256_si128(v);
+                    out[2 * pair + 1] = _mm256_extracti128_si256::<1>(v);
+                }
             }
-            let [p0r, p1r, p2r, p3r] = rows4!(p_lo);
-            let [p4r, p5r, p6r, p7r] = rows4!(p_hi);
-            let [d0r, d1r, d2r, d3r] = rows4!(d_lo);
-            let [d4r, d5r, d6r, d7r] = rows4!(d_hi);
-            let pr = [p0r, p1r, p2r, p3r, p4r, p5r, p6r, p7r];
-            let dr = [d0r, d1r, d2r, d3r, d4r, d5r, d6r, d7r];
 
-            // Entry stage, fully vectorised: the carried `prev_row`/`plv`
-            // stand in for the scalar kernel's `last_data`/`prev_low`.
-            let d = _mm256_cvtepu8_epi32(dr[0]);
-            let p = _mm256_cvtepu8_epi32(pr[0]);
-            let same0 = _mm256_mullo_epi32(d, alpha_v);
-            let cross0 = _mm256_sub_epi32(nine_alpha, same0);
-            let zpb = _mm256_mullo_epi32(p, beta_v);
-            let zeros_plain = _mm256_sub_epi32(eight_beta, zpb);
-            let zeros_inv = _mm256_add_epi32(zpb, beta_v);
-            let mut cp = _mm256_add_epi32(blend8!(same0, cross0, plv), zeros_plain);
-            let mut ci = _mm256_add_epi32(blend8!(cross0, same0, plv), zeros_inv);
-            let mut mp = _mm256_setzero_si256();
-            let mut mi = one;
-
+            // Entry stage from the carried levels, then one difference
+            // stage per beat; mask bit i sits at bit 8 + i of the `i16`.
+            let mut delta =
+                _mm_blendv_epi8(_mm_add_epi16(t[0], g[0]), _mm_sub_epi16(g[0], t[0]), level);
+            let mut mp = zero;
+            let mut mi = _mm_set1_epi16(1 << 8);
             for i in 1..8 {
-                let d = _mm256_cvtepu8_epi32(dr[i]);
-                let p = _mm256_cvtepu8_epi32(pr[i]);
-                let same = _mm256_mullo_epi32(d, alpha_v);
-                let cross = _mm256_sub_epi32(nine_alpha, same);
-                let zpb = _mm256_mullo_epi32(p, beta_v);
-                let zeros_plain = _mm256_sub_epi32(eight_beta, zpb);
-                let zeros_inv = _mm256_add_epi32(zpb, beta_v);
-
-                let via_plain = _mm256_add_epi32(cp, same);
-                let via_inv = _mm256_add_epi32(ci, cross);
-                let selp = _mm256_cmpgt_epi32(via_plain, via_inv);
-                let alt_plain = _mm256_add_epi32(cp, cross);
-                let alt_inv = _mm256_add_epi32(ci, same);
-                let seli = _mm256_cmpgt_epi32(alt_plain, alt_inv);
-                // min == the cmpgt-selected branch (ties carry equal
-                // costs), but it is one cheap op on the carried
-                // compare/add critical path where a blend is two.
-                cp = _mm256_add_epi32(_mm256_min_epi32(via_plain, via_inv), zeros_plain);
-                ci = _mm256_add_epi32(_mm256_min_epi32(alt_plain, alt_inv), zeros_inv);
-
-                let bit = _mm256_set1_epi32(1 << i);
-                let next_mp = blend8!(mp, mi, selp);
-                mi = _mm256_or_si256(blend8!(mp, mi, seli), bit);
+                // Negative where the plain state comes from the inverted
+                // one, and where the inverted state stays inverted.
+                let from_inv_plain = _mm_add_epi16(delta, t[i]);
+                let from_inv_inv = _mm_sub_epi16(delta, t[i]);
+                delta = _mm_sub_epi16(
+                    _mm_min_epi16(tg[i], _mm_add_epi16(delta, g[i])),
+                    _mm_min_epi16(zero, from_inv_plain),
+                );
+                let bit = _mm_set1_epi16((0x100u16 << i) as i16);
+                let next_mp = _mm_blendv_epi8(mp, mi, from_inv_plain);
+                mi = _mm_or_si128(_mm_blendv_epi8(mp, mi, from_inv_inv), bit);
                 mp = next_mp;
             }
-
-            let win = _mm256_cmpgt_epi32(cp, ci);
-            let mask_v = blend8!(mp, mi, win);
-            // Next burst's DBI entry level: the sign-broadcast of each
-            // winning mask's last decision bit (bit 7 for BL8).
-            plv = _mm256_srai_epi32::<31>(_mm256_slli_epi32::<24>(mask_v));
+            let mask_v = _mm_blendv_epi8(mp, mi, delta);
+            level = _mm_srai_epi16::<15>(delta);
 
             // Pricing, per (beat, chain) byte of the P/D layout. A beat
             // drives `8 − p` zeros plain and `9 − (8 − p)` inverted (the
@@ -1093,9 +1157,7 @@ mod x86 {
             // level flips against the beat before (the entry level for
             // beat 0). The winning masks, packed one byte per chain, give
             // the inversions; their one-beat shift, the flips.
-            let packed =
-                _mm256_permutevar8x32_epi32(_mm256_shuffle_epi8(mask_v, pack_low), lane_words);
-            let m = _mm_cvtsi128_si64(_mm256_castsi256_si128(packed)) as u64;
+            let m = _mm_cvtsi128_si64(_mm_shuffle_epi8(mask_v, high_bytes)) as u64;
             let flips = m ^ (((m << 1) & 0xFEFE_FEFE_FEFE_FEFE) | entry);
             entry = (m >> 7) & 0x0101_0101_0101_0101;
             let inv_word = _mm256_set1_epi64x(m as i64);
@@ -1106,7 +1168,7 @@ mod x86 {
                 ($x:expr, $word:expr, $beats:expr) => {{
                     let x = $x;
                     let set = _mm256_cmpeq_epi8(_mm256_and_si256($word, $beats), $beats);
-                    blend8!(x, _mm256_sub_epi8(nine8, x), set)
+                    _mm256_blendv_epi8(x, _mm256_sub_epi8(nine8, x), set)
                 }};
             }
             // Eight beats of at most 9 each: byte sums cannot overflow.
@@ -1265,6 +1327,49 @@ mod tests {
                         assert_eq!(costs, oracle, "{name} decode costs, len {len}, low {low}");
                         assert_eq!(rx, state, "{name} decode state, len {len}, low {low}");
                     }
+                }
+            }
+        }
+    }
+
+    /// Both builds of the toggle count, called directly, and the
+    /// dispatched one against a per-byte count: every length 0..=80
+    /// (whole words and every tail) at every access offset 1..=8, the
+    /// way the transitions-saved count compares a beat stream with itself.
+    #[test]
+    fn both_xor_popcount_builds_match_the_per_byte_count() {
+        type Count = fn(&[u8], &[u8]) -> u64;
+        #[allow(unused_mut)]
+        let mut builds: Vec<(&str, Count)> = vec![
+            ("baseline", |a, b| xor_popcount_body(a, b)),
+            ("dispatched", xor_popcount),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if available_kernels().contains(&KernelKind::Avx2) {
+            // SAFETY: `Avx2` is listed only after runtime AVX2 and
+            // `popcnt` detection succeeded.
+            #[allow(unsafe_code)]
+            builds.push(("avx2", |a, b| unsafe { xor_popcount_avx2(a, b) }));
+        }
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        let stream: Vec<u8> = (0..88)
+            .map(|_| {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                seed as u8
+            })
+            .collect();
+        for len in 0..=80usize {
+            for offset in 1..=8usize {
+                let (a, b) = (&stream[offset..offset + len], &stream[..len]);
+                let expected: u64 = a
+                    .iter()
+                    .zip(b)
+                    .map(|(x, y)| u64::from((x ^ y).count_ones()))
+                    .sum();
+                for (name, count) in &builds {
+                    assert_eq!(count(a, b), expected, "{name}, len {len}, offset {offset}");
                 }
             }
         }

@@ -395,6 +395,34 @@ fn lane_kernels_are_bit_identical_to_the_serial_chain_reference() {
     }
 }
 
+/// The eight-chain block keeps its path costs as one `i16` difference
+/// per chain, exact while α and β stay at most 1024; heavier plans run
+/// their BL8 chains through the four-chain block. Both sides of that
+/// bound, at the block geometries (8, 12 and 16 chains), on the payloads
+/// that reach the extreme edge weights: constant bytes (no data toggles)
+/// and `0x00`/`0xFF` alternating per beat (all eight lanes toggle), from
+/// every corner entry state.
+#[test]
+fn lane_kernels_hold_at_and_past_the_i16_weight_bound() {
+    let mut rng = StdRng::seed_from_u64(0x1616);
+    let cap = dbi_core::cost::MAX_WEIGHT;
+    for (alpha, beta) in [(1024, 1024), (1025, 1), (1, 1025), (cap, cap)] {
+        let weights = CostWeights::new(alpha, beta).unwrap();
+        for family in FAMILIES.into_iter().skip(1) {
+            for shift in 0..4 {
+                lane_kernels_match_the_serial_chain_at(
+                    &mut rng,
+                    weights,
+                    family,
+                    Some(shift),
+                    &[8],
+                    &[8, 12, 16],
+                );
+            }
+        }
+    }
+}
+
 /// A payload family of the kernel sweep: `None` for random bytes, or the
 /// byte beat `b` carries.
 type Family = Option<fn(usize) -> u8>;
@@ -426,9 +454,23 @@ fn lane_kernels_match_the_serial_chain(
     family: Family,
     shift: Option<usize>,
 ) {
+    let burst_lens: Vec<usize> = (1..=32).collect();
+    lane_kernels_match_the_serial_chain_at(rng, weights, family, shift, &burst_lens, &CHAINS);
+}
+
+/// [`lane_kernels_match_the_serial_chain`] over the given burst lengths
+/// and chain counts.
+fn lane_kernels_match_the_serial_chain_at(
+    rng: &mut StdRng,
+    weights: CostWeights,
+    family: Family,
+    shift: Option<usize>,
+    burst_lens: &[usize],
+    chain_counts: &[usize],
+) {
     let encoder = dbi_core::schemes::OptEncoder::new(weights);
-    for burst_len in 1usize..=32 {
-        for chains in CHAINS {
+    for &burst_len in burst_lens {
+        for &chains in chain_counts {
             for per_chain in [1usize, 2, 17] {
                 let slab = match family {
                     None => random_slab(rng, burst_len, chains * per_chain),

@@ -1,13 +1,16 @@
 //! Proof of the zero-allocation claim: the mask fast path, the reusable
 //! `EncodedBurst::assign_from_mask` buffer, the inline-buffer `encode`
-//! path and a warm `encode_lanes_into` slab perform **no** heap allocation
-//! for standard 8-byte bursts, measured with a counting global allocator.
+//! path, a warm `encode_lanes_into` slab and the toggle count
+//! (`simd::xor_popcount`) perform **no** heap allocation for standard
+//! 8-byte bursts, measured with a counting global allocator.
 //!
-//! Everything runs inside a single `#[test]` so no concurrent test can
-//! disturb the global counters.
+//! The allocator counts per thread, and a window counts only the
+//! allocations of the thread that runs it: libtest's main thread and any
+//! other test's thread can allocate at any moment, and on a loaded
+//! machine their bookkeeping would otherwise land inside a window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use dbi_core::schemes::{
     AcDcEncoder, AcEncoder, DbiEncoder, DcEncoder, GreedyEncoder, OptEncoder, OptFixedEncoder,
@@ -17,16 +20,25 @@ use dbi_core::{
     Burst, BusState, CostBreakdown, CostWeights, EncodePlan, EncodedBurst, PlanCache, Scheme,
 };
 
-/// Wraps the system allocator and counts every allocation.
+/// Wraps the system allocator and counts every allocation on the thread
+/// that makes it.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's allocations so far. A `const` cell needs neither
+    /// lazy set-up nor a destructor, so the allocator can touch it.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCATIONS.with(|count| count.set(count.get() + 1));
+}
 
 // SAFETY: delegates directly to `System`, which upholds the `GlobalAlloc`
 // contract; the counter increment has no effect on the returned memory.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -35,7 +47,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -43,11 +55,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Runs `f` and returns how many heap allocations it performed.
+/// Runs `f` and returns how many heap allocations it performed on the
+/// calling thread.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let result = f();
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = ALLOCATIONS.with(Cell::get);
     drop(result);
     after - before
 }
@@ -190,6 +203,20 @@ fn bl8_fast_paths_never_touch_the_heap() {
             "warm slab encode (chains={chains}) allocated {count} times"
         );
     }
+
+    // The transitions-saved count, warm: the dispatch probe is behind
+    // the slab encodes above.
+    let stream: Vec<u8> = (0..8192u32)
+        .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8)
+        .collect();
+    let count = allocations_during(|| {
+        let mut toggles = 0u64;
+        for offset in 1..=8 {
+            toggles += dbi_core::simd::xor_popcount(&stream[offset..], &stream[..8192 - offset]);
+        }
+        toggles
+    });
+    assert_eq!(count, 0, "xor_popcount allocated {count} times");
 
     // Sanity check that the counter works at all.
     let count = allocations_during(|| Vec::<u8>::with_capacity(64));

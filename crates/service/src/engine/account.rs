@@ -8,7 +8,7 @@ use super::{Phase, Shared, SlotState};
 use crate::error::ServiceError;
 use crate::telemetry::{TraceEvent, TraceOutcome};
 use dbi_core::persist::scheme_to_tag;
-use dbi_core::{clock, Scheme};
+use dbi_core::{clock, simd, Scheme};
 use dbi_mem::{BusSession, MemError};
 use std::sync::atomic::Ordering;
 use std::sync::MutexGuard;
@@ -212,7 +212,8 @@ impl ShardWorker {
 /// of `0xFF`), whatever the inversion decisions were. Beat `i ≥ groups`
 /// of the payload follows beat `i − groups` on the same group, so past
 /// the first beat the count is one XOR-popcount of the payload against
-/// itself offset by `groups` bytes.
+/// itself offset by `groups` bytes ([`simd::xor_popcount`], on the
+/// selected kernel tier).
 fn raw_transitions(payload: &[u8], session: &BusSession) -> u64 {
     let groups = session.group_count();
     let entry: u64 = payload[..groups]
@@ -223,27 +224,5 @@ fn raw_transitions(payload: &[u8], session: &BusSession) -> u64 {
             u64::from((state.last().decode() ^ byte).count_ones())
         })
         .sum();
-    entry + xor_popcount(&payload[groups..], &payload[..payload.len() - groups])
-}
-
-/// Number of differing bits between two equal-length byte slices, eight
-/// bytes per `u64` word plus a byte tail.
-fn xor_popcount(a: &[u8], b: &[u8]) -> u64 {
-    let words_a = a.chunks_exact(8);
-    let words_b = b.chunks_exact(8);
-    let tail = words_a
-        .remainder()
-        .iter()
-        .zip(words_b.remainder())
-        .map(|(x, y)| u64::from((x ^ y).count_ones()))
-        .sum::<u64>();
-    words_a
-        .zip(words_b)
-        .map(|(x, y)| {
-            let x = u64::from_le_bytes(x.try_into().expect("8-byte chunk"));
-            let y = u64::from_le_bytes(y.try_into().expect("8-byte chunk"));
-            u64::from((x ^ y).count_ones())
-        })
-        .sum::<u64>()
-        + tail
+    entry + simd::xor_popcount(&payload[groups..], &payload[..payload.len() - groups])
 }

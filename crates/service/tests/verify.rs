@@ -312,6 +312,11 @@ fn packed_verify_holds_across_every_geometry_and_chain_base() {
                     let mut serial_groups = Vec::new();
                     let mut serial_masks = Vec::new();
                     let mut reply = EncodeReply::new();
+                    // A failed request stops this client's checks, not its
+                    // barrier waits: the others wait at every step for all
+                    // five clients, so leaving early would hang them. The
+                    // first failure is re-raised once the round is over.
+                    let mut failure = None;
                     for index in 0..REQUESTS {
                         // Same access count across sessions at each step, so
                         // their jobs can share a round.
@@ -320,38 +325,49 @@ fn packed_verify_holds_across_every_geometry_and_chain_base() {
                         let payload = pseudo_random(len, (u32::from(groups) << 16) ^ index as u32);
                         let want_masks = (index + usize::from(groups)) % 2 == 0;
                         barrier.wait();
-                        client
-                            .encode(
-                                &EncodeRequest {
-                                    session_id: session_of(groups),
-                                    scheme,
-                                    cost_model: dbi_service::CostModel::Inline,
-                                    groups,
-                                    burst_len,
-                                    want_masks,
-                                    verify: VerifyMode::RoundTrip,
-                                    payload: &payload,
-                                },
-                                &mut reply,
-                            )
-                            .unwrap_or_else(|err| {
-                                panic!("{scheme} x{groups} BL{burst_len} request {index}: {err}")
-                            });
-                        let bursts = serial
-                            .encode_stream_into(
-                                &payload,
-                                &mut serial_groups,
-                                Some(&mut serial_masks),
-                            )
-                            .unwrap();
-                        let label = format!("{scheme} x{groups} BL{burst_len} request {index}");
-                        assert_eq!(reply.bursts, bursts, "{label}");
-                        assert_eq!(reply.per_group, serial_groups, "{label}");
-                        if want_masks {
-                            assert_eq!(reply.masks, serial_masks, "{label}");
-                        } else {
-                            assert!(reply.masks.is_empty(), "{label}");
+                        if failure.is_some() {
+                            continue;
                         }
+                        let step = std::panic::AssertUnwindSafe(|| {
+                            client
+                                .encode(
+                                    &EncodeRequest {
+                                        session_id: session_of(groups),
+                                        scheme,
+                                        cost_model: dbi_service::CostModel::Inline,
+                                        groups,
+                                        burst_len,
+                                        want_masks,
+                                        verify: VerifyMode::RoundTrip,
+                                        payload: &payload,
+                                    },
+                                    &mut reply,
+                                )
+                                .unwrap_or_else(|err| {
+                                    panic!(
+                                        "{scheme} x{groups} BL{burst_len} request {index}: {err}"
+                                    )
+                                });
+                            let bursts = serial
+                                .encode_stream_into(
+                                    &payload,
+                                    &mut serial_groups,
+                                    Some(&mut serial_masks),
+                                )
+                                .unwrap();
+                            let label = format!("{scheme} x{groups} BL{burst_len} request {index}");
+                            assert_eq!(reply.bursts, bursts, "{label}");
+                            assert_eq!(reply.per_group, serial_groups, "{label}");
+                            if want_masks {
+                                assert_eq!(reply.masks, serial_masks, "{label}");
+                            } else {
+                                assert!(reply.masks.is_empty(), "{label}");
+                            }
+                        });
+                        failure = std::panic::catch_unwind(step).err();
+                    }
+                    if let Some(panic) = failure {
+                        std::panic::resume_unwind(panic);
                     }
                 });
             }
